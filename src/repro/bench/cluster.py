@@ -16,8 +16,8 @@ server replica executed every operation exactly once) and correctness
 (every client replica saw the right voted totals).
 
 Every number in the JSON artifact derives from simulated state only —
-no wall clocks — so the report is byte-identical across repeated runs
-and across perf modes (``REPRO_PERF_MODE=baseline``), which CI checks.
+no wall clocks — so the report is byte-identical across repeated
+runs, which CI checks.
 
 Usage::
 

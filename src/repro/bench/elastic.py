@@ -30,9 +30,8 @@ quiescence — and the critical-path attribution showing nonzero time
 under the ``migration`` cause (held invocations price their hold).
 
 Every number derives from simulated state only — no wall clocks — so
-the artifact is byte-identical across repeated runs and across perf
-modes (``REPRO_PERF_MODE=baseline``), which the ``elastic-smoke`` CI
-job checks.  The ``headline`` rows feed ``repro.bench.trend`` without
+the artifact is byte-identical across repeated runs, which the
+``determinism`` CI job checks.  The ``headline`` rows feed ``repro.bench.trend`` without
 any code changes there.
 
 Usage::

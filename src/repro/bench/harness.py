@@ -7,8 +7,6 @@ under each of the four survivability cases.  Throughput is measured at
 a server replica over a steady-state window, discarding warm-up.
 """
 
-import time
-
 from repro.core.config import ImmuneConfig, SurvivabilityCase
 from repro.core.immune import ImmuneSystem
 from repro.workloads.packet_driver import PACKET_IDL, PacketDriver, PacketSink
@@ -24,10 +22,7 @@ CASE_LABELS = {
 class CaseResult:
     """One measured point of the Figure 7 sweep."""
 
-    def __init__(
-        self, case, interval, offered, throughput, sent, received, cpu,
-        run_wall_seconds=None,
-    ):
+    def __init__(self, case, interval, offered, throughput, sent, received, cpu):
         self.case = case
         self.interval = interval
         #: invocations/s the client attempted (1/interval)
@@ -38,11 +33,6 @@ class CaseResult:
         self.received = received
         #: measured server processor's CPU accounting by category
         self.cpu = cpu
-        #: host wall-clock seconds spent inside the simulation loop (the
-        #: hot loop the perf gate measures); excludes system
-        #: construction and key generation, which are identical setup
-        #: work in every configuration
-        self.run_wall_seconds = run_wall_seconds
 
     @property
     def interval_us(self):
@@ -125,9 +115,7 @@ def run_packet_driver_case(
         if obs is None:
             raise ValueError("sample_period requires an obs bundle")
         obs.registry.sample_series(immune.scheduler, period=sample_period)
-    wall_begin = time.perf_counter()
     immune.run(until=end + 0.05)
-    run_wall_seconds = time.perf_counter() - wall_begin
     if sample_period is not None:
         obs.registry.series_sampler.stop()
 
@@ -148,7 +136,6 @@ def run_packet_driver_case(
         sent=driver.sent_per_replica,
         received=sink.received,
         cpu=dict(immune.processors[measured_pid].cpu_accounting),
-        run_wall_seconds=run_wall_seconds,
     )
 
 

@@ -1,8 +1,9 @@
 """Performance trajectory across the stacked benchmark artefacts.
 
 Each optimisation PR leaves a ``BENCH_*.json`` report at the repo root
-(``repro.bench.perf`` writes ``BENCH_pr2.json``/``BENCH_pr7.json``,
-``repro.bench.cluster`` writes ``BENCH_pr5.json``).  Those files gate
+(``BENCH_pr2.json`` is PR 2's frozen measurement, ``repro.bench.perf``
+writes ``BENCH_pr7.json``, ``repro.bench.cluster`` writes
+``BENCH_pr5.json``).  Those files gate
 their own PRs, but nothing shows the trajectory — whether the stack of
 changes is still compounding or a later PR quietly gave back an
 earlier win.  This module aggregates every recognised artefact into
@@ -117,14 +118,14 @@ def collect(directory):
     """Scan ``directory`` for ``BENCH_*.json`` and extract trend rows.
 
     Returns a list of per-artefact entries sorted by filename.  The
-    aggregate's own output (``BENCH_trend.json``) and any ``-rerun`` /
-    ``-baseline`` scratch copies CI leaves behind are skipped.
+    aggregate's own output (``BENCH_trend.json``) and any ``-rerun``
+    scratch copies CI leaves behind are skipped.
     """
     entries = []
     for path in sorted(glob.glob(os.path.join(directory, "BENCH_*.json"))):
         name = os.path.basename(path)
         stem = name[: -len(".json")]
-        if stem == "BENCH_trend" or stem.endswith(("-rerun", "-baseline")):
+        if stem == "BENCH_trend" or stem.endswith("-rerun"):
             continue
         try:
             with open(path, "r") as fh:

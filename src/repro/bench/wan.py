@@ -24,9 +24,8 @@ Two sections mirror the federation's two promises:
   (precision = recall = 1.0 is a gate).
 
 Every number derives from simulated state only — no wall clocks — so
-the artifact is byte-identical across repeated runs and across perf
-modes (``REPRO_PERF_MODE=baseline``), which the ``wan-smoke`` CI job
-checks.  The ``headline`` rows feed ``repro.bench.trend`` without any
+the artifact is byte-identical across repeated runs, which the
+``determinism`` CI job checks.  The ``headline`` rows feed ``repro.bench.trend`` without any
 code changes there.
 
 Usage::

@@ -8,8 +8,8 @@ from a cryptographic hash, and the highest score wins.  The properties
 that matter here:
 
 * **deterministic** — the mapping is a pure function of the group name,
-  the bucket id, and a salt: every run of a seeded simulation (and both
-  perf modes) places identically;
+  the bucket id, and a salt: every run of a seeded simulation places
+  identically;
 * **uniform** — scores are i.i.d. uniform per bucket, so groups spread
   evenly across rings without coordination;
 * **minimally disruptive** — removing a ring only moves the groups that

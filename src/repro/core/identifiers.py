@@ -103,8 +103,6 @@ class ImmuneMessage:
     _TEMPLATE_CACHE = perf.register_cache(perf.BytesKeyedCache("immune.encode_template", 1024))
 
     def encode(self):
-        if not perf.optimized_enabled():
-            return self._encode()
         key = (self.kind, self.source_group, self.replica_proc, self.target_group)
         template = self._TEMPLATE_CACHE.get(key)
         if template is None:
@@ -183,8 +181,6 @@ class ImmuneMessage:
         Malformed payloads are not cached; the exception path is
         untouched.
         """
-        if not perf.optimized_enabled():
-            return cls.decode(data)
         key = bytes(data)
         message = cls._DECODE_CACHE.get(key)
         if message is None:

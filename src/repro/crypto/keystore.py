@@ -46,15 +46,13 @@ class KeyStore:
         self._keypairs = {}
 
     def _digest(self, data):
-        """``digest_fn(data)``, memoised by payload bytes when optimised.
+        """``digest_fn(data)``, memoised by payload bytes.
 
         The raw function participates in the key: key stores built on
         different digest functions (MD4 vs MD5) share the process-wide
         memo without ever seeing each other's digests.
         """
         fn = self._raw_digest_fn
-        if not perf.optimized_enabled():
-            return fn(data)
         key = (fn, bytes(data))
         digest = _DIGEST_CACHE.get(key)
         if digest is None:
@@ -155,8 +153,6 @@ class SigningService:
             self._m_digest_ops.inc()
             self._m_verify_ops.inc()
         public_key = self._keystore.public_key(signer_id)
-        if not perf.optimized_enabled():
-            return public_key.verify(digest, signature)
         key = (public_key, bytes(data), signature)
         result = _VERIFY_CACHE.get(key)
         if result is None:

@@ -16,9 +16,10 @@ Two block functions exist: :func:`_process_block` unpacks all sixteen
 words with one precompiled :class:`struct.Struct` call and fully
 unrolls the three rounds (the hot-loop implementation), and
 :func:`_process_block_reference` keeps the table-driven RFC
-transcription.  They are asserted equal over the RFC vectors and random
-inputs in the tests; :mod:`repro.perf` baseline mode selects the
-reference so the perf bench can measure the unrolled speedup.
+transcription.  Only the unrolled one ever runs; the reference is the
+oracle of a Hypothesis property in
+``tests/properties/test_crypto_properties.py`` that asserts both yield
+the same state over random 0-300-byte inputs.
 """
 
 import functools
@@ -70,7 +71,7 @@ def _pad(message):
 
 
 def _process_block_reference(state, block):
-    """Table-driven transcription of RFC 1320 (the baseline-mode path)."""
+    """Table-driven transcription of RFC 1320 (test oracle; never selected)."""
     x = _BLOCK_WORDS.unpack(block)
     a, b, c, d = state
 
@@ -185,16 +186,13 @@ def _process_block(state, block):
 def _md4_digest_cached(message):
     state = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476)
     padded = _pad(message)
-    block_fn = (
-        _process_block if perf.optimized_enabled() else _process_block_reference
-    )
     for offset in range(0, len(padded), 64):
-        state = block_fn(state, padded[offset : offset + 64])
+        state = _process_block(state, padded[offset : offset + 64])
     return struct.pack("<4I", *state)
 
 
 class _LruCacheAdapter:
-    """Expose an ``lru_cache`` to :mod:`repro.perf` mode switches."""
+    """Expose an ``lru_cache`` to the :mod:`repro.perf` memo registry."""
 
     name = "md4.digest"
 

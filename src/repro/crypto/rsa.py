@@ -14,7 +14,6 @@ within the simulation — mutant tokens injected by the adversary module
 genuinely fail verification.
 """
 
-from repro import perf
 from repro.crypto.primes import generate_prime
 
 
@@ -95,28 +94,22 @@ class RsaPublicKey:
 class RsaKeyPair:
     """A private signing key together with its public half."""
 
-    def __init__(self, n, e, d, p=None, q=None):
+    def __init__(self, n, e, d, p, q):
         self.public = RsaPublicKey(n, e)
-        self._d = d
         # Precomputed CRT exponents, as every production RSA
         # implementation keeps: signing modulo p and q separately costs
         # two half-width modexps (~4x faster) and recombines to the
         # *same* integer as pow(m, d, n).
-        if p is not None and q is not None:
-            self._crt = (p, q, d % (p - 1), d % (q - 1), _modinv(q, p))
-        else:
-            self._crt = None
+        self._crt = (p, q, d % (p - 1), d % (q - 1), _modinv(q, p))
 
     def sign(self, digest):
         """Sign a fixed-size digest; returns the signature as an int."""
         block = _pad_digest(digest, self.public.modulus_bytes)
         m = int.from_bytes(block, "big")
-        if self._crt is not None and perf.optimized_enabled():
-            p, q, dp, dq, qinv = self._crt
-            mp = pow(m % p, dp, p)
-            mq = pow(m % q, dq, q)
-            return mq + ((mp - mq) * qinv % p) * q
-        return pow(m, self._d, self.public.n)
+        p, q, dp, dq, qinv = self._crt
+        mp = pow(m % p, dp, p)
+        mq = pow(m % q, dq, q)
+        return mq + ((mp - mq) * qinv % p) * q
 
     def __repr__(self):
         return "RsaKeyPair(%d bits)" % self.public.modulus_bits

@@ -25,7 +25,7 @@ class ByzantineBehaviour:
     activation time) and, when the endpoint carries a forensics hub,
     registers the injection as scorecard ground truth — the join
     between injected faults and detector output is deterministic
-    across runs and perf modes.
+    across runs.
     """
 
     name = "byzantine"

@@ -67,8 +67,6 @@ class RegularMessage:
     _TEMPLATE_CACHE = perf.register_cache(perf.BytesKeyedCache("multicast.encode_template", 1024))
 
     def encode(self):
-        if not perf.optimized_enabled():
-            return self._encode()
         key = (self.sender_id, self.ring_id, self.dest_group)
         template = self._TEMPLATE_CACHE.get(key)
         if template is None:
@@ -443,8 +441,6 @@ def decode_frame_shared(data):
     are not cached: garbage bytes are overwhelmingly unique, and
     re-raising a fresh exception keeps the error path untouched.
     """
-    if not perf.optimized_enabled():
-        return decode_frame(data)
     key = bytes(data)
     frame = _FRAME_CACHE.get(key)
     if frame is None:

@@ -28,7 +28,7 @@ Three pieces:
 mutant-token equivocator, a value-faulting replica, and a processor
 crash), renders the ASCII timeline, and writes the machine-readable
 JSON report.  Every event derives from simulated state only, so the
-report is byte-identical across perf modes and repeated runs.
+report is byte-identical across repeated runs.
 """
 
 import json

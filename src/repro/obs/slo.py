@@ -19,7 +19,7 @@ alerts fast on real incidents and quiet on blips.
 
 Because every input is simulated (series of sim-time samples, the
 forensics scorecard), evaluation is a pure function: the same seed
-yields byte-identical alert JSON across runs and perf modes.  The
+yields byte-identical alert JSON across runs.  The
 evaluation also joins alerts against the detector's ground-truth
 scorecard, answering the question a survivability review actually
 asks: *did the pager lead the fault detector, or trail it?*

@@ -49,8 +49,7 @@ consecutive stage nodes carry the *exact*
 the trace's own stage-node times, and :func:`verify_against_critpath`
 asserts those times (and therefore every per-cause sum) equal the span
 tracker's ground truth for every sampled invocation.  Exports are
-deterministic JSONL, byte-identical across runs and
-``REPRO_PERF_MODE`` settings.
+deterministic JSONL, byte-identical across runs.
 """
 
 import hashlib

@@ -24,38 +24,28 @@ Every primitive also has a direct method (``write_ulong``,
 :class:`struct.Struct`; the wire-format hot paths (GIOP headers,
 multicast frames, tokens) call these instead of the generic
 string-tag dispatch.  Direct methods and generic ``write``/``read``
-produce byte-identical output.  :mod:`repro.perf` can swap in the
-pre-optimisation method suite (``baseline`` mode) so the perf bench can
-measure the fast paths against their original implementations on the
-same host.
+produce byte-identical output.
 """
 
 import struct
-
-from repro import perf
 
 
 class MarshalError(Exception):
     """Raised on malformed CDR data or unsupported types."""
 
 
-_PRIMITIVES = {
-    # tag: (struct format, size/alignment)
-    "boolean": ("<B", 1),
-    "octet": ("<B", 1),
-    "short": ("<h", 2),
-    "ushort": ("<H", 2),
-    "long": ("<i", 4),
-    "ulong": ("<I", 4),
-    "longlong": ("<q", 8),
-    "ulonglong": ("<Q", 8),
-    "float": ("<f", 4),
-    "double": ("<d", 8),
-}
-
 #: tag -> (precompiled Struct, size/alignment)
-_STRUCTS = {
-    tag: (struct.Struct(fmt), size) for tag, (fmt, size) in _PRIMITIVES.items()
+_PRIMITIVES = {
+    "boolean": (struct.Struct("<B"), 1),
+    "octet": (struct.Struct("<B"), 1),
+    "short": (struct.Struct("<h"), 2),
+    "ushort": (struct.Struct("<H"), 2),
+    "long": (struct.Struct("<i"), 4),
+    "ulong": (struct.Struct("<I"), 4),
+    "longlong": (struct.Struct("<q"), 8),
+    "ulonglong": (struct.Struct("<Q"), 8),
+    "float": (struct.Struct("<f"), 4),
+    "double": (struct.Struct("<d"), 8),
 }
 
 _PADDING = {n: b"\x00" * n for n in range(1, 8)}
@@ -66,11 +56,6 @@ class CdrEncoder:
 
     def __init__(self):
         self._parts = bytearray()
-
-    def _align(self, size):
-        remainder = len(self._parts) % size
-        if remainder:
-            self._parts.extend(_PADDING[size - remainder])
 
     def write(self, tag, value):
         """Marshal ``value`` described by type ``tag``."""
@@ -114,14 +99,31 @@ class CdrEncoder:
                 self.write(cases[index][1], branch_value)
                 return self
             raise MarshalError("unknown composite tag %r" % (tag,))
-        if tag in _PRIMITIVES:
-            self._write_primitive(tag, value)
-            return self
+        writer = _WRITERS.get(tag)
+        if writer is not None:
+            return writer(self, value)
         if tag == "string":
             return self.write_string(value)
         if tag == "octets":
             return self.write_octets(value)
         raise MarshalError("unknown type tag %r" % (tag,))
+
+    def write_string(self, value):
+        if not isinstance(value, str):
+            raise MarshalError("string tag requires str, got %r" % type(value))
+        data = value.encode("utf-8")
+        self.write_ulong(len(data) + 1)  # CDR counts the terminating NUL
+        parts = self._parts
+        parts.extend(data)
+        parts.append(0)
+        return self
+
+    def write_octets(self, value):
+        if not isinstance(value, (bytes, bytearray)):
+            raise MarshalError("octets tag requires bytes, got %r" % type(value))
+        self.write_ulong(len(value))
+        self._parts.extend(value)
+        return self
 
     def getvalue(self):
         return bytes(self._parts)
@@ -136,11 +138,6 @@ class CdrDecoder:
     def __init__(self, data, offset=0):
         self._data = bytes(data)
         self._pos = offset
-
-    def _align(self, size):
-        remainder = self._pos % size
-        if remainder:
-            self._pos += size - remainder
 
     def read(self, tag):
         """Unmarshal one value described by type ``tag``."""
@@ -169,13 +166,40 @@ class CdrDecoder:
                 label, branch_tag = cases[index]
                 return (label, self.read(branch_tag))
             raise MarshalError("unknown composite tag %r" % (tag,))
-        if tag in _PRIMITIVES:
-            return self._read_primitive(tag)
+        reader = _READERS.get(tag)
+        if reader is not None:
+            return reader(self)
         if tag == "string":
             return self.read_string()
         if tag == "octets":
             return self.read_octets()
         raise MarshalError("unknown type tag %r" % (tag,))
+
+    def read_string(self):
+        length = self.read_ulong()
+        if length == 0:
+            raise MarshalError("CDR string length must include the NUL")
+        pos = self._pos
+        end = pos + length
+        data = self._data
+        if end > len(data):
+            raise MarshalError("truncated CDR string")
+        if data[end - 1]:
+            raise MarshalError("CDR string missing NUL terminator")
+        self._pos = end
+        try:
+            return data[pos : end - 1].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MarshalError("invalid UTF-8 in CDR string: %s" % exc)
+
+    def read_octets(self):
+        length = self.read_ulong()
+        pos = self._pos
+        end = pos + length
+        if end > len(self._data):
+            raise MarshalError("truncated CDR octet sequence")
+        self._pos = end
+        return self._data[pos:end]
 
     @property
     def position(self):
@@ -189,11 +213,12 @@ class CdrDecoder:
 
 
 # ----------------------------------------------------------------------
-# optimised method suite: precompiled Structs, one call per primitive
+# primitive methods: one precompiled Struct call per primitive, attached
+# to the classes as write_<tag> / read_<tag>
 # ----------------------------------------------------------------------
 
-def _make_fast_writer(tag):
-    packer, size = _STRUCTS[tag]
+def _make_writer(tag):
+    packer, size = _PRIMITIVES[tag]
     pack = packer.pack
     boolean = tag == "boolean"
 
@@ -214,8 +239,8 @@ def _make_fast_writer(tag):
     return writer
 
 
-def _make_fast_reader(tag):
-    unpacker, size = _STRUCTS[tag]
+def _make_reader(tag):
+    unpacker, size = _PRIMITIVES[tag]
     unpack_from = unpacker.unpack_from
     boolean = tag == "boolean"
 
@@ -238,184 +263,10 @@ def _make_fast_reader(tag):
     return reader
 
 
-_FAST_WRITERS = {tag: _make_fast_writer(tag) for tag in _PRIMITIVES}
-_FAST_READERS = {tag: _make_fast_reader(tag) for tag in _PRIMITIVES}
+_WRITERS = {tag: _make_writer(tag) for tag in _PRIMITIVES}
+_READERS = {tag: _make_reader(tag) for tag in _PRIMITIVES}
 
-
-def _fast_write_primitive(self, tag, value):
-    writer = _FAST_WRITERS.get(tag)
-    if writer is None:
-        raise MarshalError("unknown type tag %r" % (tag,))
-    writer(self, value)
-
-
-def _fast_read_primitive(self, tag):
-    reader = _FAST_READERS.get(tag)
-    if reader is None:
-        raise MarshalError("unknown type tag %r" % (tag,))
-    return reader(self)
-
-
-def _fast_write_string(self, value):
-    if not isinstance(value, str):
-        raise MarshalError("string tag requires str, got %r" % type(value))
-    data = value.encode("utf-8")
-    self.write_ulong(len(data) + 1)  # CDR counts the terminating NUL
-    parts = self._parts
-    parts.extend(data)
-    parts.append(0)
-    return self
-
-
-def _fast_write_octets(self, value):
-    if not isinstance(value, (bytes, bytearray)):
-        raise MarshalError("octets tag requires bytes, got %r" % type(value))
-    self.write_ulong(len(value))
-    self._parts.extend(value)
-    return self
-
-
-def _fast_read_string(self):
-    length = self.read_ulong()
-    if length == 0:
-        raise MarshalError("CDR string length must include the NUL")
-    pos = self._pos
-    end = pos + length
-    data = self._data
-    if end > len(data):
-        raise MarshalError("truncated CDR string")
-    if data[end - 1]:
-        raise MarshalError("CDR string missing NUL terminator")
-    self._pos = end
-    try:
-        return data[pos : end - 1].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MarshalError("invalid UTF-8 in CDR string: %s" % exc)
-
-
-def _fast_read_octets(self):
-    length = self.read_ulong()
-    pos = self._pos
-    end = pos + length
-    if end > len(self._data):
-        raise MarshalError("truncated CDR octet sequence")
-    self._pos = end
-    return self._data[pos:end]
-
-
-# ----------------------------------------------------------------------
-# baseline method suite: the pre-optimisation implementations, kept so
-# the perf bench can measure the fast paths against them (repro.perf)
-# ----------------------------------------------------------------------
-
-def _legacy_write_primitive(self, tag, value):
-    fmt, size = _PRIMITIVES[tag]
-    self._align(size)
-    try:
-        if tag == "boolean":
-            value = 1 if value else 0
-        self._parts.extend(struct.pack(fmt, value))
-    except struct.error as exc:
-        raise MarshalError("cannot marshal %r as %s: %s" % (value, tag, exc))
-
-
-def _legacy_read_primitive(self, tag):
-    fmt, size = _PRIMITIVES[tag]
-    self._align(size)
-    end = self._pos + size
-    if end > len(self._data):
-        raise MarshalError("truncated CDR data reading %s" % tag)
-    (value,) = struct.unpack_from(fmt, self._data, self._pos)
-    self._pos = end
-    if tag == "boolean":
-        return bool(value)
-    return value
-
-
-def _make_legacy_writer(tag):
-    def writer(self, value):
-        self._write_primitive(tag, value)
-        return self
-
-    writer.__name__ = "write_" + tag
-    return writer
-
-
-def _make_legacy_reader(tag):
-    def reader(self):
-        return self._read_primitive(tag)
-
-    reader.__name__ = "read_" + tag
-    return reader
-
-
-def _legacy_write_string(self, value):
-    if not isinstance(value, str):
-        raise MarshalError("string tag requires str, got %r" % type(value))
-    data = value.encode("utf-8")
-    self.write_ulong(len(data) + 1)  # CDR counts the terminating NUL
-    self._parts.extend(data)
-    self._parts.append(0)
-    return self
-
-
-def _legacy_write_octets(self, value):
-    if not isinstance(value, (bytes, bytearray)):
-        raise MarshalError("octets tag requires bytes, got %r" % type(value))
-    self.write_ulong(len(value))
-    self._parts.extend(value)
-    return self
-
-
-def _legacy_read_string(self):
-    length = self.read_ulong()
-    if length == 0:
-        raise MarshalError("CDR string length must include the NUL")
-    end = self._pos + length
-    if end > len(self._data):
-        raise MarshalError("truncated CDR string")
-    raw = self._data[self._pos : end]
-    self._pos = end
-    if raw[-1:] != b"\x00":
-        raise MarshalError("CDR string missing NUL terminator")
-    try:
-        return raw[:-1].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MarshalError("invalid UTF-8 in CDR string: %s" % exc)
-
-
-def _legacy_read_octets(self):
-    length = self.read_ulong()
-    end = self._pos + length
-    if end > len(self._data):
-        raise MarshalError("truncated CDR octet sequence")
-    raw = self._data[self._pos : end]
-    self._pos = end
-    return raw
-
-
-def _apply_mode(optimized):
-    """Install the optimised or baseline method suite on both classes."""
-    if optimized:
-        CdrEncoder._write_primitive = _fast_write_primitive
-        CdrEncoder.write_string = _fast_write_string
-        CdrEncoder.write_octets = _fast_write_octets
-        CdrDecoder._read_primitive = _fast_read_primitive
-        CdrDecoder.read_string = _fast_read_string
-        CdrDecoder.read_octets = _fast_read_octets
-        for tag in _PRIMITIVES:
-            setattr(CdrEncoder, "write_" + tag, _FAST_WRITERS[tag])
-            setattr(CdrDecoder, "read_" + tag, _FAST_READERS[tag])
-    else:
-        CdrEncoder._write_primitive = _legacy_write_primitive
-        CdrEncoder.write_string = _legacy_write_string
-        CdrEncoder.write_octets = _legacy_write_octets
-        CdrDecoder._read_primitive = _legacy_read_primitive
-        CdrDecoder.read_string = _legacy_read_string
-        CdrDecoder.read_octets = _legacy_read_octets
-        for tag in _PRIMITIVES:
-            setattr(CdrEncoder, "write_" + tag, _make_legacy_writer(tag))
-            setattr(CdrDecoder, "read_" + tag, _make_legacy_reader(tag))
-
-
-perf.register_mode_listener(_apply_mode)
+for _tag in _PRIMITIVES:
+    setattr(CdrEncoder, "write_" + _tag, _WRITERS[_tag])
+    setattr(CdrDecoder, "read_" + _tag, _READERS[_tag])
+del _tag

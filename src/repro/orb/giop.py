@@ -73,8 +73,6 @@ class RequestMessage:
         self.response_expected = response_expected
 
     def encode(self):
-        if not perf.optimized_enabled():
-            return self._encode()
         key = (
             MSG_REQUEST,
             self.request_id,
@@ -181,8 +179,6 @@ class ReplyMessage:
         self.body = body
 
     def encode(self):
-        if not perf.optimized_enabled():
-            return self._encode()
         key = (MSG_REPLY, self.request_id, self.reply_status, self.body)
         frame = _ENCODE_CACHE.get(key)
         if frame is None:
@@ -237,7 +233,7 @@ class ReplyMessage:
 _GIOP_HEADER = struct.Struct("<4s4BI")
 
 
-def _giop_frame_fast(message_type, payload):
+def _giop_frame(message_type, payload):
     return (
         _GIOP_HEADER.pack(
             GIOP_MAGIC,
@@ -249,31 +245,6 @@ def _giop_frame_fast(message_type, payload):
         )
         + payload
     )
-
-
-def _giop_frame_legacy(message_type, payload):
-    """Pre-optimisation header build (byte-identical to the fast one).
-
-    Baseline mode swaps this in so the perf gate's reference numbers
-    keep the pre-PR per-frame overhead.
-    """
-    header = bytearray(GIOP_MAGIC)
-    header.extend(GIOP_VERSION)
-    header.append(_LITTLE_ENDIAN_FLAG)
-    header.append(message_type)
-    header.extend(len(payload).to_bytes(4, "little"))
-    return bytes(header) + payload
-
-
-_giop_frame = _giop_frame_fast
-
-
-def _apply_mode(optimized):
-    global _giop_frame
-    _giop_frame = _giop_frame_fast if optimized else _giop_frame_legacy
-
-
-perf.register_mode_listener(_apply_mode)
 
 
 def decode_message(frame):
@@ -311,8 +282,6 @@ def decode_message_shared(frame):
     sharing one object is observationally identical.  Malformed frames
     are not cached and raise fresh exceptions.
     """
-    if not perf.optimized_enabled():
-        return decode_message(frame)
     key = bytes(frame)
     message = _DECODE_CACHE.get(key)
     if message is None:

@@ -139,20 +139,18 @@ class OperationDef:
                 "operation %s expects %d arguments, got %d"
                 % (self.name, len(self.params), len(args))
             )
-        if perf.optimized_enabled():
-            # Marshalled bytes depend only on the parameter type tags
-            # and the argument values, so a constant-payload stream (the
-            # paper's packet driver) marshals once.  Unhashable
-            # arguments simply fall through to the generic path.
-            try:
-                key = (self._tag_key, tuple(args))
-                body = _MARSHAL_CACHE.get(key)
-                if body is None:
-                    body = _MARSHAL_CACHE.put(key, self._marshal_args(args))
-                return body
-            except TypeError:
-                pass
-        return self._marshal_args(args)
+        # Marshalled bytes depend only on the parameter type tags and
+        # the argument values, so a constant-payload stream (the paper's
+        # packet driver) marshals once.  Unhashable arguments simply
+        # fall through to the generic path.
+        try:
+            key = (self._tag_key, tuple(args))
+            body = _MARSHAL_CACHE.get(key)
+            if body is None:
+                body = _MARSHAL_CACHE.put(key, self._marshal_args(args))
+            return body
+        except TypeError:
+            return self._marshal_args(args)
 
     def _marshal_args(self, args):
         encoder = CdrEncoder()
@@ -276,10 +274,8 @@ class Stub:
             invoke_oneway.__name__ = op_name
             # Cache the invoker on the instance: later accesses bypass
             # __getattr__ and reuse the closure instead of rebuilding it
-            # on every invocation.  Baseline mode keeps the pre-PR
-            # rebuild-per-access behaviour for the perf gate.
-            if perf.optimized_enabled():
-                self.__dict__[op_name] = invoke_oneway
+            # on every invocation.
+            self.__dict__[op_name] = invoke_oneway
             return invoke_oneway
 
         def invoke(*args, reply_to, on_exception=None, timeout=None):
@@ -325,8 +321,7 @@ class Stub:
             )
 
         invoke.__name__ = op_name
-        if perf.optimized_enabled():
-            self.__dict__[op_name] = invoke
+        self.__dict__[op_name] = invoke
         return invoke
 
     def __repr__(self):

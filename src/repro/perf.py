@@ -1,95 +1,27 @@
-"""Runtime control of the wall-clock fast paths.
+"""Registry of the wall-clock memo tables.
 
-The simulator's hot loop carries several *wall-clock only* optimisations
-— shared fan-out frame decoding, digest and RSA-verify memoisation, and
-precompiled CDR primitive codecs.  None of them may change a single
-simulated timestamp: simulated CPU time is charged by the cost model
-before any cache is consulted, so a cache hit saves host CPU, never
-simulated CPU.  This module is the single switch that turns all of them
-on (``optimized``, the default) or off (``baseline``).
+The simulator's hot loop memoises several pure functions of immutable
+bytes — shared fan-out frame decoding, digests, RSA verification, GIOP
+and IDL encodes.  In a broadcast simulation N receivers compute the
+same function of byte-identical input, so the host does the work once.
+None of this may change a single simulated timestamp: simulated CPU
+time is charged by the cost model *before* any memo is consulted, so a
+hit saves host CPU, never simulated CPU.
+``tests/integration/test_memo_invisible.py`` proves it by running the
+seeded drills cold, warm and with every memo forced to miss, and
+requiring byte-identical observability exports.
 
-Baseline mode exists for two reasons:
-
-* the perf regression gate (``python -m repro.bench.perf``) measures the
-  optimised hot loop against the pre-optimisation implementations *on
-  the same host*, which is the only portable way to assert a speedup;
-* the determinism gate re-runs a seeded simulation in both modes and
-  asserts the observability export is byte-identical, which proves the
-  caches are invisible to the simulation.
-
-Components register two kinds of hooks:
-
-* ``register_cache(cache)`` — anything with a ``clear()`` method; every
-  registered cache is cleared on each mode switch so timing comparisons
-  start cold and stale cross-mode state cannot accumulate;
-* ``register_mode_listener(fn)`` — called with the new boolean mode on
-  every switch (the CDR module uses this to swap its method suites).
-
-The initial mode can be forced with ``REPRO_PERF_MODE=baseline`` in the
-environment (any other value, or unset, means optimised).
+Each memo registers itself here so that a benchmark can start cold
+(:func:`clear_caches`) and report hit rates (:func:`cache_stats`).
 """
 
-import os
-
-_OPTIMIZED = os.environ.get("REPRO_PERF_MODE", "optimized") != "baseline"
-
 _CACHES = []
-_MODE_LISTENERS = []
-
-
-def optimized_enabled():
-    """True when the wall-clock fast paths are active."""
-    return _OPTIMIZED
-
-
-def set_optimized(enabled):
-    """Switch between optimised and baseline mode.
-
-    Clears every registered cache and notifies mode listeners even when
-    the mode does not change, so callers can use it to reset state
-    between timed runs.  Returns the previous mode.
-    """
-    global _OPTIMIZED
-    previous = _OPTIMIZED
-    _OPTIMIZED = bool(enabled)
-    clear_caches()
-    for listener in _MODE_LISTENERS:
-        listener(_OPTIMIZED)
-    return previous
-
-
-class _PerfMode:
-    """Context manager restoring the previous mode on exit."""
-
-    def __init__(self, enabled):
-        self._enabled = enabled
-        self._previous = None
-
-    def __enter__(self):
-        self._previous = set_optimized(self._enabled)
-        return self
-
-    def __exit__(self, *exc):
-        set_optimized(self._previous)
-        return False
-
-
-def mode(enabled):
-    """``with perf.mode(False): ...`` — scoped baseline/optimised mode."""
-    return _PerfMode(enabled)
 
 
 def register_cache(cache):
-    """Register anything with ``clear()`` for mode-switch invalidation."""
+    """Register anything with ``clear()`` (and, if named, ``stats()``)."""
     _CACHES.append(cache)
     return cache
-
-
-def register_mode_listener(fn):
-    """Call ``fn(optimized)`` on every mode switch; fires once now."""
-    _MODE_LISTENERS.append(fn)
-    fn(_OPTIMIZED)
-    return fn
 
 
 def clear_caches():

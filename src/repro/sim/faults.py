@@ -110,8 +110,7 @@ class FaultPlan:
 
         The ids are pure functions of the injection parameters (see
         :func:`repro.obs.forensics.fault_id_for`), so the join between
-        ground truth and detector events is deterministic across runs
-        and perf modes.
+        ground truth and detector events is deterministic across runs.
         """
         from repro.obs.forensics import fault_id_for
 

@@ -13,7 +13,6 @@ describes for case 4, without any wall-clock dependence on the host
 machine.
 """
 
-from repro import perf
 from repro.sim.scheduler import SimulationError
 
 
@@ -129,27 +128,6 @@ class Processor:
         self._cpu_free_at = start + cost
         return self._cpu_free_at
 
-    def _charge_legacy(self, cost, category="work", priority=False):
-        """Pre-optimisation :meth:`charge` (property-based arithmetic).
-
-        Swapped in by baseline mode so the perf gate's reference
-        numbers keep the pre-PR per-charge overhead.  Numerically
-        identical to :meth:`charge`.
-        """
-        if cost < 0:
-            raise SimulationError("negative CPU cost %r" % (cost,))
-        self.cpu_accounting[category] = self.cpu_accounting.get(category, 0.0) + cost
-        if priority:
-            start = self.prio_free_at
-            self._prio_free_at = start + cost
-            self._cpu_free_at = max(self._cpu_free_at, self.scheduler.now) + cost
-            return self._prio_free_at
-        start = self.cpu_free_at
-        self._cpu_free_at = start + cost
-        return self._cpu_free_at
-
-    _charge_fast = charge
-
     def execute(self, cost, fn, *args, category="work", label="", priority=False):
         """Charge ``cost`` CPU seconds, then run ``fn(*args)``.
 
@@ -177,10 +155,3 @@ class Processor:
     def __repr__(self):
         state = "crashed" if self.crashed else "up"
         return "Processor(%s, %s)" % (self.name, state)
-
-
-def _apply_mode(optimized):
-    Processor.charge = Processor._charge_fast if optimized else Processor._charge_legacy
-
-
-perf.register_mode_listener(_apply_mode)

@@ -11,8 +11,6 @@ consistency checks rely on re-running identical schedules.
 import heapq
 import itertools
 
-from repro import perf
-
 
 class SimulationError(Exception):
     """Raised when the simulation reaches an inconsistent state."""
@@ -21,8 +19,8 @@ class SimulationError(Exception):
 class Event:
     """A scheduled callback.
 
-    Events order by ``(time, priority, seq)`` so that the heap pops
-    them in a deterministic order.  Cancelled events stay in the heap
+    The scheduler heap orders events by ``(time, priority, seq)`` so
+    they pop in a deterministic order.  Cancelled events stay in the heap
     but are skipped when popped (lazy deletion); the scheduler counts
     them exactly and compacts the heap when they outnumber the live
     events, so a timer-heavy workload (every token visit arms and
@@ -50,13 +48,6 @@ class Event:
             scheduler = self._scheduler
             if scheduler is not None:
                 scheduler._note_cancelled()
-
-    def __lt__(self, other):
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
 
     def __repr__(self):
         state = "cancelled" if self.cancelled else "pending"
@@ -102,13 +93,7 @@ class Scheduler:
     def __init__(self):
         #: heap of ``(time, priority, seq, event)`` — ordering by the
         #: leading scalar triple keeps every heap comparison in C
-        #: (``seq`` is unique, so the event object is never compared).
-        #: In baseline mode the heap holds bare events ordered by
-        #: ``Event.__lt__`` instead, reproducing the pre-optimisation
-        #: cost the perf gate compares against.  The format is fixed
-        #: per instance at construction so a mode flip cannot mix
-        #: entry shapes within one heap.
-        self._tuple_heap = perf.optimized_enabled()
+        #: (``seq`` is unique, so the event object is never compared)
         self._queue = []
         self._seq = itertools.count()
         self._now = 0.0
@@ -136,10 +121,7 @@ class Scheduler:
             )
         event = Event(time, priority, next(self._seq), fn, args, label)
         event._scheduler = self
-        if self._tuple_heap:
-            heapq.heappush(self._queue, (time, priority, event.seq, event))
-        else:
-            heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (time, priority, event.seq, event))
         return event
 
     def after(self, delay, fn, *args, priority=PRIORITY_NORMAL, label=""):
@@ -152,10 +134,7 @@ class Scheduler:
         time = self._now + delay
         event = Event(time, priority, next(self._seq), fn, args, label)
         event._scheduler = self
-        if self._tuple_heap:
-            heapq.heappush(self._queue, (time, priority, event.seq, event))
-        else:
-            heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (time, priority, event.seq, event))
         return event
 
     def every(self, period, fn, *args, priority=PRIORITY_NORMAL, label=""):
@@ -210,10 +189,7 @@ class Scheduler:
 
     def _compact(self):
         """Drop cancelled entries and re-heapify the survivors."""
-        if self._tuple_heap:
-            live = [entry for entry in self._queue if not entry[3].cancelled]
-        else:
-            live = [event for event in self._queue if not event.cancelled]
+        live = [entry for entry in self._queue if not entry[3].cancelled]
         # In-place so aliases of the queue (the run loop holds one)
         # stay valid across a compaction triggered mid-callback.
         self._queue[:] = live
@@ -269,13 +245,12 @@ class Scheduler:
         """
         self._stopped = False
         executed = 0
-        tuple_heap = self._tuple_heap
         queue = self._queue  # never rebound (compaction mutates in place)
         heappop = heapq.heappop
         while queue and not self._stopped:
             if max_events is not None and executed >= max_events:
                 break
-            event = queue[0][3] if tuple_heap else queue[0]
+            event = queue[0][3]
             if until is not None and event.time > until:
                 self._now = until
                 break

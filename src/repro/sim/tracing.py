@@ -10,8 +10,6 @@ the table benches then assert over the completed history.
 
 from collections import deque
 
-from repro import perf
-
 
 class TraceRecord:
     """One timestamped event in the global history."""
@@ -61,15 +59,8 @@ class TraceLog:
         self.evicted = 0
         #: False when the kind filter rejects everything (benches pass
         #: an empty set): hot paths check this one attribute before
-        #: building the record's keyword fields at the call site.  In
-        #: baseline mode the short-circuit is disabled so every call
-        #: site still pays the pre-optimisation record-call cost (the
-        #: record itself is dropped by the kind filter either way).
-        self.active = (
-            enabled_kinds is None
-            or len(enabled_kinds) > 0
-            or not perf.optimized_enabled()
-        )
+        #: building the record's keyword fields at the call site.
+        self.active = enabled_kinds is None or len(enabled_kinds) > 0
 
     def record(self, kind, **fields):
         if self.enabled_kinds is not None and kind not in self.enabled_kinds:

@@ -7,11 +7,10 @@ claims: the throughput win, survivable value-fault attribution inside
 signed batches, large-payload fragmentation, and determinism.
 """
 
-from repro import perf
 from repro.bench.perf import BATCH_SMOKE, _run_batch_case
 from repro.multicast.config import MulticastConfig, SecurityLevel
 from repro.obs.forensics import build_report, merge_timeline, run_intrusion_drill
-from tests.support import MulticastWorld
+from tests.support import MulticastWorld, defeat_memos
 
 
 DURATION = BATCH_SMOKE["duration"]
@@ -28,12 +27,10 @@ def test_batch_pipeline_beats_per_visit_signatures_3x():
     assert batched["sent"] > 0 and batched["received"] > 0
 
 
-def test_batch_case_is_deterministic_across_perf_modes():
-    fingerprints = {}
-    for optimized in (False, True):
-        with perf.mode(optimized):
-            fingerprints[optimized] = _run_batch_case(True, DURATION, WARMUP)
-    assert fingerprints[False] == fingerprints[True]
+def test_batch_case_is_identical_with_memos_defeated(monkeypatch):
+    memoised = _run_batch_case(True, DURATION, WARMUP)
+    defeat_memos(monkeypatch)
+    assert _run_batch_case(True, DURATION, WARMUP) == memoised
 
 
 def test_intrusion_drill_with_batched_signatures_keeps_perfect_score():

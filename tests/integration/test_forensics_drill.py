@@ -2,13 +2,12 @@
 
 Covers the remaining ISSUE satellites that need a real simulation:
 detection-latency scoring across a membership reconfiguration, full
-intrusion-drill attribution, and byte-identical forensics JSON between
-the ``optimized`` and ``baseline`` perf modes.
+intrusion-drill attribution, and byte-identical forensics JSON with
+the wall-clock memos on and forced to miss.
 """
 
 import json
 
-from repro import perf
 from repro.obs import Observability
 from repro.obs.forensics import (
     ForensicsHub,
@@ -18,7 +17,7 @@ from repro.obs.forensics import (
     score,
 )
 from repro.sim.faults import FaultPlan
-from tests.support import MulticastWorld
+from tests.support import MulticastWorld, defeat_memos
 
 
 def test_crash_detection_latency_across_reconfiguration():
@@ -89,12 +88,14 @@ def test_intrusion_drill_attributes_every_fault():
     assert divergent == {2}
 
 
-def test_forensics_json_byte_identical_across_perf_modes():
-    """The whole report — timeline included — is perf-mode invariant."""
-    blobs = {}
-    for label, optimized in (("baseline", False), ("optimized", True)):
-        with perf.mode(optimized):
-            _, obs, scenario = run_intrusion_drill()
-            report = build_report(obs.forensics, scenario=scenario)
-        blobs[label] = json.dumps(report, sort_keys=True, indent=2)
-    assert blobs["baseline"] == blobs["optimized"]
+def _drill_report_json():
+    _, obs, scenario = run_intrusion_drill()
+    report = build_report(obs.forensics, scenario=scenario)
+    return json.dumps(report, sort_keys=True, indent=2)
+
+
+def test_forensics_json_byte_identical_with_memos_defeated(monkeypatch):
+    """The whole report — timeline included — is memo invariant."""
+    memoised = _drill_report_json()
+    defeat_memos(monkeypatch)
+    assert _drill_report_json() == memoised

@@ -8,7 +8,7 @@ Asserts the acceptance story of the live-telemetry layer:
 * the critical-path attribution decomposes span time into protocol
   causes and conserves the attributed seconds;
 * the JSONL artefact (series, alerts, everything) is byte-identical
-  across repeated runs and across perf modes;
+  across repeated runs and with the wall-clock memos forced to miss;
 * the ``repro.obs.watch`` replay renders frames from the artefact.
 """
 
@@ -16,10 +16,10 @@ import json
 
 import pytest
 
-from repro import perf
 from repro.obs.report import evaluate_slo_run, run_instrumented
 from repro.obs.export import export_jsonl
 from repro.obs.watch import load_replay, main as watch_main, replay_frames
+from tests.support import defeat_memos
 
 SEED = 11
 
@@ -87,12 +87,10 @@ def test_series_and_alert_json_byte_identical_across_runs(tmp_path):
     assert first == second
 
 
-def test_export_byte_identical_across_perf_modes(tmp_path):
-    with perf.mode(True):
-        optimized = export_drill(tmp_path, "optimized.jsonl")
-    with perf.mode(False):
-        baseline = export_drill(tmp_path, "baseline.jsonl")
-    assert optimized == baseline
+def test_export_byte_identical_with_memos_defeated(tmp_path, monkeypatch):
+    memoised = export_drill(tmp_path, "memoised.jsonl")
+    defeat_memos(monkeypatch)
+    assert export_drill(tmp_path, "defeated.jsonl") == memoised
 
 
 def test_watch_replay_renders_frames(tmp_path):

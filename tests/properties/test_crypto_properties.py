@@ -4,6 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import md4
 from repro.crypto.md4 import md4_digest
 from repro.crypto.rsa import generate_keypair
 
@@ -16,6 +17,20 @@ _OTHER = generate_keypair(random.Random(78), modulus_bits=300)
 def test_md4_is_deterministic_and_fixed_size(data):
     assert md4_digest(data) == md4_digest(data)
     assert len(md4_digest(data)) == 16
+
+
+@given(st.binary(max_size=300))
+@settings(max_examples=200)
+def test_md4_unrolled_block_equals_rfc_reference_block(data):
+    """The unrolled compression function and the table-driven RFC 1320
+    transcription reach the same state after every block."""
+    padded = md4._pad(data)
+    fast = reference = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476)
+    for offset in range(0, len(padded), 64):
+        block = padded[offset : offset + 64]
+        fast = md4._process_block(fast, block)
+        reference = md4._process_block_reference(reference, block)
+        assert fast == reference
 
 
 @given(st.binary(max_size=256), st.binary(max_size=256))

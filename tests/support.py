@@ -2,6 +2,8 @@
 
 import random
 
+from repro import perf
+from repro.crypto import md4
 from repro.crypto.costmodel import CryptoCostModel
 from repro.crypto.keystore import KeyStore
 from repro.multicast.config import MulticastConfig, SecurityLevel
@@ -12,6 +14,22 @@ from repro.sim.process import Processor
 from repro.sim.rng import RngStreams
 from repro.sim.scheduler import Scheduler
 from repro.sim.tracing import TraceLog
+
+
+def defeat_memos(monkeypatch):
+    """Force every wall-clock memo to miss for the rest of the test.
+
+    Every :class:`repro.perf.BytesKeyedCache` lookup returns its
+    default and MD4 bypasses its ``lru_cache``, so each pure function
+    is recomputed at every call.  A seeded run under this patch must
+    equal the memoised run byte for byte — that is the proof that the
+    memos save host CPU only.
+    """
+    monkeypatch.setattr(
+        perf.BytesKeyedCache, "get", lambda self, key, default=None: default
+    )
+    monkeypatch.setattr(md4, "_md4_digest_cached", md4._md4_digest_cached.__wrapped__)
+    perf.clear_caches()
 
 
 class MulticastWorld:

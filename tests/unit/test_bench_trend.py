@@ -54,7 +54,7 @@ def test_collect_skips_trend_and_scratch_copies(tmp_path):
     seed_artifacts(tmp_path)
     write(tmp_path, "BENCH_trend.json", {"bench": "trend"})
     write(tmp_path, "BENCH_pr2-rerun.json", {"bench": "pr2-hot-path-overhaul"})
-    write(tmp_path, "BENCH_pr7-baseline.json", {"bench": "x"})
+    write(tmp_path, "BENCH_pr7-rerun.json", {"bench": "x"})
     entries = collect(str(tmp_path))
     assert [e["file"] for e in entries] == [
         "BENCH_pr2.json", "BENCH_pr5.json", "BENCH_pr7.json"

@@ -1,5 +1,7 @@
 """Unit tests for CDR marshalling."""
 
+import struct
+
 import pytest
 
 from repro.orb.cdr import CdrDecoder, CdrEncoder, MarshalError
@@ -194,10 +196,8 @@ def test_decoder_position_tracking():
 
 
 # ----------------------------------------------------------------------
-# alignment edge cases and fast-path/baseline equivalence
+# alignment edge cases and struct.pack-oracle equivalence
 # ----------------------------------------------------------------------
-
-from repro import perf  # noqa: E402  (grouped with the tests that use it)
 
 PRIMITIVE_SAMPLES = {
     "boolean": True,
@@ -212,18 +212,27 @@ PRIMITIVE_SAMPLES = {
     "double": -2.25,
 }
 
-SIZES = {
-    "boolean": 1,
-    "octet": 1,
-    "short": 2,
-    "ushort": 2,
-    "long": 4,
-    "ulong": 4,
-    "longlong": 8,
-    "ulonglong": 8,
-    "float": 4,
-    "double": 8,
+#: the wire format of each primitive, stated independently of the codec
+FORMATS = {
+    "boolean": "<B",
+    "octet": "<B",
+    "short": "<h",
+    "ushort": "<H",
+    "long": "<i",
+    "ulong": "<I",
+    "longlong": "<q",
+    "ulonglong": "<Q",
+    "float": "<f",
+    "double": "<d",
 }
+
+SIZES = {tag: struct.calcsize(fmt) for tag, fmt in FORMATS.items()}
+
+
+def oracle_append(buf, tag, value):
+    """Reference CDR write: pad to natural alignment, then ``struct.pack``."""
+    buf.extend(b"\x00" * (-len(buf) % SIZES[tag]))
+    buf.extend(struct.pack(FORMATS[tag], value))
 
 
 @pytest.mark.parametrize("tag", sorted(PRIMITIVE_SAMPLES))
@@ -294,47 +303,64 @@ def test_nested_struct_sequence_alignment():
     assert decoder.at_end()
 
 
-def _encode_mixed_stream():
-    """One encoder fed every primitive (direct methods) at shifting offsets."""
+@pytest.mark.parametrize("tag", sorted(PRIMITIVE_SAMPLES))
+@pytest.mark.parametrize("offset", range(1, 8))
+def test_direct_writer_and_reader_match_struct_pack_oracle(tag, offset):
+    """``write_<tag>``/``read_<tag>`` agree with plain ``struct`` calls
+    from every misaligned starting offset."""
+    value = PRIMITIVE_SAMPLES[tag]
+    expected = bytearray(b"\xee" * offset)
+    oracle_append(expected, tag, value)
+    expected.append(0x77)  # a trailing octet proves the cursor moved on
+
     encoder = CdrEncoder()
+    for _ in range(offset):
+        encoder.write_octet(0xEE)
+    assert getattr(encoder, "write_" + tag)(value) is encoder
+    encoder.write_octet(0x77)
+    assert encoder.getvalue() == bytes(expected)
+
+    decoder = CdrDecoder(bytes(expected))
+    for _ in range(offset):
+        assert decoder.read_octet() == 0xEE
+    aligned = offset + (-offset % SIZES[tag])
+    (oracle_value,) = struct.unpack_from(FORMATS[tag], expected, aligned)
+    assert getattr(decoder, "read_" + tag)() == oracle_value == value
+    assert decoder.read_octet() == 0x77
+    assert decoder.at_end()
+
+
+def test_mixed_stream_matches_struct_pack_oracle():
+    """Every primitive, a string and an octet sequence in one stream at
+    shifting offsets: the bytes are the oracle's, and decode back."""
+    encoder = CdrEncoder()
+    expected = bytearray()
+    values = []
     encoder.write_octet(1)
+    oracle_append(expected, "octet", 1)
     for tag in sorted(PRIMITIVE_SAMPLES):
         getattr(encoder, "write_" + tag)(PRIMITIVE_SAMPLES[tag])
+        oracle_append(expected, tag, PRIMITIVE_SAMPLES[tag])
         encoder.write_octet(2)  # de-align before the next primitive
+        oracle_append(expected, "octet", 2)
+        values.append(PRIMITIVE_SAMPLES[tag])
     encoder.write_string("odd-offset string")
+    oracle_append(expected, "ulong", len("odd-offset string") + 1)
+    expected.extend(b"odd-offset string\x00")
     encoder.write_octets(b"\x00\x01\x02")
-    encoder.write("string", "")
-    return encoder.getvalue()
+    oracle_append(expected, "ulong", 3)
+    expected.extend(b"\x00\x01\x02")
+    data = encoder.getvalue()
+    assert data == bytes(expected)
 
-
-def _decode_mixed_stream(data):
     decoder = CdrDecoder(data)
-    values = [decoder.read_octet()]
-    for tag in sorted(PRIMITIVE_SAMPLES):
-        values.append(getattr(decoder, "read_" + tag)())
-        values.append(decoder.read_octet())
-    values.append(decoder.read_string())
-    values.append(decoder.read_octets())
-    values.append(decoder.read("string"))
+    assert decoder.read_octet() == 1
+    for tag, value in zip(sorted(PRIMITIVE_SAMPLES), values):
+        assert getattr(decoder, "read_" + tag)() == value
+        assert decoder.read_octet() == 2
+    assert decoder.read_string() == "odd-offset string"
+    assert decoder.read_octets() == b"\x00\x01\x02"
     assert decoder.at_end()
-    return values
-
-
-def test_fast_paths_byte_identical_to_baseline():
-    """The precompiled method suite emits the bytes the generic one does."""
-    with perf.mode(True):
-        fast_bytes = _encode_mixed_stream()
-        fast_values = _decode_mixed_stream(fast_bytes)
-    with perf.mode(False):
-        baseline_bytes = _encode_mixed_stream()
-        baseline_values = _decode_mixed_stream(baseline_bytes)
-    assert fast_bytes == baseline_bytes
-    assert fast_values == baseline_values
-    # cross-mode: bytes written by one suite decode under the other
-    with perf.mode(False):
-        assert _decode_mixed_stream(fast_bytes) == fast_values
-    with perf.mode(True):
-        assert _decode_mixed_stream(baseline_bytes) == baseline_values
 
 
 def test_direct_methods_match_generic_write():

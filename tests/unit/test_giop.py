@@ -105,51 +105,46 @@ def test_split_frames_empty_input():
 
 
 # ----------------------------------------------------------------------
-# encode fast paths (optimized mode) vs the generic encoder
+# template/memo encode paths vs the generic encoder
 # ----------------------------------------------------------------------
-
-from repro import perf  # noqa: E402
 
 
 def test_request_template_encode_matches_generic():
-    with perf.mode(True):
-        for request_id in (0, 1, 17, 2**32 - 1):
-            for body in (b"", b"x", b"\x01\x02\x03\x04\x05"):
-                for oneway in (False, True):
-                    msg = RequestMessage(
-                        request_id, b"server/key", "get_quote", body,
-                        response_expected=not oneway,
-                    )
-                    assert msg.encode() == msg._encode()
+    for request_id in (0, 1, 17, 2**32 - 1):
+        for body in (b"", b"x", b"\x01\x02\x03\x04\x05"):
+            for oneway in (False, True):
+                msg = RequestMessage(
+                    request_id, b"server/key", "get_quote", body,
+                    response_expected=not oneway,
+                )
+                assert msg.encode() == msg._encode()
 
 
 def test_reply_fast_encode_matches_generic():
-    with perf.mode(True):
-        for request_id in (0, 5, 2**32 - 1):
-            for status in (REPLY_NO_EXCEPTION, REPLY_SYSTEM_EXCEPTION):
-                for body in (b"", b"result-bytes"):
-                    msg = ReplyMessage(request_id, status, body)
-                    assert msg.encode() == msg._encode()
+    for request_id in (0, 5, 2**32 - 1):
+        for status in (REPLY_NO_EXCEPTION, REPLY_SYSTEM_EXCEPTION):
+            for body in (b"", b"result-bytes"):
+                msg = ReplyMessage(request_id, status, body)
+                assert msg.encode() == msg._encode()
 
 
-def test_encode_identical_across_modes():
+def test_memoised_encode_hit_equals_generic():
+    """A full-frame memo hit hands back the generic encoder's bytes."""
     request = RequestMessage(99, b"k", "op", b"body")
     reply = ReplyMessage(99, REPLY_NO_EXCEPTION, b"r")
-    with perf.mode(True):
-        fast = (request.encode(), reply.encode())
-    with perf.mode(False):
-        baseline = (request.encode(), reply.encode())
-    assert fast == baseline
+    for msg in (request, reply):
+        first = msg.encode()
+        assert msg.encode() is first  # second call is the memo hit
+        assert first == msg._encode()
 
 
 def test_decode_shared_returns_equal_message():
     from repro.orb.giop import decode_message_shared
 
     frame = RequestMessage(4, b"key", "op", b"pl").encode()
-    with perf.mode(True):
-        first = decode_message_shared(frame)
-        second = decode_message_shared(frame)
-        assert first is second  # memoised fan-out share
+    first = decode_message_shared(frame)
+    second = decode_message_shared(frame)
+    assert first is second  # memoised fan-out share
     plain = decode_message(frame)
     assert (first.request_id, first.object_key, first.operation, first.body) == (
         plain.request_id, plain.object_key, plain.operation, plain.body

@@ -220,25 +220,15 @@ def test_servant_method_overrides_attribute_bridge(thermostat_idl):
 def test_marshal_args_memo_matches_generic(counter_idl):
     """The marshal memo returns the generic encoder's exact bytes and
     falls back cleanly for unhashable arguments."""
-    from repro import perf
-
     add = counter_idl.operation("add")
     bulk = OperationDef("bulk", [ParamDef("values", ("sequence", "long"))], oneway=True)
-    with perf.mode(True):
-        assert add.marshal_args([7]) == add._marshal_args([7])
-        # second call is a cache hit; bytes must not change
-        assert add.marshal_args([7]) == add._marshal_args([7])
-        # list arguments are unhashable: the memo falls through cleanly
-        assert bulk.marshal_args([[1, 2, 3]]) == bulk._marshal_args([[1, 2, 3]])
-    with perf.mode(False):
-        baseline = add.marshal_args([7])
-    with perf.mode(True):
-        assert add.marshal_args([7]) == baseline
+    assert add.marshal_args([7]) == add._marshal_args([7])
+    # second call is a cache hit; bytes must not change
+    assert add.marshal_args([7]) == add._marshal_args([7])
+    # list arguments are unhashable: the memo falls through cleanly
+    assert bulk.marshal_args([[1, 2, 3]]) == bulk._marshal_args([[1, 2, 3]])
 
 
 def test_marshal_args_memo_distinguishes_values(counter_idl):
-    from repro import perf
-
     add = counter_idl.operation("add")
-    with perf.mode(True):
-        assert add.marshal_args([1]) != add.marshal_args([2])
+    assert add.marshal_args([1]) != add.marshal_args([2])

@@ -6,7 +6,7 @@ import pytest
 
 from repro.crypto.md4 import md4_digest
 from repro.crypto.primes import generate_prime, is_probable_prime
-from repro.crypto.rsa import CryptoError, generate_keypair
+from repro.crypto.rsa import CryptoError, _pad_digest, generate_keypair
 
 
 @pytest.fixture(scope="module")
@@ -95,23 +95,20 @@ def test_is_probable_prime_on_known_values():
 
 
 def test_crt_signature_equals_plain_exponentiation(keypair):
-    """CRT signing (optimized mode) produces the exact same signature as
-    the plain ``pow(m, d, n)`` path (baseline mode)."""
-    from repro import perf
-
+    """CRT signing produces exactly ``pow(m, d, n)`` with ``d`` derived
+    here from the key's primes, independently of the signer."""
     digest = md4_digest(b"crt equivalence check")
-    with perf.mode(True):
-        fast = keypair.sign(digest)
-    with perf.mode(False):
-        plain = keypair.sign(digest)
-    assert fast == plain
-    assert keypair.public.verify(digest, fast)
+    public = keypair.public
+    p, q = keypair._crt[:2]
+    assert p * q == public.n
+    d = pow(public.e, -1, (p - 1) * (q - 1))
+    m = int.from_bytes(_pad_digest(digest, public.modulus_bytes), "big")
+    signature = keypair.sign(digest)
+    assert signature == pow(m, d, public.n)
+    assert public.verify(digest, signature)
 
 
 def test_crt_signatures_verify_across_many_digests(keypair):
-    from repro import perf
-
-    with perf.mode(True):
-        for i in range(10):
-            digest = md4_digest(b"msg %d" % i)
-            assert keypair.public.verify(digest, keypair.sign(digest))
+    for i in range(10):
+        digest = md4_digest(b"msg %d" % i)
+        assert keypair.public.verify(digest, keypair.sign(digest))

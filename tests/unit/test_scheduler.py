@@ -117,73 +117,63 @@ def test_events_executed_counter():
 # lazy deletion and heap compaction
 # ----------------------------------------------------------------------
 
-from repro import perf  # noqa: E402
+
+def test_cancelled_pending_counts_exactly():
+    sched = Scheduler()
+    events = [sched.at(float(i + 1), lambda: None) for i in range(10)]
+    assert sched.cancelled_pending == 0
+    events[0].cancel()
+    events[1].cancel()
+    events[1].cancel()  # idempotent: must not double-count
+    assert sched.cancelled_pending == 2
+    assert sched.pending() == 8
 
 
-@pytest.mark.parametrize("optimized", [True, False])
-def test_cancelled_pending_counts_exactly(optimized):
-    with perf.mode(optimized):
-        sched = Scheduler()
-        events = [sched.at(float(i + 1), lambda: None) for i in range(10)]
-        assert sched.cancelled_pending == 0
-        events[0].cancel()
-        events[1].cancel()
-        events[1].cancel()  # idempotent: must not double-count
-        assert sched.cancelled_pending == 2
-        assert sched.pending() == 8
-
-
-@pytest.mark.parametrize("optimized", [True, False])
-def test_compaction_bounds_heap_size(optimized):
+def test_compaction_bounds_heap_size():
     """Cancelling most of the heap shrinks it instead of leaving garbage."""
-    with perf.mode(optimized):
-        sched = Scheduler()
-        events = [sched.at(float(i + 1), lambda: None) for i in range(100)]
-        for event in events[:90]:
-            event.cancel()
-        # compaction keeps the heap at most ~2x the live count
-        assert len(sched._queue) <= 2 * sched.pending() + 1
-        assert sched.pending() == 10
-        assert sched.cancelled_pending <= sched.pending()
+    sched = Scheduler()
+    events = [sched.at(float(i + 1), lambda: None) for i in range(100)]
+    for event in events[:90]:
+        event.cancel()
+    # compaction keeps the heap at most ~2x the live count
+    assert len(sched._queue) <= 2 * sched.pending() + 1
+    assert sched.pending() == 10
+    assert sched.cancelled_pending <= sched.pending()
 
 
-@pytest.mark.parametrize("optimized", [True, False])
-def test_order_preserved_across_compaction(optimized):
+def test_order_preserved_across_compaction():
     """Survivors still fire in (time, priority, seq) order after compaction."""
-    with perf.mode(optimized):
-        sched = Scheduler()
-        seen = []
-        keep = []
-        for i in range(50):
-            event = sched.at(float(50 - i), seen.append, 50 - i)
-            if i % 5:
-                event.cancel()
-            else:
-                keep.append(50 - i)
-        sched.run()
-        assert seen == sorted(keep)
-        assert sched.cancelled_pending == 0
+    sched = Scheduler()
+    seen = []
+    keep = []
+    for i in range(50):
+        event = sched.at(float(50 - i), seen.append, 50 - i)
+        if i % 5:
+            event.cancel()
+        else:
+            keep.append(50 - i)
+    sched.run()
+    assert seen == sorted(keep)
+    assert sched.cancelled_pending == 0
 
 
-@pytest.mark.parametrize("optimized", [True, False])
-def test_cancel_during_run_is_safe(optimized):
+def test_cancel_during_run_is_safe():
     """A callback cancelling future events (compacting mid-run) is safe."""
-    with perf.mode(optimized):
-        sched = Scheduler()
-        seen = []
-        victims = [sched.at(2.0 + i * 0.01, seen.append, "victim") for i in range(40)]
-        survivor = sched.at(3.0, seen.append, "survivor")
+    sched = Scheduler()
+    seen = []
+    victims = [sched.at(2.0 + i * 0.01, seen.append, "victim") for i in range(40)]
+    survivor = sched.at(3.0, seen.append, "survivor")
 
-        def massacre():
-            seen.append("massacre")
-            for event in victims:
-                event.cancel()
+    def massacre():
+        seen.append("massacre")
+        for event in victims:
+            event.cancel()
 
-        sched.at(1.0, massacre)
-        sched.run()
-        assert seen == ["massacre", "survivor"]
-        assert survivor is not None
-        assert sched.pending() == 0
+    sched.at(1.0, massacre)
+    sched.run()
+    assert seen == ["massacre", "survivor"]
+    assert survivor is not None
+    assert sched.pending() == 0
 
 
 def test_every_fires_at_fixed_period():
