@@ -58,6 +58,24 @@ from repro.multicast.token import MAX_CERT_SPAN, Token, TokenCertificate
 _TOKEN_HISTORY = 64
 
 
+def _drop_below(table, low, limit):
+    """Delete the integer keys of ``table`` in ``[low, limit)``.
+
+    The caller guarantees ``table`` holds no key under ``low``.  The
+    history and garbage sweeps advance by a key or two per token visit,
+    so walking the gap costs O(1) where scanning the table costs its
+    size; after a jump of more than a history window (a replayed
+    ancient token lowered ``low``, a token skipped far ahead) the table
+    is the shorter walk.
+    """
+    if limit - low <= _TOKEN_HISTORY:
+        for key in range(low, limit):
+            table.pop(key, None)
+    else:
+        for key in [k for k in table if k < limit]:
+            del table[key]
+
+
 class DeliveryProtocol:
     """One processor's instance of the message delivery protocol."""
 
@@ -99,6 +117,10 @@ class DeliveryProtocol:
         #: engine uses this to finish recovery)
         self.coverage_listener = None
 
+        # The security level is fixed for a protocol instance's life:
+        # resolve the enum property chains once, not per token visit.
+        self._digests = config.security.digests_enabled
+        self._signatures = config.security.signatures_enabled
         #: batch-signature pipeline active (config guarantees SIGNATURES)
         self._batch = config.batch_signatures
 
@@ -117,6 +139,12 @@ class DeliveryProtocol:
         self._last_accepted = None
         self._last_accepted_raw = b""
         self._token_raw_by_visit = {}
+        #: no visit-keyed table below holds a key under this one (what
+        #: ``_prune_token_history`` has already swept)
+        self._history_low = 0
+        #: no seq-keyed table holds a key at or under this one (what
+        #: ``_collect_garbage`` has already swept)
+        self._collected_up_to = 0
         self._pending_rtr = set()
         self._progress_timer = None
         self._strikes = 0
@@ -238,6 +266,8 @@ class DeliveryProtocol:
         self._digest_by_seq.clear()
         self._token_covering.clear()
         self._token_raw_by_visit.clear()
+        self._history_low = 0
+        self._collected_up_to = start_seq
         self._pending_rtr.clear()
         self._delivered_up_to = start_seq
         self._max_seq_seen = start_seq
@@ -277,7 +307,8 @@ class DeliveryProtocol:
         tokens are originated and progress timeouts stop firing.
         """
         self.circulating = False
-        self._cancel_progress_timer()
+        if self._progress_timer is not None:
+            self._progress_timer.cancel()
 
     def freeze_delivery(self):
         """Pin the delivery ceiling at the current coverage.
@@ -345,7 +376,7 @@ class DeliveryProtocol:
         for seq in sorted(self._received):
             if seq > above_seq:
                 frames.extend(self._received[seq])
-        if self.config.security.digests_enabled:
+        if self._digests:
             for visit in sorted(self._token_raw_by_visit):
                 frames.append(self._token_raw_by_visit[visit])
         if self._batch:
@@ -384,8 +415,7 @@ class DeliveryProtocol:
         if self._batch:
             self._on_token_batch(token, raw)
             return
-        security = self.config.security
-        if security.signatures_enabled:
+        if self._signatures:
             if not self.signing.verify(token.sender_id, token.signable_bytes(), token.signature):
                 if self._trace is not None and self._trace.active:
                     self._trace.record(
@@ -424,7 +454,7 @@ class DeliveryProtocol:
             self._absorb_historical_token(token, raw)
             return
         if (
-            security.signatures_enabled
+            self._signatures
             and previous is not None
             and token.visit == previous.visit + 1
             and token.prev_token_digest != self._digest_of(self._last_accepted_raw)
@@ -538,6 +568,8 @@ class DeliveryProtocol:
 
     def _apply_vouches(self, cert):
         """Record a verified certificate's per-visit digest claims."""
+        if cert.first_visit < self._history_low:
+            self._history_low = cert.first_visit
         conflicted = []
         for visit, digest in cert.entries():
             if visit < 1:
@@ -603,6 +635,8 @@ class DeliveryProtocol:
             self._auth_visit = nxt
 
     def _note_variant(self, visit, raw):
+        if visit < self._history_low:
+            self._history_low = visit
         variants = self._token_variants.setdefault(visit, [])
         if raw not in variants and len(variants) < 4:
             variants.append(raw)
@@ -694,14 +728,29 @@ class DeliveryProtocol:
         self._convicted.add(proc_id)
         self.detector.suspect(proc_id, kind)
 
-    def _harvest_token(self, token, raw):
+    def _harvest_token(self, token, raw, reindex=True):
         """Adopt ``raw`` as the genuine token of its visit: store the
-        bytes and (re)index the message digests it carries."""
-        self._token_raw_by_visit[token.visit] = raw
-        if self.config.security.digests_enabled:
-            for seq, digest in token.message_digest_list:
-                self._digest_by_seq[seq] = (digest, token.sender_id)
-                self._token_covering[seq] = token.visit
+        bytes and index the message digests it carries (``reindex``
+        replaces what an earlier token claimed for the same seqs)."""
+        visit = token.visit
+        self._token_raw_by_visit[visit] = raw
+        if visit < self._history_low:
+            self._history_low = visit
+        digests = token.message_digest_list
+        if not (self._digests and digests):
+            return
+        lowest = min(digests)[0]
+        if lowest <= self._collected_up_to:
+            self._collected_up_to = lowest - 1
+        sender = token.sender_id
+        if reindex:
+            for seq, digest in digests:
+                self._digest_by_seq[seq] = (digest, sender)
+                self._token_covering[seq] = visit
+        else:
+            for seq, digest in digests:
+                self._digest_by_seq.setdefault(seq, (digest, sender))
+                self._token_covering.setdefault(seq, visit)
 
     def _unharvest(self, visit):
         """Forget a visit's token and every digest it had contributed."""
@@ -795,11 +844,7 @@ class DeliveryProtocol:
 
     def _absorb_historical_token(self, token, raw):
         """Recover the digest list of a token missed earlier."""
-        self._token_raw_by_visit[token.visit] = raw
-        if self.config.security.digests_enabled:
-            for seq, digest in token.message_digest_list:
-                self._digest_by_seq.setdefault(seq, (digest, token.sender_id))
-                self._token_covering.setdefault(seq, token.visit)
+        self._harvest_token(token, raw, reindex=False)
         self._max_seq_seen = max(self._max_seq_seen, token.seq)
         self._advance_delivery()
 
@@ -811,9 +856,10 @@ class DeliveryProtocol:
         self.detector.absolve(token.sender_id)
         self._last_accepted = token
         self._last_accepted_raw = raw
-        self._token_raw_by_visit[token.visit] = raw
+        self._harvest_token(token, raw)
         self._prune_token_history(token.visit)
-        self._max_seq_seen = max(self._max_seq_seen, token.seq)
+        if token.seq > self._max_seq_seen:
+            self._max_seq_seen = token.seq
         self.stats["token_visits"] += 1
         if self._m_token_visits is not None:
             self._m_token_visits.inc()
@@ -824,10 +870,6 @@ class DeliveryProtocol:
                 signed=bool(token.signature),
                 **token.forensic_summary()
             )
-        if self.config.security.digests_enabled:
-            for seq, digest in token.message_digest_list:
-                self._digest_by_seq[seq] = (digest, token.sender_id)
-                self._token_covering[seq] = token.visit
         self._strikes = 0
         self._reset_progress_timer()
         self._track_aru_stall(token)
@@ -963,7 +1005,7 @@ class DeliveryProtocol:
                 self._digest_of(self._last_accepted_raw) if previous is not None else b""
             ),
         )
-        if self.config.security.signatures_enabled and not self._batch:
+        if self._signatures and not self._batch:
             # Batch mode circulates tokens unsigned; authentication
             # arrives on periodic certificates instead.
             token.signature = self.signing.sign(token.signable_bytes())
@@ -1063,7 +1105,7 @@ class DeliveryProtocol:
             self.processor.charge(
                 self.config.message_handling_cost, "multicast.send", priority=True
             )
-            if self.config.security.digests_enabled:
+            if self._digests:
                 digest = self.signing.digest(raw)
                 digest_list.append((seq, digest))
                 self._digest_by_seq[seq] = (digest, self.my_id)
@@ -1123,7 +1165,7 @@ class DeliveryProtocol:
         or delivered.
         """
         missing = set()
-        digests_needed = self.config.security.digests_enabled
+        digests_needed = self._digests
         for seq in range(self._delivered_up_to + 1, self._max_seq_seen + 1):
             if seq not in self._received:
                 missing.add(seq)
@@ -1256,7 +1298,7 @@ class DeliveryProtocol:
 
     def _select_deliverable(self, seq, variants):
         """Pick the variant to deliver, honouring the security level."""
-        if not self.config.security.digests_enabled:
+        if not self._digests:
             return variants[0]
         entry = self._digest_by_seq.get(seq)
         if entry is None:
@@ -1306,29 +1348,33 @@ class DeliveryProtocol:
     # housekeeping
     # ------------------------------------------------------------------
 
-    def _safe_gc_threshold(self, token_aru):
-        self._recent_arus.append(token_aru)
-        if len(self._recent_arus) < self._recent_arus.maxlen:
-            return 0  # no full rotation observed yet: do not collect
-        return min(self._recent_arus)
-
     def _collect_garbage(self, token_aru):
-        aru = self._safe_gc_threshold(token_aru)
-        for seq in [s for s in self._received if s <= aru and s <= self._delivered_up_to]:
-            del self._received[seq]
-        for seq in [s for s in self._digest_by_seq if s <= aru and s <= self._delivered_up_to]:
-            del self._digest_by_seq[seq]
-            self._token_covering.pop(seq, None)
+        """Drop messages every member has and this one has delivered."""
+        arus = self._recent_arus
+        arus.append(token_aru)
+        low = self._collected_up_to
+        if token_aru <= low or len(arus) < arus.maxlen:
+            # Nothing newly acknowledged (the window's minimum cannot
+            # exceed its newest entry), or no full rotation seen yet.
+            return
+        bound = min(min(arus), self._delivered_up_to)
+        if bound <= low:
+            return
+        self._collected_up_to = bound
+        # (every _token_covering key is a _digest_by_seq key)
+        for table in (self._received, self._digest_by_seq, self._token_covering):
+            _drop_below(table, low + 1, bound + 1)
 
     def _prune_token_history(self, newest_visit):
         floor = newest_visit - _TOKEN_HISTORY
-        for visit in [v for v in self._token_raw_by_visit if v < floor]:
-            del self._token_raw_by_visit[visit]
+        low = self._history_low
+        if floor <= low:
+            return
+        self._history_low = floor
+        _drop_below(self._token_raw_by_visit, low, floor)
         if self._batch:
-            for visit in [v for v in self._vouch_claims if v < floor]:
-                del self._vouch_claims[visit]
-            for visit in [v for v in self._token_variants if v < floor]:
-                del self._token_variants[visit]
+            _drop_below(self._vouch_claims, low, floor)
+            _drop_below(self._token_variants, low, floor)
             for key in [k for k in self._cert_raws if k[2] < floor]:
                 del self._cert_raws[key]
 
@@ -1342,20 +1388,21 @@ class DeliveryProtocol:
     # ------------------------------------------------------------------
 
     def _reset_progress_timer(self):
-        self._cancel_progress_timer()
+        timer = self._progress_timer
         if not self.active or not self.circulating:
-            return
-        self._progress_timer = self.scheduler.after(
-            self.config.token_rotation_timeout,
-            self._on_progress_timeout,
-            priority=self.scheduler.PRIORITY_TIMER,
-            label="token.timeout",
-        )
-
-    def _cancel_progress_timer(self):
-        if self._progress_timer is not None:
-            self._progress_timer.cancel()
-            self._progress_timer = None
+            if timer is not None:
+                timer.cancel()
+        elif timer is None:
+            self._progress_timer = self.scheduler.after(
+                self.config.token_rotation_timeout,
+                self._on_progress_timeout,
+                priority=self.scheduler.PRIORITY_TIMER,
+                label="token.timeout",
+            )
+        else:
+            self._progress_timer = self.scheduler.reschedule(
+                timer, self.config.token_rotation_timeout
+            )
 
     def _on_progress_timeout(self):
         if not self.active or not self.circulating or self.processor.crashed:
@@ -1391,4 +1438,3 @@ class DeliveryProtocol:
             self._schedule_origination("token.reoriginate")
             return
         self.detector.suspect(blamed, "fail_to_send")
-        self._cancel_progress_timer()

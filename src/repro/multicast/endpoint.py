@@ -145,32 +145,32 @@ class SecureGroupEndpoint:
         self.processor.charge(
             self.config.message_handling_cost, "multicast.receive", priority=True
         )
-        self._route(datagram.payload)
-
-    def _route(self, payload):
+        payload = datagram.payload
         # A broadcast hands byte-identical payloads to every endpoint:
-        # the shared decode parses each frame once per LAN, not once per
-        # receiver (simulated receive CPU was already charged above).
+        # the shared decode parses each frame at most once per LAN, not
+        # once per receiver (simulated receive CPU was charged above).
         try:
             frame = decode_frame_shared(payload)
         except MulticastCodecError:
             return  # corrupted beyond parsing: dropped, rtr repairs it
-        if isinstance(frame, RegularMessage):
-            self.delivery.on_regular(frame, payload)
-        elif isinstance(frame, Token):
+        # Handlers are looked up per frame, not bound at construction:
+        # repro.multicast.adversary compromises an endpoint by replacing
+        # them on the protocol instances.
+        kind = type(frame)
+        if kind is Token:
             self.delivery.on_token(frame, payload)
-        elif isinstance(frame, MessageFragment):
+        elif kind is RegularMessage or kind is MessageFragment:
             # Fragments are ordinary ordered messages with reassembly
             # metadata; the delivery protocol treats them alike until
             # the final delivery upcall.
             self.delivery.on_regular(frame, payload)
-        elif isinstance(frame, TokenCertificate):
+        elif kind is TokenCertificate:
             self.delivery.on_certificate(frame, payload)
-        elif isinstance(frame, MembershipProposal):
+        elif kind is MembershipProposal:
             self.membership.on_proposal(frame, payload)
-        elif isinstance(frame, MembershipCommit):
+        elif kind is MembershipCommit:
             self.membership.on_commit(frame, payload)
-        elif isinstance(frame, JoinRequest):
+        elif kind is JoinRequest:
             self.membership.on_join_request(frame, payload)
 
     # ------------------------------------------------------------------

@@ -610,13 +610,16 @@ class MembershipEngine:
     # ------------------------------------------------------------------
 
     def _reset_round_timer(self):
-        self._cancel_round_timer()
-        self._round_timer = self.scheduler.after(
-            self.config.membership_round_timeout,
-            self._on_round_timeout,
-            priority=self.scheduler.PRIORITY_TIMER,
-            label="membership.round-timeout",
-        )
+        timeout = self.config.membership_round_timeout
+        if self._round_timer is None:
+            self._round_timer = self.scheduler.after(
+                timeout,
+                self._on_round_timeout,
+                priority=self.scheduler.PRIORITY_TIMER,
+                label="membership.round-timeout",
+            )
+        else:
+            self._round_timer = self.scheduler.reschedule(self._round_timer, timeout)
 
     def _cancel_round_timer(self):
         if self._round_timer is not None:

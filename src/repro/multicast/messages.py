@@ -72,7 +72,10 @@ class RegularMessage:
         if template is None:
             template = self._TEMPLATE_CACHE.put(key, self._make_template())
         prefix, mid = template
-        return prefix + _U64.pack(self.seq) + mid + _U32.pack(len(self.payload)) + self.payload
+        return _seeded(
+            prefix + _U64.pack(self.seq) + mid + _U32.pack(len(self.payload)) + self.payload,
+            self,
+        )
 
     def _encode(self):
         encoder = CdrEncoder()
@@ -171,7 +174,7 @@ class MessageFragment:
         encoder.write_ulong(self.frag_index)
         encoder.write_ulong(self.frag_total)
         encoder.write_octets(self.payload)
-        return encoder.getvalue()
+        return _seeded(encoder.getvalue(), self)
 
     @classmethod
     def decode(cls, decoder):
@@ -431,12 +434,27 @@ def decode_frame(data):
 _FRAME_CACHE = perf.register_cache(perf.BytesKeyedCache("multicast.decode", 8192))
 
 
+def _seeded(raw, frame):
+    """Return ``raw``, the encoding of ``frame``, after seeding the memo.
+
+    The originator of a frame holds the object it encoded, and
+    ``decode_frame(x.encode())`` equals ``x`` field by field
+    (``tests/properties/test_frame_roundtrip.py``), so the receivers of
+    an uncorrupted broadcast need not parse it at all.  Only the hot
+    frame kinds seed: regular messages, fragments, tokens and token
+    certificates.  A frame must not be changed after it is encoded.
+    """
+    _FRAME_CACHE.put(raw, frame)
+    return raw
+
+
 def decode_frame_shared(data):
     """Memoised :func:`decode_frame` for the uncorrupted fan-out path.
 
     Decoded frames are treated as immutable by every protocol layer
     (fields are only read; signatures are set on locally *constructed*
-    frames before encoding), so sharing one object between receivers is
+    frames before encoding), so sharing one object between receivers —
+    and with the originator, whose ``encode()`` seeded the memo — is
     observationally identical to decoding per receiver.  Parse failures
     are not cached: garbage bytes are overwhelmingly unique, and
     re-raising a fresh exception keeps the error path untouched.

@@ -29,6 +29,7 @@ from repro.multicast.messages import (
     FRAME_TOKEN,
     _int_to_octets,
     _octets_to_int,
+    _seeded,
 )
 
 DIGEST_ENTRY_TAG = ("struct", (("seq", "ulonglong"), ("digest", "octets")))
@@ -58,6 +59,8 @@ class Token:
         "message_digest_list",
         "prev_token_digest",
         "signature",
+        "_form_members",
+        "_form_ok",
     )
 
     def __init__(
@@ -90,6 +93,9 @@ class Token:
         self.message_digest_list = list(message_digest_list)
         self.prev_token_digest = prev_token_digest
         self.signature = signature
+        #: the membership :meth:`well_formed` last checked against
+        self._form_members = None
+        self._form_ok = False
 
     # ------------------------------------------------------------------
     # encoding
@@ -129,7 +135,7 @@ class Token:
         encoder.write_octet(FRAME_TOKEN)
         encoder.write_octets(self.signable_bytes())
         encoder.write_octets(_int_to_octets(self.signature))
-        return encoder.getvalue()
+        return _seeded(encoder.getvalue(), self)
 
     @classmethod
     def decode(cls, decoder):
@@ -173,7 +179,18 @@ class Token:
         sender and successor are ring members, the successor follows
         the sender on the ring, aru never exceeds seq, and the digest
         list covers exactly the seq range this visit added.
+
+        Every receiver on a LAN asks this of the one shared decoded
+        frame, so the answer is kept with the membership *value* it was
+        computed for; a token met again on another ring is re-checked.
         """
+        if ring_members == self._form_members:
+            return self._form_ok
+        self._form_ok = self._check_form(ring_members)
+        self._form_members = tuple(ring_members)
+        return self._form_ok
+
+    def _check_form(self, ring_members):
         if self.sender_id not in ring_members:
             return False
         if self.successor not in ring_members:
@@ -284,7 +301,7 @@ class TokenCertificate:
         encoder.write_octet(FRAME_CERTIFICATE)
         encoder.write_octets(self.signable_bytes())
         encoder.write_octets(_int_to_octets(self.signature))
-        return encoder.getvalue()
+        return _seeded(encoder.getvalue(), self)
 
     @classmethod
     def decode(cls, decoder):

@@ -211,7 +211,11 @@ class Network:
             self._trace.record(
                 "net.deliver", src=datagram.src, dst=dst_id, port=datagram.dst_port
             )
-        receiver.deliver(datagram)
+        # Processor.deliver, inlined: one frame per receiver per token
+        # visit comes through here.
+        handler = receiver._handlers.get(datagram.dst_port)
+        if handler is not None:
+            handler(datagram)
 
 
 def _REQUIRED_RNG():

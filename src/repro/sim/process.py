@@ -135,12 +135,13 @@ class Processor:
         meantime.  Returns the scheduled event.
         """
         done_at = self.charge(cost, category, priority=priority)
+        return self.scheduler.at(
+            done_at, self._run_task, fn, args, label=label or "cpu-task"
+        )
 
-        def _run():
-            if not self.crashed:
-                fn(*args)
-
-        return self.scheduler.at(done_at, _run, label=label or "cpu-task")
+    def _run_task(self, fn, args):
+        if not self.crashed:
+            fn(*args)
 
     # ------------------------------------------------------------------
     # failure

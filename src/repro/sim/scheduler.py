@@ -23,8 +23,10 @@ class Event:
     they pop in a deterministic order.  Cancelled events stay in the heap
     but are skipped when popped (lazy deletion); the scheduler counts
     them exactly and compacts the heap when they outnumber the live
-    events, so a timer-heavy workload (every token visit arms and
-    cancels a progress timeout) cannot grow the heap without bound.
+    events, so a cancel-heavy workload cannot grow the heap without
+    bound.  A timer that is pushed back again and again (every token
+    visit re-arms a progress timeout) is re-armed in place with
+    :meth:`Scheduler.reschedule` and creates no garbage at all.
     """
 
     __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled", "label", "_scheduler")
@@ -162,6 +164,31 @@ class Scheduler:
         handle._event = self.after(period, tick, priority=priority, label=label)
         return handle
 
+    def reschedule(self, event, delay):
+        """Re-arm ``event`` to fire ``delay`` seconds from now.
+
+        Exactly ``event.cancel()`` followed by ``after(delay, ...)``
+        with the event's own callback, priority and label — the same
+        one sequence number is consumed, so the timer fires at the
+        ``(time, priority, seq)`` key that pair would have produced —
+        but a queued event that moves *later* keeps its heap entry: only
+        the event's key changes, and ``run`` carries the stale entry to
+        the real key when it surfaces.  Returns the live handle, which
+        is a fresh event when ``event`` already fired, was cancelled,
+        or moves earlier (an entry cannot sink below its heap key).
+        """
+        if delay < 0:
+            raise SimulationError("negative delay %r" % (delay,))
+        time = self._now + delay
+        if event._scheduler is self and not event.cancelled and time >= event.time:
+            event.time = time
+            event.seq = next(self._seq)
+            return event
+        event.cancel()
+        return self.after(
+            delay, event.fn, *event.args, priority=event.priority, label=event.label
+        )
+
     def stop(self):
         """Request that ``run`` return before executing the next event."""
         self._stopped = True
@@ -247,18 +274,28 @@ class Scheduler:
         executed = 0
         queue = self._queue  # never rebound (compaction mutates in place)
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         while queue and not self._stopped:
             if max_events is not None and executed >= max_events:
                 break
-            event = queue[0][3]
-            if until is not None and event.time > until:
+            entry = queue[0]
+            # An entry's key never exceeds its event's (``reschedule``
+            # only moves events later), so it bounds the event's time.
+            if until is not None and entry[0] > until:
                 self._now = until
                 break
-            heappop(queue)
-            event._scheduler = None
+            event = entry[3]
             if event.cancelled:
+                heappop(queue)
+                event._scheduler = None
                 self._cancelled -= 1
                 continue
+            if entry[2] != event.seq:
+                # Re-armed while queued: carry it to its real key.
+                heapreplace(queue, (event.time, event.priority, event.seq, event))
+                continue
+            heappop(queue)
+            event._scheduler = None
             self._now = event.time
             event.fn(*event.args)
             executed += 1

@@ -13,6 +13,11 @@ The observability JSONL export and the simulated fingerprint of the
 three runs must be byte-identical.  A memo that returned a stale or
 wrong value, or a code path that charged simulated time only on a miss,
 would make the warm or the defeated run differ.
+
+The frame-decode memo is *seeded* by ``encode()``: receivers of an
+uncorrupted broadcast are handed the originator's own object and parse
+nothing.  The last test poisons that seed and requires the comparison
+above to notice.
 """
 
 import json
@@ -20,12 +25,15 @@ import json
 import pytest
 
 from repro import perf
+from repro.bench.cluster import COUNTER_IDL, _CountingServant
 from repro.bench.harness import run_packet_driver_case
 from repro.bench.perf import _sim_fingerprint
+from repro.cluster import ClusterConfig, ClusterManager
 from repro.core.config import SurvivabilityCase
+from repro.multicast import messages, token
 from repro.obs import Observability
 from repro.obs.export import export_jsonl
-from repro.obs.forensics import build_report, run_intrusion_drill
+from repro.obs.forensics import ForensicsHub, build_report, run_intrusion_drill
 from tests.support import defeat_memos
 
 
@@ -50,18 +58,52 @@ def batch_intrusion_drill(path):
     return build_report(obs.forensics, scenario=scenario)
 
 
+def two_ring_digests_drill(path):
+    """DIGESTS-level cluster: a counter on ring 1 invoked from ring 0
+    through the voted gateways and from its own ring — unsigned tokens,
+    message digests, two rings' idle rotation around the traffic."""
+    obs = Observability(forensics=ForensicsHub())
+    cluster = ClusterManager(
+        ClusterConfig(num_rings=2, case=SurvivabilityCase.MAJORITY_VOTING, seed=5), obs=obs
+    )
+    server = cluster.deploy("counter", COUNTER_IDL, lambda pid: _CountingServant(), ring=1)
+    clients = [cluster.deploy_client("driver%d" % ring, ring=ring) for ring in (0, 1)]
+    cluster.start()
+    replies = []
+
+    def invoke(stub, n):
+        stub.add(n, reply_to=replies.append)
+
+    for k in range(12):
+        for _pid, stub in cluster.client_stubs(clients[k % 2], COUNTER_IDL, server):
+            cluster.scheduler.at(0.05 + 0.02 * k, invoke, stub, k + 1)
+    cluster.run(until=0.6)
+    export_jsonl(path, obs, run_info={"drill": "two-ring-digests"})
+    return {
+        "executions": {pid: s.calls for pid, s in sorted(server.servants.items())},
+        "totals": {pid: s.total for pid, s in sorted(server.servants.items())},
+        "replies": sorted(replies),
+        "gateways": cluster.gateway_stats(),
+        "events": cluster.scheduler.events_executed,
+        "now": cluster.scheduler.now,
+    }
+
+
 def _run(drill, path):
     fingerprint = drill(str(path))
     return path.read_bytes(), json.dumps(fingerprint, sort_keys=True)
 
 
-@pytest.mark.parametrize("drill", [figure7_case4_drill, batch_intrusion_drill])
+@pytest.mark.parametrize(
+    "drill", [figure7_case4_drill, batch_intrusion_drill, two_ring_digests_drill]
+)
 def test_cold_warm_and_defeated_memos_agree_byte_for_byte(drill, tmp_path, monkeypatch):
     perf.clear_caches()
     cold = _run(drill, tmp_path / "cold.jsonl")
     warm = _run(drill, tmp_path / "warm.jsonl")
     hits = {name: stats["hits"] for name, stats in perf.cache_stats().items()}
     assert hits["crypto.digest"] > 0 and hits["giop.decode"] > 0, hits
+    assert hits["multicast.decode"] > 0, hits
 
     defeat_memos(monkeypatch)
     defeated = _run(drill, tmp_path / "defeated.jsonl")
@@ -70,3 +112,33 @@ def test_cold_warm_and_defeated_memos_agree_byte_for_byte(drill, tmp_path, monke
     assert cold[0].count(b"\n") > 100
     assert warm == cold
     assert defeated == cold
+
+
+def test_a_poisoned_frame_seed_is_caught(tmp_path, monkeypatch):
+    """The two-ring drill is sensitive to what ``encode()`` seeds.
+
+    Seed every token's bytes with a token that claims one more message:
+    receivers, handed the memo's object instead of parsing, chase a
+    message nobody sent.  With the memos defeated the poison is never
+    read, so the memoised run must differ from the defeated one.
+    """
+
+    def poisoned(raw, frame):
+        if type(frame) is token.Token:
+            fields = {
+                slot: getattr(frame, slot)
+                for slot in token.Token.__slots__
+                if not slot.startswith("_")
+            }
+            fields["seq"] += 1
+            frame = token.Token(**fields)
+        messages._FRAME_CACHE.put(raw, frame)
+        return raw
+
+    monkeypatch.setattr(messages, "_seeded", poisoned)
+    monkeypatch.setattr(token, "_seeded", poisoned)
+    perf.clear_caches()
+    memoised = _run(two_ring_digests_drill, tmp_path / "poisoned.jsonl")
+    defeat_memos(monkeypatch)
+    defeated = _run(two_ring_digests_drill, tmp_path / "defeated.jsonl")
+    assert memoised != defeated

@@ -1,0 +1,99 @@
+"""A token visit costs the host O(1) per receiver: exact counts, no timing.
+
+On a seeded, loss-free six-processor ring every per-visit structure must
+stay bounded while hundreds of (mostly idle) visits go by: the token
+history holds one window, the message tables empty once everything is
+delivered and acknowledged, the progress timers are re-armed in place
+instead of littering the scheduler heap with cancelled entries, and no
+frame is ever parsed, because ``encode()`` seeded the decode memo with
+the originator's own object.
+
+The same traffic under message loss and corruption takes the general
+path — retransmission requests, covering-token resends, corrupted
+(unseeded) frames, progress timers that actually fire — and must still
+deliver everything, everywhere, in one order.
+"""
+
+import pytest
+
+from repro import perf
+from repro.multicast.config import SecurityLevel
+from repro.multicast.delivery import _TOKEN_HISTORY
+from repro.sim.faults import FaultPlan, LinkFaults
+from tests.support import MulticastWorld
+
+PROCESSORS = 6
+MESSAGES = 60
+
+
+def _world(security, fault_plan=None):
+    perf.clear_caches()
+    world = MulticastWorld(
+        num=PROCESSORS, security=security, seed=11, fault_plan=fault_plan
+    ).start()
+    for i in range(MESSAGES):
+        world.scheduler.at(
+            0.02 + 0.01 * i,
+            world.endpoints[i % PROCESSORS].multicast,
+            "g",
+            b"payload-%03d" % i,
+        )
+    return world
+
+
+def _newest_visit(world):
+    return max(
+        endpoint.delivery._last_accepted.visit
+        for endpoint in world.endpoints.values()
+        if endpoint.delivery._last_accepted is not None
+    )
+
+
+def test_loss_free_ring_keeps_per_visit_state_constant():
+    world = _world(SecurityLevel.DIGESTS)
+    parses_at = {}
+    now = 0.0
+    while now < 1.0:
+        now += 0.01
+        world.run(until=now)
+        visit = _newest_visit(world)
+        for mark in (100, 500):
+            if visit >= mark:
+                parses_at.setdefault(mark, perf.cache_stats()["multicast.decode"]["misses"])
+        assert world.scheduler.cancelled_pending <= PROCESSORS
+        for endpoint in world.endpoints.values():
+            assert len(endpoint.delivery._token_raw_by_visit) <= _TOKEN_HISTORY + 1
+
+    # The traffic ended at 0.62 s: the ring has long been quiescent.
+    assert _newest_visit(world) >= 500
+    assert parses_at[100] == parses_at[500] == perf.cache_stats()["multicast.decode"]["misses"]
+    assert perf.cache_stats()["multicast.decode"]["hits"] > 500 * (PROCESSORS - 1)
+    for pid, endpoint in world.endpoints.items():
+        delivery = endpoint.delivery
+        assert len(world.delivered[pid]) == MESSAGES
+        assert not delivery._received
+        assert not delivery._digest_by_seq
+        assert not delivery._token_covering
+    assert len({tuple(world.delivered_payloads(pid)) for pid in world.endpoints}) == 1
+
+
+@pytest.mark.parametrize(
+    "security, faults",
+    [
+        # Unsigned tokens cannot survive corruption (nothing authenticates
+        # them below SIGNATURES), so the DIGESTS ring only loses frames.
+        (SecurityLevel.DIGESTS, LinkFaults(loss_prob=0.01)),
+        (SecurityLevel.SIGNATURES, LinkFaults(loss_prob=0.01, corrupt_prob=0.01)),
+    ],
+)
+def test_lossy_ring_still_delivers_everything_in_one_order(security, faults):
+    world = _world(security, FaultPlan(default=faults))
+    world.scheduler.events_by_label = fired = {}
+    world.run(until=6.0)
+    assert world.network.stats["dropped"] > 20
+    assert _newest_visit(world) >= 500
+    assert sum(e.delivery.stats["retransmits"] for e in world.endpoints.values()) > 0
+    assert fired.get("token.timeout", 0) > 0
+    for pid in world.endpoints:
+        assert len(world.delivered[pid]) == MESSAGES
+    assert len({tuple(world.delivered_payloads(pid)) for pid in world.endpoints}) == 1

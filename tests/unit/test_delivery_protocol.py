@@ -300,6 +300,43 @@ def test_gc_uses_minimum_of_window():
     assert 1 in protocol._received  # min of window is 0
 
 
+def test_history_sweep_catches_a_replayed_ancient_token():
+    """Pruning pops the visit that fell out of the window — and a visit
+    replayed *below* the window is still gone after the next token."""
+    h = Harness()
+    history = h.protocol._token_raw_by_visit
+    for visit in range(1, 101):
+        h.feed_token(1, visit=visit, seq=0)
+    assert sorted(history) == list(range(36, 101))
+    h.feed_token(2, visit=3, seq=0)  # a token missed long ago, rebroadcast
+    assert 3 in history
+    h.feed_token(1, visit=101, seq=0)
+    assert sorted(history) == list(range(37, 102))
+    h.feed_token(1, visit=5000, seq=0)  # a jump: the tables are the shorter walk
+    assert sorted(history) == [5000]
+
+
+def test_garbage_sweep_catches_digests_replayed_below_the_bound():
+    h = Harness()
+    protocol = h.protocol
+    raws = [h.feed_message(1, seq, b"m%d" % seq) for seq in (1, 2, 3)]
+    digests = [(seq, h.digest_of(raw)) for seq, raw in zip((1, 2, 3), raws)]
+    h.feed_token(1, visit=1, seq=3, aru=3, digests=digests)
+    assert len(h.delivered) == 3
+    h.feed_token(2, visit=2, seq=3, aru=3)
+    assert protocol._digest_by_seq  # no full rotation of arus seen yet
+    h.feed_token(0, visit=3, seq=3, aru=3)
+    assert not protocol._received and not protocol._digest_by_seq
+    assert not protocol._token_covering
+    # The covering token is replayed after its digests were collected
+    # (visit 1 was dropped from the history to make it a stranger).
+    del protocol._token_raw_by_visit[1]
+    h.feed_token(1, visit=1, seq=3, aru=3, digests=digests)
+    assert sorted(protocol._digest_by_seq) == [1, 2, 3]
+    h.feed_token(1, visit=4, seq=3, aru=3)
+    assert not protocol._digest_by_seq and not protocol._token_covering
+
+
 def test_missing_seqs_include_digestless_messages():
     h = Harness()
     raw = h.feed_message(1, 1)

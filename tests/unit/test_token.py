@@ -107,6 +107,30 @@ def test_well_formed_accepts_no_aru_id_sentinel():
     assert token.well_formed(MEMBERS)
 
 
+def test_well_formed_memo_is_keyed_by_membership_value(monkeypatch):
+    """One shared decoded token is form-checked once per membership
+    *value*: equal member tuples of different receivers share the
+    answer, another ring's members get their own check."""
+    checks = []
+    check_form = Token._check_form
+
+    def counting(self, ring_members):
+        checks.append(tuple(ring_members))
+        return check_form(self, ring_members)
+
+    monkeypatch.setattr(Token, "_check_form", counting)
+    token = make_token(sender_id=2, successor=3)
+    ring_a = (1, 2, 3, 5)
+    assert token.well_formed(ring_a)
+    assert token.well_formed(tuple([1, 2, 3, 5]))  # another receiver's equal tuple
+    assert checks == [ring_a]
+    ring_b = (1, 2, 4, 5)  # accepted on ring A, yet 3 is no member of ring B
+    assert not token.well_formed(ring_b)
+    assert not token.well_formed(ring_b)
+    assert token.well_formed(ring_a)
+    assert checks == [ring_a, ring_b, ring_a]
+
+
 def test_signable_bytes_match_generic_sequence_tags():
     """The direct-method encoding equals the generic-tag encoding it
     replaced (the byte-identity `Token.signable_bytes` promises)."""
