@@ -9,12 +9,14 @@ and shards object groups across them:
 * :mod:`repro.cluster.config` — ring layout and gateway sizing;
 * :mod:`repro.cluster.placement` — deterministic rendezvous-hash
   placement of groups onto rings and replica sets;
-* :mod:`repro.cluster.gateway` — voted, duplicate-suppressed cross-ring
-  re-origination that keeps exactly-once end-to-end even with one
-  Byzantine gateway replica;
+* :mod:`repro.cluster.gateway` — the voted link: duplicate-suppressed
+  re-origination between total orders that keeps exactly-once
+  end-to-end even with one Byzantine gateway replica (the one
+  implementation :mod:`repro.wan` reuses over a slower hop);
 * :mod:`repro.cluster.manager` — the :class:`ClusterManager` facade:
   per-ring :class:`~repro.core.immune.ImmuneSystem` instances on one
-  shared scheduler behind a single bind/invoke API;
+  shared scheduler behind a single bind/invoke API, on the
+  :class:`Federation` base it shares with :class:`repro.wan.WanManager`;
 * :mod:`repro.cluster.obsbridge` — ring-scoped metric/forensics views
   over one shared observability bundle.
 
@@ -24,8 +26,8 @@ placement rules, the gateway protocol, and the failure semantics.
 """
 
 from repro.cluster.config import ClusterConfig, ClusterConfigError
-from repro.cluster.gateway import GatewayLink, GatewayReplica
-from repro.cluster.manager import ClusterDirectory, ClusterHandle, ClusterManager
+from repro.cluster.gateway import GatewayReplica, VotedLink
+from repro.cluster.manager import ClusterManager, Directory, Federation
 from repro.cluster.obsbridge import (
     RingObservability,
     RingScopedForensics,
@@ -41,16 +43,16 @@ from repro.cluster.placement import (
 __all__ = [
     "ClusterConfig",
     "ClusterConfigError",
-    "ClusterDirectory",
-    "ClusterHandle",
     "ClusterManager",
-    "GatewayLink",
+    "Directory",
+    "Federation",
     "GatewayReplica",
     "Placement",
     "PlacementEngine",
     "RingObservability",
     "RingScopedForensics",
     "RingScopedRegistry",
+    "VotedLink",
     "rendezvous_ranking",
     "rendezvous_score",
 ]

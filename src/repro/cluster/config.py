@@ -16,25 +16,46 @@ gateway exactly as three object replicas mask one corrupted replica.
 """
 
 from repro.core.config import ImmuneConfig, SurvivabilityCase
-from repro.multicast.config import MulticastConfig, max_faulty
+from repro.multicast.config import MulticastConfig
 
 
 class ClusterConfigError(Exception):
     """Raised when a cluster layout violates the resilience rules."""
 
 
-def _checked_int(name, value, minimum, maximum):
+def _checked_int(name, value, minimum, maximum, error=ClusterConfigError):
     """Validate an integer knob; the error names the field and the range."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ClusterConfigError(
+        raise error(
             "%s must be an integer between %d and %d, got %r"
             % (name, minimum, maximum, value)
         )
     if not minimum <= value <= maximum:
-        raise ClusterConfigError(
+        raise error(
             "%s must be between %d and %d, got %d" % (name, minimum, maximum, value)
         )
     return value
+
+
+def _check_link_degree(field, degree, room, case):
+    """The sizing rules of one level's voted links — the same for a
+    cluster's ``gateway_degree`` and a site's ``wan_gateway_degree``."""
+    if not case.replicated:
+        raise ClusterConfigError(
+            "%s needs a replicated case (2-4): gateways re-originate "
+            "through the multicast stack" % field
+        )
+    if degree < 1:
+        raise ClusterConfigError("%s must be at least 1" % field)
+    if case.voting and degree < 3:
+        raise ClusterConfigError(
+            "a voting deployment needs %s >= 3 so a majority of gateway "
+            "copies masks one Byzantine gateway replica (got %d)" % (field, degree)
+        )
+    if degree > room:
+        raise ClusterConfigError(
+            "%s %d exceeds the %d processors free on its ring" % (field, degree, room)
+        )
 
 
 class ClusterConfig:
@@ -69,24 +90,9 @@ class ClusterConfig:
         _checked_int("pid_base", pid_base, 0, 2**31)
         _checked_int("wan_gateway_degree", wan_gateway_degree, 0, 4096)
         if num_rings > 1:
-            if not case.replicated:
-                raise ClusterConfigError(
-                    "a multi-ring cluster needs a replicated case (2-4): "
-                    "gateways re-originate through the multicast stack"
-                )
-            if gateway_degree < 1:
-                raise ClusterConfigError("gateway_degree must be at least 1")
-            if case.voting and gateway_degree < 3:
-                raise ClusterConfigError(
-                    "a voting cluster needs gateway_degree >= 3 so a majority "
-                    "of gateway copies masks one Byzantine gateway replica "
-                    "(got %d)" % gateway_degree
-                )
-            if gateway_degree > procs_per_ring:
-                raise ClusterConfigError(
-                    "gateway_degree %d exceeds procs_per_ring %d"
-                    % (gateway_degree, procs_per_ring)
-                )
+            _check_link_degree("gateway_degree", gateway_degree, procs_per_ring, case)
+        else:
+            gateway_degree = 0
         if case.replicated and replication_degree > procs_per_ring:
             raise ClusterConfigError(
                 "replication_degree %d needs %d processors but rings have %d "
@@ -94,31 +100,15 @@ class ClusterConfig:
                 % (replication_degree, replication_degree, procs_per_ring)
             )
         if wan_gateway_degree:
-            if not case.replicated:
-                raise ClusterConfigError(
-                    "a WAN-federated site needs a replicated case (2-4): "
-                    "site gateways re-originate through the multicast stack"
-                )
-            if case.voting and wan_gateway_degree < 3:
-                raise ClusterConfigError(
-                    "a voting federation needs wan_gateway_degree >= 3 so a "
-                    "majority of site-gateway copies masks one Byzantine "
-                    "replica (got %d)" % wan_gateway_degree
-                )
-            backbone_free = procs_per_ring - (gateway_degree if num_rings > 1 else 0)
-            if wan_gateway_degree > backbone_free:
-                raise ClusterConfigError(
-                    "wan_gateway_degree %d exceeds the %d backbone (ring 0) "
-                    "processors left after %d cluster gateways"
-                    % (
-                        wan_gateway_degree,
-                        backbone_free,
-                        gateway_degree if num_rings > 1 else 0,
-                    )
-                )
+            # Site gateways live on the backbone (ring 0), beside the
+            # cluster gateways already reserved there.
+            _check_link_degree(
+                "wan_gateway_degree", wan_gateway_degree,
+                procs_per_ring - gateway_degree, case,
+            )
         self.num_rings = num_rings
         self.procs_per_ring = procs_per_ring
-        self.gateway_degree = gateway_degree if num_rings > 1 else 0
+        self.gateway_degree = gateway_degree
         self.case = case
         self.replication_degree = replication_degree
         self.seed = seed
@@ -168,10 +158,6 @@ class ClusterConfig:
         ring = (pid - self.pid_base) // self.procs_per_ring
         self._check_ring(ring)
         return ring
-
-    def max_faulty_per_ring(self):
-        """Byzantine processors each ring tolerates: floor((n-1)/3)."""
-        return max_faulty(self.procs_per_ring)
 
     def _check_ring(self, ring_index):
         if not 0 <= ring_index < self.num_rings:

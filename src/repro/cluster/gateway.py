@@ -1,13 +1,13 @@
-"""Cross-ring invocation gateways: voted re-origination between rings.
+"""The voted link: re-origination between total orders, at any level.
 
 An invocation whose client group and server group live on different
 rings cannot ride one token — each ring is its own total order.  The
-gateway closes the gap with the same machinery the paper uses inside a
-ring, so the cross-ring hop weakens none of the survivability claims:
+link closes the gap with the same machinery the paper uses inside a
+ring, so the extra hop weakens none of the survivability claims:
 
-* every ring pair is joined by ``gateway_degree`` *gateway replicas*,
-  each co-located on both rings (one processor identity per ring, run
-  as one logical entity — a gateway process with a NIC on each ring);
+* every pair of children (rings of a cluster, sites of a federation) is
+  joined by several *gateway replicas*, each holding one processor
+  identity on each side's backbone ring and run as one logical entity;
 * each gateway replica independently observes the source ring's total
   order, **votes** the client replicas' invocation copies exactly as a
   server-side Replication Manager would (majority of the source group's
@@ -23,12 +23,20 @@ ring, so the cross-ring hop weakens none of the survivability claims:
 * duplicate suppression reuses :class:`~repro.core.duplicates.
   DuplicateFilter` semantics keyed by the operation identifier, so each
   gateway replica forwards each operation at most once and end-to-end
-  delivery stays exactly-once.
+  delivery stays exactly-once across any number of hops.
 
 Replies make the mirror-image hop: the server ring's gateway side votes
 the server replicas' response copies and re-originates the winner on
 the client's ring, where client-side output voting proceeds unchanged.
+
+What differs between levels is a :class:`Hop`: the names the level
+reports under, its forwarding cost, how a Byzantine replica corrupts,
+and how the winner travels.  The chassis hop defined here (two NICs on
+one host) lands it in the same call; :class:`repro.wan.gateway.WanHop`
+flies it across a :class:`~repro.sim.network.WanTopology` link first.
 """
+
+from collections import namedtuple
 
 from repro.core.duplicates import DuplicateFilter
 from repro.core.identifiers import (
@@ -40,70 +48,102 @@ from repro.core.identifiers import (
 )
 from repro.core.voting import VoteDecision, Voter
 
-#: simulated CPU cost of voting + re-originating one forwarded message
-GATEWAY_FORWARD_COST = 25e-6
+#: One side of a link: the child's key in its federation's directory,
+#: its backbone :class:`~repro.core.immune.ImmuneSystem`, the gateway
+#: pids there, and the ring index its trace nodes report.
+LinkEnd = namedtuple("LinkEnd", "key immune pids trace_ring")
 
 
-def _corrupted(body):
-    """A Byzantine gateway's corruption: flip the final payload byte."""
-    if not body:
-        return b"\xff"
-    return body[:-1] + bytes([body[-1] ^ 0xFF])
+class Hop:
+    """The chassis hop between two rings of one cluster.
+
+    ``family`` prefixes the metric, charge, forensic-event and span-stage
+    names; ``scope`` names what a link joins (the ``to_<scope>`` label,
+    the ``from_<scope>`` / ``to_<scope>`` forensic fields, the
+    ``<scope>s`` key of link stats).
+    """
+
+    family = "gateway"
+    scope = "ring"
+    #: simulated CPU cost of voting + re-originating one forwarded message
+    cost = 25e-6
+    #: whether :meth:`send` can refuse a frame (adds the ``dropped`` stat)
+    lossy = False
+
+    @staticmethod
+    def corrupted(body, index):
+        """A Byzantine gateway's corruption: flip the final payload byte."""
+        if not body:
+            return b"\xff"
+        return body[:-1] + bytes([body[-1] ^ 0xFF])
+
+    def send(self, src, dst, nbytes, land, *args):
+        """Carry one frame from child ``src`` to child ``dst``.
+
+        Returns None once ``land(*args)`` is called or scheduled, or the
+        forensic fields explaining a send-time drop.  The chassis lands
+        synchronously — no scheduler event, so the hop is free in
+        simulated time.
+        """
+        land(*args)
+        return None
 
 
-class _DirectionalForwarder:
+class _Forwarder:
     """One gateway replica's forwarding path from one ring to its peer.
 
     Listens to every totally-ordered delivery on the source ring (via
     the source-side endpoint of its gateway replica), votes copies of
-    messages addressed to groups homed on the destination ring, and
+    messages addressed to groups homed on the destination child, and
     re-originates each winner once on the destination ring.
     """
 
-    def __init__(self, replica, src_ring, dst_ring, src_pid, dst_pid):
+    def __init__(self, replica, src, dst, src_pid, dst_pid):
         self.replica = replica
-        self.link = replica.link
-        self.src_ring = src_ring
-        self.dst_ring = dst_ring
+        self.src = src
+        self.dst = dst
         self.src_pid = src_pid
         self.dst_pid = dst_pid
         #: directed Byzantine toggle: corrupts this direction only (the
         #: replica-wide ``corrupt`` flag covers both directions)
         self.corrupt = False
-        cluster = self.link.cluster
-        self._src_immune = cluster.rings[src_ring]
-        self._dst_immune = cluster.rings[dst_ring]
-        self._src_endpoint = self._src_immune.endpoints[src_pid]
-        self._dst_endpoint = self._dst_immune.endpoints[dst_pid]
-        self._src_proc = self._src_immune.processors[src_pid]
-        self._dst_proc = self._dst_immune.processors[dst_pid]
-        #: the source ring's group table (this pid's RM view): voting
-        #: thresholds for the source group come from here
-        self._groups = self._src_immune.managers[src_pid].groups
-        self._digest_fn = self._src_immune.config.digest_fn()
+        link = replica.link
+        self._hop = hop = link.hop
+        self._directory = link.directory
+        self._dst_endpoint = dst.immune.endpoints[dst_pid]
+        self._src_proc = src.immune.processors[src_pid]
+        self._dst_proc = dst.immune.processors[dst_pid]
+        #: the source-side Replication Manager: its group table gives
+        #: the voting thresholds for the source group, and value faults
+        #: the vote exposes are published through it
+        self._manager = src.immune.managers[src_pid]
+        self._digest_fn = src.immune.config.digest_fn()
         self._voters = {}
         self.dup_filter = DuplicateFilter()
-        obs = cluster.ring_obs(src_ring)
-        self._obs = obs
-        self._spans = obs.spans if obs is not None else None
-        if obs is not None:
-            labels = {"proc": src_pid, "to_ring": dst_ring}
-            self._m_forwarded = obs.registry.counter("gateway.forwarded", **labels)
-            self._m_suppressed = obs.registry.counter(
-                "gateway.duplicates_suppressed", **labels
-            )
-        else:
-            self._m_forwarded = None
-            self._m_suppressed = None
-        if obs is not None and obs.forensics is not None:
-            self._forensics = obs.forensics.recorder(src_pid)
-        else:
-            self._forensics = None
-        # the causal trace, ring-scoped to the *source* ring: the vote
-        # this forwarder merges happens on the source ring's total order
-        self._tracer = getattr(obs, "trace", None) if obs is not None else None
         self.stats = {"forwarded": 0, "suppressed": 0, "ignored": 0}
-        self._src_endpoint.on_deliver(self._on_deliver)
+        if hop.lossy:
+            self.stats["dropped"] = 0
+        self._stages = (hop.family + "_forwarded", "reply_%s_forwarded" % hop.family)
+        self._ends = {"from_" + hop.scope: src.key, "to_" + hop.scope: dst.key}
+        # The source ring's scoped view: the vote this forwarder merges
+        # happens on the source ring's total order.
+        self._obs = obs = src.immune.obs
+        self._spans = self._forensics = self._tracer = None
+        self._m_forwarded = self._m_suppressed = self._m_dropped = None
+        if obs is not None:
+            self._spans = obs.spans
+            self._tracer = getattr(obs, "trace", None)
+            if obs.forensics is not None:
+                self._forensics = obs.forensics.recorder(src_pid)
+            labels = {"proc": src_pid, "to_" + hop.scope: dst.key}
+            counter = obs.registry.counter
+            self._m_forwarded = counter(hop.family + ".forwarded", **labels)
+            self._m_suppressed = counter(
+                hop.family + ".duplicates_suppressed", **labels
+            )
+            if hop.lossy:
+                self._m_dropped = counter(hop.family + ".dropped", **labels)
+        src.immune.endpoints[src_pid].on_deliver(self._on_deliver)
 
     # ------------------------------------------------------------------
     # the forwarding path
@@ -111,9 +151,8 @@ class _DirectionalForwarder:
 
     def _on_deliver(self, sender_id, seq, dest_group, payload):
         if dest_group == BASE_GROUP:
-            return  # membership/fault traffic never crosses rings
-        home = self.link.cluster.directory.home_ring(dest_group)
-        if home != self.dst_ring:
+            return  # membership/fault traffic never crosses a link
+        if self._directory.home(dest_group) != self.dst.key:
             return  # not ours: local traffic, or another link's peer
         try:
             message = ImmuneMessage.decode_shared(payload)
@@ -130,7 +169,7 @@ class _DirectionalForwarder:
         if voter is None:
             voter = Voter(
                 dest_group,
-                self._groups,
+                self._manager.groups,
                 self._digest_fn,
                 obs=self._obs,
                 proc_id=self.src_pid,
@@ -140,42 +179,77 @@ class _DirectionalForwarder:
         outcome = voter.add_copy(
             message.source_group, op_key, message.replica_proc, message.body
         )
-        if not isinstance(outcome, VoteDecision):
-            return  # copies still short of a majority, or a late fault
+        if outcome is None:
+            return  # copies still short of a majority, or a late duplicate
+        decided = isinstance(outcome, VoteDecision)  # else a LateFault
+        if self._manager.voting_enabled and (not decided or outcome.faulty_senders):
+            # Masking is not enough (paper section 6.2): a divergent
+            # copy voted down here never reaches a destination voter, so
+            # this is the only place its sender can be reported.  The
+            # vote goes to the *source* ring's base group, where the
+            # faulty replica's processor is a member to be excluded.
+            self._manager.publish_value_fault(message, outcome.vote_set)
+        if not decided:
+            return  # a late divergent copy: reported, never forwarded
         if not self.dup_filter.mark_delivered(op_key):
             self.stats["suppressed"] += 1
             if self._m_suppressed is not None:
                 self._m_suppressed.inc()
             return
-        self._forward(message, outcome.body, op_key)
+        self._forward(message, outcome.body)
 
-    def _forward(self, message, body, op_key):
-        self._src_proc.charge(GATEWAY_FORWARD_COST, "gateway.forward")
+    def _forward(self, message, body):
+        hop = self._hop
+        self._src_proc.charge(hop.cost, hop.family + ".forward")
         corrupt = self.corrupt or self.replica.corrupt
         if corrupt:
             # The Byzantine gateway drill: this replica forwards a
             # corrupted copy, which the destination ring outvotes.
-            body = _corrupted(body)
-        wrapped = ImmuneMessage(
+            body = hop.corrupted(body, self.replica.index)
+        encoded = ImmuneMessage(
             message.kind,
             message.source_group,
             message.op_num,
             self.dst_pid,
             message.target_group,
             body,
+        ).encode()
+        dropped = hop.send(
+            self.src.key, self.dst.key, len(encoded),
+            self._land, message, encoded, corrupt,
         )
+        if dropped is None:
+            return
+        self.stats["dropped"] += 1
+        if self._m_dropped is not None:
+            self._m_dropped.inc()
+        if self._forensics is not None:
+            self._forensics.record(
+                hop.family + "_drop",
+                source=message.source_group,
+                target=message.target_group,
+                op_num=message.op_num,
+                **self._ends,
+                **dropped,
+            )
+
+    def _land(self, message, encoded, corrupt):
+        """The winner arrives on the destination ring and is re-originated."""
+        if self._dst_proc.crashed or self._dst_endpoint.halted:
+            return  # the destination host died while the copy was in flight
         self.stats["forwarded"] += 1
         if self._m_forwarded is not None:
             self._m_forwarded.inc()
         if message.kind == KIND_INVOCATION:
             trace_key, phase = (message.source_group, message.op_num), "req"
-            stage = "gateway_forwarded"
+            stage = self._stages[0]
         else:
             trace_key, phase = (message.target_group, message.op_num), "rep"
-            stage = "reply_gateway_forwarded"
+            stage = self._stages[1]
+        # Marked at *landing*: on a hop with a flight the stage delta
+        # contains it, and the critical path prices it as the hop's cause.
         if self._spans is not None:
             self._spans.mark(trace_key, stage)
-        encoded = wrapped.encode()
         if self._tracer is not None:
             self._tracer.mark_stage(trace_key, stage)
             # The fork: each gateway replica hangs its own gw_forward
@@ -184,20 +258,19 @@ class _DirectionalForwarder:
             # copy/vote nodes merge the branches back together.
             self._tracer.gateway_forwarded(
                 trace_key, phase, self.dst_pid,
-                self.src_ring, self.dst_ring, corrupt,
+                self.src.trace_ring, self.dst.trace_ring, corrupt,
             )
             self._tracer.register_payload(
                 encoded, trace_key, phase, ("gw_forward", phase, self.dst_pid)
             )
         if self._forensics is not None:
             self._forensics.record(
-                "gateway_forward",
+                self._hop.family + "_forward",
                 kind="invocation" if message.kind == KIND_INVOCATION else "response",
                 source=message.source_group,
                 target=message.target_group,
                 op_num=message.op_num,
-                from_ring=self.src_ring,
-                to_ring=self.dst_ring,
+                **self._ends,
                 via=(self.src_pid, self.dst_pid),
                 corrupt=corrupt,
             )
@@ -205,7 +278,7 @@ class _DirectionalForwarder:
 
 
 class GatewayReplica:
-    """One logical gateway entity of a link: a pid on each ring, with a
+    """One logical gateway entity of a link: a pid on each side, with a
     forwarder in each direction and a shared Byzantine toggle."""
 
     def __init__(self, link, index, pid_a, pid_b):
@@ -216,22 +289,20 @@ class GatewayReplica:
         #: when true this replica corrupts everything it forwards — the
         #: fault the destination rings' majority voting must mask
         self.corrupt = False
-        self.forward_ab = _DirectionalForwarder(
-            self, link.ring_a, link.ring_b, pid_a, pid_b
-        )
-        self.forward_ba = _DirectionalForwarder(
-            self, link.ring_b, link.ring_a, pid_b, pid_a
-        )
+        self.forward_ab = _Forwarder(self, link.a, link.b, pid_a, pid_b)
+        self.forward_ba = _Forwarder(self, link.b, link.a, pid_b, pid_a)
 
-    def corrupt_direction(self, src_ring):
-        """Corrupt only the direction whose *source* is ``src_ring``;
-        returns the destination-facing pid (the one the destination
-        ring's divergence detector can convict)."""
-        forwarder = (
-            self.forward_ab if src_ring == self.link.ring_a else self.forward_ba
+    def forwarder_from(self, key):
+        """The forwarder carrying traffic *out of* child ``key``; its
+        ``dst_pid`` is the one the destination ring's divergence
+        detector can convict."""
+        if key == self.link.a.key:
+            return self.forward_ab
+        if key == self.link.b.key:
+            return self.forward_ba
+        raise ValueError(
+            "%s %r is not an end of %r" % (self.link.hop.scope, key, self.link)
         )
-        forwarder.corrupt = True
-        return forwarder.dst_pid
 
     def stats(self):
         return {
@@ -240,54 +311,47 @@ class GatewayReplica:
         }
 
     def __repr__(self):
-        return "GatewayReplica(link %d<->%d, P%d/P%d%s)" % (
-            self.link.ring_a,
-            self.link.ring_b,
+        return "GatewayReplica(%r, P%d/P%d%s)" % (
+            self.link,
             self.pid_a,
             self.pid_b,
             ", CORRUPT" if self.corrupt else "",
         )
 
 
-class GatewayLink:
-    """All gateway replicas joining one pair of rings."""
+class VotedLink:
+    """All gateway replicas joining one pair of children.
 
-    def __init__(self, cluster, ring_a, ring_b, pairs):
-        self.cluster = cluster
-        self.ring_a = ring_a
-        self.ring_b = ring_b
+    ``directory`` answers ``home(group)`` with the key of the child a
+    group lives under; forwarders consult it at delivery time, so a
+    rehome re-routes traffic at once.
+    """
+
+    def __init__(self, hop, directory, a, b):
+        self.hop = hop
+        self.directory = directory
+        self.a = a
+        self.b = b
         self.replicas = [
             GatewayReplica(self, i, pid_a, pid_b)
-            for i, (pid_a, pid_b) in enumerate(pairs)
+            for i, (pid_a, pid_b) in enumerate(zip(a.pids, b.pids))
         ]
 
-    def corrupt_replica(self, index):
-        """Turn one gateway replica Byzantine; returns it for restore."""
-        replica = self.replicas[index]
-        replica.corrupt = True
-        return replica
-
-    def side_pids(self, ring_index):
-        """This link's gateway pids on one of its two rings — the pids
-        foreign groups are registered under on that ring."""
-        if ring_index == self.ring_a:
-            return tuple(r.pid_a for r in self.replicas)
-        if ring_index == self.ring_b:
-            return tuple(r.pid_b for r in self.replicas)
-        raise ValueError(
-            "ring %d is not part of link %d<->%d"
-            % (ring_index, self.ring_a, self.ring_b)
-        )
+    def side_pids(self, key):
+        """This link's gateway pids at one of its two ends — the pids
+        foreign groups are registered under there."""
+        return tuple(r.forwarder_from(key).src_pid for r in self.replicas)
 
     def stats(self):
         return {
-            "rings": [self.ring_a, self.ring_b],
+            self.hop.scope + "s": [self.a.key, self.b.key],
             "replicas": [r.stats() for r in self.replicas],
         }
 
     def __repr__(self):
-        return "GatewayLink(%d<->%d, %d replicas)" % (
-            self.ring_a,
-            self.ring_b,
+        return "VotedLink(%s %s<->%s, %d replicas)" % (
+            self.hop.scope,
+            self.a.key,
+            self.b.key,
             len(self.replicas),
         )

@@ -20,46 +20,63 @@ Whether ``driver`` and ``ledger`` landed on the same ring or not is
 invisible to the caller: the placement engine shards groups across
 rings, and the gateway links carry cross-ring invocations with the same
 voted, duplicate-suppressed, exactly-once semantics as intra-ring ones.
+
+A cluster is one level of a :class:`Federation` — children joined at
+their backbone rings by voted links — and :class:`repro.wan.WanManager`
+is the next: there a child is a whole cluster whose ring 0 is the
+backbone.  Everything that is the same job at both levels lives in the
+base class.
 """
 
-import random
-
 from repro.cluster.config import ClusterConfig, ClusterConfigError
-from repro.cluster.gateway import GatewayLink
+from repro.cluster.gateway import Hop, LinkEnd, VotedLink
 from repro.cluster.obsbridge import RingObservability
 from repro.cluster.placement import PlacementEngine
 from repro.core.immune import ImmuneSystem
-from repro.crypto.keystore import KeyStore
+from repro.obs.forensics import fault_id_for
 from repro.sim.rng import RngStreams
 from repro.sim.scheduler import Scheduler
 
 
-class ClusterDirectory:
-    """Where every object group lives: group -> (home ring, replicas)."""
+class Directory:
+    """Where every object group lives: group -> (home child, replicas).
 
-    def __init__(self):
+    ``home`` is a key of the owning federation's children: a ring index
+    in a cluster, a site name in a WAN federation.  A federation of
+    clusters passes its ``children`` so :meth:`home_ring` can ask the
+    home site instead of storing the ring twice.
+    """
+
+    def __init__(self, children=None):
         self._entries = {}
+        self._children = children
 
-    def record(self, group_name, ring, procs):
+    def record(self, group_name, home, procs):
         if group_name in self._entries:
             raise ClusterConfigError("group %r already bound" % group_name)
-        self._entries[group_name] = (ring, tuple(procs))
+        self._entries[group_name] = (home, tuple(procs))
 
-    def rehome(self, group_name, ring, procs):
+    def rehome(self, group_name, home, procs):
         """Atomically repoint a bound group (live migration cutover).
 
-        The gateway forwarders consult :meth:`home_ring` at delivery
-        time, so a rehome instantly re-routes cross-ring traffic toward
-        the new home — no per-link reconfiguration step exists to get
-        half-done.
+        The gateway forwarders consult :meth:`home` at delivery time, so
+        a rehome instantly re-routes cross-ring traffic toward the new
+        home — no per-link reconfiguration step exists to get half-done.
         """
         if group_name not in self._entries:
             raise ClusterConfigError("group %r was never bound" % group_name)
-        self._entries[group_name] = (ring, tuple(procs))
+        self._entries[group_name] = (home, tuple(procs))
 
-    def home_ring(self, group_name):
+    def home(self, group_name):
         entry = self._entries.get(group_name)
         return None if entry is None else entry[0]
+
+    def home_ring(self, group_name):
+        """The ring the group's replicas really run on, within its home."""
+        home = self.home(group_name)
+        if home is None or self._children is None:
+            return home
+        return self._children[home].directory.home_ring(group_name)
 
     def procs(self, group_name):
         entry = self._entries.get(group_name)
@@ -68,49 +85,213 @@ class ClusterDirectory:
     def groups(self):
         return sorted(self._entries)
 
-    def to_dict(self):
+
+class Federation:
+    """Children on one simulation, every pair joined by a voted link.
+
+    A child is anything with ``start`` / ``client_stubs`` / ``group`` /
+    ``register_remote_group``: an :class:`~repro.core.immune.
+    ImmuneSystem` (a ring of a cluster) or a :class:`ClusterManager`
+    (a site of a WAN federation).  Subclasses keep their children in
+    ``self._children`` (indexable by key), describe a child's backbone
+    with :meth:`_end`, and call :meth:`_join` after adding each one.
+    """
+
+    #: this level's link vocabulary and transport
+    hop = Hop()
+    #: metric prefix of this level's gauges, and the link-count gauge
+    _level, _links_gauge = "cluster", "cluster.gateway_links"
+    #: labels on this level's gauges
+    _gauge_labels = {}
+    _error = ClusterConfigError
+
+    def __init__(self, config, obs, scheduler=None, keystore=None, streams=None):
+        self.config = config
+        self.obs = obs
+        self.scheduler = scheduler if scheduler is not None else Scheduler()
+        self.streams = streams if streams is not None else RngStreams(config.seed)
+        #: one key directory for every child; when none is injected the
+        #: first ring built mints it and the rest share it
+        self.keystore = keystore
+        self.directory = Directory()
+        #: child keys in creation order
+        self._keys = []
+        #: (earlier child, later child) -> VotedLink, every pair joined
+        self.links = {}
+        self._started = False
+        if obs is not None:
+            obs.registry.add_collector(self._collect_metrics)
+
+    # ------------------------------------------------------------------
+    # the link mesh
+    # ------------------------------------------------------------------
+
+    def _join(self, key):
+        """Link the new child ``key`` to every child built before it."""
+        for other in self._keys:
+            self.links[(other, key)] = VotedLink(
+                self.hop, self.directory, self._end(other), self._end(key)
+            )
+        self._keys.append(key)
+
+    def _link(self, a, b):
+        link = self.links.get((a, b)) or self.links.get((b, a))
+        if link is None:
+            raise self._error(
+                "no %s link between %r and %r" % (self.hop.family, a, b)
+            )
+        return link
+
+    def members_seen_from(self, group_name, key):
+        """The members child ``key`` registers for ``group_name``: the
+        real replicas at home; elsewhere the child's own gateway pids
+        toward the home, so re-originated copies flow through the
+        existing voters, which take a majority across the gateway
+        replicas."""
+        home = self.directory.home(group_name)
+        if key == home:
+            return self.directory.procs(group_name)
+        return self._link(home, key).side_pids(key)
+
+    def _collect_metrics(self, registry):
+        level, labels = self._level, self._gauge_labels
+        registry.gauge("%s.%ss" % (level, self.hop.scope), **labels).set(
+            len(self._children)
+        )
+        registry.gauge(level + ".groups", **labels).set(len(self.directory.groups()))
+        registry.gauge(self._links_gauge, **labels).set(len(self.links))
+        for key, link in sorted(self.links.items()):
+            forwarded = sum(
+                r.forward_ab.stats["forwarded"] + r.forward_ba.stats["forwarded"]
+                for r in link.replicas
+            )
+            registry.gauge(
+                level + ".link_forwarded", link="%s-%s" % key, **labels
+            ).set(forwarded)
+
+    # ------------------------------------------------------------------
+    # binding and invocation: one API over all children
+    # ------------------------------------------------------------------
+
+    def _bind(self, handle, home):
+        """Stamp, record and advertise a group just deployed on ``home``."""
+        setattr(handle, self.hop.scope, home)
+        self.directory.record(handle.group_name, home, handle.replica_procs)
+        self._advertise(handle.group_name, home)
+        return handle
+
+    def _advertise(self, group_name, home):
+        """Register the group as *foreign* on every child but its home."""
+        for key in self._keys:
+            if key != home:
+                self._children[key].register_remote_group(
+                    group_name, self.members_seen_from(group_name, key)
+                )
+
+    def client_stubs(self, client_handle, interface, server_handle):
+        """Stubs for every client replica; the target may live anywhere."""
+        home = self.directory.home(client_handle.group_name)
+        return self._children[home].client_stubs(
+            client_handle, interface, server_handle
+        )
+
+    def group(self, group_name):
+        home = self.directory.home(group_name)
+        if home is None:
+            raise KeyError(group_name)
+        return self._children[home].group(group_name)
+
+    # ------------------------------------------------------------------
+    # gateway fault injection (drills and the benches' Byzantine sections)
+    # ------------------------------------------------------------------
+
+    def corrupt_gateway(self, a, b, index=0, at_time=None, direction=None):
+        """Make one gateway replica of the ``a``-``b`` link Byzantine.
+
+        With ``at_time`` the corruption is armed through the scheduler;
+        otherwise it is immediate.  ``direction`` (a child key) limits
+        it to the forwarder carrying traffic *out of* that child —
+        replies flowing the other way stay honest.  ``value_fault``
+        ground truth is recorded against the replica's pid on the
+        *destination-facing* side of each direction it corrupts — the
+        side where its forged copies are voted down and attributed.
+        Attribution leads to conviction and membership exclusion there,
+        which silences the replica's reverse path too, so a
+        both-directions corruption (``direction=None``, recorded
+        against both pids) can only ever be attributed on the side that
+        voted first; drills that gate on recall should pick a direction.
+        """
+        replica = self._link(a, b).replicas[index]
+        if direction is None:
+            targets, culprits = [replica], (replica.pid_a, replica.pid_b)
+        else:
+            targets = [replica.forwarder_from(direction)]
+            culprits = (targets[0].dst_pid,)
+        self._arm(targets, at_time, "corrupt", "value_fault", culprits)
+        return replica
+
+    def _arm(self, targets, at_time, what, kind, culprits):
+        """Set ``corrupt`` on every target now or at ``at_time``, and
+        record ``kind`` ground truth against each culprit pid."""
+
+        def arm():
+            for target in targets:
+                target.corrupt = True
+
+        if at_time is None:
+            arm()
+        else:
+            self.scheduler.at(
+                at_time, arm, label="%s.%s" % (self.hop.family, what)
+            )
+        self._ground_truth(
+            kind, culprits, at_time if at_time is not None else self.scheduler.now
+        )
+
+    def _ground_truth(self, kind, culprits, when):
+        if self.obs is not None and self.obs.forensics is not None:
+            for pid in culprits:
+                self.obs.forensics.record_ground_truth(
+                    fault_id_for(kind, pid, when), kind, pid, when
+                )
+
+    def _forensic(self, pid, etype, **fields):
+        """One event on ``pid``'s flight recorder, forensics permitting."""
+        if self.obs is not None and self.obs.forensics is not None:
+            self.obs.forensics.recorder(pid).record(etype, **fields)
+
+    # ------------------------------------------------------------------
+    # lifecycle and reporting
+    # ------------------------------------------------------------------
+
+    def start(self):
+        if self._started:
+            return self
+        self._started = True
+        for key in self._keys:
+            self._children[key].start()
+        return self
+
+    def run(self, until=None, max_events=None):
+        if not self._started:
+            self.start()
+        self.scheduler.run(until=until, max_events=max_events)
+        return self
+
+    def gateway_stats(self):
         return {
-            name: {"ring": ring, "procs": list(procs)}
-            for name, (ring, procs) in sorted(self._entries.items())
+            "%s-%s" % key: link.stats() for key, link in sorted(self.links.items())
         }
 
-
-class ClusterHandle:
-    """A deployed group plus its home ring — quacks like a GroupHandle."""
-
-    def __init__(self, handle, ring):
-        self.handle = handle
-        self.ring = ring
-
-    @property
-    def group_name(self):
-        return self.handle.group_name
-
-    @property
-    def interface(self):
-        return self.handle.interface
-
-    @property
-    def reference(self):
-        return self.handle.reference
-
-    @property
-    def replica_procs(self):
-        return self.handle.replica_procs
-
-    @property
-    def servants(self):
-        return self.handle.servants
-
     def __repr__(self):
-        return "ClusterHandle(%s on ring %d, procs %s)" % (
-            self.group_name,
-            self.ring,
-            list(self.replica_procs),
+        return "%s(%r, %d groups)" % (
+            type(self).__name__,
+            self.config,
+            len(self.directory.groups()),
         )
 
 
-class ClusterManager:
+class ClusterManager(Federation):
     """A multi-ring Immune deployment on one shared simulation."""
 
     def __init__(
@@ -136,101 +317,60 @@ class ClusterManager:
         sites constructed before this one, so flight-recorder and trace
         shard indices stay globally unique across the federation.
         """
-        self.config = config or ClusterConfig()
-        self.scheduler = scheduler if scheduler is not None else Scheduler()
-        self.obs = obs
+        super().__init__(
+            config or ClusterConfig(), obs,
+            scheduler=scheduler, keystore=keystore, streams=streams,
+        )
         self.site = self.config.site
         self.ring_base = ring_base
-        self.streams = (
-            streams if streams is not None else RngStreams(self.config.seed)
-        )
-        self.directory = ClusterDirectory()
+        # On a federation the cluster-level gauges carry the site name,
+        # or every site's values would collide in one unlabelled gauge;
+        # single-site clusters keep their label sets unchanged.
+        self._gauge_labels = {} if self.site is None else {"site": self.site}
         self.placement = PlacementEngine(self.config)
-        ring0 = self.config.ring_config(0)
-        if keystore is not None:
-            self.keystore = keystore
-        elif self.config.case.replicated:
-            self.keystore = KeyStore(
-                random.Random(self.config.seed),
-                modulus_bits=self.config.modulus_bits,
-                digest_fn=ring0.digest_fn(),
-            )
-        else:
-            self.keystore = None
-
-        self.rings = []
-        self._ring_obs = []
+        self.rings = self._children = []
+        #: pid -> Processor across all rings (pids are globally unique)
+        self.processors = {}
         self._net_params = net_params
         self._trace_kinds = trace_kinds
         fault_plans = fault_plans or {}
         for ring_index in range(self.config.num_rings):
-            ring_obs = (
-                RingObservability(
-                    obs,
-                    ring_index,
-                    site=self.site,
-                    shard=ring_base + ring_index,
-                )
-                if obs is not None
-                else None
+            self._build_ring(ring_index, fault_plans.get(ring_index))
+
+    def _end(self, ring_index):
+        return LinkEnd(
+            ring_index,
+            self.rings[ring_index],
+            self.config.gateway_pids(ring_index),
+            ring_index,
+        )
+
+    def _build_ring(self, ring_index, fault_plan=None):
+        """One ring's full stack — scoped observability, an
+        :class:`~repro.core.immune.ImmuneSystem` on the shared
+        scheduler/keystore, gateway links to every existing ring."""
+        ring_obs = None
+        if self.obs is not None:
+            ring_obs = RingObservability(
+                self.obs, ring_index, site=self.site, shard=self.ring_base + ring_index
             )
-            immune = ImmuneSystem(
-                self.config.procs_per_ring,
-                config=self.config.ring_config(ring_index),
-                net_params=net_params,
-                fault_plan=fault_plans.get(ring_index),
-                trace_kinds=trace_kinds,
-                obs=ring_obs,
-                scheduler=self.scheduler,
-                proc_ids=self.config.ring_pids(ring_index),
-                keystore=self.keystore,
-                streams=self.streams.spawn("ring%d" % ring_index),
-            )
-            self.rings.append(immune)
-            self._ring_obs.append(ring_obs)
-
-        #: pid -> Processor across all rings (pids are globally unique)
-        self.processors = {}
-        for immune in self.rings:
-            self.processors.update(immune.processors)
-
-        #: (low ring, high ring) -> GatewayLink, every ring pair joined
-        self.links = {}
-        for a in range(self.config.num_rings):
-            for b in range(a + 1, self.config.num_rings):
-                pairs = list(
-                    zip(self.config.gateway_pids(a), self.config.gateway_pids(b))
-                )
-                self.links[(a, b)] = GatewayLink(self, a, b, pairs)
-
-        self._started = False
-        if obs is not None:
-            obs.registry.add_collector(self._collect_cluster_metrics)
-
-    # ------------------------------------------------------------------
-    # observability plumbing
-    # ------------------------------------------------------------------
-
-    def ring_obs(self, ring_index):
-        """The ring-scoped observability view (None when obs is off)."""
-        return self._ring_obs[ring_index]
-
-    def _collect_cluster_metrics(self, registry):
-        # On a federation the cluster-level gauges carry the site name,
-        # or every site's values would collide in one unlabelled gauge;
-        # single-site clusters keep their label sets unchanged.
-        site = {} if self.site is None else {"site": self.site}
-        registry.gauge("cluster.rings", **site).set(self.config.num_rings)
-        registry.gauge("cluster.groups", **site).set(len(self.directory.groups()))
-        registry.gauge("cluster.gateway_links", **site).set(len(self.links))
-        for (a, b), link in sorted(self.links.items()):
-            forwarded = sum(
-                r.forward_ab.stats["forwarded"] + r.forward_ba.stats["forwarded"]
-                for r in link.replicas
-            )
-            registry.gauge(
-                "cluster.link_forwarded", link="%d-%d" % (a, b), **site
-            ).set(forwarded)
+        immune = ImmuneSystem(
+            self.config.procs_per_ring,
+            config=self.config.ring_config(ring_index),
+            net_params=self._net_params,
+            fault_plan=fault_plan,
+            trace_kinds=self._trace_kinds,
+            obs=ring_obs,
+            scheduler=self.scheduler,
+            proc_ids=self.config.ring_pids(ring_index),
+            keystore=self.keystore,
+            streams=self.streams.spawn("ring%d" % ring_index),
+        )
+        self.keystore = immune.keystore
+        self.rings.append(immune)
+        self.processors.update(immune.processors)
+        self._join(ring_index)
+        return immune
 
     # ------------------------------------------------------------------
     # deployment: one API over all rings
@@ -240,16 +380,14 @@ class ClusterManager:
         """Deploy a replicated server group, sharded by the placement
         engine unless ``ring`` (and optionally ``on_procs``) pins it."""
         ring, procs = self._resolve_placement(group_name, ring, on_procs, degree)
-        handle = self.rings[ring].deploy(group_name, interface, servant_factory, procs)
-        self._bind(group_name, ring, procs)
-        return ClusterHandle(handle, ring)
+        return self._bind(
+            self.rings[ring].deploy(group_name, interface, servant_factory, procs), ring
+        )
 
     def deploy_client(self, group_name, ring=None, on_procs=None, degree=None):
         """Deploy a replicated client group (a pure invoker)."""
         ring, procs = self._resolve_placement(group_name, ring, on_procs, degree)
-        handle = self.rings[ring].deploy_client(group_name, procs)
-        self._bind(group_name, ring, procs)
-        return ClusterHandle(handle, ring)
+        return self._bind(self.rings[ring].deploy_client(group_name, procs), ring)
 
     def _resolve_placement(self, group_name, ring, on_procs, degree):
         if on_procs is not None:
@@ -268,36 +406,12 @@ class ClusterManager:
                             "replica pid %d of %r is not on ring %d"
                             % (pid, group_name, ring)
                         )
-            placement = self.placement.place(
-                group_name, degree=len(list(on_procs)), ring=ring
-            )
+            self.placement.place(group_name, degree=len(list(on_procs)), ring=ring)
             # The caller's explicit pids override the hash's choice of
             # processors; the engine still accounts the ring's load.
             return ring, tuple(on_procs)
         placement = self.placement.place(group_name, degree=degree, ring=ring)
         return placement.ring, placement.procs
-
-    def _bind(self, group_name, ring, procs):
-        """Record the group and register it as *foreign* everywhere else.
-
-        On every other ring the group's members are that ring's gateway
-        pids for the link toward the home ring: re-originated copies
-        then flow through the existing voters, which take a majority
-        across the gateway replicas.
-        """
-        self.directory.record(group_name, ring, procs)
-        self._register_foreign(group_name, ring)
-
-    def _register_foreign(self, group_name, home_ring):
-        """Register ``group_name`` on every ring other than its home,
-        with the local gateway pids toward the home ring as members."""
-        for other in range(self.config.num_rings):
-            if other == home_ring:
-                continue
-            link = self.links[(min(home_ring, other), max(home_ring, other))]
-            gateway_members = link.side_pids(other)
-            for manager in self.rings[other].managers.values():
-                manager.register_group(group_name, gateway_members)
 
     def register_remote_group(self, group_name, backbone_members):
         """Adopt a group that really lives on *another site*.
@@ -310,26 +424,8 @@ class ClusterManager:
         every other local ring exactly as they would any ring-0 group.
         """
         self.directory.record(group_name, 0, backbone_members)
-        for manager in self.rings[0].managers.values():
-            manager.register_group(group_name, backbone_members)
-        self._register_foreign(group_name, 0)
-
-    # ------------------------------------------------------------------
-    # invocation: stubs work across rings transparently
-    # ------------------------------------------------------------------
-
-    def client_stubs(self, client_handle, interface, server_handle):
-        """Stubs for every client replica; the target may be any ring."""
-        client = getattr(client_handle, "handle", client_handle)
-        server = getattr(server_handle, "handle", server_handle)
-        ring = self.directory.home_ring(client.group_name)
-        return self.rings[ring].client_stubs(client, interface, server)
-
-    def group(self, group_name):
-        ring = self.directory.home_ring(group_name)
-        if ring is None:
-            raise KeyError(group_name)
-        return ClusterHandle(self.rings[ring].group(group_name), ring)
+        self.rings[0].register_remote_group(group_name, backbone_members)
+        self._advertise(group_name, 0)
 
     # ------------------------------------------------------------------
     # elasticity: runtime ring growth and rebalance scheduling
@@ -338,12 +434,12 @@ class ClusterManager:
     def add_ring(self):
         """Create a brand-new ring at runtime (an autoscaling split target).
 
-        Builds the ring's full stack — scoped observability, an
-        :class:`~repro.core.immune.ImmuneSystem` on the shared
-        scheduler/keystore, gateway links to every existing ring — and
-        registers every already-bound group as foreign on it so its
-        future clients route through the gateways immediately.  Needs a
-        configuration that reserves processor-id headroom for growth
+        Builds the ring's full stack and registers every already-bound
+        group as foreign on it — its members there are the new ring's
+        gateway pids toward the home ring, so its future clients route
+        through the gateways immediately and voters mask a Byzantine
+        gateway from day one.  Needs a configuration that reserves
+        processor-id headroom for growth
         (:class:`repro.elastic.ElasticConfig`).
         """
         grow = getattr(self.config, "grow_ring", None)
@@ -353,49 +449,11 @@ class ClusterManager:
                 "(repro.elastic.ElasticConfig)"
             )
         ring_index = grow()
-        ring_obs = (
-            RingObservability(
-                self.obs,
-                ring_index,
-                site=self.site,
-                shard=self.ring_base + ring_index,
-            )
-            if self.obs is not None
-            else None
-        )
-        immune = ImmuneSystem(
-            self.config.procs_per_ring,
-            config=self.config.ring_config(ring_index),
-            net_params=self._net_params,
-            trace_kinds=self._trace_kinds,
-            obs=ring_obs,
-            scheduler=self.scheduler,
-            proc_ids=self.config.ring_pids(ring_index),
-            keystore=self.keystore,
-            streams=self.streams.spawn("ring%d" % ring_index),
-        )
-        self.rings.append(immune)
-        self._ring_obs.append(ring_obs)
-        self.processors.update(immune.processors)
-        for other in range(ring_index):
-            pairs = list(
-                zip(
-                    self.config.gateway_pids(other),
-                    self.config.gateway_pids(ring_index),
-                )
-            )
-            self.links[(other, ring_index)] = GatewayLink(
-                self, other, ring_index, pairs
-            )
-        # Every group bound so far becomes foreign on the new ring: its
-        # members there are the new ring's gateway pids toward the home
-        # ring, so voters mask a Byzantine gateway from day one.
+        immune = self._build_ring(ring_index)
         for group_name in self.directory.groups():
-            home = self.directory.home_ring(group_name)
-            link = self.links[(min(home, ring_index), max(home, ring_index))]
-            members = link.side_pids(ring_index)
-            for manager in immune.managers.values():
-                manager.register_group(group_name, members)
+            immune.register_remote_group(
+                group_name, self.members_seen_from(group_name, ring_index)
+            )
         self.placement.add_ring(ring_index)
         if self._started:
             immune.start()
@@ -404,70 +462,6 @@ class ClusterManager:
     def rebalance_delta(self, new_layout):
         """The migrations separating the recorded layout from ``new_layout``."""
         return self.placement.rebalance_delta(self.placement.layout(), new_layout)
-
-    # ------------------------------------------------------------------
-    # gateway fault injection (drills and the bench's Byzantine section)
-    # ------------------------------------------------------------------
-
-    def corrupt_gateway(self, ring_a, ring_b, index=0, at_time=None,
-                        direction=None):
-        """Make one gateway replica of a link Byzantine.
-
-        With ``at_time`` the corruption is armed through the scheduler;
-        otherwise it is immediate.  ``direction`` (a ring index) limits
-        the corruption to the direction whose *source* is that ring —
-        replies flowing the other way stay honest.  Ground truth is
-        recorded against the replica's pid on the *destination-facing*
-        side of each ring it feeds (only that direction's pid when
-        directed), under the ``value_fault`` kind the scorecard
-        attributes.
-        """
-        link = self.links[(min(ring_a, ring_b), max(ring_a, ring_b))]
-        replica = link.replicas[index]
-        if direction is None:
-            arm = lambda: setattr(replica, "corrupt", True)
-            culprits = (replica.pid_a, replica.pid_b)
-        else:
-            if direction not in (link.ring_a, link.ring_b):
-                raise ClusterConfigError(
-                    "direction %r is not a ring of link %d-%d"
-                    % (direction, link.ring_a, link.ring_b)
-                )
-            arm = lambda: replica.corrupt_direction(direction)
-            culprits = (
-                replica.pid_b if direction == link.ring_a else replica.pid_a,
-            )
-        if at_time is None:
-            arm()
-        else:
-            self.scheduler.at(at_time, arm, label="gateway.corrupt")
-        if self.obs is not None and self.obs.forensics is not None:
-            from repro.obs.forensics import fault_id_for
-
-            when = at_time if at_time is not None else self.scheduler.now
-            for pid in culprits:
-                self.obs.forensics.record_ground_truth(
-                    fault_id_for("value_fault", pid, when), "value_fault", pid, when
-                )
-        return replica
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-
-    def start(self):
-        if self._started:
-            return self
-        self._started = True
-        for immune in self.rings:
-            immune.start()
-        return self
-
-    def run(self, until=None, max_events=None):
-        if not self._started:
-            self.start()
-        self.scheduler.run(until=until, max_events=max_events)
-        return self
 
     # ------------------------------------------------------------------
     # reporting
@@ -481,14 +475,3 @@ class ClusterManager:
         if ring_index is None:
             ring_index = self.directory.home_ring(group_name)
         return self.rings[ring_index].group_members(group_name)
-
-    def gateway_stats(self):
-        return {
-            "%d-%d" % key: link.stats() for key, link in sorted(self.links.items())
-        }
-
-    def __repr__(self):
-        return "ClusterManager(%r, %d groups)" % (
-            self.config,
-            len(self.directory.groups()),
-        )

@@ -46,6 +46,10 @@ class GroupHandle:
         self.replica_procs = tuple(replica_procs)
         #: pid -> servant instance (None for pure client groups)
         self.servants = dict(servants)
+        #: home ring index / site name, stamped by the cluster and WAN
+        #: facades at deploy (and re-stamped by a live migration)
+        self.ring = None
+        self.site = None
 
     def __repr__(self):
         return "GroupHandle(%s on %s)" % (self.group_name, list(self.replica_procs))
@@ -286,6 +290,14 @@ class ImmuneSystem:
 
     def group(self, group_name):
         return self._groups[group_name]
+
+    def register_remote_group(self, group_name, members):
+        """Adopt a group whose replicas live on *another ring*: every
+        Replication Manager here registers it with ``members`` — this
+        ring's gateway pids toward its home — so local voters take a
+        majority across the gateways' re-originated copies."""
+        for manager in self.managers.values():
+            manager.register_group(group_name, members)
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -449,10 +449,10 @@ class ReplicationManager:
             if message.kind == KIND_INVOCATION:
                 self._mark_stage((message.source_group, message.op_num), "voted")
             if outcome.faulty_senders:
-                self._publish_value_fault(message, outcome.vote_set)
+                self.publish_value_fault(message, outcome.vote_set)
             self._deliver_operation(message, outcome.body)
         elif isinstance(outcome, LateFault):
-            self._publish_value_fault(message, outcome.vote_set)
+            self.publish_value_fault(message, outcome.vote_set)
 
     def _deliver_without_voting(self, message):
         dup = self._dup_filters[message.target_group]
@@ -516,7 +516,10 @@ class ReplicationManager:
     # value faults
     # ------------------------------------------------------------------
 
-    def _publish_value_fault(self, message, vote_set):
+    def publish_value_fault(self, message, vote_set):
+        """Multicast a ``Value_Fault_Vote`` for ``message``'s operation on
+        the base group.  Public because a gateway's voter reports through
+        its source-side manager (:mod:`repro.cluster.gateway`)."""
         vote = ValueFaultVote(
             reporter=self.my_id,
             source_group=message.source_group,
@@ -590,7 +593,7 @@ class ReplicationManager:
                     kind, source_group, op_num, self.my_id, target_group, decision.body
                 )
                 if decision.faulty_senders:
-                    self._publish_value_fault(replica, decision.vote_set)
+                    self.publish_value_fault(replica, decision.vote_set)
                 self._deliver_operation(replica, decision.body)
 
     # ------------------------------------------------------------------

@@ -199,12 +199,10 @@ class Autoscaler:
         self.decisions.append((now, action, detail))
         if self._m_active is not None:
             self._m_active.set(len(self.cluster.active_rings))
-        obs = self.cluster.obs
-        if obs is not None and obs.forensics is not None:
-            anchor = self.cluster.config.ring_pids(0)[0]
-            obs.forensics.recorder(anchor).record(
-                "autoscale_" + action, **{
-                    key: value if not isinstance(value, list) else tuple(value)
-                    for key, value in detail.items()
-                }
-            )
+        self.cluster._forensic(
+            self.cluster.config.ring_pids(0)[0],
+            "autoscale_" + action, **{
+                key: value if not isinstance(value, list) else tuple(value)
+                for key, value in detail.items()
+            }
+        )

@@ -27,7 +27,6 @@ from repro.cluster.manager import ClusterManager
 from repro.elastic.autoscaler import Autoscaler
 from repro.elastic.config import ElasticConfig
 from repro.elastic.migration import MigrationCoordinator
-from repro.obs.forensics import fault_id_for
 
 
 class ElasticCluster(ClusterManager):
@@ -97,10 +96,7 @@ class ElasticCluster(ClusterManager):
         self.processors[pid] = immune.processors[pid]
         if self._m_joins is not None:
             self._m_joins.inc()
-        if self.obs is not None and self.obs.forensics is not None:
-            self.obs.forensics.recorder(pid).record(
-                "churn_join", ring=ring_index
-            )
+        self._forensic(pid, "churn_join", ring=ring_index)
         return pid
 
     def retire_processor(self, pid):
@@ -114,12 +110,8 @@ class ElasticCluster(ClusterManager):
         the forensic scorecard attributes the exclusion as a true
         positive instead of a phantom detection.
         """
-        now = self.scheduler.now
-        if self.obs is not None and self.obs.forensics is not None:
-            self.obs.forensics.record_ground_truth(
-                fault_id_for("crash", pid, now), "crash", pid, now
-            )
-            self.obs.forensics.recorder(pid).record("churn_retire")
+        self._ground_truth("crash", (pid,), self.scheduler.now)
+        self._forensic(pid, "churn_retire")
         if self._m_retires is not None:
             self._m_retires.inc()
         self.processors[pid].crash()

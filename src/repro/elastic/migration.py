@@ -116,6 +116,12 @@ class MigrationCoordinator:
                 "group %r has no servant_from_state factory: deploy it "
                 "with one to make it migratable" % group_name
             )
+        # Refused here, before any hold: found at cutover it would cost
+        # every client of the group a drain window for nothing.
+        if any(getattr(s, "get_state", None) is None for s in handle.servants.values()):
+            raise MigrationError(
+                "servant of %r exposes no get_state; cannot transfer" % group_name
+            )
         job = _Job(group_name, dst_ring, done)
         job.t_submit = self.cluster.scheduler.now
         self._queue.append(job)
@@ -156,9 +162,7 @@ class MigrationCoordinator:
             src=job.src_ring,
             dst=job.dst_ring,
         )
-        self.cluster.scheduler.after(
-            self.drain_poll, self._poll, job, label="elastic.drain"
-        )
+        self._poll_later(job)
 
     # ------------------------------------------------------------------
     # phase 2: drain
@@ -173,7 +177,10 @@ class MigrationCoordinator:
         now = self.cluster.scheduler.now
         if pending == 0 and now - job.t_hold >= self.min_drain:
             self._cutover(job)
-            return
+        else:
+            self._poll_later(job)
+
+    def _poll_later(self, job):
         self.cluster.scheduler.after(
             self.drain_poll, self._poll, job, label="elastic.drain"
         )
@@ -198,15 +205,17 @@ class MigrationCoordinator:
             None,
         )
         if donor is None:
-            raise MigrationError(
-                "group %r has no live replica left to donate state" % group_name
+            # Nothing has moved yet, so the epoch is abandoned rather
+            # than raised out of the scheduler: the parked frames go to
+            # the unchanged home, and the queue behind this job runs.
+            self._release(job)
+            self._finish(
+                job,
+                error="group %r has no live replica left to donate state"
+                % group_name,
             )
-        checkpoint = src_immune.managers[donor].capture_state(group_name)
-        if checkpoint is None:
-            raise MigrationError(
-                "servant of %r exposes no get_state; cannot transfer" % group_name
-            )
-        decoder = CdrDecoder(checkpoint)
+            return
+        decoder = CdrDecoder(src_immune.managers[donor].capture_state(group_name))
         op_counter = decoder.read("ulonglong")
         servant_state = decoder.read("octets")
         src_immune.export_group(group_name)
@@ -224,21 +233,11 @@ class MigrationCoordinator:
         # the directory at delivery time, so from this instant every
         # copy addressed to the group flows toward the new home.
         cluster.directory.rehome(group_name, job.dst_ring, new_procs)
-        for ring_index in range(cluster.config.num_rings):
-            if ring_index == job.dst_ring:
-                members = new_procs
-            else:
-                link = cluster.links[
-                    (
-                        min(ring_index, job.dst_ring),
-                        max(ring_index, job.dst_ring),
-                    )
-                ]
-                members = link.side_pids(ring_index)
-            for pid in sorted(cluster.rings[ring_index].managers):
-                cluster.rings[ring_index].managers[pid].reregister_group(
-                    group_name, members
-                )
+        handle.ring = job.dst_ring
+        for ring_index, immune in enumerate(cluster.rings):
+            members = cluster.members_seen_from(group_name, ring_index)
+            for pid in sorted(immune.managers):
+                immune.managers[pid].reregister_group(group_name, members)
         cluster.placement.move(group_name, job.dst_ring, new_procs)
         self._event(
             job,
@@ -248,16 +247,17 @@ class MigrationCoordinator:
         )
         # Release in the same instant: the parked frames multicast in
         # interception order and route to the new home.
-        held = 0
-        for manager in self._all_managers():
-            held += manager.held_for(group_name)
-            manager.release_group(group_name)
-        job.held = held
-        if self._m_held is not None:
-            self._m_held.inc(held)
+        self._release(job)
         self._finish(job)
 
-    def _finish(self, job, skipped=False):
+    def _release(self, job):
+        for manager in self._all_managers():
+            job.held += manager.held_for(job.group_name)
+            manager.release_group(job.group_name)
+        if self._m_held is not None:
+            self._m_held.inc(job.held)
+
+    def _finish(self, job, skipped=False, error=None):
         now = self.cluster.scheduler.now
         record = {
             "group": job.group_name,
@@ -270,7 +270,10 @@ class MigrationCoordinator:
             "completed": now,
             "hold_seconds": 0.0 if job.t_hold is None else now - job.t_hold,
         }
-        if not skipped:
+        if error is not None:
+            record["error"] = error
+            self._event(job, "migration_failed", held=job.held, error=error)
+        elif not skipped:
             self.completed.append(record)
             if self._m_completed is not None:
                 self._m_completed.inc()
@@ -293,13 +296,10 @@ class MigrationCoordinator:
                 yield immune.managers[pid]
 
     def _event(self, job, etype, **fields):
-        obs = self.cluster.obs
-        if obs is None or obs.forensics is None:
-            return
         # Recorded against the group's current home-ring anchor pid so
         # the merged timeline shows the epoch on the affected shard.
         anchor_ring = self.cluster.directory.home_ring(job.group_name)
-        anchor = self.cluster.config.ring_pids(anchor_ring)[0]
-        obs.forensics.recorder(anchor).record(
+        self.cluster._forensic(
+            self.cluster.config.ring_pids(anchor_ring)[0],
             etype, group=job.group_name, epoch=job.epoch, **fields
         )

@@ -7,10 +7,10 @@ the loss, partition, or Byzantine compromise of an entire facility:
 
 * :mod:`repro.wan.config` — site specs, disjoint global numbering, and
   the directed inter-site link matrices, validated up front;
-* :mod:`repro.wan.gateway` — voted, duplicate-suppressed cross-site
-  re-origination over the :class:`~repro.sim.network.WanTopology`,
-  keeping exactly-once delivery with one Byzantine site-gateway
-  replica or one fully compromised site;
+* :mod:`repro.wan.gateway` — the WAN hop: what a flight over the
+  :class:`~repro.sim.network.WanTopology` changes about the cluster's
+  voted link, which keeps exactly-once delivery with one Byzantine
+  site-gateway replica or one fully compromised site;
 * :mod:`repro.wan.manager` — the :class:`WanManager` facade: per-site
   :class:`~repro.cluster.manager.ClusterManager` instances on one
   shared scheduler behind a single deploy/invoke API.
@@ -21,16 +21,13 @@ the federation topology, and the failure semantics.
 """
 
 from repro.wan.config import SiteSpec, WanConfig, WanConfigError
-from repro.wan.gateway import SiteGatewayLink, SiteGatewayReplica
-from repro.wan.manager import WanDirectory, WanHandle, WanManager
+from repro.wan.gateway import WanHop
+from repro.wan.manager import WanManager
 
 __all__ = [
     "SiteSpec",
-    "SiteGatewayLink",
-    "SiteGatewayReplica",
     "WanConfig",
     "WanConfigError",
-    "WanDirectory",
-    "WanHandle",
+    "WanHop",
     "WanManager",
 ]

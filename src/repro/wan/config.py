@@ -21,7 +21,9 @@ arithmetic one level up:
   across the federation.
 """
 
-from repro.cluster.config import ClusterConfig, ClusterConfigError
+from functools import partial
+
+from repro.cluster.config import ClusterConfig, ClusterConfigError, _checked_int
 from repro.core.config import SurvivabilityCase
 from repro.sim.network import SimulationError, WanTopology
 
@@ -30,18 +32,7 @@ class WanConfigError(Exception):
     """Raised when a federation layout violates the resilience rules."""
 
 
-def _checked_int(name, value, minimum, maximum):
-    """Validate an integer knob; the error names the field and the range."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise WanConfigError(
-            "%s must be an integer between %d and %d, got %r"
-            % (name, minimum, maximum, value)
-        )
-    if not minimum <= value <= maximum:
-        raise WanConfigError(
-            "%s must be between %d and %d, got %d" % (name, minimum, maximum, value)
-        )
-    return value
+_checked = partial(_checked_int, error=WanConfigError)
 
 
 class SiteSpec:
@@ -53,11 +44,11 @@ class SiteSpec:
         if not isinstance(name, str) or not name:
             raise WanConfigError("site name must be a non-empty string, got %r" % (name,))
         self.name = name
-        self.num_rings = _checked_int("num_rings[%s]" % name, num_rings, 1, 4096)
-        self.procs_per_ring = _checked_int(
+        self.num_rings = _checked("num_rings[%s]" % name, num_rings, 1, 4096)
+        self.procs_per_ring = _checked(
             "procs_per_ring[%s]" % name, procs_per_ring, 1, 4096
         )
-        self.gateway_degree = _checked_int(
+        self.gateway_degree = _checked(
             "gateway_degree[%s]" % name, gateway_degree, 0, 4096
         )
 
@@ -107,13 +98,7 @@ class WanConfig:
         for name in names:
             if names.count(name) > 1:
                 raise WanConfigError("duplicate site name %r" % name)
-        _checked_int("wan_gateway_degree", wan_gateway_degree, 1, 4096)
-        if case.voting and wan_gateway_degree < 3:
-            raise WanConfigError(
-                "a voting federation needs wan_gateway_degree >= 3 so a "
-                "majority of site-gateway copies masks one Byzantine replica "
-                "(got %d)" % wan_gateway_degree
-            )
+        _checked("wan_gateway_degree", wan_gateway_degree, 1, 4096)
         self.case = case
         self.replication_degree = replication_degree
         self.seed = seed
@@ -146,14 +131,6 @@ class WanConfig:
 
     def site_names(self):
         return tuple(spec.name for spec in self.sites)
-
-    def site_index(self, name):
-        for index, spec in enumerate(self.sites):
-            if spec.name == name:
-                return index
-        raise WanConfigError(
-            "unknown site %r (federation has %s)" % (name, list(self.site_names()))
-        )
 
     def pid_base(self, index):
         """First global pid of site ``index``: sites stack disjointly."""

@@ -1,28 +1,15 @@
-"""Cross-site invocation gateways: voted re-origination over WAN links.
+"""The WAN hop: the voted link's transport between two sites.
 
-The federation's inter-site hop reuses the cluster gateway's design one
-level up (see :mod:`repro.cluster.gateway`), with the *site* taking the
-place of the ring:
+The federation's inter-site links are :class:`~repro.cluster.gateway.
+VotedLink` objects one level up — the *site* takes the place of the
+ring, each site's backbone (ring 0) is the ring the link attaches to,
+and replica ``i`` is the tunnel pair of the two sites' ``i``-th
+WAN-gateway processors.  Observe, vote, suppress duplicates and
+re-originate are the link's; this module supplies only what a WAN
+changes.
 
-* every site pair is joined by ``wan_gateway_degree`` *site-gateway
-  replicas*; replica ``i`` is the tunnel pair of the two sites' ``i``-th
-  WAN-gateway backbone processors (one endpoint machine per site);
-* each replica independently observes its source site's backbone total
-  order, **votes** the copies of messages addressed to groups homed on
-  the destination site (majority of the source group's degree as
-  registered locally), and re-originates the single winning message on
-  the destination site's backbone under its destination-side pid;
-* the destination site registers every foreign group with its own
-  WAN-gateway pids as the members, so existing voters take a majority
-  across the site-gateway copies — one Byzantine site-gateway replica,
-  or one *fully compromised site* whose replicas disagree with each
-  other, is masked (or failed safe) by the receiving side's vote;
-* duplicate suppression reuses :class:`~repro.core.duplicates.
-  DuplicateFilter` keyed by the operation identifier, so end-to-end
-  delivery stays exactly-once across any number of WAN hops.
-
-Unlike a cluster gateway (two NICs on one chassis), a WAN forward is
-not instantaneous: the winner crosses the :class:`~repro.sim.network.
+Unlike a chassis hop (two NICs on one host), a WAN forward is not
+instantaneous: the winner crosses the :class:`~repro.sim.network.
 WanTopology` link, paying the directed latency + serialisation time,
 and may be dropped by a partition window or a correlated loss burst —
 both decided *at send time*, so traffic already in flight when a
@@ -32,296 +19,47 @@ stage deltas carry the WAN flight time and the critical-path report
 prices the ``wan_hop`` cause straight off the latency matrix.
 """
 
-from repro.core.duplicates import DuplicateFilter
-from repro.core.identifiers import (
-    BASE_GROUP,
-    ImmuneCodecError,
-    ImmuneMessage,
-    KIND_INVOCATION,
-    KIND_RESPONSE,
-)
-from repro.core.voting import VoteDecision, Voter
-
-#: simulated CPU cost of voting + re-originating one forwarded message
-WAN_FORWARD_COST = 40e-6
+from repro.cluster.gateway import Hop
 
 
-def _corrupted(body, index):
-    """A Byzantine site gateway's corruption, distinct per replica.
+class WanHop(Hop):
+    """A flight across one federation's :class:`WanTopology`."""
 
-    Flipping a replica-index-dependent byte makes a *whole-site*
-    compromise fail safe: the compromised site's replicas disagree with
-    each other as well as with the truth, so the receiving voters never
-    assemble a majority and deliver nothing — omission, not a wrong
-    value.  (A single corrupt replica is simply outvoted 2-of-3.)
-    """
-    if not body:
-        return bytes([0x80 + (index & 0x7F)])
-    pos = index % len(body)
-    return body[:pos] + bytes([body[pos] ^ 0xFF]) + body[pos + 1:]
+    family = "wan"
+    scope = "site"
+    cost = 40e-6
+    lossy = True
 
+    def __init__(self, topology, scheduler, rng):
+        self.topology = topology
+        self._scheduler = scheduler
+        #: the federation-level loss draw stream (partitions draw nothing)
+        self._rng = rng
 
-class _WanForwarder:
-    """One site-gateway replica's forwarding path from one site to its peer.
+    @staticmethod
+    def corrupted(body, index):
+        """A Byzantine site gateway's corruption, distinct per replica.
 
-    Listens to every totally-ordered delivery on the source site's
-    backbone (ring 0), votes copies of messages addressed to groups
-    homed on the destination *site*, and re-originates each winner once
-    on the destination site's backbone — after the WAN flight.
-    """
+        Flipping a replica-index-dependent byte makes a *whole-site*
+        compromise fail safe: the compromised site's replicas disagree with
+        each other as well as with the truth, so the receiving voters never
+        assemble a majority and deliver nothing — omission, not a wrong
+        value.  (A single corrupt replica is simply outvoted 2-of-3.)
+        """
+        if not body:
+            return bytes([0x80 + (index & 0x7F)])
+        pos = index % len(body)
+        return body[:pos] + bytes([body[pos] ^ 0xFF]) + body[pos + 1:]
 
-    def __init__(self, replica, src_site, dst_site, src_pid, dst_pid):
-        self.replica = replica
-        self.link = replica.link
-        self.src_site = src_site
-        self.dst_site = dst_site
-        self.src_pid = src_pid
-        self.dst_pid = dst_pid
-        #: set by ``compromise_site``: corrupts the data *leaving* the
-        #: compromised site even while its peer endpoint stays honest
-        self.corrupt = False
-        wan = self.link.wan
-        self._wan = wan
-        self._src_cluster = wan.sites[src_site]
-        self._dst_cluster = wan.sites[dst_site]
-        src_immune = self._src_cluster.rings[0]
-        dst_immune = self._dst_cluster.rings[0]
-        self._src_endpoint = src_immune.endpoints[src_pid]
-        self._dst_endpoint = dst_immune.endpoints[dst_pid]
-        self._src_proc = src_immune.processors[src_pid]
-        self._dst_proc = dst_immune.processors[dst_pid]
-        #: the source backbone's group table (this pid's RM view):
-        #: voting thresholds for the source group come from here
-        self._groups = src_immune.managers[src_pid].groups
-        self._digest_fn = src_immune.config.digest_fn()
-        self._voters = {}
-        self.dup_filter = DuplicateFilter()
-        obs = self._src_cluster.ring_obs(0)
-        self._obs = obs
-        self._spans = obs.spans if obs is not None else None
-        if obs is not None:
-            labels = {"proc": src_pid, "to_site": dst_site}
-            self._m_forwarded = obs.registry.counter("wan.forwarded", **labels)
-            self._m_suppressed = obs.registry.counter(
-                "wan.duplicates_suppressed", **labels
-            )
-            self._m_dropped = obs.registry.counter("wan.dropped", **labels)
-        else:
-            self._m_forwarded = None
-            self._m_suppressed = None
-            self._m_dropped = None
-        if obs is not None and obs.forensics is not None:
-            self._forensics = obs.forensics.recorder(src_pid)
-        else:
-            self._forensics = None
-        # the causal trace, scoped to the source site's backbone: the
-        # vote this forwarder merges happens on that ring's total order
-        self._tracer = getattr(obs, "trace", None) if obs is not None else None
-        self.stats = {"forwarded": 0, "suppressed": 0, "dropped": 0, "ignored": 0}
-        self._src_endpoint.on_deliver(self._on_deliver)
-
-    # ------------------------------------------------------------------
-    # the forwarding path
-    # ------------------------------------------------------------------
-
-    def _on_deliver(self, sender_id, seq, dest_group, payload):
-        if dest_group == BASE_GROUP:
-            return  # membership/fault traffic never crosses sites
-        home = self._wan.directory.home_site(dest_group)
-        if home != self.dst_site:
-            return  # not ours: local traffic, or another link's peer
-        try:
-            message = ImmuneMessage.decode_shared(payload)
-        except ImmuneCodecError:
-            return
-        if message.replica_proc != sender_id or message.target_group != dest_group:
-            return  # masquerade above the multicast layer
-        if message.kind not in (KIND_INVOCATION, KIND_RESPONSE):
-            self.stats["ignored"] += 1
-            return
-        if self._src_proc.crashed or self._dst_proc.crashed or self._dst_endpoint.halted:
-            return  # a dead site gateway forwards nothing; peers carry on
-        voter = self._voters.get(dest_group)
-        if voter is None:
-            voter = Voter(
-                dest_group,
-                self._groups,
-                self._digest_fn,
-                obs=self._obs,
-                proc_id=self.src_pid,
-            )
-            self._voters[dest_group] = voter
-        op_key = (message.kind, message.source_group, message.target_group, message.op_num)
-        outcome = voter.add_copy(
-            message.source_group, op_key, message.replica_proc, message.body
-        )
-        if not isinstance(outcome, VoteDecision):
-            return  # copies still short of a majority, or a late fault
-        if not self.dup_filter.mark_delivered(op_key):
-            self.stats["suppressed"] += 1
-            if self._m_suppressed is not None:
-                self._m_suppressed.inc()
-            return
-        self._forward(message, outcome.body, op_key)
-
-    def _forward(self, message, body, op_key):
-        self._src_proc.charge(WAN_FORWARD_COST, "wan.forward")
-        if self.corrupt or self.replica.corrupt:
-            body = _corrupted(body, self.replica.index)
-        wrapped = ImmuneMessage(
-            message.kind,
-            message.source_group,
-            message.op_num,
-            self.dst_pid,
-            message.target_group,
-            body,
-        )
-        encoded = wrapped.encode()
-        scheduler = self._wan.scheduler
-        now = scheduler.now
-        topology = self._wan.topology
+    def send(self, src, dst, nbytes, land, *args):
+        now = self._scheduler.now
+        topology = self.topology
         # Loss and partitions are decided at send time: cutting a cable
         # does not recall packets already in flight.
-        if topology.should_drop(self.src_site, self.dst_site, now, self._wan.wan_rng):
-            self.stats["dropped"] += 1
-            if self._m_dropped is not None:
-                self._m_dropped.inc()
-            if self._forensics is not None:
-                self._forensics.record(
-                    "wan_drop",
-                    source=message.source_group,
-                    target=message.target_group,
-                    op_num=message.op_num,
-                    from_site=self.src_site,
-                    to_site=self.dst_site,
-                    partitioned=topology.partitioned(
-                        self.src_site, self.dst_site, now
-                    ),
-                )
-            return
-        flight = topology.transit_time(self.src_site, self.dst_site, len(encoded))
-        scheduler.at(
-            now + flight,
-            lambda: self._inject(message, encoded),
-            label="wan.deliver",
+        if topology.should_drop(src, dst, now, self._rng):
+            return {"partitioned": topology.partitioned(src, dst, now)}
+        self._scheduler.at(
+            now + topology.transit_time(src, dst, nbytes),
+            land, *args, label="wan.deliver",
         )
-
-    def _inject(self, message, encoded):
-        """The winner lands on the destination backbone after the flight."""
-        if self._dst_proc.crashed or self._dst_endpoint.halted:
-            return
-        self.stats["forwarded"] += 1
-        if self._m_forwarded is not None:
-            self._m_forwarded.inc()
-        if message.kind == KIND_INVOCATION:
-            trace_key, phase = (message.source_group, message.op_num), "req"
-            stage = "wan_forwarded"
-        else:
-            trace_key, phase = (message.target_group, message.op_num), "rep"
-            stage = "reply_wan_forwarded"
-        # Marked at *landing*, so the stage delta contains the WAN
-        # flight and the critical path attributes it to ``wan_hop``.
-        if self._spans is not None:
-            self._spans.mark(trace_key, stage)
-        if self._tracer is not None:
-            self._tracer.mark_stage(trace_key, stage)
-            self._tracer.gateway_forwarded(
-                trace_key, phase, self.dst_pid,
-                self._src_cluster.ring_base, self._dst_cluster.ring_base,
-                bool(self.corrupt or self.replica.corrupt),
-            )
-            self._tracer.register_payload(
-                encoded, trace_key, phase, ("gw_forward", phase, self.dst_pid)
-            )
-        if self._forensics is not None:
-            self._forensics.record(
-                "wan_forward",
-                kind="invocation" if message.kind == KIND_INVOCATION else "response",
-                source=message.source_group,
-                target=message.target_group,
-                op_num=message.op_num,
-                from_site=self.src_site,
-                to_site=self.dst_site,
-                via=(self.src_pid, self.dst_pid),
-                corrupt=bool(self.corrupt or self.replica.corrupt),
-            )
-        self._dst_endpoint.multicast(message.target_group, encoded)
-
-
-class SiteGatewayReplica:
-    """One logical site-gateway tunnel of a link: a WAN-gateway pid on
-    each site's backbone, a forwarder in each direction, and a shared
-    Byzantine toggle (the single-replica drill)."""
-
-    def __init__(self, link, index, pid_a, pid_b):
-        self.link = link
-        self.index = index
-        self.pid_a = pid_a
-        self.pid_b = pid_b
-        #: when true this replica corrupts everything it forwards in
-        #: both directions — the receiving sites' majorities mask it
-        self.corrupt = False
-        self.forward_ab = _WanForwarder(
-            self, link.site_a, link.site_b, pid_a, pid_b
-        )
-        self.forward_ba = _WanForwarder(
-            self, link.site_b, link.site_a, pid_b, pid_a
-        )
-
-    def stats(self):
-        return {
-            "a_to_b": dict(self.forward_ab.stats),
-            "b_to_a": dict(self.forward_ba.stats),
-        }
-
-    def __repr__(self):
-        return "SiteGatewayReplica(%s<->%s, P%d/P%d%s)" % (
-            self.link.site_a,
-            self.link.site_b,
-            self.pid_a,
-            self.pid_b,
-            ", CORRUPT" if self.corrupt else "",
-        )
-
-
-class SiteGatewayLink:
-    """All site-gateway replicas joining one pair of sites."""
-
-    def __init__(self, wan, site_a, site_b, pairs):
-        self.wan = wan
-        self.site_a = site_a
-        self.site_b = site_b
-        self.replicas = [
-            SiteGatewayReplica(self, i, pid_a, pid_b)
-            for i, (pid_a, pid_b) in enumerate(pairs)
-        ]
-
-    def corrupt_replica(self, index):
-        """Turn one site-gateway replica Byzantine; returns it."""
-        replica = self.replicas[index]
-        replica.corrupt = True
-        return replica
-
-    def forwarders_from(self, site_name):
-        """The forwarders carrying traffic *out of* one of the sites."""
-        if site_name == self.site_a:
-            return [r.forward_ab for r in self.replicas]
-        if site_name == self.site_b:
-            return [r.forward_ba for r in self.replicas]
-        raise ValueError(
-            "site %r is not part of link %s<->%s"
-            % (site_name, self.site_a, self.site_b)
-        )
-
-    def stats(self):
-        return {
-            "sites": [self.site_a, self.site_b],
-            "replicas": [r.stats() for r in self.replicas],
-        }
-
-    def __repr__(self):
-        return "SiteGatewayLink(%s<->%s, %d replicas)" % (
-            self.site_a,
-            self.site_b,
-            len(self.replicas),
-        )
+        return None

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import ClusterConfig, ClusterManager
 from repro.core.config import SurvivabilityCase
+from repro.core.replica import ValueFaultServant
 from repro.obs import Observability
 from repro.obs.forensics import ForensicsHub, merge_timeline
 from repro.orb.idl import InterfaceDef, OperationDef, ParamDef
@@ -154,3 +155,45 @@ def test_metrics_are_ring_labelled_and_spans_cover_gateway_stages():
     assert stages.index("gateway_forwarded") < stages.index("ordered")
     assert stages.index("executed") < stages.index("reply_gateway_forwarded")
     assert stages.index("reply_gateway_forwarded") < stages.index("reply_voted")
+
+
+@pytest.mark.parametrize("client_ring", [1, 0], ids=["same-ring", "cross-ring"])
+def test_value_faulty_replica_is_convicted_wherever_the_client_lives(client_ring):
+    """Section 6.2 end to end: detect -> vote -> suspect -> exclude.
+
+    With the client on another ring the faulty replica's reply copies
+    are voted down by the gateway forwarders and never reach a client
+    voter, so the gateways themselves must publish the Value_Fault_Vote
+    on the server's ring.
+    """
+    cluster = ClusterManager(
+        ClusterConfig(num_rings=2, case=SurvivabilityCase.FULL_SURVIVABILITY, seed=5)
+    )
+    faulty_pid = cluster.config.worker_pids(1)[0]
+    server = cluster.deploy(
+        "counter",
+        COUNTER_IDL,
+        lambda pid: ValueFaultServant(CounterServant())
+        if pid == faulty_pid
+        else CounterServant(),
+        ring=1,
+    )
+    assert faulty_pid in server.replica_procs
+    client = cluster.deploy_client("driver", ring=client_ring)
+    cluster.start()
+    replies = drive(cluster, client, server, operations=4, spacing=1.0)
+
+    # Every reply is correct (a corrupted total would be 666 too high),
+    # and every client replica not hosted on the convicted processor
+    # got all four.
+    honest_clients = [pid for pid in client.replica_procs if pid != faulty_pid]
+    assert set(replies) == {1, 2, 3, 4}
+    assert all(replies.count(total) >= len(honest_clients) for total in (1, 2, 3, 4))
+    survivors = set(cluster.surviving_members(1))
+    assert faulty_pid not in survivors
+    assert survivors == set(cluster.config.ring_pids(1)) - {faulty_pid}
+    assert set(cluster.surviving_members(0)) == set(cluster.config.ring_pids(0))
+    for ring in (0, 1):
+        assert set(cluster.config.gateway_pids(ring)) <= set(
+            cluster.surviving_members(ring)
+        )

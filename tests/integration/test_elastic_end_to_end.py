@@ -149,6 +149,93 @@ def test_migration_rejects_client_and_stateless_groups():
         cluster.migrate("ghost", 1)
 
 
+class _OpaqueBank(BankServant):
+    """A bank whose state cannot be read out: no ``get_state``."""
+
+    get_state = None
+
+
+def test_migration_of_a_servant_without_get_state_is_refused_before_any_hold():
+    cluster, _obs = build_cluster()
+    server = cluster.deploy(
+        "bank", BANK_IDL, lambda pid: _OpaqueBank(),
+        servant_from_state=BankServant.from_state,
+    )
+    client = cluster.deploy_client("driver")
+    cluster.start()
+    stubs = cluster.client_stubs(client, BANK_IDL, server)
+    acct = {}
+    for _pid, stub in stubs:
+        stub.open_account("alice", 100, reply_to=lambda v: acct.setdefault("id", v))
+    cluster.run(until=0.5)
+    new_ring = cluster.add_ring()
+
+    with pytest.raises(MigrationError, match="get_state"):
+        cluster.migrate("bank", new_ring)
+    assert not cluster.coordinator.busy
+    cluster.run(until=1.5)  # at the parent _cutover raised out of here at t=0.56
+    assert cluster.directory.home_ring("bank") == 0
+
+    results = []
+    for _pid, stub in stubs:
+        stub.deposit(acct["id"], 5, reply_to=results.append)
+    cluster.run(until=2.0)
+    assert results == [105] * len(client.replica_procs)
+
+
+def test_cutover_without_a_live_donor_fails_the_job_and_frees_the_cluster():
+    obs = Observability(forensics=ForensicsHub())
+    config = ElasticConfig(
+        initial_rings=1, max_rings=2, procs_per_ring=7, replication_degree=3,
+        gateway_degree=3, seed=7,
+    )
+    cluster = ElasticCluster(config=config, obs=obs)
+    workers = cluster.config.worker_pids(0)
+    doomed_hosts, safe_hosts = workers[:2], workers[2:] + cluster.config.gateway_pids(0)[:1]
+    cluster.deploy(
+        "doomed", BANK_IDL, lambda pid: BankServant(), on_procs=doomed_hosts,
+        servant_from_state=BankServant.from_state,
+    )
+    server = cluster.deploy(
+        "bank", BANK_IDL, lambda pid: BankServant(), on_procs=safe_hosts,
+        servant_from_state=BankServant.from_state,
+    )
+    client = cluster.deploy_client("driver", on_procs=safe_hosts)
+    cluster.start()
+    stubs = cluster.client_stubs(client, BANK_IDL, server)
+    acct = {}
+    for _pid, stub in stubs:
+        stub.open_account("alice", 100, reply_to=lambda v: acct.setdefault("id", v))
+    cluster.run(until=0.5)
+    new_ring = cluster.add_ring()
+    for pid in doomed_hosts:
+        cluster.processors[pid].crash()
+
+    records, heard = [], []
+    cluster.coordinator.listeners.append(heard.append)
+    cluster.migrate("doomed", new_ring, done=records.append)
+    cluster.migrate("bank", new_ring, done=records.append)  # queued behind it
+    cluster.run(until=6.0)  # at the parent the first cutover raised out of here
+
+    failed, moved = records
+    assert failed["group"] == "doomed" and "no live replica" in failed["error"]
+    assert moved["group"] == "bank" and "error" not in moved
+    assert heard == records
+    assert [r["group"] for r in cluster.coordinator.completed] == ["bank"]
+    assert not cluster.coordinator.busy
+    assert cluster.directory.home_ring("doomed") == 0
+    assert cluster.directory.home_ring("bank") == new_ring
+    for immune in cluster.rings:
+        for manager in immune.managers.values():
+            assert manager.held_for("doomed") == 0 and manager.held_for("bank") == 0
+
+    results = []
+    for _pid, stub in stubs:
+        stub.deposit(acct["id"], 5, reply_to=results.append)
+    cluster.run(until=7.0)
+    assert results == [105] * len(client.replica_procs)
+
+
 # ----------------------------------------------------------------------
 # churn
 # ----------------------------------------------------------------------

@@ -34,6 +34,7 @@ from repro.multicast import messages, token
 from repro.obs import Observability
 from repro.obs.export import export_jsonl
 from repro.obs.forensics import ForensicsHub, build_report, run_intrusion_drill
+from repro.wan import WanConfig, WanManager
 from tests.support import defeat_memos
 
 
@@ -89,13 +90,42 @@ def two_ring_digests_drill(path):
     }
 
 
+def two_site_wan_drill(path):
+    """Two sites, one cross-site two-way stream: the voted link at the
+    hop that re-originates after a flight (``wan.deliver`` events carry
+    the encoded winner across 15 ms), beside the chassis hop above."""
+    obs = Observability(forensics=ForensicsHub())
+    wan = WanManager(WanConfig(sites=("alpha", "beta"), seed=5, latency=0.015), obs=obs)
+    server = wan.deploy("counter", COUNTER_IDL, lambda pid: _CountingServant(), site="beta")
+    client = wan.deploy_client("driver", site="alpha")
+    wan.start()
+    replies = []
+
+    def invoke(stub, n):
+        stub.add(n, reply_to=replies.append)
+
+    for k in range(8):
+        for _pid, stub in wan.client_stubs(client, COUNTER_IDL, server):
+            wan.scheduler.at(0.05 + 0.03 * k, invoke, stub, k + 1)
+    wan.run(until=0.6)
+    export_jsonl(path, obs, run_info={"drill": "two-site-wan"})
+    return {
+        "executions": {pid: s.calls for pid, s in sorted(server.servants.items())},
+        "replies": sorted(replies),
+        "gateways": wan.gateway_stats(),
+        "events": wan.scheduler.events_executed,
+        "now": wan.scheduler.now,
+    }
+
+
 def _run(drill, path):
     fingerprint = drill(str(path))
     return path.read_bytes(), json.dumps(fingerprint, sort_keys=True)
 
 
 @pytest.mark.parametrize(
-    "drill", [figure7_case4_drill, batch_intrusion_drill, two_ring_digests_drill]
+    "drill",
+    [figure7_case4_drill, batch_intrusion_drill, two_ring_digests_drill, two_site_wan_drill],
 )
 def test_cold_warm_and_defeated_memos_agree_byte_for_byte(drill, tmp_path, monkeypatch):
     perf.clear_caches()

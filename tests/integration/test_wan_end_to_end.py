@@ -13,6 +13,7 @@ critical path) telling the truth about all of it.
 import pytest
 
 from repro.core.config import SurvivabilityCase
+from repro.core.replica import ValueFaultServant
 from repro.obs import Observability
 from repro.obs.critpath import attribute_spans, render_critpath
 from repro.obs.forensics import ForensicsHub, merge_timeline, score
@@ -218,3 +219,40 @@ def test_whole_site_compromise_fails_safe():
     scorecard = score(obs.forensics)
     assert scorecard["precision"] == 1.0
     assert scorecard["recall"] == 1.0
+
+
+def test_value_faulty_replica_is_convicted_from_another_site():
+    """The cross-site leg of the section 6.2 chain (the same-ring and
+    cross-ring legs are in ``test_cluster_end_to_end``): the faulty
+    replica's reply copies are voted down by beta's site-gateway
+    forwarders, which must therefore report it on beta's backbone."""
+    config = WanConfig(
+        sites=("alpha", "beta"),
+        case=SurvivabilityCase.FULL_SURVIVABILITY,
+        seed=5,
+        latency=0.015,
+    )
+    wan = WanManager(config=config)
+    beta = wan.sites["beta"]
+    faulty_pid = beta.config.worker_pids(0)[0]
+    server = wan.deploy(
+        "counter",
+        COUNTER_IDL,
+        lambda pid: ValueFaultServant(CountingServant())
+        if pid == faulty_pid
+        else CountingServant(),
+        site="beta",
+        on_procs=beta.config.worker_pids(0)[:3],
+    )
+    client = wan.deploy_client("driver", site="alpha")
+    replies = _drive(wan, client, server, operations=4, interval=1.0)
+    wan.start()
+    wan.run(until=6.0)
+
+    expected = sorted(total for total in range(1, 5) for _ in client.replica_procs)
+    assert sorted(replies) == expected
+    assert set(beta.surviving_members(0)) == set(beta.config.ring_pids(0)) - {faulty_pid}
+    alpha = wan.sites["alpha"]
+    assert set(alpha.surviving_members(0)) == set(alpha.config.ring_pids(0))
+    for site in (alpha, beta):
+        assert set(site.config.wan_gateway_pids()) <= set(site.surviving_members(0))
