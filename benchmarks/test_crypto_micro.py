@@ -1,7 +1,8 @@
 """A4: host-side crypto microbenchmarks.
 
-Measures the *real* wall-clock cost of the from-scratch MD4 and RSA
-implementations on the host.  These numbers do not feed the simulation
+Measures the *real* wall-clock cost of MD4 (whichever backend
+``repro.crypto.md4.BACKEND`` names) and the from-scratch RSA on the
+host.  These numbers do not feed the simulation
 (which charges era-calibrated costs from the cost model); they sanity-
 check the cost model's relative ordering: signing >> verification >>
 digesting, and digesting scales with input size.

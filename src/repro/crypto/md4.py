@@ -2,9 +2,7 @@
 
 The Immune system uses MD4 for the message digests carried in the
 token's ``message_digest_list`` field and for the 16-byte digest that
-is RSA-signed to produce the token signature.  This is a from-scratch
-implementation of RFC 1320, validated against the RFC's appendix test
-vectors in ``tests/unit/test_md4.py``.
+is RSA-signed to produce the token signature.
 
 MD4 is cryptographically broken by modern standards; it is used here
 because reproducing the paper's system faithfully requires the same
@@ -12,20 +10,38 @@ because reproducing the paper's system faithfully requires the same
 depends on MD4 specifically — :class:`repro.crypto.keystore.KeyStore`
 takes the digest function as a parameter.
 
-Two block functions exist: :func:`_process_block` unpacks all sixteen
-words with one precompiled :class:`struct.Struct` call and fully
-unrolls the three rounds (the hot-loop implementation), and
-:func:`_process_block_reference` keeps the table-driven RFC
-transcription.  Only the unrolled one ever runs; the reference is the
-oracle of a Hypothesis property in
+What a digest costs the *simulated* CPU comes from the cost model, so
+the host may compute RFC 1320 however is fastest.  :func:`md4_digest`
+has two backends, chosen once at import from what the platform offers
+and readable as :data:`BACKEND`; there is no option to pick one:
+
+``"libcrypto"``
+    OpenSSL's one-shot ``MD4(data, len, out)``, called through
+    :mod:`ctypes` on the libcrypto the interpreter's own ``_hashlib``
+    already links (``hashlib.new("md4")`` is refused on OpenSSL 3
+    without the legacy provider; the low-level symbol is still
+    exported).  It is trusted only after it reproduces the seven
+    RFC 1320 appendix vectors and agrees with the Python code on a
+    multi-block input.
+``"python"``
+    The from-scratch implementation below, used when ``_hashlib`` or
+    ``ctypes`` is missing, the library cannot be opened, the symbol is
+    not exported or it fails that self-test.
+
+Both compute RFC 1320 bit for bit, so the choice never shows in a
+simulated number (``tests/integration/test_memo_invisible.py`` runs the
+seeded drills on both and compares bytes).
+
+The Python code has two block functions: :func:`_process_block` unpacks
+all sixteen words with one precompiled :class:`struct.Struct` call and
+fully unrolls the three rounds, and :func:`_process_block_reference`
+keeps the table-driven RFC transcription.  Only the unrolled one ever
+runs; the reference is the oracle of a Hypothesis property in
 ``tests/properties/test_crypto_properties.py`` that asserts both yield
 the same state over random 0-300-byte inputs.
 """
 
-import functools
 import struct
-
-from repro import perf
 
 _MASK = 0xFFFFFFFF
 
@@ -182,8 +198,8 @@ def _process_block(state, block):
     )
 
 
-@functools.lru_cache(maxsize=8192)
-def _md4_digest_cached(message):
+def _python_digest(message):
+    """RFC 1320 in Python: the fallback backend and the native one's oracle."""
     state = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476)
     padded = _pad(message)
     for offset in range(0, len(padded), 64):
@@ -191,36 +207,83 @@ def _md4_digest_cached(message):
     return struct.pack("<4I", *state)
 
 
-class _LruCacheAdapter:
-    """Expose an ``lru_cache`` to the :mod:`repro.perf` memo registry."""
+#: RFC 1320 appendix A.5 test suite
+_KNOWN_ANSWERS = (
+    (b"", "31d6cfe0d16ae931b73c59d7e0c089c0"),
+    (b"a", "bde52cb31de33e46245e05fbdbd6fb24"),
+    (b"abc", "a448017aaf21d8525fc10ae87aa6729d"),
+    (b"message digest", "d9130a8164549fe818874806e1c7014b"),
+    (b"abcdefghijklmnopqrstuvwxyz", "d79e1c308aa5bbcdeea8ed63df412da9"),
+    (
+        b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789",
+        "043f8582f241db351ce627e153e7f0e4",
+    ),
+    (b"1234567890" * 8, "e33b4ddc9c38f2199c3e7b164fcc0536"),
+)
 
-    name = "md4.digest"
-
-    def __init__(self, cached_fn):
-        self._fn = cached_fn
-
-    def clear(self):
-        self._fn.cache_clear()
-
-    def stats(self):
-        info = self._fn.cache_info()
-        return {"hits": info.hits, "misses": info.misses, "size": info.currsize}
+#: nine blocks with every byte value, embedded NULs included
+_MULTI_BLOCK_PROBE = bytes(range(256)) * 2
 
 
-perf.register_cache(_LruCacheAdapter(_md4_digest_cached))
+def _load_libcrypto():
+    """libcrypto's one-shot MD4 as ``bytes -> 16 bytes``, or ``None``.
+
+    Resolved from the shared object ``_hashlib`` is built from, which
+    links libcrypto: no library search (``ctypes.util.find_library`` may
+    spawn ``ldconfig`` or a compiler) and no second copy of OpenSSL in
+    the process.
+    """
+    try:
+        import _hashlib
+        import ctypes
+    except ImportError:
+        return None
+    try:
+        one_shot = ctypes.CDLL(_hashlib.__file__).MD4
+    except (OSError, AttributeError):
+        return None
+    digest_buffer = ctypes.c_char * 16
+    one_shot.argtypes = (ctypes.c_char_p, ctypes.c_size_t, ctypes.c_char_p)
+    one_shot.restype = ctypes.c_void_p
+
+    def libcrypto_digest(message):
+        # the length goes explicitly (payloads carry NULs); a fresh
+        # buffer per call keeps the function reentrant
+        out = digest_buffer()
+        one_shot(message, len(message), out)
+        return out.raw
+
+    return libcrypto_digest
+
+
+def _select_backend():
+    """Pick the digest implementation: native if present and correct."""
+    native = _load_libcrypto()
+    if (
+        native is not None
+        and all(native(message).hex() == answer for message, answer in _KNOWN_ANSWERS)
+        and native(_MULTI_BLOCK_PROBE) == _python_digest(_MULTI_BLOCK_PROBE)
+    ):
+        return "libcrypto", native
+    return "python", _python_digest
+
+
+#: which implementation :func:`md4_digest` runs: "libcrypto" or "python"
+BACKEND, _digest = _select_backend()
 
 
 def md4_digest(message):
-    """Return the 16-byte MD4 digest of ``message`` (bytes).
+    """Return the 16-byte MD4 digest of ``message`` (bytes or bytearray).
 
-    Results are memoised: in a simulation the same frame is digested
-    at every receiver, and MD4 is a pure function of its input, so the
-    cache changes nothing semantically.  (Simulated CPU time for the
-    computation is charged by the cost model regardless.)
+    A plain pure function: the one digest memo is the key store's
+    (``crypto.digest``), which wraps this; a caller that takes the raw
+    function (the gateway voters) computes every digest it asks for.
+    Simulated CPU time for the computation is charged by the cost
+    model, not measured here.
     """
     if not isinstance(message, (bytes, bytearray)):
         raise TypeError("md4_digest expects bytes, got %r" % type(message))
-    return _md4_digest_cached(bytes(message))
+    return _digest(bytes(message))
 
 
 def md4_hexdigest(message):

@@ -7,14 +7,13 @@ appendix vectors and against :mod:`hashlib` in the tests, and can be
 plugged into the key store via ``ImmuneConfig(digest="md5")``.
 """
 
-import functools
 import math
 import struct
 
 _MASK = 0xFFFFFFFF
 
 #: T[i] = floor(2**32 * abs(sin(i+1))), RFC 1321 section 3.4
-_T = [int(_MASK + 1) * 0 + int(abs(math.sin(i + 1)) * 4294967296) & _MASK for i in range(64)]
+_T = [int(abs(math.sin(i + 1)) * 4294967296) & _MASK for i in range(64)]
 
 _SHIFTS = (
     (7, 12, 17, 22),
@@ -85,20 +84,15 @@ def _process_block(state, block):
     )
 
 
-@functools.lru_cache(maxsize=8192)
-def _md5_digest_cached(message):
+def md5_digest(message):
+    """Return the 16-byte MD5 digest of ``message`` (bytes or bytearray)."""
+    if not isinstance(message, (bytes, bytearray)):
+        raise TypeError("md5_digest expects bytes, got %r" % type(message))
     state = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476)
-    padded = _pad(message)
+    padded = _pad(bytes(message))
     for offset in range(0, len(padded), 64):
         state = _process_block(state, padded[offset : offset + 64])
     return struct.pack("<4I", *state)
-
-
-def md5_digest(message):
-    """Return the 16-byte MD5 digest of ``message`` (bytes)."""
-    if not isinstance(message, (bytes, bytearray)):
-        raise TypeError("md5_digest expects bytes, got %r" % type(message))
-    return _md5_digest_cached(bytes(message))
 
 
 def md5_hexdigest(message):

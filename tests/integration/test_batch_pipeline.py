@@ -7,10 +7,10 @@ claims: the throughput win, survivable value-fault attribution inside
 signed batches, large-payload fragmentation, and determinism.
 """
 
-from repro.bench.perf import BATCH_SMOKE, _run_batch_case
+from repro.bench.perf import BATCH_SMOKE, _run_batch_case, run_batch_gate
 from repro.multicast.config import MulticastConfig, SecurityLevel
 from repro.obs.forensics import build_report, merge_timeline, run_intrusion_drill
-from tests.support import MulticastWorld, defeat_memos
+from tests.support import MulticastWorld, defeat_memos, force_python_md4
 
 
 DURATION = BATCH_SMOKE["duration"]
@@ -31,6 +31,16 @@ def test_batch_case_is_identical_with_memos_defeated(monkeypatch):
     memoised = _run_batch_case(True, DURATION, WARMUP)
     defeat_memos(monkeypatch)
     assert _run_batch_case(True, DURATION, WARMUP) == memoised
+
+
+def test_batch_gate_artefact_is_identical_on_the_python_md4(tmp_path, monkeypatch):
+    """``BENCH_pr7.json`` (smoke-sized here) is the same file whichever
+    MD4 backend the platform offered."""
+    selected, python = tmp_path / "selected.json", tmp_path / "python.json"
+    assert run_batch_gate(smoke=True, output=str(selected))[1] == 0
+    force_python_md4(monkeypatch)
+    assert run_batch_gate(smoke=True, output=str(python))[1] == 0
+    assert python.read_bytes() == selected.read_bytes()
 
 
 def test_intrusion_drill_with_batched_signatures_keeps_perfect_score():

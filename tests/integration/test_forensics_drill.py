@@ -17,7 +17,7 @@ from repro.obs.forensics import (
     score,
 )
 from repro.sim.faults import FaultPlan
-from tests.support import MulticastWorld, defeat_memos
+from tests.support import MulticastWorld, defeat_memos, force_python_md4
 
 
 def test_crash_detection_latency_across_reconfiguration():
@@ -99,3 +99,10 @@ def test_forensics_json_byte_identical_with_memos_defeated(monkeypatch):
     memoised = _drill_report_json()
     defeat_memos(monkeypatch)
     assert _drill_report_json() == memoised
+
+
+def test_forensics_json_byte_identical_on_the_python_md4(monkeypatch):
+    """... and does not depend on which MD4 backend the platform offered."""
+    selected = _drill_report_json()
+    force_python_md4(monkeypatch)
+    assert _drill_report_json() == selected

@@ -1,23 +1,29 @@
-"""Integration gate: memoisation is invisible to simulated results.
+"""Integration gate: how the host computes is invisible to simulated results.
 
 Simulated CPU is charged by the cost model before any memo is
-consulted, so a hit may save host CPU but never move a simulated
-number.  Each seeded drill runs three times in one process:
+consulted and whichever MD4 backend runs, so a hit or a native digest
+may save host CPU but never move a simulated number.  Each seeded drill
+runs four times in one process:
 
 * **cold** — every memo emptied first (``perf.clear_caches()``);
 * **warm** — again, with whatever the first run left behind;
+* **python MD4** — cold again, with ``md4_digest`` routed through the
+  RFC 1320 Python code instead of the backend selected at import
+  (``repro.crypto.md4.BACKEND``);
 * **defeated** — every memo forced to miss (``tests.support.defeat_memos``),
   so every digest, verification, encode and decode is recomputed.
 
 The observability JSONL export and the simulated fingerprint of the
-three runs must be byte-identical.  A memo that returned a stale or
-wrong value, or a code path that charged simulated time only on a miss,
-would make the warm or the defeated run differ.
+four runs must be byte-identical.  A memo that returned a stale or
+wrong value, a code path that charged simulated time only on a miss, or
+a backend that disagreed with RFC 1320 on one input would make a run
+differ.
 
 The frame-decode memo is *seeded* by ``encode()``: receivers of an
 uncorrupted broadcast are handed the originator's own object and parse
 nothing.  The last test poisons that seed and requires the comparison
-above to notice.
+above to notice; the one after it flips one bit of every digest the
+selected MD4 backend returns and requires the same.
 """
 
 import json
@@ -30,12 +36,13 @@ from repro.bench.harness import run_packet_driver_case
 from repro.bench.perf import _sim_fingerprint
 from repro.cluster import ClusterConfig, ClusterManager
 from repro.core.config import SurvivabilityCase
+from repro.crypto import md4
 from repro.multicast import messages, token
 from repro.obs import Observability
 from repro.obs.export import export_jsonl
 from repro.obs.forensics import ForensicsHub, build_report, run_intrusion_drill
 from repro.wan import WanConfig, WanManager
-from tests.support import defeat_memos
+from tests.support import defeat_memos, force_python_md4
 
 
 def figure7_case4_drill(path):
@@ -135,12 +142,17 @@ def test_cold_warm_and_defeated_memos_agree_byte_for_byte(drill, tmp_path, monke
     assert hits["crypto.digest"] > 0 and hits["giop.decode"] > 0, hits
     assert hits["multicast.decode"] > 0, hits
 
+    with monkeypatch.context() as patch:
+        force_python_md4(patch)
+        python_md4 = _run(drill, tmp_path / "python_md4.jsonl")
+
     defeat_memos(monkeypatch)
     defeated = _run(drill, tmp_path / "defeated.jsonl")
     assert all(stats["hits"] == 0 for stats in perf.cache_stats().values())
 
     assert cold[0].count(b"\n") > 100
     assert warm == cold
+    assert python_md4 == cold
     assert defeated == cold
 
 
@@ -172,3 +184,27 @@ def test_a_poisoned_frame_seed_is_caught(tmp_path, monkeypatch):
     defeat_memos(monkeypatch)
     defeated = _run(two_ring_digests_drill, tmp_path / "defeated.jsonl")
     assert memoised != defeated
+
+
+def test_a_poisoned_md4_backend_is_caught(tmp_path, monkeypatch):
+    """The intrusion drill is sensitive to what ``md4_digest`` returns.
+
+    Flip one bit of every digest the selected backend produces — what a
+    native MD4 that got past the import self-test and still disagreed
+    with RFC 1320 would look like.  Every processor computes the same
+    wrong digest, so nothing is discarded; but certificates and the
+    forensics report carry digests, so the run must differ from the one
+    on the Python code.
+    """
+    selected = md4._digest
+
+    def poisoned(message):
+        digest = selected(message)
+        return bytes([digest[0] ^ 0x01]) + digest[1:]
+
+    monkeypatch.setattr(md4, "_digest", poisoned)
+    perf.clear_caches()
+    flipped = _run(batch_intrusion_drill, tmp_path / "poisoned.jsonl")
+    force_python_md4(monkeypatch)
+    reference = _run(batch_intrusion_drill, tmp_path / "python_md4.jsonl")
+    assert flipped != reference

@@ -20,7 +20,7 @@ def defeat_memos(monkeypatch):
     """Force every wall-clock memo to miss for the rest of the test.
 
     Every :class:`repro.perf.BytesKeyedCache` lookup returns its
-    default and MD4 bypasses its ``lru_cache``, so each pure function
+    default (every registered memo is one), so each pure function
     is recomputed at every call.  A seeded run under this patch must
     equal the memoised run byte for byte — that is the proof that the
     memos save host CPU only.
@@ -28,7 +28,18 @@ def defeat_memos(monkeypatch):
     monkeypatch.setattr(
         perf.BytesKeyedCache, "get", lambda self, key, default=None: default
     )
-    monkeypatch.setattr(md4, "_md4_digest_cached", md4._md4_digest_cached.__wrapped__)
+    perf.clear_caches()
+
+
+def force_python_md4(monkeypatch):
+    """Route ``md4_digest`` through the RFC 1320 Python code, memos emptied.
+
+    Whatever backend ``repro.crypto.md4`` selected at import, the rest of
+    the test (or of the ``monkeypatch.context()``) digests the way a
+    platform without a usable libcrypto does.  A seeded run under this
+    patch must equal the run on the selected backend byte for byte.
+    """
+    monkeypatch.setattr(md4, "_digest", md4._python_digest)
     perf.clear_caches()
 
 

@@ -47,5 +47,9 @@ def test_rejects_str():
 
 def test_block_boundaries_match_hashlib():
     for n in (55, 56, 57, 63, 64, 65, 127, 128):
-        data = bytes(range(256))[:n] * 1
+        data = bytes(range(n))
         assert md5_digest(data) == hashlib.md5(data).digest()
+
+
+def test_bytearray_accepted():
+    assert md5_digest(bytearray(b"abc")) == md5_digest(b"abc")

@@ -1,6 +1,8 @@
 """Unit tests for the memo registry and its bounded cache."""
 
+import repro.core.immune  # noqa: F401  (importing the stack registers every memo)
 from repro import perf
+from repro.crypto import md4, md5
 from repro.perf import BytesKeyedCache
 
 
@@ -44,3 +46,17 @@ def test_cache_stats_reports_registered_named_caches():
     stats = perf.cache_stats()
     assert stats["test.snapshot"]["hits"] == 1
     assert stats["test.snapshot"]["misses"] == 0
+
+
+def test_the_digest_functions_hold_no_memo_of_their_own():
+    """``crypto.digest``, the key store's table, is the one digest memo.
+
+    ``tests.support.defeat_memos`` defeats ``BytesKeyedCache.get`` and
+    nothing else, so it is complete only while every registered memo is
+    one and the raw digest functions behind the table are plain.
+    """
+    assert "crypto.digest" in perf.cache_stats()
+    assert "md4.digest" not in perf.cache_stats()
+    assert all(type(cache) is BytesKeyedCache for cache in perf._CACHES)
+    for fn in (md4.md4_digest, md4._digest, md4._python_digest, md5.md5_digest):
+        assert not hasattr(fn, "cache_info"), fn
