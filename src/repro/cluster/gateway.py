@@ -129,20 +129,20 @@ class _Forwarder:
         # happens on the source ring's total order.
         self._obs = obs = src.immune.obs
         self._spans = self._forensics = self._tracer = None
-        self._m_forwarded = self._m_suppressed = self._m_dropped = None
         if obs is not None:
             self._spans = obs.spans
-            self._tracer = getattr(obs, "trace", None)
+            self._tracer = obs.trace
             if obs.forensics is not None:
                 self._forensics = obs.forensics.recorder(src_pid)
-            labels = {"proc": src_pid, "to_" + hop.scope: dst.key}
-            counter = obs.registry.counter
-            self._m_forwarded = counter(hop.family + ".forwarded", **labels)
-            self._m_suppressed = counter(
-                hop.family + ".duplicates_suppressed", **labels
-            )
+            families = {
+                "forwarded": hop.family + ".forwarded",
+                "suppressed": hop.family + ".duplicates_suppressed",
+            }
             if hop.lossy:
-                self._m_dropped = counter(hop.family + ".dropped", **labels)
+                families["dropped"] = hop.family + ".dropped"
+            obs.registry.derive_counters(
+                self.stats, families, proc=src_pid, **{"to_" + hop.scope: dst.key}
+            )
         src.immune.endpoints[src_pid].on_deliver(self._on_deliver)
 
     # ------------------------------------------------------------------
@@ -193,8 +193,6 @@ class _Forwarder:
             return  # a late divergent copy: reported, never forwarded
         if not self.dup_filter.mark_delivered(op_key):
             self.stats["suppressed"] += 1
-            if self._m_suppressed is not None:
-                self._m_suppressed.inc()
             return
         self._forward(message, outcome.body)
 
@@ -221,8 +219,6 @@ class _Forwarder:
         if dropped is None:
             return
         self.stats["dropped"] += 1
-        if self._m_dropped is not None:
-            self._m_dropped.inc()
         if self._forensics is not None:
             self._forensics.record(
                 hop.family + "_drop",
@@ -238,8 +234,6 @@ class _Forwarder:
         if self._dst_proc.crashed or self._dst_endpoint.halted:
             return  # the destination host died while the copy was in flight
         self.stats["forwarded"] += 1
-        if self._m_forwarded is not None:
-            self._m_forwarded.inc()
         if message.kind == KIND_INVOCATION:
             trace_key, phase = (message.source_group, message.op_num), "req"
             stage = self._stages[0]

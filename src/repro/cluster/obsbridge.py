@@ -19,9 +19,10 @@ through the views here:
 
 The views satisfy exactly the observability API the facade and the
 protocol layers use (``registry.counter/gauge/histogram``,
-``add_collector``, ``obs.spans``, ``obs.forensics.recorder``,
-``obs.bind``), so :class:`~repro.core.immune.ImmuneSystem` takes one
-per ring with no changes to its wiring.
+``derive_counters``, ``add_collector``, ``obs.spans``,
+``obs.forensics.recorder``, ``obs.bind``), so
+:class:`~repro.core.immune.ImmuneSystem` takes one per ring with no
+changes to its wiring.
 """
 
 
@@ -29,11 +30,13 @@ class RingScopedRegistry:
     """A labelling proxy over a shared :class:`MetricsRegistry`.
 
     Metric creation injects ``ring=<index>``; collectors registered
-    through the view are re-invoked with the view itself, so the derived
-    gauges they refresh are ring-labelled too.  :attr:`unscoped` exposes
-    the shared root for genuinely simulation-global consumers — the
-    scheduler attaches its metrics to the root exactly once no matter
-    how many ring views are bound to it.
+    through the view are re-invoked with the view itself, so the gauges
+    they refresh are ring-labelled too.  The view is write-only: it is
+    what a ring's stack registers metrics through, and every query and
+    the samplers live on the shared root, :attr:`unscoped` — which is
+    also where simulation-global consumers attach (the scheduler
+    attaches its metrics to the root exactly once no matter how many
+    ring views are bound to it).
     """
 
     def __init__(self, registry, ring_index, site=None):
@@ -57,7 +60,7 @@ class RingScopedRegistry:
         return labels
 
     # ------------------------------------------------------------------
-    # metric creation: the hot-path API every layer uses
+    # metric creation: the API every layer of a ring's stack uses
     # ------------------------------------------------------------------
 
     def counter(self, name, **labels):
@@ -69,60 +72,11 @@ class RingScopedRegistry:
     def histogram(self, name, **labels):
         return self._root.histogram(name, **self._scoped(labels))
 
-    # ------------------------------------------------------------------
-    # collectors and queries
-    # ------------------------------------------------------------------
+    def derive_counters(self, stats, families, **labels):
+        self._root.derive_counters(stats, families, **self._scoped(labels))
 
     def add_collector(self, fn):
         self._root.add_collector(lambda _root, fn=fn, view=self: fn(view))
-
-    def collect(self):
-        self._root.collect()
-
-    def snapshot(self):
-        return self._root.snapshot()
-
-    def family(self, name):
-        """This ring's instances of family ``name``."""
-        want = [("ring", self.ring)]
-        if self.site is not None:
-            # Ring indices repeat across sites; the site label is what
-            # keeps two sites' "ring 0" families apart.
-            want.append(("site", self.site))
-        return [
-            m
-            for m in self._root.family(name)
-            if all(pair in m.labels for pair in want)
-        ]
-
-    def total(self, name):
-        return sum(metric.value for metric in self.family(name))
-
-    def value(self, name, **labels):
-        return self._root.value(name, **self._scoped(labels))
-
-    # ------------------------------------------------------------------
-    # sampling passthrough (series live on the shared root)
-    # ------------------------------------------------------------------
-
-    @property
-    def samples(self):
-        return self._root.samples
-
-    def sample_every(self, scheduler, period, max_samples=None):
-        return self._root.sample_every(scheduler, period, max_samples=max_samples)
-
-    @property
-    def series_sampler(self):
-        return self._root.series_sampler
-
-    def sample_series(self, scheduler, period, **kwargs):
-        """Start the shared root's time-series sampler; per-ring curves
-        come from the ``ring=<index>`` labels the views stamp."""
-        return self._root.sample_series(scheduler, period, **kwargs)
-
-    def stop_sampling(self):
-        self._root.stop_sampling()
 
 
 class RingScopedForensics:
@@ -257,8 +211,9 @@ class RingObservability:
             if obs.forensics is not None
             else None
         )
-        trace = getattr(obs, "trace", None)
-        self.trace = RingScopedTrace(trace, shard) if trace is not None else None
+        self.trace = (
+            RingScopedTrace(obs.trace, shard) if obs.trace is not None else None
+        )
 
     def bind(self, scheduler):
         self._obs.bind(scheduler)

@@ -128,45 +128,10 @@ class ImmuneSystem:
                 % (len(proc_ids), num_processors)
             )
         for pid in proc_ids:
-            processor = Processor(pid, self.scheduler)
-            self.network.add_processor(processor)
-            self.processors[pid] = processor
-            batching = self.config.batching
-            orb = Orb(
-                processor,
-                self.scheduler,
-                cost_model=self.config.orb_costs,
-                batching=BatchingPolicy(batching.max_messages, batching.window),
-                trace=self.trace,
-            )
-            self.orbs[pid] = orb
-            if replicated:
-                endpoint = SecureGroupEndpoint(
-                    processor,
-                    self.scheduler,
-                    self.network,
-                    self.keystore,
-                    self.config.crypto_costs,
-                    self.config.multicast,
-                    self.trace,
-                    obs=obs,
-                )
-                manager = ReplicationManager(
-                    processor,
-                    self.scheduler,
-                    endpoint,
-                    self.config,
-                    self.trace,
-                    obs=obs,
-                )
-                orb.set_transport(ImmuneInterceptor(manager))
-                self.endpoints[pid] = endpoint
-                self.managers[pid] = manager
-            else:
-                orb.set_transport(DirectTransport(self.network))
+            self._wire_processor(pid)
         if fault_plan is not None:
             fault_plan.arm_crashes(self.scheduler, self.processors)
-            if obs is not None and getattr(obs, "forensics", None) is not None:
+            if obs is not None and obs.forensics is not None:
                 for fault in fault_plan.ground_truth():
                     obs.forensics.record_ground_truth(
                         fault["fault_id"],
@@ -176,6 +141,47 @@ class ImmuneSystem:
                     )
         if obs is not None:
             obs.registry.add_collector(self._collect_cpu_metrics)
+
+    def _wire_processor(self, pid):
+        """Build one processor's stack: simulated host, ORB and, in the
+        replicated cases, Secure Multicast endpoint and Replication
+        Manager behind the IIOP interceptor."""
+        processor = Processor(pid, self.scheduler)
+        self.network.add_processor(processor)
+        self.processors[pid] = processor
+        batching = self.config.batching
+        orb = Orb(
+            processor,
+            self.scheduler,
+            cost_model=self.config.orb_costs,
+            batching=BatchingPolicy(batching.max_messages, batching.window),
+        )
+        self.orbs[pid] = orb
+        if not self.config.case.replicated:
+            orb.set_transport(DirectTransport(self.network))
+            return processor
+        endpoint = SecureGroupEndpoint(
+            processor,
+            self.scheduler,
+            self.network,
+            self.keystore,
+            self.config.crypto_costs,
+            self.config.multicast,
+            self.trace,
+            obs=self.obs,
+        )
+        manager = ReplicationManager(
+            processor,
+            self.scheduler,
+            endpoint,
+            self.config,
+            self.trace,
+            obs=self.obs,
+        )
+        orb.set_transport(ImmuneInterceptor(manager))
+        self.endpoints[pid] = endpoint
+        self.managers[pid] = manager
+        return processor
 
     def _collect_cpu_metrics(self, registry):
         """Publish every processor's simulated CPU bill by category."""
@@ -328,49 +334,16 @@ class ImmuneSystem:
         """Wire a brand-new processor into a live deployment (churn).
 
         Builds the full per-processor stack — simulated host, ORB,
-        Secure Multicast endpoint, Replication Manager — exactly as the
-        constructor does, but at runtime.  The keystore provisions the
-        new principal's keypair lazily.  The caller admits the
+        Secure Multicast endpoint, Replication Manager — with the
+        constructor's own routine, at runtime.  The keystore provisions
+        the new principal's keypair lazily.  The caller admits the
         processor to the ring afterwards (see :meth:`join_processor`).
         """
         if not self.config.case.replicated:
             raise ConfigError("runtime churn needs a replicated case")
         if pid in self.processors:
             raise ConfigError("processor %d already exists" % pid)
-        processor = Processor(pid, self.scheduler)
-        self.network.add_processor(processor)
-        self.processors[pid] = processor
-        batching = self.config.batching
-        orb = Orb(
-            processor,
-            self.scheduler,
-            cost_model=self.config.orb_costs,
-            batching=BatchingPolicy(batching.max_messages, batching.window),
-            trace=self.trace,
-        )
-        self.orbs[pid] = orb
-        endpoint = SecureGroupEndpoint(
-            processor,
-            self.scheduler,
-            self.network,
-            self.keystore,
-            self.config.crypto_costs,
-            self.config.multicast,
-            self.trace,
-            obs=self.obs,
-        )
-        manager = ReplicationManager(
-            processor,
-            self.scheduler,
-            endpoint,
-            self.config,
-            self.trace,
-            obs=self.obs,
-        )
-        orb.set_transport(ImmuneInterceptor(manager))
-        self.endpoints[pid] = endpoint
-        self.managers[pid] = manager
-        return processor
+        return self._wire_processor(pid)
 
     def join_processor(self, pid):
         """Grow the deployment: wire ``pid`` and admit it to the ring.
@@ -382,15 +355,21 @@ class ImmuneSystem:
         (empty) object group table is resynced from the lowest correct
         donor so later migrations can target it.
         """
-        self.add_processor(pid)
-        endpoint = self.endpoints[pid]
-        manager = self.managers[pid]
-        synced = {"done": False}
+        processor = self.add_processor(pid)
+        self._join_and_resync(pid)
+        return processor
 
-        def maybe_sync(ring_id, members, excluded):
-            if synced["done"] or pid not in members:
+    def _join_and_resync(self, pid, then=None):
+        """Have ``pid`` request admission to the ring; the first time it
+        sees itself installed, resync its object group table from the
+        lowest live donor and call ``then()``."""
+        manager = self.managers[pid]
+        state = {"done": False}
+
+        def on_install(ring_id, members, excluded):
+            if state["done"] or pid not in members:
                 return
-            synced["done"] = True
+            state["done"] = True
             donor = next(
                 (
                     other
@@ -401,10 +380,12 @@ class ImmuneSystem:
             )
             if donor is not None:
                 manager.resync_groups(self.managers[donor].groups.snapshot())
+            if then is not None:
+                then()
 
-        endpoint.on_membership_change(maybe_sync)
+        endpoint = self.endpoints[pid]
+        endpoint.on_membership_change(on_install)
         endpoint.request_join()
-        return self.processors[pid]
 
     def export_group(self, group_name):
         """Withdraw a migrating group from this deployment (cutover).
@@ -492,25 +473,10 @@ class ImmuneSystem:
         """
         if not self.config.case.replicated:
             raise ConfigError("processor recovery needs a replicated case")
-        endpoint = self.endpoints[pid]
         manager = self.managers[pid]
         orb = self.orbs[pid]
-        recovered = {"done": False}
 
-        def maybe_restore(ring_id, members, excluded):
-            if recovered["done"] or pid not in members:
-                return
-            recovered["done"] = True
-            donor = next(
-                (
-                    other
-                    for other in sorted(self.managers)
-                    if other != pid and not self.processors[other].crashed
-                ),
-                None,
-            )
-            if donor is not None:
-                manager.resync_groups(self.managers[donor].groups.snapshot())
+        def reallocate_groups():
             for group_name, from_state in sorted(servant_factories.items()):
                 handle = self._groups[group_name]
                 orb.adapter.deactivate(group_name)
@@ -523,8 +489,7 @@ class ImmuneSystem:
 
                 manager.request_join(group_name, factory_and_register)
 
-        endpoint.on_membership_change(maybe_restore)
-        endpoint.request_join()
+        self._join_and_resync(pid, then=reallocate_groups)
 
     # ------------------------------------------------------------------
     # reporting helpers

@@ -66,8 +66,8 @@ class ReplicationManager:
         self._obs = obs
         self._spans = obs.spans if obs is not None else None
         # the causal TraceCollector; distinct from self._trace, which is
-        # the simulator's debug TraceLog
-        self._tracer = getattr(obs, "trace", None) if obs is not None else None
+        # the property checkers' TraceLog
+        self._tracer = obs.trace if obs is not None else None
         self.my_id = processor.proc_id
         self.groups = ObjectGroupTable()
         self.voting_enabled = config.case.voting
@@ -102,7 +102,6 @@ class ReplicationManager:
         self._vfd = ValueFaultDetector(
             self.groups,
             endpoint.report_value_fault_suspect,
-            trace,
             self.my_id,
             obs=obs,
         )
@@ -114,24 +113,16 @@ class ReplicationManager:
             "value_fault_votes_sent": 0,
         }
         if obs is not None:
-            registry = obs.registry
-            self._m_invocations_sent = registry.counter(
-                "rm.invocations_sent", proc=self.my_id
+            obs.registry.derive_counters(
+                self.stats,
+                {
+                    "invocations_sent": "rm.invocations_sent",
+                    "responses_sent": "rm.responses_sent",
+                    "delivered_to_orb": "rm.delivered_to_orb",
+                    "duplicates_suppressed": "rm.duplicates_suppressed",
+                },
+                proc=self.my_id,
             )
-            self._m_responses_sent = registry.counter(
-                "rm.responses_sent", proc=self.my_id
-            )
-            self._m_delivered = registry.counter(
-                "rm.delivered_to_orb", proc=self.my_id
-            )
-            self._m_dups_suppressed = registry.counter(
-                "rm.duplicates_suppressed", proc=self.my_id
-            )
-        else:
-            self._m_invocations_sent = None
-            self._m_responses_sent = None
-            self._m_delivered = None
-            self._m_dups_suppressed = None
         endpoint.on_deliver(self._on_deliver)
         endpoint.on_membership_change(self._on_membership_change)
 
@@ -316,8 +307,6 @@ class ReplicationManager:
             normalised,
         )
         self.stats["invocations_sent"] += 1
-        if self._m_invocations_sent is not None:
-            self._m_invocations_sent.inc()
         if self._spans is not None:
             # Spans follow the *logical* invocation: all replicas of the
             # client group issue the same (source_group, op_num), and
@@ -376,8 +365,6 @@ class ReplicationManager:
                 reply_frame,
             )
             self.stats["responses_sent"] += 1
-            if self._m_responses_sent is not None:
-                self._m_responses_sent.inc()
             encoded = wrapped.encode()
             if self._tracer is not None:
                 self._tracer.register_payload(
@@ -458,8 +445,6 @@ class ReplicationManager:
         dup = self._dup_filters[message.target_group]
         if not dup.mark_delivered(self._op_key(message)):
             self.stats["duplicates_suppressed"] += 1
-            if self._m_dups_suppressed is not None:
-                self._m_dups_suppressed.inc()
             return
         if message.kind == KIND_INVOCATION:
             self._mark_stage((message.source_group, message.op_num), "voted")
@@ -470,21 +455,11 @@ class ReplicationManager:
             raise ReplicationError("Replication Manager has no bound ORB")
         self.processor.charge(INTERCEPTION_COST, "rm.deliver")
         self.stats["delivered_to_orb"] += 1
-        if self._m_delivered is not None:
-            self._m_delivered.inc()
         if message.kind == KIND_INVOCATION:
             self._mark_stage((message.source_group, message.op_num), "dispatched")
             reply_sink = self._response_sink(
                 message.source_group, message.op_num, message.target_group
             )
-            if self._trace is not None and self._trace.active:
-                self._trace.record(
-                    "rm.deliver_invocation",
-                    proc=self.my_id,
-                    source=message.source_group,
-                    target=message.target_group,
-                    op_num=message.op_num,
-                )
             self._orb.deliver_frame(body, reply_sink)
             return
         # A voted response: correlate back to this replica's original
@@ -503,13 +478,6 @@ class ReplicationManager:
             return
         restored = ReplyMessage(original_id, reply.reply_status, reply.body).encode()
         self._mark_stage((message.target_group, message.op_num), "reply_voted")
-        if self._trace is not None and self._trace.active:
-            self._trace.record(
-                "rm.deliver_response",
-                proc=self.my_id,
-                client=message.target_group,
-                op_num=message.op_num,
-            )
         self._orb.deliver_frame(restored, None)
 
     # ------------------------------------------------------------------
@@ -536,13 +504,6 @@ class ReplicationManager:
             vote.encode(),
         )
         self.stats["value_fault_votes_sent"] += 1
-        if self._trace is not None and self._trace.active:
-            self._trace.record(
-                "rm.value_fault_vote",
-                proc=self.my_id,
-                source=message.source_group,
-                op_num=message.op_num,
-            )
         self.endpoint.multicast(BASE_GROUP, wrapped.encode())
 
     # ------------------------------------------------------------------
@@ -572,13 +533,6 @@ class ReplicationManager:
     def _on_membership_change(self, ring_id, members, excluded):
         for pid in excluded:
             affected = self.groups.remove_processor(pid)
-            if self._trace is not None and self._trace.active:
-                self._trace.record(
-                    "rm.exclusion",
-                    proc=self.my_id,
-                    excluded=pid,
-                    groups=tuple(affected),
-                )
             for fn in list(self._exclusion_listeners):
                 fn(pid, affected)
         # Shrunken degrees may unblock pending votes.
@@ -692,5 +646,3 @@ class ReplicationManager:
             KIND_GROUP_UPDATE, group_name, 0, self.my_id, BASE_GROUP, update.encode()
         )
         self.endpoint.multicast(BASE_GROUP, announce.encode())
-        if self._trace is not None and self._trace.active:
-            self._trace.record("rm.joined", proc=self.my_id, group=group_name)

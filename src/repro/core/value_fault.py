@@ -79,16 +79,10 @@ class ValueFaultVote:
 class ValueFaultDetector:
     """Correlates Value_Fault_Vote messages into processor suspicions."""
 
-    def __init__(self, group_table, suspect_cb, trace=None, my_id=None, obs=None):
+    def __init__(self, group_table, suspect_cb, my_id=None, obs=None):
         self._groups = group_table
         self._suspect_cb = suspect_cb
-        self._trace = trace
-        self._my_id = my_id
-        if (
-            obs is not None
-            and my_id is not None
-            and getattr(obs, "forensics", None) is not None
-        ):
+        if obs is not None and my_id is not None and obs.forensics is not None:
             self._forensics = obs.forensics.recorder(my_id)
         else:
             self._forensics = None
@@ -136,14 +130,6 @@ class ValueFaultDetector:
                     source_group=vote.source_group,
                     op_num=vote.op_num,
                     winning_digest=winner,
-                )
-            if self._trace is not None and self._trace.active:
-                self._trace.record(
-                    "value_fault.suspect",
-                    observer=self._my_id,
-                    suspect=proc_id,
-                    source_group=vote.source_group,
-                    op_num=vote.op_num,
                 )
             self._suspect_cb(proc_id)
         return corrupt

@@ -65,29 +65,26 @@ class Voter:
         #: op_key -> (winning digest, vote set at decision time)
         self._decided = {}
         self.stats = {"copies": 0, "decisions": 0, "late_duplicates": 0, "faults_seen": 0}
+        # the forensic recorder and the causal TraceCollector (or its
+        # ring-scoped view)
+        self._forensics = self._tracer = None
         if obs is not None:
             labels = {"group": target_group}
             if proc_id is not None:
                 labels["proc"] = proc_id
-            registry = obs.registry
-            self._m_copies = registry.counter("vote.copies", **labels)
-            self._m_decisions = registry.counter("vote.decisions", **labels)
-            self._m_mismatches = registry.counter("vote.mismatches", **labels)
-            self._m_late_duplicates = registry.counter(
-                "vote.late_duplicates", **labels
+                if obs.forensics is not None:
+                    self._forensics = obs.forensics.recorder(proc_id)
+            obs.registry.derive_counters(
+                self.stats,
+                {
+                    "copies": "vote.copies",
+                    "decisions": "vote.decisions",
+                    "faults_seen": "vote.mismatches",
+                    "late_duplicates": "vote.late_duplicates",
+                },
+                **labels
             )
-        else:
-            self._m_copies = None
-        if (
-            obs is not None
-            and proc_id is not None
-            and getattr(obs, "forensics", None) is not None
-        ):
-            self._forensics = obs.forensics.recorder(proc_id)
-        else:
-            self._forensics = None
-        # the causal TraceCollector (or its ring-scoped view)
-        self._tracer = getattr(obs, "trace", None) if obs is not None else None
+            self._tracer = obs.trace
 
     @staticmethod
     def _trace_target(op_num):
@@ -110,8 +107,6 @@ class Voter:
         op_key = (source_group, op_num)
         digest = self._digest_fn(body)
         self.stats["copies"] += 1
-        if self._m_copies is not None:
-            self._m_copies.inc()
         if self._tracer is not None:
             target = self._trace_target(op_num)
             if target is not None:
@@ -122,12 +117,8 @@ class Voter:
             winning_digest, vote_set = decided
             if digest == winning_digest:
                 self.stats["late_duplicates"] += 1
-                if self._m_copies is not None:
-                    self._m_late_duplicates.inc()
                 return None
             self.stats["faults_seen"] += 1
-            if self._m_copies is not None:
-                self._m_mismatches.inc()
             vote_set = vote_set + ((sender, digest),)
             self._decided[op_key] = (winning_digest, vote_set)
             if self._forensics is not None:
@@ -168,8 +159,6 @@ class Voter:
                     faulty.add(sender)
         if faulty:
             self.stats["faults_seen"] += len(faulty)
-            if self._m_copies is not None:
-                self._m_mismatches.inc(len(faulty))
             if self._forensics is not None:
                 for sender in sorted(faulty):
                     for digest in sorted(entry["by_digest"]):
@@ -187,8 +176,6 @@ class Voter:
         del self._pending[op_key]
         self._decided[op_key] = (winner, tuple(vote_set))
         self.stats["decisions"] += 1
-        if self._m_copies is not None:
-            self._m_decisions.inc()
         if self._tracer is not None:
             target = self._trace_target(op_key[1])
             if target is not None:

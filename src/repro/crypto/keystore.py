@@ -88,26 +88,28 @@ class SigningService:
         self._keypair = keypair
         self._keystore = keystore
         self.cost_model = cost_model
+        #: operation counts; ``batched_digests`` is the number of token
+        #: digests that batch signatures and verifications covered
+        self.stats = {
+            "digest_ops": 0,
+            "sign_ops": 0,
+            "verify_ops": 0,
+            "batch_sign_ops": 0,
+            "batch_verify_ops": 0,
+            "batched_digests": 0,
+        }
+        #: simulated CPU seconds charged, by operation
+        self.seconds = {"digest": 0, "sign": 0, "verify": 0}
         if obs is not None:
             registry = obs.registry
             pid = processor.proc_id
-            self._m_digest_ops = registry.counter("crypto.digest_ops", proc=pid)
-            self._m_sign_ops = registry.counter("crypto.sign_ops", proc=pid)
-            self._m_verify_ops = registry.counter("crypto.verify_ops", proc=pid)
-            self._m_seconds = {
-                "digest": registry.counter("crypto.seconds", proc=pid, op="digest"),
-                "sign": registry.counter("crypto.seconds", proc=pid, op="sign"),
-                "verify": registry.counter("crypto.seconds", proc=pid, op="verify"),
-            }
-            self._m_batch_sign_ops = registry.counter("crypto.batch_sign_ops", proc=pid)
-            self._m_batch_verify_ops = registry.counter(
-                "crypto.batch_verify_ops", proc=pid
+            registry.derive_counters(
+                self.stats, {key: "crypto." + key for key in self.stats}, proc=pid
             )
-            self._m_batched_digests = registry.counter(
-                "crypto.batched_digests", proc=pid
-            )
-        else:
-            self._m_digest_ops = None
+            for op in self.seconds:
+                registry.derive_counters(
+                    self.seconds, {op: "crypto.seconds"}, proc=pid, op=op
+                )
 
     @property
     def digest_fn(self):
@@ -116,14 +118,12 @@ class SigningService:
 
     def _charge(self, cost, op):
         self.processor.charge(cost, "crypto." + op, priority=True)
-        if self._m_digest_ops is not None:
-            self._m_seconds[op].inc(cost)
+        self.seconds[op] += cost
 
     def digest(self, data):
         """MD4 digest of ``data``, charging simulated digest time."""
         self._charge(self.cost_model.digest_cost(len(data)), "digest")
-        if self._m_digest_ops is not None:
-            self._m_digest_ops.inc()
+        self.stats["digest_ops"] += 1
         return self._keystore.digest_fn(data)
 
     def sign(self, data):
@@ -131,9 +131,8 @@ class SigningService:
         digest = self._keystore.digest_fn(data)
         self._charge(self.cost_model.digest_cost(len(data)), "digest")
         self._charge(self.cost_model.sign_cost(), "sign")
-        if self._m_digest_ops is not None:
-            self._m_digest_ops.inc()
-            self._m_sign_ops.inc()
+        self.stats["digest_ops"] += 1
+        self.stats["sign_ops"] += 1
         return self._keypair.sign(digest)
 
     def verify(self, signer_id, data, signature):
@@ -149,9 +148,8 @@ class SigningService:
         digest = self._keystore.digest_fn(data)
         self._charge(self.cost_model.digest_cost(len(data)), "digest")
         self._charge(self.cost_model.verify_cost(), "verify")
-        if self._m_digest_ops is not None:
-            self._m_digest_ops.inc()
-            self._m_verify_ops.inc()
+        self.stats["digest_ops"] += 1
+        self.stats["verify_ops"] += 1
         public_key = self._keystore.public_key(signer_id)
         key = (public_key, bytes(data), signature)
         result = _VERIFY_CACHE.get(key)
@@ -166,19 +164,12 @@ class SigningService:
         flat batch-signature scheme): the signing cost is charged once,
         plus the marginal cost of digesting the batched entries.
         """
-        digest = self._keystore.digest_fn(data)
-        self._charge(self.cost_model.digest_cost(len(data)), "digest")
-        self._charge(self.cost_model.sign_cost(), "sign")
-        if self._m_digest_ops is not None:
-            self._m_digest_ops.inc()
-            self._m_sign_ops.inc()
-            self._m_batch_sign_ops.inc()
-            self._m_batched_digests.inc(max(batch_size, 1))
-        return self._keypair.sign(digest)
+        self.stats["batch_sign_ops"] += 1
+        self.stats["batched_digests"] += max(batch_size, 1)
+        return self.sign(data)
 
     def verify_batch(self, signer_id, data, signature, batch_size):
         """Verify one batch signature covering ``batch_size`` digests."""
-        if self._m_digest_ops is not None:
-            self._m_batch_verify_ops.inc()
-            self._m_batched_digests.inc(max(batch_size, 1))
+        self.stats["batch_verify_ops"] += 1
+        self.stats["batched_digests"] += max(batch_size, 1)
         return self.verify(signer_id, data, signature)

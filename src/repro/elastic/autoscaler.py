@@ -67,19 +67,16 @@ class Autoscaler:
         self._last_action = None
         #: decision log for reports: (time, action, detail) tuples
         self.decisions = []
+        self.stats = {"autoscaler_decisions": 0, "splits": 0, "merges": 0}
+        self._m_active = None
         obs = cluster.obs
         if obs is not None:
             registry = obs.registry
-            self._m_decisions = registry.counter("elastic.autoscaler_decisions")
-            self._m_splits = registry.counter("elastic.splits")
-            self._m_merges = registry.counter("elastic.merges")
+            registry.derive_counters(
+                self.stats, {key: "elastic." + key for key in self.stats}
+            )
             self._m_active = registry.gauge("elastic.active_rings")
             self._m_active.set(len(cluster.active_rings))
-        else:
-            self._m_decisions = None
-            self._m_splits = None
-            self._m_merges = None
-            self._m_active = None
 
     def start(self):
         """Arm the periodic decision loop on the cluster's scheduler."""
@@ -117,8 +114,7 @@ class Autoscaler:
     # ------------------------------------------------------------------
 
     def _decide(self):
-        if self._m_decisions is not None:
-            self._m_decisions.inc()
+        self.stats["autoscaler_decisions"] += 1
         if self.coordinator.busy:
             return  # one reconfiguration at a time
         now = self.cluster.scheduler.now
@@ -177,8 +173,7 @@ class Autoscaler:
             "new_ring": new_ring,
             "groups": sorted(g for g, _, _ in moves),
         })
-        if self._m_splits is not None:
-            self._m_splits.inc()
+        self.stats["splits"] += 1
 
     def _merge(self, cold_ring, into_ring, now):
         cluster = self.cluster
@@ -191,8 +186,7 @@ class Autoscaler:
             "into_ring": into_ring,
             "groups": sorted(movable),
         })
-        if self._m_merges is not None:
-            self._m_merges.inc()
+        self.stats["merges"] += 1
 
     def _acted(self, now, action, detail):
         self._last_action = now

@@ -42,13 +42,11 @@ class ElasticCluster(ClusterManager):
             self, drain_poll=drain_poll, min_drain=min_drain
         )
         self.autoscaler = None
+        self.stats = {"churn_joins": 0, "churn_retirements": 0}
         if self.obs is not None:
-            registry = self.obs.registry
-            self._m_joins = registry.counter("elastic.churn_joins")
-            self._m_retires = registry.counter("elastic.churn_retirements")
-        else:
-            self._m_joins = None
-            self._m_retires = None
+            self.obs.registry.derive_counters(
+                self.stats, {key: "elastic." + key for key in self.stats}
+            )
 
     # ------------------------------------------------------------------
     # deployment: migratability rides along
@@ -94,8 +92,7 @@ class ElasticCluster(ClusterManager):
         immune = self.rings[ring_index]
         immune.join_processor(pid)
         self.processors[pid] = immune.processors[pid]
-        if self._m_joins is not None:
-            self._m_joins.inc()
+        self.stats["churn_joins"] += 1
         self._forensic(pid, "churn_join", ring=ring_index)
         return pid
 
@@ -112,8 +109,7 @@ class ElasticCluster(ClusterManager):
         """
         self._ground_truth("crash", (pid,), self.scheduler.now)
         self._forensic(pid, "churn_retire")
-        if self._m_retires is not None:
-            self._m_retires.inc()
+        self.stats["churn_retirements"] += 1
         self.processors[pid].crash()
 
     # ------------------------------------------------------------------

@@ -76,20 +76,20 @@ class MigrationCoordinator:
         self.epoch = 0
         self._queue = deque()
         self._active = None
+        self.stats = {
+            "migrations_started": 0,
+            "migrations_completed": 0,
+            "invocations_held": 0,
+        }
+        self._m_epoch = self._m_seconds = None
         obs = cluster.obs
         if obs is not None:
             registry = obs.registry
-            self._m_started = registry.counter("elastic.migrations_started")
-            self._m_completed = registry.counter("elastic.migrations_completed")
-            self._m_held = registry.counter("elastic.invocations_held")
+            registry.derive_counters(
+                self.stats, {key: "elastic." + key for key in self.stats}
+            )
             self._m_epoch = registry.gauge("elastic.migration_epoch")
             self._m_seconds = registry.histogram("elastic.migration_seconds")
-        else:
-            self._m_started = None
-            self._m_completed = None
-            self._m_held = None
-            self._m_epoch = None
-            self._m_seconds = None
 
     @property
     def busy(self):
@@ -151,8 +151,8 @@ class MigrationCoordinator:
         self.epoch += 1
         job.epoch = self.epoch
         job.t_hold = self.cluster.scheduler.now
-        if self._m_started is not None:
-            self._m_started.inc()
+        self.stats["migrations_started"] += 1
+        if self._m_epoch is not None:
             self._m_epoch.set(job.epoch)
         for manager in self._all_managers():
             manager.hold_group(group_name)
@@ -254,8 +254,7 @@ class MigrationCoordinator:
         for manager in self._all_managers():
             job.held += manager.held_for(job.group_name)
             manager.release_group(job.group_name)
-        if self._m_held is not None:
-            self._m_held.inc(job.held)
+        self.stats["invocations_held"] += job.held
 
     def _finish(self, job, skipped=False, error=None):
         now = self.cluster.scheduler.now
@@ -275,8 +274,8 @@ class MigrationCoordinator:
             self._event(job, "migration_failed", held=job.held, error=error)
         elif not skipped:
             self.completed.append(record)
-            if self._m_completed is not None:
-                self._m_completed.inc()
+            self.stats["migrations_completed"] += 1
+            if self._m_seconds is not None:
                 self._m_seconds.observe(record["hold_seconds"])
             self._event(job, "migration_complete", held=job.held)
         self._active = None

@@ -43,7 +43,7 @@ class ByzantineBehaviour:
         at_time = getattr(self, "at_time", 0.0)
         self.fault_id = fault_id_for(self.name, culprit, at_time)
         obs = getattr(endpoint, "obs", None)
-        if obs is not None and getattr(obs, "forensics", None) is not None:
+        if obs is not None and obs.forensics is not None:
             obs.forensics.record_ground_truth(
                 self.fault_id, self.name, culprit, at_time
             )

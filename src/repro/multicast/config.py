@@ -55,16 +55,6 @@ class SecurityLevel(enum.Enum):
         return self is SecurityLevel.SIGNATURES
 
 
-def required_correct(n):
-    """Minimum correct processors in a system of ``n`` (paper section 3.1)."""
-    return -(-(2 * n + 1) // 3)  # ceil((2n+1)/3)
-
-
-def max_faulty(n):
-    """Maximum tolerated faulty processors: k <= floor((n-1)/3)."""
-    return (n - 1) // 3
-
-
 class MulticastConfig:
     """Tunable parameters of the protocol stack."""
 

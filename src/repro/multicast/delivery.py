@@ -192,45 +192,32 @@ class DeliveryProtocol:
             "retransmits": 0,
             "digest_discards": 0,
             "token_visits": 0,
+            "token_rotations": 0,
+            "tokens_signed": 0,
             "certs_signed": 0,
             "certs_verified": 0,
             "fragments_sent": 0,
         }
+        self._m_msgs_per_visit = self._m_cert_span = None
+        # Forensic flight recorder (repro.obs.forensics) and the causal
+        # TraceCollector (or its ring-scoped view; distinct from
+        # self._trace, the property checkers' TraceLog): resolved once
+        # here so every hot-path site pays a single None check.
+        self._forensics = self._tracer = None
         if obs is not None:
             registry = obs.registry
             pid = self.my_id
-            self._m_token_visits = registry.counter("multicast.token_visits", proc=pid)
-            self._m_rotations = registry.counter("multicast.token_rotations", proc=pid)
-            self._m_tokens_signed = registry.counter("multicast.tokens_signed", proc=pid)
-            self._m_sent = registry.counter("multicast.sent", proc=pid)
-            self._m_delivered = registry.counter("multicast.delivered", proc=pid)
-            self._m_retransmits = registry.counter("multicast.retransmits", proc=pid)
-            self._m_digest_discards = registry.counter(
-                "multicast.digest_discards", proc=pid
+            registry.derive_counters(
+                self.stats, {key: "multicast." + key for key in self.stats}, proc=pid
             )
             self._m_msgs_per_visit = registry.histogram(
                 "multicast.messages_per_visit", proc=pid
             )
-            self._m_certs_signed = registry.counter("multicast.certs_signed", proc=pid)
-            self._m_certs_verified = registry.counter(
-                "multicast.certs_verified", proc=pid
-            )
-            self._m_fragments_sent = registry.counter(
-                "multicast.fragments_sent", proc=pid
-            )
             self._m_cert_span = registry.histogram("multicast.cert_span", proc=pid)
             registry.add_collector(self._collect_metrics)
-        else:
-            self._m_token_visits = None
-        # Forensic flight recorder (repro.obs.forensics): resolved once
-        # here so every hot-path site pays a single None check.
-        if obs is not None and getattr(obs, "forensics", None) is not None:
-            self._forensics = obs.forensics.recorder(self.my_id)
-        else:
-            self._forensics = None
-        # the causal TraceCollector (or its ring-scoped view); distinct
-        # from self._trace, the simulator's debug TraceLog
-        self._tracer = getattr(obs, "trace", None) if obs is not None else None
+            if obs.forensics is not None:
+                self._forensics = obs.forensics.recorder(pid)
+            self._tracer = obs.trace
         #: mutant evidence already recorded, keyed (ring, visit, holder):
         #: evidence rebroadcasts re-present the same mutant many times
         self._forensic_mutants = set()
@@ -417,10 +404,6 @@ class DeliveryProtocol:
             return
         if self._signatures:
             if not self.signing.verify(token.sender_id, token.signable_bytes(), token.signature):
-                if self._trace is not None and self._trace.active:
-                    self._trace.record(
-                        "token.bad_signature", proc=self.my_id, claimed=token.sender_id
-                    )
                 return
         if not token.well_formed(self.members):
             self.detector.suspect(token.sender_id, "malformed_token")
@@ -548,10 +531,6 @@ class DeliveryProtocol:
         if not self.signing.verify_batch(
             cert.signer_id, cert.signable_bytes(), cert.signature, len(cert.digests)
         ):
-            if self._trace is not None and self._trace.active:
-                self._trace.record(
-                    "cert.bad_signature", proc=self.my_id, claimed=cert.signer_id
-                )
             return
         if self._forensics is not None:
             self._forensics.record("batch_verify", **cert.forensic_summary())
@@ -560,8 +539,6 @@ class DeliveryProtocol:
             self._convict(cert.signer_id, "malformed_token")
             return
         self.stats["certs_verified"] += 1
-        if self._m_token_visits is not None:
-            self._m_certs_verified.inc()
         self._cert_raws[key] = raw
         self._last_activity = self.scheduler.now
         self._apply_vouches(cert)
@@ -798,8 +775,7 @@ class DeliveryProtocol:
         self._cert_raws[(self.my_id, first, newest)] = raw
         self._own_visits_since_cert = 0
         self.stats["certs_signed"] += 1
-        if self._m_token_visits is not None:
-            self._m_certs_signed.inc()
+        if self._m_cert_span is not None:
             self._m_cert_span.observe(len(digests))
         if self._forensics is not None:
             self._forensics.record(
@@ -823,15 +799,6 @@ class DeliveryProtocol:
             self._vouch_claims.setdefault(vouch_visit, {})[self.my_id] = digest
         self._advance_authentication()
         self._advance_delivery()
-        if self._trace is not None and self._trace.active:
-            self._trace.record(
-                "cert.send",
-                proc=self.my_id,
-                ring=self.ring_id,
-                first=first,
-                last=newest,
-                reason=reason,
-            )
 
     # ------------------------------------------------------------------
     # token acceptance and origination
@@ -861,8 +828,6 @@ class DeliveryProtocol:
         if token.seq > self._max_seq_seen:
             self._max_seq_seen = token.seq
         self.stats["token_visits"] += 1
-        if self._m_token_visits is not None:
-            self._m_token_visits.inc()
         if self._forensics is not None:
             self._forensics.set_context(seq=token.seq)
             self._forensics.record(
@@ -985,7 +950,7 @@ class DeliveryProtocol:
         rtg = self._service_retransmissions(rtr_in)
         sent_before = self.stats["sent"]
         digest_list = self._send_new_messages()
-        if self._m_token_visits is not None:
+        if self._m_msgs_per_visit is not None:
             self._m_msgs_per_visit.observe(self.stats["sent"] - sent_before)
         my_gaps = self._missing_seqs()
         rtr_out = sorted((rtr_in - set(rtg)) | my_gaps)
@@ -1009,8 +974,7 @@ class DeliveryProtocol:
             # Batch mode circulates tokens unsigned; authentication
             # arrives on periodic certificates instead.
             token.signature = self.signing.sign(token.signable_bytes())
-            if self._m_token_visits is not None:
-                self._m_tokens_signed.inc()
+            self.stats["tokens_signed"] += 1
         raw = token.encode()
         # The visit's frames (retransmissions, new messages, then the
         # token — Figure 6 of the paper) leave the processor only once
@@ -1036,11 +1000,9 @@ class DeliveryProtocol:
                 self._tracer.token_covered(seq, summary)
         self._prune_token_history(token.visit)
         self.stats["token_visits"] += 1
-        if self._m_token_visits is not None:
-            # Originating is this processor's turn in the rotation: the
-            # per-processor origination count *is* its rotation count.
-            self._m_token_visits.inc()
-            self._m_rotations.inc()
+        # Originating is this processor's turn in the rotation: the
+        # per-processor origination count *is* its rotation count.
+        self.stats["token_rotations"] += 1
         if self._forensics is not None:
             self._forensics.set_context(seq=token.seq)
             self._forensics.record(
@@ -1099,8 +1061,6 @@ class DeliveryProtocol:
                     payload,
                 )
                 self.stats["fragments_sent"] += 1
-                if self._m_token_visits is not None:
-                    self._m_fragments_sent.inc()
             raw = message.encode()
             self.processor.charge(
                 self.config.message_handling_cost, "multicast.send", priority=True
@@ -1114,8 +1074,6 @@ class DeliveryProtocol:
             self._received.setdefault(seq, []).append(raw)
             self._max_seq_seen = seq
             self.stats["sent"] += 1
-            if self._m_token_visits is not None:
-                self._m_sent.inc()
             budget -= 1
         return digest_list
 
@@ -1133,8 +1091,6 @@ class DeliveryProtocol:
             for raw in variants:
                 self._outgoing_frames.append(raw)
                 self.stats["retransmits"] += 1
-                if self._m_token_visits is not None:
-                    self._m_retransmits.inc()
             visit = self._token_covering.get(seq)
             if visit is not None:
                 covering_visits.add(visit)
@@ -1233,8 +1189,6 @@ class DeliveryProtocol:
             self._delivered_up_to = seq
             advanced = True
             self.stats["delivered"] += 1
-            if self._m_token_visits is not None:
-                self._m_delivered.inc()
             if self._forensics is not None:
                 self._forensics.record(
                     "delivery_commit",
@@ -1329,8 +1283,6 @@ class DeliveryProtocol:
         self._received.pop(seq, None)
         self._pending_rtr.add(seq)
         self.stats["digest_discards"] += 1
-        if self._m_token_visits is not None:
-            self._m_digest_discards.inc()
         if self._forensics is not None:
             self._forensics.record(
                 "digest_mismatch",
@@ -1340,8 +1292,6 @@ class DeliveryProtocol:
                 token_sender=token_sender,
                 variants=len(variants),
             )
-        if self._trace is not None and self._trace.active:
-            self._trace.record("multicast.digest_discard", proc=self.my_id, seq=seq)
         return None
 
     # ------------------------------------------------------------------

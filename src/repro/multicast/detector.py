@@ -56,7 +56,7 @@ class ByzantineFaultDetector:
         self.scheduler = scheduler
         self._trace = trace
         self._obs = obs
-        if obs is not None and getattr(obs, "forensics", None) is not None:
+        if obs is not None and obs.forensics is not None:
             self._forensics = obs.forensics.recorder(my_id)
         else:
             self._forensics = None
@@ -170,10 +170,6 @@ class ByzantineFaultDetector:
             return False
         del self._suspicions[proc_id]
         self._episodes.pop(proc_id, None)
-        if self._trace is not None and self._trace.active:
-            self._trace.record(
-                "detector.readmit", observer=self.my_id, suspect=proc_id
-            )
         return True
 
     def value_fault_suspect(self, proc_id):

@@ -115,21 +115,18 @@ class MembershipEngine:
 
         #: when the current reconfiguration began (for duration metrics)
         self._reconfig_started_at = None
+        self.stats = {"reconfigurations": 0, "installs": 0, "rounds": 0}
+        self._m_reconfig_seconds = self._forensics = None
         if obs is not None:
-            registry = obs.registry
             pid = self.my_id
-            self._m_reconfigs = registry.counter("membership.reconfigurations", proc=pid)
-            self._m_installs = registry.counter("membership.installs", proc=pid)
-            self._m_rounds = registry.counter("membership.rounds", proc=pid)
-            self._m_reconfig_seconds = registry.histogram(
+            obs.registry.derive_counters(
+                self.stats, {key: "membership." + key for key in self.stats}, proc=pid
+            )
+            self._m_reconfig_seconds = obs.registry.histogram(
                 "membership.reconfig_seconds", proc=pid
             )
-        else:
-            self._m_reconfigs = None
-        if obs is not None and getattr(obs, "forensics", None) is not None:
-            self._forensics = obs.forensics.recorder(self.my_id)
-        else:
-            self._forensics = None
+            if obs.forensics is not None:
+                self._forensics = obs.forensics.recorder(pid)
 
         detector.on_change(self._on_suspicion)
         delivery.coverage_listener = self.notify_coverage
@@ -174,8 +171,6 @@ class MembershipEngine:
         if self.config.security.signatures_enabled:
             request.signature = self.signing.sign(request.signable_bytes())
         self.network.broadcast(self.my_id, MULTICAST_PORT, request.encode())
-        if self._trace is not None and self._trace.active:
-            self._trace.record("membership.join_request", proc=self.my_id)
         self._join_timer = self.scheduler.after(
             self.config.membership_round_timeout,
             self._broadcast_join_request,
@@ -232,17 +227,14 @@ class MembershipEngine:
                 joining=False,
                 suspects=sorted(self.detector.suspects() & set(self.members)),
             )
-        if self._m_reconfigs is not None:
-            self._m_reconfigs.inc()
-            self._m_rounds.inc()
+        self.stats["reconfigurations"] += 1
+        self.stats["rounds"] += 1
         self.delivery.suspend()
         self.delivery.freeze_delivery()
         self._round = 1
         self._silent_rounds = {}
         self._accusations = {}
         self._reset_negotiation_state()
-        if self._trace is not None and self._trace.active:
-            self._trace.record("membership.reconfig", proc=self.my_id, ring=self.ring_id)
         if propose:
             self._broadcast_proposal()
         self._reset_round_timer()
@@ -304,14 +296,6 @@ class MembershipEngine:
         self._proposals[self.my_id] = proposal
         self._proposal_raw[self.my_id] = raw
         self.network.broadcast(self.my_id, MULTICAST_PORT, raw)
-        if self._trace is not None and self._trace.active:
-            self._trace.record(
-                "membership.propose",
-                proc=self.my_id,
-                ring=self.ring_id,
-                round=self._round,
-                candidate=candidate,
-            )
 
     def on_proposal(self, proposal, raw):
         """Entry point for proposals received from the network."""
@@ -383,13 +367,6 @@ class MembershipEngine:
         self.members = tuple(sorted(set(proposal.candidate_set) | {self.my_id}))
         self._round = proposal.round_number
         self._reset_negotiation_state()
-        if self._trace is not None and self._trace.active:
-            self._trace.record(
-                "membership.join_adopt",
-                proc=self.my_id,
-                ring=self.ring_id,
-                round=self._round,
-            )
         self._broadcast_proposal()
         self._record_accusations(proposal)
         self._proposals[proposal.proposer] = proposal
@@ -400,8 +377,7 @@ class MembershipEngine:
     def _advance_round(self, new_round):
         if self._agreed_candidate is not None:
             return  # agreement reached; finish the install instead
-        if self._m_reconfigs is not None:
-            self._m_rounds.inc()
+        self.stats["rounds"] += 1
         self._round = new_round
         self._reset_negotiation_state()
         self._broadcast_proposal()
@@ -562,12 +538,10 @@ class MembershipEngine:
         self._accusations = {}
         self._reset_negotiation_state()
         self.installed_history.append((new_ring_id, self.members))
-        if self._m_reconfigs is not None:
-            self._m_installs.inc()
-            if self._reconfig_started_at is not None:
-                self._m_reconfig_seconds.observe(
-                    self.scheduler.now - self._reconfig_started_at
-                )
+        self.stats["installs"] += 1
+        started = self._reconfig_started_at
+        if self._m_reconfig_seconds is not None and started is not None:
+            self._m_reconfig_seconds.observe(self.scheduler.now - started)
         self._reconfig_started_at = None
         if self._forensics is not None:
             self._forensics.set_context(ring=new_ring_id, seq=cut)
@@ -602,8 +576,6 @@ class MembershipEngine:
             self._forensics.record("membership_halt")
         self._cancel_round_timer()
         self.delivery.suspend()
-        if self._trace is not None and self._trace.active:
-            self._trace.record("membership.halt", proc=self.my_id, ring=self.ring_id)
 
     # ------------------------------------------------------------------
     # round timer

@@ -180,7 +180,6 @@ def summarize(obs, crypto_costs=None, series=None, slo=None, critpath=None):
     too.
     """
     registry = obs.registry
-    registry.collect()
     spans = obs.spans
 
     messages_sent = registry.total("multicast.sent")
@@ -282,7 +281,7 @@ def summarize(obs, crypto_costs=None, series=None, slo=None, critpath=None):
         summary["crypto"]["calibration"] = crypto_costs.describe()
     if registry_capped := getattr(registry, "capped_label_sets", None):
         summary["capped_label_sets"] = dict(sorted(registry_capped.items()))
-    if getattr(obs, "forensics", None) is not None:
+    if obs.forensics is not None:
         from repro.obs.forensics import recorder_summary
 
         # Flight-recorder buffer health (event/drop counts) only; the
@@ -321,7 +320,6 @@ def export_jsonl(path, obs, run_info=None, crypto_costs=None, series=None,
     the same aggregation that was persisted.
     """
     registry = obs.registry
-    registry.collect()
     if series is None:
         series = getattr(registry, "series_sampler", None)
     summary = summarize(

@@ -3,11 +3,14 @@
 The quantitative claims of the paper — Figure 7's latency/throughput
 decomposition, Table 3's token-signature amortisation, the detector's
 accuracy — are statements about *aggregates*, not individual events.
-The :class:`MetricsRegistry` is the single aggregation point: every
-layer of the stack (scheduler, network, multicast, voting, crypto)
-registers labelled metric instances once and updates them on its hot
-path with plain attribute arithmetic, so instrumented runs stay cheap
-enough for the benches.
+The :class:`MetricsRegistry` is the single aggregation point for every
+layer of the stack (scheduler, network, multicast, voting, crypto).
+Counts are *derived*: a layer counts each fact once, in its own plain
+``stats`` dict, and hands that dict to :meth:`MetricsRegistry.
+derive_counters`; the registry copies the values whenever it is
+collected, so the hot path never touches a metric object for a count.
+Histograms take their observations directly, and gauges are set by
+collector callbacks.
 
 Metrics are identified by a family name plus a set of labels (typically
 ``proc`` and/or ``group``), mirroring the label discipline of modern
@@ -179,10 +182,17 @@ class MetricsRegistry:
     """Registry of every metric instance in one simulated deployment.
 
     ``counter``/``gauge``/``histogram`` get-or-create an instance for a
-    (family name, labels) pair; callers hold the instance and update it
-    directly on their hot path.  ``collect`` runs registered collector
-    callbacks (which refresh derived gauges, e.g. queue depths) and
-    ``snapshot`` renders every metric as a sorted list of plain dicts.
+    (family name, labels) pair.  ``derive_counters`` publishes a layer's
+    ``stats`` dict as counters.  ``collect`` copies every derived
+    counter from its sources and runs the registered collector
+    callbacks (which refresh gauges, e.g. queue depths); ``snapshot``
+    renders every metric as a sorted list of plain dicts.
+
+    Freshness rule: every query (``value``, ``total``, ``family``,
+    ``snapshot``) collects first, so a derived counter or a gauge is
+    never read staler than the state it reports.  Only ``metrics()``
+    iterates without collecting (the series sampler has just done so),
+    as does a metric handle read directly.
 
     ``sample_every`` is the scheduler-driven snapshot facility: it
     appends ``(sim_time, snapshot)`` pairs to :attr:`samples` at a fixed
@@ -198,6 +208,10 @@ class MetricsRegistry:
     def __init__(self, max_label_sets=None):
         self._metrics = {}
         self._collectors = []
+        #: Counter -> [(stats dict, key)]: the sources summed into each
+        #: derived counter on collect
+        self._derived = {}
+        self._collecting = False
         #: [(sim_time, snapshot)] appended by the periodic sampler
         self.samples = []
         self._sampler = None
@@ -263,6 +277,21 @@ class MetricsRegistry:
     def histogram(self, name, **labels):
         return self._get("histogram", name, labels)
 
+    def derive_counters(self, stats, families, **labels):
+        """Publish ``stats[key]`` as counter ``families[key]`` with ``labels``.
+
+        ``stats`` stays the layer's own dict: the layer increments it and
+        nothing else, and :meth:`collect` copies the current values.  The
+        counters exist (at zero) from this call on.  Several publishers
+        of one ``(family, labels)`` instance *add* — voters of one group
+        built without a processor label, an object recreated under its
+        old labels, label sets folded into the cap's ``overflow``
+        instance — so a derived counter must not also be ``inc()``-ed.
+        """
+        for key, name in families.items():
+            counter = self.counter(name, **labels)
+            self._derived.setdefault(counter, []).append((stats, key))
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -277,6 +306,7 @@ class MetricsRegistry:
 
     def family(self, name):
         """Every metric instance of family ``name``, sorted by labels."""
+        self.collect()
         return [
             metric
             for key, metric in sorted(self._metrics.items())
@@ -289,6 +319,7 @@ class MetricsRegistry:
 
     def value(self, name, **labels):
         """Value of one counter/gauge instance (0 if never created)."""
+        self.collect()
         key = (name, tuple(sorted(labels.items())))
         metric = self._metrics.get(key)
         return 0 if metric is None else metric.value
@@ -302,11 +333,26 @@ class MetricsRegistry:
         self._collectors.append(fn)
 
     def collect(self):
-        for fn in list(self._collectors):
-            fn(self)
+        """Bring every derived counter and collector-set gauge up to date."""
+        if self._collecting:
+            return  # a collector querying the registry it is refreshing
+        self._collecting = True
+        try:
+            for counter, sources in self._derived.items():
+                # Plain left-to-right addition from the integer 0 (the
+                # builtin sum() compensates float sums since 3.12).
+                value = 0
+                for stats, key in sources:
+                    value += stats[key]
+                counter.value = value
+            for fn in list(self._collectors):
+                fn(self)
+        finally:
+            self._collecting = False
 
     def snapshot(self):
         """Render every metric as a sorted list of plain dicts."""
+        self.collect()
         out = []
         for (name, labels), metric in sorted(self._metrics.items()):
             entry = {"name": name, "kind": metric.kind, "labels": dict(labels)}
@@ -333,7 +379,6 @@ class MetricsRegistry:
                     self._sampler.cancel()
                     self._sampler = None
                 return
-            self.collect()
             self.samples.append((scheduler.now, self.snapshot()))
 
         self._sampler = scheduler.every(period, tick, label="obs.sample")

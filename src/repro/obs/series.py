@@ -120,18 +120,6 @@ class Series:
         """
         return self.value_at(t1) - self.value_at(t0)
 
-    def rate_points(self):
-        """Per-interval rates ``[(time, delta/interval)]`` for counters."""
-        out = []
-        previous = None
-        for point in self.points:
-            if previous is not None and point[0] > previous[0]:
-                out.append(
-                    (point[0], (point[1] - previous[1]) / (point[0] - previous[0]))
-                )
-            previous = point
-        return out
-
     # ------------------------------------------------------------------
     # histogram-specific windows
     # ------------------------------------------------------------------

@@ -81,13 +81,12 @@ class _Batch:
 class Orb:
     """A per-processor Object Request Broker."""
 
-    def __init__(self, processor, scheduler, cost_model=None, batching=None, trace=None):
+    def __init__(self, processor, scheduler, cost_model=None, batching=None):
         self.processor = processor
         self.scheduler = scheduler
         self.costs = cost_model or OrbCostModel()
         self.batching = batching or BatchingPolicy()
         self.adapter = ObjectAdapter()
-        self._trace = trace
         self._transport = None
         self._next_request_id = 0
         self._pending_replies = {}
@@ -162,14 +161,6 @@ class Orb:
         self.stats["requests_sent"] += 1
         if source_key is None:
             source_key = self._current_source_key
-        if self._trace is not None and self._trace.active:
-            self._trace.record(
-                "orb.request",
-                proc=self.processor.proc_id,
-                op=operation.name,
-                request_id=request_id,
-                oneway=reply_handler is None,
-            )
         if operation.oneway and self.batching.max_messages > 1:
             self._enqueue_batch(reference, frame, source_key)
         else:
@@ -265,14 +256,6 @@ class Orb:
         finally:
             self._current_source_key = previous_source
         self.stats["requests_served"] += 1
-        if self._trace is not None and self._trace.active:
-            self._trace.record(
-                "orb.served",
-                proc=self.processor.proc_id,
-                op=request.operation,
-                object_key=request.object_key,
-                request_id=request.request_id,
-            )
         if request.response_expected and reply_sink is not None:
             reply = ReplyMessage(request.request_id, status, result_body)
             reply_frame = reply.encode()

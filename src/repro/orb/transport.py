@@ -91,19 +91,3 @@ class DirectTransport(Transport):
         for frame in frames:
             self._orb.deliver_frame(frame, sink)
 
-
-class LoopbackTransport(Transport):
-    """Delivers frames to a co-located ORB directly (unit tests)."""
-
-    def __init__(self):
-        self._orb = None
-        self.sent = []
-
-    def attach(self, orb):
-        self._orb = orb
-
-    def send_frames(self, reference, frames, source_key):
-        self.sent.append((reference, list(frames), source_key))
-        reply_sink = lambda reply_frame: self._orb.deliver_frame(reply_frame, None)
-        for frame in frames:
-            self._orb.deliver_frame(frame, reply_sink)

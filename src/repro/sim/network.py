@@ -100,15 +100,14 @@ class Network:
             "bytes_sent": 0,
         }
         if obs is not None:
-            registry = obs.registry
-            self._m_frames_sent = registry.counter("net.frames_sent")
-            self._m_bytes_sent = registry.counter("net.bytes_sent")
-            self._m_delivered = registry.counter("net.frames_delivered")
-            self._m_dropped = registry.counter("net.frames_dropped")
-            self._m_corrupted = registry.counter("net.frames_corrupted")
-            registry.add_collector(self._collect_metrics)
-        else:
-            self._m_frames_sent = None
+            obs.registry.derive_counters(self.stats, {
+                "sent": "net.frames_sent",
+                "bytes_sent": "net.bytes_sent",
+                "delivered": "net.frames_delivered",
+                "dropped": "net.frames_dropped",
+                "corrupted": "net.frames_corrupted",
+            })
+            obs.registry.add_collector(self._collect_metrics)
 
     def _collect_metrics(self, registry):
         registry.gauge("net.medium_busy_until").set(self._medium_free_at)
@@ -156,9 +155,6 @@ class Network:
         payload = bytes(payload)
         self.stats["sent"] += 1
         self.stats["bytes_sent"] += len(payload) + self.params.header_bytes
-        if self._m_frames_sent is not None:
-            self._m_frames_sent.inc()
-            self._m_bytes_sent.inc(len(payload) + self.params.header_bytes)
         now = self.scheduler.now
         start = max(now, self._medium_free_at)
         end = start + self.params.transmit_time(len(payload))
@@ -173,20 +169,12 @@ class Network:
         plan = self._fault_plan
         if plan is not None and plan.should_drop(src_id, dst_id, self.scheduler.now, rng):
             self.stats["dropped"] += 1
-            if self._m_frames_sent is not None:
-                self._m_dropped.inc()
-            if self._trace is not None and self._trace.active:
-                self._trace.record("net.drop", src=src_id, dst=dst_id, port=dst_port)
             return
         datagram = Datagram(src_id, dst_id, dst_port, payload, sent_at)
         if plan is not None and plan.should_corrupt(src_id, dst_id, self.scheduler.now, rng):
             datagram.payload = _flip_bytes(payload, rng if rng is not None else _REQUIRED_RNG())
             datagram.corrupted = True
             self.stats["corrupted"] += 1
-            if self._m_frames_sent is not None:
-                self._m_corrupted.inc()
-            if self._trace is not None and self._trace.active:
-                self._trace.record("net.corrupt", src=src_id, dst=dst_id, port=dst_port)
         delay = self.params.propagation_delay
         if self.params.jitter and rng is not None:
             delay += rng.uniform(0.0, self.params.jitter)
@@ -205,8 +193,6 @@ class Network:
         if receiver is None or receiver.crashed:
             return
         self.stats["delivered"] += 1
-        if self._m_frames_sent is not None:
-            self._m_delivered.inc()
         if self._trace is not None and self._trace.active:
             self._trace.record(
                 "net.deliver", src=datagram.src, dst=dst_id, port=datagram.dst_port

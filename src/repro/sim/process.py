@@ -54,9 +54,6 @@ class Processor:
             )
         self._handlers[port] = fn
 
-    def unregister_handler(self, port):
-        self._handlers.pop(port, None)
-
     def deliver(self, datagram):
         """Entry point used by the network to hand a datagram to this host."""
         if self.crashed:

@@ -2,10 +2,36 @@
 
 The property tables of the paper (Tables 2, 4 and 5) are statements
 about *histories*: which processor delivered which message in which
-order, which memberships were installed, who was suspected when.  Every
-protocol layer appends :class:`TraceRecord` entries to a shared
-:class:`TraceLog`; the property checkers in ``tests/properties`` and
-the table benches then assert over the completed history.
+order, which memberships were installed, who was suspected when.  The
+protocol layers append :class:`TraceRecord` entries to a shared
+:class:`TraceLog`; the property checkers in ``repro.bench.properties``
+and the tests then assert over the completed history.
+
+A kind is recorded only if something reads it — a record with no reader
+recognises nothing and is paid for at every site.  These are all the
+kinds there are (``tests/unit/test_trace_kinds.py`` holds the record
+sites to this table, to the one in docs/OBSERVABILITY.md and to the
+readers); a new kind arrives together with its reader:
+
+===========================  ==========================================
+kind                         read by
+===========================  ==========================================
+``multicast.deliver``        Table 2 checkers (``bench.properties``)
+``membership.install``       Table 4 checkers (``bench.properties``)
+``detector.suspect``         Table 5 checkers (``bench.properties``)
+``detector.absolve``         Table 5 checkers (``bench.properties``)
+``token.send``               ``test_obs_end_to_end`` (counter oracle)
+``token.accept``             ``test_obs_end_to_end`` (counter oracle)
+``rm.invoke``                ``test_obs_end_to_end`` (counter oracle)
+``membership.join_refused``  ``test_rejoin``
+``net.send``                 ``test_network``
+``net.deliver``              ``test_network``
+===========================  ==========================================
+
+Everything else a layer can tell goes to the metrics registry (through
+its ``stats`` dict), to the flight recorders of
+:mod:`repro.obs.forensics` or to the causal trace of
+:mod:`repro.obs.trace`.
 """
 
 from collections import deque

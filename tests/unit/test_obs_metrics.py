@@ -206,3 +206,147 @@ def test_overflow_instance_kind_conflict_is_an_error():
         registry.counter("mixed", op=1)
     with pytest.raises(ValueError):
         registry.gauge("mixed", op=2)
+
+
+# ----------------------------------------------------------------------
+# derived counters: a layer's ``stats`` dict published by the registry
+# ----------------------------------------------------------------------
+
+
+def test_derived_counters_exist_at_zero_and_follow_their_stats():
+    registry = MetricsRegistry()
+    stats = {"sent": 0, "dropped": 0, "private": 0}
+    registry.derive_counters(
+        stats, {"sent": "net.frames_sent", "dropped": "net.frames_dropped"}, proc=2
+    )
+    # Registered at zero, before anything was counted, and only the
+    # mapped keys are published.
+    assert [(e["name"], e["labels"], e["value"]) for e in registry.snapshot()] == [
+        ("net.frames_dropped", {"proc": 2}, 0),
+        ("net.frames_sent", {"proc": 2}, 0),
+    ]
+    stats["sent"] += 3
+    stats["private"] += 1
+    assert registry.value("net.frames_sent", proc=2) == 3
+    assert registry.value("net.frames_dropped", proc=2) == 0
+
+
+def test_two_publishers_of_one_instance_add():
+    registry = MetricsRegistry()
+    families = {"copies": "vote.copies"}
+    # Two voters of one group built without a processor label share
+    # vote.copies{group=G}; a third has its own instance.
+    first, second, other = {"copies": 2}, {"copies": 5}, {"copies": 1}
+    registry.derive_counters(first, families, group="G")
+    registry.derive_counters(second, families, group="G")
+    registry.derive_counters(other, families, group="H")
+    assert registry.value("vote.copies", group="G") == 7
+    assert registry.total("vote.copies") == 8
+    first["copies"] += 1
+    second["copies"] += 1
+    assert registry.value("vote.copies", group="G") == 9
+
+
+def test_recreated_publisher_keeps_counting():
+    registry = MetricsRegistry()
+    families = {"delivered": "rm.delivered_to_orb"}
+    old = {"delivered": 4}
+    registry.derive_counters(old, families, proc=1)
+    assert registry.value("rm.delivered_to_orb", proc=1) == 4
+    # The object is rebuilt under its old labels: the counter goes on
+    # from what the first incarnation counted, never back to zero.
+    new = {"delivered": 0}
+    registry.derive_counters(new, families, proc=1)
+    assert registry.value("rm.delivered_to_orb", proc=1) == 4
+    new["delivered"] += 2
+    assert registry.value("rm.delivered_to_orb", proc=1) == 6
+
+
+def test_overflow_instance_sums_every_folded_publisher():
+    registry = MetricsRegistry(max_label_sets=2)
+    families = {"ops": "per_op"}
+    stats = [{"ops": n + 1} for n in range(5)]
+    with pytest.warns(RuntimeWarning, match="exceeded 2 label sets"):
+        for n, entry in enumerate(stats):
+            registry.derive_counters(entry, families, op=n)
+    assert registry.value("per_op", op=0) == 1
+    assert registry.value("per_op", op=1) == 2
+    # Label sets 2, 3 and 4 were refused and share the overflow
+    # instance, which keeps summing all three.
+    assert registry.value("per_op", overflow=True) == 3 + 4 + 5
+    assert len(registry.family("per_op")) == 3
+    stats[2]["ops"] += 10
+    stats[4]["ops"] += 100
+    assert registry.value("per_op", overflow=True) == 3 + 4 + 5 + 110
+    assert registry.total("per_op") == 125
+
+
+def test_float_family_is_bit_equal_to_pushed_increments():
+    costs = [0.1, 0.2, 0.30000000000000004, 1e-9, 7e-5, 3.3e-4] * 50
+    pushed = MetricsRegistry().counter("crypto.seconds", op="sign")
+    registry = MetricsRegistry()
+    seconds = {"sign": 0, "verify": 0}
+    for op in seconds:
+        registry.derive_counters(seconds, {op: "crypto.seconds"}, op=op)
+    for cost in costs:
+        pushed.inc(cost)
+        seconds["sign"] += cost
+    # One publisher: the counter *is* the layer's own accumulation, so
+    # the export is the same float to the last bit, and a family nobody
+    # charged still exports the integer 0 (not 0.0).
+    assert registry.value("crypto.seconds", op="sign") == pushed.value
+    assert repr(registry.value("crypto.seconds", op="sign")) == repr(pushed.value)
+    untouched = registry.snapshot()[1]
+    assert untouched["labels"] == {"op": "verify"}
+    assert repr(untouched["value"]) == "0"
+
+
+def test_every_query_reads_fresh_counters_and_gauges():
+    registry = MetricsRegistry()
+    stats = {"sent": 0}
+    state = {"depth": 0}
+    registry.derive_counters(stats, {"sent": "sent"}, proc=0)
+    registry.add_collector(lambda reg: reg.gauge("depth", proc=0).set(state["depth"]))
+
+    # No collect() anywhere: each query refreshes the derived counter
+    # and the collector-set gauge beside it before answering.
+    stats["sent"], state["depth"] = 1, 10
+    assert registry.value("sent", proc=0) == 1
+    assert registry.value("depth", proc=0) == 10
+    stats["sent"], state["depth"] = 2, 20
+    assert registry.total("sent") == 2
+    assert registry.total("depth") == 20
+    stats["sent"], state["depth"] = 3, 30
+    assert [m.value for m in registry.family("sent")] == [3]
+    stats["sent"], state["depth"] = 4, 40
+    assert [m.value for m in registry.family("depth")] == [40]
+    stats["sent"], state["depth"] = 5, 50
+    assert {e["name"]: e["value"] for e in registry.snapshot()} == {
+        "sent": 5,
+        "depth": 50,
+    }
+
+
+def test_collector_may_query_the_registry_it_refreshes():
+    registry = MetricsRegistry()
+    stats = {"sent": 6, "lost": 2}
+    registry.derive_counters(stats, {"sent": "sent", "lost": "lost"})
+    registry.add_collector(
+        lambda reg: reg.gauge("loss_frac").set(reg.value("lost") / reg.value("sent"))
+    )
+    assert registry.value("loss_frac") == 2 / 6
+    stats["lost"] = 3
+    assert registry.value("loss_frac") == 3 / 6
+
+
+def test_ring_scoped_view_stamps_its_labels_on_derived_counters():
+    from repro.cluster.obsbridge import RingScopedRegistry
+
+    root = MetricsRegistry()
+    stats = {"delivered": 0}
+    RingScopedRegistry(root, ring_index=1, site="east").derive_counters(
+        stats, {"delivered": "multicast.delivered"}, proc=4
+    )
+    stats["delivered"] += 5
+    assert root.value("multicast.delivered", proc=4, ring=1, site="east") == 5
+    assert root.value("multicast.delivered", proc=4) == 0

@@ -156,20 +156,3 @@ def test_base_stays_in_sync_with_histogram():
     from repro.obs import series as series_mod
 
     assert series_mod._HISTOGRAM_BASE == Histogram.BASE
-
-
-def test_ring_scoped_registry_passes_series_sampling_through():
-    from repro.cluster.obsbridge import RingScopedRegistry
-
-    scheduler = Scheduler()
-    root = MetricsRegistry()
-    view = RingScopedRegistry(root, ring_index=1)
-    sampler = view.sample_series(scheduler, period=0.5)
-    assert view.series_sampler is sampler is root.series_sampler
-    view.counter("sent").inc(3)
-    scheduler.run(until=0.5)
-    series = sampler.family("sent")
-    assert len(series) == 1
-    # The ring label the view stamps survives into the series key.
-    assert dict(series[0].labels) == {"ring": 1}
-    assert series[0].value_at(0.5) == 3
