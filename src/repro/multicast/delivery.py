@@ -95,6 +95,10 @@ class DeliveryProtocol:
         self.scheduler = scheduler
         self.network = network
         self.signing = signing
+        #: structural hashing for chain and vouch comparison: the
+        #: keystore's digest function, uncharged (verification and
+        #: origination charge the simulated digest time themselves)
+        self._digest_of = signing.digest_fn
         self.config = config
         self.detector = detector
         self.deliver_cb = deliver_cb
@@ -403,7 +407,7 @@ class DeliveryProtocol:
             self._on_token_batch(token, raw)
             return
         if self._signatures:
-            if not self.signing.verify(token.sender_id, token.signable_bytes(), token.signature):
+            if not self.signing.verify(token.sender_id, token.sealed_bytes(), token.signature):
                 return
         if not token.well_formed(self.members):
             self.detector.suspect(token.sender_id, "malformed_token")
@@ -473,7 +477,7 @@ class DeliveryProtocol:
                 token.signature
                 and token.sender_id in self.members
                 and self.signing.verify(
-                    token.sender_id, token.signable_bytes(), token.signature
+                    token.sender_id, token.sealed_bytes(), token.signature
                 )
             ):
                 self._convict(token.sender_id, "malformed_token")
@@ -529,7 +533,7 @@ class DeliveryProtocol:
         if self._cert_raws.get(key) == raw:
             return  # duplicate (retransmission or recovery overlap)
         if not self.signing.verify_batch(
-            cert.signer_id, cert.signable_bytes(), cert.signature, len(cert.digests)
+            cert.signer_id, cert.sealed_bytes(), cert.signature, len(cert.digests)
         ):
             return
         if self._forensics is not None:
@@ -545,26 +549,38 @@ class DeliveryProtocol:
 
     def _apply_vouches(self, cert):
         """Record a verified certificate's per-visit digest claims."""
-        if cert.first_visit < self._history_low:
-            self._history_low = cert.first_visit
+        first = cert.first_visit
+        if first < self._history_low:
+            self._history_low = first
+        # Every certificate re-vouches the whole token history, so this
+        # loop runs ~64 entries per receipt: an entry already known from
+        # this signer costs a probe and a compare.  The tables are only
+        # ever cleared in place, never rebound.
+        signer = cert.signer_id
+        claims_by_visit = self._vouch_claims
+        raw_by_visit = self._token_raw_by_visit
+        variants = self._token_variants
+        digest_of = self._digest_of
         conflicted = []
-        for visit, digest in cert.entries():
+        for visit, digest in enumerate(cert.digests, first):
             if visit < 1:
                 continue
-            claims = self._vouch_claims.setdefault(visit, {})
-            existing = claims.get(cert.signer_id)
+            claims = claims_by_visit.get(visit)
+            if claims is None:
+                claims = claims_by_visit[visit] = {}
+            existing = claims.get(signer)
             if existing is not None:
                 if existing != digest:
                     # One signer vouching two digests for one visit:
                     # provable certificate equivocation.
-                    self._convict(cert.signer_id, "mutant_token")
+                    self._convict(signer, "mutant_token")
                 continue
-            claims[cert.signer_id] = digest
-            stored = self._token_raw_by_visit.get(visit)
+            claims[signer] = digest
+            stored = raw_by_visit.get(visit)
             if (
-                visit in self._token_variants
-                or len(set(claims.values())) > 1
-                or (stored is not None and self._digest_of(stored) != digest)
+                visit in variants
+                or (len(claims) > 1 and len(set(claims.values())) > 1)
+                or (stored is not None and digest_of(stored) != digest)
             ):
                 conflicted.append(visit)
         for visit in conflicted:
@@ -586,10 +602,12 @@ class DeliveryProtocol:
         claims = self._vouch_claims.get(visit)
         if not claims:
             return None
-        digests = set(claims.values())
-        if len(digests) == 1:
-            return next(iter(digests))
-        return None
+        vouched = iter(claims.values())
+        digest = next(vouched)
+        for other in vouched:
+            if other != digest:
+                return None
+        return digest
 
     def _advance_authentication(self):
         """Advance the contiguous horizon of settled token visits.
@@ -601,15 +619,19 @@ class DeliveryProtocol:
         gap that retransmission repairs (the covering token is resent
         and must then match the vouch to be harvested).
         """
+        vouch_digest = self._vouch_digest
+        raw_by_visit = self._token_raw_by_visit
+        digest_of = self._digest_of
+        nxt = self._auth_visit + 1
         while True:
-            nxt = self._auth_visit + 1
-            digest = self._vouch_digest(nxt)
+            digest = vouch_digest(nxt)
             if digest is None:
                 break
-            raw = self._token_raw_by_visit.get(nxt)
-            if raw is not None and self._digest_of(raw) != digest:
+            raw = raw_by_visit.get(nxt)
+            if raw is not None and digest_of(raw) != digest:
                 break  # contradiction pending evidence resolution
             self._auth_visit = nxt
+            nxt += 1
 
     def _note_variant(self, visit, raw):
         if visit < self._history_low:
@@ -678,7 +700,7 @@ class DeliveryProtocol:
         if claimed is None or claimed == self._digest_of(raw):
             return
         if not self.signing.verify(
-            token.sender_id, token.signable_bytes(), token.signature
+            token.sender_id, token.sealed_bytes(), token.signature
         ):
             return
         # The sender's verified certificate vouches different bytes for
@@ -750,13 +772,15 @@ class DeliveryProtocol:
             return
         newest = newest_token.visit
         floor = max(1, newest - min(_TOKEN_HISTORY, MAX_CERT_SPAN) + 1)
+        raw_by_visit = self._token_raw_by_visit
+        digest_of = self._digest_of
         digests = []
         visit = newest
         while visit >= floor:
-            raw = self._token_raw_by_visit.get(visit)
+            raw = raw_by_visit.get(visit)
             if raw is None:
                 break  # a gap ends the contiguous span we can vouch
-            digests.append(self._digest_of(raw))
+            digests.append(digest_of(raw))
             visit -= 1
         if not digests:
             return
@@ -766,10 +790,9 @@ class DeliveryProtocol:
             return  # nothing new since our previous certificate
         digests.reverse()
         cert = TokenCertificate(self.my_id, self.ring_id, first, digests)
-        cert.signature = self.signing.sign_batch(
-            cert.signable_bytes(), len(digests)
+        raw = cert.encode_signed(
+            lambda signable: self.signing.sign_batch(signable, len(digests))
         )
-        raw = cert.encode()
         self._last_cert_span = span
         self._last_cert_raw = raw
         self._cert_raws[(self.my_id, first, newest)] = raw
@@ -795,19 +818,20 @@ class DeliveryProtocol:
                 send_at, self._transmit_frames, [raw], label="cert.transmit"
             )
         # Our own broadcast does not loop back: apply the vouches here.
-        for vouch_visit, digest in cert.entries():
-            self._vouch_claims.setdefault(vouch_visit, {})[self.my_id] = digest
+        my_id = self.my_id
+        claims_by_visit = self._vouch_claims
+        for vouch_visit, digest in enumerate(digests, first):
+            claims = claims_by_visit.get(vouch_visit)
+            if claims is None:
+                claims_by_visit[vouch_visit] = {my_id: digest}
+            else:
+                claims[my_id] = digest
         self._advance_authentication()
         self._advance_delivery()
 
     # ------------------------------------------------------------------
     # token acceptance and origination
     # ------------------------------------------------------------------
-
-    def _digest_of(self, data):
-        # Structural hashing for chain comparison; uses the keystore's
-        # digest function without charging (already charged at verify).
-        return self.signing.digest_fn(data)
 
     def _absorb_historical_token(self, token, raw):
         """Recover the digest list of a token missed earlier."""
@@ -973,9 +997,10 @@ class DeliveryProtocol:
         if self._signatures and not self._batch:
             # Batch mode circulates tokens unsigned; authentication
             # arrives on periodic certificates instead.
-            token.signature = self.signing.sign(token.signable_bytes())
+            raw = token.encode_signed(self.signing.sign)
             self.stats["tokens_signed"] += 1
-        raw = token.encode()
+        else:
+            raw = token.encode()
         # The visit's frames (retransmissions, new messages, then the
         # token — Figure 6 of the paper) leave the processor only once
         # the CPU has actually finished the visit's protocol work, so

@@ -164,6 +164,9 @@ class MessageFragment:
         self.payload = payload
 
     def encode(self):
+        return _seeded(self._encode(), self)
+
+    def _encode(self):
         encoder = CdrEncoder()
         encoder.write_octet(FRAME_FRAGMENT)
         encoder.write_ulong(self.sender_id)
@@ -174,7 +177,7 @@ class MessageFragment:
         encoder.write_ulong(self.frag_index)
         encoder.write_ulong(self.frag_total)
         encoder.write_octets(self.payload)
-        return _seeded(encoder.getvalue(), self)
+        return encoder.getvalue()
 
     @classmethod
     def decode(cls, decoder):
@@ -265,6 +268,8 @@ class MembershipProposal:
         encoder.write_octets(_int_to_octets(self.signature))
         return encoder.getvalue()
 
+    _encode = encode  # seeds no memo: already what ``decode_frame`` re-checks against
+
     @classmethod
     def decode(cls, decoder):
         signable = decoder.read("octets")
@@ -323,6 +328,8 @@ class JoinRequest:
         encoder.write_octets(_int_to_octets(self.signature))
         return encoder.getvalue()
 
+    _encode = encode  # seeds no memo: already what ``decode_frame`` re-checks against
+
     @classmethod
     def decode(cls, decoder):
         signable = decoder.read("octets")
@@ -364,6 +371,8 @@ class MembershipCommit:
         encoder.write(("sequence", "octets"), self.proposal_frames)
         return encoder.getvalue()
 
+    _encode = encode  # seeds no memo: already what ``decode_frame`` re-checks against
+
     @classmethod
     def decode(cls, decoder):
         return cls(
@@ -402,7 +411,24 @@ def _octets_to_int(data):
 
 
 def decode_frame(data):
-    """Parse one multicast frame; raises MulticastCodecError on garbage."""
+    """Parse one multicast frame; raises MulticastCodecError on garbage.
+
+    Only the canonical encoding of a frame is a frame.  The parser skips
+    CDR padding and whatever follows the last field, while digests and
+    the mutant-token comparison are over the raw bytes and signatures
+    over the *re-encoding* of the parsed fields: a token with one padding
+    bit flipped in transit would verify, differ from the stored copy of
+    its visit, and convict its honest holder.  So bytes that do not
+    re-encode to themselves are rejected here, as corruption, before any
+    protocol layer sees them.  (The check does not seal the frame.)
+    """
+    frame = _parse_frame(data)
+    if frame._encode() != data:
+        raise MulticastCodecError("non-canonical %s frame" % type(frame).__name__)
+    return frame
+
+
+def _parse_frame(data):
     from repro.multicast.token import Token, TokenCertificate  # local import to avoid a cycle
 
     decoder = CdrDecoder(data)
@@ -442,7 +468,9 @@ def _seeded(raw, frame):
     (``tests/properties/test_frame_roundtrip.py``), so the receivers of
     an uncorrupted broadcast need not parse it at all.  Only the hot
     frame kinds seed: regular messages, fragments, tokens and token
-    certificates.  A frame must not be changed after it is encoded.
+    certificates.  A frame must not be changed after it is encoded
+    (tokens and certificates rely on it twice: receivers also verify
+    over the signable bytes ``encode()`` sealed them with).
     """
     _FRAME_CACHE.put(raw, frame)
     return raw

@@ -38,7 +38,54 @@ DIGEST_ENTRY_TAG = ("struct", (("seq", "ulonglong"), ("digest", "octets")))
 MAX_CERT_SPAN = 1024
 
 
-class Token:
+class _SignedFrame:
+    """The framing tokens and certificates share, and its seal.
+
+    On the wire a signed frame is its type octet, the signable bytes
+    and the signature.  ``encode()`` *seals* the frame: it keeps the
+    signable bytes it just wrote, so the receivers of an uncorrupted
+    broadcast — who are handed this very object by the decode memo and
+    may not change it (``_seeded``) — check the signature over those
+    bytes instead of running the CDR encoder once each.  A frame parsed
+    off the wire is not sealed; :meth:`signable_bytes` stays a pure
+    function of the fields.
+    """
+
+    __slots__ = ("_sealed",)
+
+    def _encode(self, signable=None):
+        """The wire bytes; seals nothing and seeds no memo."""
+        encoder = CdrEncoder()
+        encoder.write_octet(self.frame_type)
+        encoder.write_octets(self.signable_bytes() if signable is None else signable)
+        encoder.write_octets(_int_to_octets(self.signature))
+        return encoder.getvalue()
+
+    def _seal(self, signable):
+        """Frame ``signable``, the encoding of the fields as they are now."""
+        self._sealed = signable
+        return _seeded(self._encode(signable), self)
+
+    def encode(self):
+        return self._seal(self.signable_bytes())
+
+    def encode_signed(self, sign):
+        """Set the signature and encode, over one encoding of the fields.
+
+        ``sign`` maps the signable bytes to the signature.
+        """
+        signable = self.signable_bytes()
+        self.signature = sign(signable)
+        return self._seal(signable)
+
+    def sealed_bytes(self):
+        """What the signature is checked over: the signable bytes
+        ``encode()`` wrote, recomputed for a frame that was parsed."""
+        sealed = self._sealed
+        return self.signable_bytes() if sealed is None else sealed
+
+
+class Token(_SignedFrame):
     """One visit's token."""
 
     frame_type = FRAME_TOKEN
@@ -93,6 +140,7 @@ class Token:
         self.message_digest_list = list(message_digest_list)
         self.prev_token_digest = prev_token_digest
         self.signature = signature
+        self._sealed = None
         #: the membership :meth:`well_formed` last checked against
         self._form_members = None
         self._form_ok = False
@@ -129,13 +177,6 @@ class Token:
             encoder.write_octets(digest)
         encoder.write_octets(self.prev_token_digest)
         return encoder.getvalue()
-
-    def encode(self):
-        encoder = CdrEncoder()
-        encoder.write_octet(FRAME_TOKEN)
-        encoder.write_octets(self.signable_bytes())
-        encoder.write_octets(_int_to_octets(self.signature))
-        return _seeded(encoder.getvalue(), self)
 
     @classmethod
     def decode(cls, decoder):
@@ -244,7 +285,7 @@ class Token:
         )
 
 
-class TokenCertificate:
+class TokenCertificate(_SignedFrame):
     """One RSA signature vouching a contiguous span of token visits.
 
     The flat batch-signature scheme (after MABS): with
@@ -275,6 +316,7 @@ class TokenCertificate:
         #: digest of the raw token frame of each visit, in visit order
         self.digests = list(digests)
         self.signature = signature
+        self._sealed = None
 
     @property
     def last_visit(self):
@@ -295,13 +337,6 @@ class TokenCertificate:
         for digest in self.digests:
             encoder.write_octets(digest)
         return encoder.getvalue()
-
-    def encode(self):
-        encoder = CdrEncoder()
-        encoder.write_octet(FRAME_CERTIFICATE)
-        encoder.write_octets(self.signable_bytes())
-        encoder.write_octets(_int_to_octets(self.signature))
-        return _seeded(encoder.getvalue(), self)
 
     @classmethod
     def decode(cls, decoder):

@@ -287,20 +287,17 @@ class TraceCollector:
     def certified(self, cert_info, shard=0):
         """A :class:`TokenCertificate` vouched a span of token visits."""
         node_key = ("cert", cert_info["signer"], shard, cert_info["first_visit"])
+        now = self._now
         for visit in range(cert_info["first_visit"], cert_info["last_visit"] + 1):
             for key, phase in self._visit_bindings.get((shard, visit), ()):
                 trace = self._traces.get(key)
                 if trace is None:
                     continue
-                token_key = ("token", phase, shard, visit)
-                entry, created = trace.node(node_key, self._now,
-                                            parents=(token_key,))
+                # node() draws the token -> certificate edge itself
+                entry, created = trace.node(node_key, now,
+                                            parents=(("token", phase, shard, visit),))
                 if created:
                     entry["attrs"].update(cert_info)
-                else:
-                    token_entry = trace.nodes.get(token_key)
-                    if token_entry is not None:
-                        trace.edge(token_entry["id"], entry["id"])
 
     def retransmitted(self, seq, sender, shard=0):
         """``seq`` was re-sent to service a retransmission request.

@@ -21,9 +21,12 @@ differ.
 
 The frame-decode memo is *seeded* by ``encode()``: receivers of an
 uncorrupted broadcast are handed the originator's own object and parse
-nothing.  The last test poisons that seed and requires the comparison
-above to notice; the one after it flips one bit of every digest the
-selected MD4 backend returns and requires the same.
+nothing.  ``encode()`` also *seals* tokens and certificates with the
+signable bytes it wrote, which those receivers verify signatures over;
+with the memos defeated every receiver parses an unsealed object of its
+own, so the comparison above covers the seal too.  The last three tests
+poison the seed, the seal and — one bit of every digest — the selected
+MD4 backend, and require the comparison to notice.
 """
 
 import json
@@ -183,6 +186,35 @@ def test_a_poisoned_frame_seed_is_caught(tmp_path, monkeypatch):
     memoised = _run(two_ring_digests_drill, tmp_path / "poisoned.jsonl")
     defeat_memos(monkeypatch)
     defeated = _run(two_ring_digests_drill, tmp_path / "defeated.jsonl")
+    assert memoised != defeated
+
+
+def test_a_poisoned_seal_is_caught(tmp_path, monkeypatch):
+    """The batch intrusion drill is sensitive to what ``encode()`` seals.
+
+    Receivers of an uncorrupted certificate check its signature over the
+    signable bytes the issuer's ``encode()`` kept on the shared object,
+    not over a re-encoding of their own.  Seal every certificate with
+    the bytes of one that vouches a different first digest: no receiver
+    can verify anything, so nothing is ever authenticated.  With the
+    memos defeated every receiver parses an unsealed object of its own
+    and the poison is never read, so the two runs must differ.
+    """
+    real_seal = token.TokenCertificate._seal
+
+    def poisoned(self, signable):
+        raw = real_seal(self, signable)
+        other = bytes(byte ^ 0xFF for byte in self.digests[0])
+        self._sealed = token.TokenCertificate(
+            self.signer_id, self.ring_id, self.first_visit, [other] + self.digests[1:]
+        ).signable_bytes()
+        return raw
+
+    monkeypatch.setattr(token.TokenCertificate, "_seal", poisoned)
+    perf.clear_caches()
+    memoised = _run(batch_intrusion_drill, tmp_path / "poisoned.jsonl")
+    defeat_memos(monkeypatch)
+    defeated = _run(batch_intrusion_drill, tmp_path / "defeated.jsonl")
     assert memoised != defeated
 
 

@@ -15,6 +15,7 @@ from repro.multicast.adversary import (
     SilentBehaviour,
 )
 from repro.multicast.config import SecurityLevel
+from repro.multicast.messages import MULTICAST_PORT
 from repro.sim.faults import FaultPlan, LinkFaults
 from tests.support import MulticastWorld
 
@@ -49,6 +50,35 @@ def test_message_corruption_detected_by_digests():
     for pid in range(4):
         assert world.delivered_payloads(pid) == expected
     assert delivery_violations(world.trace, set(range(4))) == []
+
+
+@pytest.mark.parametrize("security", [SecurityLevel.SIGNATURES, SecurityLevel.DIGESTS])
+def test_padding_flipped_in_transit_convicts_nobody(security):
+    """Every receiver is re-sent the newest token with one bit of the
+    CDR padding after its type octet flipped: same fields, same valid
+    signature, other bytes.  That is line noise, not equivocation — no
+    correct holder may be suspected, let alone excluded (Table 5)."""
+    world = MulticastWorld(num=4, security=security, seed=9).start()
+    expected = pump_messages(world, count=6)
+
+    def resend_with_flipped_padding():
+        delivery = world.endpoints[0].delivery
+        holder = delivery._last_accepted.sender_id
+        bad = bytearray(delivery._last_accepted_raw)
+        bad[1] ^= 1
+        for pid in world.endpoints:
+            if pid != holder:
+                world.network.unicast(holder, pid, MULTICAST_PORT, bytes(bad))
+
+    for at in (0.2, 0.25, 0.3):
+        world.scheduler.at(at, resend_with_flipped_padding)
+    world.run(until=3.0)
+    for pid, endpoint in world.endpoints.items():
+        assert endpoint.detector.suspects() == set()
+        assert endpoint.members == (0, 1, 2, 3)
+        assert world.memberships[pid] == world.memberships[0]
+        assert world.delivered_payloads(pid) == expected
+    assert detector_violations(world.trace, set(range(4)), faulty=set()) == []
 
 
 def test_processor_crash_is_excluded_and_ring_continues():

@@ -12,6 +12,7 @@ from repro.core.value_fault import ValueFaultCodecError, ValueFaultVote
 from repro.multicast.messages import MulticastCodecError, decode_frame
 from repro.orb.giop import GiopError, RequestMessage, decode_message
 from repro.orb.transport import split_frames
+from tests.properties.test_frame_roundtrip import _certificate, _fragment, _regular, _token
 
 _SETTINGS = dict(max_examples=300)
 
@@ -88,3 +89,25 @@ def test_bitflipped_multicast_frames_fail_cleanly(payload, bit_position):
         return
     # If it still parses, it must be a well-typed frame object.
     assert hasattr(decoded, "frame_type")
+
+
+@given(st.one_of(_regular, _fragment, _token, _certificate), st.data())
+@settings(max_examples=600, deadline=None)
+def test_a_mutated_byte_is_rejected_or_is_the_frame_it_decodes_to(frame, data):
+    """Only canonical bytes are a frame.
+
+    Digests and the mutant-token comparison are over raw bytes, token
+    and certificate signatures over the re-encoding of the parsed
+    fields.  A mutation the parser ignored (CDR padding, bytes after the
+    last field, a zero-padded signature) would leave both intact and
+    make two "different" validly signed frames out of one honest one.
+    """
+    raw = bytearray(frame.encode())
+    index = data.draw(st.integers(0, len(raw) - 1), label="index")
+    raw[index] ^= data.draw(st.integers(1, 255), label="flip")
+    mutated = bytes(raw)
+    try:
+        decoded = decode_frame(mutated)
+    except MulticastCodecError:
+        return
+    assert decoded.encode() == mutated

@@ -76,3 +76,27 @@ def test_decoding_an_encoded_frame_rebuilds_it_field_by_field(frame):
         (slot, _typed(value)) for slot, value in _fields(frame)
     ]
     assert parsed.encode() == raw
+
+
+def _rebuilt(frame):
+    """An equal frame built from the same fields, never encoded."""
+    return type(frame)(**dict(_fields(frame)))
+
+
+@given(st.one_of(_token, _certificate))
+@settings(max_examples=200, deadline=None)
+def test_encode_seals_the_signable_bytes_and_parsing_does_not(frame):
+    """``encode()`` keeps the signable bytes it wrote (what receivers of
+    the shared object verify against); they are what ``signable_bytes()``
+    computes from the fields, and a parsed frame recomputes them."""
+    assert frame._sealed is None
+    raw = frame.encode()
+    assert frame._sealed == frame.sealed_bytes() == _rebuilt(frame).signable_bytes()
+    parsed = decode_frame(raw)
+    assert parsed._sealed is None
+    assert parsed.sealed_bytes() == frame._sealed
+    # re-signing: one encoding of the fields, the seal follows the fields
+    resigned = _rebuilt(frame)
+    assert resigned.encode_signed(lambda signable: len(signable)) == resigned._encode()
+    assert resigned.signature == len(frame._sealed)
+    assert resigned._sealed == frame._sealed

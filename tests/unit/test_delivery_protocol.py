@@ -15,7 +15,7 @@ from repro.crypto.keystore import KeyStore
 from repro.multicast.config import MulticastConfig, SecurityLevel
 from repro.multicast.delivery import DeliveryProtocol
 from repro.multicast.detector import ByzantineFaultDetector
-from repro.multicast.messages import RegularMessage, decode_frame
+from repro.multicast.messages import MulticastCodecError, RegularMessage, decode_frame
 from repro.multicast.token import Token
 from repro.sim.network import Network, NetworkParams
 from repro.sim.process import Processor
@@ -214,6 +214,23 @@ def test_mutant_tokens_convict_sender():
     mutant, raw = h.token(1, visit=1, seq=1)  # same visit, different seq
     h.protocol.on_token(mutant, raw)
     assert "mutant_token" in h.detector.reasons_for(1)
+
+
+@pytest.mark.parametrize("security", [SecurityLevel.SIGNATURES, SecurityLevel.DIGESTS])
+def test_a_flipped_padding_bit_never_reaches_the_mutant_check(security):
+    """A token whose CDR padding was flipped in transit re-encodes to the
+    holder's signed fields: accepted as a frame it would verify, differ
+    from the stored copy of its visit, and convict an honest holder of
+    ``mutant_token`` (permanent).  It is not a frame."""
+    h = Harness(security=security)
+    token, raw = h.token(1, visit=1, seq=0)
+    h.protocol.on_token(token, raw)
+    for index in (1, 2, 3):  # the padding after the frame-type octet
+        bad = bytearray(raw)
+        bad[index] ^= 1
+        with pytest.raises(MulticastCodecError, match="non-canonical"):
+            h.protocol.on_token(decode_frame(bytes(bad)), bytes(bad))
+    assert h.detector.suspects() == set()
 
 
 def test_retransmitted_identical_token_is_benign():

@@ -112,3 +112,62 @@ def test_decode_frame_shared_equals_plain_decode():
     shared = decode_frame_shared(data)
     assert decode_frame_shared(data) is shared
     assert shared.encode() == decode_frame(data).encode() == data
+
+
+def _all_frame_kinds():
+    from repro.multicast.messages import JoinRequest, MessageFragment
+    from repro.multicast.token import Token, TokenCertificate
+
+    proposal = MembershipProposal(2, 5, 3, [0, 2, 4], 99, [1, 3], signature=12345)
+    return [
+        RegularMessage(3, 7, 1234, "server-group", b"\x01\x02payload"),
+        MessageFragment(3, 7, 1235, "server-group", 9, 1, 4, b"chunk"),
+        # a non-empty rtr_list puts four more padding bytes inside the signable
+        Token(1, 7, 12, 40, 38, 2, rtr_list=[39], rtg_list=[37],
+              message_digest_list=[(40, b"d" * 16)], prev_token_digest=b"p" * 16,
+              signature=2**200 + 17),
+        TokenCertificate(1, 7, 5, [b"a" * 16, b"b" * 16], signature=2**200 + 17),
+        proposal,
+        JoinRequest(4, 1.25, signature=77),
+        MembershipCommit(0, 5, 3, [proposal.encode()]),
+    ]
+
+
+@pytest.mark.parametrize("frame", _all_frame_kinds(), ids=lambda f: type(f).__name__)
+def test_only_canonical_bytes_decode(frame):
+    """Flip each bit of each byte of each frame kind: the result is
+    rejected or is exactly the encoding of what it decodes to.  Bytes
+    the parser never reads — padding, a tail — are always rejected."""
+    raw = frame._encode()
+    assert decode_frame(raw)._encode() == raw
+    for index in range(len(raw)):
+        for bit in range(8):
+            mutated = bytearray(raw)
+            mutated[index] ^= 1 << bit
+            mutated = bytes(mutated)
+            try:
+                decoded = decode_frame(mutated)
+            except MulticastCodecError:
+                continue
+            assert decoded._encode() == mutated, (index, bit)
+    for index in (1, 2, 3):  # every frame: padding after the type octet
+        mutated = bytearray(raw)
+        mutated[index] = 0x80
+        with pytest.raises(MulticastCodecError, match="non-canonical"):
+            decode_frame(bytes(mutated))
+    with pytest.raises(MulticastCodecError, match="non-canonical"):
+        decode_frame(raw + b"\x00")
+
+
+def test_a_zero_padded_signature_is_not_canonical():
+    """``00 2a`` and ``2a`` are one integer and two byte strings."""
+    from repro.multicast.token import Token
+    from repro.orb.cdr import CdrEncoder
+
+    token = Token(1, 7, 12, 40, 38, 2, signature=42)
+    encoder = CdrEncoder()
+    encoder.write_octet(Token.frame_type)
+    encoder.write_octets(token.signable_bytes())
+    encoder.write_octets(b"\x00\x2a")
+    with pytest.raises(MulticastCodecError, match="non-canonical"):
+        decode_frame(encoder.getvalue())

@@ -146,6 +146,48 @@ def test_assembled_record_closes_and_connects():
     )
 
 
+def test_certificate_draws_each_token_edge_once(monkeypatch):
+    """A certificate spanning three bound visits, then re-vouched: the
+    node and edge lists are pinned, and ``edge`` runs once per
+    token -> certificate pair and observation (``node`` draws it)."""
+    from repro.obs.trace import _TraceDag
+
+    c, clock = collector()
+    key = ("driver", 1)
+    c.begin(key)
+    c.register_payload(b"p", key, "req", ("stage", "multicast_queued"))
+    c.mark_stage(key, "multicast_queued")
+    ctx = c.context_for(b"p")
+    for visit, seq in ((1, 5), (2, 6), (4, 7)):
+        c.copy_sent(ctx, sender=3, seq=seq)
+        c.token_covered(seq, {"holder": 0, "visit": visit, "token_seq": seq})
+    calls = []
+    real_edge = _TraceDag.edge
+
+    def counting_edge(self, parent_id, child_id):
+        calls.append((parent_id, child_id))
+        real_edge(self, parent_id, child_id)
+
+    monkeypatch.setattr(_TraceDag, "edge", counting_edge)
+    cert = {"signer": 2, "first_visit": 1, "last_visit": 4, "count": 4}
+    clock.tick()
+    c.certified(cert)
+    assert calls == [(2, 5), (3, 5), (4, 5)]  # visit 3 was bound to nothing
+    c.certified(cert)  # the overlap of a later certificate: nothing new
+    assert calls == [(2, 5), (3, 5), (4, 5)] * 2
+    trace = c.get(key)
+    assert list(trace.nodes) == [
+        ("stage", "multicast_queued"),
+        ("copy", "req", 0, 3),
+        ("token", "req", 0, 1),
+        ("token", "req", 0, 2),
+        ("token", "req", 0, 4),
+        ("cert", 2, 0, 1),
+    ]
+    assert trace.nodes[("cert", 2, 0, 1)] == {"id": 5, "time": 0.001, "attrs": cert}
+    assert trace.edges == [[0, 1], [1, 2], [1, 3], [1, 4], [2, 5], [3, 5], [4, 5]]
+
+
 def test_retransmission_nodes_count_attempts():
     c, clock = collector()
     key = ("driver", 9)
