@@ -537,7 +537,7 @@ class DeliveryProtocol:
         ):
             return
         if self._forensics is not None:
-            self._forensics.record("batch_verify", **cert.forensic_summary())
+            self._forensics.record_fields("batch_verify", cert.sealed_summary())
         if not cert.well_formed(self.members):
             # Validly signed yet malformed: provable misbehaviour.
             self._convict(cert.signer_id, "malformed_token")
@@ -802,10 +802,10 @@ class DeliveryProtocol:
             self._m_cert_span.observe(len(digests))
         if self._forensics is not None:
             self._forensics.record(
-                "batch_sign", reason=reason, **cert.forensic_summary()
+                "batch_sign", reason=reason, **cert.sealed_summary()
             )
         if self._tracer is not None:
-            self._tracer.certified(cert.trace_summary())
+            self._tracer.certified(cert.sealed_summary())
         # The frame leaves once the CPU finishes the signature — for a
         # backpressure certificate that delay lands on the critical
         # path (before this visit's token), for a cadence certificate
@@ -853,12 +853,8 @@ class DeliveryProtocol:
             self._max_seq_seen = token.seq
         self.stats["token_visits"] += 1
         if self._forensics is not None:
-            self._forensics.set_context(seq=token.seq)
-            self._forensics.record(
-                "token_receive",
-                signed=bool(token.signature),
-                **token.forensic_summary()
-            )
+            self._forensics.seq = token.seq
+            self._forensics.record_fields("token_receive", token.sealed_summary())
         self._strikes = 0
         self._reset_progress_timer()
         self._track_aru_stall(token)
@@ -1029,12 +1025,8 @@ class DeliveryProtocol:
         # per-processor origination count *is* its rotation count.
         self.stats["token_rotations"] += 1
         if self._forensics is not None:
-            self._forensics.set_context(seq=token.seq)
-            self._forensics.record(
-                "token_send",
-                signed=bool(token.signature),
-                **token.forensic_summary()
-            )
+            self._forensics.seq = token.seq
+            self._forensics.record_fields("token_send", token.sealed_summary())
         self._pending_rtr.clear()
         self._strikes = 0
         self._reset_progress_timer()

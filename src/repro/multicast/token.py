@@ -49,9 +49,13 @@ class _SignedFrame:
     bytes instead of running the CDR encoder once each.  A frame parsed
     off the wire is not sealed; :meth:`signable_bytes` stays a pure
     function of the fields.
+
+    The same contract carries the frame's observability summary: every
+    recorder that logs a sealed frame is handed one dict
+    (:meth:`sealed_summary`), built when the first of them asks.
     """
 
-    __slots__ = ("_sealed",)
+    __slots__ = ("_sealed", "_summary")
 
     def _encode(self, signable=None):
         """The wire bytes; seals nothing and seeds no memo."""
@@ -64,6 +68,7 @@ class _SignedFrame:
     def _seal(self, signable):
         """Frame ``signable``, the encoding of the fields as they are now."""
         self._sealed = signable
+        self._summary = None
         return _seeded(self._encode(signable), self)
 
     def encode(self):
@@ -83,6 +88,17 @@ class _SignedFrame:
         ``encode()`` wrote, recomputed for a frame that was parsed."""
         sealed = self._sealed
         return self.signable_bytes() if sealed is None else sealed
+
+    def sealed_summary(self):
+        """:meth:`forensic_summary` for the observability sinks, which
+        keep what they are given: one shared, read-only dict per sealed
+        frame, a dict of the caller's own for a frame that was parsed."""
+        summary = self._summary
+        if summary is None:
+            summary = self.forensic_summary()
+            if self._sealed is not None:
+                self._summary = summary
+        return summary
 
 
 class Token(_SignedFrame):
@@ -140,7 +156,7 @@ class Token(_SignedFrame):
         self.message_digest_list = list(message_digest_list)
         self.prev_token_digest = prev_token_digest
         self.signature = signature
-        self._sealed = None
+        self._sealed = self._summary = None
         #: the membership :meth:`well_formed` last checked against
         self._form_members = None
         self._form_ok = False
@@ -272,6 +288,7 @@ class Token(_SignedFrame):
             "successor": self.successor,
             "rtr": len(self.rtr_list),
             "digests": len(self.message_digest_list),
+            "signed": bool(self.signature),
         }
 
     def __repr__(self):
@@ -316,7 +333,7 @@ class TokenCertificate(_SignedFrame):
         #: digest of the raw token frame of each visit, in visit order
         self.digests = list(digests)
         self.signature = signature
-        self._sealed = None
+        self._sealed = self._summary = None
 
     @property
     def last_visit(self):
@@ -361,17 +378,10 @@ class TokenCertificate(_SignedFrame):
             return False
         return True
 
-    def trace_summary(self):
-        """Attribute dict for a causal-trace certificate node: the span
-        of token visits one batch signature vouches."""
-        return {
-            "signer": self.signer_id,
-            "first_visit": self.first_visit,
-            "last_visit": self.last_visit,
-            "count": len(self.digests),
-        }
-
     def forensic_summary(self):
+        """The span of token visits one batch signature vouches: the
+        flight recorder's fields and a causal-trace certificate node's
+        attributes alike."""
         return {
             "signer": self.signer_id,
             "first_visit": self.first_visit,

@@ -6,13 +6,15 @@ module answers the survivability-analysis questions — *which replica
 lied, when was it suspected, and how long did the ring take to heal?*
 Three pieces:
 
-* a per-processor :class:`FlightRecorder` — a bounded ring buffer of
+* a per-processor :class:`FlightRecorder` — bounded buffers of
   structured protocol events (token send/receive/regenerate, digest
   mismatches, mutant-token detection, Value_Fault_Suspect, voting
   divergence with the offending replica and both value digests,
   membership reconfiguration and installs, delivery commits), each
   stamped with sim-time, processor, ring view id and token sequence,
-  with an explicit drop counter once the buffer wraps;
+  stored as plain rows until a reader asks for events, the per-visit
+  chatter retained apart from everything else, with an explicit drop
+  counter once a buffer wraps;
 * a merge + attribution engine (:func:`merge_timeline`,
   :func:`attribute`) that splices every processor's recorder into one
   totally-ordered timeline, attributes each divergence and suspicion to
@@ -31,6 +33,7 @@ JSON report.  Every event derives from simulated state only, so the
 report is byte-identical across repeated runs.
 """
 
+import itertools
 import json
 from collections import deque
 
@@ -50,6 +53,24 @@ DETECTABLE_KINDS = frozenset(
         "malformed_token",
         "value_fault",
         "unresponsive",
+    }
+)
+
+#: event kinds recorded once per token visit, commit, certificate or
+#: forward — per-processor chatter that outnumbers everything else by
+#: three orders of magnitude.  A recorder keeps them in a buffer of
+#: their own so that they compete only with each other for retention;
+#: every other kind (suspicions, installs, divergences, mismatches ...)
+#: is evicted only by its own kind of news.
+ROUTINE_KINDS = frozenset(
+    {
+        "token_send",
+        "token_receive",
+        "delivery_commit",
+        "batch_sign",
+        "batch_verify",
+        "gateway_forward",
+        "wan_forward",
     }
 )
 
@@ -123,24 +144,37 @@ class ForensicEvent:
 
 
 class FlightRecorder:
-    """Bounded ring buffer of one processor's forensic events.
+    """Bounded buffers of one processor's forensic rows.
 
-    Mirrors the ``TraceLog`` ``max_records`` discipline: once the buffer
-    holds ``capacity`` events, recording a new one evicts the oldest and
-    bumps :attr:`dropped`, remembering the sim-times of the first and
-    last evicted events — truncation is never silent.
+    What is stored is one tuple per record, ``(index, time, ring, seq,
+    shard, etype, fields)``; a :class:`ForensicEvent` exists only once a
+    reader asks for :attr:`events`.  ``fields`` is kept, not copied: a
+    caller that hands in a dict through :meth:`record_fields` (the
+    shared summary of a sealed frame, say) must not change it afterwards.
+
+    Rows live in two buffers of ``capacity`` each, so that per-visit
+    chatter (:data:`ROUTINE_KINDS`) cannot evict the verdicts the
+    scorecard is computed from.  Once a
+    buffer is full, recording into it evicts its oldest row and bumps
+    :attr:`dropped`, and the sim-times of the earliest and latest
+    evicted rows are remembered — truncation is never silent.
+    ``index`` counts this recorder's records and restores the recording
+    order across the two buffers on read.
 
     The recorder also carries the *ring context*: the protocol layers
     update :attr:`ring` and :attr:`seq` as views are installed and
-    tokens pass, and every event is stamped with the context current at
-    its processor, so the merged timeline can be keyed by token
-    sequence without every call site threading the token through.
+    tokens pass, and every row is stamped with the context (and the
+    shard: elastic clusters re-home processors) current at its
+    processor, so the merged timeline can be keyed by token sequence
+    without every call site threading the token through.
     """
 
     __slots__ = (
         "proc_id",
         "capacity",
-        "events",
+        "_routine",
+        "_notable",
+        "_recorded",
         "dropped",
         "first_dropped_time",
         "last_dropped_time",
@@ -153,14 +187,16 @@ class FlightRecorder:
     def __init__(self, proc_id, hub, capacity=DEFAULT_CAPACITY):
         self.proc_id = proc_id
         self.capacity = capacity
-        self.events = deque()
+        self._routine = deque()
+        self._notable = deque()
+        self._recorded = 0
         self.dropped = 0
         self.first_dropped_time = None
         self.last_dropped_time = None
         self.ring = 0
         self.seq = 0
         #: cluster shard (token-ring index) this processor belongs to;
-        #: set once by :mod:`repro.cluster` when the ring is assembled
+        #: set by :mod:`repro.cluster` when the ring is assembled
         self.shard = 0
         self._hub = hub
 
@@ -172,25 +208,43 @@ class FlightRecorder:
             self.seq = seq
 
     def record(self, etype, **fields):
-        event = ForensicEvent(
-            self._hub.now(), self.proc_id, self.ring, self.seq, etype, fields,
-            shard=self.shard,
+        self.record_fields(etype, fields)
+
+    def record_fields(self, etype, fields):
+        """Record ``fields`` as they are: the dict is kept, not copied."""
+        rows = self._routine if etype in ROUTINE_KINDS else self._notable
+        self._recorded = index = self._recorded + 1
+        rows.append(
+            (index, self._hub._scheduler.now, self.ring, self.seq, self.shard, etype, fields)
         )
-        self.events.append(event)
-        if len(self.events) > self.capacity:
-            oldest = self.events.popleft()
+        if len(rows) > self.capacity:
+            evicted = rows.popleft()[1]
             self.dropped += 1
-            if self.first_dropped_time is None:
-                self.first_dropped_time = oldest.time
-            self.last_dropped_time = oldest.time
-        return event
+            if self.first_dropped_time is None or evicted < self.first_dropped_time:
+                self.first_dropped_time = evicted
+            if self.last_dropped_time is None or evicted > self.last_dropped_time:
+                self.last_dropped_time = evicted
+
+    def __len__(self):
+        return len(self._routine) + len(self._notable)
+
+    @property
+    def events(self):
+        """The retained rows as events, in recording order; built per read."""
+        proc = self.proc_id
+        return [
+            ForensicEvent(time, proc, ring, seq, etype, fields, shard)
+            for _, time, ring, seq, shard, etype, fields in sorted(
+                [*self._routine, *self._notable]
+            )
+        ]
 
     def to_dict(self):
         """Buffer health for the report (satellite: no silent loss)."""
         return {
             "proc": self.proc_id,
             "capacity": self.capacity,
-            "events": len(self.events),
+            "events": len(self),
             "dropped_events": self.dropped,
             "first_dropped_time": self.first_dropped_time,
             "last_dropped_time": self.last_dropped_time,
@@ -235,6 +289,12 @@ def fault_id_for(kind, culprit, time):
     return "%s:P%d@%s" % (kind, culprit, stamp or "0")
 
 
+class UnboundClock:
+    """The time source of a hub or collector no scheduler was bound to."""
+
+    now = 0.0
+
+
 class ForensicsHub:
     """All processors' flight recorders plus the injected ground truth.
 
@@ -251,14 +311,14 @@ class ForensicsHub:
         self._recorders = {}
         #: fault_id -> InjectedFault, registered by the injectors
         self._ground_truth = {}
-        self._scheduler = None
+        self._scheduler = UnboundClock
 
     def bind(self, scheduler):
         self._scheduler = scheduler
         return self
 
     def now(self):
-        return self._scheduler.now if self._scheduler is not None else 0.0
+        return self._scheduler.now
 
     def recorder(self, proc_id):
         """Get-or-create the flight recorder for ``proc_id``."""
@@ -294,22 +354,24 @@ def merge_timeline(hub):
     identical list.  The shard precedes the token sequence because every
     ring of a cluster numbers its token sequences from zero: at equal
     sim-times, seq alone would interleave unrelated rings' events
-    non-causally.
+    non-causally.  The fields are serialised only to order events that
+    tie on everything before them.
     """
     events = []
     for recorder in hub.recorders():
         events.extend(recorder.events)
-    events.sort(
-        key=lambda e: (
-            e.time,
-            e.shard,
-            e.seq,
-            e.proc,
-            e.etype,
-            json.dumps(_jsonable(e.fields), sort_keys=True),
-        )
-    )
-    return events
+    events.sort(key=_merge_prefix)
+    merged = []
+    for _, tied in itertools.groupby(events, _merge_prefix):
+        tied = list(tied)
+        if len(tied) > 1:
+            tied.sort(key=lambda e: json.dumps(_jsonable(e.fields), sort_keys=True))
+        merged += tied
+    return merged
+
+
+def _merge_prefix(event):
+    return (event.time, event.shard, event.seq, event.proc, event.etype)
 
 
 def _final_accusations(timeline):
@@ -561,7 +623,7 @@ def recorder_summary(hub):
     recorders = hub.recorders()
     return {
         "recorders": len(recorders),
-        "events": sum(len(r.events) for r in recorders),
+        "events": sum(len(r) for r in recorders),
         "dropped_events": sum(r.dropped for r in recorders),
         "first_dropped_time": min(
             (r.first_dropped_time for r in recorders

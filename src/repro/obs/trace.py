@@ -57,6 +57,7 @@ import json
 import sys
 
 from repro.obs.critpath import _TokenEvidence, _fmt_seconds, attribute_span
+from repro.obs.forensics import ForensicsHub, UnboundClock, merge_timeline
 from repro.obs.spans import SPAN_STAGES, InvocationSpan
 
 #: request / reply phase tags carried in every node key
@@ -71,48 +72,60 @@ def trace_id_for(key):
 
 
 class _TraceDag:
-    """One invocation's causal DAG under construction."""
+    """One invocation's causal DAG under construction.
 
-    __slots__ = ("key", "trace_id", "oneway", "nodes", "edges", "_edge_set")
+    Nodes are small integers in observation order: :attr:`ids` maps a
+    node key tuple to its id (insertion order *is* id order, which the
+    export preserves), :attr:`times` holds each node's first-observation
+    time by id, and :attr:`attrs` the attribute dict of the nodes that
+    have one.  :attr:`edges` is an insertion-ordered dict keyed by
+    ``parent id << 32 | child id`` — the edge list and its
+    de-duplication set in one, and one int per edge: most probes re-draw
+    an edge a re-vouching certificate already drew, and a pair would be
+    a GC-tracked allocation for each.  :attr:`tallied` lists the
+    vote_copy node ids of each ``(phase, shard)`` vote, which every
+    decision of that vote links.
+    """
+
+    __slots__ = ("key", "trace_id", "oneway", "ids", "times", "attrs", "edges", "tallied")
 
     def __init__(self, key, trace_id):
         self.key = key
         self.trace_id = trace_id
         self.oneway = False
-        #: node key tuple -> {"id", "time", "attrs"}; insertion order is
-        #: observation order, which the export preserves.
-        self.nodes = {}
-        self.edges = []
-        self._edge_set = set()
+        self.ids = {}
+        self.times = []
+        self.attrs = {}
+        self.edges = {}
+        self.tallied = {}
 
-    def node(self, node_key, time, parents=()):
-        """Get-or-create a node; first observation wins the timestamp.
+    def node(self, node_key, time, parent=None):
+        """The id of a get-or-created node; first observation wins the
+        timestamp.
 
-        ``parents`` are node keys; a parent not (yet) observed is
-        skipped silently — the node simply roots a dangling branch,
-        which the renderer shows as a separate root.
+        ``parent`` is a node key; one not (yet) observed is skipped
+        silently — the node simply roots a dangling branch, which the
+        renderer shows as a separate root.
         """
-        entry = self.nodes.get(node_key)
-        created = entry is None
-        if created:
-            entry = {"id": len(self.nodes), "time": time, "attrs": {}}
-            self.nodes[node_key] = entry
-        for parent in parents:
-            existing = self.nodes.get(parent)
-            if existing is not None:
-                self.edge(existing["id"], entry["id"])
-        return entry, created
+        node_id = self.ids.get(node_key)
+        if node_id is None:
+            node_id = self.ids[node_key] = len(self.times)
+            self.times.append(time)
+        if parent is not None:
+            parent_id = self.ids.get(parent)
+            if parent_id is not None and parent_id != node_id:
+                self.edges[parent_id << 32 | node_id] = None
+        return node_id
 
-    def edge(self, parent_id, child_id):
-        if parent_id != child_id and (parent_id, child_id) not in self._edge_set:
-            self._edge_set.add((parent_id, child_id))
-            self.edges.append([parent_id, child_id])
+    def causal_edges(self):
+        """``[parent id, child id]`` of every edge, in the order first drawn."""
+        return [[edge >> 32, edge & 0xFFFFFFFF] for edge in self.edges]
 
     def stage_marks(self):
         """stage -> first observation time, mirroring span marks."""
         return {
-            node_key[1]: entry["time"]
-            for node_key, entry in self.nodes.items()
+            node_key[1]: self.times[node_id]
+            for node_key, node_id in self.ids.items()
             if node_key[0] == "stage"
         }
 
@@ -134,12 +147,17 @@ class TraceCollector:
     deterministic and identical at every processor; unsampled
     invocations cost one cache lookup per hook and are counted in
     :attr:`dropped`.
+
+    The positional bindings resolve once, when they are made, to what
+    the later hooks need — the trace object and the ids of the nodes
+    they hang edges off — so a hook on the token path is a dict probe
+    and an insert per edge.
     """
 
     def __init__(self, registry=None, sample_every=1):
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1, got %r" % (sample_every,))
-        self._scheduler = None
+        self._scheduler = UnboundClock
         self._registry = registry
         self.sample_every = int(sample_every)
         self._traces = {}
@@ -149,9 +167,9 @@ class TraceCollector:
         self.dropped = 0
         #: payload bytes -> (key, phase, parent node key)
         self._payloads = {}
-        #: (shard, seq) -> (key, phase, origin sender)
+        #: (shard, seq) -> (trace, phase, origin sender, copy node id)
         self._seq_bindings = {}
-        #: (shard, token visit) -> [(key, phase), ...] covered by it
+        #: shard -> {token visit: [(trace, token node id), ...] covered by it}
         self._visit_bindings = {}
 
     @property
@@ -163,10 +181,6 @@ class TraceCollector:
         """Attach the simulation's time source (done by the facade)."""
         self._scheduler = scheduler
         return self
-
-    @property
-    def _now(self):
-        return self._scheduler.now if self._scheduler is not None else 0.0
 
     # ------------------------------------------------------------------
     # sampling
@@ -218,7 +232,7 @@ class TraceCollector:
         """
         trace = self._ensure(key)
         if trace is not None:
-            trace.node(("stage", stage), self._now)
+            trace.node(("stage", stage), self._scheduler.now)
 
     def register_payload(self, payload, key, phase, parent):
         """Bind encoded multicast bytes to a trace before sending.
@@ -249,8 +263,9 @@ class TraceCollector:
         if trace is None:
             return ctx
         node_key = ("fragment", phase, shard, sender)
-        entry, _ = trace.node(node_key, self._now, parents=(parent,))
-        entry["attrs"]["fragments"] = total
+        trace.attrs[trace.node(node_key, self._scheduler.now, parent)] = {
+            "fragments": total
+        }
         return (key, phase, node_key)
 
     def copy_sent(self, ctx, sender, seq, shard=0):
@@ -259,45 +274,47 @@ class TraceCollector:
         trace = self._traces.get(key)
         if trace is None:
             return
-        entry, _ = trace.node(("copy", phase, shard, sender), self._now,
-                              parents=(parent,))
-        entry["attrs"].setdefault("seqs", []).append(seq)
-        self._seq_bindings[(shard, seq)] = (key, phase, sender)
+        copy_id = trace.node(("copy", phase, shard, sender), self._scheduler.now, parent)
+        trace.attrs.setdefault(copy_id, {"seqs": []})["seqs"].append(seq)
+        self._seq_bindings[(shard, seq)] = (trace, phase, sender, copy_id)
 
     def token_covered(self, seq, token_info, shard=0):
         """A token origination vouched ``seq`` in its digest list."""
         binding = self._seq_bindings.get((shard, seq))
         if binding is None:
             return
-        key, phase, sender = binding
-        trace = self._traces.get(key)
-        if trace is None:
-            return
+        trace, phase, _origin, copy_id = binding
         visit = token_info["visit"]
-        entry, created = trace.node(("token", phase, shard, visit), self._now,
-                                    parents=(("copy", phase, shard, sender),))
-        if created:
-            entry["attrs"].update(token_info)
-            entry["attrs"]["seqs"] = []
-        entry["attrs"]["seqs"].append(seq)
-        bindings = self._visit_bindings.setdefault((shard, visit), [])
-        if (key, phase) not in bindings:
-            bindings.append((key, phase))
+        node_key = ("token", phase, shard, visit)
+        token_id = trace.ids.get(node_key)
+        if token_id is None:
+            token_id = trace.node(node_key, self._scheduler.now)
+            trace.attrs[token_id] = {**token_info, "seqs": [seq]}
+            self._visit_bindings.setdefault(shard, {}).setdefault(visit, []).append(
+                (trace, token_id)
+            )
+        else:
+            trace.attrs[token_id]["seqs"].append(seq)
+        trace.edges[copy_id << 32 | token_id] = None
 
     def certified(self, cert_info, shard=0):
-        """A :class:`TokenCertificate` vouched a span of token visits."""
+        """A :class:`TokenCertificate` vouched a span of token visits.
+
+        ``cert_info`` becomes the attributes of every certificate node
+        created here as it is, not copied: it must not change afterwards.
+        """
+        covered = self._visit_bindings.get(shard)
+        if not covered:
+            return
         node_key = ("cert", cert_info["signer"], shard, cert_info["first_visit"])
-        now = self._now
+        now = self._scheduler.now
         for visit in range(cert_info["first_visit"], cert_info["last_visit"] + 1):
-            for key, phase in self._visit_bindings.get((shard, visit), ()):
-                trace = self._traces.get(key)
-                if trace is None:
-                    continue
-                # node() draws the token -> certificate edge itself
-                entry, created = trace.node(node_key, now,
-                                            parents=(("token", phase, shard, visit),))
-                if created:
-                    entry["attrs"].update(cert_info)
+            for trace, token_id in covered.get(visit, ()):
+                cert_id = trace.ids.get(node_key)
+                if cert_id is None:
+                    cert_id = trace.node(node_key, now)
+                    trace.attrs[cert_id] = cert_info
+                trace.edges[token_id << 32 | cert_id] = None
 
     def retransmitted(self, seq, sender, shard=0):
         """``seq`` was re-sent to service a retransmission request.
@@ -308,43 +325,32 @@ class TraceCollector:
         binding = self._seq_bindings.get((shard, seq))
         if binding is None:
             return
-        key, phase, origin = binding
-        trace = self._traces.get(key)
-        if trace is None:
-            return
-        entry, _ = trace.node(("retransmit", phase, shard, sender), self._now,
-                              parents=(("copy", phase, shard, origin),))
-        entry["attrs"]["count"] = entry["attrs"].get("count", 0) + 1
+        trace, phase, _origin, copy_id = binding
+        node_id = trace.node(("retransmit", phase, shard, sender), self._scheduler.now)
+        trace.edges[copy_id << 32 | node_id] = None
+        trace.attrs.setdefault(node_id, {"count": 0})["count"] += 1
 
     def delivered(self, seq, sender, covering_visit, shard=0):
         """A processor committed ``seq`` in total order."""
         binding = self._seq_bindings.get((shard, seq))
         if binding is None:
             return
-        key, phase, origin = binding
-        trace = self._traces.get(key)
-        if trace is None:
-            return
-        token_key = ("token", phase, shard, covering_visit)
-        if covering_visit is None or token_key not in trace.nodes:
-            parents = (("copy", phase, shard, origin),)
-        else:
-            parents = (token_key,)
-        entry, _ = trace.node(("delivered", phase, shard, sender), self._now,
-                              parents=parents)
-        entry["attrs"]["commits"] = entry["attrs"].get("commits", 0) + 1
+        # Hangs off the covering token where this trace saw it, else the copy.
+        trace, phase, _origin, parent_id = binding
+        if covering_visit is not None:
+            parent_id = trace.ids.get(("token", phase, shard, covering_visit), parent_id)
+        node_id = trace.node(("delivered", phase, shard, sender), self._scheduler.now)
+        trace.edges[parent_id << 32 | node_id] = None
+        trace.attrs.setdefault(node_id, {"commits": 0})["commits"] += 1
 
     def reassembled(self, seq, sender, shard=0):
         """The last fragment of a split payload completed reassembly."""
         binding = self._seq_bindings.get((shard, seq))
         if binding is None:
             return
-        key, phase, _ = binding
-        trace = self._traces.get(key)
-        if trace is None:
-            return
-        trace.node(("reassembled", phase, shard, sender), self._now,
-                   parents=(("delivered", phase, shard, sender),))
+        trace, phase = binding[:2]
+        trace.node(("reassembled", phase, shard, sender), self._scheduler.now,
+                   ("delivered", phase, shard, sender))
 
     # ------------------------------------------------------------------
     # voting / gateway hooks
@@ -355,27 +361,24 @@ class TraceCollector:
         trace = self._ensure(key)
         if trace is None:
             return
-        trace.node(("vote_copy", phase, shard, sender), self._now,
-                   parents=(("copy", phase, shard, sender),))
+        known = len(trace.times)
+        copy_id = trace.node(("vote_copy", phase, shard, sender), self._scheduler.now,
+                             ("copy", phase, shard, sender))
+        if copy_id == known:  # the first tally of this copy
+            trace.tallied.setdefault((phase, shard), []).append(copy_id)
 
     def vote_decided(self, key, phase, shard=0):
-        """A majority vote decided — the merge node of the copy fan-in."""
+        """A majority vote decided — the merge node of the copy fan-in.
+
+        Sibling replicas decide the same vote later; each decision
+        links the vote_copy nodes that arrived since the last one.
+        """
         trace = self._ensure(key)
         if trace is None:
             return
-        parents = tuple(
-            node_key for node_key in trace.nodes
-            if node_key[0] == "vote_copy"
-            and node_key[1] == phase
-            and node_key[2] == shard
-        )
-        entry, created = trace.node(("vote_decided", phase, shard), self._now,
-                                    parents=parents)
-        if not created:
-            # Sibling replicas decide the same vote later; link any
-            # vote_copy nodes that arrived since the first decision.
-            for node_key in parents:
-                trace.edge(trace.nodes[node_key]["id"], entry["id"])
+        decided_id = trace.node(("vote_decided", phase, shard), self._scheduler.now)
+        for copy_id in trace.tallied.get((phase, shard), ()):
+            trace.edges[copy_id << 32 | decided_id] = None
 
     def gateway_forwarded(self, key, phase, via, from_ring, to_ring,
                           corrupt, shard=0):
@@ -383,12 +386,12 @@ class TraceCollector:
         trace = self._ensure(key)
         if trace is None:
             return
-        entry, created = trace.node(("gw_forward", phase, via), self._now,
-                                    parents=(("vote_decided", phase, shard),))
-        if created:
-            entry["attrs"]["from_ring"] = from_ring
-            entry["attrs"]["to_ring"] = to_ring
-            entry["attrs"]["corrupt"] = bool(corrupt)
+        node_id = trace.node(("gw_forward", phase, via), self._scheduler.now,
+                             ("vote_decided", phase, shard))
+        trace.attrs.setdefault(
+            node_id,
+            {"from_ring": from_ring, "to_ring": to_ring, "corrupt": bool(corrupt)},
+        )
 
     # ------------------------------------------------------------------
     # assembly / export
@@ -423,29 +426,27 @@ class TraceCollector:
             per_stage.setdefault(stage, []).append([cause, seconds])
             cause_seconds[cause] = cause_seconds.get(cause, 0.0) + seconds
 
-        edges = [edge + ["causal"] for edge in trace.edges]
+        edges = [edge + ["causal"] for edge in trace.causal_edges()]
         previous = None
         for stage in SPAN_STAGES:
-            entry = trace.nodes.get(("stage", stage))
-            if entry is None:
+            node_id = trace.ids.get(("stage", stage))
+            if node_id is None:
                 continue
             if previous is not None:
                 edges.append(
-                    [previous, entry["id"], "timing", per_stage.get(stage, [])]
+                    [previous, node_id, "timing", per_stage.get(stage, [])]
                 )
-            previous = entry["id"]
+            previous = node_id
 
         nodes = [
             {
-                "id": entry["id"],
+                "id": node_id,
                 "node": list(node_key),
-                "time": entry["time"],
-                "attrs": {name: entry["attrs"][name]
-                          for name in sorted(entry["attrs"])},
+                "time": trace.times[node_id],
+                "attrs": dict(sorted(trace.attrs.get(node_id, {}).items())),
             }
-            for node_key, entry in trace.nodes.items()
+            for node_key, node_id in trace.ids.items()
         ]
-        nodes.sort(key=lambda item: item["id"])
         return {
             "trace_id": trace.trace_id,
             "key": list(trace.key),
@@ -823,7 +824,6 @@ def run_figure7_workload(seed=11, operations=12, sample_every=1):
     from repro.core.config import ImmuneConfig, SurvivabilityCase
     from repro.core.immune import ImmuneSystem
     from repro.obs import Observability
-    from repro.obs.forensics import ForensicsHub, merge_timeline
     from repro.sim.faults import FaultPlan, LinkFaults
 
     collector = TraceCollector(sample_every=sample_every)
@@ -873,7 +873,6 @@ def run_cluster_workload(seed=11, operations=6, sample_every=1):
     from repro.cluster import ClusterConfig, ClusterManager
     from repro.core.config import SurvivabilityCase
     from repro.obs import Observability
-    from repro.obs.forensics import ForensicsHub, merge_timeline
 
     collector = TraceCollector(sample_every=sample_every)
     obs = Observability(forensics=ForensicsHub(), trace=collector)

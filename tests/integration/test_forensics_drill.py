@@ -6,12 +6,21 @@ intrusion-drill attribution, and byte-identical forensics JSON with
 the wall-clock memos on and forced to miss.
 """
 
+import functools
 import json
 
+import pytest
+
+from repro.bench.latency import ECHO_IDL, EchoServant
+from repro.core.config import ImmuneConfig, SurvivabilityCase
+from repro.core.immune import ImmuneSystem
+from repro.core.replica import ValueFaultServant
 from repro.obs import Observability
 from repro.obs.forensics import (
     ForensicsHub,
+    attribute,
     build_report,
+    fault_id_for,
     merge_timeline,
     run_intrusion_drill,
     score,
@@ -86,6 +95,91 @@ def test_intrusion_drill_attributes_every_fault():
     # the divergence engine tied the value fault to P2 specifically
     divergent = {d["culprit"] for d in report["attribution"]["divergences"]}
     assert divergent == {2}
+
+
+@functools.lru_cache(maxsize=None)
+def _unwrapped_drill_report(batch):
+    _, obs, _ = run_intrusion_drill(batch=batch)
+    report = build_report(obs.forensics)
+    assert report["dropped_events"] == 0
+    return report
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["per-visit", "batch"])
+@pytest.mark.parametrize("capacity", [64, 128, 256])
+def test_a_wrapped_recorder_still_scores_the_drill_exactly(capacity, batch):
+    """Most of the drill's rows are evicted, none of them a verdict:
+    the scorecard and the attribution are the unwrapped run's."""
+    _, obs, _ = run_intrusion_drill(capacity=capacity, batch=batch)
+    wrapped = build_report(obs.forensics)
+    unwrapped = _unwrapped_drill_report(batch)
+    assert wrapped["dropped_events"] > len(wrapped["timeline"])
+    assert wrapped["scorecard"]["precision"] == wrapped["scorecard"]["recall"] == 1.0
+    assert wrapped["scorecard"] == unwrapped["scorecard"]
+    assert wrapped["attribution"] == unwrapped["attribution"]
+
+
+def _long_batch_drill(capacity):
+    """The benchmark's fault drill in small: eight processors on the
+    batch pipeline, a five-way echo server, a crash a quarter of the way
+    in and a value-faulty replica from half way, long enough after both
+    that token chatter wraps a small recorder many times over."""
+    seconds, rate = 4.0, 40
+    first_bad = int(rate * seconds) // 2
+    obs = Observability(forensics=ForensicsHub(capacity=capacity))
+    immune = ImmuneSystem(
+        num_processors=8,
+        config=ImmuneConfig(
+            case=SurvivabilityCase.FULL_SURVIVABILITY, seed=7, batch_signatures=True
+        ),
+        fault_plan=FaultPlan().schedule_crash(1, 0.05 + seconds / 4),
+        trace_kinds=frozenset(),
+        obs=obs,
+    )
+    server = immune.deploy(
+        "echo",
+        ECHO_IDL,
+        lambda pid: (
+            ValueFaultServant(EchoServant(), corrupt_from=first_bad)
+            if pid == 2
+            else EchoServant()
+        ),
+        [0, 1, 2, 6, 7],
+    )
+    corrupt_at = 0.05 + first_bad / rate
+    obs.forensics.record_ground_truth(
+        fault_id_for("value_fault", 2, corrupt_at), "value_fault", 2, corrupt_at
+    )
+    client = immune.deploy_client("driver", [3, 4, 5])
+    immune.start()
+    stubs = immune.client_stubs(client, ECHO_IDL, server)
+
+    def fire(k):
+        for _pid, stub in stubs:
+            stub.echo(k, reply_to=lambda _n: None)
+
+    for k in range(int(rate * seconds)):
+        immune.scheduler.at(0.05 + k / rate, fire, k, label="drill.workload")
+    immune.run(until=0.05 + seconds + 2.0)
+    assert set(immune.surviving_members()) == {0, 3, 4, 5, 6, 7}
+    return obs.forensics
+
+
+def test_a_long_drill_convicts_both_culprits_from_a_wrapped_recorder():
+    """What a small recorder says after a long run is what a large one
+    says: both faulty processors accused, and the crash's first
+    suspicion the real one rather than the oldest row chatter left."""
+    wrapped, unwrapped = _long_batch_drill(256), _long_batch_drill(1 << 16)
+    assert sum(r.dropped for r in unwrapped.recorders()) == 0
+    assert sum(r.dropped for r in wrapped.recorders()) > 50000
+    told = attribute(merge_timeline(wrapped))
+    assert [c["proc"] for c in told["culprits"]] == [1, 2]
+    assert told == attribute(merge_timeline(unwrapped))
+    card = score(wrapped)
+    assert card == score(unwrapped)
+    assert card["precision"] == card["recall"] == 1.0
+    crash = next(f for f in card["per_fault"] if f["kind"] == "crash")
+    assert crash["detection_time"] == told["culprits"][0]["first_suspected"]
 
 
 def _drill_report_json():

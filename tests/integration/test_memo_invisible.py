@@ -24,9 +24,11 @@ uncorrupted broadcast are handed the originator's own object and parse
 nothing.  ``encode()`` also *seals* tokens and certificates with the
 signable bytes it wrote, which those receivers verify signatures over;
 with the memos defeated every receiver parses an unsealed object of its
-own, so the comparison above covers the seal too.  The last three tests
-poison the seed, the seal and — one bit of every digest — the selected
-MD4 backend, and require the comparison to notice.
+own, so the comparison above covers the seal too — and the field dict a
+sealed frame hands every recorder that logs it, which a parsed frame
+rebuilds per call.  The last four tests poison the seed, the seal, that
+shared summary and — one bit of every digest — the selected MD4 backend,
+and require the comparison to notice.
 """
 
 import json
@@ -211,6 +213,34 @@ def test_a_poisoned_seal_is_caught(tmp_path, monkeypatch):
         return raw
 
     monkeypatch.setattr(token.TokenCertificate, "_seal", poisoned)
+    perf.clear_caches()
+    memoised = _run(batch_intrusion_drill, tmp_path / "poisoned.jsonl")
+    defeat_memos(monkeypatch)
+    defeated = _run(batch_intrusion_drill, tmp_path / "defeated.jsonl")
+    assert memoised != defeated
+
+
+def test_a_poisoned_frame_summary_is_caught(tmp_path, monkeypatch):
+    """The batch intrusion drill is sensitive to a sealed frame's summary.
+
+    Every flight recorder that logs a sealed token is handed one field
+    dict, built by whoever logs the frame first and kept on the shared
+    object.  Leave on every sealed token a summary that counts one more
+    digest than the token carries: each receiver of the memo's object
+    records the lie.  With the memos defeated every receiver parses an
+    unsealed object of its own and builds its own dict, so only the
+    originators read the poison and the two forensic reports must differ.
+    """
+    real_seal = token.Token._seal
+
+    def poisoned(self, signable):
+        raw = real_seal(self, signable)
+        self._summary = dict(
+            self.forensic_summary(), digests=len(self.message_digest_list) + 1
+        )
+        return raw
+
+    monkeypatch.setattr(token.Token, "_seal", poisoned)
     perf.clear_caches()
     memoised = _run(batch_intrusion_drill, tmp_path / "poisoned.jsonl")
     defeat_memos(monkeypatch)

@@ -1,0 +1,163 @@
+"""What full observability stores and builds: exact counts, no timing.
+
+The two sinks a protocol layer writes to on the token path keep *rows*,
+not object graphs.  A flight recorder appends one tuple per record and
+builds a :class:`ForensicEvent` only for a reader; the field dict of a
+sealed token or certificate is built once, by whoever logs the frame
+first, and shared by every recorder (and trace node) that logs the same
+object; a trace DAG is node ids, a time list, a sparse attribute table
+and one insertion-ordered dict of edges packed into ints.
+
+Pinned here on a seeded, loss-free six-processor batch-signature ring
+with every sink attached, the way ``test_certificate_cost.py`` pins the
+encoder: by how often things are built and how many objects stay alive,
+never by how long anything took.
+"""
+
+import gc
+
+import pytest
+
+from repro import perf
+from repro.bench.latency import ECHO_IDL, EchoServant
+from repro.core.config import ImmuneConfig, SurvivabilityCase
+from repro.core.immune import ImmuneSystem
+from repro.multicast.token import Token, TokenCertificate
+from repro.obs import Observability, TraceCollector
+from repro.obs.forensics import ForensicEvent, ForensicsHub, merge_timeline
+
+PROCESSORS = 6
+OPERATIONS = 20
+
+
+class Drill:
+    """The ring, built and not yet run, with its sinks."""
+
+    def __init__(self):
+        perf.clear_caches()
+        self.hub = ForensicsHub()
+        self.collector = TraceCollector()
+        self.obs = Observability(forensics=self.hub, trace=self.collector)
+        config = ImmuneConfig(
+            case=SurvivabilityCase.FULL_SURVIVABILITY, seed=11, batch_signatures=True
+        )
+        self.immune = immune = ImmuneSystem(
+            num_processors=PROCESSORS, config=config, trace_kinds=frozenset(), obs=self.obs
+        )
+        server = immune.deploy("echo", ECHO_IDL, lambda pid: EchoServant(), [0, 1, 2])
+        client = immune.deploy_client("driver", [3, 4, 5])
+        immune.start()
+        stubs = immune.client_stubs(client, ECHO_IDL, server)
+        self.replies = []
+
+        def fire(k):
+            for _pid, stub in stubs:
+                stub.echo(k, reply_to=self.replies.append)
+
+        for k in range(OPERATIONS):
+            immune.scheduler.at(0.1 + 0.02 * k, fire, k, label="cost.workload")
+
+    def run(self):
+        self.immune.run(until=0.1 + 0.02 * OPERATIONS + 0.25)
+        assert len(self.replies) == 3 * OPERATIONS
+        return self
+
+    def total(self, key):
+        return sum(e.delivery.stats[key] for e in self.immune.endpoints.values())
+
+    def rows(self):
+        return sum(recorder.to_dict()["events"] for recorder in self.hub.recorders())
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """How often each thing the sinks used to build per record was built."""
+    counts = {}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+        counts[owner, name] = 0
+
+        def wrapper(self, *args, **kwargs):
+            counts[owner, name] += 1
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(ForensicEvent, "__init__")
+    counted(Token, "forensic_summary")
+    counted(TokenCertificate, "forensic_summary")
+    return counts
+
+
+def test_no_event_object_exists_until_a_reader_asks(calls):
+    drill = Drill().run()
+    rows = drill.rows()
+    assert rows > 3000
+    assert calls[ForensicEvent, "__init__"] == 0
+    events = [event for recorder in drill.hub.recorders() for event in recorder.events]
+    assert calls[ForensicEvent, "__init__"] == len(events) == rows
+    assert len(merge_timeline(drill.hub)) == rows
+    assert sum(recorder.dropped for recorder in drill.hub.recorders()) == 0
+
+
+def test_a_frame_summary_is_built_once_per_sealed_frame(calls):
+    drill = Drill().run()
+    originated = drill.total("token_rotations")
+    issued = drill.total("certs_signed")
+    assert originated > 400 and issued > 20
+    # Loss-free: every receiver is handed the originator's sealed object
+    # by the decode memo, so nobody but the first logger builds a dict.
+    assert calls[Token, "forensic_summary"] == originated
+    assert calls[TokenCertificate, "forensic_summary"] == issued
+
+    events = [event for recorder in drill.hub.recorders() for event in recorder.events]
+    token_rows = [e for e in events if e.etype in ("token_send", "token_receive")]
+    assert len(token_rows) > (PROCESSORS - 1) * (originated - 1)
+    assert len({id(e.fields) for e in token_rows}) == originated
+    verified = [e for e in events if e.etype == "batch_verify"]
+    assert len(verified) >= (PROCESSORS - 1) * (issued - 1)
+    assert len({id(e.fields) for e in verified}) <= issued
+
+
+def _reachable(roots, beyond):
+    """Container objects reachable from ``roots`` without entering
+    ``beyond`` (or any class: an instance refers to its type)."""
+    seen = {id(obj) for obj in beyond}
+    stack, count = list(roots), 0
+    while stack:
+        obj = stack.pop()
+        if (
+            id(obj) in seen
+            or isinstance(obj, type)
+            or not type(obj).__flags__ & (1 << 14)  # Py_TPFLAGS_HAVE_GC
+        ):
+            continue
+        seen.add(id(obj))
+        count += 1
+        stack.extend(gc.get_referents(obj))
+    return count
+
+
+def test_what_stays_alive_is_a_constant_per_row_node_and_edge():
+    drill = Drill().run()
+    beyond = [drill.immune.scheduler, drill.obs.registry, drill.hub]
+    rows = drill.rows()
+    held_by_recorders = _reachable(drill.hub.recorders(), beyond)
+    # One tuple per row and at most one field dict, most of them shared
+    # (an event object and a dict of its own per row would be 2.0).
+    assert held_by_recorders <= 1.5 * rows
+
+    records = drill.collector.assemble()
+    nodes = sum(len(record["nodes"]) for record in records)
+    edges = sum(
+        1 for record in records for edge in record["edges"] if edge[2] == "causal"
+    )
+    assert nodes > 1000 and edges > 1500
+    held_by_traces = _reachable(drill.collector.traces(), beyond)
+    # Per trace: the DAG, its key, its six tables and the two votes'
+    # tallies.  Per node: its key tuple, plus an attribute dict (and a
+    # seq list) for the kinds that have one.  Per edge: an int, which is
+    # no container at all (dict-in-dict nodes and a list and a tuple per
+    # edge would be 3-4 a node and 2 an edge).
+    assert held_by_traces <= 12 * len(records) + 2 * nodes

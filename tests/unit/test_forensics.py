@@ -38,7 +38,8 @@ def test_recorder_stamps_time_proc_ring_seq():
     recorder = hub.recorder(3)
     recorder.set_context(ring=7, seq=42)
     sched.now = 1.25
-    event = recorder.record("suspect", suspect=1, reason="mutant_token")
+    recorder.record("suspect", suspect=1, reason="mutant_token")
+    event = recorder.events[-1]
     assert event.time == 1.25
     assert event.proc == 3
     assert event.ring == 7
@@ -64,6 +65,48 @@ def test_recorder_wraparound_counts_drops():
     assert health["last_dropped_time"] == 5.0
 
 
+def test_token_chatter_cannot_evict_a_verdict():
+    """3 x capacity ``token_receive`` rows around one ``suspect``: the
+    routine kinds compete only with each other for retention."""
+    hub, sched = make_hub(capacity=8)
+    recorder = hub.recorder(0)
+    for k in range(24):
+        sched.now = float(k)
+        recorder.record("token_receive", visit=k)
+        if k == 5:
+            recorder.record("suspect", suspect=2, reason="fail_to_send")
+    assert recorder.dropped == 16
+    assert (recorder.first_dropped_time, recorder.last_dropped_time) == (0.0, 15.0)
+    events = recorder.events
+    assert [e.etype for e in events] == ["suspect"] + ["token_receive"] * 8
+    assert events[0].time == 5.0 and events[0].get("suspect") == 2
+    assert [e.get("visit") for e in events[1:]] == list(range(16, 24))
+    health = recorder.to_dict()
+    assert health["events"] == 9 and health["dropped_events"] == 16
+    assert score(hub)["accused"] == [2]
+
+
+def test_events_read_back_in_recording_order_across_the_two_buffers():
+    hub, sched = make_hub(capacity=4)
+    recorder = hub.recorder(0)
+    kinds = ["token_send", "suspect", "delivery_commit", "absolve", "batch_verify"]
+    for etype in kinds:  # all at one instant: only the running index orders them
+        recorder.record(etype, suspect=1)
+    assert [e.etype for e in recorder.events] == kinds
+    assert len(recorder) == 5
+
+
+def test_a_row_keeps_the_shard_it_was_recorded_under():
+    """Elastic clusters re-home processors: the stamp is taken at
+    record time, not read off the recorder later."""
+    hub, sched = make_hub()
+    recorder = hub.recorder(3)
+    recorder.record("suspect", suspect=1, reason="fail_to_send")
+    recorder.shard = 2
+    recorder.record("suspect", suspect=1, reason="fail_to_send")
+    assert [e.shard for e in recorder.events] == [0, 2]
+
+
 def test_report_aggregates_dropped_events():
     hub, sched = make_hub(capacity=2)
     for pid in (0, 1):
@@ -79,13 +122,13 @@ def test_report_aggregates_dropped_events():
 def test_event_fields_become_deterministic_json():
     hub, _ = make_hub()
     recorder = hub.recorder(0)
-    event = recorder.record(
+    recorder.record(
         "vote_divergence",
         culprit_digest=b"\x01\xab",
         op=("resp", "grp", ("nested", 2)),
         members={3, 1, 2},
     )
-    data = event.to_dict()
+    data = recorder.events[-1].to_dict()
     assert data["culprit_digest"] == "01ab"
     assert data["op"] == ["resp", "grp", ["nested", 2]]
     assert data["members"] == [1, 2, 3]
@@ -112,6 +155,38 @@ def test_merge_is_totally_ordered_and_deterministic():
     assert [e.to_dict() for e in merge_timeline(hub)] == [
         e.to_dict() for e in timeline
     ]
+
+
+def test_merge_orders_exact_ties_by_their_fields_whatever_the_input_order():
+    """Events equal in (time, shard, seq, proc, event) are ordered by
+    their serialised fields, so recording order never shows."""
+    import random
+
+    fields = [
+        {"commit_seq": 10, "sender": 1},
+        {"commit_seq": 9, "sender": 2},
+        {"commit_seq": 9, "sender": 1},
+        {"digest": b"\x02", "members": {2, 1}},
+        {"digest": b"\x01", "members": {1, 2}},
+        {},
+    ]
+    orders = []
+    for seed in range(6):
+        hub, sched = make_hub()
+        shuffled = list(fields)
+        random.Random(seed).shuffle(shuffled)
+        sched.now = 2.0
+        hub.recorder(1).record("suspect", suspect=0, reason="fail_to_send")
+        sched.now = 1.0
+        for entry in shuffled:
+            hub.recorder(0).record("delivery_commit", **entry)
+        orders.append([e.to_dict() for e in merge_timeline(hub)])
+    assert all(order == orders[0] for order in orders)
+    tied = [json.dumps({k: v for k, v in d.items() if k not in
+                        ("time", "proc", "ring", "seq", "shard", "event")},
+                       sort_keys=True) for d in orders[0][:-1]]
+    assert tied == sorted(tied) and len(set(tied)) == len(fields)
+    assert orders[0][-1]["event"] == "suspect"
 
 
 def test_attribution_picks_minority_replica_under_three_way_vote():

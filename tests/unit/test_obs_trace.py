@@ -106,15 +106,27 @@ def test_invalid_sample_every_rejected():
         TraceCollector(sample_every=0)
 
 
+def nodes_by_key(record):
+    return {tuple(node["node"]): node for node in record["nodes"]}
+
+
+def causal_edges(record):
+    return [edge[:2] for edge in record["edges"] if edge[2] == "causal"]
+
+
 def test_first_stage_mark_wins():
     c, clock = collector()
     key = ("driver", 1)
     c.begin(key)
-    c.mark_stage(key, "intercepted")
-    first_time = c.get(key).nodes[("stage", "intercepted")]["time"]
     clock.tick()
     c.mark_stage(key, "intercepted")
-    assert c.get(key).nodes[("stage", "intercepted")]["time"] == first_time
+    first_time = clock.now
+    clock.tick()
+    c.mark_stage(key, "intercepted")
+    (record,) = c.assemble()
+    assert [node["node"] for node in record["nodes"]] == [["stage", "intercepted"]]
+    assert record["nodes"][0]["time"] == first_time
+    assert c.get(key).stage_marks() == {"intercepted": first_time}
 
 
 def test_assembled_record_closes_and_connects():
@@ -146,12 +158,10 @@ def test_assembled_record_closes_and_connects():
     )
 
 
-def test_certificate_draws_each_token_edge_once(monkeypatch):
+def test_certificate_draws_each_token_edge_once():
     """A certificate spanning three bound visits, then re-vouched: the
-    node and edge lists are pinned, and ``edge`` runs once per
-    token -> certificate pair and observation (``node`` draws it)."""
-    from repro.obs.trace import _TraceDag
-
+    node list, the certificate node and the edge list are pinned, with
+    one edge per token -> certificate pair however often it is vouched."""
     c, clock = collector()
     key = ("driver", 1)
     c.begin(key)
@@ -161,31 +171,31 @@ def test_certificate_draws_each_token_edge_once(monkeypatch):
     for visit, seq in ((1, 5), (2, 6), (4, 7)):
         c.copy_sent(ctx, sender=3, seq=seq)
         c.token_covered(seq, {"holder": 0, "visit": visit, "token_seq": seq})
-    calls = []
-    real_edge = _TraceDag.edge
-
-    def counting_edge(self, parent_id, child_id):
-        calls.append((parent_id, child_id))
-        real_edge(self, parent_id, child_id)
-
-    monkeypatch.setattr(_TraceDag, "edge", counting_edge)
     cert = {"signer": 2, "first_visit": 1, "last_visit": 4, "count": 4}
     clock.tick()
-    c.certified(cert)
-    assert calls == [(2, 5), (3, 5), (4, 5)]  # visit 3 was bound to nothing
+    c.certified(cert)  # visit 3 was bound to nothing
+    (once,) = c.assemble()
+    clock.tick()
     c.certified(cert)  # the overlap of a later certificate: nothing new
-    assert calls == [(2, 5), (3, 5), (4, 5)] * 2
-    trace = c.get(key)
-    assert list(trace.nodes) == [
-        ("stage", "multicast_queued"),
-        ("copy", "req", 0, 3),
-        ("token", "req", 0, 1),
-        ("token", "req", 0, 2),
-        ("token", "req", 0, 4),
-        ("cert", 2, 0, 1),
+    (twice,) = c.assemble()
+    assert twice == once
+    assert [node["node"] for node in once["nodes"]] == [
+        ["stage", "multicast_queued"],
+        ["copy", "req", 0, 3],
+        ["token", "req", 0, 1],
+        ["token", "req", 0, 2],
+        ["token", "req", 0, 4],
+        ["cert", 2, 0, 1],
     ]
-    assert trace.nodes[("cert", 2, 0, 1)] == {"id": 5, "time": 0.001, "attrs": cert}
-    assert trace.edges == [[0, 1], [1, 2], [1, 3], [1, 4], [2, 5], [3, 5], [4, 5]]
+    assert [node["id"] for node in once["nodes"]] == list(range(6))
+    assert once["nodes"][1]["attrs"] == {"seqs": [5, 6, 7]}
+    assert once["nodes"][3]["attrs"] == {
+        "holder": 0, "visit": 2, "token_seq": 6, "seqs": [6],
+    }
+    assert once["nodes"][5] == {
+        "id": 5, "node": ["cert", 2, 0, 1], "time": 0.001, "attrs": cert,
+    }
+    assert causal_edges(once) == [[0, 1], [1, 2], [1, 3], [1, 4], [2, 5], [3, 5], [4, 5]]
 
 
 def test_retransmission_nodes_count_attempts():
@@ -198,9 +208,15 @@ def test_retransmission_nodes_count_attempts():
     c.retransmitted(11, sender=4)
     c.retransmitted(11, sender=0)  # another holder services the request
     c.retransmitted(11, sender=4)
-    trace = c.get(key)
-    assert trace.nodes[("retransmit", "req", 0, 4)]["attrs"]["count"] == 2
-    assert trace.nodes[("retransmit", "req", 0, 0)]["attrs"]["count"] == 1
+    (record,) = c.assemble()
+    nodes = nodes_by_key(record)
+    assert nodes[("retransmit", "req", 0, 4)]["attrs"] == {"count": 2}
+    assert nodes[("retransmit", "req", 0, 0)]["attrs"] == {"count": 1}
+    copy_id = nodes[("copy", "req", 0, 4)]["id"]
+    assert causal_edges(record)[1:] == [
+        [copy_id, nodes[("retransmit", "req", 0, 4)]["id"]],
+        [copy_id, nodes[("retransmit", "req", 0, 0)]["id"]],
+    ]
 
 
 def test_fork_summary_sees_three_branches_and_merge():
