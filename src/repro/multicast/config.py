@@ -140,10 +140,26 @@ class MulticastConfig:
     def resolve_timeouts(self, cost_model, num_processors):
         """Fill in default timeouts scaled to crypto costs and ring size.
 
-        A token rotation takes roughly ``n`` visits, each dominated by
-        a signature at the SIGNATURES level; timeouts must comfortably
-        exceed that or correct-but-slow processors get suspected,
-        violating eventual strong accuracy.
+        Timeouts must comfortably exceed what they time or
+        correct-but-slow processors get suspected, violating eventual
+        strong accuracy.  They time two different things, so two
+        estimates are derived:
+
+        * a *membership round* is signature-bound at every SIGNATURES
+          ring, batch or not (proposals and commits are RSA-signed):
+          ``n`` steps of hold + idle parking + a signature and two
+          verifications;
+        * a *token visit* pays that crypto only where it is on the
+          rotation path **in this ring's mode**: nothing below
+          SIGNATURES, all of it on a per-visit-signed ring, and on a
+          batch ring one certificate signature per
+          ``signature_batch_visits`` of a holder's own visits (it
+          occupies the priority lane the holder's next origination
+          waits on) -- or per ``pipeline_depth`` rotations where that
+          is fewer: past that lag a holder certifies *before*
+          originating whatever the cadence says, so a cadence longer
+          than the pipeline buys the rotation nothing.  Only the
+          delivery progress timer reads ``token_rotation_timeout``.
 
         Derived defaults track the *largest* ring size they have been
         resolved for: a cluster hands rings of different sizes their own
@@ -154,15 +170,20 @@ class MulticastConfig:
         Explicitly configured timeouts are never touched.
         """
         per_visit = self.token_hold_cost + self.token_idle_delay + 200e-6
+        per_step = per_visit
         if self.security.signatures_enabled:
-            per_visit += cost_model.sign_cost() + cost_model.verify_cost() * 2
-        rotation = per_visit * max(num_processors, 2)
+            signing = cost_model.sign_cost() + cost_model.verify_cost() * 2
+            per_step += signing
+            if self.batch_signatures:
+                signing /= min(self.signature_batch_visits, self.pipeline_depth)
+            per_visit += signing
+        n = max(num_processors, 2)
         if self._derived_rotation:
-            derived = 8 * rotation
+            derived = 8 * (per_visit * n)
             if self.token_rotation_timeout is None or derived > self.token_rotation_timeout:
                 self.token_rotation_timeout = derived
         if self._derived_membership:
-            derived = 12 * rotation
+            derived = 12 * (per_step * n)
             if (
                 self.membership_round_timeout is None
                 or derived > self.membership_round_timeout

@@ -127,36 +127,21 @@ class FaultPlan:
         return truth
 
     # ------------------------------------------------------------------
-    # queries (called by the network per datagram per receiver)
+    # query (called by the network once per datagram per receiver)
     # ------------------------------------------------------------------
 
-    def _active(self, now):
+    def faults_at(self, src, dst, now):
+        """The :class:`LinkFaults` to apply to ``src -> dst`` at ``now``.
+
+        ``None`` outside the active window and for a link with nothing
+        to inject, so a plan that only schedules crashes costs the
+        network one call per datagram and no RNG draw.
+        """
         if now < self.active_from:
-            return False
+            return None
         if self.active_until is not None and now >= self.active_until:
-            return False
-        return True
-
-    def _faults_for(self, src, dst):
-        return self.links.get((src, dst), self.default)
-
-    def should_drop(self, src, dst, now, rng):
-        if not self._active(now):
-            return False
-        faults = self._faults_for(src, dst)
-        if faults.loss_prob <= 0.0:
-            return False
-        return rng.random() < faults.loss_prob
-
-    def should_corrupt(self, src, dst, now, rng):
-        if not self._active(now):
-            return False
-        faults = self._faults_for(src, dst)
-        if faults.corrupt_prob <= 0.0:
-            return False
-        return rng.random() < faults.corrupt_prob
-
-    def extra_delay(self, src, dst, now, rng):
-        if not self._active(now):
-            return 0.0
-        return self._faults_for(src, dst).extra_delay
+            return None
+        faults = self.links.get((src, dst), self.default) if self.links else self.default
+        if faults.loss_prob <= 0.0 and faults.corrupt_prob <= 0.0 and not faults.extra_delay:
+            return None
+        return faults

@@ -167,19 +167,23 @@ class Network:
     def _schedule_delivery(self, src_id, dst_id, dst_port, payload, tx_end, sent_at):
         rng = self._rng
         plan = self._fault_plan
-        if plan is not None and plan.should_drop(src_id, dst_id, self.scheduler.now, rng):
+        # The RNG is drawn in a fixed order (loss, corruption, jitter),
+        # each only where its probability is positive: a seeded run
+        # depends on it.
+        faults = None if plan is None else plan.faults_at(src_id, dst_id, sent_at)
+        if faults is not None and faults.loss_prob > 0.0 and rng.random() < faults.loss_prob:
             self.stats["dropped"] += 1
             return
         datagram = Datagram(src_id, dst_id, dst_port, payload, sent_at)
-        if plan is not None and plan.should_corrupt(src_id, dst_id, self.scheduler.now, rng):
-            datagram.payload = _flip_bytes(payload, rng if rng is not None else _REQUIRED_RNG())
+        if faults is not None and faults.corrupt_prob > 0.0 and rng.random() < faults.corrupt_prob:
+            datagram.payload = _flip_bytes(payload, rng)
             datagram.corrupted = True
             self.stats["corrupted"] += 1
         delay = self.params.propagation_delay
         if self.params.jitter and rng is not None:
             delay += rng.uniform(0.0, self.params.jitter)
-        if plan is not None:
-            delay += plan.extra_delay(src_id, dst_id, self.scheduler.now, rng)
+        if faults is not None:
+            delay += faults.extra_delay
         self.scheduler.at(
             tx_end + delay,
             self._deliver,
@@ -202,10 +206,6 @@ class Network:
         handler = receiver._handlers.get(datagram.dst_port)
         if handler is not None:
             handler(datagram)
-
-
-def _REQUIRED_RNG():
-    raise SimulationError("corruption injection requires an RNG stream")
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,30 @@ crash, a value-faulty replica, a window of message loss and a few
 payloads that fragment.  It is short enough that no flight recorder
 wraps, so what the sinks *keep* is exactly what was recorded.
 
-The two digests were taken at commit ``e62adb9``, before the sinks
+The two digests were first taken at commit ``e62adb9``, before the sinks
 changed what they store (rows and node ids instead of event objects and
 dict-in-dict nodes).  A change to either is a change to an export.
+
+They were re-taken on purpose at PR 22, the child of commit ``867c249``,
+because the *drill* moved, not an export: this is a batch ring, and a
+batch ring's ``token_rotation_timeout`` now follows what a token visit
+costs there (164 ms instead of 327 ms at these eight processors).  A
+token lost in the lossy window is regenerated that much sooner and the
+four strikes before ``fail_to_send`` take 0.66 s instead of 1.31 s, so
+the crash and the value fault no longer merge into one reconfiguration:
+P1 is excluded at 2.7 s and P2 by a second installation at 4.2 s, which
+is why ``until`` went from 3.0 to 4.5.
+
+**One scenario that was green lost three invocations to that timing, and
+it is kept here red.**  The first pin ran seed 17 and collected 72 replies
+of 72.  Under the new timing seed 17's second installation cuts at seq
+192 with 198 already sequenced, and the six messages above the cut carry
+a three-fragment ``store`` that nobody re-sends on the new ring — ROADMAP
+item 1's hole, its first fragmenting reproduction — so the drill collects
+69.  That run stays below as a strict xfail beside ROADMAP's other pinned
+reproductions: the fix for item 1 must flip it.  The export digests are
+pinned on seed 23, which loses nothing under either timing, so every
+assertion on it is the one the first pin made.
 """
 
 import hashlib
@@ -29,14 +50,15 @@ from repro.obs.trace import export_traces, verify_against_critpath
 from repro.orb.idl import InterfaceDef, OperationDef, ParamDef
 from repro.sim.faults import FaultPlan, LinkFaults
 
-SEED = 17
+SEED = 23
+FIRST_PINNED_SEED = 17
 FRAGMENT_BYTES = 512
 OPERATIONS = 24
 CRASH_AT = 0.55
 FIRST_CORRUPT = 8
 
-TRACE_SHA256 = "cb91c66f7b84c5b903ffa2d152d87c728ebc64fe7a6947bc5253e35f81055a26"
-REPORT_SHA256 = "68f72088ae0eab15e0a1c597cd5fe1fcc3e63439e8e5aefe38a33e4bf64616ed"
+TRACE_SHA256 = "d23d24b36f36404de661c80ec4858166f00174a03f07d3a9595da1e3ecff1e4b"
+REPORT_SHA256 = "57615f8494884b562215ca17751112bad8290128b87ffd1a0baddc036c28a46a"
 
 VAULT_IDL = InterfaceDef(
     "Vault",
@@ -55,10 +77,10 @@ class VaultServant:
         return len(data)
 
 
-def run_drill():
+def run_drill(seed=SEED):
     config = ImmuneConfig(
         case=SurvivabilityCase.FULL_SURVIVABILITY,
-        seed=SEED,
+        seed=seed,
         batch_signatures=True,
         fragment_payload_bytes=FRAGMENT_BYTES,
     )
@@ -97,7 +119,7 @@ def run_drill():
     obs.forensics.record_ground_truth(
         fault_id_for("value_fault", 2, value_fault_at), "value_fault", 2, value_fault_at
     )
-    immune.run(until=3.0)
+    immune.run(until=4.5)
     return immune, obs, collector, replies
 
 
@@ -119,6 +141,19 @@ def test_the_drill_reaches_every_hook_and_wraps_no_recorder(drill):
     records = collector.assemble(merge_timeline(obs.forensics))
     nodes = {node["node"][0] for record in records for node in record["nodes"]}
     assert {"cert", "fragment", "reassembled", "retransmit", "token", "delivered"} <= nodes
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the second installation cuts at seq 192 with 198 "
+    "sequenced, and the three-fragment store above the cut is re-sent by "
+    "nobody on the new ring -- 69 replies of 72.  Green (72 of 72, one merged "
+    "reconfiguration) until PR 22 halved the batch ring's token-loss timeout; "
+    "the fix for item 1 must flip this.",
+)
+def test_the_first_pinned_seed_still_collects_every_reply():
+    _immune, _obs, _collector, replies = run_drill(FIRST_PINNED_SEED)
+    assert len(replies) == 3 * OPERATIONS
 
 
 def test_traces_agree_with_the_critical_path(drill):
