@@ -100,7 +100,7 @@ class ImmuneMessage:
     #: around those two fields (including CDR alignment padding, which
     #: depends only on the fixed-length fields) is a constant byte
     #: string, so the hot encode is two struct packs and a concat.
-    _TEMPLATE_CACHE = perf.register_cache(perf.BytesKeyedCache("immune.encode_template", 1024))
+    _TEMPLATE_CACHE = perf.register_cache(perf.BytesKeyedCache("immune.encode_template"))
 
     def encode(self):
         key = (self.kind, self.source_group, self.replica_proc, self.target_group)
@@ -169,7 +169,7 @@ class ImmuneMessage:
     #: payload bytes -> decoded message, shared across every processor:
     #: one multicast delivery hands the identical payload to N
     #: Replication Managers, which would otherwise each re-parse it.
-    _DECODE_CACHE = perf.register_cache(perf.BytesKeyedCache("immune.decode", 8192))
+    _DECODE_CACHE = perf.register_cache(perf.BytesKeyedCache("immune.decode"))
 
     @classmethod
     def decode_shared(cls, data):

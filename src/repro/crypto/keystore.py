@@ -17,11 +17,11 @@ from repro.crypto.rsa import generate_keypair
 #: in a broadcast simulation N receivers digest byte-identical frames,
 #: so the pure computation is done once in wall-clock (each processor's
 #: *simulated* digest time is still charged individually)
-_DIGEST_CACHE = perf.register_cache(perf.BytesKeyedCache("crypto.digest", 16384))
+_DIGEST_CACHE = perf.register_cache(perf.BytesKeyedCache("crypto.digest"))
 
 #: (signer_id, signable_bytes, signature) -> bool; ditto for the RSA
 #: verification every receiver performs on the same signed token
-_VERIFY_CACHE = perf.register_cache(perf.BytesKeyedCache("crypto.verify", 8192))
+_VERIFY_CACHE = perf.register_cache(perf.BytesKeyedCache("crypto.verify"))
 
 
 class KeyStore:

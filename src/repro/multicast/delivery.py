@@ -410,7 +410,10 @@ class DeliveryProtocol:
             if not self.signing.verify(token.sender_id, token.sealed_bytes(), token.signature):
                 return
         if not token.well_formed(self.members):
-            self.detector.suspect(token.sender_id, "malformed_token")
+            # Only a validly signed token is evidence against its sender;
+            # below SIGNATURES a bit flip or a masquerader is dropped.
+            if self._signatures:
+                self.detector.suspect(token.sender_id, "malformed_token")
             return
         stored = self._token_raw_by_visit.get(token.visit)
         if stored is not None:

@@ -64,7 +64,7 @@ class RegularMessage:
     #: A sender emits thousands of frames differing only in ``seq`` and
     #: ``payload``; the CDR bytes around them (alignment included) are
     #: constant, so the hot encode is two struct packs and a concat.
-    _TEMPLATE_CACHE = perf.register_cache(perf.BytesKeyedCache("multicast.encode_template", 1024))
+    _TEMPLATE_CACHE = perf.register_cache(perf.BytesKeyedCache("multicast.encode_template"))
 
     def encode(self):
         key = (self.sender_id, self.ring_id, self.dest_group)
@@ -457,7 +457,7 @@ def _parse_frame(data):
 #: a broadcast hands byte-identical payloads to every receiver, so the
 #: CDR parse happens once in wall-clock instead of once per receiver.
 #: Corrupted frames differ in bytes and miss the memo naturally.
-_FRAME_CACHE = perf.register_cache(perf.BytesKeyedCache("multicast.decode", 8192))
+_FRAME_CACHE = perf.register_cache(perf.BytesKeyedCache("multicast.decode"))
 
 
 def _seeded(raw, frame):

@@ -80,9 +80,8 @@ class _TraceDag:
     time by id, and :attr:`attrs` the attribute dict of the nodes that
     have one.  :attr:`edges` is an insertion-ordered dict keyed by
     ``parent id << 32 | child id`` — the edge list and its
-    de-duplication set in one, and one int per edge: most probes re-draw
-    an edge a re-vouching certificate already drew, and a pair would be
-    a GC-tracked allocation for each.  :attr:`tallied` lists the
+    de-duplication set in one, and one int per edge where a pair would
+    be a GC-tracked allocation for each.  :attr:`tallied` lists the
     vote_copy node ids of each ``(phase, shard)`` vote, which every
     decision of that vote links.
     """
@@ -169,7 +168,8 @@ class TraceCollector:
         self._payloads = {}
         #: (shard, seq) -> (trace, phase, origin sender, copy node id)
         self._seq_bindings = {}
-        #: shard -> {token visit: [(trace, token node id), ...] covered by it}
+        #: shard -> {token visit: [(trace, token node id), ...] covered by
+        #: it}, until the first certificate that vouches the visit
         self._visit_bindings = {}
 
     @property
@@ -300,6 +300,9 @@ class TraceCollector:
     def certified(self, cert_info, shard=0):
         """A :class:`TokenCertificate` vouched a span of token visits.
 
+        Only the first certificate that vouches a visit is drawn: it
+        consumes the visit's binding, so a later certificate re-vouching
+        the visit adds nothing and the bindings do not outgrow the run.
         ``cert_info`` becomes the attributes of every certificate node
         created here as it is, not copied: it must not change afterwards.
         """
@@ -309,7 +312,7 @@ class TraceCollector:
         node_key = ("cert", cert_info["signer"], shard, cert_info["first_visit"])
         now = self._scheduler.now
         for visit in range(cert_info["first_visit"], cert_info["last_visit"] + 1):
-            for trace, token_id in covered.get(visit, ()):
+            for trace, token_id in covered.pop(visit, ()):
                 cert_id = trace.ids.get(node_key)
                 if cert_id is None:
                     cert_id = trace.node(node_key, now)

@@ -32,20 +32,18 @@ _LITTLE_ENDIAN_FLAG = 1
 #: request/reply with the same fields, so the CDR work runs once per
 #: logical message instead of once per replica.  Keys are full field
 #: tuples, so two messages share bytes only if they are equal.
-_ENCODE_CACHE = perf.register_cache(perf.BytesKeyedCache("giop.encode", 8192))
+_ENCODE_CACHE = perf.register_cache(perf.BytesKeyedCache("giop.encode"))
 
 #: frame bytes -> decoded message, shared across receivers of the same
 #: normalised frame (the whole point of normalisation is that copies
 #: from different replicas are byte-identical)
-_DECODE_CACHE = perf.register_cache(perf.BytesKeyedCache("giop.decode", 8192))
+_DECODE_CACHE = perf.register_cache(perf.BytesKeyedCache("giop.decode"))
 
 #: (object_key, operation, response_expected) -> the constant CDR bytes
 #: between the request id and the body.  Request ids increment per
 #: invocation, so the full-frame memo above misses once per id; the
 #: template turns that miss into two packs and a concatenation.
-_REQUEST_TEMPLATE_CACHE = perf.register_cache(
-    perf.BytesKeyedCache("giop.request_template", 256)
-)
+_REQUEST_TEMPLATE_CACHE = perf.register_cache(perf.BytesKeyedCache("giop.request_template"))
 
 _U32 = struct.Struct("<I")
 #: a Reply's CDR header is exactly two unaligned ulongs

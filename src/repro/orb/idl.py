@@ -27,7 +27,7 @@ from repro.orb.cdr import CdrDecoder, CdrEncoder, MarshalError
 #: (parameter type tags, argument values) -> marshalled body.  Shared
 #: across operations: two operations with the same signature marshal
 #: the same arguments to the same bytes by construction.
-_MARSHAL_CACHE = perf.register_cache(perf.BytesKeyedCache("idl.marshal", 4096))
+_MARSHAL_CACHE = perf.register_cache(perf.BytesKeyedCache("idl.marshal"))
 
 
 class IdlError(Exception):

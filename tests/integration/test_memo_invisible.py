@@ -3,21 +3,23 @@
 Simulated CPU is charged by the cost model before any memo is
 consulted and whichever MD4 backend runs, so a hit or a native digest
 may save host CPU but never move a simulated number.  Each seeded drill
-runs four times in one process:
+runs five times in one process:
 
 * **cold** — every memo emptied first (``perf.clear_caches()``);
 * **warm** — again, with whatever the first run left behind;
 * **python MD4** — cold again, with ``md4_digest`` routed through the
   RFC 1320 Python code instead of the backend selected at import
   (``repro.crypto.md4.BACKEND``);
+* **bounded** — cold again, with ``perf.MEMO_BOUND`` patched to 2, so
+  once a table holds two entries every put evicts the older one;
 * **defeated** — every memo forced to miss (``tests.support.defeat_memos``),
   so every digest, verification, encode and decode is recomputed.
 
 The observability JSONL export and the simulated fingerprint of the
-four runs must be byte-identical.  A memo that returned a stale or
-wrong value, a code path that charged simulated time only on a miss, or
-a backend that disagreed with RFC 1320 on one input would make a run
-differ.
+five runs must be byte-identical.  A memo that returned a stale or
+wrong value, a code path that charged simulated time only on a miss or
+that read an entry eviction had dropped, or a backend that disagreed
+with RFC 1320 on one input would make a run differ.
 
 The frame-decode memo is *seeded* by ``encode()``: receivers of an
 uncorrupted broadcast are handed the originator's own object and parse
@@ -151,6 +153,12 @@ def test_cold_warm_and_defeated_memos_agree_byte_for_byte(drill, tmp_path, monke
         force_python_md4(patch)
         python_md4 = _run(drill, tmp_path / "python_md4.jsonl")
 
+    with monkeypatch.context() as patch:
+        patch.setattr(perf, "MEMO_BOUND", 2)
+        perf.clear_caches()
+        bounded = _run(drill, tmp_path / "bounded.jsonl")
+        assert all(stats["size"] <= 2 for stats in perf.cache_stats().values())
+
     defeat_memos(monkeypatch)
     defeated = _run(drill, tmp_path / "defeated.jsonl")
     assert all(stats["hits"] == 0 for stats in perf.cache_stats().values())
@@ -158,6 +166,7 @@ def test_cold_warm_and_defeated_memos_agree_byte_for_byte(drill, tmp_path, monke
     assert cold[0].count(b"\n") > 100
     assert warm == cold
     assert python_md4 == cold
+    assert bounded == cold
     assert defeated == cold
 
 

@@ -153,7 +153,9 @@ def test_what_stays_alive_is_a_constant_per_row_node_and_edge():
     edges = sum(
         1 for record in records for edge in record["edges"] if edge[2] == "causal"
     )
-    assert nodes > 1000 and edges > 1500
+    # Only the first certificate that vouches a visit is drawn; the
+    # re-vouching ones used to make this 1 029 nodes and 1 781 edges.
+    assert nodes > 700 and edges > 650
     held_by_traces = _reachable(drill.collector.traces(), beyond)
     # Per trace: the DAG, its key, its six tables and the two votes'
     # tallies.  Per node: its key tuple, plus an attribute dict (and a

@@ -2,7 +2,7 @@
 
 ``python -m repro.obs.trace`` runs neither a batch-signature nor a
 fragmenting workload, so three of the collector's hooks — ``certified``
-(which owns most nodes of a batch trace), ``fragmented`` and
+(which draws every certificate node of a batch trace), ``fragmented`` and
 ``reassembled`` — have no byte-identity gate among the CI artefacts.
 This drill reaches all of them on one seeded ring: eight processors on
 the batch-signature pipeline, a five-way server and three-way client, a
@@ -34,6 +34,14 @@ item 1's hole, its first fragmenting reproduction — so the drill collects
 reproductions: the fix for item 1 must flip it.  The export digests are
 pinned on seed 23, which loses nothing under either timing, so every
 assertion on it is the one the first pin made.
+
+``TRACE_SHA256`` was re-taken on purpose once more, by the change that
+draws only the *first* certificate vouching a token visit: the
+collector no longer adds a node and an edge for each later certificate
+that re-vouches the visit.  On this drill the export went from 1 220
+nodes and 2 354 edges to 1 039 and 1 208; every other node and edge,
+and every per-cause sum, is the same as before.  ``REPORT_SHA256`` did
+not move.
 """
 
 import hashlib
@@ -57,7 +65,7 @@ OPERATIONS = 24
 CRASH_AT = 0.55
 FIRST_CORRUPT = 8
 
-TRACE_SHA256 = "d23d24b36f36404de661c80ec4858166f00174a03f07d3a9595da1e3ecff1e4b"
+TRACE_SHA256 = "97b8bc05f60fc093471ba6b1c737c4c13403b33d56f3d4aea073dcc632808b88"
 REPORT_SHA256 = "57615f8494884b562215ca17751112bad8290128b87ffd1a0baddc036c28a46a"
 
 VAULT_IDL = InterfaceDef(

@@ -31,6 +31,40 @@ def defeat_memos(monkeypatch):
     perf.clear_caches()
 
 
+def memo_reuse_distances(monkeypatch):
+    """Record how far apart each memo hit is from the put it reads.
+
+    Wraps :class:`repro.perf.BytesKeyedCache` ``get`` / ``put`` and
+    empties every memo.  A put of a key its table does not hold is an
+    *insertion*; every hit appends, under the table's name, the number
+    of insertions into that table since the key's.  Returns that dict,
+    filled as the rest of the test runs.  An entry survives
+    ``perf.MEMO_BOUND // 2`` later insertions, so a hit whose distance
+    is below that would hit under the bound too.
+    """
+    distances, inserted, born = {}, {}, {}
+    real_get, real_put = perf.BytesKeyedCache.get, perf.BytesKeyedCache.put
+
+    def get(self, key, default=None):
+        value = real_get(self, key, default)
+        if value is not default:
+            distances.setdefault(self.name, []).append(
+                inserted[self.name] - born[self.name][key]
+            )
+        return value
+
+    def put(self, key, value):
+        if key not in self._table:
+            count = inserted[self.name] = inserted.get(self.name, 0) + 1
+            born.setdefault(self.name, {})[key] = count
+        return real_put(self, key, value)
+
+    monkeypatch.setattr(perf.BytesKeyedCache, "get", get)
+    monkeypatch.setattr(perf.BytesKeyedCache, "put", put)
+    perf.clear_caches()
+    return distances
+
+
 def force_python_md4(monkeypatch):
     """Route ``md4_digest`` through the RFC 1320 Python code, memos emptied.
 

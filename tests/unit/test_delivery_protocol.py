@@ -199,6 +199,19 @@ def test_malformed_token_suspected():
     assert "malformed_token" in h.detector.reasons_for(1)
 
 
+@pytest.mark.parametrize("security", [SecurityLevel.DIGESTS, SecurityLevel.NONE])
+def test_an_unsigned_malformed_token_is_dropped_not_evidence(security):
+    """Below SIGNATURES nothing authenticates a token, so one flipped
+    ``aru`` bit or a masquerader must not make its claimed sender a
+    ``malformed_token`` suspect — a provable reason, excluded for good."""
+    h = Harness(security=security)
+    _token, raw = h.token(1, visit=1, seq=5, aru=9)  # aru > seq: malformed
+    h.protocol.on_token(decode_frame(raw), raw)
+    assert h.protocol._last_accepted is None
+    assert h.protocol._max_seq_seen == 0
+    assert h.detector.reasons_for(1) == set()
+
+
 def test_bad_signature_dropped_silently():
     h = Harness(security=SecurityLevel.SIGNATURES)
     token, _ = h.token(1, visit=1, seq=0)
