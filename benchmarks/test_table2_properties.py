@@ -6,8 +6,6 @@ uniqueness of contents, reliable delivery, total order) over the full
 recorded history.
 """
 
-import pytest
-
 from repro.bench.properties import delivery_violations
 from repro.sim.faults import FaultPlan, LinkFaults
 from tests.support import MulticastWorld
@@ -27,15 +25,10 @@ def run_history(seed, loss, corrupt, num=4, count=20):
     return world
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: all four processors deliver 19 of 20 with no "
-    "violation -- m019, sequenced above the cut (18) of the reconfiguration a "
-    "transient fail_to_send suspicion of P3 starts at t=1.176, is re-sent by "
-    "nobody on ring 4.  Red since PR 2's _flip_bytes fix changed the "
-    "corruption draws; the fix for item 1 must flip this.",
-)
 def test_table2_under_loss_and_corruption(benchmark, show):
+    """Seed 21 puts ``m019`` above the cut (18) of the reconfiguration a
+    transient ``fail_to_send`` suspicion of P3 starts at t=1.176; its
+    originator sends it again on ring 4, so all 20 are delivered."""
     world = benchmark.pedantic(
         lambda: run_history(seed=21, loss=0.15, corrupt=0.1), rounds=1, iterations=1
     )

@@ -8,6 +8,8 @@ assert through these, so the statements verified are identical in both
 places.
 """
 
+from collections import Counter
+
 
 def delivery_violations(trace, correct):
     """Table 2 — message delivery protocol properties.
@@ -21,7 +23,11 @@ def delivery_violations(trace, correct):
       strictly increasing in sequence number, hence any two correct
       processors deliver common messages in the same order.
     * Reliable delivery: correct processors that installed the same
-      memberships delivered the same set of sequence numbers.
+      memberships delivered the same set of sequence numbers, and every
+      message a correct member of the final membership originated was
+      delivered (handed up whole) at that member.  Originations are
+      matched by payload digest, not seq: a message sequenced above an
+      installation's cut is delivered under a later one.
     """
     violations = []
     per_proc = {pid: [] for pid in correct}
@@ -45,10 +51,11 @@ def delivery_violations(trace, correct):
                     "uniqueness: seq %d delivered with different contents" % rec.seq
                 )
 
-    final_rings = {}
+    final_installs = {}
     for rec in trace.of_kind("membership.install"):
         if rec.proc in correct:
-            final_rings[rec.proc] = rec.ring
+            final_installs[rec.proc] = rec
+    final_rings = {proc: rec.ring for proc, rec in final_installs.items()}
     for p in sorted(delivered_seqs):
         for q in sorted(delivered_seqs):
             if p >= q:
@@ -61,6 +68,29 @@ def delivery_violations(trace, correct):
                     "reliable delivery: P%d and P%d disagree on seqs %s"
                     % (p, q, sorted(missing)[:5])
                 )
+
+    last = max(final_installs.values(), key=lambda rec: rec.ring, default=None)
+    members = set(correct) if last is None else set(correct) & set(last.members)
+    originated = Counter(
+        (rec.proc, rec.payload)
+        for rec in trace.of_kind("multicast.originate")
+        if rec.proc in members
+    )
+    handed_up = Counter(
+        (proc, rec.payload)
+        for proc in members
+        for rec in per_proc[proc]
+        if rec.sender == proc and rec.get("payload") is not None
+    )
+    lost = Counter()
+    for (proc, payload), count in originated.items():
+        lost[proc] += max(count - handed_up[proc, payload], 0)
+    for proc in sorted(lost):
+        if lost[proc]:
+            violations.append(
+                "reliable delivery: %d message(s) P%d originated never delivered there"
+                % (lost[proc], proc)
+            )
     return violations
 
 

@@ -42,6 +42,7 @@ certificate is a provable mutant and is convicted exactly as in the
 per-visit-signature mode.
 """
 
+import itertools
 from collections import deque
 
 from repro.multicast.messages import (
@@ -129,6 +130,10 @@ class DeliveryProtocol:
         self._batch = config.batch_signatures
 
         self._send_queue = deque()
+        #: seq -> the send-queue entry this processor sequenced as seq,
+        #: until it delivers that seq: what an installation that cuts
+        #: below it puts back on the queue
+        self._originated = {}
         #: seq -> list of distinct raw message variants (mutant candidates)
         self._received = {}
         #: seq -> (digest, originating token sender)
@@ -246,8 +251,12 @@ class DeliveryProtocol:
 
         Sequence numbers continue from ``start_seq`` (the agreed
         delivery cut of the previous ring) so coverage comparisons stay
-        meaningful across reconfigurations.
+        meaningful across reconfigurations.  What this processor
+        sequenced above the cut was delivered by nobody and the old
+        ring's frames are cleared here, so it goes back to the head of
+        the send queue first, to be sequenced again on the new ring.
         """
+        self._reoriginate()
         self.active = True
         self.circulating = True
         self._ceiling = None
@@ -316,6 +325,51 @@ class DeliveryProtocol:
             self._ceiling = cut
         self._advance_delivery()
 
+    def drop_originated(self):
+        """Forget what this processor sequenced and has not delivered.
+
+        Called when it (re)joins: the ring that excluded it dropped
+        those messages at every survivor, so they are dropped here too.
+        """
+        self._originated.clear()
+
+    def _reoriginate(self):
+        """Put what this processor sequenced and nobody delivered back at
+        the head of the send queue.
+
+        Every survivor delivers exactly up to the cut before it
+        installs, so the entries left in ``_originated`` lie above it
+        and were delivered nowhere: sending them again, in seq order, is
+        exactly-once.  Every member drops its partial reassemblies at
+        the install, so a payload split into fragments goes again whole:
+        the chunks of it delivered below the cut (this processor's own
+        reassembly buffer holds them) go first, then the rest, which is
+        above the cut or still queued.  A payload is handed up with its
+        last chunk, so the order of hand-ups is unchanged.
+        """
+        resend = [self._originated[seq] for seq in sorted(self._originated)]
+        self._originated.clear()
+        restart = []
+        for (sender, frag_id), partial in self._reassembly.items():
+            if sender != self.my_id:
+                continue
+            rest = next(
+                (
+                    entry
+                    for entry in itertools.chain(resend, self._send_queue)
+                    if entry[2] is not None and entry[2][0] == frag_id
+                ),
+                None,
+            )
+            if rest is None:
+                continue
+            dest_group, _chunk, (_, _, total), ctx = rest
+            restart.extend(
+                (dest_group, chunk, (frag_id, index, total), ctx)
+                for index, chunk in sorted(partial["chunks"].items())
+            )
+        self._send_queue.extendleft(reversed(restart + resend))
+
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
@@ -330,6 +384,13 @@ class DeliveryProtocol:
         reassembles and delivers the joined payload once the *last*
         fragment's sequence number is deliverable.
         """
+        if self._trace is not None and self._trace.active:
+            self._trace.record(
+                "multicast.originate",
+                proc=self.my_id,
+                group=dest_group,
+                payload=self._digest_of(payload),
+            )
         ctx = self._tracer.context_for(payload) if self._tracer is not None else None
         limit = self.config.fragment_payload_bytes
         if len(payload) > limit:
@@ -1060,8 +1121,10 @@ class DeliveryProtocol:
         digest_list = []
         budget = self.config.max_messages_per_token_visit
         while self._send_queue and budget > 0:
-            dest_group, payload, frag, trace_ctx = self._send_queue.popleft()
+            entry = self._send_queue.popleft()
+            dest_group, payload, frag, trace_ctx = entry
             seq = self._max_seq_seen + 1
+            self._originated[seq] = entry
             if trace_ctx is not None:
                 self._tracer.copy_sent(trace_ctx, self.my_id, seq)
             if frag is None:
@@ -1207,6 +1270,7 @@ class DeliveryProtocol:
                 self._pending_rtr.add(seq)
                 break
             self._delivered_up_to = seq
+            self._originated.pop(seq, None)
             advanced = True
             self.stats["delivered"] += 1
             if self._forensics is not None:
@@ -1223,6 +1287,10 @@ class DeliveryProtocol:
             self.processor.charge(
                 self.config.message_handling_cost, "multicast.deliver", priority=True
             )
+            if isinstance(message, MessageFragment):
+                payload = self._reassemble(message)
+            else:
+                payload = message.payload
             if self._trace is not None and self._trace.active:
                 self._trace.record(
                     "multicast.deliver",
@@ -1232,22 +1300,22 @@ class DeliveryProtocol:
                     sender=message.sender_id,
                     group=message.dest_group,
                     digest=self._digest_of(raw),
+                    # what is handed up, if anything (a fragment but the
+                    # last hands up nothing)
+                    payload=None if payload is None else self._digest_of(payload),
                 )
-            if isinstance(message, MessageFragment):
-                self._deliver_fragment(message)
-            else:
-                self.deliver_cb(
-                    message.sender_id, seq, message.dest_group, message.payload
-                )
+            if payload is not None:
+                self.deliver_cb(message.sender_id, seq, message.dest_group, payload)
         if advanced and self.coverage_listener is not None:
             self.coverage_listener()
 
-    def _deliver_fragment(self, message):
-        """Buffer one ordered fragment; deliver the join on the last one.
+    def _reassemble(self, message):
+        """Buffer one ordered fragment; the joined payload on the last one.
 
         Total order per sender guarantees index order, so the
         reassembled payload is handed up with the final fragment's
         sequence number — the point at which every chunk has committed.
+        Returns None while chunks are outstanding.
         """
         key = (message.sender_id, message.frag_id)
         entry = self._reassembly.get(key)
@@ -1260,15 +1328,14 @@ class DeliveryProtocol:
             message.frag_total != entry["total"]
             or message.frag_index >= entry["total"]
         ):
-            return  # inconsistent fragmentation metadata: drop the chunk
+            return None  # inconsistent fragmentation metadata: drop the chunk
         entry["chunks"][message.frag_index] = message.payload
         if len(entry["chunks"]) < entry["total"]:
-            return
+            return None
         del self._reassembly[key]
-        payload = b"".join(entry["chunks"][i] for i in range(entry["total"]))
         if self._tracer is not None:
             self._tracer.reassembled(message.seq, message.sender_id)
-        self.deliver_cb(message.sender_id, message.seq, message.dest_group, payload)
+        return b"".join(entry["chunks"][i] for i in range(entry["total"]))
 
     def _select_deliverable(self, seq, variants):
         """Pick the variant to deliver, honouring the security level."""

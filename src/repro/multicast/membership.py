@@ -28,7 +28,10 @@ Reconfigures the system when processors exhibit faults (paper section
    and each member installs only once its own coverage reaches the
    cut.  Every message delivered in the old membership by any correct
    member is thus delivered by all of them before the change — the
-   flush behind Table 2's reliable delivery property.
+   flush behind Table 2's reliable delivery property.  What a survivor
+   had sequenced above the cut was delivered by nobody; it sends it
+   again on the new ring.  An excluded sender's messages above the cut
+   are dropped everywhere, the sender's own copy included.
 5. Members that stay silent for a whole round are suspected as
    ``unresponsive`` and the round restarts without them; candidate
    sets shrink monotonically, so reconfiguration terminates (given the
@@ -158,6 +161,7 @@ class MembershipEngine:
         if self._forensics is not None:
             self._forensics.record("reconfig_begin", joining=True)
         self.delivery.suspend()
+        self.delivery.drop_originated()
         self._round = 0
         self._silent_rounds = {}
         self._accusations = {}

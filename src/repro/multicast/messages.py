@@ -383,13 +383,20 @@ class MembershipCommit:
         )
 
     def proposals(self):
-        """Decode the bundled proposals (each is a full proposal frame)."""
+        """Decode the bundled proposals.
+
+        Each must be a full proposal frame in its canonical encoding,
+        as :func:`decode_frame` requires of a frame off the wire: the
+        bundled bytes are stored and compared as the proposer's, so a
+        flipped padding bit must not make an honest proposer look like
+        it equivocated.
+        """
         out = []
         for frame in self.proposal_frames:
-            inner = CdrDecoder(frame)
-            if inner.read("octet") != FRAME_PROPOSAL:
+            proposal = decode_frame(frame)
+            if not isinstance(proposal, MembershipProposal):
                 raise MulticastCodecError("commit bundle contains a non-proposal frame")
-            out.append((MembershipProposal.decode(inner), frame))
+            out.append((proposal, frame))
         return out
 
     def __repr__(self):

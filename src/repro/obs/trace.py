@@ -22,11 +22,12 @@ Context propagation rules
 * Producers that hand a payload to the multicast layer *register* the
   encoded bytes with the collector (the client Replication Manager for
   requests, the server RM for replies, a gateway replica for its
-  re-originated copy).  The delivery layer looks the bytes back up
-  when it assigns a ring sequence number — the same mechanism as the
-  fan-out decode memo.  Each replica registers its own encoding (the
-  wrapped bytes embed its pid), and every encoding resolves to the
-  same logical context, so all copies land on one trace.
+  re-originated copy).  The delivery layer takes the registration back
+  once, when it queues the bytes, and the context rides on the queue
+  entry to the ring sequence number (and to any fragment or re-sent
+  copy).  Each replica registers its own encoding (the wrapped bytes
+  embed its pid), and every encoding resolves to the same logical
+  context, so all copies land on one trace.
 * From the sequence number on, propagation is positional: the
   collector keeps global ``(shard, seq) -> trace`` bindings, so token
   coverage, retransmission servicing (which happens at whichever
@@ -54,6 +55,7 @@ deterministic JSONL, byte-identical across runs.
 
 import hashlib
 import json
+import struct
 import sys
 
 from repro.obs.critpath import _TokenEvidence, _fmt_seconds, attribute_span
@@ -63,6 +65,18 @@ from repro.obs.spans import SPAN_STAGES, InvocationSpan
 #: request / reply phase tags carried in every node key
 PHASE_REQUEST = "req"
 PHASE_REPLY = "rep"
+
+#: one causal edge: parent id, child id
+_EDGE = struct.Struct("<II")
+
+#: node kinds whose key names a token visit or a certificate: kept out
+#: of the shared key table, which would grow with the run by about what
+#: it saved (a visit covers one or two traces; a certificate's key is
+#: built once for all the traces it draws)
+_PER_VISIT = ("token", "cert")
+
+#: node kind -> the attribute its node stores as a bare count
+_COUNTED = {"delivered": "commits", "retransmit": "count", "fragment": "fragments"}
 
 
 def trace_id_for(key):
@@ -77,26 +91,30 @@ class _TraceDag:
     Nodes are small integers in observation order: :attr:`ids` maps a
     node key tuple to its id (insertion order *is* id order, which the
     export preserves), :attr:`times` holds each node's first-observation
-    time by id, and :attr:`attrs` the attribute dict of the nodes that
-    have one.  :attr:`edges` is an insertion-ordered dict keyed by
-    ``parent id << 32 | child id`` — the edge list and its
-    de-duplication set in one, and one int per edge where a pair would
-    be a GC-tracked allocation for each.  :attr:`tallied` lists the
-    vote_copy node ids of each ``(phase, shard)`` vote, which every
-    decision of that vote links.
+    time by id and :attr:`attrs` the least that rebuilds its attribute
+    dict (see :func:`_attributes`; None for a node without one).
+    :attr:`edges` is a byte string of ``(parent id, child id)`` pairs in
+    the order first drawn, eight bytes an edge and no object at all.
+    :attr:`tallied` lists the vote_copy node ids of each vote, under the
+    vote's decision key, which every decision of that vote links.
+    :attr:`shared` is the collector's one copy of every node key that
+    names no token visit or certificate, used for such a node's key.
     """
 
-    __slots__ = ("key", "trace_id", "oneway", "ids", "times", "attrs", "edges", "tallied")
+    __slots__ = (
+        "key", "trace_id", "oneway", "ids", "times", "attrs", "edges", "tallied", "shared"
+    )
 
-    def __init__(self, key, trace_id):
+    def __init__(self, key, trace_id, shared):
         self.key = key
         self.trace_id = trace_id
         self.oneway = False
         self.ids = {}
         self.times = []
-        self.attrs = {}
-        self.edges = {}
+        self.attrs = []
+        self.edges = bytearray()
         self.tallied = {}
+        self.shared = shared
 
     def node(self, node_key, time, parent=None):
         """The id of a get-or-created node; first observation wins the
@@ -108,17 +126,30 @@ class _TraceDag:
         """
         node_id = self.ids.get(node_key)
         if node_id is None:
+            if node_key[0] not in _PER_VISIT:
+                node_key = self.shared.setdefault(node_key, node_key)
             node_id = self.ids[node_key] = len(self.times)
             self.times.append(time)
+            self.attrs.append(None)
         if parent is not None:
             parent_id = self.ids.get(parent)
             if parent_id is not None and parent_id != node_id:
-                self.edges[parent_id << 32 | node_id] = None
+                self.link(parent_id, node_id)
         return node_id
+
+    def link(self, parent_id, child_id):
+        """Draw the edge ``parent_id -> child_id`` unless it is drawn."""
+        pair = _EDGE.pack(parent_id, child_id)
+        edges = self.edges
+        at = edges.find(pair)
+        while at > 0 and at % _EDGE.size:  # a match across two pairs
+            at = edges.find(pair, at + 1)
+        if at < 0:
+            edges += pair
 
     def causal_edges(self):
         """``[parent id, child id]`` of every edge, in the order first drawn."""
-        return [[edge >> 32, edge & 0xFFFFFFFF] for edge in self.edges]
+        return [list(edge) for edge in _EDGE.iter_unpack(self.edges)]
 
     def stage_marks(self):
         """stage -> first observation time, mirroring span marks."""
@@ -136,6 +167,22 @@ class _TraceDag:
         return span
 
 
+def _attributes(kind, value):
+    """A node's attribute dict, from what its DAG stores for it: the seq
+    list of a copy, ``[token summary, *seqs]`` for a token, a bare count
+    for the :data:`_COUNTED` kinds, the dict itself for a certificate or
+    gateway forward, and None for a node without attributes."""
+    if value is None:
+        return {}
+    if kind == "copy":
+        return {"seqs": list(value)}
+    if kind == "token":
+        return {**value[0], "seqs": value[1:]}
+    if kind in _COUNTED:
+        return {_COUNTED[kind]: value}
+    return value
+
+
 class TraceCollector:
     """Assembles per-invocation causal DAGs from instrumentation hooks.
 
@@ -151,6 +198,12 @@ class TraceCollector:
     the later hooks need — the trace object and the ids of the nodes
     they hang edges off — so a hook on the token path is a dict probe
     and an insert per edge.
+
+    Each fact is held once: a node key that names no token visit or
+    certificate (a stage, a processor's copy, delivery or vote) is one
+    tuple shared by every trace, a node's attributes are the bare values
+    its dict is built from on :meth:`assemble`, and a registered payload
+    is let go when the delivery layer takes it.
     """
 
     def __init__(self, registry=None, sample_every=1):
@@ -164,7 +217,9 @@ class TraceCollector:
         self.sampled = 0
         #: invocations seen but not sampled (explicit, never silent)
         self.dropped = 0
-        #: payload bytes -> (key, phase, parent node key)
+        #: node key -> itself: the one copy of each visit-free key
+        self._shared_keys = {}
+        #: payload bytes -> (key, phase, parent node key), until queued
         self._payloads = {}
         #: (shard, seq) -> (trace, phase, origin sender, copy node id)
         self._seq_bindings = {}
@@ -204,7 +259,9 @@ class TraceCollector:
     def _ensure(self, key):
         trace = self._traces.get(key)
         if trace is None and self.is_sampled(key):
-            trace = self._traces[key] = _TraceDag(key, trace_id_for(key))
+            trace = self._traces[key] = _TraceDag(
+                key, trace_id_for(key), self._shared_keys
+            )
         return trace
 
     def traces(self):
@@ -237,19 +294,21 @@ class TraceCollector:
     def register_payload(self, payload, key, phase, parent):
         """Bind encoded multicast bytes to a trace before sending.
 
-        Registrations are keyed by exact bytes and never popped (the
-        delivery layer may look a payload up more than once, e.g. when
-        splitting it into fragments).  Distinct producers register
-        distinct encodings — the wrapped bytes embed the sender pid —
-        that resolve to the same logical context.
+        Registrations are keyed by exact bytes and end at the one lookup
+        the delivery layer makes, when it queues the bytes: the context
+        then rides on the queue entry to every fragment, sequence number
+        and re-sent copy.  Distinct producers register distinct
+        encodings — the wrapped bytes embed the sender pid — that
+        resolve to the same logical context.
         """
         if self._ensure(key) is None:
             return
         self._payloads.setdefault(payload, (key, phase, parent))
 
     def context_for(self, payload):
-        """The (key, phase, parent) context for registered bytes, or None."""
-        return self._payloads.get(payload)
+        """Take the (key, phase, parent) context of registered bytes
+        (None if unregistered or already taken)."""
+        return self._payloads.pop(payload, None)
 
     # ------------------------------------------------------------------
     # multicast / delivery hooks (shard-positional)
@@ -263,9 +322,7 @@ class TraceCollector:
         if trace is None:
             return ctx
         node_key = ("fragment", phase, shard, sender)
-        trace.attrs[trace.node(node_key, self._scheduler.now, parent)] = {
-            "fragments": total
-        }
+        trace.attrs[trace.node(node_key, self._scheduler.now, parent)] = total
         return (key, phase, node_key)
 
     def copy_sent(self, ctx, sender, seq, shard=0):
@@ -275,11 +332,15 @@ class TraceCollector:
         if trace is None:
             return
         copy_id = trace.node(("copy", phase, shard, sender), self._scheduler.now, parent)
-        trace.attrs.setdefault(copy_id, {"seqs": []})["seqs"].append(seq)
+        trace.attrs[copy_id] = (trace.attrs[copy_id] or []) + [seq]
         self._seq_bindings[(shard, seq)] = (trace, phase, sender, copy_id)
 
     def token_covered(self, seq, token_info, shard=0):
-        """A token origination vouched ``seq`` in its digest list."""
+        """A token origination vouched ``seq`` in its digest list.
+
+        ``token_info`` is kept by reference, shared by every trace the
+        token covers: it must not change afterwards.
+        """
         binding = self._seq_bindings.get((shard, seq))
         if binding is None:
             return
@@ -289,13 +350,13 @@ class TraceCollector:
         token_id = trace.ids.get(node_key)
         if token_id is None:
             token_id = trace.node(node_key, self._scheduler.now)
-            trace.attrs[token_id] = {**token_info, "seqs": [seq]}
+            trace.attrs[token_id] = [token_info, seq]
             self._visit_bindings.setdefault(shard, {}).setdefault(visit, []).append(
                 (trace, token_id)
             )
         else:
-            trace.attrs[token_id]["seqs"].append(seq)
-        trace.edges[copy_id << 32 | token_id] = None
+            trace.attrs[token_id].append(seq)
+        trace.link(copy_id, token_id)
 
     def certified(self, cert_info, shard=0):
         """A :class:`TokenCertificate` vouched a span of token visits.
@@ -317,7 +378,7 @@ class TraceCollector:
                 if cert_id is None:
                     cert_id = trace.node(node_key, now)
                     trace.attrs[cert_id] = cert_info
-                trace.edges[token_id << 32 | cert_id] = None
+                trace.link(token_id, cert_id)
 
     def retransmitted(self, seq, sender, shard=0):
         """``seq`` was re-sent to service a retransmission request.
@@ -330,8 +391,8 @@ class TraceCollector:
             return
         trace, phase, _origin, copy_id = binding
         node_id = trace.node(("retransmit", phase, shard, sender), self._scheduler.now)
-        trace.edges[copy_id << 32 | node_id] = None
-        trace.attrs.setdefault(node_id, {"count": 0})["count"] += 1
+        trace.link(copy_id, node_id)
+        trace.attrs[node_id] = (trace.attrs[node_id] or 0) + 1
 
     def delivered(self, seq, sender, covering_visit, shard=0):
         """A processor committed ``seq`` in total order."""
@@ -343,8 +404,8 @@ class TraceCollector:
         if covering_visit is not None:
             parent_id = trace.ids.get(("token", phase, shard, covering_visit), parent_id)
         node_id = trace.node(("delivered", phase, shard, sender), self._scheduler.now)
-        trace.edges[parent_id << 32 | node_id] = None
-        trace.attrs.setdefault(node_id, {"commits": 0})["commits"] += 1
+        trace.link(parent_id, node_id)
+        trace.attrs[node_id] = (trace.attrs[node_id] or 0) + 1
 
     def reassembled(self, seq, sender, shard=0):
         """The last fragment of a split payload completed reassembly."""
@@ -368,7 +429,9 @@ class TraceCollector:
         copy_id = trace.node(("vote_copy", phase, shard, sender), self._scheduler.now,
                              ("copy", phase, shard, sender))
         if copy_id == known:  # the first tally of this copy
-            trace.tallied.setdefault((phase, shard), []).append(copy_id)
+            decided = ("vote_decided", phase, shard)
+            decided = trace.shared.setdefault(decided, decided)
+            trace.tallied.setdefault(decided, []).append(copy_id)
 
     def vote_decided(self, key, phase, shard=0):
         """A majority vote decided — the merge node of the copy fan-in.
@@ -379,9 +442,10 @@ class TraceCollector:
         trace = self._ensure(key)
         if trace is None:
             return
-        decided_id = trace.node(("vote_decided", phase, shard), self._scheduler.now)
-        for copy_id in trace.tallied.get((phase, shard), ()):
-            trace.edges[copy_id << 32 | decided_id] = None
+        decided = ("vote_decided", phase, shard)
+        decided_id = trace.node(decided, self._scheduler.now)
+        for copy_id in trace.tallied.get(decided, ()):
+            trace.link(copy_id, decided_id)
 
     def gateway_forwarded(self, key, phase, via, from_ring, to_ring,
                           corrupt, shard=0):
@@ -391,10 +455,10 @@ class TraceCollector:
             return
         node_id = trace.node(("gw_forward", phase, via), self._scheduler.now,
                              ("vote_decided", phase, shard))
-        trace.attrs.setdefault(
-            node_id,
-            {"from_ring": from_ring, "to_ring": to_ring, "corrupt": bool(corrupt)},
-        )
+        if trace.attrs[node_id] is None:
+            trace.attrs[node_id] = {
+                "from_ring": from_ring, "to_ring": to_ring, "corrupt": bool(corrupt),
+            }
 
     # ------------------------------------------------------------------
     # assembly / export
@@ -446,7 +510,9 @@ class TraceCollector:
                 "id": node_id,
                 "node": list(node_key),
                 "time": trace.times[node_id],
-                "attrs": dict(sorted(trace.attrs.get(node_id, {}).items())),
+                "attrs": dict(
+                    sorted(_attributes(node_key[0], trace.attrs[node_id]).items())
+                ),
             }
             for node_key, node_id in trace.ids.items()
         ]

@@ -16,6 +16,7 @@ readers); a new kind arrives together with its reader:
 ===========================  ==========================================
 kind                         read by
 ===========================  ==========================================
+``multicast.originate``      Table 2 checkers (``bench.properties``)
 ``multicast.deliver``        Table 2 checkers (``bench.properties``)
 ``membership.install``       Table 4 checkers (``bench.properties``)
 ``detector.suspect``         Table 5 checkers (``bench.properties``)

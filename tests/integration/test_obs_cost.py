@@ -5,8 +5,10 @@ not object graphs.  A flight recorder appends one tuple per record and
 builds a :class:`ForensicEvent` only for a reader; the field dict of a
 sealed token or certificate is built once, by whoever logs the frame
 first, and shared by every recorder (and trace node) that logs the same
-object; a trace DAG is node ids, a time list, a sparse attribute table
-and one insertion-ordered dict of edges packed into ints.
+object; a trace DAG is node ids under keys shared by every trace, a
+time list, a list of the bare values each node's attributes are built
+from on read, and one byte string of edges; a registered payload is let
+go when it is queued.
 
 Pinned here on a seeded, loss-free six-processor batch-signature ring
 with every sink attached, the way ``test_certificate_cost.py`` pins the
@@ -15,6 +17,7 @@ never by how long anything took.
 """
 
 import gc
+from collections import Counter
 
 import pytest
 
@@ -149,17 +152,48 @@ def test_what_stays_alive_is_a_constant_per_row_node_and_edge():
     assert held_by_recorders <= 1.5 * rows
 
     records = drill.collector.assemble()
-    nodes = sum(len(record["nodes"]) for record in records)
+    kinds = Counter(node["node"][0] for record in records for node in record["nodes"])
+    nodes = sum(kinds.values())
     edges = sum(
         1 for record in records for edge in record["edges"] if edge[2] == "causal"
     )
     # Only the first certificate that vouches a visit is drawn; the
     # re-vouching ones used to make this 1 029 nodes and 1 781 edges.
     assert nodes > 700 and edges > 650
-    held_by_traces = _reachable(drill.collector.traces(), beyond)
-    # Per trace: the DAG, its key, its six tables and the two votes'
-    # tallies.  Per node: its key tuple, plus an attribute dict (and a
-    # seq list) for the kinds that have one.  Per edge: an int, which is
-    # no container at all (dict-in-dict nodes and a list and a tuple per
-    # edge would be 3-4 a node and 2 an edge).
-    assert held_by_traces <= 12 * len(records) + 2 * nodes
+    traces = drill.collector.traces()
+    held_by_traces = _reachable(traces, beyond)
+    # A node key that names no token visit or certificate is one tuple
+    # for every trace, in one table: a stage, or a processor's copy,
+    # delivery or vote.
+    shared_keys = {
+        k for trace in traces for k in trace.ids if k[0] not in ("token", "cert")
+    }
+    assert len(shared_keys) < 40
+    # Per trace: the DAG, its key, its four tables and the two votes'
+    # tallies.  Per node, only the kinds with a seq list hold a container
+    # of their own, the list: a copy's seqs, a token's summary and seqs.
+    # A token and a certificate node also name a visit or a certificate
+    # by a key and a summary dict, which the traces it covers share.
+    # Counts are bare ints and the edges one byte string a trace.  (A key
+    # per node, attribute dicts and an int per edge held 1 658 containers
+    # here, 2.2 a node; this is 827.)
+    seq_lists = kinds["copy"] + kinds["token"]
+    named = 2 * (kinds["token"] + kinds["cert"])
+    shared = 1 + len(shared_keys)
+    assert held_by_traces <= 8 * len(records) + seq_lists + named + shared
+
+
+def test_a_payload_registration_ends_when_it_is_queued(monkeypatch):
+    """Every payload the Replication Managers registered was queued, and
+    the collector let each go: a second lookup finds nothing."""
+    registered = []
+    real = TraceCollector.register_payload
+
+    def register(self, payload, *context):
+        registered.append(payload)
+        real(self, payload, *context)
+
+    monkeypatch.setattr(TraceCollector, "register_payload", register)
+    drill = Drill().run()
+    assert len(registered) == 2 * 3 * OPERATIONS  # three copies a leg
+    assert all(drill.collector.context_for(payload) is None for payload in registered)

@@ -24,16 +24,12 @@ the crash and the value fault no longer merge into one reconfiguration:
 P1 is excluded at 2.7 s and P2 by a second installation at 4.2 s, which
 is why ``until`` went from 3.0 to 4.5.
 
-**One scenario that was green lost three invocations to that timing, and
-it is kept here red.**  The first pin ran seed 17 and collected 72 replies
-of 72.  Under the new timing seed 17's second installation cuts at seq
-192 with 198 already sequenced, and the six messages above the cut carry
-a three-fragment ``store`` that nobody re-sends on the new ring — ROADMAP
-item 1's hole, its first fragmenting reproduction — so the drill collects
-69.  That run stays below as a strict xfail beside ROADMAP's other pinned
-reproductions: the fix for item 1 must flip it.  The export digests are
-pinned on seed 23, which loses nothing under either timing, so every
-assertion on it is the one the first pin made.
+The first pin ran seed 17 and collected 72 replies of 72.  Under the new
+timing seed 17's second installation cuts at seq 192 with 198 already
+sequenced, and the six messages above the cut carry a three-fragment
+``store``.  A surviving originator now sends what it sequenced above a
+cut again on the new ring, a fragmented payload whole, so seed 17
+collects all 72 again; the test below holds it to that.
 
 ``TRACE_SHA256`` was re-taken on purpose once more, by the change that
 draws only the *first* certificate vouching a token visit: the
@@ -42,6 +38,16 @@ that re-vouches the visit.  On this drill the export went from 1 220
 nodes and 2 354 edges to 1 039 and 1 208; every other node and edge,
 and every per-cause sum, is the same as before.  ``REPORT_SHA256`` did
 not move.
+
+Seed 23 was believed to put nothing above a cut; it puts six messages
+there (one replica copy from P3, five from P5; the sibling copies carry
+every vote, so every reply still arrives).  Re-sending them moves the
+drill, so the export digests are pinned twice.  ``TRACE_SHA256`` and
+``REPORT_SHA256`` pin the drill with those messages dropped, as the ring
+used to: the same history, so they hold the collector's and the
+flight recorders' *representation* to the bytes they have always
+exported.  ``RESENT_*`` pin the drill as it runs now, 1 045 nodes and
+1 042 edges.
 """
 
 import hashlib
@@ -52,6 +58,7 @@ import pytest
 from repro.core.config import ImmuneConfig, SurvivabilityCase
 from repro.core.immune import ImmuneSystem
 from repro.core.replica import ValueFaultServant
+from repro.multicast.delivery import DeliveryProtocol
 from repro.obs import Observability, TraceCollector
 from repro.obs.forensics import ForensicsHub, build_report, fault_id_for, merge_timeline
 from repro.obs.trace import export_traces, verify_against_critpath
@@ -67,6 +74,8 @@ FIRST_CORRUPT = 8
 
 TRACE_SHA256 = "97b8bc05f60fc093471ba6b1c737c4c13403b33d56f3d4aea073dcc632808b88"
 REPORT_SHA256 = "57615f8494884b562215ca17751112bad8290128b87ffd1a0baddc036c28a46a"
+RESENT_TRACE_SHA256 = "261936a525897cdbde8fbd29c566413b52324fb149dc51b460b375a09aeef04e"
+RESENT_REPORT_SHA256 = "f15c6ab679b994873e5dbc4adcc3eb37870261b691433b286110fc1ecacfabf1"
 
 VAULT_IDL = InterfaceDef(
     "Vault",
@@ -136,6 +145,17 @@ def drill():
     return run_drill()
 
 
+@pytest.fixture(scope="module")
+def drill_dropping_above_the_cut():
+    """The drill as the ring ran it before a survivor re-sent what it had
+    sequenced above an installation's cut: those messages are dropped."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            DeliveryProtocol, "_reoriginate", lambda self: self._originated.clear()
+        )
+        return run_drill()
+
+
 def test_the_drill_reaches_every_hook_and_wraps_no_recorder(drill):
     immune, obs, collector, replies = drill
     assert len(replies) == 3 * OPERATIONS
@@ -151,14 +171,6 @@ def test_the_drill_reaches_every_hook_and_wraps_no_recorder(drill):
     assert {"cert", "fragment", "reassembled", "retransmit", "token", "delivered"} <= nodes
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the second installation cuts at seq 192 with 198 "
-    "sequenced, and the three-fragment store above the cut is re-sent by "
-    "nobody on the new ring -- 69 replies of 72.  Green (72 of 72, one merged "
-    "reconfiguration) until PR 22 halved the batch ring's token-loss timeout; "
-    "the fix for item 1 must flip this.",
-)
 def test_the_first_pinned_seed_still_collects_every_reply():
     _immune, _obs, _collector, replies = run_drill(FIRST_PINNED_SEED)
     assert len(replies) == 3 * OPERATIONS
@@ -172,7 +184,8 @@ def test_traces_agree_with_the_critical_path(drill):
     ) == []
 
 
-def test_the_trace_export_is_the_pinned_bytes(drill, tmp_path):
+def _digests(drill, tmp_path):
+    """sha256 of the drill's trace export and of its forensic report."""
     immune, obs, collector, replies = drill
     records = collector.assemble(
         merge_timeline(obs.forensics), cost_model=immune.config.crypto_costs
@@ -182,10 +195,22 @@ def test_the_trace_export_is_the_pinned_bytes(drill, tmp_path):
         str(path), records, collector.summary(records),
         {"workload": "pinned", "seed": SEED, "replies": len(replies)},
     )
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_SHA256
-
-
-def test_the_forensic_report_is_the_pinned_bytes(drill):
-    _immune, obs, _collector, _replies = drill
     blob = json.dumps(build_report(obs.forensics), sort_keys=True)
-    assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_SHA256
+    return (
+        hashlib.sha256(path.read_bytes()).hexdigest(),
+        hashlib.sha256(blob.encode()).hexdigest(),
+    )
+
+
+def test_the_trace_export_is_the_pinned_bytes(drill_dropping_above_the_cut, tmp_path):
+    trace_digest, _ = _digests(drill_dropping_above_the_cut, tmp_path)
+    assert trace_digest == TRACE_SHA256
+
+
+def test_the_forensic_report_is_the_pinned_bytes(drill_dropping_above_the_cut, tmp_path):
+    _, report_digest = _digests(drill_dropping_above_the_cut, tmp_path)
+    assert report_digest == REPORT_SHA256
+
+
+def test_the_drill_that_resends_exports_its_pinned_bytes(drill, tmp_path):
+    assert _digests(drill, tmp_path) == (RESENT_TRACE_SHA256, RESENT_REPORT_SHA256)

@@ -6,7 +6,6 @@ asserts the property tables over the recorded history — the same
 checkers the table benches use.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.properties import (
@@ -69,19 +68,15 @@ def test_lossy_histories_still_satisfy_table2(seed, loss, senders):
     _assert_lossy_history_satisfies_table2(seed, loss, senders)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: messages sequenced above the install cut of a "
-    "reconfiguration are re-sent by nobody on the new ring",
-)
 def test_five_lossy_messages_survive_a_reconfiguration():
     """Found by the property above under random exploration (about one
     run in ten before the suite was derandomised).  Loss only, no
     corruption, no crash: P2 transiently suspects P3 (``fail_to_send``,
     t=0.633, absolved 0.1 ms later), ring 3 is installed at t=0.819 with
-    the same four members and cut 3, and ``p2`` and ``p3`` (sender 1,
-    above the cut) are lost — all four processors deliver ``p0, p4,
-    p1``, in one order, so ``delivery_violations`` is empty."""
+    the same four members and cut 3, and ``p2`` and ``p3`` (sender 1)
+    lie above the cut.  They used to be lost, in one order at all four
+    processors, so only the origination clause of
+    ``delivery_violations`` sees it; P1 now sends them again on ring 3."""
     _assert_lossy_history_satisfies_table2(seed=97, loss=0.25, senders=[1, 0, 1, 1, 3])
 
 

@@ -373,3 +373,43 @@ def test_missing_seqs_include_digestless_messages():
     h.protocol._max_seq_seen = 2
     missing = h.protocol._missing_seqs()
     assert missing == {1, 2}  # 1 lacks its digest, 2 lacks bytes
+
+
+@pytest.mark.parametrize("above_the_cut", [1, 0])
+def test_an_installation_resends_a_straddling_fragmented_payload_whole(above_the_cut):
+    """Chunk 0 delivered below the cut, then ``above_the_cut`` chunks
+    sequenced above it, the rest still queued: every member drops its
+    partial reassembly at the install, so the originator queues all
+    three again, in index order, and the payload is handed up once."""
+    h = Harness(security=SecurityLevel.NONE)
+    protocol = h.protocol
+    protocol.config.fragment_payload_bytes = 64
+    protocol.config.max_messages_per_token_visit = 1
+    payload = bytes(range(64)) * 3
+    protocol.queue_message("g", payload)
+    protocol._send_new_messages()  # chunk 0 as seq 1
+    protocol._advance_delivery()
+    protocol.freeze_delivery()  # a reconfiguration starts: the cut is 1
+    for _ in range(above_the_cut):
+        protocol._send_new_messages()  # chunk 1 as seq 2
+    assert h.delivered == [] and len(protocol._originated) == above_the_cut
+
+    protocol.start_ring((0, 1, 2), ring_id=2, start_seq=1)
+    queued = list(protocol._send_queue)
+    assert [entry[1] for entry in queued] == [payload[i : i + 64] for i in (0, 64, 128)]
+    assert [entry[2][1:] for entry in queued] == [(0, 3), (1, 3), (2, 3)]
+    protocol.config.max_messages_per_token_visit = 6
+    protocol._send_new_messages()
+    protocol._advance_delivery()
+    assert h.delivered == [(4, 0, "g", payload)]
+    assert not protocol._originated and not protocol._send_queue
+
+
+def test_a_rejoining_processor_resends_nothing_it_sequenced_before():
+    h = Harness(security=SecurityLevel.NONE)
+    protocol = h.protocol
+    protocol.queue_message("g", b"sequenced before the exclusion")
+    protocol._send_new_messages()
+    protocol.drop_originated()
+    protocol.start_ring((0, 1, 2), ring_id=5, start_seq=0)
+    assert not protocol._send_queue

@@ -10,6 +10,7 @@ from repro.multicast.messages import (
     decode_frame,
     decode_frame_shared,
 )
+from repro.orb.cdr import CdrDecoder
 
 
 def test_regular_message_roundtrip():
@@ -82,6 +83,22 @@ def test_commit_rejects_non_proposal_content():
     decoded = decode_frame(bogus.encode())
     with pytest.raises(MulticastCodecError):
         decoded.proposals()
+
+
+def test_commit_rejects_a_bundled_proposal_with_a_flipped_padding_bit():
+    """The bundle is parsed by ``proposals()``, not ``decode_frame``, and
+    the bytes it yields are kept as the proposer's own: a padding bit
+    flipped inside one must be rejected like the frame off the wire."""
+    proposal = MembershipProposal(1, 5, 2, [0, 1, 2], 10, [], signature=99).encode()
+    flipped = bytearray(proposal)
+    flipped[1] ^= 0x01  # padding after the frame-type octet
+    flipped = bytes(flipped)
+    parser = CdrDecoder(flipped)
+    parser.read_octet()
+    assert MembershipProposal.decode(parser).encode() == proposal  # same fields
+    commit = decode_frame(MembershipCommit(0, 5, 2, [proposal, flipped]).encode())
+    with pytest.raises(MulticastCodecError, match="non-canonical"):
+        commit.proposals()
 
 
 def test_garbage_frame_rejected():

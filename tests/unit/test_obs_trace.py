@@ -101,6 +101,27 @@ def test_unsampled_keys_record_nothing():
     assert c.context_for(b"x") is None
 
 
+def test_a_registration_ends_at_the_lookup_that_queues_the_payload():
+    c, _ = collector()
+    key = ("driver", 1)
+    c.register_payload(b"p", key, "req", ("stage", "multicast_queued"))
+    assert c.context_for(b"p") == (key, "req", ("stage", "multicast_queued"))
+    assert c.context_for(b"p") is None
+
+
+def test_visit_free_node_keys_are_one_tuple_across_traces():
+    c, clock = collector()
+    closed_trace(c, clock, key=("driver", 1))
+    closed_trace(c, clock, key=("driver", 2))
+    first, second = c.get(("driver", 1)), c.get(("driver", 2))
+    shared = [k for k in first.ids if k[0] not in ("token", "cert")]
+    assert {k[0] for k in shared} == {
+        "stage", "copy", "delivered", "vote_copy", "vote_decided",
+    }
+    for node_key in shared:
+        assert next(k for k in second.ids if k == node_key) is node_key
+
+
 def test_invalid_sample_every_rejected():
     with pytest.raises(ValueError):
         TraceCollector(sample_every=0)

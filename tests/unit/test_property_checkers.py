@@ -64,6 +64,41 @@ def test_reliable_delivery_violation_flagged():
     assert any("reliable delivery" in v for v in violations)
 
 
+def _originate_then_install(trace, payloads):
+    for proc in (0, 1):
+        trace.record("membership.install", proc=proc, ring=4, members=(0, 1),
+                     excluded=(2,), cut=0)
+    for payload in payloads:
+        trace.record("multicast.originate", proc=0, group="g", payload=payload)
+
+
+def test_a_lost_origination_is_flagged_though_every_member_agrees():
+    """What a survivor sequenced above an install cut used to be lost in
+    one order at every member: only the originations show it."""
+    trace = make_trace()
+    _originate_then_install(trace, [b"p1", b"p2"])
+    for proc in (0, 1):
+        trace.record("multicast.deliver", proc=proc, ring=4, seq=1, sender=0,
+                     group="g", digest=b"d1", payload=b"p1")
+    violations = delivery_violations(trace, {0, 1})
+    assert violations == [
+        "reliable delivery: 1 message(s) P0 originated never delivered there"
+    ]
+
+
+def test_an_origination_delivered_under_a_later_seq_passes():
+    trace = make_trace()
+    _originate_then_install(trace, [b"p1", b"p2"])
+    for proc in (0, 1):
+        for seq, payload in ((1, b"p1"), (2, None), (3, b"p2")):  # 2: a fragment
+            trace.record("multicast.deliver", proc=proc, ring=4, seq=seq, sender=0,
+                         group="g", digest=b"d%d" % seq, payload=payload)
+    assert delivery_violations(trace, {0, 1}) == []
+    # An originator outside the final membership is owed nothing.
+    trace.record("multicast.originate", proc=2, group="g", payload=b"lost")
+    assert delivery_violations(trace, {0, 1, 2}) == []
+
+
 def test_faulty_processors_excluded_from_delivery_checks():
     trace = make_trace()
     # The faulty processor delivers garbage; only correct ones matter.
