@@ -21,45 +21,21 @@ runs, which CI checks.
 
 Usage::
 
-    python -m repro.bench.cluster --smoke --out BENCH_pr5.json
-    python -m repro.bench.cluster --assert-scaling 1.7
+    python -m repro.bench cluster            # writes BENCH_pr5.json
+    python -m repro.bench cluster --smoke    # CI's run-twice form
 """
-
-import argparse
-import json
-import sys
 
 from repro.cluster import ClusterConfig, ClusterManager
 from repro.core.config import SurvivabilityCase
 from repro.obs import Observability
 from repro.obs.forensics import ForensicsHub, merge_timeline
-from repro.orb.idl import InterfaceDef, OperationDef, ParamDef
-from repro.workloads.packet_driver import PACKET_IDL, PacketDriver, PacketSink
-
-CASES = {
-    2: SurvivabilityCase.ACTIVE_REPLICATION,
-    3: SurvivabilityCase.MAJORITY_VOTING,
-    4: SurvivabilityCase.FULL_SURVIVABILITY,
-}
-
-COUNTER_IDL = InterfaceDef(
-    "Counter",
-    [OperationDef("add", [ParamDef("n", "long")], result="long")],
+from repro.workloads.open_loop import (
+    COUNTER_IDL,
+    CounterServant,
+    OpenLoopDriver,
+    add_one,
 )
-
-
-class _CountingServant:
-    """A counter that also counts how often it executed (exactly-once)."""
-
-    def __init__(self):
-        self.total = 0
-        self.calls = 0
-
-    def add(self, n):
-        self.calls += 1
-        self.total += n
-        return self.total
-
+from repro.workloads.packet_driver import PACKET_IDL, PacketDriver, PacketSink
 
 # ----------------------------------------------------------------------
 # scaling section
@@ -101,11 +77,9 @@ def run_scaling_case(
         deployments.append((server, client))
     cluster.start()
 
-    drivers = []
     for server, client in deployments:
         driver = PacketDriver(cluster, client, server, interval)
         driver.run_for(0.05, warmup + duration)
-        drivers.append(driver)
     end = 0.05 + warmup + duration
     cluster.run(until=end + 0.05)
 
@@ -154,20 +128,14 @@ def run_byzantine_gateway_case(
     obs = Observability(forensics=ForensicsHub())
     config = ClusterConfig(num_rings=2, case=case, seed=seed)
     cluster = ClusterManager(config, obs=obs)
-    server = cluster.deploy("counter", COUNTER_IDL, lambda pid: _CountingServant(), ring=1)
+    server = cluster.deploy("counter", COUNTER_IDL, lambda pid: CounterServant(), ring=1)
     client = cluster.deploy_client("driver", ring=0)
     corrupt = cluster.corrupt_gateway(0, 1, index=0)
     cluster.start()
 
     stubs = cluster.client_stubs(client, COUNTER_IDL, server)
-    replies = []
-    for k in range(operations):
-        def fire():
-            for pid, stub in stubs:
-                if not cluster.processors[pid].crashed:
-                    stub.add(1, reply_to=replies.append)
-
-        cluster.scheduler.at(0.1 + k * op_interval, fire, label="bench.byzantine")
+    driver = OpenLoopDriver(cluster, stubs, add_one, "bench.byzantine")
+    driver.run(0.1, operations, op_interval)
     cluster.run(until=0.1 + operations * op_interval + 1.5)
 
     executions = {
@@ -177,6 +145,7 @@ def run_byzantine_gateway_case(
         total for total in range(1, operations + 1)
         for _ in client.replica_procs
     )
+    replies = [value for _k, _pid, value, _latency in driver.replies]
     timeline = merge_timeline(obs.forensics)
     divergence_culprits = sorted(
         {e.get("culprit") for e in timeline if e.etype == "vote_divergence"}
@@ -199,11 +168,11 @@ def run_byzantine_gateway_case(
     }
 
 
-# ----------------------------------------------------------------------
-# report assembly
-# ----------------------------------------------------------------------
-
-def run_bench(ring_counts, pairs, interval, duration, warmup, case, seed, operations=8):
+def run_bench(
+    ring_counts, pairs, interval, duration, warmup, operations,
+    case=SurvivabilityCase.MAJORITY_VOTING, seed=7,
+):
+    """The scaling sweep over ``ring_counts`` and the Byzantine drill."""
     scaling = []
     baseline = None
     for num_rings in ring_counts:
@@ -216,11 +185,8 @@ def run_bench(ring_counts, pairs, interval, duration, warmup, case, seed, operat
             result["aggregate_throughput"] / baseline if baseline else 0.0
         )
         scaling.append(result)
-
-    byzantine = run_byzantine_gateway_case(operations=operations, seed=seed + 4)
-
     by_rings = {entry["rings"]: entry for entry in scaling}
-    report = {
+    return {
         "bench": "cluster-scaling",
         "config": {
             "case": case.name,
@@ -234,109 +200,7 @@ def run_bench(ring_counts, pairs, interval, duration, warmup, case, seed, operat
         "scaling": scaling,
         "scaling_2_rings": by_rings.get(2, {}).get("scaling_vs_1_ring"),
         "scaling_4_rings": by_rings.get(4, {}).get("scaling_vs_1_ring"),
-        "byzantine_gateway": byzantine,
+        "byzantine_gateway": run_byzantine_gateway_case(
+            operations=operations, seed=seed + 4
+        ),
     }
-    return report
-
-
-def render(report):
-    lines = []
-    add = lines.append
-    add("== cluster scaling bench " + "=" * 37)
-    add(
-        "  case=%s pairs=%d interval=%gus"
-        % (
-            report["config"]["case"],
-            report["config"]["pairs"],
-            report["config"]["interval"] * 1e6,
-        )
-    )
-    for entry in report["scaling"]:
-        add(
-            "  %d ring(s): %8.1f inv/s aggregate  (%.2fx vs 1 ring)"
-            % (
-                entry["rings"],
-                entry["aggregate_throughput"],
-                entry["scaling_vs_1_ring"],
-            )
-        )
-    byz = report["byzantine_gateway"]
-    add("== byzantine gateway drill " + "=" * 35)
-    add(
-        "  %d cross-ring ops, corrupt gateway P%d/P%d: exactly_once=%s replies_correct=%s"
-        % (
-            byz["operations"],
-            byz["corrupt_gateway"]["pid_ring0"],
-            byz["corrupt_gateway"]["pid_ring1"],
-            byz["exactly_once"],
-            byz["replies_correct"],
-        )
-    )
-    add(
-        "  divergences attributed to %s; surviving ring-1 members %s"
-        % (byz["divergence_culprits"], byz["surviving_ring1"])
-    )
-    return "\n".join(lines)
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.cluster",
-        description="Aggregate throughput scaling across token rings.",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="small CI configuration: 1 and 2 rings, short windows",
-    )
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--case", type=int, choices=sorted(CASES), default=3,
-        help="survivability case for the scaling section (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_pr5.json",
-        help="JSON artifact path (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--assert-scaling", type=float, default=None, metavar="X",
-        help="exit nonzero unless 2-ring scaling >= X and the Byzantine "
-             "drill stayed exactly-once",
-    )
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        params = dict(
-            ring_counts=(1, 2), pairs=4, interval=300e-6,
-            duration=0.3, warmup=0.1, operations=6,
-        )
-    else:
-        params = dict(
-            ring_counts=(1, 2, 4), pairs=4, interval=300e-6,
-            duration=0.5, warmup=0.15, operations=8,
-        )
-    report = run_bench(case=CASES[args.case], seed=args.seed, **params)
-
-    blob = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    with open(args.out, "w") as fh:
-        fh.write(blob)
-    print(render(report))
-    print("\nJSON report written to %s" % args.out)
-
-    status = 0
-    if args.assert_scaling is not None:
-        scaling = report["scaling_2_rings"]
-        if scaling is None or scaling < args.assert_scaling:
-            print(
-                "FAIL: 2-ring scaling %s < %.2f" % (scaling, args.assert_scaling),
-                file=sys.stderr,
-            )
-            status = 1
-        byz = report["byzantine_gateway"]
-        if not (byz["exactly_once"] and byz["replies_correct"]):
-            print("FAIL: Byzantine gateway drill lost exactly-once", file=sys.stderr)
-            status = 1
-    return status
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -2,10 +2,10 @@
 
 Sweeps the interval between consecutive one-way invocations at the
 client and reports the throughput measured at the server for the four
-survivability cases.  Run standalone for the full sweep::
+survivability cases::
 
-    python -m repro.bench.figure7            # full sweep
-    python -m repro.bench.figure7 --quick    # abbreviated sweep
+    python -m repro.bench figure7            # full sweep
+    python -m repro.bench figure7 --smoke    # abbreviated sweep
 
 The shape to compare against the paper (absolute numbers depend on the
 calibrated cost model, not on the authors' UltraSPARC testbed):
@@ -19,35 +19,24 @@ calibrated cost model, not on the authors' UltraSPARC testbed):
   ORB's coalescing of one-way invocations.
 """
 
-import sys
-
-from repro.bench.harness import format_series, sweep
+from repro.bench.harness import format_series, run_packet_driver_case
 from repro.core.config import SurvivabilityCase
 
 #: the paper varies the interval over roughly this range (microseconds)
 FULL_INTERVALS_US = (50, 75, 100, 150, 200, 300, 500, 800, 1200)
 QUICK_INTERVALS_US = (100, 300, 1200)
 
-ALL_CASES = (
-    SurvivabilityCase.UNREPLICATED,
-    SurvivabilityCase.ACTIVE_REPLICATION,
-    SurvivabilityCase.MAJORITY_VOTING,
-    SurvivabilityCase.FULL_SURVIVABILITY,
-)
 
-
-def run_figure7(quick=False, duration=None, warmup=None):
-    """Run the sweep; returns {case: [CaseResult, ...]}."""
+def run_figure7(quick=False):
+    """Run the sweep over the four cases; returns {case: [CaseResult, ...]}."""
     intervals_us = QUICK_INTERVALS_US if quick else FULL_INTERVALS_US
-    kwargs = {}
-    if duration is not None:
-        kwargs["duration"] = duration
-    if warmup is not None:
-        kwargs["warmup"] = warmup
-    if quick:
-        kwargs.setdefault("duration", 0.2)
-        kwargs.setdefault("warmup", 0.1)
-    return sweep(ALL_CASES, [us * 1e-6 for us in intervals_us], **kwargs)
+    window = dict(duration=0.2, warmup=0.1) if quick else {}
+    return {
+        case: [
+            run_packet_driver_case(case, us * 1e-6, **window) for us in intervals_us
+        ]
+        for case in SurvivabilityCase
+    }
 
 
 def check_shape(results):
@@ -79,21 +68,18 @@ def check_shape(results):
     return problems
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    quick = "--quick" in argv
+def run(quick=False):
+    """Print the sweep and its shape check; returns the plotted points."""
     results = run_figure7(quick=quick)
     print(format_series(results))
     problems = check_shape(results)
-    print()
-    if problems:
-        print("SHAPE CHECK: %d deviation(s) from the paper:" % len(problems))
-        for problem in problems:
-            print("  - %s" % problem)
-        return 1
-    print("SHAPE CHECK: matches the paper (case1 > case2 ~ case3 >> case4 flat)")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    print("shape check: %s" % ("; ".join(problems) or "matches the paper "
+                               "(case1 > case2 ~ case3 >> case4 flat)"))
+    return {
+        "bench": "figure7",
+        "throughput": {
+            case.name: [[r.interval_us, r.throughput] for r in series]
+            for case, series in results.items()
+        },
+        "shape_problems": problems,
+    }

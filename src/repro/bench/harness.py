@@ -139,17 +139,6 @@ def run_packet_driver_case(
     )
 
 
-def sweep(cases, intervals, **kwargs):
-    """Run the full sweep; returns {case: [CaseResult, ...]}."""
-    results = {}
-    for case in cases:
-        series = []
-        for interval in intervals:
-            series.append(run_packet_driver_case(case, interval, **kwargs))
-        results[case] = series
-    return results
-
-
 def format_series(results):
     """Render the sweep the way the paper's Figure 7 plots it."""
     lines = []

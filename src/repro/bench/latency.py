@@ -5,21 +5,14 @@ measurements) report round-trip latency as well, and the tradeoff is
 implicit in section 8: signatures add milliseconds of protocol latency
 to every operation.  This harness measures the client-observed
 round-trip time of two-way invocations at a gentle request rate — the
-latency cost of each survivability level, unconfounded by queueing.
+latency cost of each survivability level, unconfounded by queueing::
+
+    python -m repro.bench latency
 """
 
 from repro.core.config import ImmuneConfig, SurvivabilityCase
 from repro.core.immune import ImmuneSystem
-from repro.orb.idl import InterfaceDef, OperationDef, ParamDef
-
-ECHO_IDL = InterfaceDef(
-    "Echo", [OperationDef("echo", [ParamDef("n", "long")], result="long")]
-)
-
-
-class EchoServant:
-    def echo(self, n):
-        return n
+from repro.workloads.open_loop import ECHO_IDL, EchoServant, OpenLoopDriver, echo
 
 
 class LatencyResult:
@@ -73,28 +66,13 @@ def measure_latency(case, operations=20, spacing=0.05, seed=9, num_processors=6)
     client = immune.deploy_client("pinger", [3, 4, 5])
     immune.start()
     stubs = immune.client_stubs(client, ECHO_IDL, server)
-    measured_pid = stubs[0][0]
-    samples = []
-
-    for k in range(operations):
-        send_at = 0.1 + k * spacing
-
-        def fire(k=k, send_at=send_at):
-            for pid, stub in stubs:
-                if pid == measured_pid:
-                    stub.echo(
-                        k,
-                        reply_to=lambda _n, send_at=send_at: samples.append(
-                            immune.scheduler.now - send_at
-                        ),
-                    )
-                else:
-                    stub.echo(k, reply_to=lambda _n: None)
-
-        immune.scheduler.at(send_at, fire, label="latency.workload")
-
+    driver = OpenLoopDriver(immune, stubs, echo, "latency.workload")
+    driver.run(0.1, operations, spacing)
     immune.run(until=0.1 + operations * spacing + 2.0)
-    return LatencyResult(case, samples)
+    measured_pid = stubs[0][0]
+    return LatencyResult(
+        case, [latency for _k, pid, _n, latency in driver.replies if pid == measured_pid]
+    )
 
 
 def format_latency(results):
@@ -118,11 +96,11 @@ def format_latency(results):
     return "\n".join(lines)
 
 
-def main():
+def run():
+    """Print the latency of every survivability case; returns the medians."""
     results = [measure_latency(case) for case in SurvivabilityCase]
     print(format_latency(results))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return {
+        "bench": "latency",
+        "median_seconds": {result.case.name: result.median for result in results},
+    }

@@ -1,7 +1,7 @@
 """One-shot evaluation report: every table and figure of the paper.
 
-    python -m repro.bench.report            # quick (a few minutes)
-    python -m repro.bench.report --full     # full Figure 7 sweep
+    python -m repro.bench report            # full Figure 7 sweep
+    python -m repro.bench report --smoke    # abbreviated sweep
 
 Prints Figure 7, the Table 1 fault/mechanism matrix with observed
 evidence, and the Table 2/4/5 property check summaries, in one run.
@@ -9,10 +9,7 @@ The pytest benches under ``benchmarks/`` assert the same content
 piecewise; this module is the human-readable artefact.
 """
 
-import sys
-
-from repro.bench.figure7 import check_shape, run_figure7
-from repro.bench.harness import format_series
+from repro.bench import figure7
 from repro.bench.properties import (
     delivery_violations,
     detector_violations,
@@ -83,18 +80,10 @@ def run_property_checks(seed=77):
     }
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    quick = "--full" not in argv
-
+def run(quick=False):
+    """Print every section; returns the Figure 7 shape check."""
     print(_section("Figure 7 — performance of the Immune system"))
-    results = run_figure7(quick=quick)
-    print(format_series(results))
-    problems = check_shape(results)
-    print(
-        "shape check: %s"
-        % ("matches the paper" if not problems else "; ".join(problems))
-    )
+    problems = figure7.run(quick=quick)["shape_problems"]
 
     print(_section("Table 1 — fault injection drills"))
     print(format_table1(run_all_drills()))
@@ -106,8 +95,4 @@ def main(argv=None):
 
     print(_section("Table 3 — token fields"))
     print("  structural: see benchmarks/test_table3_tokens.py (codec-verified)")
-    return 0 if not problems else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return {"bench": "paper-report", "shape_problems": problems}

@@ -30,6 +30,7 @@ from repro.multicast.adversary import (
 )
 from repro.orb.idl import InterfaceDef, OperationDef, ParamDef
 from repro.sim.faults import FaultPlan, LinkFaults
+from repro.workloads.open_loop import OpenLoopDriver
 
 TALLY_IDL = InterfaceDef(
     "Tally",
@@ -101,16 +102,12 @@ class _Drill:
         self.stubs = self.immune.client_stubs(self.client, TALLY_IDL, self.server)
 
     def send_bumps(self, start, count, spacing=0.02, prefix="op"):
-        scheduler = self.immune.scheduler
-        for k in range(count):
-
-            def fire(k=k):
-                for pid, stub in self.stubs:
-                    if not self.immune.processors[pid].crashed:
-                        stub.bump("%s-%d" % (prefix, k))
-
-            scheduler.at(start + k * spacing, fire, label="drill.workload")
-        return ["%s-%d" % (prefix, k) for k in range(count)]
+        tags = ["%s-%d" % (prefix, k) for k in range(count)]
+        OpenLoopDriver(
+            self.immune, self.stubs,
+            lambda stub, k, _reply: stub.bump(tags[k]), "drill.workload",
+        ).run(start, count, spacing)
+        return tags
 
     def run(self, until):
         self.immune.run(until=until)

@@ -1,81 +1,32 @@
 """Performance trajectory across the stacked benchmark artefacts.
 
-Each optimisation PR leaves a ``BENCH_*.json`` report at the repo root
-(``BENCH_pr2.json`` is PR 2's frozen measurement, ``repro.bench.perf``
-writes ``BENCH_pr7.json``, ``repro.bench.cluster`` writes
-``BENCH_pr5.json``).  Those files gate
-their own PRs, but nothing shows the trajectory — whether the stack of
-changes is still compounding or a later PR quietly gave back an
-earlier win.  This module aggregates every recognised artefact into
-one table::
+Each optimisation PR leaves a ``BENCH_*.json`` report at the repo root.
+Those files gate their own PRs, but nothing shows the trajectory —
+whether the stack of changes is still compounding or a later PR quietly
+gave back an earlier win.  This module aggregates every recognised
+artefact into one table::
 
-    python -m repro.bench.trend              # print table, write BENCH_trend.json
-    python -m repro.bench.trend --dir PATH   # scan another directory
-    python -m repro.bench.trend --no-write   # table only
+    python -m repro.bench trend              # print table, write BENCH_trend.json
+    python -m repro.bench trend --dir PATH   # aggregate another directory
+    python -m repro.bench trend --no-write   # table only
 
-Per-PR headline figures are extracted by the ``bench`` field of each
-report (``pr2-hot-path-overhaul`` → wall-clock speedup,
-``cluster-scaling`` → 2-ring/4-ring aggregate-throughput scaling,
-``pr7-batch-signature-pipeline`` → simulated throughput ratio) so the
-trend survives unrelated schema growth inside the artefacts; any
-artefact without a registered extractor contributes its own
-self-describing ``headline`` rows (``repro.bench.wan`` writes them), so
-future benches appear here without touching this module.  The
-output ``BENCH_trend.json`` is deterministic: rows sort by source
-filename and the JSON is dumped with sorted keys, so re-running on the
-same artefacts is byte-identical.
+An artefact named in the scenario table (:mod:`repro.bench.scenarios`)
+contributes that scenario's headline rows; any other artefact, and the
+ones whose scenario writes its rows into the file, contributes its own
+self-describing ``headline`` rows, so future benches appear here
+without touching this module.  The output ``BENCH_trend.json`` is
+deterministic: rows sort by source filename and the JSON is dumped with
+sorted keys, so re-running on the same artefacts is byte-identical.
 """
 
-import argparse
 import glob
 import json
 import os
-import sys
-
-
-def _rows_pr2(report):
-    return [
-        {
-            "metric": "hot-path wall-clock speedup",
-            "value": report["speedup"],
-            "unit": "x",
-            "gate": report.get("min_speedup"),
-            "ok": bool(report.get("ok")),
-        }
-    ]
-
-
-def _rows_cluster(report):
-    rows = []
-    for rings, key in ((2, "scaling_2_rings"), (4, "scaling_4_rings")):
-        if key in report:
-            rows.append(
-                {
-                    "metric": "aggregate throughput scaling, %d rings" % rings,
-                    "value": report[key],
-                    "unit": "x",
-                    "gate": None,
-                    "ok": True,
-                }
-            )
-    return rows
-
-
-def _rows_pr7(report):
-    return [
-        {
-            "metric": "batch-signature simulated throughput ratio",
-            "value": report["throughput_ratio"],
-            "unit": "x",
-            "gate": report.get("min_ratio"),
-            "ok": bool(report.get("ok")),
-        }
-    ]
 
 
 def _rows_headline(report):
-    """The generic fallback: any artefact may carry its own ``headline``
-    list of ``{metric, value, unit, gate, ok}`` rows (``repro.bench.wan``
+    """The generic reader: any artefact may carry its own ``headline``
+    list of ``{metric, value, unit, gate, ok}`` rows (``BENCH_wan.json``
     does), so future benches join the trend without a code change here.
     Malformed rows are skipped rather than crashing the aggregate."""
     rows = []
@@ -100,16 +51,6 @@ def _rows_headline(report):
     return rows
 
 
-#: ``bench`` field -> row extractor; artefacts without one fall back to
-#: their self-describing ``headline`` rows, and an artefact with neither
-#: is listed but contributes no rows (the trend degrades, never crashes)
-_EXTRACTORS = {
-    "pr2-hot-path-overhaul": _rows_pr2,
-    "cluster-scaling": _rows_cluster,
-    "pr7-batch-signature-pipeline": _rows_pr7,
-}
-
-
 class TrendInputError(Exception):
     """An artefact that exists but cannot be aggregated."""
 
@@ -119,8 +60,13 @@ def collect(directory):
 
     Returns a list of per-artefact entries sorted by filename.  The
     aggregate's own output (``BENCH_trend.json``) and any ``-rerun``
-    scratch copies CI leaves behind are skipped.
+    scratch copies are skipped.
     """
+    from repro.bench.scenarios import SCENARIOS  # the table imports this module
+
+    headlines = {
+        s.artefact: s.headline for s in SCENARIOS.values() if s.headline and not s.embed
+    }
     entries = []
     for path in sorted(glob.glob(os.path.join(directory, "BENCH_*.json"))):
         name = os.path.basename(path)
@@ -132,13 +78,11 @@ def collect(directory):
                 report = json.load(fh)
         except (OSError, ValueError) as exc:
             raise TrendInputError("cannot read %s: %s" % (name, exc))
-        bench = report.get("bench")
-        extractor = _EXTRACTORS.get(bench, _rows_headline)
         entries.append(
             {
                 "file": name,
-                "bench": bench,
-                "rows": extractor(report),
+                "bench": report.get("bench"),
+                "rows": headlines.get(name, _rows_headline)(report),
             }
         )
     return entries
@@ -160,8 +104,8 @@ def render_table(entries):
             )
             continue
         for row in entry["rows"]:
-            # Registered extractors report numeric minimums; headline
-            # rows may carry the full comparison as a string ("<=0.05").
+            # Scenario rows report numeric minimums; headline rows may
+            # carry the full comparison as a string ("<=0.05").
             gate = row["gate"]
             if gate is None:
                 gate = "-"
@@ -189,39 +133,17 @@ def build_report(entries):
     }
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--dir", default=".", help="directory holding BENCH_*.json (default: .)"
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="output path (default: BENCH_trend.json inside --dir)",
-    )
-    parser.add_argument(
-        "--no-write", action="store_true", help="print the table only"
-    )
-    args = parser.parse_args(argv)
-    try:
-        entries = collect(args.dir)
-    except TrendInputError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+def run(directory="."):
+    """Print the table over ``directory``'s artefacts; returns the report."""
+    entries = collect(directory)
     if not entries:
-        print("error: no BENCH_*.json artefacts in %s" % args.dir, file=sys.stderr)
-        return 2
+        raise TrendInputError("no BENCH_*.json artefacts in %s" % directory)
     print(render_table(entries))
-    report = build_report(entries)
-    if not args.no_write:
-        out = args.out or os.path.join(args.dir, "BENCH_trend.json")
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print()
-        print("wrote %s (%d headline row(s))" % (out, len(report["rows"])))
-    return 0 if report["all_gates_ok"] else 1
+    return build_report(entries)
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def main(argv=()):
+    """``python -m repro.bench trend`` with ``argv`` after the name."""
+    from repro.bench.scenarios import main as bench_main
+
+    return bench_main(["trend", *argv])

@@ -25,85 +25,45 @@ Two sections mirror the federation's two promises:
 
 Every number derives from simulated state only — no wall clocks — so
 the artifact is byte-identical across repeated runs, which the
-``determinism`` CI job checks.  The ``headline`` rows feed ``repro.bench.trend`` without any
-code changes there.
+``determinism`` CI job checks.
 
 Usage::
 
-    python -m repro.bench.wan --smoke --out BENCH_wan.json
-    python -m repro.bench.wan --seed 11
+    python -m repro.bench wan            # writes BENCH_wan.json
+    python -m repro.bench wan --smoke    # CI's run-twice form
 """
 
-import argparse
-import json
-import sys
+from statistics import median
 
 from repro.cluster import ClusterConfig, ClusterManager
 from repro.core.config import SurvivabilityCase
 from repro.obs import Observability
 from repro.obs.critpath import attribute_spans
 from repro.obs.forensics import ForensicsHub, merge_timeline, score
-from repro.orb.idl import InterfaceDef, OperationDef, ParamDef
 from repro.sim.faults import FaultPlan
 from repro.wan import SiteSpec, WanConfig, WanManager
 from repro.workloads.bank import GeoBank
-
-COUNTER_IDL = InterfaceDef(
-    "Counter",
-    [OperationDef("add", [ParamDef("n", "long")], result="long")],
+from repro.workloads.open_loop import (
+    COUNTER_IDL,
+    CounterServant,
+    OpenLoopDriver,
+    add_one,
 )
 
 #: local-p50 deviation tolerated against the single-site baseline
 P50_GATE = 0.05
 
 
-class _CountingServant:
-    def __init__(self):
-        self.total = 0
-        self.calls = 0
-
-    def add(self, n):
-        self.calls += 1
-        self.total += n
-        return self.total
+def _probe(site, stubs, operations, interval, label):
+    """``add(1)`` at every client replica on ``site`` from t=0.1 on,
+    every ``interval``; the latency of an operation is its first reply's."""
+    driver = OpenLoopDriver(site, stubs, add_one, "bench." + label)
+    return driver.run(0.1, operations, interval)
 
 
-def _median(values):
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-class _LatencyProbe:
-    """Issues ``operations`` invocations and records first-reply latency."""
-
-    def __init__(self, manager, stubs, operations, start, interval, label):
-        self.manager = manager
-        self.stubs = stubs
-        self.latency = {}
-        for k in range(operations):
-            at = start + k * interval
-            manager.scheduler.at(
-                at, self._make_fire(k, at), label="bench.%s" % label
-            )
-
-    def _make_fire(self, op, issued):
-        def fire():
-            def reply(_value, op=op, issued=issued):
-                if op not in self.latency:
-                    self.latency[op] = self.manager.scheduler.now - issued
-
-            for _pid, stub in self.stubs:
-                stub.add(1, reply_to=reply)
-
-        return fire
-
-    def p50(self):
-        return _median(list(self.latency.values()))
+def _p50(driver):
+    latencies = list(driver.first_latencies().values())
+    return median(latencies) if latencies else 0.0
 
 
 # ----------------------------------------------------------------------
@@ -116,23 +76,17 @@ def run_baseline_case(operations, seed, case):
     config = ClusterConfig(num_rings=2, procs_per_ring=10, case=case, seed=seed)
     cluster = ClusterManager(config)
     server = cluster.deploy(
-        "local.counter", COUNTER_IDL, lambda pid: _CountingServant(), ring=1
+        "local.counter", COUNTER_IDL, lambda pid: CounterServant(), ring=1
     )
     client = cluster.deploy_client("local.driver", ring=1)
     cluster.start()
-    probe = _LatencyProbe(
-        cluster,
-        cluster.client_stubs(client, COUNTER_IDL, server),
-        operations,
-        start=0.1,
-        interval=0.05,
-        label="baseline",
-    )
+    stubs = cluster.client_stubs(client, COUNTER_IDL, server)
+    probe = _probe(cluster, stubs, operations, 0.05, "baseline")
     cluster.run(until=0.1 + operations * 0.05 + 1.0)
     exactly_once = all(s.calls == operations for s in server.servants.values())
     return {
-        "local_p50": probe.p50(),
-        "replies": len(probe.latency),
+        "local_p50": _p50(probe),
+        "replies": len(probe.first_latencies()),
         "exactly_once": exactly_once,
     }
 
@@ -155,33 +109,27 @@ def run_rtt_case(rtt, operations, remote_operations, seed, case, critpath=False)
     wan = WanManager(config=config, obs=obs)
 
     local_server = wan.deploy(
-        "local.counter", COUNTER_IDL, lambda pid: _CountingServant(),
+        "local.counter", COUNTER_IDL, lambda pid: CounterServant(),
         site="alpha", ring=1,
     )
     local_client = wan.deploy_client("local.driver", site="alpha", ring=1)
     shared_server = wan.deploy(
-        "shared.counter", COUNTER_IDL, lambda pid: _CountingServant(),
+        "shared.counter", COUNTER_IDL, lambda pid: CounterServant(),
         site="alpha", ring=0,
     )
     remote_client = wan.deploy_client("remote.driver", site="beta", ring=0)
     wan.start()
 
-    local = _LatencyProbe(
-        wan,
+    local = _probe(
+        wan.sites["alpha"],
         wan.client_stubs(local_client, COUNTER_IDL, local_server),
-        operations,
-        start=0.1,
-        interval=0.05,
-        label="wan.local",
+        operations, 0.05, "wan.local",
     )
     remote_interval = max(0.05, 2.0 * rtt)
-    remote = _LatencyProbe(
-        wan,
+    remote = _probe(
+        wan.sites["beta"],
         wan.client_stubs(remote_client, COUNTER_IDL, shared_server),
-        remote_operations,
-        start=0.1,
-        interval=remote_interval,
-        label="wan.remote",
+        remote_operations, remote_interval, "wan.remote",
     )
     end = 0.1 + max(operations * 0.05, remote_operations * remote_interval)
     wan.run(until=end + 4.0 * rtt + 1.0)
@@ -192,10 +140,10 @@ def run_rtt_case(rtt, operations, remote_operations, seed, case, critpath=False)
             "alpha->beta": latency[("alpha", "beta")],
             "beta->alpha": latency[("beta", "alpha")],
         },
-        "local_p50": local.p50(),
-        "remote_p50": remote.p50(),
-        "local_replies": len(local.latency),
-        "remote_replies": len(remote.latency),
+        "local_p50": _p50(local),
+        "remote_p50": _p50(remote),
+        "local_replies": len(local.first_latencies()),
+        "remote_replies": len(remote.first_latencies()),
         "local_exactly_once": all(
             s.calls == operations for s in local_server.servants.values()
         ),
@@ -369,43 +317,13 @@ def run_geo_drill(seed, case, transfers=2):
     }
 
 
-# ----------------------------------------------------------------------
-# report assembly
-# ----------------------------------------------------------------------
-
-def run_bench(rtts, operations, remote_operations, transfers, seed, case):
+def run_bench(
+    rtts, operations, remote_operations, transfers,
+    seed=7, case=SurvivabilityCase.FULL_SURVIVABILITY,
+):
+    """The RTT sweep over ``rtts`` and the geo-bank drill."""
     sweep = run_rtt_sweep(rtts, operations, remote_operations, seed, case)
     drill = run_geo_drill(seed + 4, case, transfers=transfers)
-    headline = [
-        {
-            "metric": "WAN local p50 deviation vs single-site, worst RTT",
-            "value": sweep["worst_deviation"],
-            "unit": "frac",
-            "gate": "<=%.2f" % P50_GATE,
-            "ok": sweep["ok"],
-        },
-        {
-            "metric": "geo bank conserved through site compromise",
-            "value": 1.0 if drill["conserved"] else 0.0,
-            "unit": "bool",
-            "gate": "==1",
-            "ok": drill["ok"],
-        },
-        {
-            "metric": "WAN forensics precision",
-            "value": drill["precision"],
-            "unit": "frac",
-            "gate": "==1.00",
-            "ok": drill["precision"] == 1.0,
-        },
-        {
-            "metric": "WAN forensics recall",
-            "value": drill["recall"],
-            "unit": "frac",
-            "gate": "==1.00",
-            "ok": drill["recall"] == 1.0,
-        },
-    ]
     return {
         "bench": "wan-federation",
         "config": {
@@ -418,106 +336,5 @@ def run_bench(rtts, operations, remote_operations, transfers, seed, case):
         },
         "rtt_sweep": sweep,
         "geo_drill": drill,
-        "headline": headline,
         "ok": sweep["ok"] and drill["ok"],
     }
-
-
-def render(report):
-    lines = []
-    add = lines.append
-    sweep = report["rtt_sweep"]
-    add("== WAN RTT sweep " + "=" * 45)
-    add(
-        "  baseline (single site): local p50 %.3f ms"
-        % (sweep["baseline"]["local_p50"] * 1e3)
-    )
-    for point in sweep["points"]:
-        add(
-            "  rtt %5.0f ms: local p50 %.3f ms (dev %.2f%%)  remote p50 %8.3f ms  %s"
-            % (
-                point["rtt"] * 1e3,
-                point["local_p50"] * 1e3,
-                point["local_p50_deviation"] * 1e2,
-                point["remote_p50"] * 1e3,
-                "ok" if point["ok"] else "FAIL",
-            )
-        )
-    last = sweep["points"][-1]
-    if "critpath" in last:
-        add(
-            "  critical path at rtt %.0f ms: %s"
-            % (
-                last["rtt"] * 1e3,
-                "  ".join(
-                    "%s=%.1f%%" % (row["cause"], 100.0 * row["share"])
-                    for row in last["critpath"]["per_cause"][:4]
-                ),
-            )
-        )
-    drill = report["geo_drill"]
-    add("== geo-bank site-compromise drill " + "=" * 28)
-    add(
-        "  site %s compromised at t=%gs: conserved=%s agree=%s honest_exactly_once=%s"
-        % (
-            drill["compromised_site"],
-            drill["compromise_at"],
-            drill["conserved"],
-            drill["replicas_agree"],
-            drill["honest_ops_exactly_once"],
-        )
-    )
-    add(
-        "  rogue blocked post-compromise=%s  precision=%.2f recall=%.2f"
-        % (drill["rogue_blocked_post_compromise"], drill["precision"], drill["recall"])
-    )
-    add("== headline " + "=" * 50)
-    for row in report["headline"]:
-        add(
-            "  %-52s %8.4f %-5s %s"
-            % (row["metric"], row["value"], row["unit"], "ok" if row["ok"] else "FAIL")
-        )
-    return "\n".join(lines)
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.wan",
-        description="WAN federation: RTT independence and geo-bank drills.",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="small CI configuration: two RTT points, short windows",
-    )
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--out", default="BENCH_wan.json",
-        help="JSON artifact path (default: %(default)s)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        params = dict(
-            rtts=(0.010, 0.300), operations=6, remote_operations=3, transfers=1
-        )
-    else:
-        params = dict(
-            rtts=(0.010, 0.050, 0.100, 0.300),
-            operations=10,
-            remote_operations=4,
-            transfers=2,
-        )
-    report = run_bench(
-        seed=args.seed, case=SurvivabilityCase.FULL_SURVIVABILITY, **params
-    )
-
-    blob = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    with open(args.out, "w") as fh:
-        fh.write(blob)
-    print(render(report))
-    print("\nJSON report written to %s" % args.out)
-    return 0 if report["ok"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

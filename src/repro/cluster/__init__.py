@@ -20,7 +20,7 @@ and shards object groups across them:
 * :mod:`repro.cluster.obsbridge` — ring-scoped metric/forensics views
   over one shared observability bundle.
 
-``python -m repro.bench.cluster`` measures the aggregate throughput
+``python -m repro.bench cluster`` measures the aggregate throughput
 scaling from one ring to several; ``docs/CLUSTER.md`` documents the
 placement rules, the gateway protocol, and the failure semantics.
 """

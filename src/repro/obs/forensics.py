@@ -857,19 +857,13 @@ def run_intrusion_drill(seed=23, capacity=DEFAULT_CAPACITY, batch=False):
     from repro.obs import Observability
     from repro.orb.idl import InterfaceDef, OperationDef, ParamDef
     from repro.sim.faults import FaultPlan
+    from repro.workloads.open_loop import CounterServant, OpenLoopDriver, add_one
 
+    # A counter under its own interface name, which reaches the wire.
     ledger_idl = InterfaceDef(
         "Ledger",
         [OperationDef("add", [ParamDef("amount", "long")], result="long")],
     )
-
-    class LedgerServant:
-        def __init__(self):
-            self.total = 0
-
-        def add(self, amount):
-            self.total += amount
-            return self.total
 
     config = ImmuneConfig(
         case=SurvivabilityCase.FULL_SURVIVABILITY, seed=seed, batch_signatures=batch
@@ -887,7 +881,7 @@ def run_intrusion_drill(seed=23, capacity=DEFAULT_CAPACITY, batch=False):
     )
 
     def factory(pid):
-        servant = LedgerServant()
+        servant = CounterServant()
         if pid == 2:
             # The value-faulting replica: correct for the first two
             # calls, corrupt from the third on.
@@ -910,23 +904,9 @@ def run_intrusion_drill(seed=23, capacity=DEFAULT_CAPACITY, batch=False):
     mutant = MutantTokenBehaviour(at_time=1.4).compromise(immune.endpoints[4])
 
     stubs = immune.client_stubs(client, ledger_idl, server)
-    replies = {"count": 0}
     operations = 12
-    for k in range(operations):
-        send_at = 0.1 + k * 0.18
-
-        def fire():
-            for pid, stub in stubs:
-                if not immune.processors[pid].crashed:
-                    stub.add(
-                        1,
-                        reply_to=lambda _total: replies.__setitem__(
-                            "count", replies["count"] + 1
-                        ),
-                    )
-
-        immune.scheduler.at(send_at, fire, label="drill.workload")
-
+    driver = OpenLoopDriver(immune, stubs, add_one, "drill.workload")
+    driver.run(0.1, operations, 0.18)
     immune.run(until=6.0)
     mutant.restore()
 
@@ -937,7 +917,7 @@ def run_intrusion_drill(seed=23, capacity=DEFAULT_CAPACITY, batch=False):
         "seed": seed,
         "processors": 6,
         "operations": operations,
-        "replies_received": replies["count"],
+        "replies_received": len(driver.replies),
         "surviving_members": list(immune.surviving_members()),
         "simulated_seconds": immune.scheduler.now,
     }

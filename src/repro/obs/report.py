@@ -29,7 +29,6 @@ import argparse
 import json
 import sys
 
-from repro.bench.latency import ECHO_IDL, EchoServant
 from repro.core.config import ImmuneConfig, SurvivabilityCase
 from repro.core.immune import ImmuneSystem
 from repro.obs import Observability, SLOEngine
@@ -37,6 +36,7 @@ from repro.obs.critpath import attribute_spans
 from repro.obs.export import export_jsonl, render_dashboard
 from repro.obs.forensics import ForensicsHub, merge_timeline, score
 from repro.sim.faults import FaultPlan, LinkFaults
+from repro.workloads.open_loop import ECHO_IDL, EchoServant, OpenLoopDriver, echo
 
 
 class ReportInputError(Exception):
@@ -137,19 +137,8 @@ def run_instrumented(seed=11, quick=False, slo=False):
     client = immune.deploy_client("driver", [3, 4, 5])
     immune.start()
     stubs = immune.client_stubs(client, ECHO_IDL, server)
-
-    replies = {"count": 0}
-    for k in range(operations):
-        send_at = 0.1 + k * spacing
-
-        def fire(k=k):
-            for pid, stub in stubs:
-                if immune.processors[pid].crashed:
-                    continue
-                stub.echo(k, reply_to=lambda _n: replies.__setitem__(
-                    "count", replies["count"] + 1))
-
-        immune.scheduler.at(send_at, fire, label="report.workload")
+    driver = OpenLoopDriver(immune, stubs, echo, "report.workload")
+    driver.run(0.1, operations, spacing)
 
     # Periodic snapshots into the same registry the totals come from,
     # plus the ring-buffered per-metric time series the SLO engine and
@@ -164,7 +153,7 @@ def run_instrumented(seed=11, quick=False, slo=False):
         "seed": seed,
         "processors": 6,
         "operations": operations,
-        "replies_received": replies["count"],
+        "replies_received": len(driver.replies),
         "quick": quick,
         "simulated_seconds": immune.scheduler.now,
     }

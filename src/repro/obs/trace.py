@@ -889,11 +889,11 @@ def run_figure7_workload(seed=11, operations=12, sample_every=1):
     Returns ``(collector, obs, timeline, cost_model, shard_of_group,
     run_info)``; ``shard_of_group`` is None (one ring).
     """
-    from repro.bench.latency import ECHO_IDL, EchoServant
     from repro.core.config import ImmuneConfig, SurvivabilityCase
     from repro.core.immune import ImmuneSystem
     from repro.obs import Observability
     from repro.sim.faults import FaultPlan, LinkFaults
+    from repro.workloads.open_loop import ECHO_IDL, EchoServant, OpenLoopDriver, echo
 
     collector = TraceCollector(sample_every=sample_every)
     obs = Observability(forensics=ForensicsHub(), trace=collector)
@@ -909,14 +909,8 @@ def run_figure7_workload(seed=11, operations=12, sample_every=1):
     client = immune.deploy_client("driver", [3, 4, 5])
     immune.start()
     stubs = immune.client_stubs(client, ECHO_IDL, server)
-    replies = []
-
-    for k in range(operations):
-        def fire(k=k):
-            for pid, stub in stubs:
-                if not immune.processors[pid].crashed:
-                    stub.echo(k, reply_to=replies.append)
-        immune.scheduler.at(0.1 + k * 0.05, fire, label="trace.workload")
+    driver = OpenLoopDriver(immune, stubs, echo, "trace.workload")
+    driver.run(0.1, operations, 0.05)
     immune.run(until=0.1 + operations * 0.05 + 2.0)
 
     timeline = merge_timeline(obs.forensics)
@@ -925,7 +919,7 @@ def run_figure7_workload(seed=11, operations=12, sample_every=1):
         "seed": seed,
         "operations": operations,
         "sample_every": sample_every,
-        "replies": len(replies),
+        "replies": len(driver.replies),
         "simulated_seconds": immune.scheduler.now,
     }
     return collector, obs, timeline, immune.config.crypto_costs, None, run_info
@@ -938,10 +932,15 @@ def run_cluster_workload(seed=11, operations=6, sample_every=1):
     three ``gw_forward`` branches on the source ring (one corrupt) and
     merges at the destination ring's vote.
     """
-    from repro.bench.cluster import COUNTER_IDL, _CountingServant
     from repro.cluster import ClusterConfig, ClusterManager
     from repro.core.config import SurvivabilityCase
     from repro.obs import Observability
+    from repro.workloads.open_loop import (
+        COUNTER_IDL,
+        CounterServant,
+        OpenLoopDriver,
+        add_one,
+    )
 
     collector = TraceCollector(sample_every=sample_every)
     obs = Observability(forensics=ForensicsHub(), trace=collector)
@@ -950,19 +949,14 @@ def run_cluster_workload(seed=11, operations=6, sample_every=1):
     )
     cluster = ClusterManager(config, obs=obs)
     server = cluster.deploy(
-        "counter", COUNTER_IDL, lambda pid: _CountingServant(), ring=1
+        "counter", COUNTER_IDL, lambda pid: CounterServant(), ring=1
     )
     client = cluster.deploy_client("driver", ring=0)
     cluster.corrupt_gateway(0, 1, index=0)
     cluster.start()
     stubs = cluster.client_stubs(client, COUNTER_IDL, server)
-    replies = []
-
-    for k in range(operations):
-        def fire():
-            for pid, stub in stubs:
-                stub.add(1, reply_to=replies.append)
-        cluster.scheduler.at(0.1 + k * 0.25, fire, label="trace.workload")
+    driver = OpenLoopDriver(cluster, stubs, add_one, "trace.workload")
+    driver.run(0.1, operations, 0.25)
     cluster.run(until=0.1 + operations * 0.25 + 1.5)
 
     shard_of_group = {
@@ -976,7 +970,7 @@ def run_cluster_workload(seed=11, operations=6, sample_every=1):
         "seed": seed,
         "operations": operations,
         "sample_every": sample_every,
-        "replies": len(replies),
+        "replies": len(driver.replies),
         "simulated_seconds": cluster.scheduler.now,
     }
     return collector, obs, timeline, cost_model, shard_of_group, run_info

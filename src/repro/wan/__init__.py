@@ -15,7 +15,7 @@ the loss, partition, or Byzantine compromise of an entire facility:
   :class:`~repro.cluster.manager.ClusterManager` instances on one
   shared scheduler behind a single deploy/invoke API.
 
-``python -m repro.bench.wan`` runs the geo-replicated bank drill and
+``python -m repro.bench wan`` runs the geo-replicated bank drill and
 the RTT-independence sweep; ``docs/WAN.md`` documents the site model,
 the federation topology, and the failure semantics.
 """

@@ -11,7 +11,6 @@ import json
 
 import pytest
 
-from repro.bench.latency import ECHO_IDL, EchoServant
 from repro.core.config import ImmuneConfig, SurvivabilityCase
 from repro.core.immune import ImmuneSystem
 from repro.core.replica import ValueFaultServant
@@ -26,6 +25,7 @@ from repro.obs.forensics import (
     score,
 )
 from repro.sim.faults import FaultPlan
+from repro.workloads.open_loop import ECHO_IDL, EchoServant
 from tests.support import MulticastWorld, defeat_memos, force_python_md4
 
 

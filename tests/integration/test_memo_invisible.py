@@ -38,7 +38,6 @@ import json
 import pytest
 
 from repro import perf
-from repro.bench.cluster import COUNTER_IDL, _CountingServant
 from repro.bench.harness import run_packet_driver_case
 from repro.bench.perf import _sim_fingerprint
 from repro.cluster import ClusterConfig, ClusterManager
@@ -49,6 +48,8 @@ from repro.obs import Observability
 from repro.obs.export import export_jsonl
 from repro.obs.forensics import ForensicsHub, build_report, run_intrusion_drill
 from repro.wan import WanConfig, WanManager
+from repro.workloads.open_loop import COUNTER_IDL
+from repro.workloads.open_loop import CounterServant as _CountingServant
 from tests.support import defeat_memos, force_python_md4
 
 

@@ -22,12 +22,12 @@ from collections import Counter
 import pytest
 
 from repro import perf
-from repro.bench.latency import ECHO_IDL, EchoServant
 from repro.core.config import ImmuneConfig, SurvivabilityCase
 from repro.core.immune import ImmuneSystem
 from repro.multicast.token import Token, TokenCertificate
 from repro.obs import Observability, TraceCollector
 from repro.obs.forensics import ForensicEvent, ForensicsHub, merge_timeline
+from repro.workloads.open_loop import ECHO_IDL, EchoServant
 
 PROCESSORS = 6
 OPERATIONS = 20

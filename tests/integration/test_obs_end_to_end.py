@@ -1,10 +1,10 @@
 """End-to-end observability: metrics, spans, trace cross-checks."""
 
-from repro.bench.latency import ECHO_IDL, EchoServant
 from repro.core.config import ImmuneConfig, SurvivabilityCase
 from repro.core.immune import ImmuneSystem
 from repro.obs import Observability
 from repro.obs.export import render_dashboard, summarize
+from repro.workloads.open_loop import ECHO_IDL, EchoServant
 
 
 def observed_run(seed=3, operations=5):

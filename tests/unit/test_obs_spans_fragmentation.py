@@ -9,12 +9,12 @@ reassembly wait shows up inside the token stages, never as a missing
 or phantom stage.
 """
 
-from repro.bench.latency import ECHO_IDL, EchoServant
 from repro.core.config import ImmuneConfig, SurvivabilityCase
 from repro.core.immune import ImmuneSystem
 from repro.obs import Observability
 from repro.obs.critpath import attribute_span, _TokenEvidence
 from repro.obs.forensics import ForensicsHub, merge_timeline
+from repro.workloads.open_loop import ECHO_IDL, EchoServant
 
 
 def observed_run(fragment_payload_bytes, seed=3, operations=4):
