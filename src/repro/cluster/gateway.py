@@ -23,7 +23,10 @@ ring, so the extra hop weakens none of the survivability claims:
 * duplicate suppression reuses :class:`~repro.core.duplicates.
   DuplicateFilter` semantics keyed by the operation identifier, so each
   gateway replica forwards each operation at most once and end-to-end
-  delivery stays exactly-once across any number of hops.
+  delivery stays exactly-once across any number of hops.  The filter
+  holds a key as long as the voter holds the operation's record: until
+  every client replica has been heard for it (an exclusion can complete
+  that), and for the latest completed operation of each source group.
 
 Replies make the mirror-image hop: the server ring's gateway side votes
 the server replicas' response copies and re-originates the winner on
@@ -144,6 +147,7 @@ class _Forwarder:
                 self.stats, families, proc=src_pid, **{"to_" + hop.scope: dst.key}
             )
         src.immune.endpoints[src_pid].on_deliver(self._on_deliver)
+        self._manager.on_exclusion(self._on_exclusion)
 
     # ------------------------------------------------------------------
     # the forwarding path
@@ -174,6 +178,8 @@ class _Forwarder:
                 obs=self._obs,
                 proc_id=self.src_pid,
             )
+            # The voter keys a record (source group, op_key).
+            voter.on_retire(lambda key: self.dup_filter.forget(key[1]))
             self._voters[dest_group] = voter
         op_key = (message.kind, message.source_group, message.target_group, message.op_num)
         outcome = voter.add_copy(
@@ -195,6 +201,11 @@ class _Forwarder:
             self.stats["suppressed"] += 1
             return
         self._forward(message, outcome.body)
+
+    def _on_exclusion(self, pid, affected):
+        """An exclusion can complete records; drop them and their keys."""
+        for voter in self._voters.values():
+            voter.recheck()
 
     def _forward(self, message, body):
         hop = self._hop

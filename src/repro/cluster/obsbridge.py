@@ -108,9 +108,6 @@ class RingScopedForensics:
         self._hub.bind(scheduler)
         return self
 
-    def now(self):
-        return self._hub.now()
-
 
 class RingScopedTrace:
     """A shard-stamping view of the shared :class:`TraceCollector`.

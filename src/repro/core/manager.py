@@ -161,10 +161,10 @@ class ReplicationManager:
         from repro.core.passive import PassiveGroupDriver
 
         self._local_groups.add(group_name)
+        self._dup_filters.setdefault(group_name, DuplicateFilter())
         self._passive_drivers[group_name] = PassiveGroupDriver(
             self, group_name, servant_getter
         )
-        self._dup_filters.setdefault(group_name, DuplicateFilter())
         return self._passive_drivers[group_name]
 
     def mark_passive_source(self, group_name):
@@ -414,13 +414,14 @@ class ReplicationManager:
         if message.kind == KIND_RESPONSE and message.source_group in self._passive_sources:
             # A passive primary answers alone; there is nothing to vote
             # on — which is precisely why passive replication cannot
-            # mask value faults (paper section 5).
-            self._deliver_without_voting(message)
+            # mask value faults (paper section 5).  With one sender by
+            # design, its key is held for good.
+            self._deliver_without_voting(message, None)
             return
         if self.voting_enabled:
             self._vote_on_copy(message)
         else:
-            self._deliver_without_voting(message)
+            self._deliver_without_voting(message, self.groups)
 
     def _op_key(self, message):
         return (message.kind, message.source_group, message.target_group, message.op_num)
@@ -441,9 +442,11 @@ class ReplicationManager:
         elif isinstance(outcome, LateFault):
             self.publish_value_fault(message, outcome.vote_set)
 
-    def _deliver_without_voting(self, message):
+    def _deliver_without_voting(self, message, groups):
         dup = self._dup_filters[message.target_group]
-        if not dup.mark_delivered(self._op_key(message)):
+        if not dup.mark_delivered(
+            self._op_key(message), message.source_group, message.replica_proc, groups
+        ):
             self.stats["duplicates_suppressed"] += 1
             return
         if message.kind == KIND_INVOCATION:
@@ -535,7 +538,10 @@ class ReplicationManager:
             affected = self.groups.remove_processor(pid)
             for fn in list(self._exclusion_listeners):
                 fn(pid, affected)
-        # Shrunken degrees may unblock pending votes.
+        # Shrunken degrees may complete operations and unblock pending
+        # votes.
+        for dup in self._dup_filters.values():
+            dup.recheck(self.groups)
         for group_name in sorted(self._voters):
             voter = self._voters[group_name]
             for decision in voter.reconsider():

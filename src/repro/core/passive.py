@@ -23,7 +23,6 @@ same value fault into both modes and shows active+voting masking it
 while passive delivers the corruption.
 """
 
-from repro.core.duplicates import DuplicateFilter
 from repro.core.identifiers import (
     ImmuneMessage,
     KIND_PASSIVE_UPDATE,
@@ -48,7 +47,9 @@ class PassiveGroupDriver:
         self.group_name = group_name
         #: returns the local servant instance (for checkpointing)
         self._servant_getter = servant_getter
-        self._dup = DuplicateFilter()
+        #: the manager's filter for the group, so its exclusion sweep
+        #: reaches this one too
+        self._dup = manager.dup_filter_for(group_name)
         self.stats = {"executed": 0, "checkpoints_sent": 0, "checkpoints_applied": 0}
 
     # ------------------------------------------------------------------
@@ -68,7 +69,9 @@ class PassiveGroupDriver:
             self._apply_checkpoint(message)
             return
         op_key = (message.kind, message.source_group, message.target_group, message.op_num)
-        if not self._dup.mark_delivered(op_key):
+        if not self._dup.mark_delivered(
+            op_key, message.source_group, message.replica_proc, self.manager.groups
+        ):
             return
         if not self.is_primary():
             return  # backups stay warm through checkpoints only

@@ -12,13 +12,17 @@ frame).  When some value accumulates ``ceil((r+1)/2)`` distinct senders
 base group — the voter produces that single value for delivery, and
 reports every sender whose copy differed as a value-fault candidate.
 Copies arriving after the decision are discarded (duplicates) or
-reported (late divergent values).
+reported (late divergent values).  Only copies from current members of
+the source group count toward a majority, and a decided operation's
+record is kept until every replica has been heard for it
+(:class:`~repro.core.duplicates.Hearings`).
 
 The algorithm is deterministic and sees the same totally-ordered copies
 at every replica, so every voter produces the same result for every
 operation — the property the paper's value fault detector requires.
 """
 
+from repro.core.duplicates import Hearings
 from repro.core.identifiers import KIND_INVOCATION, KIND_RESPONSE
 
 
@@ -62,8 +66,11 @@ class Voter:
         #: op_key -> {"by_digest": {digest: set(senders)},
         #:            "body": {digest: bytes}}
         self._pending = {}
-        #: op_key -> (winning digest, vote set at decision time)
+        #: op_key -> (winning digest, vote set at decision time), until
+        #: every replica has been heard for the operation
         self._decided = {}
+        self._hearings = Hearings()
+        self._retire_listeners = []
         self.stats = {"copies": 0, "decisions": 0, "late_duplicates": 0, "faults_seen": 0}
         # the forensic recorder and the causal TraceCollector (or its
         # ring-scoped view)
@@ -114,6 +121,7 @@ class Voter:
 
         decided = self._decided.get(op_key)
         if decided is not None:
+            self._retire(self._hearings.hear(op_key, sender))
             winning_digest, vote_set = decided
             if digest == winning_digest:
                 self.stats["late_duplicates"] += 1
@@ -142,10 +150,14 @@ class Voter:
         entry = self._pending.get(op_key)
         if entry is None:
             return None
+        members = self._groups.members(source_group)
         needed = self._groups.majority(source_group)
         winner = None
         for digest in sorted(entry["by_digest"]):
-            if len(entry["by_digest"][digest]) >= needed:
+            senders = entry["by_digest"][digest]
+            # Only current members vouch: a copy whose sender has been
+            # excluded since stays in the vote set but no longer counts.
+            if len(senders) >= needed and len(senders.intersection(members)) >= needed:
                 winner = digest
                 break
         if winner is None:
@@ -175,6 +187,11 @@ class Voter:
         body = entry["body"][winner]
         del self._pending[op_key]
         self._decided[op_key] = (winner, tuple(vote_set))
+        self._retire(
+            self._hearings.open(
+                op_key, source_group, set(members).difference(*entry["by_digest"].values())
+            )
+        )
         self.stats["decisions"] += 1
         if self._tracer is not None:
             target = self._trace_target(op_key[1])
@@ -187,8 +204,10 @@ class Voter:
 
         When an excluded processor's replicas are dropped from a source
         group, the majority threshold shrinks and previously-stuck
-        votes may now be decidable.  Returns the resulting decisions.
+        votes may now be decidable, and decided ones complete.  Returns
+        the resulting decisions.
         """
+        self.recheck()
         decisions = []
         for op_key in sorted(self._pending):
             source_group, _ = op_key
@@ -196,6 +215,20 @@ class Voter:
             if decision is not None:
                 decisions.append(decision)
         return decisions
+
+    def recheck(self):
+        """Drop the records an exclusion completed."""
+        self._retire(self._hearings.recheck(self._groups))
+
+    def on_retire(self, fn):
+        """Register ``fn(op_key)``, called when a decided record is dropped."""
+        self._retire_listeners.append(fn)
+
+    def _retire(self, op_keys):
+        for op_key in op_keys:
+            del self._decided[op_key]
+            for fn in self._retire_listeners:
+                fn(op_key)
 
     def pending_count(self):
         return len(self._pending)

@@ -317,9 +317,6 @@ class ForensicsHub:
         self._scheduler = scheduler
         return self
 
-    def now(self):
-        return self._scheduler.now
-
     def recorder(self, proc_id):
         """Get-or-create the flight recorder for ``proc_id``."""
         recorder = self._recorders.get(proc_id)

@@ -85,3 +85,72 @@ def test_majority_threshold_is_strict(degree):
     assert outcome is None
     final = voter.add_copy("client", OP, needed - 1, b"v")
     assert isinstance(final, VoteDecision)
+
+
+@given(
+    degree=st.sampled_from([3, 5, 7]),
+    num_ops=st.integers(1, 5),
+    data=st.data(),
+)
+@settings(max_examples=150)
+def test_records_end_with_their_operation_under_replays_and_exclusions(degree, num_ops, data):
+    """First copies, replays from at most f members and exclusions, in
+    any interleaving that leaves a correct majority: no operation is
+    decided twice, the honest value wins, every first divergent copy is
+    flagged, and once every copy is in the voter holds one record."""
+    f = (degree - 1) // 2
+    faulty = data.draw(st.sets(st.integers(0, degree - 1), max_size=f), label="faulty")
+    table = ObjectGroupTable()
+    table.create("client", list(range(degree)))
+    voter = Voter("server", table, md4_digest)
+    events = [("copy", sender, n) for n in range(num_ops) for sender in range(degree)]
+    if faulty:
+        events += data.draw(
+            st.lists(
+                st.tuples(st.just("copy"), st.sampled_from(sorted(faulty)),
+                          st.integers(0, num_ops - 1)),
+                max_size=6,
+            ),
+            label="replays",
+        )
+    events += [
+        ("exclude", pid, None)
+        for pid in data.draw(st.sets(st.integers(0, degree - 1)), label="exclusions")
+    ]
+    events = data.draw(st.permutations(events), label="order")
+
+    members = set(range(degree))
+    decided, first_copies, divergent, flagged = {}, set(), set(), set()
+
+    def decide(decision):
+        n = decision.op_key[1][3]
+        assert n not in decided, "operation %d decided twice" % n
+        decided[n] = decision.body
+        flagged.update((sender, n) for sender in decision.faulty_senders)
+
+    for what, pid, n in events:
+        if what == "exclude":
+            remaining = members - {pid}
+            if pid not in members or len(remaining - faulty) < (len(remaining) + 2) // 2:
+                continue  # would leave no correct majority: outside the model
+            members = remaining
+            table.remove_processor(pid)
+            for decision in voter.reconsider():
+                decide(decision)
+            continue
+        honest = b"v%d" % n
+        forge = pid in faulty and data.draw(st.booleans(), label="forge")
+        body = b"forged-%d" % n if forge else honest  # the faulty collude
+        if pid in members and (pid, n) not in first_copies:
+            first_copies.add((pid, n))
+            if forge:
+                divergent.add((pid, n))
+        outcome = voter.add_copy("client", ("inv", "client", "server", n), pid, body)
+        if isinstance(outcome, VoteDecision):
+            decide(outcome)
+        elif isinstance(outcome, LateFault):
+            flagged.add((outcome.sender, n))
+
+    assert decided == {n: b"v%d" % n for n in range(num_ops)}
+    assert divergent <= flagged
+    assert len(voter._decided) == 1

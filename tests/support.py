@@ -77,6 +77,41 @@ def force_python_md4(monkeypatch):
     perf.clear_caches()
 
 
+def retained_operations(deployment):
+    """The per-operation state a deployment still holds, summed over it.
+
+    ``deployment`` is an ``ImmuneSystem`` or a federation (cluster, WAN
+    site, WAN), walked through its children and the forwarders of its
+    voted links.  Returns ``records`` (decided records the voters hold),
+    ``pending`` (votes not yet decided) and ``keys`` (duplicate-filter
+    keys: the Replication Managers', which passive drivers share, and
+    the gateway forwarders').
+    """
+    totals = {"records": 0, "pending": 0, "keys": 0}
+
+    def count(voters, filters):
+        for voter in voters:
+            totals["records"] += len(voter._decided)
+            totals["pending"] += voter.pending_count()
+        totals["keys"] += sum(len(dup) for dup in filters)
+
+    def walk(node):
+        if hasattr(node, "managers"):
+            for manager in node.managers.values():
+                count(manager._voters.values(), manager._dup_filters.values())
+            return
+        children = node._children
+        for child in children.values() if isinstance(children, dict) else children:
+            walk(child)
+        for link in node.links.values():
+            for replica in link.replicas:
+                for forwarder in (replica.forward_ab, replica.forward_ba):
+                    count(forwarder._voters.values(), [forwarder.dup_filter])
+
+    walk(deployment)
+    return totals
+
+
 class MulticastWorld:
     """N processors running the Secure Multicast Protocols on one LAN."""
 
