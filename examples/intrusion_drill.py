@@ -24,7 +24,7 @@ Run:  python examples/intrusion_drill.py
 from repro.core import ImmuneConfig, ImmuneSystem, SurvivabilityCase
 from repro.multicast.adversary import MasqueradeBehaviour, MutantTokenBehaviour
 from repro.obs import Observability
-from repro.obs.forensics import ForensicsHub, build_report, render_report
+from repro.obs.forensics import ForensicsHub, build_report, merge_timeline, render_report
 from repro.orb.idl import InterfaceDef, OperationDef, ParamDef
 
 LOG_IDL = InterfaceDef(
@@ -76,7 +76,7 @@ def main():
         obs.forensics,
         scenario={"scenario": "example-intrusion-drill", "seed": config.seed},
     )
-    print(render_report(report))
+    print(render_report(report, merge_timeline(obs.forensics)))
     print()
 
     scorecard = report["scorecard"]

@@ -60,23 +60,17 @@ def run_packet_driver_case(
     config=None,
     obs=None,
     fault_plan=None,
-    sample_period=None,
 ):
     """Measure server throughput for one (case, interval) point.
 
     Returns a :class:`CaseResult`.  ``interval`` is in seconds (the
     paper's x-axis is microseconds between consecutive invocations at
     the client).  Passing an :class:`~repro.obs.Observability` attaches
-    the metrics registry and span tracker to the run and publishes the
-    measured throughput into it alongside the protocol counters.
-    Passing a :class:`~repro.sim.faults.FaultPlan` measures throughput
-    *under* the injected faults; combined with an ``obs`` carrying a
+    the metrics registry and span tracker to the run.  Passing a
+    :class:`~repro.sim.faults.FaultPlan` measures throughput *under* the
+    injected faults; combined with an ``obs`` carrying a
     :class:`~repro.obs.forensics.ForensicsHub`, the run yields a full
     fault-attribution timeline next to the performance numbers.
-    ``sample_period`` (simulated seconds; needs ``obs``) additionally
-    records the ring-buffered time series over the measurement run, so
-    throughput points come with their curves — the paper's steady-state
-    window becomes visible instead of assumed.
     """
     if config is None:
         config = ImmuneConfig(
@@ -85,15 +79,12 @@ def run_packet_driver_case(
             modulus_bits=modulus_bits,
             messages_per_token_visit=messages_per_token_visit,
         )
-    # Tracing off: performance runs generate millions of events.  The
-    # ring-buffer cap is belt and braces — should a caller-supplied
-    # config re-enable kinds, the log still cannot grow unbounded.
+    # Tracing off: performance runs generate millions of events.
     immune = ImmuneSystem(
         num_processors=num_processors,
         config=config,
         fault_plan=fault_plan,
         trace_kinds=frozenset(),
-        trace_max_records=10_000,
         obs=obs,
     )
     sinks = {}
@@ -111,28 +102,15 @@ def run_packet_driver_case(
     start = 0.02  # let the initial membership install first
     end = start + warmup + duration
     driver.run_for(start, warmup + duration)
-    if sample_period is not None:
-        if obs is None:
-            raise ValueError("sample_period requires an obs bundle")
-        obs.registry.sample_series(immune.scheduler, period=sample_period)
     immune.run(until=end + 0.05)
-    if sample_period is not None:
-        obs.registry.series_sampler.stop()
 
     measured_pid = server.replica_procs[0]
     sink = sinks[measured_pid]
-    window_start = start + warmup
-    throughput = sink.throughput(window_start, end)
-    if obs is not None:
-        labels = {"case": case.name, "interval_us": int(interval * 1e6)}
-        obs.registry.gauge("bench.offered_per_sec", **labels).set(1.0 / interval)
-        obs.registry.gauge("bench.throughput_per_sec", **labels).set(throughput)
-        obs.registry.gauge("bench.received", **labels).set(sink.received)
     return CaseResult(
         case=case,
         interval=interval,
         offered=1.0 / interval,
-        throughput=throughput,
+        throughput=sink.throughput(start + warmup, end),
         sent=driver.sent_per_replica,
         received=sink.received,
         cpu=dict(immune.processors[measured_pid].cpu_accounting),

@@ -57,10 +57,7 @@ def measure_latency(case, operations=20, spacing=0.05, seed=9, num_processors=6)
     """
     config = ImmuneConfig(case=case, seed=seed)
     immune = ImmuneSystem(
-        num_processors=num_processors,
-        config=config,
-        trace_kinds=frozenset(),
-        trace_max_records=10_000,
+        num_processors=num_processors, config=config, trace_kinds=frozenset()
     )
     server = immune.deploy("echo", ECHO_IDL, lambda pid: EchoServant(), [0, 1, 2])
     client = immune.deploy_client("pinger", [3, 4, 5])

@@ -1,6 +1,6 @@
 """Every bench scenario as one row of a table, and the one CLI over it::
 
-    python -m repro.bench NAME [--smoke] [--out PATH] [--dir DIR] [--no-write]
+    python -m repro.bench NAME [--smoke] [--out PATH] [--dir DIR]
 
 A :class:`Scenario` names its runner, the keyword forms it runs in
 (``committed``, what no flag runs, and ``smoke``, CI's run-twice form),
@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from repro.bench import cluster, elastic, figure7, latency, perf, report, trend, wan
+from repro.bench import cluster, elastic, figure7, latency, perf, trend, wan
 
 
 class Scenario:
@@ -145,14 +145,10 @@ SCENARIOS = {
         gates=(("Figure 7 shape matches the paper", lambda r: not r["shape_problems"]),),
     ),
     "latency": Scenario(latency.run),
-    "report": Scenario(
-        report.run, smoke=dict(quick=True),
-        gates=(("Figure 7 shape matches the paper", lambda r: not r["shape_problems"]),),
-    ),
 }
 
 
-def regenerate(name, smoke=False, out=None, directory=".", write=True):
+def regenerate(name, smoke=False, out=None, directory="."):
     """Run scenario ``name`` and write its report; returns ``(report, status)``.
 
     ``out`` defaults to the scenario's artefact under ``directory``
@@ -173,7 +169,7 @@ def regenerate(name, smoke=False, out=None, directory=".", write=True):
             row["metric"], row["value"], row["unit"], "ok" if row["ok"] else "FAIL"))
     if out is None and scenario.artefact:
         out = os.path.join(directory, scenario.artefact)
-    if write and out:
+    if out:
         with open(out, "w") as fh:
             fh.write(json.dumps(result, sort_keys=True, indent=2) + "\n")
         print("wrote %s" % out)
@@ -206,12 +202,9 @@ def main(argv=None):
         "--dir", default=".",
         help="directory of the BENCH_*.json artefacts (default: .)",
     )
-    parser.add_argument("--no-write", action="store_true", help="write nothing")
     args = parser.parse_args(argv)
     try:
-        _, status = regenerate(
-            args.name, args.smoke, args.out, args.dir, not args.no_write
-        )
+        _, status = regenerate(args.name, args.smoke, args.out, args.dir)
     except trend.TrendInputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -9,8 +9,8 @@ that the *named mechanism visibly engaged* (retransmissions counted,
 digests discarded, suspicions raised, memberships installed, votes
 outvoted...).
 
-``run_all_drills()`` regenerates the table; the Table 1 bench prints
-it, and the integration tests assert each drill individually.
+The Table 1 bench (``benchmarks/test_table1_faults.py``) runs every
+drill of :data:`ALL_DRILLS` and asserts each one.
 """
 
 from repro.core.config import ImmuneConfig, SurvivabilityCase
@@ -67,10 +67,6 @@ class DrillResult:
         self.mechanisms = mechanisms
         self.handled = handled
         self.evidence = evidence
-
-    def row(self):
-        return (self.classification, self.fault, self.mechanisms,
-                "handled" if self.handled else "NOT HANDLED", self.evidence)
 
 
 class _Drill:
@@ -418,21 +414,3 @@ ALL_DRILLS = (
     drill_server_value_fault,
 )
 
-
-def run_all_drills(seed=13):
-    return [drill(seed=seed) for drill in ALL_DRILLS]
-
-
-def format_table1(results):
-    lines = [
-        "Table 1: Types of faults handled by the Immune system",
-        "",
-        "%-16s %-46s %-10s" % ("classification", "fault", "status"),
-        "-" * 100,
-    ]
-    for result in results:
-        classification, fault, mechanisms, status, evidence = result.row()
-        lines.append("%-16s %-46s %-10s" % (classification, fault, status))
-        lines.append("    mechanisms: %s" % mechanisms)
-        lines.append("    evidence:   %s" % evidence)
-    return "\n".join(lines)

@@ -8,7 +8,6 @@ artefact into one table::
 
     python -m repro.bench trend              # print table, write BENCH_trend.json
     python -m repro.bench trend --dir PATH   # aggregate another directory
-    python -m repro.bench trend --no-write   # table only
 
 An artefact named in the scenario table (:mod:`repro.bench.scenarios`)
 contributes that scenario's headline rows; any other artefact, and the

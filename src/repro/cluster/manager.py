@@ -160,14 +160,6 @@ class Federation:
         )
         registry.gauge(level + ".groups", **labels).set(len(self.directory.groups()))
         registry.gauge(self._links_gauge, **labels).set(len(self.links))
-        for key, link in sorted(self.links.items()):
-            forwarded = sum(
-                r.forward_ab.stats["forwarded"] + r.forward_ba.stats["forwarded"]
-                for r in link.replicas
-            )
-            registry.gauge(
-                level + ".link_forwarded", link="%s-%s" % key, **labels
-            ).set(forwarded)
 
     # ------------------------------------------------------------------
     # binding and invocation: one API over all children

@@ -68,15 +68,10 @@ class Autoscaler:
         #: decision log for reports: (time, action, detail) tuples
         self.decisions = []
         self.stats = {"autoscaler_decisions": 0, "splits": 0, "merges": 0}
-        self._m_active = None
-        obs = cluster.obs
-        if obs is not None:
-            registry = obs.registry
-            registry.derive_counters(
+        if cluster.obs is not None:
+            cluster.obs.registry.derive_counters(
                 self.stats, {key: "elastic." + key for key in self.stats}
             )
-            self._m_active = registry.gauge("elastic.active_rings")
-            self._m_active.set(len(cluster.active_rings))
 
     def start(self):
         """Arm the periodic decision loop on the cluster's scheduler."""
@@ -191,8 +186,6 @@ class Autoscaler:
     def _acted(self, now, action, detail):
         self._last_action = now
         self.decisions.append((now, action, detail))
-        if self._m_active is not None:
-            self._m_active.set(len(self.cluster.active_rings))
         self.cluster._forensic(
             self.cluster.config.ring_pids(0)[0],
             "autoscale_" + action, **{

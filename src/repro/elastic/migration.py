@@ -81,15 +81,10 @@ class MigrationCoordinator:
             "migrations_completed": 0,
             "invocations_held": 0,
         }
-        self._m_epoch = self._m_seconds = None
-        obs = cluster.obs
-        if obs is not None:
-            registry = obs.registry
-            registry.derive_counters(
+        if cluster.obs is not None:
+            cluster.obs.registry.derive_counters(
                 self.stats, {key: "elastic." + key for key in self.stats}
             )
-            self._m_epoch = registry.gauge("elastic.migration_epoch")
-            self._m_seconds = registry.histogram("elastic.migration_seconds")
 
     @property
     def busy(self):
@@ -152,8 +147,6 @@ class MigrationCoordinator:
         job.epoch = self.epoch
         job.t_hold = self.cluster.scheduler.now
         self.stats["migrations_started"] += 1
-        if self._m_epoch is not None:
-            self._m_epoch.set(job.epoch)
         for manager in self._all_managers():
             manager.hold_group(group_name)
         self._event(
@@ -275,8 +268,6 @@ class MigrationCoordinator:
         elif not skipped:
             self.completed.append(record)
             self.stats["migrations_completed"] += 1
-            if self._m_seconds is not None:
-                self._m_seconds.observe(record["hold_seconds"])
             self._event(job, "migration_complete", held=job.held)
         self._active = None
         for fn in list(self.listeners):

@@ -207,7 +207,6 @@ class DeliveryProtocol:
             "certs_verified": 0,
             "fragments_sent": 0,
         }
-        self._m_msgs_per_visit = self._m_cert_span = None
         # Forensic flight recorder (repro.obs.forensics) and the causal
         # TraceCollector (or its ring-scoped view; distinct from
         # self._trace, the property checkers' TraceLog): resolved once
@@ -219,28 +218,12 @@ class DeliveryProtocol:
             registry.derive_counters(
                 self.stats, {key: "multicast." + key for key in self.stats}, proc=pid
             )
-            self._m_msgs_per_visit = registry.histogram(
-                "multicast.messages_per_visit", proc=pid
-            )
-            self._m_cert_span = registry.histogram("multicast.cert_span", proc=pid)
-            registry.add_collector(self._collect_metrics)
             if obs.forensics is not None:
                 self._forensics = obs.forensics.recorder(pid)
             self._tracer = obs.trace
         #: mutant evidence already recorded, keyed (ring, visit, holder):
         #: evidence rebroadcasts re-present the same mutant many times
         self._forensic_mutants = set()
-
-    def _collect_metrics(self, registry):
-        pid = self.my_id
-        registry.gauge("multicast.send_queue", proc=pid).set(len(self._send_queue))
-        registry.gauge("multicast.delivered_up_to", proc=pid).set(self._delivered_up_to)
-        registry.gauge("multicast.seq_horizon", proc=pid).set(self._max_seq_seen)
-        if self._batch:
-            newest = self._last_accepted.visit if self._last_accepted else 0
-            registry.gauge("multicast.auth_lag", proc=pid).set(
-                max(newest - self._auth_visit, 0)
-            )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -862,8 +845,6 @@ class DeliveryProtocol:
         self._cert_raws[(self.my_id, first, newest)] = raw
         self._own_visits_since_cert = 0
         self.stats["certs_signed"] += 1
-        if self._m_cert_span is not None:
-            self._m_cert_span.observe(len(digests))
         if self._forensics is not None:
             self._forensics.record(
                 "batch_sign", reason=reason, **cert.sealed_summary()
@@ -1032,10 +1013,7 @@ class DeliveryProtocol:
         rtr_in |= self._pending_rtr
         self._outgoing_frames = []
         rtg = self._service_retransmissions(rtr_in)
-        sent_before = self.stats["sent"]
         digest_list = self._send_new_messages()
-        if self._m_msgs_per_visit is not None:
-            self._m_msgs_per_visit.observe(self.stats["sent"] - sent_before)
         my_gaps = self._missing_seqs()
         rtr_out = sorted((rtr_in - set(rtg)) | my_gaps)
         aru, aru_id = self._update_aru(previous)

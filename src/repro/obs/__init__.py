@@ -48,20 +48,13 @@ class Observability:
     :class:`~repro.obs.forensics.ForensicsHub` is supplied, so ordinary
     runs pay nothing for the recorder hooks."""
 
-    def __init__(self, registry=None, spans=None, max_spans=None, forensics=None,
-                 trace=None):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.spans = (
-            spans
-            if spans is not None
-            else SpanTracker(registry=self.registry, max_spans=max_spans)
-        )
+    def __init__(self, forensics=None, trace=None):
+        self.registry = MetricsRegistry()
+        self.spans = SpanTracker(registry=self.registry)
         self.forensics = forensics
         #: optional :class:`~repro.obs.trace.TraceCollector`; like
         #: forensics, ``None`` means the trace hooks cost nothing.
         self.trace = trace
-        if trace is not None and trace._registry is None:
-            trace._registry = self.registry
 
     def bind(self, scheduler):
         """Attach the simulation's scheduler as the time source."""

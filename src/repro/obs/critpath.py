@@ -39,6 +39,7 @@ seconds sum exactly to its end-to-end latency.
 
 from bisect import bisect_left, bisect_right
 
+from repro.obs.export import fmt_seconds
 from repro.obs.spans import SPAN_STAGES
 
 #: attribution causes, in report order
@@ -352,14 +353,6 @@ def attribute_spans(
 # rendering
 # ----------------------------------------------------------------------
 
-def _fmt_seconds(value):
-    if value >= 1.0:
-        return "%.3f s" % value
-    if value >= 1e-3:
-        return "%.3f ms" % (value * 1e3)
-    return "%.1f us" % (value * 1e6)
-
-
 def render_critpath(report, width=28):
     """Fixed-width ASCII rendering of an :func:`attribute_spans` report."""
     lines = []
@@ -370,19 +363,19 @@ def render_critpath(report, width=28):
         return "\n".join(lines)
     add(
         "  %d closed spans, %s attributed"
-        % (report["spans"], _fmt_seconds(report["total_seconds"]))
+        % (report["spans"], fmt_seconds(report["total_seconds"]))
     )
     for row in report["per_cause"]:
         bar = "#" * max(1, int(row["share"] * width + 0.5)) if row["share"] else ""
         add(
             "  %-18s %12s %6.1f%% %s"
-            % (row["cause"], _fmt_seconds(row["seconds"]), row["share"] * 100.0, bar)
+            % (row["cause"], fmt_seconds(row["seconds"]), row["share"] * 100.0, bar)
         )
     add("  by stage:")
     for row in report["per_stage"]:
         add(
             "    %-18s %-18s %12s"
-            % (row["stage"], row["cause"], _fmt_seconds(row["seconds"]))
+            % (row["stage"], row["cause"], fmt_seconds(row["seconds"]))
         )
     rings = report["per_ring"]
     if len(rings) > 1:
@@ -391,7 +384,7 @@ def render_critpath(report, width=28):
             top = sorted(causes.items(), key=lambda kv: (-kv[1], kv[0]))[:3]
             add(
                 "    ring %-4s %s"
-                % (ring, "  ".join("%s=%s" % (c, _fmt_seconds(s)) for c, s in top))
+                % (ring, "  ".join("%s=%s" % (c, fmt_seconds(s)) for c, s in top))
             )
     sites = report.get("per_site")
     if sites:
@@ -400,6 +393,6 @@ def render_critpath(report, width=28):
             top = sorted(causes.items(), key=lambda kv: (-kv[1], kv[0]))[:3]
             add(
                 "    site %-8s %s"
-                % (site, "  ".join("%s=%s" % (c, _fmt_seconds(s)) for c, s in top))
+                % (site, "  ".join("%s=%s" % (c, fmt_seconds(s)) for c, s in top))
             )
     return "\n".join(lines)

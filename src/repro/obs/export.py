@@ -2,9 +2,10 @@
 
 Two consumers sit on the observability layer.  Machine-readable output
 is a JSONL file — one self-describing record per line (``run`` header,
-every metric instance, every periodic sample, every span, the
+every metric instance, every metric's time series, every span, the
 aggregated stage breakdown, and a final ``summary``) — which keeps the
-artefact grep-able and stream-parsable without a schema registry.  The
+artefact grep-able and stream-parsable without a schema registry;
+:func:`read_jsonl` is the one reader the replaying CLIs share.  The
 human-readable output is a fixed-width console dashboard built from the
 same :func:`summarize` dict, so the two never disagree.
 
@@ -14,6 +15,36 @@ time or hostnames are recorded.
 """
 
 import json
+
+
+class JsonlInputError(Exception):
+    """A JSONL artefact that cannot be read back (missing, empty, not
+    JSON, or without the records its reader needs)."""
+
+
+def read_jsonl(path):
+    """Every record of a JSONL artefact, in file order.
+
+    Raises :class:`JsonlInputError` with a human-readable message when
+    the file is missing, empty or has a line that is not JSON — the CLIs
+    turn that into a nonzero exit instead of a traceback.
+    """
+    try:
+        with open(path) as fh:
+            lines = [line for line in fh if line.strip()]
+    except OSError as exc:
+        raise JsonlInputError("cannot read JSONL input %s: %s" % (path, exc))
+    if not lines:
+        raise JsonlInputError("JSONL input %s is empty" % path)
+    records = []
+    for index, line in enumerate(lines, start=1):
+        try:
+            records.append(json.loads(line))
+        except ValueError:
+            raise JsonlInputError(
+                "JSONL input %s: line %d is not valid JSON" % (path, index)
+            )
+    return records
 
 
 def _family_totals(registry, name, label=None):
@@ -211,7 +242,6 @@ def summarize(obs, crypto_costs=None, series=None, slo=None, critpath=None):
         "spans": {
             "closed": len(spans.closed_spans()),
             "open": len(spans.open_spans()),
-            "evicted": spans.evicted,
             "open_by_last_stage": dict(sorted(open_by_stage.items())),
             "stuck": stuck,
         },
@@ -279,8 +309,6 @@ def summarize(obs, crypto_costs=None, series=None, slo=None, critpath=None):
     }
     if crypto_costs is not None:
         summary["crypto"]["calibration"] = crypto_costs.describe()
-    if registry_capped := getattr(registry, "capped_label_sets", None):
-        summary["capped_label_sets"] = dict(sorted(registry_capped.items()))
     if obs.forensics is not None:
         from repro.obs.forensics import recorder_summary
 
@@ -306,7 +334,6 @@ def export_jsonl(path, obs, run_info=None, crypto_costs=None, series=None,
 
     * ``run`` — the caller-supplied run description (seed, case, ...);
     * ``metric`` — one metric instance (name, kind, labels, values);
-    * ``sample`` — one periodic snapshot ``(time, metrics)``;
     * ``series`` — one metric instance's ring-buffered time series
       (when a series sampler ran);
     * ``span`` — one invocation span (open spans included);
@@ -332,8 +359,6 @@ def export_jsonl(path, obs, run_info=None, crypto_costs=None, series=None,
         emit({"record": "run", **(run_info or {})})
         for entry in registry.snapshot():
             emit({"record": "metric", **entry})
-        for time, snapshot in registry.samples:
-            emit({"record": "sample", "time": time, "metrics": snapshot})
         if series is not None:
             for entry in series.to_dicts():
                 emit({"record": "series", "period": series.period, **entry})
@@ -354,7 +379,8 @@ def export_jsonl(path, obs, run_info=None, crypto_costs=None, series=None,
 # console dashboard
 # ----------------------------------------------------------------------
 
-def _fmt_seconds(value):
+def fmt_seconds(value):
+    """Seconds at the unit that reads best: s, ms or us ("-" for None)."""
     if value is None:
         return "-"
     if value >= 1.0:
@@ -403,18 +429,17 @@ def render_dashboard(summary, run_info=None):
         for row in rows:
             add("  %-18s %8d %12s %12s" % (
                 row["stage"], row["count"],
-                _fmt_seconds(row["mean"]), _fmt_seconds(row["max"]),
+                fmt_seconds(row["mean"]), fmt_seconds(row["max"]),
             ))
         e2e = summary["end_to_end"]
         add("  %-18s %8d %12s %12s" % (
             "end-to-end", e2e["count"],
-            _fmt_seconds(e2e["mean"]), _fmt_seconds(e2e["max"]),
+            fmt_seconds(e2e["mean"]), fmt_seconds(e2e["max"]),
         ))
     else:
         add("  (no closed spans)")
     spans = summary["spans"]
-    add("  spans: %d closed, %d open, %d evicted" % (
-        spans["closed"], spans["open"], spans["evicted"]))
+    add("  spans: %d closed, %d open" % (spans["closed"], spans["open"]))
     for stage, count in spans["open_by_last_stage"].items():
         add("    open at %-16s %d" % (stage, count))
     # Stuck invocations: spans whose terminal stage never arrived are
@@ -432,7 +457,7 @@ def render_dashboard(summary, run_info=None):
         add("    stuck %-24s at %-20s%s" % (
             ":".join(str(part) for part in entry["key"]),
             entry["last_stage"],
-            "" if stalled is None else "  stalled %s" % _fmt_seconds(stalled),
+            "" if stalled is None else "  stalled %s" % fmt_seconds(stalled),
         ))
 
     critpath = summary.get("critical_path")
@@ -490,26 +515,26 @@ def render_dashboard(summary, run_info=None):
         mem["reconfigurations"], mem["installs"]))
     if mem["reconfig_seconds"]["count"]:
         add("  reconfig duration mean %s  max %s" % (
-            _fmt_seconds(mem["reconfig_seconds"]["mean"]),
-            _fmt_seconds(mem["reconfig_seconds"]["max"])))
+            fmt_seconds(mem["reconfig_seconds"]["mean"]),
+            fmt_seconds(mem["reconfig_seconds"]["max"])))
 
     header("Simulated CPU")
     cpu = summary["cpu_seconds_by_category"]
     for category in sorted(cpu, key=lambda c: (-cpu[c], c)):
-        add("  %-24s %12s" % (category, _fmt_seconds(cpu[category])))
+        add("  %-24s %12s" % (category, fmt_seconds(cpu[category])))
     crypto = summary["crypto"]
     add("  crypto ops: %d digest, %d sign, %d verify" % (
         crypto["digest_ops"], crypto["sign_ops"], crypto["verify_ops"]))
     if "calibration" in crypto:
         cal = crypto["calibration"]
         add("  calibration: %d-bit RSA, sign %s, verify %s" % (
-            cal["modulus_bits"], _fmt_seconds(cal["sign"]),
-            _fmt_seconds(cal["verify"])))
+            cal["modulus_bits"], fmt_seconds(cal["sign"]),
+            fmt_seconds(cal["verify"])))
 
     header("Event loop")
     sched = summary["scheduler"]
     add("  simulated time    %12s   events executed %10d" % (
-        _fmt_seconds(sched["now"]), sched["events_executed"]))
+        fmt_seconds(sched["now"]), sched["events_executed"]))
     for label, count in sched["busiest_labels"]:
         add("  %-24s %10d" % (label, count))
 

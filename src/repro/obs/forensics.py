@@ -645,12 +645,12 @@ def _fmt_fields(event):
     return " ".join(parts)
 
 
-def render_timeline(timeline, show_all=False):
+def render_timeline(timeline):
     """Render the merged timeline as fixed-width ASCII.
 
-    By default the high-volume steady-state events (token circulation,
-    delivery commits) are folded into per-second counts so the
-    intrusion story stays readable; ``show_all`` prints everything.
+    The high-volume steady-state events (token circulation, delivery
+    commits) are folded into one count so the intrusion story stays
+    readable; the JSON report keeps every event.
     """
     lines = []
     add = lines.append
@@ -663,7 +663,7 @@ def render_timeline(timeline, show_all=False):
         add("  %-10s %-5s %-5s %-4s %-22s %s" % header)
     suppressed = 0
     for event in timeline:
-        if not show_all and event.etype in _TIMELINE_HIDDEN:
+        if event.etype in _TIMELINE_HIDDEN:
             suppressed += 1
             continue
         if multi_shard:
@@ -692,8 +692,8 @@ def render_timeline(timeline, show_all=False):
             )
         )
     if suppressed:
-        add("  (... %d steady-state token/delivery events folded; --all shows them)"
-            % suppressed)
+        add("  (... %d steady-state token/delivery events folded; the JSON "
+            "report has them)" % suppressed)
     return "\n".join(lines)
 
 
@@ -804,24 +804,10 @@ def render_scorecard(report):
     return "\n".join(lines)
 
 
-def render_report(report, show_all=False):
-    timeline_dicts = report["timeline"]
-    # Re-render from the dict form so a report loaded from JSON renders
-    # identically to one built in-process.
-    events = [
-        ForensicEvent(
-            d["time"],
-            d["proc"],
-            d["ring"],
-            d["seq"],
-            d["event"],
-            {k: v for k, v in d.items()
-             if k not in ("time", "proc", "ring", "seq", "shard", "event")},
-            shard=d.get("shard", 0),
-        )
-        for d in timeline_dicts
-    ]
-    return render_timeline(events, show_all=show_all) + render_scorecard(report)
+def render_report(report, timeline):
+    """The ASCII report: ``timeline`` (the :func:`merge_timeline` the
+    report was built from) and the report's attribution and scorecard."""
+    return render_timeline(timeline) + render_scorecard(report)
 
 
 # ----------------------------------------------------------------------
@@ -929,18 +915,9 @@ def main(argv=None):
         prog="python -m repro.obs.forensics",
         description="Run the seeded intrusion drill and report the forensics.",
     )
-    parser.add_argument("--seed", type=int, default=23)
     parser.add_argument(
         "--out", default="forensics.json",
         help="machine-readable JSON report path (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="print the JSON report to stdout instead of the ASCII timeline",
-    )
-    parser.add_argument(
-        "--all", action="store_true",
-        help="show steady-state token/delivery events in the ASCII timeline",
     )
     parser.add_argument(
         "--capacity", type=int, default=DEFAULT_CAPACITY,
@@ -960,19 +937,12 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    _, obs, scenario = run_intrusion_drill(
-        seed=args.seed, capacity=args.capacity, batch=args.batch
-    )
+    _, obs, scenario = run_intrusion_drill(capacity=args.capacity, batch=args.batch)
     report = build_report(obs.forensics, scenario=scenario)
-    blob = json.dumps(report, sort_keys=True, indent=2) + "\n"
     with open(args.out, "w") as fh:
-        fh.write(blob)
-
-    if args.json:
-        print(blob, end="")
-    else:
-        print(render_report(report, show_all=args.all))
-        print("\nJSON report written to %s" % args.out)
+        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    print(render_report(report, merge_timeline(obs.forensics)))
+    print("\nJSON report written to %s" % args.out)
 
     status = 0
     scorecard = report["scorecard"]

@@ -193,37 +193,26 @@ class MetricsRegistry:
     never read staler than the state it reports.  Only ``metrics()``
     iterates without collecting (the series sampler has just done so),
     as does a metric handle read directly.
-
-    ``sample_every`` is the scheduler-driven snapshot facility: it
-    appends ``(sim_time, snapshot)`` pairs to :attr:`samples` at a fixed
-    simulated period, giving benches a time series from the same
-    registry that produces the final totals.
     """
 
-    #: default cap on distinct label-sets per metric family.  High-
-    #: cardinality labels (an invocation id, a timestamp) would otherwise
-    #: silently multiply the export by the workload size.
+    #: cap on distinct label-sets per metric family.  High-cardinality
+    #: labels (an invocation id, a timestamp) would otherwise silently
+    #: multiply the export by the workload size.
     MAX_LABEL_SETS = 512
 
-    def __init__(self, max_label_sets=None):
+    def __init__(self):
         self._metrics = {}
         self._collectors = []
         #: Counter -> [(stats dict, key)]: the sources summed into each
         #: derived counter on collect
         self._derived = {}
         self._collecting = False
-        #: [(sim_time, snapshot)] appended by the periodic sampler
-        self.samples = []
-        self._sampler = None
         #: the attached :class:`~repro.obs.series.SeriesSampler`, if any
         self.series_sampler = None
-        self.max_label_sets = (
-            self.MAX_LABEL_SETS if max_label_sets is None else max_label_sets
-        )
         #: family name -> distinct label-set count
         self._family_counts = {}
-        #: family name -> label-sets refused once the family hit the cap
-        self.capped_label_sets = {}
+        #: families that hit the cap (each warned about once)
+        self._capped = set()
 
     # ------------------------------------------------------------------
     # metric creation
@@ -234,19 +223,19 @@ class MetricsRegistry:
         metric = self._metrics.get(key)
         if metric is None:
             count = self._family_counts.get(name, 0)
-            if count >= self.max_label_sets:
+            if count >= self.MAX_LABEL_SETS:
                 # Cardinality guard: warn once per family, then funnel
                 # every further label-set into one overflow instance so
                 # the family keeps counting without growing the export.
-                if name not in self.capped_label_sets:
+                if name not in self._capped:
+                    self._capped.add(name)
                     warnings.warn(
                         "metric family %r exceeded %d label sets; further "
                         "label sets are folded into labels={'overflow': True}"
-                        % (name, self.max_label_sets),
+                        % (name, self.MAX_LABEL_SETS),
                         RuntimeWarning,
                         stacklevel=3,
                     )
-                self.capped_label_sets[name] = self.capped_label_sets.get(name, 0) + 1
                 overflow_key = (name, (("overflow", True),))
                 metric = self._metrics.get(overflow_key)
                 if metric is None:
@@ -364,32 +353,11 @@ class MetricsRegistry:
     # scheduler-driven sampling
     # ------------------------------------------------------------------
 
-    def sample_every(self, scheduler, period, max_samples=None):
-        """Record ``(sim_time, snapshot)`` into :attr:`samples` each period.
-
-        Rides the scheduler's repeating-event hook
-        (:meth:`~repro.sim.scheduler.Scheduler.every`), so always bound
-        the simulation with ``run(until=...)`` (as every bench does).
-        ``max_samples`` stops the series after that many snapshots.
-        """
-
-        def tick():
-            if max_samples is not None and len(self.samples) >= max_samples:
-                if self._sampler is not None:
-                    self._sampler.cancel()
-                    self._sampler = None
-                return
-            self.samples.append((scheduler.now, self.snapshot()))
-
-        self._sampler = scheduler.every(period, tick, label="obs.sample")
-        return self._sampler
-
-    def sample_series(self, scheduler, period, **kwargs):
+    def sample_series(self, scheduler, period, families=None):
         """Attach a :class:`~repro.obs.series.SeriesSampler` and start it.
 
-        Unlike :meth:`sample_every` (full snapshots, unbounded), the
-        series sampler keeps one bounded ring-buffered curve per metric
-        instance — the time dimension of the telemetry layer.  The
+        The series sampler keeps one bounded ring-buffered curve per
+        metric instance — the time dimension of the telemetry layer.  The
         sampler is remembered as :attr:`series_sampler` so the exporter
         and report can find it; calling again replaces (and stops) the
         previous one.
@@ -398,14 +366,11 @@ class MetricsRegistry:
 
         if self.series_sampler is not None:
             self.series_sampler.stop()
-        sampler = SeriesSampler(self, period, **kwargs)
+        sampler = SeriesSampler(self, period, families=families)
         sampler.start(scheduler)
         self.series_sampler = sampler
         return sampler
 
     def stop_sampling(self):
-        if self._sampler is not None:
-            self._sampler.cancel()
-            self._sampler = None
         if self.series_sampler is not None:
             self.series_sampler.stop()

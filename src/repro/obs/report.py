@@ -9,7 +9,7 @@ running twice with the same arguments produces byte-identical JSONL.
 
 Usage::
 
-    PYTHONPATH=src python -m repro.obs.report [--quick] [--slo] [--seed N]
+    PYTHONPATH=src python -m repro.obs.report [--quick] [--slo]
                                               [--out report.jsonl]
                                               [--input report.jsonl]
                                               [--json]
@@ -33,41 +33,23 @@ from repro.core.config import ImmuneConfig, SurvivabilityCase
 from repro.core.immune import ImmuneSystem
 from repro.obs import Observability, SLOEngine
 from repro.obs.critpath import attribute_spans
-from repro.obs.export import export_jsonl, render_dashboard
+from repro.obs.export import JsonlInputError, export_jsonl, read_jsonl, render_dashboard
 from repro.obs.forensics import ForensicsHub, merge_timeline, score
 from repro.sim.faults import FaultPlan, LinkFaults
 from repro.workloads.open_loop import ECHO_IDL, EchoServant, OpenLoopDriver, echo
 
 
-class ReportInputError(Exception):
-    """A JSONL artefact could not be loaded (missing/empty/no summary)."""
-
-
 def load_summary(path):
     """Load ``(summary, run_info)`` back out of a JSONL artefact.
 
-    Raises :class:`ReportInputError` with a human-readable message when
-    the file is missing, empty, unparsable, or carries no ``summary``
-    record — the CLI turns that into a nonzero exit instead of a
-    traceback.
+    Raises :class:`~repro.obs.export.JsonlInputError` when the file
+    cannot be read (:func:`~repro.obs.export.read_jsonl`) or carries no
+    ``summary`` record or nothing for it to summarise.
     """
-    try:
-        with open(path) as fh:
-            lines = [line for line in fh if line.strip()]
-    except OSError as exc:
-        raise ReportInputError("cannot read JSONL input %s: %s" % (path, exc))
-    if not lines:
-        raise ReportInputError("JSONL input %s is empty" % path)
     summary = None
     run_info = None
     payload_records = 0
-    for index, line in enumerate(lines, start=1):
-        try:
-            record = json.loads(line)
-        except ValueError:
-            raise ReportInputError(
-                "JSONL input %s: line %d is not valid JSON" % (path, index)
-            )
+    for record in read_jsonl(path):
         kind = record.pop("record", None)
         if kind == "summary":
             summary = record
@@ -76,14 +58,14 @@ def load_summary(path):
         elif kind in ("series", "span"):
             payload_records += 1
     if summary is None:
-        raise ReportInputError(
+        raise JsonlInputError(
             "JSONL input %s has no summary record (not a repro.obs artefact?)"
             % path
         )
     if payload_records == 0:
         # A summary over nothing is a broken export, not a quiet run:
         # every instrumented run records at least its invocation spans.
-        raise ReportInputError(
+        raise JsonlInputError(
             "JSONL input %s has no series or span records — the export is "
             "empty; re-run the report" % path
         )
@@ -140,10 +122,8 @@ def run_instrumented(seed=11, quick=False, slo=False):
     driver = OpenLoopDriver(immune, stubs, echo, "report.workload")
     driver.run(0.1, operations, spacing)
 
-    # Periodic snapshots into the same registry the totals come from,
-    # plus the ring-buffered per-metric time series the SLO engine and
-    # the watch CLI replay.
-    obs.registry.sample_every(immune.scheduler, period=0.5)
+    # The ring-buffered per-metric time series the SLO engine and the
+    # watch CLI replay, from the same registry the totals come from.
     obs.registry.sample_series(immune.scheduler, period=0.1)
     immune.run(until=run_until)
     obs.registry.stop_sampling()
@@ -194,7 +174,6 @@ def main(argv=None):
         help="telemetry drill: mid-workload server crash, time-series "
              "sampling, burn-rate alerting, critical-path attribution",
     )
-    parser.add_argument("--seed", type=int, default=11)
     parser.add_argument(
         "--out", default="obs_report.jsonl",
         help="JSONL artefact path (default: %(default)s)",
@@ -212,13 +191,11 @@ def main(argv=None):
     if args.input is not None:
         try:
             summary, run_info = load_summary(args.input)
-        except ReportInputError as exc:
+        except JsonlInputError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
     else:
-        immune, obs, run_info = run_instrumented(
-            seed=args.seed, quick=args.quick, slo=args.slo
-        )
+        immune, obs, run_info = run_instrumented(quick=args.quick, slo=args.slo)
         slo_result = critpath = None
         if args.slo:
             slo_result, critpath, _scorecard = evaluate_slo_run(immune, obs)

@@ -12,7 +12,7 @@ into a :class:`Series` at a fixed simulated period:
   full log-bucket occupancy, so the distribution of observations
   *between* two samples (windowed quantiles, SLO bad-fractions) falls
   out of bucket deltas;
-* every series is a bounded ring buffer (``max_points``) with an
+* every series is a bounded ring buffer (``MAX_POINTS``) with an
   explicit ``dropped`` counter — truncation is never silent, matching
   the flight-recorder discipline.
 
@@ -209,7 +209,7 @@ _HISTOGRAM_BASE = 1.1
 class SeriesSampler:
     """Snapshots every registry metric into per-instance series.
 
-    ``period`` is the fixed simulated sampling interval; ``max_points``
+    ``period`` is the fixed simulated sampling interval; ``MAX_POINTS``
     bounds every series (and the shared tick-time list) as a ring
     buffer; ``families`` optionally restricts sampling to a set of
     family names, keeping long benches light.
@@ -219,13 +219,15 @@ class SeriesSampler:
     :meth:`tick` from tests.
     """
 
-    def __init__(self, registry, period, max_points=4096, families=None):
+    #: points kept per series (and tick times kept) before the oldest go
+    MAX_POINTS = 4096
+
+    def __init__(self, registry, period, families=None):
         from repro.obs.metrics import Histogram
 
         assert Histogram.BASE == _HISTOGRAM_BASE, "bucket base drifted"
         self.registry = registry
         self.period = period
-        self.max_points = max_points
         self.families = None if families is None else frozenset(families)
         self._series = {}
         #: tick times, ring-buffered alongside the series
@@ -263,14 +265,14 @@ class SeriesSampler:
                 continue
             series = self._series.get(key)
             if series is None:
-                series = Series(name, metric.kind, key[1], self.max_points)
+                series = Series(name, metric.kind, key[1], self.MAX_POINTS)
                 self._series[key] = series
             if metric.kind == "histogram":
                 series.append((now, metric.count, metric.sum, metric.bucket_counts()))
             else:
                 series.append((now, metric.value))
         self.times.append(now)
-        if self.max_points is not None and len(self.times) > self.max_points:
+        if len(self.times) > self.MAX_POINTS:
             self.times.popleft()
             self.dropped_ticks += 1
 

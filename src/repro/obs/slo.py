@@ -28,6 +28,12 @@ asks: *did the pager lead the fault detector, or trail it?*
 SLI_KINDS = ("latency", "availability", "detection_latency")
 
 
+def _burn(fraction, budget):
+    """A bad fraction over the error budget; any bad event burns a zero
+    budget (a target of 1.0) without limit."""
+    return fraction / budget if budget else (fraction and float("inf"))
+
+
 class BurnRule:
     """One multi-window burn-rate alerting rule.
 
@@ -199,14 +205,13 @@ class SLOEngine:
         """Walk the sample times, tracking the rule's firing state."""
         firing = None
         peak_long = peak_short = 0.0
-        budget = spec.budget
         for t in times:
             bad_l, total_l = spec.window_counts(sampler, t - rule.long_window, t)
             bad_s, total_s = spec.window_counts(sampler, t - rule.short_window, t)
             frac_l = (bad_l / total_l) if total_l else 0.0
             frac_s = (bad_s / total_s) if total_s else 0.0
-            burn_l = frac_l / budget if budget else (frac_l and float("inf"))
-            burn_s = frac_s / budget if budget else (frac_s and float("inf"))
+            burn_l = _burn(frac_l, spec.budget)
+            burn_s = _burn(frac_s, spec.budget)
             exceeded = (
                 total_l >= max(1, rule.min_events)
                 and burn_l >= rule.max_burn
@@ -247,12 +252,11 @@ class SLOEngine:
                     "met": True}
         bad, total = spec.window_counts(sampler, times[0] - spec_epsilon, times[-1])
         fraction = (bad / total) if total else 0.0
-        burn = fraction / spec.budget if spec.budget else 0.0
         return {
             "bad": bad,
             "total": total,
             "bad_fraction": fraction,
-            "burn": burn,
+            "burn": _burn(fraction, spec.budget),
             "met": fraction <= spec.budget,
         }
 

@@ -133,20 +133,14 @@ class SpanTracker:
     """Tracks every invocation span of one simulated deployment.
 
     When a ``registry`` is supplied, closing a span feeds the
-    ``span.stage_seconds`` histogram (labelled by stage) and the
-    ``span.end_to_end_seconds`` histogram, so the metrics snapshot and
-    the raw spans always agree.  ``max_spans`` bounds memory on long
-    runs by discarding the *oldest closed* spans first (open spans are
-    always retained so they can be reported).
+    ``span.end_to_end_seconds`` histogram and the ``span.closed``
+    counter, so the metrics snapshot and the raw spans always agree.
     """
 
-    def __init__(self, registry=None, max_spans=None):
+    def __init__(self, registry=None):
         self._scheduler = None
         self._registry = registry
         self._spans = {}
-        self.max_spans = max_spans
-        #: closed spans evicted by max_spans (they still count here)
-        self.evicted = 0
 
     def bind(self, scheduler):
         """Attach the simulation's time source (done by the facade)."""
@@ -171,7 +165,6 @@ class SpanTracker:
             self._spans[key] = span
             if self._registry is not None:
                 self._registry.counter("span.opened").inc()
-            self._evict_if_needed()
         return span
 
     def mark(self, key, stage):
@@ -180,33 +173,19 @@ class SpanTracker:
         span.mark(stage, self._scheduler.now)
         if span.closed and not span._recorded:
             span._recorded = True
-            self._record_closed(span)
+            if self._registry is not None:
+                self._registry.histogram("span.end_to_end_seconds").observe(
+                    span.end_to_end()
+                )
+                self._registry.counter("span.closed").inc()
         return span
-
-    def _record_closed(self, span):
-        if self._registry is None:
-            return
-        for stage, delta in span.breakdown()[1:]:
-            self._registry.histogram("span.stage_seconds", stage=stage).observe(delta)
-        self._registry.histogram("span.end_to_end_seconds").observe(span.end_to_end())
-        self._registry.counter("span.closed").inc()
-
-    def _evict_if_needed(self):
-        if self.max_spans is None or len(self._spans) <= self.max_spans:
-            return
-        for key in list(self._spans):
-            if len(self._spans) <= self.max_spans:
-                break
-            if self._spans[key].closed:
-                del self._spans[key]
-                self.evicted += 1
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
 
     def spans(self):
-        """Every retained span, in creation order."""
+        """Every span, in creation order."""
         return list(self._spans.values())
 
     def closed_spans(self):

@@ -16,9 +16,7 @@ Context propagation rules
 * The trace key is the logical invocation id ``(source_group,
   op_num)`` — the same key the span tracker uses — plus a *phase*
   (``"req"`` or ``"rep"``) distinguishing the request from the reply
-  leg.  The ``trace_id`` is a deterministic hash of the key, and the
-  sampling decision is a deterministic function of the ``trace_id``,
-  so repeated runs sample identical invocations.
+  leg.  The ``trace_id`` is a deterministic hash of the key.
 * Producers that hand a payload to the multicast layer *register* the
   encoded bytes with the collector (the client Replication Manager for
   requests, the server RM for replies, a gateway replica for its
@@ -49,7 +47,7 @@ consecutive stage nodes carry the *exact*
 :func:`repro.obs.critpath.attribute_span` cause rows, computed from
 the trace's own stage-node times, and :func:`verify_against_critpath`
 asserts those times (and therefore every per-cause sum) equal the span
-tracker's ground truth for every sampled invocation.  Exports are
+tracker's ground truth for every invocation.  Exports are
 deterministic JSONL, byte-identical across runs.
 """
 
@@ -58,7 +56,8 @@ import json
 import struct
 import sys
 
-from repro.obs.critpath import _TokenEvidence, _fmt_seconds, attribute_span
+from repro.obs.critpath import _TokenEvidence, attribute_span
+from repro.obs.export import fmt_seconds
 from repro.obs.forensics import ForensicsHub, UnboundClock, merge_timeline
 from repro.obs.spans import SPAN_STAGES, InvocationSpan
 
@@ -188,11 +187,7 @@ class TraceCollector:
 
     Reached by the protocol layers as ``obs.trace`` (the name ``trace``
     alone is taken by the simulator's debug :class:`TraceLog`, so the
-    layers store it as ``self._tracer``).  ``sample_every=N`` keeps one
-    invocation in N, decided by trace-id hash so the choice is
-    deterministic and identical at every processor; unsampled
-    invocations cost one cache lookup per hook and are counted in
-    :attr:`dropped`.
+    layers store it as ``self._tracer``).  Every invocation is traced.
 
     The positional bindings resolve once, when they are made, to what
     the later hooks need — the trace object and the ids of the nodes
@@ -206,17 +201,9 @@ class TraceCollector:
     is let go when the delivery layer takes it.
     """
 
-    def __init__(self, registry=None, sample_every=1):
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1, got %r" % (sample_every,))
+    def __init__(self):
         self._scheduler = UnboundClock
-        self._registry = registry
-        self.sample_every = int(sample_every)
         self._traces = {}
-        self._sample_cache = {}
-        self.sampled = 0
-        #: invocations seen but not sampled (explicit, never silent)
-        self.dropped = 0
         #: node key -> itself: the one copy of each visit-free key
         self._shared_keys = {}
         #: payload bytes -> (key, phase, parent node key), until queued
@@ -238,34 +225,19 @@ class TraceCollector:
         return self
 
     # ------------------------------------------------------------------
-    # sampling
+    # traces
     # ------------------------------------------------------------------
-
-    def is_sampled(self, key):
-        decision = self._sample_cache.get(key)
-        if decision is None:
-            decision = int(trace_id_for(key)[:8], 16) % self.sample_every == 0
-            self._sample_cache[key] = decision
-            if decision:
-                self.sampled += 1
-                if self._registry is not None:
-                    self._registry.counter("trace.sampled").inc()
-            else:
-                self.dropped += 1
-                if self._registry is not None:
-                    self._registry.counter("trace.dropped").inc()
-        return decision
 
     def _ensure(self, key):
         trace = self._traces.get(key)
-        if trace is None and self.is_sampled(key):
+        if trace is None:
             trace = self._traces[key] = _TraceDag(
                 key, trace_id_for(key), self._shared_keys
             )
         return trace
 
     def traces(self):
-        """Every sampled trace, in creation order."""
+        """Every trace, in creation order."""
         return list(self._traces.values())
 
     def get(self, key):
@@ -277,8 +249,7 @@ class TraceCollector:
 
     def begin(self, key, oneway=False):
         trace = self._ensure(key)
-        if trace is not None:
-            trace.oneway = bool(oneway)
+        trace.oneway = bool(oneway)
         return trace
 
     def mark_stage(self, key, stage):
@@ -287,9 +258,7 @@ class TraceCollector:
         Called adjacent to every ``SpanTracker.mark`` so the trace's
         stage times are identical to the span's by construction.
         """
-        trace = self._ensure(key)
-        if trace is not None:
-            trace.node(("stage", stage), self._scheduler.now)
+        self._ensure(key).node(("stage", stage), self._scheduler.now)
 
     def register_payload(self, payload, key, phase, parent):
         """Bind encoded multicast bytes to a trace before sending.
@@ -301,8 +270,7 @@ class TraceCollector:
         encodings — the wrapped bytes embed the sender pid — that
         resolve to the same logical context.
         """
-        if self._ensure(key) is None:
-            return
+        self._ensure(key)
         self._payloads.setdefault(payload, (key, phase, parent))
 
     def context_for(self, payload):
@@ -318,9 +286,7 @@ class TraceCollector:
         """A payload split into ``total`` fragments; returns the derived
         context the fragment copies should propagate."""
         key, phase, parent = ctx
-        trace = self._traces.get(key)
-        if trace is None:
-            return ctx
+        trace = self._traces[key]
         node_key = ("fragment", phase, shard, sender)
         trace.attrs[trace.node(node_key, self._scheduler.now, parent)] = total
         return (key, phase, node_key)
@@ -328,9 +294,7 @@ class TraceCollector:
     def copy_sent(self, ctx, sender, seq, shard=0):
         """One replica's copy got ring sequence number ``seq``."""
         key, phase, parent = ctx
-        trace = self._traces.get(key)
-        if trace is None:
-            return
+        trace = self._traces[key]
         copy_id = trace.node(("copy", phase, shard, sender), self._scheduler.now, parent)
         trace.attrs[copy_id] = (trace.attrs[copy_id] or []) + [seq]
         self._seq_bindings[(shard, seq)] = (trace, phase, sender, copy_id)
@@ -423,8 +387,6 @@ class TraceCollector:
     def vote_copy(self, key, phase, sender, shard=0):
         """A voter tallied one replica's copy."""
         trace = self._ensure(key)
-        if trace is None:
-            return
         known = len(trace.times)
         copy_id = trace.node(("vote_copy", phase, shard, sender), self._scheduler.now,
                              ("copy", phase, shard, sender))
@@ -440,8 +402,6 @@ class TraceCollector:
         links the vote_copy nodes that arrived since the last one.
         """
         trace = self._ensure(key)
-        if trace is None:
-            return
         decided = ("vote_decided", phase, shard)
         decided_id = trace.node(decided, self._scheduler.now)
         for copy_id in trace.tallied.get(decided, ()):
@@ -451,8 +411,6 @@ class TraceCollector:
                           corrupt, shard=0):
         """A gateway replica re-originated the voted winner cross-ring."""
         trace = self._ensure(key)
-        if trace is None:
-            return
         node_id = trace.node(("gw_forward", phase, via), self._scheduler.now,
                              ("vote_decided", phase, shard))
         if trace.attrs[node_id] is None:
@@ -465,7 +423,7 @@ class TraceCollector:
     # ------------------------------------------------------------------
 
     def assemble(self, timeline=(), cost_model=None, shard_of_group=None):
-        """Assemble every sampled trace into export-ready dicts.
+        """Assemble every trace into export-ready dicts.
 
         Timing edges between consecutive stage nodes carry the exact
         :func:`attribute_span` cause rows for the later stage, computed
@@ -534,9 +492,6 @@ class TraceCollector:
         return {
             "traces": len(records),
             "closed": len(closed),
-            "sampled": self.sampled,
-            "dropped": self.dropped,
-            "sample_every": self.sample_every,
             "exemplars": tail_exemplars(records),
         }
 
@@ -547,9 +502,9 @@ class TraceCollector:
 
 def verify_against_critpath(collector, spans, timeline,
                             cost_model=None, shard_of_group=None):
-    """Exact agreement between every sampled trace and the span tracker.
+    """Exact agreement between every trace and the span tracker.
 
-    For each sampled invocation the trace's stage-node times must equal
+    For each invocation the trace's stage-node times must equal
     the real span's marks, and the :func:`attribute_span` rows computed
     from each must be identical — which makes every per-cause sum over
     the DAG's timing edges equal the critpath decomposition exactly.
@@ -675,42 +630,6 @@ def export_traces(path, records, summary, run_info):
             {"record": "trace_summary", **summary}, sort_keys=True) + "\n")
 
 
-class TraceInputError(Exception):
-    """A trace JSONL artefact that cannot be rendered."""
-
-
-def load_traces(path):
-    """Read an exported artefact back into (records, summary, run_info)."""
-    records = []
-    summary = None
-    run_info = {}
-    try:
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line)
-                except ValueError as exc:
-                    raise TraceInputError(
-                        "cannot parse JSONL input %s: %s" % (path, exc))
-                kind = data.pop("record", None)
-                if kind == "trace":
-                    records.append(data)
-                elif kind == "trace_summary":
-                    summary = data
-                elif kind == "trace_run":
-                    run_info = data
-    except OSError as exc:
-        raise TraceInputError("cannot read JSONL input %s: %s" % (path, exc))
-    if not records:
-        raise TraceInputError(
-            "JSONL input %s has no trace records — run "
-            "`python -m repro.obs.trace --out %s` to produce one" % (path, path))
-    return records, summary, run_info
-
-
 # ----------------------------------------------------------------------
 # rendering
 # ----------------------------------------------------------------------
@@ -774,7 +693,7 @@ def render_trace_tree(record):
             record["trace_id"],
             record["key"][0], record["key"][1],
             "closed" if record["closed"] else "open",
-            _fmt_seconds(record["end_to_end"]),
+            fmt_seconds(record["end_to_end"]),
         )
     ]
     seen = set()
@@ -783,7 +702,7 @@ def render_trace_tree(record):
         if edge[2] != "timing":
             return ""
         causes = ", ".join(
-            "%s %s" % (cause, _fmt_seconds(seconds))
+            "%s %s" % (cause, fmt_seconds(seconds))
             for cause, seconds in edge[3]
         )
         return " <- [%s]" % causes if causes else ""
@@ -839,12 +758,12 @@ def render_waterfall(record):
         width = max(1, int(delta / total * 40)) if delta else 1
         bar = " " * offset + "#" * width
         causes = ", ".join(
-            "%s %s" % (cause, _fmt_seconds(seconds))
+            "%s %s" % (cause, fmt_seconds(seconds))
             for cause, seconds in timing.get(stage_ids[stage], [])
         )
         lines.append(
             "  %-24s +%-10s |%-41s| %s"
-            % (stage, _fmt_seconds(delta), bar, causes)
+            % (stage, fmt_seconds(delta), bar, causes)
         )
         previous = time
     return "\n".join(lines)
@@ -854,11 +773,7 @@ def render_digest(summary):
     """Tail-latency exemplar digest from a trace summary."""
     lines = [
         "== Trace digest %s" % ("=" * 46),
-        "  %d trace(s) assembled, %d closed; sampled=%d dropped=%d "
-        "(1 in %d)" % (
-            summary["traces"], summary["closed"], summary["sampled"],
-            summary["dropped"], summary["sample_every"],
-        ),
+        "  %d trace(s) assembled, %d closed" % (summary["traces"], summary["closed"]),
     ]
     exemplars = summary["exemplars"]
     if exemplars:
@@ -869,9 +784,9 @@ def render_digest(summary):
                 % (
                     "%s:%s" % (row["key"][0], row["key"][1]),
                     row["trace_id"],
-                    _fmt_seconds(row["end_to_end"]),
+                    fmt_seconds(row["end_to_end"]),
                     row["top_cause"],
-                    _fmt_seconds(row["top_cause_seconds"]),
+                    fmt_seconds(row["top_cause_seconds"]),
                 )
             )
     else:
@@ -883,7 +798,7 @@ def render_digest(summary):
 # workloads
 # ----------------------------------------------------------------------
 
-def run_figure7_workload(seed=11, operations=12, sample_every=1):
+def run_figure7_workload(seed=11, operations=12):
     """The instrumented single-ring Figure-7 echo workload with tracing.
 
     Returns ``(collector, obs, timeline, cost_model, shard_of_group,
@@ -895,7 +810,7 @@ def run_figure7_workload(seed=11, operations=12, sample_every=1):
     from repro.sim.faults import FaultPlan, LinkFaults
     from repro.workloads.open_loop import ECHO_IDL, EchoServant, OpenLoopDriver, echo
 
-    collector = TraceCollector(sample_every=sample_every)
+    collector = TraceCollector()
     obs = Observability(forensics=ForensicsHub(), trace=collector)
     config = ImmuneConfig(case=SurvivabilityCase.FULL_SURVIVABILITY, seed=seed)
     plan = FaultPlan(
@@ -918,14 +833,13 @@ def run_figure7_workload(seed=11, operations=12, sample_every=1):
         "workload": "figure7",
         "seed": seed,
         "operations": operations,
-        "sample_every": sample_every,
         "replies": len(driver.replies),
         "simulated_seconds": immune.scheduler.now,
     }
     return collector, obs, timeline, immune.config.crypto_costs, None, run_info
 
 
-def run_cluster_workload(seed=11, operations=6, sample_every=1):
+def run_cluster_workload(seed=11, operations=6):
     """Two rings, a corrupt gateway replica, cross-ring counter traffic.
 
     The Byzantine-gateway drill for tracing: every request forks into
@@ -942,7 +856,7 @@ def run_cluster_workload(seed=11, operations=6, sample_every=1):
         add_one,
     )
 
-    collector = TraceCollector(sample_every=sample_every)
+    collector = TraceCollector()
     obs = Observability(forensics=ForensicsHub(), trace=collector)
     config = ClusterConfig(
         num_rings=2, case=SurvivabilityCase.FULL_SURVIVABILITY, seed=seed
@@ -969,7 +883,6 @@ def run_cluster_workload(seed=11, operations=6, sample_every=1):
         "workload": "cluster",
         "seed": seed,
         "operations": operations,
-        "sample_every": sample_every,
         "replies": len(driver.replies),
         "simulated_seconds": cluster.scheduler.now,
     }
@@ -990,65 +903,39 @@ def main(argv=None):
     )
     parser.add_argument("--workload", choices=("figure7", "cluster"),
                         default="figure7")
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--operations", type=int, default=None,
-                        help="invocations to fire (workload default)")
-    parser.add_argument("--sample", type=int, default=1, metavar="N",
-                        help="keep 1 trace in N (deterministic hash)")
     parser.add_argument("--out", default=None,
                         help="write the trace JSONL artefact here")
-    parser.add_argument("--input", default=None,
-                        help="render an existing artefact instead of running")
-    parser.add_argument("--show", default=None, metavar="GROUP:OP",
-                        help="render the tree + waterfall of one invocation")
     parser.add_argument("--verify", action="store_true",
                         help="assert exact trace-vs-critpath agreement")
     parser.add_argument("--assert-fork", type=int, default=None, metavar="N",
                         help="require an N-way gateway fork with voted merge")
     args = parser.parse_args(argv)
 
-    if args.input is not None:
-        try:
-            records, summary, run_info = load_traces(args.input)
-        except TraceInputError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        if args.verify:
-            print("error: --verify needs a live run, not --input",
+    runner = (
+        run_cluster_workload if args.workload == "cluster" else run_figure7_workload
+    )
+    collector, obs, timeline, cost_model, shard_of_group, run_info = runner()
+    records = collector.assemble(
+        timeline, cost_model=cost_model, shard_of_group=shard_of_group
+    )
+    summary = collector.summary(records)
+    if args.verify:
+        mismatches = verify_against_critpath(
+            collector, obs.spans, timeline,
+            cost_model=cost_model, shard_of_group=shard_of_group,
+        )
+        if mismatches:
+            print("error: %d trace(s) diverge from the critpath "
+                  "decomposition:" % len(mismatches),
                   file=sys.stderr)
-            return 2
-    else:
-        runner = (
-            run_cluster_workload if args.workload == "cluster"
-            else run_figure7_workload
-        )
-        kwargs = {"seed": args.seed, "sample_every": args.sample}
-        if args.operations is not None:
-            kwargs["operations"] = args.operations
-        collector, obs, timeline, cost_model, shard_of_group, run_info = (
-            runner(**kwargs)
-        )
-        records = collector.assemble(
-            timeline, cost_model=cost_model, shard_of_group=shard_of_group
-        )
-        summary = collector.summary(records)
-        if args.verify:
-            mismatches = verify_against_critpath(
-                collector, obs.spans, timeline,
-                cost_model=cost_model, shard_of_group=shard_of_group,
-            )
-            if mismatches:
-                print("error: %d trace(s) diverge from the critpath "
-                      "decomposition:" % len(mismatches),
+            for mismatch in mismatches[:5]:
+                print("  %s: %s" % (mismatch["key"], mismatch["reason"]),
                       file=sys.stderr)
-                for mismatch in mismatches[:5]:
-                    print("  %s: %s" % (mismatch["key"], mismatch["reason"]),
-                          file=sys.stderr)
-                return 1
-            print("verified: %d trace(s) agree with the critpath "
-                  "decomposition exactly" % len(records))
-        if args.out is not None:
-            export_traces(args.out, records, summary, run_info)
+            return 1
+        print("verified: %d trace(s) agree with the critpath "
+              "decomposition exactly" % len(records))
+    if args.out is not None:
+        export_traces(args.out, records, summary, run_info)
 
     if args.assert_fork is not None:
         best = {"fork_width": 0, "merged": False}
@@ -1066,23 +953,9 @@ def main(argv=None):
         print("gateway fork: %d branches (%d corrupt), voted merge present"
               % (best["fork_width"], best["corrupt_branches"]))
 
-    shown = None
-    if args.show is not None:
-        group, _, op = args.show.partition(":")
-        wanted = [group, int(op)]
-        shown = next((r for r in records if r["key"] == wanted), None)
-        if shown is None:
-            print("error: no trace for %s (sampled? closed?)" % args.show,
-                  file=sys.stderr)
-            return 2
-    elif records:
+    if records:
         closed = [r for r in records if r["closed"]]
-        shown = max(
-            closed or records,
-            key=lambda r: (r["end_to_end"], r["trace_id"]),
-        )
-
-    if shown is not None:
+        shown = max(closed or records, key=lambda r: (r["end_to_end"], r["trace_id"]))
         print(render_trace_tree(shown))
         print()
         print(render_waterfall(shown))

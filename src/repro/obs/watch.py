@@ -12,25 +12,26 @@ membership heals, the alert resolves.
 
 Usage::
 
-    PYTHONPATH=src python -m repro.obs.watch --replay report.jsonl
-        [--frames N] [--fps HZ] [--width W] [--plain]
+    PYTHONPATH=src python -m repro.obs.watch --replay report.jsonl [--frames N]
 
-``--plain`` prints every frame sequentially (no ANSI clear, no delay) —
-the deterministic mode CI asserts on; the default redraws in place at
-``--fps`` frames per second of wall time.
+Frames are printed one after another, separated by a rule, with no
+terminal control codes and no delay: the output is deterministic.
 """
 
 import argparse
-import json
 import sys
-import time as _walltime
 
-from repro.obs.export import _PREVIEW_FAMILIES, family_curve, family_sites
+from repro.obs.export import (
+    _PREVIEW_FAMILIES,
+    JsonlInputError,
+    family_curve,
+    family_sites,
+    read_jsonl,
+)
 from repro.obs.series import Series, sparkline
 
-
-class WatchInputError(Exception):
-    """The JSONL artefact cannot be replayed (missing/empty/no series)."""
+#: sparkline width in glyphs, as in the report dashboard
+WIDTH = 48
 
 
 class ReplaySampler:
@@ -71,24 +72,11 @@ class ReplaySampler:
 
 def load_replay(path):
     """Parse a report JSONL artefact into ``(sampler, alerts, run_info)``."""
-    try:
-        with open(path) as fh:
-            lines = [line for line in fh if line.strip()]
-    except OSError as exc:
-        raise WatchInputError("cannot read JSONL input %s: %s" % (path, exc))
-    if not lines:
-        raise WatchInputError("JSONL input %s is empty" % path)
     series_list = []
     alerts = []
     run_info = None
     period = None
-    for index, line in enumerate(lines, start=1):
-        try:
-            record = json.loads(line)
-        except ValueError:
-            raise WatchInputError(
-                "JSONL input %s: line %d is not valid JSON" % (path, index)
-            )
+    for record in read_jsonl(path):
         kind = record.get("record")
         if kind == "series":
             period = record.get("period", period)
@@ -98,7 +86,7 @@ def load_replay(path):
         elif kind == "run":
             run_info = {k: v for k, v in record.items() if k != "record"}
     if not series_list:
-        raise WatchInputError(
+        raise JsonlInputError(
             "JSONL input %s has no series records — re-run the report with "
             "series sampling (e.g. --slo)" % path
         )
@@ -107,7 +95,7 @@ def load_replay(path):
     if not sampler.times:
         # Series records with zero sample points would "replay" zero
         # frames and exit clean — surface the broken export instead.
-        raise WatchInputError(
+        raise JsonlInputError(
             "JSONL input %s has series records but no sample points — "
             "the export is empty; re-run the report" % path
         )
@@ -131,7 +119,7 @@ def _alert_board(alerts, now):
     return rows
 
 
-def render_frame(sampler, alerts, now, run_info=None, width=48):
+def render_frame(sampler, alerts, now, run_info=None):
     """One dashboard frame: the run replayed up to simulated time ``now``."""
     frame = sampler.truncated(now)
     lines = []
@@ -147,7 +135,7 @@ def render_frame(sampler, alerts, now, run_info=None, width=48):
         if not curve:
             continue
         label = "%s (%s)" % (name, mode)
-        add("  %-32s %s" % (label, sparkline(curve, width=width) or " "))
+        add("  %-32s %s" % (label, sparkline(curve, width=WIDTH) or " "))
         add("  %-32s last %.4g" % ("", curve[-1]))
         # Federation exports carry site= labels: one sub-row per site,
         # so a partitioned or compromised site flatlines visibly.
@@ -156,7 +144,7 @@ def render_frame(sampler, alerts, now, run_info=None, width=48):
             if not site_curve or not any(site_curve):
                 continue
             add("  %-32s %s" % (
-                "  site=%s" % site, sparkline(site_curve, width=width) or " "))
+                "  site=%s" % site, sparkline(site_curve, width=WIDTH) or " "))
     add("")
     board = _alert_board(alerts, now)
     firing = sum(1 for row in board if row.endswith("FIRING"))
@@ -165,7 +153,7 @@ def render_frame(sampler, alerts, now, run_info=None, width=48):
     return "\n".join(lines)
 
 
-def replay_frames(sampler, alerts, run_info=None, frames=None, width=48):
+def replay_frames(sampler, alerts, run_info=None, frames=None):
     """Yield ``(now, text)`` dashboard frames over the sampled ticks.
 
     ``frames`` caps the count by striding evenly across the ticks (the
@@ -182,8 +170,7 @@ def replay_frames(sampler, alerts, run_info=None, frames=None, width=48):
             ticks = sorted({ticks[int(round(i * stride))]
                             for i in range(frames)})
     for now in ticks:
-        yield now, render_frame(sampler, alerts, now,
-                                run_info=run_info, width=width)
+        yield now, render_frame(sampler, alerts, now, run_info=run_info)
 
 
 def main(argv=None):
@@ -200,45 +187,22 @@ def main(argv=None):
         "--frames", type=int, default=None, metavar="N",
         help="cap the replay to N evenly-strided frames (default: every tick)",
     )
-    parser.add_argument(
-        "--fps", type=float, default=12.0,
-        help="frames per second of wall time (default: %(default)s; "
-             "0 disables the delay)",
-    )
-    parser.add_argument(
-        "--width", type=int, default=48,
-        help="sparkline width in glyphs (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--plain", action="store_true",
-        help="print frames sequentially with no ANSI clear and no delay "
-             "(deterministic; for CI and piping)",
-    )
     args = parser.parse_args(argv)
 
     try:
         sampler, alerts, run_info = load_replay(args.replay)
-    except WatchInputError as exc:
+    except JsonlInputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 
-    delay = 0.0 if args.plain or args.fps <= 0 else 1.0 / args.fps
     count = 0
-    for now, frame in replay_frames(
-        sampler, alerts, run_info=run_info,
-        frames=args.frames, width=args.width,
+    for _now, frame in replay_frames(
+        sampler, alerts, run_info=run_info, frames=args.frames
     ):
-        if args.plain:
-            if count:
-                print("-" * 72)
-        else:
-            # Clear and rehome; the frame redraws in place.
-            sys.stdout.write("\x1b[2J\x1b[H")
+        if count:
+            print("-" * 72)
         print(frame)
-        sys.stdout.flush()
         count += 1
-        if delay:
-            _walltime.sleep(delay)
     print("replayed %d frame(s) from %s" % (count, args.replay))
     return 0
 

@@ -107,10 +107,6 @@ class Network:
                 "dropped": "net.frames_dropped",
                 "corrupted": "net.frames_corrupted",
             })
-            obs.registry.add_collector(self._collect_metrics)
-
-    def _collect_metrics(self, registry):
-        registry.gauge("net.medium_busy_until").set(self._medium_free_at)
 
     # ------------------------------------------------------------------
     # topology

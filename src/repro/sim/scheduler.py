@@ -232,7 +232,7 @@ class Scheduler:
 
         Turns on per-label execution counting (the event-loop profile:
         which callbacks dominate the run) and registers a collector
-        that refreshes queue-depth and progress gauges at every
+        that refreshes pending-event and progress gauges at every
         registry snapshot.
         """
         if self.events_by_label is None:
@@ -248,9 +248,7 @@ class Scheduler:
 
     def _collect_metrics(self, registry):
         registry.gauge("scheduler.now").set(self._now)
-        registry.gauge("scheduler.queue_depth").set(len(self._queue))
         registry.gauge("scheduler.queue_pending").set(self.pending())
-        registry.gauge("scheduler.queue_cancelled").set(self._cancelled)
         registry.gauge("scheduler.events_executed").set(self.events_executed)
         for label, count in self.events_by_label.items():
             counter = registry.counter("scheduler.events", label=label)

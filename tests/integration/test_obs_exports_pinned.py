@@ -48,6 +48,12 @@ used to: the same history, so they hold the collector's and the
 flight recorders' *representation* to the bytes they have always
 exported.  ``RESENT_*`` pin the drill as it runs now, 1 045 nodes and
 1 042 edges.
+
+Both trace digests were re-taken once more when the collector stopped
+sampling: the ``trace_run`` record lost ``sample_every`` and the
+``trace_summary`` record ``sampled``, ``dropped`` and ``sample_every``.
+With those keys removed, the old exports are the new bytes; every node,
+edge and per-cause sum is unchanged.
 """
 
 import hashlib
@@ -72,9 +78,9 @@ OPERATIONS = 24
 CRASH_AT = 0.55
 FIRST_CORRUPT = 8
 
-TRACE_SHA256 = "97b8bc05f60fc093471ba6b1c737c4c13403b33d56f3d4aea073dcc632808b88"
+TRACE_SHA256 = "c0c9c0e53084ed1c14d3bae6e970f281cc2225c93c6b4b283e146e761401743f"
 REPORT_SHA256 = "57615f8494884b562215ca17751112bad8290128b87ffd1a0baddc036c28a46a"
-RESENT_TRACE_SHA256 = "261936a525897cdbde8fbd29c566413b52324fb149dc51b460b375a09aeef04e"
+RESENT_TRACE_SHA256 = "842d8344a60ba4d7be5e5f44315e9f523d06da6ee54913eb9745c782203cbf12"
 RESENT_REPORT_SHA256 = "f15c6ab679b994873e5dbc4adcc3eb37870261b691433b286110fc1ecacfabf1"
 
 VAULT_IDL = InterfaceDef(

@@ -113,7 +113,7 @@ def test_watch_replay_renders_frames(tmp_path):
 def test_watch_cli_plain_mode(tmp_path, capsys):
     path = tmp_path / "report.jsonl"
     path.write_bytes(export_drill(tmp_path))
-    assert watch_main(["--replay", str(path), "--plain", "--frames", "3"]) == 0
+    assert watch_main(["--replay", str(path), "--frames", "3"]) == 0
     out = capsys.readouterr().out
     assert out.count("Immune system telemetry replay") == 3
     assert "replayed 3 frame(s)" in out
@@ -122,7 +122,7 @@ def test_watch_cli_plain_mode(tmp_path, capsys):
 def test_watch_cli_rejects_artefact_without_series(tmp_path, capsys):
     path = tmp_path / "empty.jsonl"
     path.write_text(json.dumps({"record": "run", "seed": 1}) + "\n")
-    assert watch_main(["--replay", str(path), "--plain"]) == 2
+    assert watch_main(["--replay", str(path)]) == 2
     assert "no series records" in capsys.readouterr().err
 
 
@@ -137,7 +137,7 @@ def test_watch_cli_rejects_series_without_sample_points(tmp_path, capsys):
         {"record": "summary"},
     ]
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
-    assert watch_main(["--replay", str(path), "--plain"]) == 2
+    assert watch_main(["--replay", str(path)]) == 2
     assert "no sample points" in capsys.readouterr().err
 
 

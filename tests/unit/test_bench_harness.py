@@ -72,27 +72,3 @@ def test_latency_result_empty():
     assert result.median == 0.0
     assert result.percentile(0.5) == 0.0
 
-
-def test_sample_period_records_series_over_the_run():
-    from repro.obs import Observability
-
-    obs = Observability()
-    result = run_packet_driver_case(
-        SurvivabilityCase.UNREPLICATED, 500e-6, duration=0.05, warmup=0.02,
-        obs=obs, sample_period=0.01,
-    )
-    sampler = obs.registry.series_sampler
-    assert sampler is not None
-    assert len(sampler.times) > 3
-    # The traffic curve is recoverable from the sampled series.
-    sent = sampler.family_delta("net.frames_sent", 0.0, sampler.times[-1])
-    assert sent > 0
-    assert result.throughput > 0
-
-
-def test_sample_period_without_obs_is_an_error():
-    with pytest.raises(ValueError):
-        run_packet_driver_case(
-            SurvivabilityCase.UNREPLICATED, 500e-6, duration=0.05,
-            warmup=0.02, sample_period=0.01,
-        )

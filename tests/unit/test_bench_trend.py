@@ -117,7 +117,7 @@ def test_self_describing_headline_gate_failure_counts(tmp_path):
     })
     entries = collect(str(tmp_path))
     assert build_report(entries)["all_gates_ok"] is False
-    assert main(["--dir", str(tmp_path), "--no-write"]) == 1
+    assert main(["--dir", str(tmp_path)]) == 1
 
 
 def test_unparsable_artifact_raises(tmp_path):
@@ -134,7 +134,7 @@ def test_failed_gate_flips_exit_code_and_flag(tmp_path):
     entries = collect(str(tmp_path))
     assert build_report(entries)["all_gates_ok"] is False
     assert "FAIL" in render_table(entries)
-    assert main(["--dir", str(tmp_path), "--no-write"]) == 1
+    assert main(["--dir", str(tmp_path)]) == 1
 
 
 def test_cli_writes_deterministic_trend_json(tmp_path, capsys):

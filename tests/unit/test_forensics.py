@@ -360,7 +360,7 @@ def test_missed_fault_lowers_recall():
 # ----------------------------------------------------------------------
 
 
-def test_render_report_round_trips_through_json():
+def test_render_report_shows_the_timeline_and_the_scorecard():
     hub, sched = make_hub()
     recorder = hub.recorder(0)
     recorder.set_context(ring=1, seq=3)
@@ -370,10 +370,9 @@ def test_render_report_round_trips_through_json():
         fault_id_for("mutant_token", 2, 0.3), "mutant_token", 2, 0.3
     )
     report = build_report(hub, scenario={"scenario": "unit"})
-    blob = json.dumps(report, sort_keys=True)
-    reloaded = json.loads(blob)
-    assert render_report(reloaded) == render_report(report)
-    assert "precision=1.000" in render_report(report)
+    text = render_report(report, merge_timeline(hub))
+    assert "suspect" in text and "reason=mutant_token" in text
+    assert "precision=1.000" in text
 
 
 # ----------------------------------------------------------------------
@@ -449,6 +448,5 @@ def test_shard_survives_report_round_trip():
     ring1.record("suspect", suspect=9, reason="mutant_token")
     report = build_report(hub, scenario={"scenario": "shards"})
     reloaded = json.loads(json.dumps(report, sort_keys=True))
-    assert render_report(reloaded) == render_report(report)
     event = reloaded["timeline"][0]
     assert event["shard"] == 1

@@ -104,22 +104,6 @@ def test_collectors_refresh_derived_metrics():
     assert registry.value("queue_depth") == 9
 
 
-def test_sample_every_records_time_series():
-    scheduler = Scheduler()
-    registry = MetricsRegistry()
-    counter = registry.counter("ticks")
-    scheduler.after(0.25, counter.inc, label="tick")
-    scheduler.after(0.75, counter.inc, label="tick")
-    registry.sample_every(scheduler, period=0.5, max_samples=3)
-    scheduler.run(until=10.0)
-    times = [t for t, _snap in registry.samples]
-    assert times == [0.5, 1.0, 1.5]
-    first = {e["name"]: e for e in registry.samples[0][1]}
-    last = {e["name"]: e for e in registry.samples[-1][1]}
-    assert first["ticks"]["value"] == 1
-    assert last["ticks"]["value"] == 2
-
-
 def test_quantile_empty_histogram_returns_zero():
     hist = Histogram("h", ())
     for q in (0.0, 0.5, 1.0):
@@ -167,8 +151,9 @@ def test_bucket_counts_sorted_with_zero_bucket_first():
     assert sum(count for _index, count in buckets) == 3
 
 
-def test_label_cardinality_guard_warns_once_and_funnels():
-    registry = MetricsRegistry(max_label_sets=3)
+def test_label_cardinality_guard_warns_once_and_funnels(monkeypatch):
+    monkeypatch.setattr(MetricsRegistry, "MAX_LABEL_SETS", 3)
+    registry = MetricsRegistry()
     for n in range(3):
         registry.counter("per_op", op=n).inc()
     with pytest.warns(RuntimeWarning, match="exceeded 3 label sets"):
@@ -179,15 +164,15 @@ def test_label_cardinality_guard_warns_once_and_funnels():
         registry.counter("per_op", op=5).inc(2)
     # Distinct refused label-sets share one overflow instance.
     assert registry.value("per_op", overflow=True) == 4
-    assert registry.capped_label_sets == {"per_op": 3}
     # The family stayed bounded: 3 real instances + 1 overflow.
     assert len(registry.family("per_op")) == 4
     # Totals still include the funnelled increments.
     assert registry.total("per_op") == 7
 
 
-def test_label_cardinality_guard_keeps_existing_instances_writable():
-    registry = MetricsRegistry(max_label_sets=2)
+def test_label_cardinality_guard_keeps_existing_instances_writable(monkeypatch):
+    monkeypatch.setattr(MetricsRegistry, "MAX_LABEL_SETS", 2)
+    registry = MetricsRegistry()
     first = registry.counter("ops", kind="a")
     registry.counter("ops", kind="b")
     with pytest.warns(RuntimeWarning):
@@ -199,8 +184,9 @@ def test_label_cardinality_guard_keeps_existing_instances_writable():
     assert again is first
 
 
-def test_overflow_instance_kind_conflict_is_an_error():
-    registry = MetricsRegistry(max_label_sets=1)
+def test_overflow_instance_kind_conflict_is_an_error(monkeypatch):
+    monkeypatch.setattr(MetricsRegistry, "MAX_LABEL_SETS", 1)
+    registry = MetricsRegistry()
     registry.counter("mixed", op=0)
     with pytest.warns(RuntimeWarning):
         registry.counter("mixed", op=1)
@@ -262,8 +248,9 @@ def test_recreated_publisher_keeps_counting():
     assert registry.value("rm.delivered_to_orb", proc=1) == 6
 
 
-def test_overflow_instance_sums_every_folded_publisher():
-    registry = MetricsRegistry(max_label_sets=2)
+def test_overflow_instance_sums_every_folded_publisher(monkeypatch):
+    monkeypatch.setattr(MetricsRegistry, "MAX_LABEL_SETS", 2)
+    registry = MetricsRegistry()
     families = {"ops": "per_op"}
     stats = [{"ops": n + 1} for n in range(5)]
     with pytest.warns(RuntimeWarning, match="exceeded 2 label sets"):

@@ -7,12 +7,10 @@ from repro.obs.series import Series, SeriesSampler, sparkline
 from repro.sim.scheduler import Scheduler
 
 
-def sampled_registry(period=0.5, max_points=4096, families=None):
+def sampled_registry(period=0.5, families=None):
     scheduler = Scheduler()
     registry = MetricsRegistry()
-    sampler = registry.sample_series(
-        scheduler, period=period, max_points=max_points, families=families
-    )
+    sampler = registry.sample_series(scheduler, period=period, families=families)
     return scheduler, registry, sampler
 
 
@@ -81,8 +79,9 @@ def test_histogram_series_supports_windowed_bad_fractions():
     assert sampler.family_delta_above("lat", 0.25, 1.0, 2.0) == 2
 
 
-def test_ring_buffer_drops_oldest_with_explicit_counter():
-    scheduler, registry, sampler = sampled_registry(period=0.5, max_points=3)
+def test_ring_buffer_drops_oldest_with_explicit_counter(monkeypatch):
+    monkeypatch.setattr(SeriesSampler, "MAX_POINTS", 3)
+    scheduler, registry, sampler = sampled_registry(period=0.5)
     counter = registry.counter("ticks")
     counter.inc()
     scheduler.run(until=3.0)  # 6 ticks into a 3-point ring

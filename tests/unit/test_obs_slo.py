@@ -80,6 +80,25 @@ def test_latency_alert_fires_and_resolves():
     assert result["slos"][0]["alerts"] == 1
 
 
+def test_a_zero_budget_burns_without_limit_over_the_whole_run():
+    """A target of 1.0 leaves no error budget: 2 bad events of 10 burn it
+    without limit, in the whole-run status as in the alert it fires."""
+    def schedule(scheduler, registry):
+        hist = registry.histogram("span.end_to_end_seconds")
+        for k in range(10):
+            latency = 0.9 if k in (4, 5) else 0.01
+            scheduler.at(0.1 + k * 0.1, hist.observe, latency, label="w")
+
+    sampler = driven_sampler(schedule, until=1.5)
+    spec = latency_spec()
+    spec.target = 1.0
+    result = SLOEngine([spec]).evaluate(sampler)
+    status = result["slos"][0]["status"]
+    assert (status["bad"], status["total"]) == (2, 10)
+    assert status["burn"] == float("inf") and not status["met"]
+    assert result["alerts"][0]["fired_burn_long"] == float("inf")
+
+
 def test_quiet_run_fires_nothing():
     def schedule(scheduler, registry):
         hist = registry.histogram("span.end_to_end_seconds")

@@ -90,30 +90,12 @@ def test_closing_feeds_registry():
         clock.now = 0.01 * offset
         spans.mark(key, stage)
     assert registry.value("span.closed") == 1
-    hist = registry.histogram("span.stage_seconds", stage="voted")
-    assert hist.count == 1
-    assert hist.sum == pytest.approx(0.01)
     e2e = registry.histogram("span.end_to_end_seconds")
     assert e2e.count == 1
     assert e2e.sum == pytest.approx(0.04)
     # Closing is recorded once; an extra late mark does not double-count.
     spans.mark(key, "executed")
     assert registry.value("span.closed") == 1
-
-
-def test_eviction_keeps_open_spans():
-    clock = FakeClock()
-    spans = SpanTracker(max_spans=2).bind(clock)
-    for n in range(4):
-        key = ("g", n)
-        spans.begin(key, oneway=True)
-        for stage in ("intercepted", "multicast_queued", "ordered", "voted"):
-            spans.mark(key, stage)
-        if n != 1:  # span 1 stays open
-            spans.mark(key, "dispatched")
-    assert spans.evicted == 2
-    assert spans.get(("g", 1)) is not None  # open spans always retained
-    assert len(spans.spans()) == 2
 
 
 def test_works_with_real_scheduler():

@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.export import JsonlInputError, read_jsonl
 from repro.obs.trace import (
     TraceCollector,
-    TraceInputError,
     export_traces,
     fork_summary,
-    load_traces,
     render_digest,
     render_trace_tree,
     render_waterfall,
@@ -26,8 +24,8 @@ class FakeClock:
         return self.now
 
 
-def collector(sample_every=1, registry=None):
-    c = TraceCollector(registry=registry, sample_every=sample_every)
+def collector():
+    c = TraceCollector()
     clock = FakeClock()
     c.bind(clock)
     return c, clock
@@ -67,40 +65,6 @@ def test_trace_id_is_deterministic_and_short():
     assert int(trace_id_for(("driver", 1)), 16) >= 0
 
 
-def test_sample_every_one_keeps_everything():
-    c, _ = collector(sample_every=1)
-    for op in range(20):
-        assert c.is_sampled(("g", op))
-    assert c.sampled == 20 and c.dropped == 0
-
-
-def test_sampling_is_deterministic_and_counts_drops():
-    registry = MetricsRegistry()
-    c, _ = collector(sample_every=4, registry=registry)
-    keys = [("g", op) for op in range(64)]
-    decisions = [c.is_sampled(k) for k in keys]
-    assert any(decisions) and not all(decisions)
-    assert c.sampled == sum(decisions)
-    assert c.dropped == len(decisions) - sum(decisions)
-    assert registry.value("trace.sampled") == c.sampled
-    assert registry.value("trace.dropped") == c.dropped
-    # same decisions from a fresh collector: hash-based, not stateful
-    c2, _ = collector(sample_every=4)
-    assert [c2.is_sampled(k) for k in keys] == decisions
-
-
-def test_unsampled_keys_record_nothing():
-    c, clock = collector(sample_every=2)
-    dropped_key = next(
-        ("g", op) for op in range(64) if not c.is_sampled(("g", op))
-    )
-    c.begin(dropped_key)
-    c.mark_stage(dropped_key, "intercepted")
-    c.register_payload(b"x", dropped_key, "req", ("stage", "intercepted"))
-    assert c.get(dropped_key) is None
-    assert c.context_for(b"x") is None
-
-
 def test_a_registration_ends_at_the_lookup_that_queues_the_payload():
     c, _ = collector()
     key = ("driver", 1)
@@ -120,11 +84,6 @@ def test_visit_free_node_keys_are_one_tuple_across_traces():
     }
     for node_key in shared:
         assert next(k for k in second.ids if k == node_key) is node_key
-
-
-def test_invalid_sample_every_rejected():
-    with pytest.raises(ValueError):
-        TraceCollector(sample_every=0)
 
 
 def nodes_by_key(record):
@@ -267,7 +226,6 @@ def test_summary_and_exemplars():
     records = c.assemble()
     summary = c.summary(records)
     assert summary["traces"] == 2 and summary["closed"] == 2
-    assert summary["sampled"] == 2 and summary["dropped"] == 0
     exemplars = tail_exemplars(records, limit=1)
     assert len(exemplars) == 1
     assert exemplars[0]["top_cause"] is not None
@@ -280,7 +238,8 @@ def test_export_roundtrip_and_render_smoke(tmp_path):
     summary = c.summary(records)
     path = tmp_path / "traces.jsonl"
     export_traces(str(path), records, summary, {"workload": "unit"})
-    loaded, loaded_summary, run_info = load_traces(str(path))
+    run_info, *loaded, loaded_summary = read_jsonl(str(path))
+    assert [r.pop("record") for r in loaded] == ["trace"]
     assert loaded == records  # JSON round-trips listify tuples already
     assert loaded_summary["traces"] == 1
     assert run_info["workload"] == "unit"
@@ -292,10 +251,14 @@ def test_export_roundtrip_and_render_smoke(tmp_path):
     assert "1 trace" in digest or "traces" in digest
 
 
-def test_load_traces_rejects_missing_and_empty(tmp_path):
-    with pytest.raises(TraceInputError):
-        load_traces(str(tmp_path / "absent.jsonl"))
+def test_read_jsonl_rejects_missing_empty_and_bad_lines(tmp_path):
+    with pytest.raises(JsonlInputError, match="cannot read JSONL input"):
+        read_jsonl(str(tmp_path / "absent.jsonl"))
     empty = tmp_path / "empty.jsonl"
-    empty.write_text('{"record": "trace_run"}\n')
-    with pytest.raises(TraceInputError, match="no trace records"):
-        load_traces(str(empty))
+    empty.write_text("\n")
+    with pytest.raises(JsonlInputError, match="is empty"):
+        read_jsonl(str(empty))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"record": "trace_run"}\n{not json\n')
+    with pytest.raises(JsonlInputError, match="line 2 is not valid JSON"):
+        read_jsonl(str(bad))
