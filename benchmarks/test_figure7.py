@@ -4,11 +4,11 @@ Regenerates the paper's only performance figure: server throughput vs
 the interval between consecutive one-way invocations at the client, for
 cases 1 (no replication), 2 (+active replication), 3 (+voting and
 digests), and 4 (+signed tokens).  The bench uses an abbreviated sweep;
-``python -m repro.bench.figure7`` runs the full one.
+``python -m repro.bench figure7`` runs the full one.
 """
 
 from repro.bench.figure7 import check_shape, run_figure7
-from repro.bench.harness import format_series, run_packet_driver_case
+from repro.bench.harness import format_series, packet_case, run_packet_driver_case
 from repro.core.config import SurvivabilityCase
 
 
@@ -26,9 +26,9 @@ def test_case4_is_signature_bound(benchmark, show):
     """The paper's headline cost: in case 4 "the greatest cost is that
     due to signature generation and verification"."""
     result = benchmark.pedantic(
-        lambda: run_packet_driver_case(
+        lambda: run_packet_driver_case(packet_case(
             SurvivabilityCase.FULL_SURVIVABILITY, 200e-6, duration=0.2, warmup=0.1
-        ),
+        )),
         rounds=1,
         iterations=1,
     )
@@ -45,9 +45,9 @@ def test_case4_is_signature_bound(benchmark, show):
 def test_case1_tracks_offered_load(benchmark, show):
     """Case 1 at a modest rate keeps up with the client entirely."""
     result = benchmark.pedantic(
-        lambda: run_packet_driver_case(
+        lambda: run_packet_driver_case(packet_case(
             SurvivabilityCase.UNREPLICATED, 500e-6, duration=0.2, warmup=0.1
-        ),
+        )),
         rounds=1,
         iterations=1,
     )

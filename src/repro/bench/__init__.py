@@ -2,8 +2,12 @@
 
 * :mod:`repro.bench.scenarios` — every bench as one row of a table, and
   the one CLI: ``python -m repro.bench NAME [--smoke] [--out PATH]``;
-* :mod:`repro.bench.harness` — builds packet-driver deployments for
-  the four survivability cases and measures steady-state throughput;
+* :mod:`repro.bench.build` — the :class:`Scenario` value every drill is,
+  and the one :func:`build` that deploys it;
+* :mod:`repro.bench.drills` — the observability drills (forensics,
+  report, SLO, trace) and their rows' runners;
+* :mod:`repro.bench.harness` — packet-driver scenarios for the four
+  survivability cases, measured at steady-state throughput;
 * :mod:`repro.bench.figure7` — the throughput-vs-invocation-interval
   sweep of Figure 7;
 * :mod:`repro.bench.tables` — fault-injection drills regenerating the
@@ -14,6 +18,7 @@
   degree.
 """
 
+from repro.bench.build import Scenario, build
 from repro.bench.harness import CaseResult, run_packet_driver_case
 
-__all__ = ["CaseResult", "run_packet_driver_case"]
+__all__ = ["CaseResult", "Scenario", "build", "run_packet_driver_case"]

@@ -15,55 +15,43 @@
   cost of raising the survivable fault threshold.
 """
 
-from repro.bench.harness import run_packet_driver_case
-from repro.core.config import ImmuneConfig, SurvivabilityCase
+from dataclasses import replace
+
+from repro.bench.harness import packet_case, run_packet_driver_case
+from repro.core.config import SurvivabilityCase
 
 
-def sweep_token_batching(js=(1, 2, 4, 6, 8), interval=200e-6, **kwargs):
+def sweep_token_batching(js=(1, 2, 4, 6, 8), interval=200e-6, **window):
     """Case-4 throughput vs messages per token visit."""
-    results = []
-    for j in js:
-        result = run_packet_driver_case(
-            SurvivabilityCase.FULL_SURVIVABILITY,
-            interval,
-            messages_per_token_visit=j,
-            **kwargs,
-        )
-        results.append((j, result))
-    return results
+    base = packet_case(SurvivabilityCase.FULL_SURVIVABILITY, interval, **window)
+    return [
+        (j, run_packet_driver_case(
+            replace(base, config=(("messages_per_token_visit", j),))))
+        for j in js
+    ]
 
 
-def sweep_key_size(moduli=(256, 300, 512, 768), interval=200e-6, **kwargs):
+def sweep_key_size(moduli=(256, 300, 512, 768), interval=200e-6, **window):
     """Case-4 throughput vs RSA modulus size."""
-    results = []
-    for bits in moduli:
-        result = run_packet_driver_case(
-            SurvivabilityCase.FULL_SURVIVABILITY,
-            interval,
-            modulus_bits=bits,
-            **kwargs,
-        )
-        results.append((bits, result))
-    return results
+    base = packet_case(SurvivabilityCase.FULL_SURVIVABILITY, interval, **window)
+    return [
+        (bits, run_packet_driver_case(replace(base, config=(("modulus_bits", bits),))))
+        for bits in moduli
+    ]
 
 
 def sweep_replication_degree(degrees=(2, 3, 5), interval=200e-6,
-                             case=SurvivabilityCase.MAJORITY_VOTING, **kwargs):
+                             case=SurvivabilityCase.MAJORITY_VOTING, **window):
     """Throughput vs degree of replication (same degree for client and
     server groups, on 2*degree processors)."""
-    results = []
-    for degree in degrees:
-        num = 2 * degree
-        result = run_packet_driver_case(
-            case,
-            interval,
-            num_processors=num,
-            server_procs=tuple(range(degree)),
-            client_procs=tuple(range(degree, 2 * degree)),
-            **kwargs,
-        )
-        results.append((degree, result))
-    return results
+    base = packet_case(case, interval, **window)
+    return [
+        (degree, run_packet_driver_case(replace(
+            base, processors=2 * degree, server=tuple(range(degree)),
+            client=tuple(range(degree, 2 * degree)),
+        )))
+        for degree in degrees
+    ]
 
 
 def format_sweep(title, xlabel, rows):

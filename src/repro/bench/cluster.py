@@ -25,16 +25,12 @@ Usage::
     python -m repro.bench cluster --smoke    # CI's run-twice form
 """
 
-from repro.cluster import ClusterConfig, ClusterManager
+from dataclasses import replace
+
+from repro.bench.build import Scenario, build, with_count
+from repro.bench.drills import BYZANTINE_GATEWAY
 from repro.core.config import SurvivabilityCase
-from repro.obs import Observability
-from repro.obs.forensics import ForensicsHub, merge_timeline
-from repro.workloads.open_loop import (
-    COUNTER_IDL,
-    CounterServant,
-    OpenLoopDriver,
-    add_one,
-)
+from repro.obs.forensics import merge_timeline
 from repro.workloads.packet_driver import PACKET_IDL, PacketDriver, PacketSink
 
 # ----------------------------------------------------------------------
@@ -60,14 +56,11 @@ def run_scaling_case(
     Returns the per-pair and aggregate delivered throughput over the
     steady-state window ``[warmup, warmup + duration)``.
     """
-    config = ClusterConfig(
-        num_rings=num_rings,
-        procs_per_ring=procs_per_ring,
-        case=case,
-        seed=seed,
-        placement_mode="balanced",
-    )
-    cluster = ClusterManager(config)
+    cluster = build(Scenario(
+        shape="cluster", case=case.name, seed=seed,
+        config=(("num_rings", num_rings), ("procs_per_ring", procs_per_ring),
+                ("placement_mode", "balanced")),
+    )).system
     deployments = []
     for k in range(pairs):
         server = cluster.deploy(
@@ -118,26 +111,12 @@ def run_scaling_case(
 # Byzantine gateway section
 # ----------------------------------------------------------------------
 
-def run_byzantine_gateway_case(
-    operations=8,
-    op_interval=0.25,
-    case=SurvivabilityCase.FULL_SURVIVABILITY,
-    seed=11,
-):
-    """Cross-ring exactly-once under one corrupt gateway replica."""
-    obs = Observability(forensics=ForensicsHub())
-    config = ClusterConfig(num_rings=2, case=case, seed=seed)
-    cluster = ClusterManager(config, obs=obs)
-    server = cluster.deploy("counter", COUNTER_IDL, lambda pid: CounterServant(), ring=1)
-    client = cluster.deploy_client("driver", ring=0)
-    corrupt = cluster.corrupt_gateway(0, 1, index=0)
-    cluster.start()
-
-    stubs = cluster.client_stubs(client, COUNTER_IDL, server)
-    driver = OpenLoopDriver(cluster, stubs, add_one, "bench.byzantine")
-    driver.run(0.1, operations, op_interval)
-    cluster.run(until=0.1 + operations * op_interval + 1.5)
-
+def run_byzantine_gateway_case(operations, seed):
+    """Cross-ring exactly-once under one corrupt gateway replica: the
+    Byzantine-gateway drill with ``operations`` invocations."""
+    built = build(replace(with_count(BYZANTINE_GATEWAY, operations), seed=seed)).run()
+    cluster, server, client = built.system, built.server, built.client
+    corrupt = built.gateways[0]
     executions = {
         pid: servant.calls for pid, servant in sorted(server.servants.items())
     }
@@ -145,15 +124,15 @@ def run_byzantine_gateway_case(
         total for total in range(1, operations + 1)
         for _ in client.replica_procs
     )
-    replies = [value for _k, _pid, value, _latency in driver.replies]
-    timeline = merge_timeline(obs.forensics)
+    replies = [value for _k, _pid, value, _latency in built.driver.replies]
+    timeline = merge_timeline(built.obs.forensics)
     divergence_culprits = sorted(
         {e.get("culprit") for e in timeline if e.etype == "vote_divergence"}
     )
     gateway_hops = sum(1 for e in timeline if e.etype == "gateway_forward")
     exactly_once = all(calls == operations for calls in executions.values())
     return {
-        "case": case.name,
+        "case": BYZANTINE_GATEWAY.case,
         "operations": operations,
         "corrupt_gateway": {"pid_ring0": corrupt.pid_a, "pid_ring1": corrupt.pid_b},
         "executions_per_replica": executions,

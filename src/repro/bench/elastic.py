@@ -38,11 +38,12 @@ Usage::
     python -m repro.bench elastic    # writes BENCH_elastic.json
 """
 
+from repro.bench.build import Scenario, build
 from repro.core.config import SurvivabilityCase
-from repro.elastic import AutoscalerPolicy, ElasticCluster, ElasticConfig
-from repro.obs import Observability, SeriesSampler
+from repro.elastic import AutoscalerPolicy
+from repro.obs import SeriesSampler
 from repro.obs.critpath import attribute_spans
-from repro.obs.forensics import ForensicsHub, merge_timeline, score
+from repro.obs.forensics import DEFAULT_CAPACITY, merge_timeline, score
 from repro.workloads.ramp import RampBank
 
 #: the drill needs this many completed live migrations to pass
@@ -51,17 +52,13 @@ MIN_MIGRATIONS = 3
 
 def run_elastic_drill(seed, case):
     """The combined churn + migration + autoscaling drill."""
-    obs = Observability(forensics=ForensicsHub())
-    config = ElasticConfig(
-        initial_rings=1,
-        max_rings=2,
-        procs_per_ring=6,
-        replication_degree=3,
-        gateway_degree=3,
-        case=case,
-        seed=seed,
-    )
-    cluster = ElasticCluster(config=config, obs=obs)
+    built = build(Scenario(
+        shape="elastic", case=case.name, seed=seed,
+        config=(("initial_rings", 1), ("max_rings", 2), ("procs_per_ring", 6),
+                ("replication_degree", 3), ("gateway_degree", 3)),
+        forensics=DEFAULT_CAPACITY,
+    ))
+    cluster, obs, config = built.system, built.obs, built.system.config
     ramp = RampBank(
         cluster, branches=4, streams=3, period=0.3, stream_stagger=0.5, start=0.3
     )

@@ -19,7 +19,7 @@ calibrated cost model, not on the authors' UltraSPARC testbed):
   ORB's coalescing of one-way invocations.
 """
 
-from repro.bench.harness import format_series, run_packet_driver_case
+from repro.bench.harness import format_series, packet_case, run_packet_driver_case
 from repro.core.config import SurvivabilityCase
 
 #: the paper varies the interval over roughly this range (microseconds)
@@ -33,7 +33,8 @@ def run_figure7(quick=False):
     window = dict(duration=0.2, warmup=0.1) if quick else {}
     return {
         case: [
-            run_packet_driver_case(case, us * 1e-6, **window) for us in intervals_us
+            run_packet_driver_case(packet_case(case, us * 1e-6, **window))
+            for us in intervals_us
         ]
         for case in SurvivabilityCase
     }

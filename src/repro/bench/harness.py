@@ -7,9 +7,8 @@ under each of the four survivability cases.  Throughput is measured at
 a server replica over a steady-state window, discarding warm-up.
 """
 
-from repro.core.config import ImmuneConfig, SurvivabilityCase
-from repro.core.immune import ImmuneSystem
-from repro.workloads.packet_driver import PACKET_IDL, PacketDriver, PacketSink
+from repro.bench.build import Scenario, build
+from repro.core.config import SurvivabilityCase
 
 CASE_LABELS = {
     SurvivabilityCase.UNREPLICATED: "case 1: no replication, no security",
@@ -46,75 +45,38 @@ class CaseResult:
         )
 
 
-def run_packet_driver_case(
-    case,
-    interval,
-    duration=0.4,
-    warmup=0.15,
-    num_processors=6,
-    server_procs=(0, 1, 2),
-    client_procs=(3, 4, 5),
-    seed=7,
-    modulus_bits=300,
-    messages_per_token_visit=6,
-    config=None,
-    obs=None,
-    fault_plan=None,
-):
-    """Measure server throughput for one (case, interval) point.
+def packet_case(case, interval, duration=0.4, warmup=0.15):
+    """One Figure 7 point as a :class:`Scenario`: ``case`` at
+    ``interval`` seconds between invocations at the client (the paper's
+    x-axis is microseconds), the packet driver running from t=0.02 (the
+    initial membership installs first) through ``warmup`` and the
+    measured ``duration``, then 50 ms for the last invocations to land."""
+    return Scenario(case=case.name, service="packet",
+                    workload=(interval, 0.02, warmup, duration), tail=0.05)
 
-    Returns a :class:`CaseResult`.  ``interval`` is in seconds (the
-    paper's x-axis is microseconds between consecutive invocations at
-    the client).  Passing an :class:`~repro.obs.Observability` attaches
-    the metrics registry and span tracker to the run.  Passing a
-    :class:`~repro.sim.faults.FaultPlan` measures throughput *under* the
-    injected faults; combined with an ``obs`` carrying a
-    :class:`~repro.obs.forensics.ForensicsHub`, the run yields a full
-    fault-attribution timeline next to the performance numbers.
-    """
-    if config is None:
-        config = ImmuneConfig(
-            case=case,
-            seed=seed,
-            modulus_bits=modulus_bits,
-            messages_per_token_visit=messages_per_token_visit,
-        )
-    # Tracing off: performance runs generate millions of events.
-    immune = ImmuneSystem(
-        num_processors=num_processors,
-        config=config,
-        fault_plan=fault_plan,
-        trace_kinds=frozenset(),
-        obs=obs,
-    )
-    sinks = {}
 
-    def factory(pid):
-        sink = PacketSink(immune.scheduler)
-        sinks[pid] = sink
-        return sink
-
-    server = immune.deploy("packet-sink", PACKET_IDL, factory, list(server_procs))
-    client = immune.deploy_client("packet-driver", list(client_procs))
-    immune.start()
-
-    driver = PacketDriver(immune, client, server, interval)
-    start = 0.02  # let the initial membership install first
+def measure(built):
+    """The :class:`CaseResult` of a run packet-driver scenario, measured
+    at the first server replica over the window after the warm-up."""
+    interval, start, warmup, duration = built.scenario.workload
     end = start + warmup + duration
-    driver.run_for(start, warmup + duration)
-    immune.run(until=end + 0.05)
-
-    measured_pid = server.replica_procs[0]
-    sink = sinks[measured_pid]
+    measured_pid = built.server.replica_procs[0]
+    sink = built.server.servants[measured_pid]
     return CaseResult(
-        case=case,
+        case=SurvivabilityCase[built.scenario.case],
         interval=interval,
         offered=1.0 / interval,
         throughput=sink.throughput(start + warmup, end),
-        sent=driver.sent_per_replica,
+        sent=built.driver.sent_per_replica,
         received=sink.received,
-        cpu=dict(immune.processors[measured_pid].cpu_accounting),
+        cpu=dict(built.system.processors[measured_pid].cpu_accounting),
     )
+
+
+def run_packet_driver_case(scenario):
+    """Measure server throughput for one packet-driver scenario (see
+    :func:`packet_case`); returns a :class:`CaseResult`."""
+    return measure(build(scenario).run())
 
 
 def format_series(results):

@@ -10,9 +10,20 @@ latency cost of each survivability level, unconfounded by queueing::
     python -m repro.bench latency
 """
 
-from repro.core.config import ImmuneConfig, SurvivabilityCase
-from repro.core.immune import ImmuneSystem
-from repro.workloads.open_loop import ECHO_IDL, EchoServant, OpenLoopDriver, echo
+from dataclasses import replace
+
+from repro.bench.build import Scenario, build, with_count
+from repro.core.config import SurvivabilityCase
+
+#: Two-way echoes 50 ms apart, far enough that each completes before
+#: the next is issued (no queueing).
+LATENCY = Scenario(
+    seed=9,
+    service="echo",
+    names=("echo", "pinger"),
+    workload=("echo", "latency.workload", 0.1, 20, 0.05),
+    tail=2.0,
+)
 
 
 class LatencyResult:
@@ -48,28 +59,15 @@ class LatencyResult:
         )
 
 
-def measure_latency(case, operations=20, spacing=0.05, seed=9, num_processors=6):
-    """Round-trip latency of ``operations`` two-way invocations.
-
-    Invocations are spaced far enough apart that each completes before
-    the next is issued (no queueing) — the numbers are pure protocol
-    latency: marshal + order + vote + dispatch + reply + vote.
-    """
-    config = ImmuneConfig(case=case, seed=seed)
-    immune = ImmuneSystem(
-        num_processors=num_processors, config=config, trace_kinds=frozenset()
-    )
-    server = immune.deploy("echo", ECHO_IDL, lambda pid: EchoServant(), [0, 1, 2])
-    client = immune.deploy_client("pinger", [3, 4, 5])
-    immune.start()
-    stubs = immune.client_stubs(client, ECHO_IDL, server)
-    driver = OpenLoopDriver(immune, stubs, echo, "latency.workload")
-    driver.run(0.1, operations, spacing)
-    immune.run(until=0.1 + operations * spacing + 2.0)
-    measured_pid = stubs[0][0]
-    return LatencyResult(
-        case, [latency for _k, pid, _n, latency in driver.replies if pid == measured_pid]
-    )
+def measure_latency(case, operations=20):
+    """Round-trip latency of ``operations`` two-way invocations at
+    ``case``: pure protocol latency, marshal + order + vote + dispatch +
+    reply + vote."""
+    built = build(replace(with_count(LATENCY, operations), case=case.name)).run()
+    measured_pid = built.stubs[0][0]
+    return LatencyResult(case, [
+        latency for _k, pid, _n, latency in built.driver.replies if pid == measured_pid
+    ])
 
 
 def format_latency(results):

@@ -20,8 +20,10 @@ measurement (2.10x); the baseline implementations it timed are gone
 (see ``docs/PERFORMANCE.md``).
 """
 
-from repro.bench.harness import run_packet_driver_case
-from repro.core.config import ImmuneConfig, SurvivabilityCase
+from dataclasses import replace
+
+from repro.bench.harness import packet_case, run_packet_driver_case
+from repro.core.config import SurvivabilityCase
 
 #: the measured Figure-7 point: case 4 at a mid-range offered load
 CASE = SurvivabilityCase.FULL_SURVIVABILITY
@@ -48,16 +50,11 @@ BATCH_SMOKE = {"duration": 0.12, "warmup": 0.05}
 
 
 def _run_batch_case(batch, duration, warmup):
-    config = ImmuneConfig(case=CASE, seed=SEED, batch_signatures=batch)
-    result = run_packet_driver_case(
-        CASE,
-        INTERVAL_US * 1e-6,
-        duration=duration,
-        warmup=warmup,
-        seed=SEED,
-        config=config,
+    scenario = replace(
+        packet_case(CASE, INTERVAL_US * 1e-6, duration=duration, warmup=warmup),
+        seed=SEED, config=(("batch_signatures", batch),),
     )
-    return _sim_fingerprint(result)
+    return _sim_fingerprint(run_packet_driver_case(scenario))
 
 
 def batch_report(smoke=False):
@@ -100,11 +97,3 @@ def batch_report(smoke=False):
         "rerun_deterministic": rerun_equal,
         "ok": ratio_ok and rerun_equal,
     }
-
-
-def run_batch_gate(smoke=False, output="BENCH_pr7.json"):
-    """Write the gate's artefact to ``output`` as ``python -m repro.bench
-    perf`` does; returns ``(report, exit status)``."""
-    from repro.bench.scenarios import regenerate  # the table imports this module
-
-    return regenerate("perf", smoke=smoke, out=output)

@@ -13,49 +13,14 @@ The Table 1 bench (``benchmarks/test_table1_faults.py``) runs every
 drill of :data:`ALL_DRILLS` and asserts each one.
 """
 
-from repro.core.config import ImmuneConfig, SurvivabilityCase
-from repro.core.immune import ImmuneSystem
-from repro.core.replica import (
-    ClientInvocationCorrupter,
-    SendOmissionTap,
-    ValueFaultServant,
-    crash_replica,
-)
-from repro.multicast.adversary import (
-    MalformedTokenBehaviour,
-    MasqueradeBehaviour,
-    MutantTokenBehaviour,
-    ReceiveOmissionBehaviour,
-    SilentBehaviour,
-)
-from repro.orb.idl import InterfaceDef, OperationDef, ParamDef
-from repro.sim.faults import FaultPlan, LinkFaults
+from dataclasses import replace
+
+from repro.bench.build import Scenario, build
 from repro.workloads.open_loop import OpenLoopDriver
 
-TALLY_IDL = InterfaceDef(
-    "Tally",
-    [
-        OperationDef("bump", [ParamDef("tag", "string")], oneway=True),
-        OperationDef("total", [], result="long"),
-    ],
-)
-
-
-class TallyServant:
-    def __init__(self):
-        self.tags = []
-
-    def bump(self, tag):
-        self.tags.append(tag)
-
-    def total(self):
-        return len(self.tags)
-
-    def get_state(self):
-        return ("\n".join(self.tags)).encode("utf-8")
-
-    def set_state(self, state):
-        self.tags = state.decode("utf-8").split("\n") if state else []
+#: The common deployment: the three-way tally service, its three-way
+#: client, six processors, full survivability.
+DRILL = Scenario(seed=13, service="tally")
 
 
 class DrillResult:
@@ -69,53 +34,28 @@ class DrillResult:
         self.evidence = evidence
 
 
-class _Drill:
-    """Common deployment for one fault drill."""
+def _drill(seed, tail, *faults):
+    """The built deployment of one drill: :data:`DRILL` at ``seed`` with
+    ``faults``, run until ``tail`` by :meth:`~repro.bench.build.Built.run`."""
+    return build(replace(DRILL, seed=seed, faults=faults, tail=tail))
 
-    def __init__(self, seed=13, num_processors=6, fault_plan=None,
-                 server_procs=(0, 1, 2), client_procs=(3, 4, 5),
-                 servant_factory=None):
-        config = ImmuneConfig(case=SurvivabilityCase.FULL_SURVIVABILITY, seed=seed)
-        # The drills assert over the trace history, so tracing stays on;
-        # the cap merely bounds memory if a drill is run much longer.
-        self.immune = ImmuneSystem(
-            num_processors=num_processors,
-            config=config,
-            fault_plan=fault_plan,
-            trace_max_records=200_000,
-        )
-        self.servants = {}
 
-        def default_factory(pid):
-            servant = TallyServant()
-            self.servants[pid] = servant
-            return servant
+def send_bumps(drill, start, count, spacing=0.02, prefix="op"):
+    tags = ["%s-%d" % (prefix, k) for k in range(count)]
+    OpenLoopDriver(
+        drill.system, drill.stubs,
+        lambda stub, k, _reply: stub.bump(tags[k]), "drill.workload",
+    ).run(start, count, spacing)
+    return tags
 
-        factory = servant_factory or default_factory
-        self.server = self.immune.deploy("tally", TALLY_IDL, factory, list(server_procs))
-        self.client = self.immune.deploy_client("driver", list(client_procs))
-        self.immune.start()
-        self.stubs = self.immune.client_stubs(self.client, TALLY_IDL, self.server)
 
-    def send_bumps(self, start, count, spacing=0.02, prefix="op"):
-        tags = ["%s-%d" % (prefix, k) for k in range(count)]
-        OpenLoopDriver(
-            self.immune, self.stubs,
-            lambda stub, k, _reply: stub.bump(tags[k]), "drill.workload",
-        ).run(start, count, spacing)
-        return tags
-
-    def run(self, until):
-        self.immune.run(until=until)
-        return self
-
-    def surviving_server_tags(self):
-        out = {}
-        for pid, servant in self.servants.items():
-            if not self.immune.processors[pid].crashed:
-                inner = getattr(servant, "_inner", servant)
-                out[pid] = list(inner.tags)
-        return out
+def surviving_server_tags(drill):
+    out = {}
+    for pid, servant in drill.server.servants.items():
+        if not drill.system.processors[pid].crashed:
+            inner = getattr(servant, "_inner", servant)
+            out[pid] = list(inner.tags)
+    return out
 
 
 def _consistent(tags_by_pid, expected):
@@ -128,15 +68,11 @@ def _consistent(tags_by_pid, expected):
 # ----------------------------------------------------------------------
 
 def drill_message_loss(seed=13):
-    plan = FaultPlan(
-        default=LinkFaults(loss_prob=0.25), active_from=0.0, active_until=2.0
-    )
-    drill = _Drill(seed=seed, fault_plan=plan)
-    expected = drill.send_bumps(0.3, 12)
-    drill.run(until=6.0)
-    tags = drill.surviving_server_tags()
+    drill = _drill(seed, 6.0, ("loss", 0.25, 0.0, 2.0))
+    expected = send_bumps(drill, 0.3, 12)
+    tags = surviving_server_tags(drill.run())
     retransmits = sum(
-        e.delivery.stats["retransmits"] for e in drill.immune.endpoints.values()
+        e.delivery.stats["retransmits"] for e in drill.system.endpoints.values()
     )
     handled = _consistent(tags, expected) and retransmits > 0
     return DrillResult(
@@ -149,17 +85,13 @@ def drill_message_loss(seed=13):
 
 
 def drill_message_corruption(seed=13):
-    plan = FaultPlan(
-        default=LinkFaults(corrupt_prob=0.15), active_from=0.0, active_until=2.0
-    )
-    drill = _Drill(seed=seed, fault_plan=plan)
-    expected = drill.send_bumps(0.3, 12)
-    drill.run(until=6.0)
-    tags = drill.surviving_server_tags()
+    drill = _drill(seed, 6.0, ("corruption", 0.15, 0.0, 2.0))
+    expected = send_bumps(drill, 0.3, 12)
+    tags = surviving_server_tags(drill.run())
     discards = sum(
-        e.delivery.stats["digest_discards"] for e in drill.immune.endpoints.values()
+        e.delivery.stats["digest_discards"] for e in drill.system.endpoints.values()
     )
-    corrupted = drill.immune.network.stats["corrupted"]
+    corrupted = drill.system.network.stats["corrupted"]
     handled = _consistent(tags, expected) and corrupted > 0
     return DrillResult(
         "communication",
@@ -176,14 +108,12 @@ def drill_message_corruption(seed=13):
 # ----------------------------------------------------------------------
 
 def drill_processor_crash(seed=13):
-    plan = FaultPlan().schedule_crash(1, 0.8)
-    drill = _Drill(seed=seed, fault_plan=plan)
-    expected = drill.send_bumps(0.3, 6, prefix="pre")
-    expected += drill.send_bumps(3.5, 6, prefix="post")
-    drill.run(until=8.0)
-    tags = drill.surviving_server_tags()
-    members = drill.immune.surviving_members()
-    group = drill.immune.group_members("tally")
+    drill = _drill(seed, 8.0, ("crash", 1, 0.8))
+    expected = send_bumps(drill, 0.3, 6, prefix="pre")
+    expected += send_bumps(drill, 3.5, 6, prefix="post")
+    tags = surviving_server_tags(drill.run())
+    members = drill.system.surviving_members()
+    group = drill.system.group_members("tally")
     handled = (
         _consistent(tags, expected)
         and 1 not in members
@@ -200,12 +130,10 @@ def drill_processor_crash(seed=13):
 
 
 def drill_receive_omission(seed=13):
-    drill = _Drill(seed=seed)
-    ReceiveOmissionBehaviour(at_time=0.3).compromise(drill.immune.endpoints[1])
-    expected = drill.send_bumps(0.4, 8, prefix="pre")
-    drill.run(until=12.0)
-    members = drill.immune.surviving_members()
-    tags = {pid: t for pid, t in drill.surviving_server_tags().items() if pid != 1}
+    drill = _drill(seed, 12.0, ("receive_omission", 1, 0.3))
+    expected = send_bumps(drill, 0.4, 8, prefix="pre")
+    members = drill.run().system.surviving_members()
+    tags = {pid: t for pid, t in surviving_server_tags(drill).items() if pid != 1}
     handled = 1 not in members and _consistent(tags, expected)
     return DrillResult(
         "processor",
@@ -218,12 +146,10 @@ def drill_receive_omission(seed=13):
 
 
 def drill_fail_to_send(seed=13):
-    drill = _Drill(seed=seed)
-    SilentBehaviour(at_time=0.5).compromise(drill.immune.endpoints[4])
-    expected = drill.send_bumps(0.1, 4, prefix="pre")
-    drill.run(until=12.0)
-    members = drill.immune.surviving_members()
-    tags = drill.surviving_server_tags()
+    drill = _drill(seed, 12.0, ("silent", 4, 0.5))
+    expected = send_bumps(drill, 0.1, 4, prefix="pre")
+    members = drill.run().system.surviving_members()
+    tags = surviving_server_tags(drill)
     handled = 4 not in members and _consistent(tags, expected)
     return DrillResult(
         "processor",
@@ -236,18 +162,15 @@ def drill_fail_to_send(seed=13):
 
 
 def drill_mutant_tokens(seed=13):
-    drill = _Drill(seed=seed)
-    behaviour = MutantTokenBehaviour(at_time=0.5).compromise(drill.immune.endpoints[2])
-    expected = drill.send_bumps(0.1, 4, prefix="pre")
-    drill.run(until=12.0)
-    behaviour.restore()
-    members = drill.immune.surviving_members()
+    drill = _drill(seed, 12.0, ("mutant_token", 2, 0.5))
+    expected = send_bumps(drill, 0.1, 4, prefix="pre")
+    members = drill.run().system.surviving_members()
     suspects = {
-        pid: drill.immune.endpoints[pid].detector.reasons_for(2)
+        pid: drill.system.endpoints[pid].detector.reasons_for(2)
         for pid in members
     }
     mutant_seen = any("mutant_token" in reasons for reasons in suspects.values())
-    tags = {pid: t for pid, t in drill.surviving_server_tags().items() if pid != 2}
+    tags = {pid: t for pid, t in surviving_server_tags(drill).items() if pid != 2}
     handled = 2 not in members and mutant_seen and _consistent(tags, expected)
     return DrillResult(
         "processor",
@@ -260,13 +183,9 @@ def drill_mutant_tokens(seed=13):
 
 
 def drill_masquerade(seed=13):
-    drill = _Drill(seed=seed)
-    MasqueradeBehaviour(
-        victim_id=0, dest_group="tally", payload=b"FORGED", at_time=0.5
-    ).compromise(drill.immune.endpoints[4])
-    expected = drill.send_bumps(0.1, 4, prefix="pre")
-    drill.run(until=6.0)
-    tags = drill.surviving_server_tags()
+    drill = _drill(seed, 6.0, ("masquerade", 4, 0.5, 0, "FORGED"))
+    expected = send_bumps(drill, 0.1, 4, prefix="pre")
+    tags = surviving_server_tags(drill.run())
     forged_delivered = any(
         "FORGED" in str(t) for t in tags.values()
     )
@@ -281,12 +200,10 @@ def drill_masquerade(seed=13):
 
 
 def drill_malformed_token(seed=13):
-    drill = _Drill(seed=seed)
-    MalformedTokenBehaviour(at_time=0.5).compromise(drill.immune.endpoints[5])
-    expected = drill.send_bumps(0.1, 4, prefix="pre")
-    drill.run(until=12.0)
-    members = drill.immune.surviving_members()
-    tags = drill.surviving_server_tags()
+    drill = _drill(seed, 12.0, ("malformed_token", 5, 0.5))
+    expected = send_bumps(drill, 0.1, 4, prefix="pre")
+    members = drill.run().system.surviving_members()
+    tags = surviving_server_tags(drill)
     handled = 5 not in members and _consistent(tags, expected)
     return DrillResult(
         "processor",
@@ -303,15 +220,11 @@ def drill_malformed_token(seed=13):
 # ----------------------------------------------------------------------
 
 def drill_replica_crash(seed=13):
-    drill = _Drill(seed=seed)
-    expected = drill.send_bumps(0.3, 4, prefix="pre")
-    drill.immune.scheduler.at(
-        1.2, crash_replica, drill.immune, "tally", 1, label="drill.crash"
-    )
-    expected += drill.send_bumps(2.5, 4, prefix="post")
-    drill.run(until=6.0)
-    group = drill.immune.group_members("tally")
-    tags = {pid: t for pid, t in drill.surviving_server_tags().items() if pid != 1}
+    drill = _drill(seed, 6.0, ("replica_crash", 1, 1.2))
+    expected = send_bumps(drill, 0.3, 4, prefix="pre")
+    expected += send_bumps(drill, 2.5, 4, prefix="post")
+    group = drill.run().system.group_members("tally")
+    tags = {pid: t for pid, t in surviving_server_tags(drill).items() if pid != 1}
     handled = group == (0, 2) and _consistent(tags, expected)
     return DrillResult(
         "object replica",
@@ -324,11 +237,9 @@ def drill_replica_crash(seed=13):
 
 
 def drill_send_omission(seed=13):
-    drill = _Drill(seed=seed)
-    SendOmissionTap(drill.immune.managers[3], from_time=0.2)
-    expected = drill.send_bumps(0.3, 8)
-    drill.run(until=6.0)
-    tags = drill.surviving_server_tags()
+    drill = _drill(seed, 6.0, ("send_omission", 3, 0.2))
+    expected = send_bumps(drill, 0.3, 8)
+    tags = surviving_server_tags(drill.run())
     handled = _consistent(tags, expected)
     return DrillResult(
         "object replica",
@@ -341,12 +252,10 @@ def drill_send_omission(seed=13):
 
 
 def drill_client_value_fault(seed=13):
-    drill = _Drill(seed=seed)
-    ClientInvocationCorrupter(drill.immune.managers[3], from_op=2)
-    expected = drill.send_bumps(0.3, 8)
-    drill.run(until=12.0)
-    members = drill.immune.surviving_members()
-    tags = {pid: t for pid, t in drill.surviving_server_tags().items()}
+    drill = _drill(seed, 12.0, ("client_corrupt", 3, 2))
+    expected = send_bumps(drill, 0.3, 8)
+    members = drill.run().system.surviving_members()
+    tags = surviving_server_tags(drill)
     handled = 3 not in members and _consistent(tags, expected)
     return DrillResult(
         "object replica",
@@ -359,31 +268,17 @@ def drill_client_value_fault(seed=13):
 
 
 def drill_server_value_fault(seed=13):
-    wrapped = {}
-
-    def factory(pid):
-        servant = TallyServant()
-        if pid == 2:
-            faulty = ValueFaultServant(servant, corrupt_operations={"total"})
-            wrapped[pid] = faulty
-            return faulty
-        wrapped[pid] = servant
-        return servant
-
-    drill = _Drill(seed=seed, servant_factory=factory)
-    drill.servants = wrapped
+    drill = _drill(seed, 12.0, ("value_fault", 2, 0, "total"))
     results = []
-    scheduler = drill.immune.scheduler
 
     def query():
         for pid, stub in drill.stubs:
-            if not drill.immune.processors[pid].crashed:
+            if not drill.system.processors[pid].crashed:
                 stub.total(reply_to=results.append)
 
-    drill.send_bumps(0.3, 3)
-    scheduler.at(1.5, query, label="drill.query")
-    drill.run(until=12.0)
-    members = drill.immune.surviving_members()
+    send_bumps(drill, 0.3, 3)
+    drill.system.scheduler.at(1.5, query, label="drill.query")
+    members = drill.run().system.surviving_members()
     handled = (
         bool(results)
         and all(r == 3 for r in results)

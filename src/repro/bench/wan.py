@@ -33,15 +33,13 @@ Usage::
     python -m repro.bench wan --smoke    # CI's run-twice form
 """
 
+from dataclasses import replace
 from statistics import median
 
-from repro.cluster import ClusterConfig, ClusterManager
+from repro.bench.build import Scenario, build, with_count
 from repro.core.config import SurvivabilityCase
-from repro.obs import Observability
 from repro.obs.critpath import attribute_spans
-from repro.obs.forensics import ForensicsHub, merge_timeline, score
-from repro.sim.faults import FaultPlan
-from repro.wan import SiteSpec, WanConfig, WanManager
+from repro.obs.forensics import DEFAULT_CAPACITY, merge_timeline, score
 from repro.workloads.bank import GeoBank
 from repro.workloads.open_loop import (
     COUNTER_IDL,
@@ -52,6 +50,19 @@ from repro.workloads.open_loop import (
 
 #: local-p50 deviation tolerated against the single-site baseline
 P50_GATE = 0.05
+
+#: The standalone single-site cluster the sweep is gated against: the
+#: same two-ring shape as site alpha, the same ring-1 workload.
+BASELINE = Scenario(
+    shape="cluster",
+    config=(("num_rings", 2), ("procs_per_ring", 10)),
+    service="counter",
+    names=("local.counter", "local.driver"),
+    server=1,
+    client=1,
+    workload=("add_one", "bench.baseline", 0.1, 10, 0.05),
+    tail=1.0,
+)
 
 
 def _probe(site, stubs, operations, interval, label):
@@ -71,19 +82,12 @@ def _p50(driver):
 # ----------------------------------------------------------------------
 
 def run_baseline_case(operations, seed, case):
-    """The standalone single-site cluster the sweep is gated against:
-    the same two-ring shape as site alpha, same ring-1 workload."""
-    config = ClusterConfig(num_rings=2, procs_per_ring=10, case=case, seed=seed)
-    cluster = ClusterManager(config)
-    server = cluster.deploy(
-        "local.counter", COUNTER_IDL, lambda pid: CounterServant(), ring=1
-    )
-    client = cluster.deploy_client("local.driver", ring=1)
-    cluster.start()
-    stubs = cluster.client_stubs(client, COUNTER_IDL, server)
-    probe = _probe(cluster, stubs, operations, 0.05, "baseline")
-    cluster.run(until=0.1 + operations * 0.05 + 1.0)
-    exactly_once = all(s.calls == operations for s in server.servants.values())
+    """:data:`BASELINE` with ``operations`` invocations."""
+    built = build(replace(
+        with_count(BASELINE, operations), case=case.name, seed=seed
+    )).run()
+    probe = built.driver
+    exactly_once = all(s.calls == operations for s in built.server.servants.values())
     return {
         "local_p50": _p50(probe),
         "replies": len(probe.first_latencies()),
@@ -99,14 +103,12 @@ def run_rtt_case(rtt, operations, remote_operations, seed, case, critpath=False)
         ("alpha", "beta"): 0.55 * rtt,
         ("beta", "alpha"): 0.45 * rtt,
     }
-    config = WanConfig(
-        sites=(SiteSpec("alpha", num_rings=2), SiteSpec("beta")),
-        case=case,
-        seed=seed,
-        latency=latency,
-    )
-    obs = Observability(forensics=ForensicsHub()) if critpath else None
-    wan = WanManager(config=config, obs=obs)
+    built = build(Scenario(
+        shape="wan", case=case.name, seed=seed,
+        config=(("sites", (("alpha", 2), "beta")), ("latency", tuple(latency.items()))),
+        forensics=DEFAULT_CAPACITY if critpath else None,
+    ))
+    wan, obs = built.system, built.obs
 
     local_server = wan.deploy(
         "local.counter", COUNTER_IDL, lambda pid: CounterServant(),
@@ -215,11 +217,12 @@ def run_geo_drill(seed, case, transfers=2):
     A directed single-replica corruption on the surviving alpha-beta
     link gives the divergence detector one detectable fault.
     """
-    obs = Observability(forensics=ForensicsHub())
-    config = WanConfig(
-        sites=("alpha", "beta", "gamma"), case=case, seed=seed, latency=0.010
-    )
-    wan = WanManager(config=config, obs=obs, fault_plan=FaultPlan())
+    built = build(Scenario(
+        shape="wan", case=case.name, seed=seed,
+        config=(("sites", ("alpha", "beta", "gamma")), ("latency", 0.010)),
+        forensics=DEFAULT_CAPACITY,
+    ))
+    wan, obs, config = built.system, built.obs, built.system.config
     bank = GeoBank(
         wan,
         branches=["north", "south", "east"],

@@ -11,8 +11,11 @@ of a running simulation:
   token-ordered delivery, majority voting, server execution, and the
   voted reply — Figure 7's latency decomposition, measured;
 * :mod:`repro.obs.export` — a JSONL exporter and console dashboard;
-* ``python -m repro.obs.report`` — a seeded, deterministic run that
-  prints the dashboard and writes the JSONL artefact.
+* ``python -m repro.obs.report --input`` and ``python -m
+  repro.obs.watch --replay`` — the two readers of that artefact.
+
+It is a library: it imports nothing from the rest of ``repro``, and
+the drills that exercise it are rows of ``python -m repro.bench``.
 
 An :class:`Observability` bundle is handed to
 :class:`~repro.core.immune.ImmuneSystem` (or built standalone for the
@@ -30,15 +33,7 @@ from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.series import Series, SeriesSampler, sparkline
 from repro.obs.slo import DEFAULT_SLOS, BurnRule, SLOEngine, SLOSpec
 from repro.obs.spans import SPAN_STAGES, InvocationSpan, SpanTracker
-
-
-def __getattr__(name):
-    # Lazy so `python -m repro.obs.trace` does not import the module
-    # twice (once here, once as __main__).
-    if name == "TraceCollector":
-        from repro.obs.trace import TraceCollector
-        return TraceCollector
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+from repro.obs.trace import TraceCollector
 
 
 class Observability:

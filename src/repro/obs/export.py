@@ -313,7 +313,7 @@ def summarize(obs, crypto_costs=None, series=None, slo=None, critpath=None):
         from repro.obs.forensics import recorder_summary
 
         # Flight-recorder buffer health (event/drop counts) only; the
-        # full timeline/scorecard report is the forensics CLI's output.
+        # full timeline/scorecard report is the forensics row's output.
         summary["forensics"] = recorder_summary(obs.forensics)
     if series is None:
         series = getattr(registry, "series_sampler", None)

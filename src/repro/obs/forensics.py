@@ -26,7 +26,7 @@ Three pieces:
   reconfiguration-time histograms — an empirical check of the paper's
   Table 5 detector properties.
 
-``python -m repro.obs.forensics`` runs a seeded intrusion drill (a
+``python -m repro.bench forensics`` runs a seeded intrusion drill (a
 mutant-token equivocator, a value-faulting replica, and a processor
 crash), renders the ASCII timeline, and writes the machine-readable
 JSON report.  Every event derives from simulated state only, so the
@@ -36,6 +36,8 @@ report is byte-identical across repeated runs.
 import itertools
 import json
 from collections import deque
+
+from repro.obs.export import fmt_seconds
 
 #: default ring-buffer capacity of one processor's flight recorder
 DEFAULT_CAPACITY = 4096
@@ -697,14 +699,6 @@ def render_timeline(timeline):
     return "\n".join(lines)
 
 
-def _fmt_seconds(value):
-    if value is None:
-        return "-"
-    if value >= 1.0:
-        return "%.3f s" % value
-    return "%.1f ms" % (value * 1e3)
-
-
 def render_scorecard(report):
     """Render attribution + scorecard sections as fixed-width ASCII."""
     lines = []
@@ -750,7 +744,7 @@ def render_scorecard(report):
         detail = ""
         if entry["outcome"] == "detected":
             detail = "  latency=%s reasons=%s" % (
-                _fmt_seconds(entry["detection_latency"]),
+                fmt_seconds(entry["detection_latency"]),
                 ",".join(entry.get("reasons", ())),
             )
         add("  %-28s -> %-10s%s" % (entry["fault_id"], entry["outcome"], detail))
@@ -768,10 +762,10 @@ def render_scorecard(report):
             "  detection latency: n=%d min=%s p50=%s p90=%s max=%s"
             % (
                 latency["count"],
-                _fmt_seconds(latency["min"]),
-                _fmt_seconds(latency["p50"]),
-                _fmt_seconds(latency["p90"]),
-                _fmt_seconds(latency["max"]),
+                fmt_seconds(latency["min"]),
+                fmt_seconds(latency["p50"]),
+                fmt_seconds(latency["p90"]),
+                fmt_seconds(latency["max"]),
             )
         )
     reconfig = scorecard["reconfig_seconds"]
@@ -780,10 +774,10 @@ def render_scorecard(report):
             "  reconfiguration:   n=%d min=%s p50=%s p90=%s max=%s"
             % (
                 reconfig["count"],
-                _fmt_seconds(reconfig["min"]),
-                _fmt_seconds(reconfig["p50"]),
-                _fmt_seconds(reconfig["p90"]),
-                _fmt_seconds(reconfig["max"]),
+                fmt_seconds(reconfig["min"]),
+                fmt_seconds(reconfig["p50"]),
+                fmt_seconds(reconfig["p90"]),
+                fmt_seconds(reconfig["max"]),
             )
         )
 
@@ -808,159 +802,3 @@ def render_report(report, timeline):
     """The ASCII report: ``timeline`` (the :func:`merge_timeline` the
     report was built from) and the report's attribution and scorecard."""
     return render_timeline(timeline) + render_scorecard(report)
-
-
-# ----------------------------------------------------------------------
-# the seeded intrusion drill (the CLI scenario)
-# ----------------------------------------------------------------------
-
-def run_intrusion_drill(seed=23, capacity=DEFAULT_CAPACITY, batch=False):
-    """One seeded case-4 intrusion drill with forensics attached.
-
-    Three injected faults, each a different Table 1 class:
-
-    * a *value fault*: P2's ledger replica corrupts its responses, which
-      output voting at the clients outvotes and the value fault detector
-      attributes;
-    * *mutant tokens*: P4 equivocates, sending different signed tokens
-      for the same visit to different halves of the ring;
-    * a *crash*: P3 fail-stops late in the run.
-
-    With ``batch=True`` the drill runs on the batch-signature pipeline
-    (unsigned tokens, span certificates): the mutant is then convicted
-    by the contradiction between its validly signed token and its own
-    verified certificate, and attribution must stay exact.
-
-    Returns ``(immune, obs, scenario_info)``.
-    """
-    from repro.core.config import ImmuneConfig, SurvivabilityCase
-    from repro.core.immune import ImmuneSystem
-    from repro.core.replica import ValueFaultServant
-    from repro.multicast.adversary import MutantTokenBehaviour
-    from repro.obs import Observability
-    from repro.orb.idl import InterfaceDef, OperationDef, ParamDef
-    from repro.sim.faults import FaultPlan
-    from repro.workloads.open_loop import CounterServant, OpenLoopDriver, add_one
-
-    # A counter under its own interface name, which reaches the wire.
-    ledger_idl = InterfaceDef(
-        "Ledger",
-        [OperationDef("add", [ParamDef("amount", "long")], result="long")],
-    )
-
-    config = ImmuneConfig(
-        case=SurvivabilityCase.FULL_SURVIVABILITY, seed=seed, batch_signatures=batch
-    )
-    plan = FaultPlan()
-    plan.schedule_crash(3, 2.6)
-
-    obs = Observability(forensics=ForensicsHub(capacity=capacity))
-    immune = ImmuneSystem(
-        num_processors=6,
-        config=config,
-        fault_plan=plan,
-        trace_kinds=frozenset(),
-        obs=obs,
-    )
-
-    def factory(pid):
-        servant = CounterServant()
-        if pid == 2:
-            # The value-faulting replica: correct for the first two
-            # calls, corrupt from the third on.
-            return ValueFaultServant(servant, corrupt_from=2)
-        return servant
-
-    server = immune.deploy("ledger", ledger_idl, factory, [0, 1, 2])
-    # The servant wrapper corrupts responses from the third add() on;
-    # that call leaves the clients at t = 0.1 + 2 * 0.18.
-    value_fault_at = 0.1 + 2 * 0.18
-    obs.forensics.record_ground_truth(
-        fault_id_for("value_fault", 2, value_fault_at),
-        "value_fault",
-        2,
-        value_fault_at,
-    )
-    client = immune.deploy_client("driver", [3, 4, 5])
-    immune.start()
-
-    mutant = MutantTokenBehaviour(at_time=1.4).compromise(immune.endpoints[4])
-
-    stubs = immune.client_stubs(client, ledger_idl, server)
-    operations = 12
-    driver = OpenLoopDriver(immune, stubs, add_one, "drill.workload")
-    driver.run(0.1, operations, 0.18)
-    immune.run(until=6.0)
-    mutant.restore()
-
-    scenario = {
-        "scenario": "intrusion-drill",
-        "case": config.case.name,
-        "batch_signatures": batch,
-        "seed": seed,
-        "processors": 6,
-        "operations": operations,
-        "replies_received": len(driver.replies),
-        "surviving_members": list(immune.surviving_members()),
-        "simulated_seconds": immune.scheduler.now,
-    }
-    return immune, obs, scenario
-
-
-def main(argv=None):
-    import argparse
-    import sys
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.forensics",
-        description="Run the seeded intrusion drill and report the forensics.",
-    )
-    parser.add_argument(
-        "--out", default="forensics.json",
-        help="machine-readable JSON report path (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--capacity", type=int, default=DEFAULT_CAPACITY,
-        help="flight-recorder ring-buffer capacity (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--batch", action="store_true",
-        help="run the drill on the batch-signature token pipeline",
-    )
-    parser.add_argument(
-        "--assert-precision", type=float, default=None, metavar="P",
-        help="exit nonzero unless scorecard precision >= P",
-    )
-    parser.add_argument(
-        "--assert-recall", type=float, default=None, metavar="R",
-        help="exit nonzero unless scorecard recall >= R",
-    )
-    args = parser.parse_args(argv)
-
-    _, obs, scenario = run_intrusion_drill(capacity=args.capacity, batch=args.batch)
-    report = build_report(obs.forensics, scenario=scenario)
-    with open(args.out, "w") as fh:
-        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    print(render_report(report, merge_timeline(obs.forensics)))
-    print("\nJSON report written to %s" % args.out)
-
-    status = 0
-    scorecard = report["scorecard"]
-    if args.assert_precision is not None and scorecard["precision"] < args.assert_precision:
-        print(
-            "FAIL: precision %.3f < %.3f"
-            % (scorecard["precision"], args.assert_precision),
-            file=sys.stderr,
-        )
-        status = 1
-    if args.assert_recall is not None and scorecard["recall"] < args.assert_recall:
-        print(
-            "FAIL: recall %.3f < %.3f" % (scorecard["recall"], args.assert_recall),
-            file=sys.stderr,
-        )
-        status = 1
-    return status
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

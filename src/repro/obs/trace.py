@@ -54,11 +54,10 @@ deterministic JSONL, byte-identical across runs.
 import hashlib
 import json
 import struct
-import sys
 
 from repro.obs.critpath import _TokenEvidence, attribute_span
 from repro.obs.export import fmt_seconds
-from repro.obs.forensics import ForensicsHub, UnboundClock, merge_timeline
+from repro.obs.forensics import UnboundClock
 from repro.obs.spans import SPAN_STAGES, InvocationSpan
 
 #: request / reply phase tags carried in every node key
@@ -792,177 +791,3 @@ def render_digest(summary):
     else:
         lines.append("  (no closed traces)")
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# workloads
-# ----------------------------------------------------------------------
-
-def run_figure7_workload(seed=11, operations=12):
-    """The instrumented single-ring Figure-7 echo workload with tracing.
-
-    Returns ``(collector, obs, timeline, cost_model, shard_of_group,
-    run_info)``; ``shard_of_group`` is None (one ring).
-    """
-    from repro.core.config import ImmuneConfig, SurvivabilityCase
-    from repro.core.immune import ImmuneSystem
-    from repro.obs import Observability
-    from repro.sim.faults import FaultPlan, LinkFaults
-    from repro.workloads.open_loop import ECHO_IDL, EchoServant, OpenLoopDriver, echo
-
-    collector = TraceCollector()
-    obs = Observability(forensics=ForensicsHub(), trace=collector)
-    config = ImmuneConfig(case=SurvivabilityCase.FULL_SURVIVABILITY, seed=seed)
-    plan = FaultPlan(
-        default=LinkFaults(loss_prob=0.05), active_from=0.3, active_until=0.6
-    )
-    immune = ImmuneSystem(
-        num_processors=6, config=config, fault_plan=plan,
-        trace_kinds=frozenset(), obs=obs,
-    )
-    server = immune.deploy("echo", ECHO_IDL, lambda pid: EchoServant(), [0, 1, 2])
-    client = immune.deploy_client("driver", [3, 4, 5])
-    immune.start()
-    stubs = immune.client_stubs(client, ECHO_IDL, server)
-    driver = OpenLoopDriver(immune, stubs, echo, "trace.workload")
-    driver.run(0.1, operations, 0.05)
-    immune.run(until=0.1 + operations * 0.05 + 2.0)
-
-    timeline = merge_timeline(obs.forensics)
-    run_info = {
-        "workload": "figure7",
-        "seed": seed,
-        "operations": operations,
-        "replies": len(driver.replies),
-        "simulated_seconds": immune.scheduler.now,
-    }
-    return collector, obs, timeline, immune.config.crypto_costs, None, run_info
-
-
-def run_cluster_workload(seed=11, operations=6):
-    """Two rings, a corrupt gateway replica, cross-ring counter traffic.
-
-    The Byzantine-gateway drill for tracing: every request forks into
-    three ``gw_forward`` branches on the source ring (one corrupt) and
-    merges at the destination ring's vote.
-    """
-    from repro.cluster import ClusterConfig, ClusterManager
-    from repro.core.config import SurvivabilityCase
-    from repro.obs import Observability
-    from repro.workloads.open_loop import (
-        COUNTER_IDL,
-        CounterServant,
-        OpenLoopDriver,
-        add_one,
-    )
-
-    collector = TraceCollector()
-    obs = Observability(forensics=ForensicsHub(), trace=collector)
-    config = ClusterConfig(
-        num_rings=2, case=SurvivabilityCase.FULL_SURVIVABILITY, seed=seed
-    )
-    cluster = ClusterManager(config, obs=obs)
-    server = cluster.deploy(
-        "counter", COUNTER_IDL, lambda pid: CounterServant(), ring=1
-    )
-    client = cluster.deploy_client("driver", ring=0)
-    cluster.corrupt_gateway(0, 1, index=0)
-    cluster.start()
-    stubs = cluster.client_stubs(client, COUNTER_IDL, server)
-    driver = OpenLoopDriver(cluster, stubs, add_one, "trace.workload")
-    driver.run(0.1, operations, 0.25)
-    cluster.run(until=0.1 + operations * 0.25 + 1.5)
-
-    shard_of_group = {
-        group: cluster.directory.home_ring(group)
-        for group in cluster.directory.groups()
-    }
-    timeline = merge_timeline(obs.forensics)
-    cost_model = cluster.rings[0].config.crypto_costs
-    run_info = {
-        "workload": "cluster",
-        "seed": seed,
-        "operations": operations,
-        "replies": len(driver.replies),
-        "simulated_seconds": cluster.scheduler.now,
-    }
-    return collector, obs, timeline, cost_model, shard_of_group, run_info
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-
-def main(argv=None):
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.trace",
-        description="Per-invocation causal trace DAGs across rings, "
-                    "gateways, and token rotations.",
-    )
-    parser.add_argument("--workload", choices=("figure7", "cluster"),
-                        default="figure7")
-    parser.add_argument("--out", default=None,
-                        help="write the trace JSONL artefact here")
-    parser.add_argument("--verify", action="store_true",
-                        help="assert exact trace-vs-critpath agreement")
-    parser.add_argument("--assert-fork", type=int, default=None, metavar="N",
-                        help="require an N-way gateway fork with voted merge")
-    args = parser.parse_args(argv)
-
-    runner = (
-        run_cluster_workload if args.workload == "cluster" else run_figure7_workload
-    )
-    collector, obs, timeline, cost_model, shard_of_group, run_info = runner()
-    records = collector.assemble(
-        timeline, cost_model=cost_model, shard_of_group=shard_of_group
-    )
-    summary = collector.summary(records)
-    if args.verify:
-        mismatches = verify_against_critpath(
-            collector, obs.spans, timeline,
-            cost_model=cost_model, shard_of_group=shard_of_group,
-        )
-        if mismatches:
-            print("error: %d trace(s) diverge from the critpath "
-                  "decomposition:" % len(mismatches),
-                  file=sys.stderr)
-            for mismatch in mismatches[:5]:
-                print("  %s: %s" % (mismatch["key"], mismatch["reason"]),
-                      file=sys.stderr)
-            return 1
-        print("verified: %d trace(s) agree with the critpath "
-              "decomposition exactly" % len(records))
-    if args.out is not None:
-        export_traces(args.out, records, summary, run_info)
-
-    if args.assert_fork is not None:
-        best = {"fork_width": 0, "merged": False}
-        for record in records:
-            shape = fork_summary(record)
-            if shape["fork_width"] > best["fork_width"] or (
-                shape["fork_width"] == best["fork_width"] and shape["merged"]
-            ):
-                best = shape
-        if best["fork_width"] < args.assert_fork or not best["merged"]:
-            print("error: expected a %d-way gateway fork with voted merge, "
-                  "best seen %r" % (args.assert_fork, best),
-                  file=sys.stderr)
-            return 1
-        print("gateway fork: %d branches (%d corrupt), voted merge present"
-              % (best["fork_width"], best["corrupt_branches"]))
-
-    if records:
-        closed = [r for r in records if r["closed"]]
-        shown = max(closed or records, key=lambda r: (r["end_to_end"], r["trace_id"]))
-        print(render_trace_tree(shown))
-        print()
-        print(render_waterfall(shown))
-        print()
-    print(render_digest(summary))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,6 +1,6 @@
 """``python -m repro.obs.watch`` — replay a JSONL export as a live dashboard.
 
-The JSONL artefact written by ``python -m repro.obs.report`` carries
+The JSONL artefact written by ``python -m repro.bench slo`` carries
 the full ring-buffered time series and every SLO alert; this CLI turns
 that into a scrolling terminal dashboard, replaying the run tick by
 tick as if the telemetry were arriving live.  Each frame redraws the
@@ -181,7 +181,7 @@ def main(argv=None):
     )
     parser.add_argument(
         "--replay", required=True, metavar="PATH",
-        help="JSONL artefact from python -m repro.obs.report",
+        help="JSONL artefact from python -m repro.bench slo (or report)",
     )
     parser.add_argument(
         "--frames", type=int, default=None, metavar="N",

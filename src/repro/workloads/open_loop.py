@@ -6,9 +6,10 @@ makes invocation ``k`` on every live client replica's stub at
 ``start + k·spacing`` whatever the replies (open loop), identically at
 every replica, and keeps each reply with its latency.  ``ECHO_IDL`` /
 :class:`EchoServant` and ``COUNTER_IDL`` / :class:`CounterServant` are
-the services the latency bench, the benches' drills and the
-``repro.obs`` CLIs drive; :func:`echo` and :func:`add_one` are their
-invocations.
+the services the latency bench and the benches' drills drive, and
+:func:`echo` and :func:`add_one` are their invocations.  ``LEDGER_IDL``
+is the counter under its own interface name (the intrusion drill's), and
+``TALLY_IDL`` / :class:`TallyServant` the Table 1 drills' service.
 """
 
 from repro.orb.idl import InterfaceDef, OperationDef, ParamDef
@@ -20,6 +21,19 @@ ECHO_IDL = InterfaceDef(
 COUNTER_IDL = InterfaceDef(
     "Counter",
     [OperationDef("add", [ParamDef("n", "long")], result="long")],
+)
+
+LEDGER_IDL = InterfaceDef(
+    "Ledger",
+    [OperationDef("add", [ParamDef("amount", "long")], result="long")],
+)
+
+TALLY_IDL = InterfaceDef(
+    "Tally",
+    [
+        OperationDef("bump", [ParamDef("tag", "string")], oneway=True),
+        OperationDef("total", [], result="long"),
+    ],
 )
 
 
@@ -39,6 +53,25 @@ class CounterServant:
         self.calls += 1
         self.total += n
         return self.total
+
+
+class TallyServant:
+    """Keeps every tag it was bumped with, in order."""
+
+    def __init__(self):
+        self.tags = []
+
+    def bump(self, tag):
+        self.tags.append(tag)
+
+    def total(self):
+        return len(self.tags)
+
+    def get_state(self):
+        return ("\n".join(self.tags)).encode("utf-8")
+
+    def set_state(self, state):
+        self.tags = state.decode("utf-8").split("\n") if state else []
 
 
 def echo(stub, k, reply):

@@ -7,9 +7,11 @@ claims: the throughput win, survivable value-fault attribution inside
 signed batches, large-payload fragmentation, and determinism.
 """
 
-from repro.bench.perf import BATCH_SMOKE, _run_batch_case, run_batch_gate
+from repro.bench.drills import run_intrusion_drill
+from repro.bench.perf import BATCH_SMOKE, _run_batch_case
+from repro.bench.scenarios import regenerate
 from repro.multicast.config import MulticastConfig, SecurityLevel
-from repro.obs.forensics import build_report, merge_timeline, run_intrusion_drill
+from repro.obs.forensics import build_report, merge_timeline
 from tests.support import MulticastWorld, defeat_memos, force_python_md4
 
 
@@ -37,9 +39,9 @@ def test_batch_gate_artefact_is_identical_on_the_python_md4(tmp_path, monkeypatc
     """``BENCH_pr7.json`` (smoke-sized here) is the same file whichever
     MD4 backend the platform offered."""
     selected, python = tmp_path / "selected.json", tmp_path / "python.json"
-    assert run_batch_gate(smoke=True, output=str(selected))[1] == 0
+    assert regenerate("perf", smoke=True, out=str(selected))[1] == 0
     force_python_md4(monkeypatch)
-    assert run_batch_gate(smoke=True, output=str(python))[1] == 0
+    assert regenerate("perf", smoke=True, out=str(python))[1] == 0
     assert python.read_bytes() == selected.read_bytes()
 
 
@@ -47,9 +49,9 @@ def test_intrusion_drill_with_batched_signatures_keeps_perfect_score():
     """A Byzantine replica corrupting traffic *inside* a signed batch
     and a mutant-token holder are both still convicted — precision and
     recall stay 1.0 with one signature covering many visits."""
-    immune, obs, scenario = run_intrusion_drill(batch=True)
+    built, scenario = run_intrusion_drill(batch=True)
     assert scenario["batch_signatures"] is True
-    report = build_report(obs.forensics, scenario=scenario)
+    report = build_report(built.obs.forensics, scenario=scenario)
     card = report["scorecard"]
     assert card["precision"] == 1.0
     assert card["recall"] == 1.0
@@ -60,7 +62,7 @@ def test_intrusion_drill_with_batched_signatures_keeps_perfect_score():
     survivors = set(scenario["surviving_members"])
     assert survivors.isdisjoint({2, 3, 4})
     # Certificates actually flowed: the timeline records batch crypto.
-    timeline = merge_timeline(obs.forensics)
+    timeline = merge_timeline(built.obs.forensics)
     assert any(e.etype == "batch_sign" for e in timeline)
     assert any(e.etype == "batch_verify" for e in timeline)
 

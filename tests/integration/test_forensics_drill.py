@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.bench.drills import run_intrusion_drill
 from repro.core.config import ImmuneConfig, SurvivabilityCase
 from repro.core.immune import ImmuneSystem
 from repro.core.replica import ValueFaultServant
@@ -21,7 +22,6 @@ from repro.obs.forensics import (
     build_report,
     fault_id_for,
     merge_timeline,
-    run_intrusion_drill,
     score,
 )
 from repro.sim.faults import FaultPlan
@@ -75,8 +75,8 @@ def test_clean_run_accuses_nobody():
 
 
 def test_intrusion_drill_attributes_every_fault():
-    immune, obs, scenario = run_intrusion_drill()
-    report = build_report(obs.forensics, scenario=scenario)
+    built, scenario = run_intrusion_drill()
+    report = build_report(built.obs.forensics, scenario=scenario)
     card = report["scorecard"]
     assert card["precision"] == 1.0
     assert card["recall"] == 1.0
@@ -99,8 +99,8 @@ def test_intrusion_drill_attributes_every_fault():
 
 @functools.lru_cache(maxsize=None)
 def _unwrapped_drill_report(batch):
-    _, obs, _ = run_intrusion_drill(batch=batch)
-    report = build_report(obs.forensics)
+    built, _ = run_intrusion_drill(batch=batch)
+    report = build_report(built.obs.forensics)
     assert report["dropped_events"] == 0
     return report
 
@@ -110,8 +110,8 @@ def _unwrapped_drill_report(batch):
 def test_a_wrapped_recorder_still_scores_the_drill_exactly(capacity, batch):
     """Most of the drill's rows are evicted, none of them a verdict:
     the scorecard and the attribution are the unwrapped run's."""
-    _, obs, _ = run_intrusion_drill(capacity=capacity, batch=batch)
-    wrapped = build_report(obs.forensics)
+    built, _ = run_intrusion_drill(capacity=capacity, batch=batch)
+    wrapped = build_report(built.obs.forensics)
     unwrapped = _unwrapped_drill_report(batch)
     assert wrapped["dropped_events"] > len(wrapped["timeline"])
     assert wrapped["scorecard"]["precision"] == wrapped["scorecard"]["recall"] == 1.0
@@ -183,8 +183,8 @@ def test_a_long_drill_convicts_both_culprits_from_a_wrapped_recorder():
 
 
 def _drill_report_json():
-    _, obs, scenario = run_intrusion_drill()
-    report = build_report(obs.forensics, scenario=scenario)
+    built, scenario = run_intrusion_drill()
+    report = build_report(built.obs.forensics, scenario=scenario)
     return json.dumps(report, sort_keys=True, indent=2)
 
 

@@ -38,7 +38,11 @@ import json
 import pytest
 
 from repro import perf
-from repro.bench.harness import run_packet_driver_case
+from dataclasses import replace
+
+from repro.bench.build import build
+from repro.bench.drills import run_intrusion_drill
+from repro.bench.harness import measure, packet_case
 from repro.bench.perf import _sim_fingerprint
 from repro.cluster import ClusterConfig, ClusterManager
 from repro.core.config import SurvivabilityCase
@@ -46,7 +50,7 @@ from repro.crypto import md4
 from repro.multicast import messages, token
 from repro.obs import Observability
 from repro.obs.export import export_jsonl
-from repro.obs.forensics import ForensicsHub, build_report, run_intrusion_drill
+from repro.obs.forensics import DEFAULT_CAPACITY, ForensicsHub, build_report
 from repro.wan import WanConfig, WanManager
 from repro.workloads.open_loop import COUNTER_IDL
 from repro.workloads.open_loop import CounterServant as _CountingServant
@@ -56,22 +60,20 @@ from tests.support import defeat_memos, force_python_md4
 def figure7_case4_drill(path):
     """Seeded Figure-7 full-survivability run with observability on."""
     case, interval_us, seed = SurvivabilityCase.FULL_SURVIVABILITY, 300, 7
-    obs = Observability()
-    result = run_packet_driver_case(
-        case, interval_us * 1e-6, duration=0.08, warmup=0.04, seed=seed, obs=obs
-    )
+    scenario = packet_case(case, interval_us * 1e-6, duration=0.08, warmup=0.04)
+    built = build(replace(scenario, seed=seed, forensics=DEFAULT_CAPACITY)).run()
     export_jsonl(
-        path, obs,
+        path, built.obs,
         run_info={"case": case.name, "interval_us": interval_us, "seed": seed},
     )
-    return _sim_fingerprint(result)
+    return _sim_fingerprint(measure(built))
 
 
 def batch_intrusion_drill(path):
     """Value fault, mutant token and crash on the batch-signature pipeline."""
-    _immune, obs, scenario = run_intrusion_drill(batch=True)
-    export_jsonl(path, obs, run_info=scenario)
-    return build_report(obs.forensics, scenario=scenario)
+    built, scenario = run_intrusion_drill(batch=True)
+    export_jsonl(path, built.obs, run_info=scenario)
+    return build_report(built.obs.forensics, scenario=scenario)
 
 
 def two_ring_digests_drill(path):

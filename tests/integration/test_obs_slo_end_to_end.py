@@ -1,4 +1,4 @@
-"""End-to-end gate for the telemetry drill: ``repro.obs.report --slo``.
+"""End-to-end gate for the telemetry drill: ``python -m repro.bench slo``.
 
 Asserts the acceptance story of the live-telemetry layer:
 
@@ -16,35 +16,29 @@ import json
 
 import pytest
 
-from repro.obs.report import evaluate_slo_run, run_instrumented
+from repro.bench.drills import run_instrumented
 from repro.obs.export import export_jsonl
+from repro.obs.forensics import score
 from repro.obs.watch import load_replay, main as watch_main, replay_frames
 from tests.support import defeat_memos
-
-SEED = 11
 
 
 @pytest.fixture(scope="module")
 def drill():
-    immune, obs, run_info = run_instrumented(seed=SEED, slo=True)
-    slo_result, critpath, scorecard = evaluate_slo_run(immune, obs)
-    return immune, obs, run_info, slo_result, critpath, scorecard
+    exported = run_instrumented(slo=True)
+    obs = exported["obs"]
+    return (obs, exported["run_info"], exported["slo"], exported["critpath"],
+            score(obs.forensics))
 
 
 def export_drill(tmp_path, name="report.jsonl"):
-    immune, obs, run_info = run_instrumented(seed=SEED, slo=True)
-    slo_result, critpath, _scorecard = evaluate_slo_run(immune, obs)
     path = tmp_path / name
-    export_jsonl(
-        str(path), obs, run_info=run_info,
-        crypto_costs=immune.config.crypto_costs,
-        slo=slo_result, critpath=critpath,
-    )
+    export_jsonl(str(path), **run_instrumented(slo=True))
     return path.read_bytes()
 
 
 def test_alert_leads_or_ties_the_detector(drill):
-    _immune, _obs, run_info, slo_result, _critpath, _scorecard = drill
+    _obs, run_info, slo_result, _critpath, _scorecard = drill
     rows = slo_result["scorecard"]
     assert rows, "no detectable fault joined against the alerts"
     crash = next(r for r in rows if r["fault_id"].startswith("crash:"))
@@ -54,14 +48,14 @@ def test_alert_leads_or_ties_the_detector(drill):
 
 
 def test_alerts_fire_only_after_the_injection(drill):
-    _immune, _obs, run_info, slo_result, _critpath, _scorecard = drill
+    _obs, run_info, slo_result, _critpath, _scorecard = drill
     assert slo_result["alerts"], "the crash drill must page"
     for alert in slo_result["alerts"]:
         assert alert["fired_at"] >= run_info["crash_at"]
 
 
 def test_detection_latency_objective_judged(drill):
-    _immune, _obs, _run_info, slo_result, _critpath, scorecard = drill
+    _obs, _run_info, slo_result, _critpath, scorecard = drill
     entry = next(
         e for e in slo_result["slos"] if e["sli"] == "detection_latency"
     )
@@ -70,7 +64,7 @@ def test_detection_latency_objective_judged(drill):
 
 
 def test_critical_path_decomposition_conserves_time(drill):
-    _immune, obs, _run_info, _slo_result, critpath, _scorecard = drill
+    obs, _run_info, _slo_result, critpath, _scorecard = drill
     assert critpath["spans"] == len(obs.spans.closed_spans())
     assert critpath["total_seconds"] > 0.0
     assert sum(r["share"] for r in critpath["per_cause"]) == pytest.approx(1.0)

@@ -11,28 +11,33 @@ Asserts the acceptance story of the tracing layer:
 * the JSONL export is byte-identical across repeated runs.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.bench.build import with_count
+from repro.bench.drills import BYZANTINE_GATEWAY, TRACE, run_trace
 from repro.obs.trace import (
     export_traces,
     fork_summary,
     render_trace_tree,
-    run_cluster_workload,
-    run_figure7_workload,
     verify_against_critpath,
 )
 
-SEED = 11
+
+def traced(scenario, operations):
+    """``scenario`` traced, with ``operations`` invocations."""
+    return run_trace(replace(with_count(scenario, operations), trace=True))
 
 
 @pytest.fixture(scope="module")
 def figure7():
-    return run_figure7_workload(seed=SEED, operations=8)
+    return traced(TRACE, 8)
 
 
 @pytest.fixture(scope="module")
 def cluster():
-    return run_cluster_workload(seed=SEED, operations=4)
+    return traced(BYZANTINE_GATEWAY, 4)
 
 
 def export_bytes(workload_result, tmp_path, name):
@@ -77,10 +82,8 @@ def test_figure7_dag_covers_full_causal_depth(figure7):
 
 
 def test_figure7_export_byte_identical_across_runs(tmp_path):
-    first = export_bytes(
-        run_figure7_workload(seed=SEED, operations=4), tmp_path, "a.jsonl")
-    second = export_bytes(
-        run_figure7_workload(seed=SEED, operations=4), tmp_path, "b.jsonl")
+    first = export_bytes(traced(TRACE, 4), tmp_path, "a.jsonl")
+    second = export_bytes(traced(TRACE, 4), tmp_path, "b.jsonl")
     assert first == second
 
 

@@ -1,17 +1,21 @@
-"""The one bench CLI: argument handling, and the guard that keeps it one.
+"""The one bench CLI: argument handling, and the guards that keep it one.
 
 Every bench used to carry its own ``__main__`` and parser, and three of
 them read ``sys.argv`` by hand, so a mistyped ``--quick`` ran the full
 sweep silently.  Now ``python -m repro.bench NAME`` is the only entry
-point, and argparse rejects what it does not know.
+point, and argparse rejects what it does not know.  Every deployment a
+row runs is built by ``repro.bench.build.build`` from a ``Scenario``
+value, which is plain data.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
 
 import repro
+from repro.bench.build import Scenario
 from repro.bench.scenarios import SCENARIOS, main
 
 BENCH = pathlib.Path(repro.__file__).parent / "bench"
@@ -63,3 +67,44 @@ def test_bench_has_one_parser_and_one_main_block():
                 guards.append(path.name)
     assert parsers == ["scenarios.py"]
     assert guards == ["__main__.py"]
+
+
+#: the deployment facades; constructing one is what build() is for
+FACADES = {"ImmuneSystem", "ClusterManager", "WanManager", "ElasticCluster"}
+
+
+def construction_sites(path):
+    """``(line, facade)`` of every call in ``path`` that constructs one."""
+    return [
+        (node.lineno, node.func.id) for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in FACADES
+    ]
+
+
+def test_build_is_the_one_construction_site_in_bench_and_obs():
+    sites = {
+        "%s/%s" % (path.parent.name, path.name): construction_sites(path)
+        for directory in (BENCH, BENCH.parent / "obs")
+        for path in sorted(directory.glob("*.py"))
+    }
+    assert sites.pop("bench/build.py"), "the scan sees build's construction"
+    assert not {name: found for name, found in sites.items() if found}
+
+
+def module_level_scenarios():
+    """``(module, name, value)`` of every module-level Scenario in bench."""
+    found = []
+    for path in sorted(BENCH.glob("*.py")):
+        module = importlib.import_module("repro.bench." + path.stem)
+        found += [
+            (path.stem, name, value) for name, value in sorted(vars(module).items())
+            if isinstance(value, Scenario)
+        ]
+    return found
+
+
+def test_every_module_level_scenario_round_trips_through_repr():
+    scenarios = module_level_scenarios()
+    assert len({id(value) for _module, _name, value in scenarios}) >= 8
+    for module, name, value in scenarios:
+        assert eval(repr(value), {"Scenario": Scenario}) == value, (module, name)

@@ -7,6 +7,7 @@ from repro.bench.harness import (
     CASE_LABELS,
     CaseResult,
     format_series,
+    packet_case,
     run_packet_driver_case,
 )
 from repro.bench.latency import LatencyResult
@@ -18,9 +19,9 @@ def test_case_labels_cover_every_case():
 
 
 def test_unreplicated_point_runs_fast_and_keeps_up():
-    result = run_packet_driver_case(
+    result = run_packet_driver_case(packet_case(
         SurvivabilityCase.UNREPLICATED, 500e-6, duration=0.05, warmup=0.02
-    )
+    ))
     assert result.offered == pytest.approx(2000)
     assert result.throughput == pytest.approx(result.offered, rel=0.1)
     assert result.received > 0
@@ -28,9 +29,9 @@ def test_unreplicated_point_runs_fast_and_keeps_up():
 
 
 def test_replicated_point_counts_cpu_categories():
-    result = run_packet_driver_case(
+    result = run_packet_driver_case(packet_case(
         SurvivabilityCase.MAJORITY_VOTING, 500e-6, duration=0.05, warmup=0.02
-    )
+    ))
     assert "multicast.receive" in result.cpu
     assert result.throughput > 0
 

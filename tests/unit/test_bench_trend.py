@@ -4,11 +4,11 @@ import json
 
 import pytest
 
+from repro.bench.scenarios import main
 from repro.bench.trend import (
     TrendInputError,
     build_report,
     collect,
-    main,
     render_table,
 )
 
@@ -117,7 +117,7 @@ def test_self_describing_headline_gate_failure_counts(tmp_path):
     })
     entries = collect(str(tmp_path))
     assert build_report(entries)["all_gates_ok"] is False
-    assert main(["--dir", str(tmp_path)]) == 1
+    assert main(["trend", "--dir", str(tmp_path)]) == 1
 
 
 def test_unparsable_artifact_raises(tmp_path):
@@ -134,15 +134,15 @@ def test_failed_gate_flips_exit_code_and_flag(tmp_path):
     entries = collect(str(tmp_path))
     assert build_report(entries)["all_gates_ok"] is False
     assert "FAIL" in render_table(entries)
-    assert main(["--dir", str(tmp_path)]) == 1
+    assert main(["trend", "--dir", str(tmp_path)]) == 1
 
 
 def test_cli_writes_deterministic_trend_json(tmp_path, capsys):
     seed_artifacts(tmp_path)
-    assert main(["--dir", str(tmp_path)]) == 0
+    assert main(["trend", "--dir", str(tmp_path)]) == 0
     out = tmp_path / "BENCH_trend.json"
     first = out.read_bytes()
-    assert main(["--dir", str(tmp_path)]) == 0
+    assert main(["trend", "--dir", str(tmp_path)]) == 0
     assert out.read_bytes() == first
     report = json.loads(first)
     assert report["bench"] == "trend"
@@ -155,7 +155,7 @@ def test_cli_writes_deterministic_trend_json(tmp_path, capsys):
 
 
 def test_cli_errors_on_empty_directory(tmp_path, capsys):
-    assert main(["--dir", str(tmp_path)]) == 2
+    assert main(["trend", "--dir", str(tmp_path)]) == 2
     assert "no BENCH_" in capsys.readouterr().err
 
 

@@ -50,7 +50,7 @@ RECORD_READERS = {
 }
 
 #: a module whose ``main`` is run as another module's CLI
-CLI_OF = {"repro.bench.scenarios": "repro.bench", "repro.bench.trend": "repro.bench"}
+CLI_OF = {"repro.bench.scenarios": "repro.bench"}
 
 FAMILY = r"[a-z_]+\.[a-z_]+"
 
@@ -121,7 +121,7 @@ def flags_passed_to_main(path):
 
 def test_every_cli_flag_has_a_reader():
     flags = cli_flags()
-    assert ("repro.obs.report", "--quick") in flags  # the scan sees parsers
+    assert ("repro.obs.report", "--input") in flags  # the scan sees parsers
     read = flags_in_ci()
     for path in readers():
         if path.suffix == ".py":
