@@ -37,27 +37,18 @@ def main():
         initial_rings=1,
         max_rings=2,
         procs_per_ring=6,
-        replication_degree=3,
         gateway_degree=3,
         seed=7,
     )
     cluster = ElasticCluster(config=config, obs=obs)
-    ramp = RampBank(
-        cluster, branches=4, streams=3, period=0.3, stream_stagger=0.5, start=0.3
-    )
+    ramp = RampBank(cluster, streams=3, period=0.3)
     sampler = SeriesSampler(
         obs.registry, period=0.1, families={"rm.delivered_to_orb"}
     )
     sampler.start(cluster.scheduler)
     cluster.enable_autoscaler(
         sampler,
-        AutoscalerPolicy(
-            decision_period=0.25,
-            window=0.25,
-            split_threshold=60.0,
-            merge_threshold=5.0,
-            cooldown=1.0,
-        ),
+        AutoscalerPolicy(split_threshold=60.0, merge_threshold=5.0, cooldown=1.0),
     )
 
     # audit the books the instant every migration cutover lands

@@ -44,9 +44,7 @@ class AuditLogServant:
 def main():
     config = ImmuneConfig(case=SurvivabilityCase.FULL_SURVIVABILITY, seed=99)
     obs = Observability(forensics=ForensicsHub())
-    immune = ImmuneSystem(
-        num_processors=6, config=config, trace_max_records=100_000, obs=obs
-    )
+    immune = ImmuneSystem(num_processors=6, config=config, obs=obs)
     log = immune.deploy("audit", LOG_IDL, lambda pid: AuditLogServant(), [0, 1, 5])
     writer = immune.deploy_client("writer", [3, 4, 5])
     immune.start()

@@ -34,7 +34,7 @@ class GreeterServant:
 
 def main():
     config = ImmuneConfig(case=SurvivabilityCase.FULL_SURVIVABILITY, seed=31)
-    immune = ImmuneSystem(num_processors=6, config=config, trace_max_records=100_000)
+    immune = ImmuneSystem(num_processors=6, config=config)
 
     def naming_factory(pid):
         servant = NamingServant()

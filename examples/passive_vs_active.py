@@ -42,7 +42,7 @@ class PricerServant:
 
 def run_mode(passive):
     config = ImmuneConfig(case=SurvivabilityCase.FULL_SURVIVABILITY, seed=55)
-    immune = ImmuneSystem(num_processors=6, config=config, trace_max_records=100_000)
+    immune = ImmuneSystem(num_processors=6, config=config)
 
     def factory(pid):
         servant = PricerServant()

@@ -37,7 +37,7 @@ class CounterServant:
 
 def main():
     config = ImmuneConfig(case=SurvivabilityCase.FULL_SURVIVABILITY, seed=42)
-    immune = ImmuneSystem(num_processors=6, config=config, trace_max_records=100_000)
+    immune = ImmuneSystem(num_processors=6, config=config)
 
     server = immune.deploy(
         "counter", COUNTER_IDL, lambda pid: CounterServant(), on_procs=[0, 1, 2]

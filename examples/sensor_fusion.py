@@ -16,7 +16,7 @@ from repro.workloads.sensors import FUSION_IDL, FusionServant, scripted_track
 
 def main():
     config = ImmuneConfig(case=SurvivabilityCase.FULL_SURVIVABILITY, seed=7)
-    immune = ImmuneSystem(num_processors=8, config=config, trace_max_records=100_000)
+    immune = ImmuneSystem(num_processors=8, config=config)
 
     def factory(pid):
         servant = FusionServant()

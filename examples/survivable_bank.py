@@ -22,7 +22,7 @@ from repro.workloads.bank import BANK_IDL, BankServant
 
 def main():
     config = ImmuneConfig(case=SurvivabilityCase.FULL_SURVIVABILITY, seed=2026)
-    immune = ImmuneSystem(num_processors=7, config=config, trace_max_records=100_000)
+    immune = ImmuneSystem(num_processors=7, config=config)
 
     def factory(pid):
         servant = BankServant()

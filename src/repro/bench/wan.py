@@ -226,8 +226,8 @@ def run_geo_drill(seed, case, transfers=2):
     bank = GeoBank(
         wan,
         branches=["north", "south", "east"],
-        branch_sites={"north": "alpha", "south": "beta", "east": "gamma"},
-        teller_site="alpha",
+        branch_homes={"north": "alpha", "south": "beta", "east": "gamma"},
+        teller_home="alpha",
     )
     rogue, rogue_stubs = bank.add_teller("bank.rogue", "gamma")
     degree = config.replication_degree

@@ -16,7 +16,6 @@ gateway exactly as three object replicas mask one corrupted replica.
 """
 
 from repro.core.config import ImmuneConfig, SurvivabilityCase
-from repro.multicast.config import MulticastConfig
 
 
 class ClusterConfigError(Exception):
@@ -61,19 +60,18 @@ def _check_link_degree(field, degree, room, case):
 class ClusterConfig:
     """Layout and survivability knobs of one multi-ring cluster."""
 
+    #: replicas of a group the placement engine picks when a deployment
+    #: names neither ``on_procs`` nor ``degree``
+    replication_degree = 3
+
     def __init__(
         self,
         num_rings=2,
         procs_per_ring=6,
         gateway_degree=3,
         case=SurvivabilityCase.MAJORITY_VOTING,
-        replication_degree=3,
         seed=0,
-        digest="md4",
-        modulus_bits=300,
-        messages_per_token_visit=6,
         placement_mode="rendezvous",
-        placement_salt=0,
         pid_base=0,
         wan_gateway_degree=0,
         site=None,
@@ -86,18 +84,17 @@ class ClusterConfig:
         _checked_int("num_rings", num_rings, 1, 4096)
         _checked_int("procs_per_ring", procs_per_ring, 1, 4096)
         _checked_int("gateway_degree", gateway_degree, 0, 4096)
-        _checked_int("replication_degree", replication_degree, 1, 4096)
         _checked_int("pid_base", pid_base, 0, 2**31)
         _checked_int("wan_gateway_degree", wan_gateway_degree, 0, 4096)
         if num_rings > 1:
             _check_link_degree("gateway_degree", gateway_degree, procs_per_ring, case)
         else:
             gateway_degree = 0
-        if case.replicated and replication_degree > procs_per_ring:
+        if case.replicated and self.replication_degree > procs_per_ring:
             raise ClusterConfigError(
                 "replication_degree %d needs %d processors but rings have %d "
                 "(at most one replica per processor)"
-                % (replication_degree, replication_degree, procs_per_ring)
+                % (self.replication_degree, self.replication_degree, procs_per_ring)
             )
         if wan_gateway_degree:
             # Site gateways live on the backbone (ring 0), beside the
@@ -110,13 +107,8 @@ class ClusterConfig:
         self.procs_per_ring = procs_per_ring
         self.gateway_degree = gateway_degree
         self.case = case
-        self.replication_degree = replication_degree
         self.seed = seed
-        self.digest = digest
-        self.modulus_bits = modulus_bits
-        self.messages_per_token_visit = messages_per_token_visit
         self.placement_mode = placement_mode
-        self.placement_salt = placement_salt
         self.pid_base = pid_base
         self.wan_gateway_degree = wan_gateway_degree
         self.site = site
@@ -173,24 +165,14 @@ class ClusterConfig:
     def ring_config(self, ring_index):
         """A fresh :class:`ImmuneConfig` for one ring.
 
-        Each ring gets its own :class:`MulticastConfig` because timeout
-        resolution mutates it in place, scaled to that ring's membership
-        size — the bug class the scaled-defaults regression tests pin
-        down.
+        Each ring gets its own :class:`~repro.multicast.config.
+        MulticastConfig` (built by the :class:`ImmuneConfig`) because
+        timeout resolution mutates it in place, scaled to that ring's
+        membership size — the bug class the scaled-defaults regression
+        tests pin down.
         """
         self._check_ring(ring_index)
-        return ImmuneConfig(
-            case=self.case,
-            replication_degree=self.replication_degree,
-            modulus_bits=self.modulus_bits,
-            messages_per_token_visit=self.messages_per_token_visit,
-            seed=self.seed,
-            digest=self.digest,
-            multicast=MulticastConfig(
-                security=self.case.security_level,
-                max_messages_per_token_visit=self.messages_per_token_visit,
-            ),
-        )
+        return ImmuneConfig(case=self.case, seed=self.seed)
 
     def __repr__(self):
         return "ClusterConfig(%d rings x %d procs, %s, gateways=%d)" % (

@@ -50,6 +50,7 @@ from repro.core.identifiers import (
     KIND_RESPONSE,
 )
 from repro.core.voting import VoteDecision, Voter
+from repro.crypto.md4 import md4_digest
 
 #: One side of a link: the child's key in its federation's directory,
 #: its backbone :class:`~repro.core.immune.ImmuneSystem`, the gateway
@@ -120,7 +121,7 @@ class _Forwarder:
         #: the voting thresholds for the source group, and value faults
         #: the vote exposes are published through it
         self._manager = src.immune.managers[src_pid]
-        self._digest_fn = src.immune.config.digest_fn()
+        self._digest_fn = md4_digest
         self._voters = {}
         self.dup_filter = DuplicateFilter()
         self.stats = {"forwarded": 0, "suppressed": 0, "ignored": 0}

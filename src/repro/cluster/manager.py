@@ -290,9 +290,7 @@ class ClusterManager(Federation):
         self,
         config=None,
         obs=None,
-        net_params=None,
         fault_plans=None,
-        trace_kinds=frozenset(),
         scheduler=None,
         keystore=None,
         streams=None,
@@ -323,8 +321,6 @@ class ClusterManager(Federation):
         self.rings = self._children = []
         #: pid -> Processor across all rings (pids are globally unique)
         self.processors = {}
-        self._net_params = net_params
-        self._trace_kinds = trace_kinds
         fault_plans = fault_plans or {}
         for ring_index in range(self.config.num_rings):
             self._build_ring(ring_index, fault_plans.get(ring_index))
@@ -349,9 +345,8 @@ class ClusterManager(Federation):
         immune = ImmuneSystem(
             self.config.procs_per_ring,
             config=self.config.ring_config(ring_index),
-            net_params=self._net_params,
             fault_plan=fault_plan,
-            trace_kinds=self._trace_kinds,
+            trace_kinds=frozenset(),
             obs=ring_obs,
             scheduler=self.scheduler,
             proc_ids=self.config.ring_pids(ring_index),

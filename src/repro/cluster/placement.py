@@ -7,8 +7,8 @@ adapted to rings: each (group, bucket) pair gets a pseudo-random score
 from a cryptographic hash, and the highest score wins.  The properties
 that matter here:
 
-* **deterministic** — the mapping is a pure function of the group name,
-  the bucket id, and a salt: every run of a seeded simulation places
+* **deterministic** — the mapping is a pure function of the group name
+  and the bucket id: every run of a seeded simulation places
   identically;
 * **uniform** — scores are i.i.d. uniform per bucket, so groups spread
   evenly across rings without coordination;
@@ -28,20 +28,21 @@ import hashlib
 from repro.cluster.config import ClusterConfigError
 
 
-def rendezvous_score(group_name, bucket, salt=0):
+def rendezvous_score(group_name, bucket):
     """The deterministic weight of ``group_name`` on ``bucket``.
 
-    SHA-256 of the (group, bucket, salt) triple, truncated to 64 bits —
-    stable across processes, platforms, and Python hash randomisation
-    (``hash()`` would not be).
+    SHA-256 of ``group|bucket|0``, truncated to 64 bits — stable across
+    processes, platforms, and Python hash randomisation (``hash()``
+    would not be).  The ``|0`` suffix is part of the hashed token: every
+    placement depends on it.
     """
-    token = ("%s|%s|%d" % (group_name, bucket, salt)).encode("utf-8")
+    token = ("%s|%s|0" % (group_name, bucket)).encode("utf-8")
     return int.from_bytes(hashlib.sha256(token).digest()[:8], "big")
 
 
-def rendezvous_ranking(group_name, buckets, salt=0):
+def rendezvous_ranking(group_name, buckets):
     """Buckets ordered by descending score (ties by bucket id)."""
-    return sorted(buckets, key=lambda b: (-rendezvous_score(group_name, b, salt), b))
+    return sorted(buckets, key=lambda b: (-rendezvous_score(group_name, b), b))
 
 
 class Placement:
@@ -88,14 +89,13 @@ class PlacementEngine:
 
     MODES = ("rendezvous", "balanced")
 
-    def __init__(self, cluster_config, mode=None, salt=None):
+    def __init__(self, cluster_config):
         self.config = cluster_config
-        self.mode = mode if mode is not None else cluster_config.placement_mode
+        self.mode = cluster_config.placement_mode
         if self.mode not in self.MODES:
             raise ClusterConfigError(
                 "unknown placement mode %r (choose from %s)" % (self.mode, self.MODES)
             )
-        self.salt = salt if salt is not None else cluster_config.placement_salt
         #: ring index -> replicas placed so far (balanced mode's load)
         self.load = {ring: 0 for ring in range(cluster_config.num_rings)}
         #: group name -> Placement, in placement order
@@ -117,13 +117,13 @@ class PlacementEngine:
                 rings,
                 key=lambda r: (
                     self.load[r],
-                    -rendezvous_score(group_name, "ring:%d" % r, self.salt),
+                    -rendezvous_score(group_name, "ring:%d" % r),
                     r,
                 ),
             )
         return max(
             rings,
-            key=lambda r: (rendezvous_score(group_name, "ring:%d" % r, self.salt), -r),
+            key=lambda r: (rendezvous_score(group_name, "ring:%d" % r), -r),
         )
 
     def replica_procs(self, group_name, ring, degree):
@@ -133,11 +133,11 @@ class PlacementEngine:
         gateways = [
             p for p in self.config.ring_pids(ring) if p not in set(workers)
         ]
-        ranked = rendezvous_ranking(group_name, workers, self.salt)
+        ranked = rendezvous_ranking(group_name, workers)
         if degree > len(ranked):
             # Not enough non-gateway processors; spill onto gateway
             # hosts (still at most one replica per processor).
-            ranked = ranked + rendezvous_ranking(group_name, gateways, self.salt)
+            ranked = ranked + rendezvous_ranking(group_name, gateways)
         if degree > len(ranked):
             raise ClusterConfigError(
                 "group %r needs %d replicas but ring %d has %d processors"
@@ -216,19 +216,13 @@ class PlacementEngine:
         """A rendezvous layout of ``migratable`` groups over ``rings``.
 
         Pure rendezvous choice regardless of the engine's mode: the
-        proposal must be a function of (group, rings, salt) alone so
+        proposal must be a function of (group, rings) alone so
         that repeated autoscaler decisions over the same active set are
         stable (no oscillating migrations).
         """
         rings = sorted(rings)
         return {
-            name: max(
-                rings,
-                key=lambda r: (
-                    rendezvous_score(name, "ring:%d" % r, self.salt),
-                    -r,
-                ),
-            )
+            name: max(rings, key=lambda r: (rendezvous_score(name, "ring:%d" % r), -r))
             for name in migratable
         }
 
@@ -246,7 +240,6 @@ class PlacementEngine:
     def to_dict(self):
         return {
             "mode": self.mode,
-            "salt": self.salt,
             "placements": [
                 self.placements[name].to_dict() for name in sorted(self.placements)
             ],

@@ -12,8 +12,8 @@ here so every bench and example names them explicitly:
   message digests in the token;
 * ``FULL_SURVIVABILITY`` (case 4) — case 3 plus RSA-signed tokens.
 
-:class:`ImmuneConfig` bundles the knobs (replication degree, messages
-per token visit, RSA modulus size, cost models) and enforces the
+:class:`ImmuneConfig` bundles the knobs (messages per token visit, RSA
+modulus size, the batch-signature pipeline) and enforces the
 resilience requirements of section 3.1: at least ``ceil((2n+1)/3)``
 correct processors out of ``n``, at least ``ceil((r+1)/2)`` correct
 replicas out of ``r``, and at most one replica of an object per
@@ -69,38 +69,25 @@ def max_faulty_processors(n):
 class ImmuneConfig:
     """All tunables of one Immune deployment."""
 
-    #: selectable message digest functions ("such as MD4", section 7)
-    DIGESTS = ("md4", "md5")
-
     def __init__(
         self,
         case=SurvivabilityCase.FULL_SURVIVABILITY,
-        replication_degree=3,
         modulus_bits=300,
         messages_per_token_visit=6,
         seed=0,
-        digest="md4",
-        orb_costs=None,
-        crypto_costs=None,
-        batching=None,
-        multicast=None,
         batch_signatures=False,
         signature_batch_visits=4,
         pipeline_depth=4,
         fragment_payload_bytes=4096,
     ):
-        if digest not in self.DIGESTS:
-            raise ConfigError("unknown digest %r (choose from %s)" % (digest, self.DIGESTS))
         self.case = case
-        self.replication_degree = replication_degree
         self.modulus_bits = modulus_bits
         self.messages_per_token_visit = messages_per_token_visit
         self.seed = seed
-        self.digest = digest
-        self.orb_costs = orb_costs or OrbCostModel()
-        self.crypto_costs = crypto_costs or CryptoCostModel(modulus_bits=modulus_bits)
-        self.batching = batching or BatchingPolicy()
-        self.multicast = multicast or MulticastConfig(
+        self.orb_costs = OrbCostModel()
+        self.crypto_costs = CryptoCostModel(modulus_bits=modulus_bits)
+        self.batching = BatchingPolicy()
+        self.multicast = MulticastConfig(
             security=case.security_level,
             max_messages_per_token_visit=messages_per_token_visit,
             batch_signatures=batch_signatures,
@@ -109,16 +96,6 @@ class ImmuneConfig:
             fragment_payload_bytes=fragment_payload_bytes,
         )
         self.batch_signatures = self.multicast.batch_signatures
-
-    def digest_fn(self):
-        """The configured digest function (default MD4, as in the paper)."""
-        if self.digest == "md5":
-            from repro.crypto.md5 import md5_digest
-
-            return md5_digest
-        from repro.crypto.md4 import md4_digest
-
-        return md4_digest
 
     def validate_system(self, num_processors, expected_faulty=0):
         """Check the processor-level resilience requirement."""

@@ -62,10 +62,8 @@ class ImmuneSystem:
         self,
         num_processors,
         config=None,
-        net_params=None,
         fault_plan=None,
         trace_kinds=None,
-        trace_max_records=None,
         obs=None,
         scheduler=None,
         proc_ids=None,
@@ -86,9 +84,7 @@ class ImmuneSystem:
         self.config.validate_system(num_processors)
         self.scheduler = scheduler if scheduler is not None else Scheduler()
         self.streams = streams if streams is not None else RngStreams(self.config.seed)
-        self.trace = TraceLog(
-            self.scheduler, enabled_kinds=trace_kinds, max_records=trace_max_records
-        )
+        self.trace = TraceLog(self.scheduler, enabled_kinds=trace_kinds)
         self.fault_plan = fault_plan
         self.obs = obs
         if obs is not None:
@@ -96,7 +92,7 @@ class ImmuneSystem:
             self.scheduler.attach_metrics(obs.registry)
         self.network = Network(
             self.scheduler,
-            params=net_params or NetworkParams(),
+            params=NetworkParams(),
             rng=self.streams.stream("net"),
             fault_plan=fault_plan,
             trace=None,
@@ -114,7 +110,6 @@ class ImmuneSystem:
             self.keystore = keystore if keystore is not None else KeyStore(
                 random.Random(self.config.seed),
                 modulus_bits=self.config.modulus_bits,
-                digest_fn=self.config.digest_fn(),
             )
         else:
             self.keystore = None

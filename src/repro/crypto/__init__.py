@@ -16,7 +16,6 @@ so that the performance study keeps its shape.
 """
 
 from repro.crypto.md4 import md4_digest, md4_hexdigest
-from repro.crypto.md5 import md5_digest, md5_hexdigest
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey, generate_keypair
 from repro.crypto.keystore import KeyStore
 from repro.crypto.costmodel import CryptoCostModel
@@ -24,8 +23,6 @@ from repro.crypto.costmodel import CryptoCostModel
 __all__ = [
     "md4_digest",
     "md4_hexdigest",
-    "md5_digest",
-    "md5_hexdigest",
     "RsaKeyPair",
     "RsaPublicKey",
     "generate_keypair",

@@ -21,19 +21,15 @@ class CryptoCostModel:
 
     REFERENCE_MODULUS_BITS = 300
 
-    def __init__(
-        self,
-        modulus_bits=300,
-        digest_base=5e-6,
-        digest_per_byte=40e-9,
-        sign_base=3e-3,
-        verify_base=2e-4,
-    ):
+    #: fixed and per-byte seconds of one MD4 digest
+    digest_base = 5e-6
+    digest_per_byte = 40e-9
+    #: seconds of one signature / verification at the reference modulus
+    sign_base = 3e-3
+    verify_base = 2e-4
+
+    def __init__(self, modulus_bits=300):
         self.modulus_bits = modulus_bits
-        self.digest_base = digest_base
-        self.digest_per_byte = digest_per_byte
-        self.sign_base = sign_base
-        self.verify_base = verify_base
 
     def digest_cost(self, num_bytes):
         """Seconds to MD4-digest ``num_bytes``."""
@@ -85,13 +81,3 @@ class CryptoCostModel:
             "sign": self.sign_cost(),
             "verify": self.verify_cost(),
         }
-
-    def with_modulus(self, modulus_bits):
-        """A copy of this model at a different key size (for ablations)."""
-        return CryptoCostModel(
-            modulus_bits=modulus_bits,
-            digest_base=self.digest_base,
-            digest_per_byte=self.digest_per_byte,
-            sign_base=self.sign_base,
-            verify_base=self.verify_base,
-        )

@@ -29,30 +29,23 @@ serial and prevents oscillation.
 class AutoscalerPolicy:
     """The thresholds and pacing of one autoscaler."""
 
-    def __init__(
-        self,
-        decision_period=0.25,
-        window=0.25,
-        split_threshold=100.0,
-        merge_threshold=10.0,
-        cooldown=0.75,
-        min_rings=1,
-        signal_family="rm.delivered_to_orb",
-    ):
-        if window <= 0.0 or decision_period <= 0.0:
-            raise ValueError("decision_period and window must be positive")
+    #: seconds between decisions, and the rate window each one reads
+    decision_period = 0.25
+    window = 0.25
+    #: never merge below this many active rings
+    min_rings = 1
+    #: the per-ring series whose rate is the load signal
+    signal_family = "rm.delivered_to_orb"
+
+    def __init__(self, split_threshold=100.0, merge_threshold=10.0, cooldown=0.75):
         if merge_threshold >= split_threshold:
             raise ValueError(
                 "merge_threshold %r must stay below split_threshold %r or "
                 "the autoscaler oscillates" % (merge_threshold, split_threshold)
             )
-        self.decision_period = decision_period
-        self.window = window
         self.split_threshold = split_threshold
         self.merge_threshold = merge_threshold
         self.cooldown = cooldown
-        self.min_rings = min_rings
-        self.signal_family = signal_family
 
 
 class Autoscaler:

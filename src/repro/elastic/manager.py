@@ -32,15 +32,13 @@ from repro.elastic.migration import MigrationCoordinator
 class ElasticCluster(ClusterManager):
     """A multi-ring deployment that grows, shrinks, and rebalances."""
 
-    def __init__(self, config=None, drain_poll=0.02, min_drain=0.05, **kwargs):
+    def __init__(self, config=None, **kwargs):
         super().__init__(config=config or ElasticConfig(), **kwargs)
         #: rings currently holding (or eligible for) application groups
         self.active_rings = set(range(self.config.num_rings))
         #: group name -> servant_from_state factory (migratability)
         self._state_factories = {}
-        self.coordinator = MigrationCoordinator(
-            self, drain_poll=drain_poll, min_drain=min_drain
-        )
+        self.coordinator = MigrationCoordinator(self)
         self.autoscaler = None
         self.stats = {"churn_joins": 0, "churn_retirements": 0}
         if self.obs is not None:

@@ -64,10 +64,12 @@ class _Job:
 class MigrationCoordinator:
     """Serialises and executes live group migrations on one cluster."""
 
-    def __init__(self, cluster, drain_poll=0.02, min_drain=0.05):
+    #: seconds between drain checks, and the least time a hold lasts
+    drain_poll = 0.02
+    min_drain = 0.05
+
+    def __init__(self, cluster):
         self.cluster = cluster
-        self.drain_poll = drain_poll
-        self.min_drain = min_drain
         #: completed migration records, in completion order
         self.completed = []
         #: callbacks fired with each finished job's record (benches and

@@ -58,18 +58,25 @@ class SecurityLevel(enum.Enum):
 class MulticastConfig:
     """Tunable parameters of the protocol stack."""
 
+    #: CPU cost of processing a token visit (excluding crypto)
+    token_hold_cost = 15e-6
+    #: how long a holder parks the token when the ring is idle
+    #: (Totem-style token retention: bounds idle protocol overhead)
+    token_idle_delay = 1.5e-3
+    #: recent-traffic window within which the ring stays at full speed
+    idle_activity_window = 5e-3
+    #: CPU cost of handling one regular message (excluding crypto)
+    message_handling_cost = 20e-6
+    #: token retransmissions attempted before suspicion
+    token_retransmit_limit = 3
+    #: token rotations a processor's aru may stall before it is
+    #: suspected of receive omission
+    aru_stall_rotations = 12
+
     def __init__(
         self,
         security=SecurityLevel.SIGNATURES,
         max_messages_per_token_visit=6,
-        token_hold_cost=15e-6,
-        token_idle_delay=1.5e-3,
-        idle_activity_window=5e-3,
-        message_handling_cost=20e-6,
-        token_rotation_timeout=None,
-        token_retransmit_limit=3,
-        membership_round_timeout=None,
-        aru_stall_rotations=12,
         batch_signatures=False,
         signature_batch_visits=4,
         pipeline_depth=4,
@@ -84,25 +91,11 @@ class MulticastConfig:
             1,
             4096,
         )
-        #: CPU cost of processing a token visit (excluding crypto)
-        self.token_hold_cost = token_hold_cost
-        #: how long a holder parks the token when the ring is idle
-        #: (Totem-style token retention: bounds idle protocol overhead)
-        self.token_idle_delay = token_idle_delay
-        #: recent-traffic window within which the ring stays at full speed
-        self.idle_activity_window = idle_activity_window
-        #: CPU cost of handling one regular message (excluding crypto)
-        self.message_handling_cost = message_handling_cost
-        #: how long a processor waits for token progress before acting;
-        #: defaults scale with the signature cost at endpoint setup
-        self.token_rotation_timeout = token_rotation_timeout
-        #: token retransmissions attempted before suspicion
-        self.token_retransmit_limit = token_retransmit_limit
-        #: how long a membership round waits for proposals
-        self.membership_round_timeout = membership_round_timeout
-        #: token rotations a processor's aru may stall before it is
-        #: suspected of receive omission
-        self.aru_stall_rotations = aru_stall_rotations
+        #: how long a processor waits for token progress before acting,
+        #: and how long a membership round waits for proposals: both
+        #: derived by :meth:`resolve_timeouts` at endpoint setup
+        self.token_rotation_timeout = None
+        self.membership_round_timeout = None
         #: batch-signature pipeline (requires ``SIGNATURES``): tokens
         #: circulate unsigned and holders periodically broadcast one
         #: RSA-signed :class:`~repro.multicast.token.TokenCertificate`
@@ -131,14 +124,9 @@ class MulticastConfig:
         self.fragment_payload_bytes = _checked_int(
             "fragment_payload_bytes", fragment_payload_bytes, 64, 1 << 20
         )
-        #: which timeouts were left for :meth:`resolve_timeouts` to
-        #: derive (as opposed to explicitly chosen by the caller, which
-        #: scaling must never overwrite)
-        self._derived_rotation = token_rotation_timeout is None
-        self._derived_membership = membership_round_timeout is None
 
     def resolve_timeouts(self, cost_model, num_processors):
-        """Fill in default timeouts scaled to crypto costs and ring size.
+        """Derive the timeouts, scaled to crypto costs and ring size.
 
         Timeouts must comfortably exceed what they time or
         correct-but-slow processors get suspected, violating eventual
@@ -161,13 +149,12 @@ class MulticastConfig:
           than the pipeline buys the rotation nothing.  Only the
           delivery progress timer reads ``token_rotation_timeout``.
 
-        Derived defaults track the *largest* ring size they have been
+        The timeouts track the *largest* ring size they have been
         resolved for: a cluster hands rings of different sizes their own
         config, but a config reused across resolutions (a 2-processor
         ring resolved before a 7-processor one, or a ring growing on
         rejoin) must rescale upward rather than keep the stale smaller
         timeout and falsely suspect correct-but-slow processors.
-        Explicitly configured timeouts are never touched.
         """
         per_visit = self.token_hold_cost + self.token_idle_delay + 200e-6
         per_step = per_visit
@@ -178,15 +165,8 @@ class MulticastConfig:
                 signing /= min(self.signature_batch_visits, self.pipeline_depth)
             per_visit += signing
         n = max(num_processors, 2)
-        if self._derived_rotation:
-            derived = 8 * (per_visit * n)
-            if self.token_rotation_timeout is None or derived > self.token_rotation_timeout:
-                self.token_rotation_timeout = derived
-        if self._derived_membership:
-            derived = 12 * (per_step * n)
-            if (
-                self.membership_round_timeout is None
-                or derived > self.membership_round_timeout
-            ):
-                self.membership_round_timeout = derived
+        self.token_rotation_timeout = max(
+            self.token_rotation_timeout or 0.0, 8 * (per_visit * n))
+        self.membership_round_timeout = max(
+            self.membership_round_timeout or 0.0, 12 * (per_step * n))
         return self

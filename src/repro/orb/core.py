@@ -33,21 +33,12 @@ _TIMEOUT_STATUS = 0xFFFF
 class OrbCostModel:
     """Simulated CPU costs of ORB operations (167 MHz-era defaults)."""
 
-    def __init__(
-        self,
-        marshal_base=40e-6,
-        marshal_per_byte=25e-9,
-        dispatch_base=120e-6,
-        servant_default=10e-6,
-    ):
+    def __init__(self, marshal_base=40e-6, marshal_per_byte=25e-9, dispatch_base=120e-6):
         #: building or parsing one GIOP frame
         self.marshal_base = marshal_base
         self.marshal_per_byte = marshal_per_byte
         #: adapter lookup + skeleton dispatch per incoming request
         self.dispatch_base = dispatch_base
-        #: default servant execution time when the servant does not
-        #: charge its own (workloads override per operation)
-        self.servant_default = servant_default
 
     def marshal_cost(self, num_bytes):
         return self.marshal_base + self.marshal_per_byte * num_bytes

@@ -19,21 +19,16 @@ from repro.sim.scheduler import SimulationError
 class NetworkParams:
     """Physical parameters of the simulated LAN."""
 
-    def __init__(
-        self,
-        bandwidth_bps=100_000_000,
-        propagation_delay=20e-6,
-        jitter=5e-6,
-        header_bytes=42,
-    ):
+    #: per-frame overhead (Ethernet + IP + UDP headers)
+    header_bytes = 42
+
+    def __init__(self, bandwidth_bps=100_000_000, propagation_delay=20e-6, jitter=5e-6):
         #: shared-medium bandwidth (defaults to the paper's 100 Mbps)
         self.bandwidth_bps = bandwidth_bps
         #: fixed propagation + interrupt/dispatch latency per hop
         self.propagation_delay = propagation_delay
         #: uniform extra delay in ``[0, jitter)`` applied per receiver
         self.jitter = jitter
-        #: per-frame overhead (Ethernet + IP + UDP headers)
-        self.header_bytes = header_bytes
 
     def transmit_time(self, payload_bytes):
         """Seconds the medium is occupied by a frame of ``payload_bytes``."""

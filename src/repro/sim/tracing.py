@@ -35,9 +35,6 @@ its ``stats`` dict), to the flight recorders of
 :mod:`repro.obs.trace`.
 """
 
-from collections import deque
-
-
 class TraceRecord:
     """One timestamped event in the global history."""
 
@@ -63,27 +60,15 @@ class TraceRecord:
 
 
 class TraceLog:
-    """Append-only log of simulation events, indexed by kind.
+    """Append-only log of simulation events, indexed by kind."""
 
-    ``max_records`` caps the log as a ring buffer: once the cap is
-    reached, recording a new event evicts the globally oldest retained
-    record (from both the main log and its kind index), so long bench
-    runs with the noisy ``net.*`` kinds enabled stay bounded.  All
-    queries (``of_kind``, ``where``, ``count``...) then describe the
-    retained window; :attr:`evicted` counts what fell out of it.
-    """
-
-    def __init__(self, scheduler, enabled_kinds=None, max_records=None):
+    def __init__(self, scheduler, enabled_kinds=None):
         self._scheduler = scheduler
-        self.records = deque()
+        self.records = []
         self._by_kind = {}
         #: if set, only these kinds are recorded (benches disable the
         #: noisy ``net.*`` kinds to keep long runs cheap)
         self.enabled_kinds = enabled_kinds
-        #: if set, retain only the most recent ``max_records`` records
-        self.max_records = max_records
-        #: records evicted by the ring-buffer cap
-        self.evicted = 0
         #: False when the kind filter rejects everything (benches pass
         #: an empty set): hot paths check this one attribute before
         #: building the record's keyword fields at the call site.
@@ -94,24 +79,15 @@ class TraceLog:
             return None
         rec = TraceRecord(self._scheduler.now, kind, fields)
         self.records.append(rec)
-        self._by_kind.setdefault(kind, deque()).append(rec)
-        if self.max_records is not None and len(self.records) > self.max_records:
-            # Records are appended in time order, so the global oldest
-            # is also the oldest of its kind: both evictions are O(1).
-            oldest = self.records.popleft()
-            kind_queue = self._by_kind[oldest.kind]
-            kind_queue.popleft()
-            if not kind_queue:
-                del self._by_kind[oldest.kind]
-            self.evicted += 1
+        self._by_kind.setdefault(kind, []).append(rec)
         return rec
 
     def of_kind(self, kind):
-        """All retained records of ``kind``, in time order."""
+        """All records of ``kind``, in time order."""
         return list(self._by_kind.get(kind, ()))
 
     def of_kinds(self, *kinds):
-        """Retained records of any of ``kinds``, merged in global order."""
+        """Records of any of ``kinds``, merged in global order."""
         wanted = set(kinds)
         return [rec for rec in self.records if rec.kind in wanted]
 

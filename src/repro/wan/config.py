@@ -2,8 +2,8 @@
 
 A federation is a *ring of rings*: every site runs its own multi-ring
 cluster (a :class:`~repro.cluster.config.ClusterConfig` per site), and
-the sites are joined by directed WAN links with their own latency,
-bandwidth, and correlated-loss parameters.  The knobs here size both
+the sites are joined by directed WAN links with their own latency and
+correlated-loss parameters.  The knobs here size both
 levels and are validated up front with named-range errors — a bad site
 list or a hole in an asymmetric latency matrix fails at construction,
 not deep inside simulation setup.
@@ -38,19 +38,17 @@ _checked = partial(_checked_int, error=WanConfigError)
 class SiteSpec:
     """The local shape of one site: its name and its cluster layout."""
 
-    __slots__ = ("name", "num_rings", "procs_per_ring", "gateway_degree")
+    __slots__ = ("name", "num_rings")
 
-    def __init__(self, name, num_rings=1, procs_per_ring=10, gateway_degree=3):
+    #: processors per ring, and cluster gateways per ring, at every site
+    procs_per_ring = 10
+    gateway_degree = 3
+
+    def __init__(self, name, num_rings=1):
         if not isinstance(name, str) or not name:
             raise WanConfigError("site name must be a non-empty string, got %r" % (name,))
         self.name = name
         self.num_rings = _checked("num_rings[%s]" % name, num_rings, 1, 4096)
-        self.procs_per_ring = _checked(
-            "procs_per_ring[%s]" % name, procs_per_ring, 1, 4096
-        )
-        self.gateway_degree = _checked(
-            "gateway_degree[%s]" % name, gateway_degree, 0, 4096
-        )
 
     def __repr__(self):
         return "SiteSpec(%r, %d rings x %d procs)" % (
@@ -64,28 +62,26 @@ class WanConfig:
     """Layout and survivability knobs of one multi-site federation.
 
     ``sites`` is a list of :class:`SiteSpec` (or bare site names, which
-    take the default cluster shape).  ``latency``/``bandwidth_bps``/
-    ``loss_prob``/``loss_burst`` are either one scalar for every
-    directed link or a complete ``{(src, dst): value}`` matrix —
-    asymmetric routes are first-class, and a missing directed entry or
-    a negative value is rejected here by name.
+    take the default cluster shape).  ``latency``/``loss_prob``/
+    ``loss_burst`` are either one scalar for every directed link or a
+    complete ``{(src, dst): value}`` matrix — asymmetric routes are
+    first-class, and a missing directed entry or a negative value is
+    rejected here by name.  Every link has
+    :class:`~repro.sim.network.WanTopology`'s bandwidth and header size.
     """
+
+    #: replicas of a group placed without ``on_procs`` or ``degree``
+    replication_degree = ClusterConfig.replication_degree
 
     def __init__(
         self,
         sites=("alpha", "beta"),
         case=SurvivabilityCase.MAJORITY_VOTING,
-        replication_degree=3,
         seed=0,
-        digest="md4",
-        modulus_bits=300,
-        messages_per_token_visit=6,
         wan_gateway_degree=3,
         latency=0.030,
-        bandwidth_bps=10_000_000,
         loss_prob=0.0,
         loss_burst=0.0,
-        header_bytes=58,
     ):
         self.sites = tuple(
             spec if isinstance(spec, SiteSpec) else SiteSpec(spec) for spec in sites
@@ -100,17 +96,11 @@ class WanConfig:
                 raise WanConfigError("duplicate site name %r" % name)
         _checked("wan_gateway_degree", wan_gateway_degree, 1, 4096)
         self.case = case
-        self.replication_degree = replication_degree
         self.seed = seed
-        self.digest = digest
-        self.modulus_bits = modulus_bits
-        self.messages_per_token_visit = messages_per_token_visit
         self.wan_gateway_degree = wan_gateway_degree
         self.latency = latency
-        self.bandwidth_bps = bandwidth_bps
         self.loss_prob = loss_prob
         self.loss_burst = loss_burst
-        self.header_bytes = header_bytes
         # Probe the link matrices and per-site cluster layouts now:
         # WanTopology rejects missing directed entries and negative
         # values by name, ClusterConfig enforces the per-site gateway
@@ -151,11 +141,7 @@ class WanConfig:
             procs_per_ring=spec.procs_per_ring,
             gateway_degree=spec.gateway_degree,
             case=self.case,
-            replication_degree=self.replication_degree,
             seed=self.seed,
-            digest=self.digest,
-            modulus_bits=self.modulus_bits,
-            messages_per_token_visit=self.messages_per_token_visit,
             pid_base=self.pid_base(index),
             wan_gateway_degree=self.wan_gateway_degree,
             site=spec.name,
@@ -166,10 +152,8 @@ class WanConfig:
         return WanTopology(
             self.site_names(),
             latency=self.latency,
-            bandwidth_bps=self.bandwidth_bps,
             loss_prob=self.loss_prob,
             loss_burst=self.loss_burst,
-            header_bytes=self.header_bytes,
             fault_plan=fault_plan,
         )
 

@@ -39,14 +39,7 @@ class WanManager(Federation):
     _level, _links_gauge = "wan", "wan.links"
     _error = WanConfigError
 
-    def __init__(
-        self,
-        config=None,
-        obs=None,
-        net_params=None,
-        fault_plan=None,
-        trace_kinds=frozenset(),
-    ):
+    def __init__(self, config=None, obs=None, fault_plan=None):
         """``fault_plan`` supplies the WAN-level partition windows (and
         any scheduled crashes the caller arms); intra-site LAN fault
         plans belong to the sites' own workload drivers."""
@@ -62,8 +55,6 @@ class WanManager(Federation):
             self.sites[spec.name] = site = ClusterManager(
                 self.config.cluster_config(index),
                 obs=obs,
-                net_params=net_params,
-                trace_kinds=trace_kinds,
                 scheduler=self.scheduler,
                 keystore=self.keystore,
                 streams=self.streams.spawn("site:%s" % spec.name),

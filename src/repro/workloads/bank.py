@@ -123,12 +123,46 @@ class BankServant:
         return servant
 
 
-class MultiBranchBank:
+class Branches:
+    """Branch groups of ``accounts_per_branch`` accounts, each seeded at
+    ``initial_balance``: what the cluster, WAN and ramp banks share."""
+
+    accounts_per_branch = 2
+    initial_balance = 100
+
+    def seeded(self, servant_class):
+        """A servant factory: every replica seeds the same accounts, ids
+        1..k at the initial balance (deterministic, so replicas
+        coincide)."""
+
+        def factory(pid):
+            servant = servant_class()
+            for k in range(self.accounts_per_branch):
+                servant.open_account("acct%d" % k, self.initial_balance)
+            return servant
+
+        return factory
+
+    def expected_total(self):
+        return (
+            len(self.branch_names) * self.accounts_per_branch * self.initial_balance
+        )
+
+    def replicas_agree(self):
+        """Every branch's replicas hold identical state."""
+        for name, handle in self.branches.items():
+            states = {servant.get_state() for servant in handle.servants.values()}
+            if len(states) > 1:
+                return False
+        return True
+
+
+class MultiBranchBank(Branches):
     """The bank at cluster scale: branches sharded across token rings.
 
     Each branch is its own replicated object group, placed on a ring by
     the cluster's deterministic placement engine (or pinned with
-    ``branch_rings``), while one replicated teller client group drives
+    ``branch_homes``), while one replicated teller client group drives
     them all.  A transfer between branches on different rings is a
     *cross-ring* flow: the withdraw travels to the source branch's ring
     through the gateway, and the deposit — issued by each teller replica
@@ -137,46 +171,42 @@ class MultiBranchBank:
     conservation invariant (total assets across all branches constant)
     then checks gateway exactly-once end-to-end: a duplicated deposit or
     a lost withdraw would break it.
+
+    ``federation`` is a cluster or a WAN: a home (``branch_homes``
+    values, ``teller_home``) is a ring index or a site name, whichever
+    the federation's hop scopes by.
     """
 
-    def __init__(
-        self,
-        cluster,
-        branches=3,
-        accounts_per_branch=2,
-        initial_balance=100,
-        branch_rings=None,
-        teller_ring=None,
-    ):
-        self.cluster = cluster
+    def __init__(self, federation, branches=3, branch_homes=None, teller_home=None):
+        #: the scheduling helpers only use its ``scheduler``
+        self.cluster = federation
         if isinstance(branches, int):
             branches = ["branch%d" % i for i in range(branches)]
         self.branch_names = list(branches)
-        self.accounts_per_branch = accounts_per_branch
-        self.initial_balance = initial_balance
-        branch_rings = branch_rings or {}
-
-        def factory(pid):
-            # Every replica seeds the same accounts: ids 1..k at the
-            # initial balance (deterministic, so replicas coincide).
-            servant = BankServant()
-            for k in range(accounts_per_branch):
-                servant.open_account("acct%d" % k, initial_balance)
-            return servant
-
+        self._scope = federation.hop.scope
+        branch_homes = branch_homes or {}
+        factory = self.seeded(BankServant)
         self.branches = {}
         for name in self.branch_names:
-            self.branches[name] = cluster.deploy(
-                "bank.%s" % name, BANK_IDL, factory, ring=branch_rings.get(name)
+            self.branches[name] = federation.deploy(
+                "bank.%s" % name, BANK_IDL, factory,
+                **{self._scope: branch_homes.get(name)}
             )
-        self.teller = cluster.deploy_client("bank.teller", ring=teller_ring)
-        self._stubs = {
-            name: cluster.client_stubs(self.teller, BANK_IDL, handle)
-            for name, handle in self.branches.items()
-        }
+        self.teller, self._stubs = self.add_teller("bank.teller", teller_home)
         #: operation outcomes: [(op label, reply value)] per teller reply
         self.replies = []
         self.failed = []
+
+    def add_teller(self, group_name, home):
+        """Deploy another replicated teller; returns (handle, stubs)
+        where ``stubs`` plugs into the scheduling helpers' ``stubs``
+        argument."""
+        handle = self.cluster.deploy_client(group_name, **{self._scope: home})
+        stubs = {
+            name: self.cluster.client_stubs(handle, BANK_IDL, branch)
+            for name, branch in self.branches.items()
+        }
+        return handle, stubs
 
     # ------------------------------------------------------------------
     # scheduled operations (all replicas driven identically)
@@ -262,11 +292,6 @@ class MultiBranchBank:
     # invariants
     # ------------------------------------------------------------------
 
-    def expected_total(self):
-        return (
-            len(self.branch_names) * self.accounts_per_branch * self.initial_balance
-        )
-
     def branch_totals(self):
         """branch -> {pid: total_assets} straight from the servants."""
         return {
@@ -276,14 +301,6 @@ class MultiBranchBank:
             }
             for name, handle in self.branches.items()
         }
-
-    def replicas_agree(self):
-        """Every branch's replicas hold identical state."""
-        for name, handle in self.branches.items():
-            states = {servant.get_state() for servant in handle.servants.values()}
-            if len(states) > 1:
-                return False
-        return True
 
     def conserved(self):
         """Total assets across branches equal the seeded total, at every
@@ -310,52 +327,3 @@ class GeoBank(MultiBranchBank):
     be compromised) come from :meth:`add_teller`; their operations ride
     the inherited scheduling helpers via the ``stubs`` argument.
     """
-
-    def __init__(
-        self,
-        wan,
-        branches=3,
-        accounts_per_branch=2,
-        initial_balance=100,
-        branch_sites=None,
-        teller_site=None,
-    ):
-        #: the federation facade; the inherited scheduling helpers only
-        #: use its ``scheduler``, so a WanManager drops straight in
-        self.cluster = wan
-        if isinstance(branches, int):
-            branches = ["branch%d" % i for i in range(branches)]
-        self.branch_names = list(branches)
-        self.accounts_per_branch = accounts_per_branch
-        self.initial_balance = initial_balance
-        branch_sites = branch_sites or {}
-
-        def factory(pid):
-            servant = BankServant()
-            for k in range(accounts_per_branch):
-                servant.open_account("acct%d" % k, initial_balance)
-            return servant
-
-        self.branches = {}
-        for name in self.branch_names:
-            self.branches[name] = wan.deploy(
-                "bank.%s" % name, BANK_IDL, factory, site=branch_sites.get(name)
-            )
-        self.teller = wan.deploy_client("bank.teller", site=teller_site)
-        self._stubs = {
-            name: wan.client_stubs(self.teller, BANK_IDL, handle)
-            for name, handle in self.branches.items()
-        }
-        self.replies = []
-        self.failed = []
-
-    def add_teller(self, group_name, site):
-        """Deploy another replicated teller; returns (handle, stubs)
-        where ``stubs`` plugs into the scheduling helpers' ``stubs``
-        argument."""
-        handle = self.cluster.deploy_client(group_name, site=site)
-        stubs = {
-            name: self.cluster.client_stubs(handle, BANK_IDL, branch)
-            for name, branch in self.branches.items()
-        }
-        return handle, stubs

@@ -28,7 +28,7 @@ duplicated invocation anywhere in a migration window:
 """
 
 from repro.orb.cdr import CdrDecoder, CdrEncoder
-from repro.workloads.bank import BANK_IDL, BankServant
+from repro.workloads.bank import BANK_IDL, BankServant, Branches
 
 #: audit ledger entry kinds, encoded as octets in the checkpoint
 _LEDGER_KINDS = {"w": 0, "d": 1, "t": 2}
@@ -96,45 +96,28 @@ class AuditedBankServant(BankServant):
         return servant
 
 
-class RampBank:
+class RampBank(Branches):
     """Staggered open-loop transfer streams over an elastic cluster.
 
-    ``streams`` teller groups start ``stream_stagger`` apart; stream
-    ``s`` fires one cross-branch transfer every ``period`` from its
-    start until :meth:`schedule`'s horizon.  Transfers chain the
-    deposit on each teller replica's own voted withdraw reply (the
-    :class:`~repro.workloads.bank.MultiBranchBank` idiom), so keep
-    ``period`` comfortably above one full transfer round trip.
+    ``streams`` teller groups start ``stream_stagger`` apart from
+    ``start``; stream ``s`` fires one cross-branch transfer every
+    ``period`` from its start until :meth:`schedule`'s horizon.
+    Transfers chain the deposit on each teller replica's own voted
+    withdraw reply (the :class:`~repro.workloads.bank.MultiBranchBank`
+    idiom), so keep ``period`` comfortably above one full transfer
+    round trip.
     """
 
-    def __init__(
-        self,
-        cluster,
-        branches=4,
-        accounts_per_branch=2,
-        initial_balance=1_000_000,
-        streams=4,
-        period=0.25,
-        stream_stagger=0.5,
-        start=0.3,
-    ):
+    branch_names = ("branch0", "branch1", "branch2", "branch3")
+    initial_balance = 1_000_000
+    stream_stagger = 0.5
+    start = 0.3
+
+    def __init__(self, cluster, streams=4, period=0.25):
         self.cluster = cluster
-        if isinstance(branches, int):
-            branches = ["branch%d" % i for i in range(branches)]
-        self.branch_names = list(branches)
-        self.accounts_per_branch = accounts_per_branch
-        self.initial_balance = initial_balance
         self.num_streams = streams
         self.period = period
-        self.stream_stagger = stream_stagger
-        self.start = start
-
-        def factory(pid):
-            servant = AuditedBankServant()
-            for k in range(accounts_per_branch):
-                servant.open_account("acct%d" % k, initial_balance)
-            return servant
-
+        factory = self.seeded(AuditedBankServant)
         self.branches = {}
         for name in self.branch_names:
             self.branches[name] = cluster.deploy(
@@ -225,11 +208,6 @@ class RampBank:
     # invariants
     # ------------------------------------------------------------------
 
-    def expected_total(self):
-        return (
-            len(self.branch_names) * self.accounts_per_branch * self.initial_balance
-        )
-
     def _reference_servants(self):
         """One servant per branch: the lowest-pid live replica's."""
         out = {}
@@ -277,14 +255,6 @@ class RampBank:
             "unique": unique,
             "matched": matched,
         }
-
-    def replicas_agree(self):
-        """Every branch's replicas hold identical state and ledger."""
-        for name, handle in self.branches.items():
-            states = {servant.get_state() for servant in handle.servants.values()}
-            if len(states) > 1:
-                return False
-        return True
 
     def settled(self):
         """The quiescent end-of-run verdict: the audit holds with

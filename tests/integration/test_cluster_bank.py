@@ -10,10 +10,8 @@ def build_bank(case=SurvivabilityCase.MAJORITY_VOTING, corrupt_gateway=False, se
     bank = MultiBranchBank(
         cluster,
         branches=2,
-        accounts_per_branch=2,
-        initial_balance=100,
-        branch_rings={"branch0": 0, "branch1": 1},
-        teller_ring=0,
+        branch_homes={"branch0": 0, "branch1": 1},
+        teller_home=0,
     )
     if corrupt_gateway:
         cluster.corrupt_gateway(0, 1, index=0)

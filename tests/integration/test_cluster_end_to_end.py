@@ -8,6 +8,7 @@ from repro.core.replica import ValueFaultServant
 from repro.obs import Observability
 from repro.obs.forensics import ForensicsHub, merge_timeline
 from repro.orb.idl import InterfaceDef, OperationDef, ParamDef
+from repro.sim.faults import FaultPlan
 
 COUNTER_IDL = InterfaceDef(
     "Counter",
@@ -197,3 +198,20 @@ def test_value_faulty_replica_is_convicted_wherever_the_client_lives(client_ring
         assert set(cluster.config.gateway_pids(ring)) <= set(
             cluster.surviving_members(ring)
         )
+
+
+def test_a_ring_fault_plan_crashes_a_processor_of_that_ring_only():
+    config = ClusterConfig(num_rings=2, seed=5)
+    victim = config.worker_pids(1)[0]
+    cluster = ClusterManager(
+        config, fault_plans={1: FaultPlan().schedule_crash(victim, 0.5)}
+    )
+    cluster.start()
+    ring0 = cluster.rings[0].endpoints.values()
+    installed = [(endpoint.ring_id, endpoint.members) for endpoint in ring0]
+    cluster.run(until=3.0)
+    assert cluster.processors[victim].crashed
+    assert set(cluster.surviving_members(1)) == set(config.ring_pids(1)) - {victim}
+    # ring 0 never reconfigured: same ring id and members everywhere
+    assert [(endpoint.ring_id, endpoint.members) for endpoint in ring0] == installed
+    assert set(cluster.surviving_members(0)) == set(config.ring_pids(0))

@@ -40,7 +40,6 @@ def build_cluster(max_rings=2, seed=7):
         initial_rings=1,
         max_rings=max_rings,
         procs_per_ring=6,
-        replication_degree=3,
         gateway_degree=3,
         seed=seed,
     )
@@ -186,8 +185,7 @@ def test_migration_of_a_servant_without_get_state_is_refused_before_any_hold():
 def test_cutover_without_a_live_donor_fails_the_job_and_frees_the_cluster():
     obs = Observability(forensics=ForensicsHub())
     config = ElasticConfig(
-        initial_rings=1, max_rings=2, procs_per_ring=7, replication_degree=3,
-        gateway_degree=3, seed=7,
+        initial_rings=1, max_rings=2, procs_per_ring=7, gateway_degree=3, seed=7,
     )
     cluster = ElasticCluster(config=config, obs=obs)
     workers = cluster.config.worker_pids(0)
@@ -320,20 +318,12 @@ def test_membership_shrink_keeps_derived_timeouts():
 
 def test_autoscaler_splits_and_merges_with_conservation_at_every_epoch():
     cluster, obs = build_cluster()
-    ramp = RampBank(
-        cluster, branches=4, streams=3, period=0.3, stream_stagger=0.5, start=0.3
-    )
+    ramp = RampBank(cluster, streams=3, period=0.3)
     sampler = SeriesSampler(
         obs.registry, period=0.1, families={"rm.delivered_to_orb"}
     )
     sampler.start(cluster.scheduler)
-    policy = AutoscalerPolicy(
-        decision_period=0.25,
-        window=0.25,
-        split_threshold=60.0,
-        merge_threshold=5.0,
-        cooldown=1.0,
-    )
+    policy = AutoscalerPolicy(split_threshold=60.0, merge_threshold=5.0, cooldown=1.0)
     cluster.enable_autoscaler(sampler, policy)
 
     audits = []

@@ -183,8 +183,8 @@ def test_whole_site_compromise_fails_safe():
     bank = GeoBank(
         wan,
         branches=["north", "south", "east"],
-        branch_sites={"north": "alpha", "south": "beta", "east": "gamma"},
-        teller_site="alpha",
+        branch_homes={"north": "alpha", "south": "beta", "east": "gamma"},
+        teller_home="alpha",
     )
     rogue, rogue_stubs = bank.add_teller("bank.rogue", "gamma")
 

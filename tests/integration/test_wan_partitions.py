@@ -129,8 +129,8 @@ def test_partitioned_and_byzantine_site_conserves_money():
     bank = GeoBank(
         wan,
         branches=["north", "south", "east"],
-        branch_sites={"north": "alpha", "south": "beta", "east": "gamma"},
-        teller_site="alpha",
+        branch_homes={"north": "alpha", "south": "beta", "east": "gamma"},
+        teller_home="alpha",
     )
     rogue, rogue_stubs = bank.add_teller("bank.rogue", "gamma")
 

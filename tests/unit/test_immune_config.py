@@ -87,35 +87,9 @@ def test_config_passes_j_and_modulus_through():
 
 
 def test_config_digest_selection():
-    from repro.crypto.md4 import md4_digest
-    from repro.crypto.md5 import md5_digest
-
-    assert ImmuneConfig().digest_fn() is md4_digest
-    assert ImmuneConfig(digest="md5").digest_fn() is md5_digest
-    with pytest.raises(ConfigError):
-        ImmuneConfig(digest="sha1")
-
-
-def test_md5_deployment_end_to_end():
+    """Every deployment digests with MD4, as in the paper."""
     from repro.core.immune import ImmuneSystem
-    from repro.orb.idl import InterfaceDef, OperationDef, ParamDef
+    from repro.crypto.md4 import md4_digest
 
-    idl = InterfaceDef("Ping", [OperationDef("ping", [ParamDef("n", "long")], oneway=True)])
-
-    class PingServant:
-        def __init__(self):
-            self.pings = []
-
-        def ping(self, n):
-            self.pings.append(n)
-
-    config = ImmuneConfig(case=SurvivabilityCase.FULL_SURVIVABILITY, digest="md5", seed=4)
-    immune = ImmuneSystem(num_processors=6, config=config)
-    server = immune.deploy("ping", idl, lambda pid: PingServant(), [0, 1, 2])
-    client = immune.deploy_client("pinger", [3, 4, 5])
-    immune.start()
-    for _, stub in immune.client_stubs(client, idl, server):
-        stub.ping(7)
-    immune.run(until=2.0)
-    for servant in server.servants.values():
-        assert servant.pings == [7]
+    immune = ImmuneSystem(num_processors=4, config=ImmuneConfig())
+    assert immune.keystore._raw_digest_fn is md4_digest

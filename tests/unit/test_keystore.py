@@ -60,14 +60,6 @@ def test_digest_cost_grows_with_size():
 
 def test_sign_cost_scales_cubically():
     model = CryptoCostModel(modulus_bits=300)
-    doubled = model.with_modulus(600)
+    doubled = CryptoCostModel(modulus_bits=600)
     assert doubled.sign_cost() == pytest.approx(8 * model.sign_cost())
     assert doubled.verify_cost() == pytest.approx(4 * model.verify_cost())
-
-
-def test_with_modulus_preserves_other_parameters():
-    model = CryptoCostModel(digest_base=1e-6, sign_base=2e-3)
-    other = model.with_modulus(512)
-    assert other.digest_base == 1e-6
-    assert other.sign_base == 2e-3
-    assert other.modulus_bits == 512

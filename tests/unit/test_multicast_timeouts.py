@@ -81,25 +81,6 @@ def test_reresolving_for_a_smaller_ring_keeps_the_larger_timeout():
     assert config.membership_round_timeout == big_membership
 
 
-def test_explicit_timeouts_are_never_overwritten():
-    config = MulticastConfig(
-        token_rotation_timeout=1.0, membership_round_timeout=2.0
-    )
-    config.resolve_timeouts(COSTS, 2)
-    config.resolve_timeouts(COSTS, 7)
-    assert config.token_rotation_timeout == 1.0
-    assert config.membership_round_timeout == 2.0
-
-
-def test_partially_explicit_config_derives_only_the_missing_timeout():
-    config = MulticastConfig(token_rotation_timeout=1.0)
-    config.resolve_timeouts(COSTS, 7)
-    assert config.token_rotation_timeout == 1.0
-    assert config.membership_round_timeout is not None
-    config.resolve_timeouts(COSTS, 12)
-    assert config.token_rotation_timeout == 1.0
-
-
 # ----------------------------------------------------------------------
 # timeouts follow the ring's mode
 # ----------------------------------------------------------------------
@@ -181,7 +162,7 @@ def test_a_cadence_longer_than_the_pipeline_amortises_over_the_pipeline(visits, 
         assert config.token_rotation_timeout == PARENT_DERIVED["SIGNATURES", 7][0]
 
 
-def test_growth_only_and_explicit_wins_hold_for_a_batch_config():
+def test_growth_only_holds_for_a_batch_config():
     config = resolved(2, batch_signatures=True)
     small = (config.token_rotation_timeout, config.membership_round_timeout)
     config.resolve_timeouts(COSTS, 8)
@@ -189,11 +170,3 @@ def test_growth_only_and_explicit_wins_hold_for_a_batch_config():
     assert big[0] > small[0] and big[1] > small[1]
     config.resolve_timeouts(COSTS, 2)
     assert (config.token_rotation_timeout, config.membership_round_timeout) == big
-
-    explicit = MulticastConfig(
-        batch_signatures=True, token_rotation_timeout=1.0, membership_round_timeout=2.0
-    )
-    explicit.resolve_timeouts(COSTS, 2)
-    explicit.resolve_timeouts(COSTS, 8)
-    assert explicit.token_rotation_timeout == 1.0
-    assert explicit.membership_round_timeout == 2.0

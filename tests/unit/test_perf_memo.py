@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import repro.core.immune  # noqa: F401  (importing the stack registers every memo)
 from repro import perf
-from repro.crypto import md4, md5
+from repro.crypto import md4
 from repro.perf import BytesKeyedCache
 
 BOUND = perf.MEMO_BOUND
@@ -135,5 +135,5 @@ def test_the_digest_functions_hold_no_memo_of_their_own():
     assert "crypto.digest" in perf.cache_stats()
     assert "md4.digest" not in perf.cache_stats()
     assert all(type(cache) is BytesKeyedCache for cache in perf._CACHES)
-    for fn in (md4.md4_digest, md4._digest, md4._python_digest, md5.md5_digest):
+    for fn in (md4.md4_digest, md4._digest, md4._python_digest):
         assert not hasattr(fn, "cache_info"), fn

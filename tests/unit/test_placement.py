@@ -70,24 +70,18 @@ def test_ring_config_is_fresh_per_ring():
 
 
 def test_rendezvous_score_is_stable_across_processes():
-    # SHA-256 based: a fixed literal value pins cross-platform and
-    # cross-run stability (hash() randomisation must not leak in).
-    assert rendezvous_score("ledger", "ring:0", 0) == rendezvous_score(
-        "ledger", "ring:0", 0
-    )
-    assert rendezvous_score("ledger", "ring:0", 0) != rendezvous_score(
-        "ledger", "ring:1", 0
-    )
-    assert rendezvous_score("ledger", "ring:0", 0) != rendezvous_score(
-        "ledger", "ring:0", 1
-    )
+    # SHA-256 of "ledger|ring:0|0": a fixed literal value pins
+    # cross-platform and cross-run stability (hash() randomisation must
+    # not leak in), and the hashed token's "|0" suffix with it.
+    assert rendezvous_score("ledger", "ring:0") == 589150983848570041
+    assert rendezvous_score("ledger", "ring:1") == 14767507122915209139
 
 
 def test_rendezvous_ranking_orders_by_descending_score():
     buckets = list(range(8))
-    ranking = rendezvous_ranking("svc", buckets, salt=3)
+    ranking = rendezvous_ranking("svc", buckets)
     assert sorted(ranking) == buckets
-    scores = [rendezvous_score("svc", b, 3) for b in ranking]
+    scores = [rendezvous_score("svc", b) for b in ranking]
     assert scores == sorted(scores, reverse=True)
 
 
@@ -223,7 +217,7 @@ def test_add_ring_opens_a_load_bucket_without_clobbering():
 
 
 def test_propose_layout_is_pure_rendezvous_and_stable():
-    # The proposal must depend only on (group, rings, salt): engines
+    # The proposal must depend only on (group, rings): engines
     # with different modes and load histories agree, and repeating the
     # call cannot oscillate.
     a = make_engine(mode="balanced", num_rings=2)

@@ -44,40 +44,3 @@ def test_enabled_kinds_filters_noise():
     assert trace.count("net.send") == 0
     assert trace.count("important") == 1
     assert trace.kinds() == ["important"]
-
-
-def test_max_records_evicts_oldest_first():
-    sched = Scheduler()
-    trace = TraceLog(sched, max_records=3)
-    for n in range(5):
-        trace.record("tick", n=n)
-    assert trace.evicted == 2
-    assert [r.n for r in trace.records] == [2, 3, 4]
-    assert [r.n for r in trace.of_kind("tick")] == [2, 3, 4]
-
-
-def test_ring_buffer_keeps_of_kind_and_where_consistent():
-    sched = Scheduler()
-    trace = TraceLog(sched, max_records=4)
-    for n in range(6):
-        trace.record("a" if n % 2 == 0 else "b", n=n, proc=n % 3)
-    # Retained window is n in {2, 3, 4, 5}.
-    assert [r.n for r in trace.of_kind("a")] == [2, 4]
-    assert [r.n for r in trace.of_kind("b")] == [3, 5]
-    assert trace.count("a") == 2
-    assert [r.n for r in trace.where("b", proc=0)] == [3]
-    # A kind whose every record was evicted disappears entirely.
-    trace2 = TraceLog(sched, max_records=1)
-    trace2.record("gone", n=0)
-    trace2.record("kept", n=1)
-    assert trace2.of_kind("gone") == []
-    assert "gone" not in trace2.kinds()
-
-
-def test_unbounded_trace_never_evicts():
-    sched = Scheduler()
-    trace = TraceLog(sched)
-    for n in range(100):
-        trace.record("tick", n=n)
-    assert trace.evicted == 0
-    assert len(trace.records) == 100

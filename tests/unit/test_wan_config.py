@@ -135,3 +135,45 @@ def test_site_isolation_partitions_from_every_peer():
     assert topology.partitioned("gamma", "alpha", 5.0)
     assert topology.partitioned("beta", "gamma", 5.0)
     assert not topology.partitioned("alpha", "beta", 5.0)
+
+
+class ScriptedRng:
+    """Hands out the scripted draws in order and counts them."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+        self.taken = 0
+
+    def random(self):
+        self.taken += 1
+        return self.draws.pop(0)
+
+
+def test_correlated_loss_drops_a_burst_on_one_directed_link():
+    topology = WanConfig(loss_prob=0.5, loss_burst=0.1).topology()
+    link = topology.params("alpha", "beta")
+    assert (link.loss_prob, link.loss_burst) == (0.5, 0.1)
+    rng = ScriptedRng(0.2, 0.9, 0.9)
+    # a drawn loss opens the burst window on alpha -> beta
+    assert topology.should_drop("alpha", "beta", 1.0, rng)
+    assert rng.taken == 1
+    # inside the window every send on that link drops without a draw
+    assert topology.should_drop("alpha", "beta", 1.05, rng)
+    assert topology.should_drop("alpha", "beta", 1.099, rng)
+    assert rng.taken == 1
+    # the reverse link is untouched: it draws for itself, and survives
+    assert not topology.should_drop("beta", "alpha", 1.05, rng)
+    assert rng.taken == 2
+    # once the window closes, draws resume
+    assert not topology.should_drop("alpha", "beta", 1.1, rng)
+    assert rng.taken == 3
+
+
+def test_a_loss_free_wan_never_consumes_a_draw():
+    # what keeps loss-free runs byte-identical: the loss stream is untouched
+    topology = WanConfig().topology()
+    rng = ScriptedRng()
+    for now in (0.0, 1.0, 2.0):
+        assert not topology.should_drop("alpha", "beta", now, rng)
+        assert not topology.should_drop("beta", "alpha", now, rng)
+    assert rng.taken == 0
