@@ -36,27 +36,33 @@ def memo_reuse_distances(monkeypatch):
 
     Wraps :class:`repro.perf.BytesKeyedCache` ``get`` / ``put`` and
     empties every memo.  A put of a key its table does not hold is an
-    *insertion*; every hit appends, under the table's name, the number
-    of insertions into that table since the key's.  Returns that dict,
-    filled as the rest of the test runs.  An entry survives
-    ``perf.MEMO_BOUND // 2`` later insertions, so a hit whose distance
-    is below that would hit under the bound too.
+    *insertion*; every hit appends, under the table's name, a pair: the
+    number of insertions into that table since the key's, and the key
+    bytes (:func:`repro.perf.charge`) of the key's insertion and every
+    later one.  Returns that dict, filled as the rest of the test runs.
+    An entry survives later insertions that, with it, are charged at
+    most half the budget (``perf.MEMO_BOUND × perf.ENTRY_BYTES``), so a
+    hit whose byte distance is below that would hit under the bound too.
     """
-    distances, inserted, born = {}, {}, {}
+    distances, inserted, charged, born = {}, {}, {}, {}
     real_get, real_put = perf.BytesKeyedCache.get, perf.BytesKeyedCache.put
 
     def get(self, key, default=None):
         value = real_get(self, key, default)
         if value is not default:
+            count, total = born[self.name][key]
             distances.setdefault(self.name, []).append(
-                inserted[self.name] - born[self.name][key]
+                (inserted[self.name] - count, charged[self.name] - total)
             )
         return value
 
     def put(self, key, value):
         if key not in self._table:
-            count = inserted[self.name] = inserted.get(self.name, 0) + 1
-            born.setdefault(self.name, {})[key] = count
+            name = self.name
+            count = inserted[name] = inserted.get(name, 0) + 1
+            total = charged.get(name, 0)
+            born.setdefault(name, {})[key] = (count, total)
+            charged[name] = total + perf.charge(key)
         return real_put(self, key, value)
 
     monkeypatch.setattr(perf.BytesKeyedCache, "get", get)
