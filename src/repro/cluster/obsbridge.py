@@ -150,8 +150,8 @@ class RingScopedTrace:
     def copy_sent(self, ctx, sender, seq):
         self.collector.copy_sent(ctx, sender, seq, shard=self.shard)
 
-    def token_covered(self, seq, token_info):
-        self.collector.token_covered(seq, token_info, shard=self.shard)
+    def token_covered(self, seq, token_info, certifying):
+        self.collector.token_covered(seq, token_info, certifying, shard=self.shard)
 
     def certified(self, cert_info):
         self.collector.certified(cert_info, shard=self.shard)

@@ -1060,7 +1060,7 @@ class DeliveryProtocol:
         if self._tracer is not None and digest_list:
             summary = token.trace_summary()
             for seq, _ in digest_list:
-                self._tracer.token_covered(seq, summary)
+                self._tracer.token_covered(seq, summary, self._batch)
         self._prune_token_history(token.visit)
         self.stats["token_visits"] += 1
         # Originating is this processor's turn in the rotation: the

@@ -33,9 +33,10 @@ JSON report.  Every event derives from simulated state only, so the
 report is byte-identical across repeated runs.
 """
 
+import heapq
 import itertools
 import json
-from collections import deque
+from array import array
 
 from repro.obs.export import fmt_seconds
 
@@ -145,23 +146,78 @@ class ForensicEvent:
         )
 
 
+class _Ring:
+    """One retention buffer of a :class:`FlightRecorder`: a ring of
+    columns that grows to the recorder's capacity and then overwrites
+    its oldest slot, at :attr:`head`.
+
+    A row is its recording index (``array('q')``), its token sequence
+    (``array('Q')``: a wire ``ulonglong``), its sim-time
+    (``array('d')``), the recorder's interned ``(ring, shard, etype,
+    keys)`` tuple, and its fields: the caller's dict, or the values tuple
+    of a :meth:`FlightRecorder.record` row, whose names are the ``keys``
+    of the interned tuple.
+    """
+
+    __slots__ = ("capacity", "index", "seq", "time", "where", "fields", "head")
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.index = array("q")
+        self.seq = array("Q")
+        self.time = array("d")
+        self.where = []
+        self.fields = []
+        self.head = 0
+
+    def __len__(self):
+        return len(self.where)
+
+    def put(self, index, time, seq, where, fields):
+        """Store one row; the sim-time of the row it evicted, else None."""
+        if len(self.where) < self.capacity:
+            self.index.append(index)
+            self.time.append(time)
+            self.seq.append(seq)
+            self.where.append(where)
+            self.fields.append(fields)
+            return None
+        head = self.head
+        evicted = self.time[head]
+        self.index[head] = index
+        self.time[head] = time
+        self.seq[head] = seq
+        self.where[head] = where
+        self.fields[head] = fields
+        self.head = head + 1 if head + 1 < self.capacity else 0
+        return evicted
+
+    def rows(self):
+        """``(index, time, seq, where, fields)`` per row, oldest first."""
+        head = self.head
+        columns = (self.index, self.time, self.seq, self.where, self.fields)
+        return zip(*(column[head:] + column[:head] for column in columns))
+
+
 class FlightRecorder:
     """Bounded buffers of one processor's forensic rows.
 
-    What is stored is one tuple per record, ``(index, time, ring, seq,
-    shard, etype, fields)``; a :class:`ForensicEvent` exists only once a
-    reader asks for :attr:`events`.  ``fields`` is kept, not copied: a
-    caller that hands in a dict through :meth:`record_fields` (the
-    shared summary of a sealed frame, say) must not change it afterwards.
+    What is stored is a row of columns per record (see :class:`_Ring`);
+    a :class:`ForensicEvent` exists only once a reader asks for
+    :attr:`events`.  :meth:`record` owns its keyword dict, so it keeps
+    only the values, as a tuple, and rebuilds the dict on read.
+    :meth:`record_fields` keeps the caller's dict, not a copy: a caller
+    that hands one in (the shared summary of a sealed frame, say) must
+    not change it afterwards.
 
-    Rows live in two buffers of ``capacity`` each, so that per-visit
+    Rows live in two rings of ``capacity`` each, so that per-visit
     chatter (:data:`ROUTINE_KINDS`) cannot evict the verdicts the
     scorecard is computed from.  Once a
-    buffer is full, recording into it evicts its oldest row and bumps
+    ring is full, recording into it overwrites its oldest row and bumps
     :attr:`dropped`, and the sim-times of the earliest and latest
     evicted rows are remembered — truncation is never silent.
-    ``index`` counts this recorder's records and restores the recording
-    order across the two buffers on read.
+    The recording index counts this recorder's records and restores the
+    recording order across the two rings on read.
 
     The recorder also carries the *ring context*: the protocol layers
     update :attr:`ring` and :attr:`seq` as views are installed and
@@ -177,6 +233,7 @@ class FlightRecorder:
         "_routine",
         "_notable",
         "_recorded",
+        "_where",
         "dropped",
         "first_dropped_time",
         "last_dropped_time",
@@ -189,9 +246,11 @@ class FlightRecorder:
     def __init__(self, proc_id, hub, capacity=DEFAULT_CAPACITY):
         self.proc_id = proc_id
         self.capacity = capacity
-        self._routine = deque()
-        self._notable = deque()
+        self._routine = _Ring(capacity)
+        self._notable = _Ring(capacity)
         self._recorded = 0
+        #: the one copy of each (ring, shard, etype, keys) a row names
+        self._where = {}
         self.dropped = 0
         self.first_dropped_time = None
         self.last_dropped_time = None
@@ -210,17 +269,19 @@ class FlightRecorder:
             self.seq = seq
 
     def record(self, etype, **fields):
-        self.record_fields(etype, fields)
+        self._put(etype, tuple(fields), tuple(fields.values()))
 
     def record_fields(self, etype, fields):
         """Record ``fields`` as they are: the dict is kept, not copied."""
+        self._put(etype, None, fields)
+
+    def _put(self, etype, keys, fields):
+        where = (self.ring, self.shard, etype, keys)
+        where = self._where.setdefault(where, where)
         rows = self._routine if etype in ROUTINE_KINDS else self._notable
         self._recorded = index = self._recorded + 1
-        rows.append(
-            (index, self._hub._scheduler.now, self.ring, self.seq, self.shard, etype, fields)
-        )
-        if len(rows) > self.capacity:
-            evicted = rows.popleft()[1]
+        evicted = rows.put(index, self._hub._scheduler.now, self.seq, where, fields)
+        if evicted is not None:
             self.dropped += 1
             if self.first_dropped_time is None or evicted < self.first_dropped_time:
                 self.first_dropped_time = evicted
@@ -235,9 +296,17 @@ class FlightRecorder:
         """The retained rows as events, in recording order; built per read."""
         proc = self.proc_id
         return [
-            ForensicEvent(time, proc, ring, seq, etype, fields, shard)
-            for _, time, ring, seq, shard, etype, fields in sorted(
-                [*self._routine, *self._notable]
+            ForensicEvent(
+                time,
+                proc,
+                where[0],
+                seq,
+                where[2],
+                fields if where[3] is None else dict(zip(where[3], fields)),
+                where[1],
+            )
+            for _, time, seq, where, fields in heapq.merge(
+                self._routine.rows(), self._notable.rows()
             )
         ]
 

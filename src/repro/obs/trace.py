@@ -27,7 +27,7 @@ Context propagation rules
   embed its pid), and every encoding resolves to the same logical
   context, so all copies land on one trace.
 * From the sequence number on, propagation is positional: the
-  collector keeps global ``(shard, seq) -> trace`` bindings, so token
+  collector binds each shard's ``seq`` to a trace, so token
   coverage, retransmission servicing (which happens at whichever
   processor holds the token, not the originator), delivery commits,
   and fragment reassembly attach to the right trace without carrying
@@ -166,14 +166,15 @@ class _TraceDag:
 
 
 def _attributes(kind, value):
-    """A node's attribute dict, from what its DAG stores for it: the seq
-    list of a copy, ``[token summary, *seqs]`` for a token, a bare count
-    for the :data:`_COUNTED` kinds, the dict itself for a certificate or
-    gateway forward, and None for a node without attributes."""
+    """A node's attribute dict, from what its DAG stores for it: a
+    copy's seq (a list once a fragment adds a second), ``[token summary,
+    *seqs]`` for a token, a bare count for the :data:`_COUNTED` kinds,
+    the dict itself for a certificate or gateway forward, and None for a
+    node without attributes."""
     if value is None:
         return {}
     if kind == "copy":
-        return {"seqs": list(value)}
+        return {"seqs": [value] if type(value) is int else list(value)}
     if kind == "token":
         return {**value[0], "seqs": value[1:]}
     if kind in _COUNTED:
@@ -207,7 +208,7 @@ class TraceCollector:
         self._shared_keys = {}
         #: payload bytes -> (key, phase, parent node key), until queued
         self._payloads = {}
-        #: (shard, seq) -> (trace, phase, origin sender, copy node id)
+        #: shard -> {seq: (trace, phase, copy node id)}
         self._seq_bindings = {}
         #: shard -> {token visit: [(trace, token node id), ...] covered by
         #: it}, until the first certificate that vouches the visit
@@ -295,28 +296,41 @@ class TraceCollector:
         key, phase, parent = ctx
         trace = self._traces[key]
         copy_id = trace.node(("copy", phase, shard, sender), self._scheduler.now, parent)
-        trace.attrs[copy_id] = (trace.attrs[copy_id] or []) + [seq]
-        self._seq_bindings[(shard, seq)] = (trace, phase, sender, copy_id)
+        seqs = trace.attrs[copy_id]
+        if seqs is None:
+            trace.attrs[copy_id] = seq
+        elif type(seqs) is int:
+            trace.attrs[copy_id] = [seqs, seq]
+        else:
+            seqs.append(seq)
+        self._seq_bindings.setdefault(shard, {})[seq] = (trace, phase, copy_id)
 
-    def token_covered(self, seq, token_info, shard=0):
+    def _binding(self, shard, seq):
+        bindings = self._seq_bindings.get(shard)
+        return None if bindings is None else bindings.get(seq)
+
+    def token_covered(self, seq, token_info, certifying, shard=0):
         """A token origination vouched ``seq`` in its digest list.
 
         ``token_info`` is kept by reference, shared by every trace the
-        token covers: it must not change afterwards.
+        token covers: it must not change afterwards.  On a ``certifying``
+        ring (batch signatures) the visit stays bound until
+        :meth:`certified` draws it; elsewhere no certificate ever will.
         """
-        binding = self._seq_bindings.get((shard, seq))
+        binding = self._binding(shard, seq)
         if binding is None:
             return
-        trace, phase, _origin, copy_id = binding
+        trace, phase, copy_id = binding
         visit = token_info["visit"]
         node_key = ("token", phase, shard, visit)
         token_id = trace.ids.get(node_key)
         if token_id is None:
             token_id = trace.node(node_key, self._scheduler.now)
             trace.attrs[token_id] = [token_info, seq]
-            self._visit_bindings.setdefault(shard, {}).setdefault(visit, []).append(
-                (trace, token_id)
-            )
+            if certifying:
+                self._visit_bindings.setdefault(shard, {}).setdefault(visit, []).append(
+                    (trace, token_id)
+                )
         else:
             trace.attrs[token_id].append(seq)
         trace.link(copy_id, token_id)
@@ -349,21 +363,21 @@ class TraceCollector:
         ``sender`` is the servicing token holder, which need not be the
         originator — any processor that saw the message can resend it.
         """
-        binding = self._seq_bindings.get((shard, seq))
+        binding = self._binding(shard, seq)
         if binding is None:
             return
-        trace, phase, _origin, copy_id = binding
+        trace, phase, copy_id = binding
         node_id = trace.node(("retransmit", phase, shard, sender), self._scheduler.now)
         trace.link(copy_id, node_id)
         trace.attrs[node_id] = (trace.attrs[node_id] or 0) + 1
 
     def delivered(self, seq, sender, covering_visit, shard=0):
         """A processor committed ``seq`` in total order."""
-        binding = self._seq_bindings.get((shard, seq))
+        binding = self._binding(shard, seq)
         if binding is None:
             return
         # Hangs off the covering token where this trace saw it, else the copy.
-        trace, phase, _origin, parent_id = binding
+        trace, phase, parent_id = binding
         if covering_visit is not None:
             parent_id = trace.ids.get(("token", phase, shard, covering_visit), parent_id)
         node_id = trace.node(("delivered", phase, shard, sender), self._scheduler.now)
@@ -372,7 +386,7 @@ class TraceCollector:
 
     def reassembled(self, seq, sender, shard=0):
         """The last fragment of a split payload completed reassembly."""
-        binding = self._seq_bindings.get((shard, seq))
+        binding = self._binding(shard, seq)
         if binding is None:
             return
         trace, phase = binding[:2]

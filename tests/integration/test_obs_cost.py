@@ -1,9 +1,11 @@
 """What full observability stores and builds: exact counts, no timing.
 
 The two sinks a protocol layer writes to on the token path keep *rows*,
-not object graphs.  A flight recorder appends one tuple per record and
-builds a :class:`ForensicEvent` only for a reader; the field dict of a
-sealed token or certificate is built once, by whoever logs the frame
+not object graphs.  A flight recorder keeps each record as a row of
+columns (index, time and seq in arrays, an interned context tuple, and
+the fields) and builds a :class:`ForensicEvent` only for a reader; a
+keyword record's fields are one tuple of values, and the field dict of
+a sealed token or certificate is built once, by whoever logs the frame
 first, and shared by every recorder (and trace node) that logs the same
 object; a trace DAG is node ids under keys shared by every trace, a
 time list, a list of the bare values each node's attributes are built
@@ -26,7 +28,7 @@ from repro.core.config import ImmuneConfig, SurvivabilityCase
 from repro.core.immune import ImmuneSystem
 from repro.multicast.token import Token, TokenCertificate
 from repro.obs import Observability, TraceCollector
-from repro.obs.forensics import ForensicEvent, ForensicsHub, merge_timeline
+from repro.obs.forensics import ForensicEvent, ForensicsHub, FlightRecorder, merge_timeline
 from repro.workloads.open_loop import ECHO_IDL, EchoServant
 
 PROCESSORS = 6
@@ -142,14 +144,34 @@ def _reachable(roots, beyond):
     return count
 
 
-def test_what_stays_alive_is_a_constant_per_row_node_and_edge():
+def test_what_stays_alive_is_a_constant_per_row_node_and_edge(monkeypatch):
+    keyword_rows, summaries = [0], set()
+    record, record_fields = FlightRecorder.record, FlightRecorder.record_fields
+
+    def counted_record(self, etype, **fields):
+        keyword_rows[0] += 1
+        record(self, etype, **fields)
+
+    def counted_record_fields(self, etype, fields):
+        summaries.add(id(fields))
+        record_fields(self, etype, fields)
+
+    monkeypatch.setattr(FlightRecorder, "record", counted_record)
+    monkeypatch.setattr(FlightRecorder, "record_fields", counted_record_fields)
     drill = Drill().run()
     beyond = [drill.immune.scheduler, drill.obs.registry, drill.hub]
-    rows = drill.rows()
-    held_by_recorders = _reachable(drill.hub.recorders(), beyond)
-    # One tuple per row and at most one field dict, most of them shared
-    # (an event object and a dict of its own per row would be 2.0).
-    assert held_by_recorders <= 1.5 * rows
+    recorders = drill.hub.recorders()
+    assert sum(recorder.dropped for recorder in recorders) == 0
+    assert drill.rows() > 10 * keyword_rows[0]
+    held_by_recorders = _reachable(recorders, beyond)
+    # A keyword record keeps one tuple of values; a frame's summary dict
+    # is held once however many rows share it; the rest is per recorder:
+    # itself, its two rings and their column lists, and its interned
+    # (ring, shard, etype, keys) tuples.  Index, time and seq are array
+    # columns, no object at all.  (A tuple per row, a dict per keyword
+    # record and the shared summaries held 17 062 containers here, 1.2 a
+    # row; this is 3 338, 0.24 a row.)
+    assert held_by_recorders <= keyword_rows[0] + len(summaries) + 32 * len(recorders)
 
     records = drill.collector.assemble()
     kinds = Counter(node["node"][0] for record in records for node in record["nodes"])
@@ -170,14 +192,14 @@ def test_what_stays_alive_is_a_constant_per_row_node_and_edge():
     }
     assert len(shared_keys) < 40
     # Per trace: the DAG, its key, its four tables and the two votes'
-    # tallies.  Per node, only the kinds with a seq list hold a container
-    # of their own, the list: a copy's seqs, a token's summary and seqs.
+    # tallies.  Per node, only a token holds a container of its own, the
+    # list of its summary and seqs: a copy's one seq is a bare int.
     # A token and a certificate node also name a visit or a certificate
     # by a key and a summary dict, which the traces it covers share.
     # Counts are bare ints and the edges one byte string a trace.  (A key
     # per node, attribute dicts and an int per edge held 1 658 containers
-    # here, 2.2 a node; this is 827.)
-    seq_lists = kinds["copy"] + kinds["token"]
+    # here, 2.2 a node; a seq list per copy 827; this is 707.)
+    seq_lists = kinds["token"]
     named = 2 * (kinds["token"] + kinds["cert"])
     shared = 1 + len(shared_keys)
     assert held_by_traces <= 8 * len(records) + seq_lists + named + shared

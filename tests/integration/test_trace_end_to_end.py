@@ -117,3 +117,12 @@ def test_cluster_shows_byzantine_fork_and_voted_merge(cluster):
         assert tree.count("gw_forward req") == 3
         assert "corrupt" in tree
 
+
+
+def test_a_ring_without_certificates_keeps_no_visit_binding(figure7):
+    """Only a certificate releases a token visit's binding, so a ring
+    whose tokens are signed per visit must not bind one: the collector
+    once kept six per traced invocation here, for the whole run."""
+    collector, *_ = figure7
+    assert collector.traces()
+    assert not any(collector._visit_bindings.values())

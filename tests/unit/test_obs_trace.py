@@ -47,7 +47,7 @@ def closed_trace(c, clock, key=("driver", 1)):
     assert ctx == (key, "req", ("stage", "multicast_queued"))
     c.copy_sent(ctx, sender=3, seq=7)
     clock.tick()
-    c.token_covered(7, {"holder": 0, "visit": 2, "token_seq": 7})
+    c.token_covered(7, {"holder": 0, "visit": 2, "token_seq": 7}, True)
     c.certified({"signer": 0, "first_visit": 1, "last_visit": 2, "count": 2})
     c.delivered(7, sender=3, covering_visit=2)
     for stage in REQ_STAGES[2:]:
@@ -150,7 +150,7 @@ def test_certificate_draws_each_token_edge_once():
     ctx = c.context_for(b"p")
     for visit, seq in ((1, 5), (2, 6), (4, 7)):
         c.copy_sent(ctx, sender=3, seq=seq)
-        c.token_covered(seq, {"holder": 0, "visit": visit, "token_seq": seq})
+        c.token_covered(seq, {"holder": 0, "visit": visit, "token_seq": seq}, True)
     cert = {"signer": 2, "first_visit": 1, "last_visit": 4, "count": 4}
     clock.tick()
     c.certified(cert)  # visit 3 was bound to nothing
