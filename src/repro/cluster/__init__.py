@@ -16,9 +16,11 @@ and shards object groups across them:
 * :mod:`repro.cluster.manager` — the :class:`ClusterManager` facade:
   per-ring :class:`~repro.core.immune.ImmuneSystem` instances on one
   shared scheduler behind a single bind/invoke API, on the
-  :class:`Federation` base it shares with :class:`repro.wan.WanManager`;
-* :mod:`repro.cluster.obsbridge` — ring-scoped metric/forensics views
-  over one shared observability bundle.
+  :class:`Federation` base it shares with :class:`repro.wan.WanManager`.
+
+Each ring's stack is handed ``obs.scoped(ring, site, shard)`` of the
+one shared :class:`~repro.obs.Observability` bundle: ring-labelled
+metrics, and a hub and collector that stamp the ring's shard.
 
 ``python -m repro.bench cluster`` measures the aggregate throughput
 scaling from one ring to several; ``docs/CLUSTER.md`` documents the
@@ -28,11 +30,6 @@ placement rules, the gateway protocol, and the failure semantics.
 from repro.cluster.config import ClusterConfig, ClusterConfigError
 from repro.cluster.gateway import GatewayReplica, VotedLink
 from repro.cluster.manager import ClusterManager, Directory, Federation
-from repro.cluster.obsbridge import (
-    RingObservability,
-    RingScopedForensics,
-    RingScopedRegistry,
-)
 from repro.cluster.placement import (
     Placement,
     PlacementEngine,
@@ -49,9 +46,6 @@ __all__ = [
     "GatewayReplica",
     "Placement",
     "PlacementEngine",
-    "RingObservability",
-    "RingScopedForensics",
-    "RingScopedRegistry",
     "VotedLink",
     "rendezvous_ranking",
     "rendezvous_score",

@@ -132,12 +132,11 @@ class _Forwarder:
         # The source ring's scoped view: the vote this forwarder merges
         # happens on the source ring's total order.
         self._obs = obs = src.immune.obs
-        self._spans = self._forensics = self._tracer = None
+        self._spans = self._tracer = None
+        self._forensics = obs.recorder(src_pid) if obs is not None else None
         if obs is not None:
             self._spans = obs.spans
             self._tracer = obs.trace
-            if obs.forensics is not None:
-                self._forensics = obs.forensics.recorder(src_pid)
             families = {
                 "forwarded": hop.family + ".forwarded",
                 "suppressed": hop.family + ".duplicates_suppressed",
@@ -257,7 +256,6 @@ class _Forwarder:
         if self._spans is not None:
             self._spans.mark(trace_key, stage)
         if self._tracer is not None:
-            self._tracer.mark_stage(trace_key, stage)
             # The fork: each gateway replica hangs its own gw_forward
             # node off the source ring's vote_decided node, and its
             # re-originated bytes register so the destination ring's

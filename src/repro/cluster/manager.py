@@ -30,7 +30,6 @@ base class.
 
 from repro.cluster.config import ClusterConfig, ClusterConfigError
 from repro.cluster.gateway import Hop, LinkEnd, VotedLink
-from repro.cluster.obsbridge import RingObservability
 from repro.cluster.placement import PlacementEngine
 from repro.core.immune import ImmuneSystem
 from repro.obs.forensics import fault_id_for
@@ -120,6 +119,7 @@ class Federation:
         self.links = {}
         self._started = False
         if obs is not None:
+            obs.bind(self.scheduler)
             obs.registry.add_collector(self._collect_metrics)
 
     # ------------------------------------------------------------------
@@ -339,8 +339,8 @@ class ClusterManager(Federation):
         scheduler/keystore, gateway links to every existing ring."""
         ring_obs = None
         if self.obs is not None:
-            ring_obs = RingObservability(
-                self.obs, ring_index, site=self.site, shard=self.ring_base + ring_index
+            ring_obs = self.obs.scoped(
+                ring_index, site=self.site, shard=self.ring_base + ring_index
             )
         immune = ImmuneSystem(
             self.config.procs_per_ring,

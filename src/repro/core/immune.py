@@ -85,6 +85,9 @@ class ImmuneSystem:
         self.scheduler = scheduler if scheduler is not None else Scheduler()
         self.streams = streams if streams is not None else RngStreams(self.config.seed)
         self.trace = TraceLog(self.scheduler, enabled_kinds=trace_kinds)
+        #: what the layers record into: None when no kind is enabled, so
+        #: a switched-off log costs each record site one None check
+        self._layer_trace = self.trace if trace_kinds is None or trace_kinds else None
         self.fault_plan = fault_plan
         self.obs = obs
         if obs is not None:
@@ -95,7 +98,6 @@ class ImmuneSystem:
             params=NetworkParams(),
             rng=self.streams.stream("net"),
             fault_plan=fault_plan,
-            trace=None,
             obs=obs,
         )
         self.processors = {}
@@ -162,7 +164,7 @@ class ImmuneSystem:
             self.keystore,
             self.config.crypto_costs,
             self.config.multicast,
-            self.trace,
+            self._layer_trace,
             obs=self.obs,
         )
         manager = ReplicationManager(
@@ -170,7 +172,6 @@ class ImmuneSystem:
             self.scheduler,
             endpoint,
             self.config,
-            self.trace,
             obs=self.obs,
         )
         orb.set_transport(ImmuneInterceptor(manager))

@@ -57,16 +57,14 @@ class ReplicationError(Exception):
 class ReplicationManager:
     """The per-processor Replication Manager."""
 
-    def __init__(self, processor, scheduler, endpoint, config, trace=None, obs=None):
+    def __init__(self, processor, scheduler, endpoint, config, obs=None):
         self.processor = processor
         self.scheduler = scheduler
         self.endpoint = endpoint
         self.config = config
-        self._trace = trace
         self._obs = obs
         self._spans = obs.spans if obs is not None else None
-        # the causal TraceCollector; distinct from self._trace, which is
-        # the property checkers' TraceLog
+        # the causal TraceCollector, for the payload registrations
         self._tracer = obs.trace if obs is not None else None
         self.my_id = processor.proc_id
         self.groups = ObjectGroupTable()
@@ -224,11 +222,11 @@ class ReplicationManager:
         ):
             # Marked at release: the intercepted->migration_held delta
             # prices the hold and is attributed to the migration cause.
-            self._mark_stage(key, "migration_held")
+            self._mark(key, "migration_held")
             if response_expected:
                 self._pending_targets[key] = target_group
             self.endpoint.multicast(target_group, encoded)
-            self._mark_stage(key, "multicast_queued")
+            self._mark(key, "multicast_queued")
 
     def pending_to(self, group_name):
         """Two-way invocations in flight toward ``group_name`` from here."""
@@ -254,17 +252,11 @@ class ReplicationManager:
     def dup_filter_for(self, group_name):
         return self._dup_filters.get(group_name)
 
-    def _mark_stage(self, key, stage):
-        """Mark a Figure-7 stage on the span and the causal trace.
-
-        The two always mark together, at the same simulation instant,
-        which is what makes the trace's per-cause sums provably equal
-        the critpath decomposition.
-        """
+    def _mark(self, key, stage):
+        """Mark a Figure-7 stage on the span (which marks the causal
+        trace at the same instant)."""
         if self._spans is not None:
             self._spans.mark(key, stage)
-        if self._tracer is not None:
-            self._tracer.mark_stage(key, stage)
 
     # ------------------------------------------------------------------
     # outbound: intercepted IIOP
@@ -314,20 +306,9 @@ class ReplicationManager:
             self._spans.begin(
                 (source_group, op_num), oneway=not message.response_expected
             )
-        self._mark_stage((source_group, op_num), "intercepted")
-        if self._trace is not None and self._trace.active:
-            self._trace.record(
-                "rm.invoke",
-                proc=self.my_id,
-                source=source_group,
-                target=reference.group_name,
-                op_num=op_num,
-            )
+        self._mark((source_group, op_num), "intercepted")
         encoded = wrapped.encode()
         if self._tracer is not None:
-            self._tracer.begin(
-                (source_group, op_num), oneway=not message.response_expected
-            )
             # Each client replica registers its own encoding (the bytes
             # embed its pid); the delivery layer resolves the copy back
             # to this context when it assigns a ring sequence number.
@@ -348,14 +329,14 @@ class ReplicationManager:
         if message.response_expected:
             self._pending_targets[(source_group, op_num)] = reference.group_name
         self.endpoint.multicast(reference.group_name, encoded)
-        self._mark_stage((source_group, op_num), "multicast_queued")
+        self._mark((source_group, op_num), "multicast_queued")
 
     def _response_sink(self, client_group, op_num, server_group):
         def send_response(reply_frame):
             if self.processor.crashed:
                 return
             self.processor.charge(INTERCEPTION_COST, "rm.intercept")
-            self._mark_stage((client_group, op_num), "executed")
+            self._mark((client_group, op_num), "executed")
             wrapped = ImmuneMessage(
                 KIND_RESPONSE,
                 server_group,
@@ -406,9 +387,9 @@ class ReplicationManager:
         if dest_group not in self._local_groups:
             return  # filtered: no replica of the target group here
         if message.kind == KIND_INVOCATION:
-            self._mark_stage((message.source_group, message.op_num), "ordered")
+            self._mark((message.source_group, message.op_num), "ordered")
         else:
-            self._mark_stage(
+            self._mark(
                 (message.target_group, message.op_num), "reply_ordered"
             )
         if message.kind == KIND_RESPONSE and message.source_group in self._passive_sources:
@@ -435,7 +416,7 @@ class ReplicationManager:
             return
         if isinstance(outcome, VoteDecision):
             if message.kind == KIND_INVOCATION:
-                self._mark_stage((message.source_group, message.op_num), "voted")
+                self._mark((message.source_group, message.op_num), "voted")
             if outcome.faulty_senders:
                 self.publish_value_fault(message, outcome.vote_set)
             self._deliver_operation(message, outcome.body)
@@ -450,7 +431,7 @@ class ReplicationManager:
             self.stats["duplicates_suppressed"] += 1
             return
         if message.kind == KIND_INVOCATION:
-            self._mark_stage((message.source_group, message.op_num), "voted")
+            self._mark((message.source_group, message.op_num), "voted")
         self._deliver_operation(message, message.body)
 
     def _deliver_operation(self, message, body):
@@ -459,7 +440,7 @@ class ReplicationManager:
         self.processor.charge(INTERCEPTION_COST, "rm.deliver")
         self.stats["delivered_to_orb"] += 1
         if message.kind == KIND_INVOCATION:
-            self._mark_stage((message.source_group, message.op_num), "dispatched")
+            self._mark((message.source_group, message.op_num), "dispatched")
             reply_sink = self._response_sink(
                 message.source_group, message.op_num, message.target_group
             )
@@ -480,7 +461,7 @@ class ReplicationManager:
         if not isinstance(reply, ReplyMessage):
             return
         restored = ReplyMessage(original_id, reply.reply_status, reply.body).encode()
-        self._mark_stage((message.target_group, message.op_num), "reply_voted")
+        self._mark((message.target_group, message.op_num), "reply_voted")
         self._orb.deliver_frame(restored, None)
 
     # ------------------------------------------------------------------

@@ -82,10 +82,8 @@ class ValueFaultDetector:
     def __init__(self, group_table, suspect_cb, my_id=None, obs=None):
         self._groups = group_table
         self._suspect_cb = suspect_cb
-        if obs is not None and my_id is not None and obs.forensics is not None:
-            self._forensics = obs.forensics.recorder(my_id)
-        else:
-            self._forensics = None
+        known = obs is not None and my_id is not None
+        self._forensics = obs.recorder(my_id) if known else None
         self._processed = set()
         self.stats = {"votes": 0, "suspected": 0, "duplicates": 0}
 

@@ -72,15 +72,13 @@ class Voter:
         self._hearings = Hearings()
         self._retire_listeners = []
         self.stats = {"copies": 0, "decisions": 0, "late_duplicates": 0, "faults_seen": 0}
-        # the forensic recorder and the causal TraceCollector (or its
-        # ring-scoped view)
+        # the forensic recorder and the causal TraceCollector
         self._forensics = self._tracer = None
         if obs is not None:
             labels = {"group": target_group}
             if proc_id is not None:
                 labels["proc"] = proc_id
-                if obs.forensics is not None:
-                    self._forensics = obs.forensics.recorder(proc_id)
+                self._forensics = obs.recorder(proc_id)
             obs.registry.derive_counters(
                 self.stats,
                 {

@@ -208,19 +208,14 @@ class DeliveryProtocol:
             "fragments_sent": 0,
         }
         # Forensic flight recorder (repro.obs.forensics) and the causal
-        # TraceCollector (or its ring-scoped view; distinct from
-        # self._trace, the property checkers' TraceLog): resolved once
-        # here so every hot-path site pays a single None check.
-        self._forensics = self._tracer = None
+        # TraceCollector (distinct from self._trace, the property
+        # checkers' TraceLog): resolved once here so every hot-path site
+        # pays a single None check.
+        self._forensics = obs.recorder(self.my_id) if obs is not None else None
+        self._tracer = obs.trace if obs is not None else None
         if obs is not None:
-            registry = obs.registry
-            pid = self.my_id
-            registry.derive_counters(
-                self.stats, {key: "multicast." + key for key in self.stats}, proc=pid
-            )
-            if obs.forensics is not None:
-                self._forensics = obs.forensics.recorder(pid)
-            self._tracer = obs.trace
+            families = {key: "multicast." + key for key in self.stats}
+            obs.registry.derive_counters(self.stats, families, proc=self.my_id)
         #: mutant evidence already recorded, keyed (ring, visit, holder):
         #: evidence rebroadcasts re-present the same mutant many times
         self._forensic_mutants = set()
@@ -367,7 +362,7 @@ class DeliveryProtocol:
         reassembles and delivers the joined payload once the *last*
         fragment's sequence number is deliverable.
         """
-        if self._trace is not None and self._trace.active:
+        if self._trace is not None:
             self._trace.record(
                 "multicast.originate",
                 proc=self.my_id,
@@ -920,15 +915,6 @@ class DeliveryProtocol:
             and self.circulating
         ):
             self._schedule_origination("token.originate")
-        if self._trace is not None and self._trace.active:
-            self._trace.record(
-                "token.accept",
-                proc=self.my_id,
-                ring=token.ring_id,
-                visit=token.visit,
-                seq=token.seq,
-                aru=token.aru,
-            )
 
     def _schedule_origination(self, label):
         """Run token origination after its own CPU cost only.
@@ -1085,15 +1071,6 @@ class DeliveryProtocol:
                 # delivered) defers until there is work to vouch; the
                 # overdue counter then certifies on the next busy visit.
                 self._issue_certificate("cadence")
-        if self._trace is not None and self._trace.active:
-            self._trace.record(
-                "token.send",
-                proc=self.my_id,
-                ring=self.ring_id,
-                visit=token.visit,
-                seq=token.seq,
-                aru=token.aru,
-            )
 
     def _send_new_messages(self):
         digest_list = []
@@ -1269,7 +1246,7 @@ class DeliveryProtocol:
                 payload = self._reassemble(message)
             else:
                 payload = message.payload
-            if self._trace is not None and self._trace.active:
+            if self._trace is not None:
                 self._trace.record(
                     "multicast.deliver",
                     proc=self.my_id,

@@ -56,10 +56,7 @@ class ByzantineFaultDetector:
         self.scheduler = scheduler
         self._trace = trace
         self._obs = obs
-        if obs is not None and obs.forensics is not None:
-            self._forensics = obs.forensics.recorder(my_id)
-        else:
-            self._forensics = None
+        self._forensics = obs.recorder(my_id) if obs is not None else None
         self._suspicions = {}
         self._listeners = []
         #: timeout-suspicion episodes per processor: "repeatedly fails"
@@ -97,7 +94,7 @@ class ByzantineFaultDetector:
                 provable=reason in PROVABLE_REASONS,
                 new=is_new_processor,
             )
-        if self._trace is not None and self._trace.active:
+        if self._trace is not None:
             self._trace.record(
                 "detector.suspect",
                 observer=self.my_id,
@@ -143,7 +140,7 @@ class ByzantineFaultDetector:
                 cleared=tuple(sorted(transient)),
                 fully=fully,
             )
-        if self._trace is not None and self._trace.active:
+        if self._trace is not None:
             self._trace.record(
                 "detector.absolve",
                 observer=self.my_id,

@@ -57,7 +57,6 @@ class SecureGroupEndpoint:
         self.scheduler = scheduler
         self.network = network
         self.config = config or MulticastConfig()
-        self._trace = trace
         self.obs = obs
         self.signing = keystore.signing_service(processor, crypto_costs, obs=obs)
         self.detector = ByzantineFaultDetector(

@@ -119,7 +119,8 @@ class MembershipEngine:
         #: when the current reconfiguration began (for duration metrics)
         self._reconfig_started_at = None
         self.stats = {"reconfigurations": 0, "installs": 0, "rounds": 0}
-        self._m_reconfig_seconds = self._forensics = None
+        self._m_reconfig_seconds = None
+        self._forensics = obs.recorder(self.my_id) if obs is not None else None
         if obs is not None:
             pid = self.my_id
             obs.registry.derive_counters(
@@ -128,8 +129,6 @@ class MembershipEngine:
             self._m_reconfig_seconds = obs.registry.histogram(
                 "membership.reconfig_seconds", proc=pid
             )
-            if obs.forensics is not None:
-                self._forensics = obs.forensics.recorder(pid)
 
         detector.on_change(self._on_suspicion)
         delivery.coverage_listener = self.notify_coverage
@@ -194,7 +193,7 @@ class MembershipEngine:
         if abs(self.scheduler.now - request.request_time) > self.join_request_window:
             return  # stale replay
         if not self.detector.clear_exclusion(request.proc_id):
-            if self._trace is not None and self._trace.active:
+            if self._trace is not None:
                 self._trace.record(
                     "membership.join_refused",
                     proc=self.my_id,
@@ -555,7 +554,7 @@ class MembershipEngine:
                 excluded=excluded,
                 cut=cut,
             )
-        if self._trace is not None and self._trace.active:
+        if self._trace is not None:
             self._trace.record(
                 "membership.install",
                 proc=self.my_id,

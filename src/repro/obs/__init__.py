@@ -29,7 +29,9 @@ multicast, voting, and crypto layers::
     print(render_dashboard(summarize(obs)))
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+import copy
+
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, RingScopedRegistry
 from repro.obs.series import Series, SeriesSampler, sparkline
 from repro.obs.slo import DEFAULT_SLOS, BurnRule, SLOEngine, SLOSpec
 from repro.obs.spans import SPAN_STAGES, InvocationSpan, SpanTracker
@@ -50,6 +52,31 @@ class Observability:
         #: optional :class:`~repro.obs.trace.TraceCollector`; like
         #: forensics, ``None`` means the trace hooks cost nothing.
         self.trace = trace
+        #: the span tracker is the one sink of stage marks: it forwards
+        #: each one to the collector
+        self.spans.collector = trace
+
+    def scoped(self, ring, site=None, shard=None):
+        """The bundle one ring of a multi-ring deployment is handed: this
+        one's span tracker (spans are keyed by logical invocation), its
+        registry labelled ``ring`` (and ``site``), and its hub and
+        collector scoped to ``shard`` (default ``ring``), the globally
+        unique ring index, because every ring numbers its sequences from
+        zero."""
+        shard = ring if shard is None else shard
+        view = copy.copy(self)
+        view.registry = RingScopedRegistry(self.registry, ring, site=site)
+        if self.forensics is not None:
+            view.forensics = self.forensics.scoped(shard)
+        if self.trace is not None:
+            view.trace = self.trace.scoped(shard)
+        return view
+
+    def recorder(self, proc_id):
+        """``proc_id``'s flight recorder, or None without a hub."""
+        if self.forensics is None:
+            return None
+        return self.forensics.recorder(proc_id)
 
     def bind(self, scheduler):
         """Attach the simulation's scheduler as the time source."""
@@ -70,6 +97,7 @@ __all__ = [
     "InvocationSpan",
     "MetricsRegistry",
     "Observability",
+    "RingScopedRegistry",
     "SLOEngine",
     "SLOSpec",
     "SPAN_STAGES",

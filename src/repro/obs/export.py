@@ -26,8 +26,8 @@ def read_jsonl(path):
     """Every record of a JSONL artefact, in file order.
 
     Raises :class:`JsonlInputError` with a human-readable message when
-    the file is missing, empty or has a line that is not JSON — the CLIs
-    turn that into a nonzero exit instead of a traceback.
+    the file is missing, empty or has a line that is not a JSON object —
+    the CLIs turn that into a nonzero exit instead of a traceback.
     """
     try:
         with open(path) as fh:
@@ -39,11 +39,16 @@ def read_jsonl(path):
     records = []
     for index, line in enumerate(lines, start=1):
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except ValueError:
             raise JsonlInputError(
                 "JSONL input %s: line %d is not valid JSON" % (path, index)
             )
+        if not isinstance(record, dict):
+            raise JsonlInputError(
+                "JSONL input %s: line %d is not a JSON object" % (path, index)
+            )
+        records.append(record)
     return records
 
 

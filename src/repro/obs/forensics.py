@@ -33,6 +33,7 @@ JSON report.  Every event derives from simulated state only, so the
 report is byte-identical across repeated runs.
 """
 
+import copy
 import heapq
 import itertools
 import json
@@ -383,6 +384,18 @@ class ForensicsHub:
         #: fault_id -> InjectedFault, registered by the injectors
         self._ground_truth = {}
         self._scheduler = UnboundClock
+        #: the shard a scoped hub stamps on every recorder it hands out
+        #: (None: the root stamps nothing)
+        self.shard = None
+
+    def scoped(self, shard):
+        """A hub sharing this one's recorders and ground truth that stamps
+        ``shard`` on each recorder it hands out, every time (an elastic
+        cluster re-homes processors); the recorders it creates read its
+        clock, so bind it like any hub."""
+        view = copy.copy(self)
+        view.shard = shard
+        return view
 
     def bind(self, scheduler):
         self._scheduler = scheduler
@@ -394,6 +407,8 @@ class ForensicsHub:
         if recorder is None:
             recorder = FlightRecorder(proc_id, self, capacity=self.capacity)
             self._recorders[proc_id] = recorder
+        if self.shard is not None:
+            recorder.shard = self.shard
         return recorder
 
     def recorders(self):

@@ -374,3 +374,60 @@ class MetricsRegistry:
     def stop_sampling(self):
         if self.series_sampler is not None:
             self.series_sampler.stop()
+
+
+class RingScopedRegistry:
+    """A labelling proxy over a shared :class:`MetricsRegistry`.
+
+    A multi-ring deployment's rings share one registry; each ring's
+    stack registers its metrics through one of these
+    (:meth:`repro.obs.Observability.scoped` builds it), which injects
+    ``ring=<index>`` — and ``site=<name>`` on a WAN federation — so the
+    one snapshot separates per-ring token rates, vote counts and network
+    load without any protocol layer learning about clusters.
+    Collectors registered through the view are re-invoked with the view
+    itself, so the gauges they refresh are ring-labelled too.  The view
+    is write-only: every query and the samplers live on the shared root,
+    :attr:`unscoped` — which is also where simulation-global consumers
+    attach (the scheduler attaches its metrics to the root exactly once
+    no matter how many ring views are bound to it).
+    """
+
+    def __init__(self, registry, ring_index, site=None):
+        #: the shared root registry (never another scoped view)
+        self._root = getattr(registry, "unscoped", registry)
+        self.ring = ring_index
+        #: site name stamped as ``site=<name>`` on WAN federations
+        #: (None on single-site clusters, keeping their label sets —
+        #: and therefore their exported artifacts — byte-identical)
+        self.site = site
+
+    @property
+    def unscoped(self):
+        return self._root
+
+    def _scoped(self, labels):
+        if "ring" not in labels:
+            labels["ring"] = self.ring
+        if self.site is not None and "site" not in labels:
+            labels["site"] = self.site
+        return labels
+
+    # ------------------------------------------------------------------
+    # metric creation: the API every layer of a ring's stack uses
+    # ------------------------------------------------------------------
+
+    def counter(self, name, **labels):
+        return self._root.counter(name, **self._scoped(labels))
+
+    def gauge(self, name, **labels):
+        return self._root.gauge(name, **self._scoped(labels))
+
+    def histogram(self, name, **labels):
+        return self._root.histogram(name, **self._scoped(labels))
+
+    def derive_counters(self, stats, families, **labels):
+        self._root.derive_counters(stats, families, **self._scoped(labels))
+
+    def add_collector(self, fn):
+        self._root.add_collector(lambda _root, fn=fn, view=self: fn(view))

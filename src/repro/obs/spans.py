@@ -135,12 +135,18 @@ class SpanTracker:
     When a ``registry`` is supplied, closing a span feeds the
     ``span.end_to_end_seconds`` histogram and the ``span.closed``
     counter, so the metrics snapshot and the raw spans always agree.
+
+    It is the one sink of stage marks: every :meth:`begin` and
+    :meth:`mark` is forwarded, span first, to :attr:`collector`.
     """
 
     def __init__(self, registry=None):
         self._scheduler = None
         self._registry = registry
         self._spans = {}
+        #: the :class:`~repro.obs.trace.TraceCollector` (if any), set by
+        #: the :class:`~repro.obs.Observability` bundle
+        self.collector = None
 
     def bind(self, scheduler):
         """Attach the simulation's time source (done by the facade)."""
@@ -159,6 +165,12 @@ class SpanTracker:
         the two over a time window is the invocations attempted but not
         (yet) completed — the signal that burns during a stall.
         """
+        span = self._open(key, oneway)
+        if self.collector is not None:
+            self.collector.begin(key, oneway=oneway)
+        return span
+
+    def _open(self, key, oneway):
         span = self._spans.get(key)
         if span is None:
             span = InvocationSpan(key, oneway)
@@ -169,7 +181,7 @@ class SpanTracker:
 
     def mark(self, key, stage):
         """Mark ``stage`` on the span for ``key`` (creating it if new)."""
-        span = self.begin(key)
+        span = self._open(key, False)
         span.mark(stage, self._scheduler.now)
         if span.closed and not span._recorded:
             span._recorded = True
@@ -178,6 +190,8 @@ class SpanTracker:
                     span.end_to_end()
                 )
                 self._registry.counter("span.closed").inc()
+        if self.collector is not None:
+            self.collector.mark_stage(key, stage)
         return span
 
     # ------------------------------------------------------------------

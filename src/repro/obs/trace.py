@@ -27,14 +27,16 @@ Context propagation rules
   embed its pid), and every encoding resolves to the same logical
   context, so all copies land on one trace.
 * From the sequence number on, propagation is positional: the
-  collector binds each shard's ``seq`` to a trace, so token
-  coverage, retransmission servicing (which happens at whichever
-  processor holds the token, not the originator), delivery commits,
-  and fragment reassembly attach to the right trace without carrying
-  bytes around.
-* Ring-scoped views (:class:`repro.cluster.obsbridge.RingScopedTrace`)
-  stamp the ring index into every positional call, exactly like the
-  shard-stamped flight recorders.
+  collector binds each ``seq`` to a trace, so token coverage,
+  retransmission servicing (which happens at whichever processor holds
+  the token, not the originator), delivery commits, and fragment
+  reassembly attach to the right trace without carrying bytes around.
+* Every ring numbers its sequences and visits from zero, so each ring
+  of a multi-ring deployment gets a scoped collector
+  (:meth:`TraceCollector.scoped`): it shares the root's traces and
+  registrations, binds its own sequences and visits, and stamps its
+  ``shard`` into every positional node, exactly like the shard-stamped
+  flight recorders.
 
 The masked-Byzantine gateway fork is visible structurally: the three
 gateway replicas of a link each add a ``gw_forward`` node under the
@@ -51,6 +53,7 @@ tracker's ground truth for every invocation.  Exports are
 deterministic JSONL, byte-identical across runs.
 """
 
+import copy
 import hashlib
 import json
 import struct
@@ -208,16 +211,23 @@ class TraceCollector:
         self._shared_keys = {}
         #: payload bytes -> (key, phase, parent node key), until queued
         self._payloads = {}
-        #: shard -> {seq: (trace, phase, copy node id)}
+        #: the ring index stamped into every positional node key
+        self.shard = 0
+        #: seq -> (trace, phase, copy node id), on this collector's ring
         self._seq_bindings = {}
-        #: shard -> {token visit: [(trace, token node id), ...] covered by
-        #: it}, until the first certificate that vouches the visit
+        #: token visit -> [(trace, token node id), ...] covered by it,
+        #: until the first certificate that vouches the visit
         self._visit_bindings = {}
 
-    @property
-    def collector(self):
-        """Self — lets ring-scoped views and the root share one accessor."""
-        return self
+    def scoped(self, shard):
+        """A collector for ring ``shard``: it shares this one's traces,
+        node keys and payload registrations (keyed by logical invocation,
+        like spans) but binds its own ring's sequences and visits."""
+        view = copy.copy(self)
+        view.shard = shard
+        view._seq_bindings = {}
+        view._visit_bindings = {}
+        return view
 
     def bind(self, scheduler):
         """Attach the simulation's time source (done by the facade)."""
@@ -255,8 +265,10 @@ class TraceCollector:
     def mark_stage(self, key, stage):
         """Record a Figure-7 stage node; first observation wins.
 
-        Called adjacent to every ``SpanTracker.mark`` so the trace's
-        stage times are identical to the span's by construction.
+        Called by :meth:`SpanTracker.mark <repro.obs.spans.SpanTracker.mark>`
+        and by nothing else, right after it marks the span, so the
+        trace's stage times are the span's: the same instant by
+        construction.
         """
         self._ensure(key).node(("stage", stage), self._scheduler.now)
 
@@ -279,23 +291,23 @@ class TraceCollector:
         return self._payloads.pop(payload, None)
 
     # ------------------------------------------------------------------
-    # multicast / delivery hooks (shard-positional)
+    # multicast / delivery hooks (positional, on this collector's ring)
     # ------------------------------------------------------------------
 
-    def fragmented(self, ctx, sender, total, shard=0):
+    def fragmented(self, ctx, sender, total):
         """A payload split into ``total`` fragments; returns the derived
         context the fragment copies should propagate."""
         key, phase, parent = ctx
         trace = self._traces[key]
-        node_key = ("fragment", phase, shard, sender)
+        node_key = ("fragment", phase, self.shard, sender)
         trace.attrs[trace.node(node_key, self._scheduler.now, parent)] = total
         return (key, phase, node_key)
 
-    def copy_sent(self, ctx, sender, seq, shard=0):
+    def copy_sent(self, ctx, sender, seq):
         """One replica's copy got ring sequence number ``seq``."""
         key, phase, parent = ctx
         trace = self._traces[key]
-        copy_id = trace.node(("copy", phase, shard, sender), self._scheduler.now, parent)
+        copy_id = trace.node(("copy", phase, self.shard, sender), self._scheduler.now, parent)
         seqs = trace.attrs[copy_id]
         if seqs is None:
             trace.attrs[copy_id] = seq
@@ -303,13 +315,9 @@ class TraceCollector:
             trace.attrs[copy_id] = [seqs, seq]
         else:
             seqs.append(seq)
-        self._seq_bindings.setdefault(shard, {})[seq] = (trace, phase, copy_id)
+        self._seq_bindings[seq] = (trace, phase, copy_id)
 
-    def _binding(self, shard, seq):
-        bindings = self._seq_bindings.get(shard)
-        return None if bindings is None else bindings.get(seq)
-
-    def token_covered(self, seq, token_info, certifying, shard=0):
+    def token_covered(self, seq, token_info, certifying):
         """A token origination vouched ``seq`` in its digest list.
 
         ``token_info`` is kept by reference, shared by every trace the
@@ -317,25 +325,23 @@ class TraceCollector:
         ring (batch signatures) the visit stays bound until
         :meth:`certified` draws it; elsewhere no certificate ever will.
         """
-        binding = self._binding(shard, seq)
+        binding = self._seq_bindings.get(seq)
         if binding is None:
             return
         trace, phase, copy_id = binding
         visit = token_info["visit"]
-        node_key = ("token", phase, shard, visit)
+        node_key = ("token", phase, self.shard, visit)
         token_id = trace.ids.get(node_key)
         if token_id is None:
             token_id = trace.node(node_key, self._scheduler.now)
             trace.attrs[token_id] = [token_info, seq]
             if certifying:
-                self._visit_bindings.setdefault(shard, {}).setdefault(visit, []).append(
-                    (trace, token_id)
-                )
+                self._visit_bindings.setdefault(visit, []).append((trace, token_id))
         else:
             trace.attrs[token_id].append(seq)
         trace.link(copy_id, token_id)
 
-    def certified(self, cert_info, shard=0):
+    def certified(self, cert_info):
         """A :class:`TokenCertificate` vouched a span of token visits.
 
         Only the first certificate that vouches a visit is drawn: it
@@ -344,10 +350,10 @@ class TraceCollector:
         ``cert_info`` becomes the attributes of every certificate node
         created here as it is, not copied: it must not change afterwards.
         """
-        covered = self._visit_bindings.get(shard)
+        covered = self._visit_bindings
         if not covered:
             return
-        node_key = ("cert", cert_info["signer"], shard, cert_info["first_visit"])
+        node_key = ("cert", cert_info["signer"], self.shard, cert_info["first_visit"])
         now = self._scheduler.now
         for visit in range(cert_info["first_visit"], cert_info["last_visit"] + 1):
             for trace, token_id in covered.pop(visit, ()):
@@ -357,39 +363,41 @@ class TraceCollector:
                     trace.attrs[cert_id] = cert_info
                 trace.link(token_id, cert_id)
 
-    def retransmitted(self, seq, sender, shard=0):
+    def retransmitted(self, seq, sender):
         """``seq`` was re-sent to service a retransmission request.
 
         ``sender`` is the servicing token holder, which need not be the
         originator — any processor that saw the message can resend it.
         """
-        binding = self._binding(shard, seq)
+        binding = self._seq_bindings.get(seq)
         if binding is None:
             return
         trace, phase, copy_id = binding
-        node_id = trace.node(("retransmit", phase, shard, sender), self._scheduler.now)
+        node_id = trace.node(("retransmit", phase, self.shard, sender), self._scheduler.now)
         trace.link(copy_id, node_id)
         trace.attrs[node_id] = (trace.attrs[node_id] or 0) + 1
 
-    def delivered(self, seq, sender, covering_visit, shard=0):
+    def delivered(self, seq, sender, covering_visit):
         """A processor committed ``seq`` in total order."""
-        binding = self._binding(shard, seq)
+        binding = self._seq_bindings.get(seq)
         if binding is None:
             return
         # Hangs off the covering token where this trace saw it, else the copy.
         trace, phase, parent_id = binding
+        shard = self.shard
         if covering_visit is not None:
             parent_id = trace.ids.get(("token", phase, shard, covering_visit), parent_id)
         node_id = trace.node(("delivered", phase, shard, sender), self._scheduler.now)
         trace.link(parent_id, node_id)
         trace.attrs[node_id] = (trace.attrs[node_id] or 0) + 1
 
-    def reassembled(self, seq, sender, shard=0):
+    def reassembled(self, seq, sender):
         """The last fragment of a split payload completed reassembly."""
-        binding = self._binding(shard, seq)
+        binding = self._seq_bindings.get(seq)
         if binding is None:
             return
         trace, phase = binding[:2]
+        shard = self.shard
         trace.node(("reassembled", phase, shard, sender), self._scheduler.now,
                    ("delivered", phase, shard, sender))
 
@@ -397,9 +405,10 @@ class TraceCollector:
     # voting / gateway hooks
     # ------------------------------------------------------------------
 
-    def vote_copy(self, key, phase, sender, shard=0):
+    def vote_copy(self, key, phase, sender):
         """A voter tallied one replica's copy."""
         trace = self._ensure(key)
+        shard = self.shard
         known = len(trace.times)
         copy_id = trace.node(("vote_copy", phase, shard, sender), self._scheduler.now,
                              ("copy", phase, shard, sender))
@@ -408,24 +417,23 @@ class TraceCollector:
             decided = trace.shared.setdefault(decided, decided)
             trace.tallied.setdefault(decided, []).append(copy_id)
 
-    def vote_decided(self, key, phase, shard=0):
+    def vote_decided(self, key, phase):
         """A majority vote decided — the merge node of the copy fan-in.
 
         Sibling replicas decide the same vote later; each decision
         links the vote_copy nodes that arrived since the last one.
         """
         trace = self._ensure(key)
-        decided = ("vote_decided", phase, shard)
+        decided = ("vote_decided", phase, self.shard)
         decided_id = trace.node(decided, self._scheduler.now)
         for copy_id in trace.tallied.get(decided, ()):
             trace.link(copy_id, decided_id)
 
-    def gateway_forwarded(self, key, phase, via, from_ring, to_ring,
-                          corrupt, shard=0):
+    def gateway_forwarded(self, key, phase, via, from_ring, to_ring, corrupt):
         """A gateway replica re-originated the voted winner cross-ring."""
         trace = self._ensure(key)
         node_id = trace.node(("gw_forward", phase, via), self._scheduler.now,
-                             ("vote_decided", phase, shard))
+                             ("vote_decided", phase, self.shard))
         if trace.attrs[node_id] is None:
             trace.attrs[node_id] = {
                 "from_ring": from_ring, "to_ring": to_ring, "corrupt": bool(corrupt),

@@ -76,11 +76,17 @@ def load_replay(path):
     alerts = []
     run_info = None
     period = None
-    for record in read_jsonl(path):
+    for index, record in enumerate(read_jsonl(path), start=1):
         kind = record.get("record")
         if kind == "series":
             period = record.get("period", period)
-            series_list.append(Series.from_dict(record))
+            try:
+                series_list.append(Series.from_dict(record))
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise JsonlInputError(
+                    "JSONL input %s: line %d is not a well-formed series record "
+                    "(%s: %s)" % (path, index, type(exc).__name__, exc)
+                )
         elif kind == "alert":
             alerts.append(record)
         elif kind == "run":

@@ -78,12 +78,11 @@ def _flip_bytes(payload, rng):
 class Network:
     """The shared LAN connecting all processors."""
 
-    def __init__(self, scheduler, params=None, rng=None, fault_plan=None, trace=None, obs=None):
+    def __init__(self, scheduler, params=None, rng=None, fault_plan=None, obs=None):
         self.scheduler = scheduler
         self.params = params or NetworkParams()
         self._rng = rng
         self._fault_plan = fault_plan
-        self._trace = trace
         self._processors = {}
         self._medium_free_at = 0.0
         #: counters for reports
@@ -150,8 +149,6 @@ class Network:
         start = max(now, self._medium_free_at)
         end = start + self.params.transmit_time(len(payload))
         self._medium_free_at = end
-        if self._trace is not None and self._trace.active:
-            self._trace.record("net.send", src=src_id, dst=dst, port=dst_port, size=len(payload))
         for dst_id in receivers:
             self._schedule_delivery(src_id, dst_id, dst_port, payload, end, now)
 
@@ -188,10 +185,6 @@ class Network:
         if receiver is None or receiver.crashed:
             return
         self.stats["delivered"] += 1
-        if self._trace is not None and self._trace.active:
-            self._trace.record(
-                "net.deliver", src=datagram.src, dst=dst_id, port=datagram.dst_port
-            )
         # Processor.deliver, inlined: one frame per receiver per token
         # visit comes through here.
         handler = receiver._handlers.get(datagram.dst_port)

@@ -21,12 +21,7 @@ kind                         read by
 ``membership.install``       Table 4 checkers (``bench.properties``)
 ``detector.suspect``         Table 5 checkers (``bench.properties``)
 ``detector.absolve``         Table 5 checkers (``bench.properties``)
-``token.send``               ``test_obs_end_to_end`` (counter oracle)
-``token.accept``             ``test_obs_end_to_end`` (counter oracle)
-``rm.invoke``                ``test_obs_end_to_end`` (counter oracle)
 ``membership.join_refused``  ``test_rejoin``
-``net.send``                 ``test_network``
-``net.deliver``              ``test_network``
 ===========================  ==========================================
 
 Everything else a layer can tell goes to the metrics registry (through
@@ -66,13 +61,10 @@ class TraceLog:
         self._scheduler = scheduler
         self.records = []
         self._by_kind = {}
-        #: if set, only these kinds are recorded (benches disable the
-        #: noisy ``net.*`` kinds to keep long runs cheap)
+        #: if set, only these kinds are recorded (benches pass an empty
+        #: set, and :class:`~repro.core.immune.ImmuneSystem` then hands
+        #: its layers no log at all)
         self.enabled_kinds = enabled_kinds
-        #: False when the kind filter rejects everything (benches pass
-        #: an empty set): hot paths check this one attribute before
-        #: building the record's keyword fields at the call site.
-        self.active = enabled_kinds is None or len(enabled_kinds) > 0
 
     def record(self, kind, **fields):
         if self.enabled_kinds is not None and kind not in self.enabled_kinds:

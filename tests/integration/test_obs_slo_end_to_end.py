@@ -120,6 +120,18 @@ def test_watch_cli_rejects_artefact_without_series(tmp_path, capsys):
     assert "no series records" in capsys.readouterr().err
 
 
+def test_watch_cli_rejects_malformed_series_record(tmp_path, capsys):
+    # A series record without its kind and points used to escape
+    # Series.from_dict as a KeyError traceback.
+    path = tmp_path / "malformed.jsonl"
+    records = [{"record": "run", "seed": 1}, {"record": "series", "name": "x"}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert watch_main(["--replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "line 2 is not a well-formed series record" in err
+
+
 def test_watch_cli_rejects_series_without_sample_points(tmp_path, capsys):
     # Series records exist but carry zero points: replaying would show
     # nothing and previously exited 0 after "replayed 0 frame(s)".

@@ -145,7 +145,6 @@ class MulticastWorld:
             params=net_params or NetworkParams(),
             rng=self.streams.stream("net"),
             fault_plan=fault_plan,
-            trace=None,
         )
         self.keystore = KeyStore(random.Random(seed), modulus_bits=modulus_bits)
         self.crypto_costs = CryptoCostModel(modulus_bits=modulus_bits)

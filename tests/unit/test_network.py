@@ -7,20 +7,18 @@ from repro.sim.network import Network, NetworkParams
 from repro.sim.process import Processor
 from repro.sim.rng import RngStreams
 from repro.sim.scheduler import Scheduler, SimulationError
-from repro.sim.tracing import TraceLog
 
 
 def make_lan(num=3, fault_plan=None, params=None, seed=7):
     sched = Scheduler()
     rng = RngStreams(seed).stream("net")
-    trace = TraceLog(sched)
-    net = Network(sched, params=params, rng=rng, fault_plan=fault_plan, trace=trace)
+    net = Network(sched, params=params, rng=rng, fault_plan=fault_plan)
     procs = []
     for i in range(num):
         proc = Processor(i, sched)
         net.add_processor(proc)
         procs.append(proc)
-    return sched, net, procs, trace
+    return sched, net, procs
 
 
 def collect(proc, port="p"):
@@ -30,7 +28,7 @@ def collect(proc, port="p"):
 
 
 def test_unicast_reaches_only_destination():
-    sched, net, procs, _ = make_lan()
+    sched, net, procs = make_lan()
     boxes = [collect(p) for p in procs]
     net.unicast(0, 1, "p", b"hello")
     sched.run()
@@ -39,7 +37,7 @@ def test_unicast_reaches_only_destination():
 
 
 def test_broadcast_reaches_everyone_but_sender():
-    sched, net, procs, _ = make_lan(4)
+    sched, net, procs = make_lan(4)
     boxes = [collect(p) for p in procs]
     net.broadcast(0, "p", b"x" * 10)
     sched.run()
@@ -47,7 +45,7 @@ def test_broadcast_reaches_everyone_but_sender():
 
 
 def test_payload_must_be_bytes():
-    sched, net, procs, _ = make_lan()
+    sched, net, procs = make_lan()
     with pytest.raises(SimulationError):
         net.unicast(0, 1, "p", {"not": "bytes"})
 
@@ -55,7 +53,7 @@ def test_payload_must_be_bytes():
 def test_transmission_time_models_bandwidth():
     params = NetworkParams(bandwidth_bps=8_000_000, propagation_delay=0.0, jitter=0.0)
     # 1000 payload + 42 header bytes at 1 MB/s -> 1.042 ms on the wire.
-    sched, net, procs, _ = make_lan(2, params=params)
+    sched, net, procs = make_lan(2, params=params)
     arrivals = []
     procs[1].register_handler("p", lambda d: arrivals.append(sched.now))
     net.unicast(0, 1, "p", b"z" * 1000)
@@ -65,7 +63,7 @@ def test_transmission_time_models_bandwidth():
 
 def test_medium_is_serialised():
     params = NetworkParams(bandwidth_bps=8_000_000, propagation_delay=0.0, jitter=0.0)
-    sched, net, procs, _ = make_lan(2, params=params)
+    sched, net, procs = make_lan(2, params=params)
     arrivals = []
     procs[1].register_handler("p", lambda d: arrivals.append(sched.now))
     net.unicast(0, 1, "p", b"z" * 958)  # 1000 bytes with header -> 1 ms
@@ -76,7 +74,7 @@ def test_medium_is_serialised():
 
 
 def test_crashed_sender_sends_nothing():
-    sched, net, procs, _ = make_lan()
+    sched, net, procs = make_lan()
     box = collect(procs[1])
     procs[0].crash()
     net.unicast(0, 1, "p", b"hello")
@@ -85,7 +83,7 @@ def test_crashed_sender_sends_nothing():
 
 
 def test_crashed_receiver_receives_nothing():
-    sched, net, procs, _ = make_lan()
+    sched, net, procs = make_lan()
     box = collect(procs[1])
     net.unicast(0, 1, "p", b"hello")
     procs[1].crash()
@@ -95,7 +93,7 @@ def test_crashed_receiver_receives_nothing():
 
 def test_loss_injection_drops_all_with_probability_one():
     plan = FaultPlan(default=LinkFaults(loss_prob=1.0))
-    sched, net, procs, _ = make_lan(fault_plan=plan)
+    sched, net, procs = make_lan(fault_plan=plan)
     box = collect(procs[1])
     for _ in range(5):
         net.unicast(0, 1, "p", b"hello")
@@ -106,7 +104,7 @@ def test_loss_injection_drops_all_with_probability_one():
 
 def test_corruption_injection_flips_payload_bytes():
     plan = FaultPlan(default=LinkFaults(corrupt_prob=1.0))
-    sched, net, procs, _ = make_lan(fault_plan=plan)
+    sched, net, procs = make_lan(fault_plan=plan)
     box = collect(procs[1])
     net.unicast(0, 1, "p", b"A" * 64)
     sched.run()
@@ -119,7 +117,7 @@ def test_corruption_injection_flips_payload_bytes():
 def test_per_link_faults_override_default():
     plan = FaultPlan()
     plan.set_link(0, 1, LinkFaults(loss_prob=1.0))
-    sched, net, procs, _ = make_lan(fault_plan=plan)
+    sched, net, procs = make_lan(fault_plan=plan)
     box1 = collect(procs[1])
     box2 = collect(procs[2])
     net.broadcast(0, "p", b"hello")
@@ -130,7 +128,7 @@ def test_per_link_faults_override_default():
 
 def test_fault_window_deactivates():
     plan = FaultPlan(default=LinkFaults(loss_prob=1.0), active_from=1.0, active_until=2.0)
-    sched, net, procs, _ = make_lan(fault_plan=plan)
+    sched, net, procs = make_lan(fault_plan=plan)
     box = collect(procs[1])
     net.unicast(0, 1, "p", b"before")
     sched.at(1.5, net.unicast, 0, 1, "p", b"during")
@@ -142,25 +140,16 @@ def test_fault_window_deactivates():
 
 def test_scheduled_crash_fires_via_arm_crashes():
     plan = FaultPlan().schedule_crash(2, 1.0)
-    sched, net, procs, _ = make_lan(fault_plan=plan)
+    sched, net, procs = make_lan(fault_plan=plan)
     plan.arm_crashes(sched, {p.proc_id: p for p in procs})
     sched.run()
     assert procs[2].crashed and procs[2].crash_time == 1.0
 
 
 def test_duplicate_processor_id_rejected():
-    sched, net, procs, _ = make_lan()
+    sched, net, procs = make_lan()
     with pytest.raises(SimulationError):
         net.add_processor(Processor(0, sched))
-
-
-def test_trace_records_send_and_deliver():
-    sched, net, procs, trace = make_lan()
-    collect(procs[1])
-    net.unicast(0, 1, "p", b"hello")
-    sched.run()
-    assert trace.count("net.send") == 1
-    assert trace.count("net.deliver") == 1
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry, RingScopedRegistry
 from repro.sim.scheduler import Scheduler
 
 
@@ -327,8 +327,6 @@ def test_collector_may_query_the_registry_it_refreshes():
 
 
 def test_ring_scoped_view_stamps_its_labels_on_derived_counters():
-    from repro.cluster.obsbridge import RingScopedRegistry
-
     root = MetricsRegistry()
     stats = {"delivered": 0}
     RingScopedRegistry(root, ring_index=1, site="east").derive_counters(

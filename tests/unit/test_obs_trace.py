@@ -204,16 +204,16 @@ def test_fork_summary_sees_three_branches_and_merge():
     key = ("driver", 2)
     c.begin(key)
     c.mark_stage(key, "intercepted")
-    c.vote_copy(key, "req", sender=3, shard=0)
-    c.vote_decided(key, "req", shard=0)
+    c.vote_copy(key, "req", sender=3)
+    c.vote_decided(key, "req")
     clock.tick()
     for via, corrupt in ((9, True), (10, False), (11, False)):
-        c.gateway_forwarded(key, "req", via, from_ring=0, to_ring=1,
-                            corrupt=corrupt, shard=0)
+        c.gateway_forwarded(key, "req", via, from_ring=0, to_ring=1, corrupt=corrupt)
     clock.tick()
+    ring1 = c.scoped(1)  # shares c's traces, stamps shard 1
     for sender in (9, 10, 11):
-        c.vote_copy(key, "req", sender=sender, shard=1)
-    c.vote_decided(key, "req", shard=1)
+        ring1.vote_copy(key, "req", sender=sender)
+    ring1.vote_decided(key, "req")
     (record,) = c.assemble()
     shape = fork_summary(record)
     assert shape == {"fork_width": 3, "merged": True, "corrupt_branches": 1}
@@ -262,3 +262,7 @@ def test_read_jsonl_rejects_missing_empty_and_bad_lines(tmp_path):
     bad.write_text('{"record": "trace_run"}\n{not json\n')
     with pytest.raises(JsonlInputError, match="line 2 is not valid JSON"):
         read_jsonl(str(bad))
+    listed = tmp_path / "listed.jsonl"
+    listed.write_text('{"record": "trace_run"}\n[1, 2]\n')
+    with pytest.raises(JsonlInputError, match="line 2 is not a JSON object"):
+        read_jsonl(str(listed))

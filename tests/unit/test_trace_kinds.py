@@ -52,7 +52,7 @@ def read_kinds(paths):
 
 def test_recorded_kinds_are_exactly_the_tabulated_ones():
     recorded = recorded_kinds()
-    assert len(recorded) == len(set(recorded)) == 11  # one site per kind
+    assert len(recorded) == len(set(recorded)) == 6  # one site per kind
     in_docstring = re.findall(r"^``(%s)``  +\S" % KIND, tracing.__doc__, re.MULTILINE)
     assert sorted(in_docstring) == sorted(recorded)
     docs = (ROOT / "docs" / "OBSERVABILITY.md").read_text()
