@@ -12,7 +12,7 @@ processor, and when a processor is excluded from the processor
 membership, *all* object groups drop every replica it hosted.
 """
 
-from repro.orb.cdr import CdrDecoder, CdrEncoder, MarshalError
+from repro.orb.schema import Frame, Schema, one_of
 
 UPDATE_ADD = 1
 UPDATE_REMOVE = 2
@@ -32,34 +32,26 @@ def required_correct_replicas(degree):
     return (degree + 2) // 2  # ceil((r+1)/2), paper section 3.1
 
 
-class GroupUpdate:
-    """One object-group membership change, flowing through the base group."""
+class GroupUpdate(Frame):
+    """One object-group membership change, flowing through the base group.
 
-    __slots__ = ("action", "group_name", "proc_id")
+    A Replication Manager announces only its own replicas
+    (``proc_id`` is the announcing processor); an ``action`` other
+    than add or remove does not decode.
+    """
+
+    SCHEMA = Schema(
+        ("action", one_of("octet", {UPDATE_ADD: "add", UPDATE_REMOVE: "remove"})),
+        ("group_name", "string"),
+        ("proc_id", "ulong"),
+        error=GroupError,
+    )
+    __slots__ = SCHEMA.names
 
     def __init__(self, action, group_name, proc_id):
         self.action = action
         self.group_name = group_name
         self.proc_id = proc_id
-
-    def encode(self):
-        encoder = CdrEncoder()
-        encoder.write("octet", self.action)
-        encoder.write("string", self.group_name)
-        encoder.write("ulong", self.proc_id)
-        return encoder.getvalue()
-
-    @classmethod
-    def decode(cls, data):
-        try:
-            decoder = CdrDecoder(data)
-            return cls(decoder.read("octet"), decoder.read("string"), decoder.read("ulong"))
-        except MarshalError as exc:
-            raise GroupError("malformed group update: %s" % exc)
-
-    def __repr__(self):
-        verb = "add" if self.action == UPDATE_ADD else "remove"
-        return "GroupUpdate(%s P%d %s)" % (verb, self.proc_id, self.group_name)
 
 
 class ObjectGroupTable:

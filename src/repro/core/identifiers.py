@@ -17,13 +17,8 @@ copies sent by different replicas are byte-identical and can be voted
 on by value).
 """
 
-import struct
-
 from repro import perf
-from repro.orb.cdr import CdrDecoder, CdrEncoder, MarshalError
-
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
+from repro.orb.schema import Frame, Schema, one_of
 
 KIND_INVOCATION = 1
 KIND_RESPONSE = 2
@@ -34,6 +29,16 @@ KIND_STATE_TRANSFER = 5
 #: object (the contrast baseline of section 5: passive replication
 #: cannot tolerate value faults)
 KIND_PASSIVE_UPDATE = 6
+
+#: every kind, by the name its repr shows; decoding accepts these only
+KIND_NAMES = {
+    KIND_INVOCATION: "INV",
+    KIND_RESPONSE: "RSP",
+    KIND_VALUE_FAULT_VOTE: "VFV",
+    KIND_GROUP_UPDATE: "GRP",
+    KIND_STATE_TRANSFER: "STX",
+    KIND_PASSIVE_UPDATE: "PSV",
+}
 
 #: the distinguished group every Replication Manager joins to learn
 #: object-group memberships and exchange Value_Fault_Vote messages
@@ -66,7 +71,7 @@ class OperationId:
         return "OperationId(%s#%d)" % (self.source_group, self.op_num)
 
 
-class ImmuneMessage:
+class ImmuneMessage(Frame):
     """The Replication Manager's multicast payload.
 
     ``kind`` selects the interpretation of ``body``:
@@ -77,10 +82,25 @@ class ImmuneMessage:
     * ``KIND_GROUP_UPDATE`` — an object-group membership update (see
       :mod:`repro.core.groups`);
     * ``KIND_STATE_TRANSFER`` — a servant state checkpoint used when a
-      lost replica is reallocated to a correct processor.
+      lost replica is reallocated to a correct processor;
+    * ``KIND_PASSIVE_UPDATE`` — a warm-passive primary's checkpoint.
     """
 
-    __slots__ = ("kind", "source_group", "op_num", "replica_proc", "target_group", "body")
+    #: A Replication Manager re-encodes thousands of messages that differ
+    #: only in ``op_num`` and ``body``: one byte template per (kind,
+    #: source_group, replica_proc, target_group).
+    SCHEMA = Schema(
+        ("kind", one_of("octet", KIND_NAMES)),
+        ("source_group", "string"),
+        ("op_num", "ulonglong"),
+        ("replica_proc", "ulong"),
+        ("target_group", "string"),
+        ("body", "octets"),
+        holes=("op_num", "body"),
+        memo="immune.encode_template",
+        error=ImmuneCodecError,
+    )
+    __slots__ = SCHEMA.names
 
     def __init__(self, kind, source_group, op_num, replica_proc, target_group, body):
         self.kind = kind
@@ -94,77 +114,8 @@ class ImmuneMessage:
     def operation_id(self):
         return OperationId(self.source_group, self.op_num)
 
-    #: (kind, source_group, replica_proc, target_group) -> (prefix, mid)
-    #: byte templates.  A Replication Manager re-encodes thousands of
-    #: messages that differ only in ``op_num`` and ``body``; everything
-    #: around those two fields (including CDR alignment padding, which
-    #: depends only on the fixed-length fields) is a constant byte
-    #: string, so the hot encode is two struct packs and a concat.
-    _TEMPLATE_CACHE = perf.register_cache(perf.BytesKeyedCache("immune.encode_template"))
-
-    def encode(self):
-        key = (self.kind, self.source_group, self.replica_proc, self.target_group)
-        template = self._TEMPLATE_CACHE.get(key)
-        if template is None:
-            template = self._TEMPLATE_CACHE.put(key, self._make_template())
-        prefix, mid = template
-        return prefix + _U64.pack(self.op_num) + mid + _U32.pack(len(self.body)) + self.body
-
-    def _encode(self):
-        encoder = CdrEncoder()
-        encoder.write_octet(self.kind)
-        encoder.write_string(self.source_group)
-        encoder.write_ulonglong(self.op_num)
-        encoder.write_ulong(self.replica_proc)
-        encoder.write_string(self.target_group)
-        encoder.write_octets(self.body)
-        return encoder.getvalue()
-
-    def _make_template(self):
-        """Derive (prefix, mid) from two generic probe encodings.
-
-        The probes differ only in ``op_num``, so the first differing
-        byte locates the 8-byte op_num field; the trailing 4 bytes of an
-        empty-body probe are the body length.  The reconstruction is
-        checked against the generic encoder once per template, so a
-        future layout change cannot silently desynchronise them.
-        """
-        cls = type(self)
-        fixed = (self.kind, self.source_group, self.replica_proc, self.target_group)
-        probe = cls(fixed[0], fixed[1], 0, fixed[2], fixed[3], b"")._encode()
-        probe_hi = cls(fixed[0], fixed[1], 2**64 - 1, fixed[2], fixed[3], b"")._encode()
-        offset = next(i for i in range(len(probe)) if probe[i] != probe_hi[i])
-        prefix, mid = probe[:offset], probe[offset + 8 : -4]
-        check = cls(fixed[0], fixed[1], 12345, fixed[2], fixed[3], b"xyz")
-        rebuilt = prefix + _U64.pack(12345) + mid + _U32.pack(3) + b"xyz"
-        if rebuilt != check._encode():
-            raise ImmuneCodecError("ImmuneMessage encode template mismatch")
-        return prefix, mid
-
-    @classmethod
-    def decode(cls, data):
-        try:
-            decoder = CdrDecoder(data)
-            kind = decoder.read_octet()
-            if kind not in (
-                KIND_INVOCATION,
-                KIND_RESPONSE,
-                KIND_VALUE_FAULT_VOTE,
-                KIND_GROUP_UPDATE,
-                KIND_STATE_TRANSFER,
-                KIND_PASSIVE_UPDATE,
-            ):
-                raise ImmuneCodecError("unknown Immune message kind %d" % kind)
-            return cls(
-                kind,
-                decoder.read_string(),
-                decoder.read_ulonglong(),
-                decoder.read_ulong(),
-                decoder.read_string(),
-                decoder.read_octets(),
-            )
-        except MarshalError as exc:
-            raise ImmuneCodecError("malformed Immune message: %s" % exc)
+    #: the template encode, a plain function: it binds as this method
+    encode = SCHEMA.encode_hot
 
     #: payload bytes -> decoded message, shared across every processor:
     #: one multicast delivery hands the identical payload to N
@@ -186,20 +137,3 @@ class ImmuneMessage:
         if message is None:
             message = cls._DECODE_CACHE.put(key, cls.decode(key))
         return message
-
-    def __repr__(self):
-        kinds = {
-            KIND_INVOCATION: "INV",
-            KIND_RESPONSE: "RSP",
-            KIND_VALUE_FAULT_VOTE: "VFV",
-            KIND_GROUP_UPDATE: "GRP",
-            KIND_STATE_TRANSFER: "STX",
-        }
-        return "ImmuneMessage(%s, %s#%d from P%d -> %s, %d bytes)" % (
-            kinds.get(self.kind, self.kind),
-            self.source_group,
-            self.op_num,
-            self.replica_proc,
-            self.target_group,
-            len(self.body),
-        )

@@ -109,6 +109,7 @@ class ReplicationManager:
             "delivered_to_orb": 0,
             "duplicates_suppressed": 0,
             "value_fault_votes_sent": 0,
+            "group_updates_refused": 0,
         }
         if obs is not None:
             obs.registry.derive_counters(
@@ -505,6 +506,12 @@ class ReplicationManager:
             try:
                 update = GroupUpdate.decode(message.body)
             except GroupError:
+                return
+            if update.proc_id != message.replica_proc:
+                # A manager announces only its own replicas (a join, a
+                # replica crash): anything else is one processor
+                # rewriting another's placement.
+                self.stats["group_updates_refused"] += 1
                 return
             self.groups.apply(update)
         elif message.kind == KIND_STATE_TRANSFER:

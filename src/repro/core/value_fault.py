@@ -14,21 +14,26 @@ Byzantine completeness the membership protocol needs to evict the
 corrupt processor.
 """
 
-from repro.orb.cdr import CdrDecoder, CdrEncoder, MarshalError
 from repro.core.groups import majority_of
+from repro.orb.schema import Frame, Schema
 
 
 class ValueFaultCodecError(Exception):
     """Raised on malformed Value_Fault_Vote messages."""
 
 
-_ENTRY_TAG = ("struct", (("sender", "ulong"), ("digest", "octets")))
-
-
-class ValueFaultVote:
+class ValueFaultVote(Frame):
     """The vote set a Replication Manager publishes to the base group."""
 
-    __slots__ = ("reporter", "source_group", "op_num", "target_group", "entries")
+    SCHEMA = Schema(
+        ("reporter", "ulong"),
+        ("source_group", "string"),
+        ("op_num", "ulonglong"),
+        ("target_group", "string"),
+        ("entries", ("sequence", ("struct", (("sender", "ulong"), ("digest", "octets"))))),
+        error=ValueFaultCodecError,
+    )
+    __slots__ = SCHEMA.names
 
     def __init__(self, reporter, source_group, op_num, target_group, entries):
         self.reporter = reporter
@@ -37,43 +42,6 @@ class ValueFaultVote:
         self.target_group = target_group
         #: tuple of (sender proc id, value digest) pairs
         self.entries = tuple(entries)
-
-    def encode(self):
-        encoder = CdrEncoder()
-        encoder.write("ulong", self.reporter)
-        encoder.write("string", self.source_group)
-        encoder.write("ulonglong", self.op_num)
-        encoder.write("string", self.target_group)
-        encoder.write(
-            ("sequence", _ENTRY_TAG),
-            [{"sender": s, "digest": d} for s, d in self.entries],
-        )
-        return encoder.getvalue()
-
-    @classmethod
-    def decode(cls, data):
-        try:
-            decoder = CdrDecoder(data)
-            return cls(
-                decoder.read("ulong"),
-                decoder.read("string"),
-                decoder.read("ulonglong"),
-                decoder.read("string"),
-                [
-                    (entry["sender"], entry["digest"])
-                    for entry in decoder.read(("sequence", _ENTRY_TAG))
-                ],
-            )
-        except MarshalError as exc:
-            raise ValueFaultCodecError("malformed value fault vote: %s" % exc)
-
-    def __repr__(self):
-        return "ValueFaultVote(%s#%d by P%d, %d entries)" % (
-            self.source_group,
-            self.op_num,
-            self.reporter,
-            len(self.entries),
-        )
 
 
 class ValueFaultDetector:

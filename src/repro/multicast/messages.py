@@ -10,18 +10,15 @@ Three kinds of frames travel on the multicast port:
   processor membership protocol.
 
 Every frame starts with a one-byte frame-type discriminator so a
-receiver can parse without context.  All bodies are CDR-encoded; the
-digest or signature of a frame is always computed over these exact
-bytes, so a bit flipped by the network genuinely invalidates it.
+receiver can parse without context.  Each frame class declares its
+fields once (``SCHEMA``, :mod:`repro.orb.schema`), and its CDR encoding,
+decoding and repr all derive from that; the digest or signature of a
+frame is always computed over these exact bytes, so a bit flipped by
+the network genuinely invalidates it.
 """
 
-import struct
-
 from repro import perf
-from repro.orb.cdr import CdrDecoder, CdrEncoder, MarshalError
-
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
+from repro.orb.schema import Frame, Schema
 
 FRAME_REGULAR = 1
 FRAME_TOKEN = 2
@@ -39,7 +36,7 @@ class MulticastCodecError(Exception):
     """Raised when a frame cannot be parsed (corruption, truncation)."""
 
 
-class RegularMessage:
+class RegularMessage(Frame):
     """One totally-ordered data message.
 
     ``seq`` is the ring-wide total-order sequence number the sender
@@ -50,8 +47,20 @@ class RegularMessage:
     """
 
     frame_type = FRAME_REGULAR
-
-    __slots__ = ("sender_id", "ring_id", "seq", "dest_group", "payload")
+    #: A sender emits thousands of frames differing only in ``seq`` and
+    #: ``payload``: one byte template per (sender_id, ring_id, dest_group).
+    SCHEMA = Schema(
+        ("sender_id", "ulong"),
+        ("ring_id", "ulong"),
+        ("seq", "ulonglong"),
+        ("dest_group", "string"),
+        ("payload", "octets"),
+        typed=True,
+        holes=("seq", "payload"),
+        memo="multicast.encode_template",
+        error=MulticastCodecError,
+    )
+    __slots__ = SCHEMA.names
 
     def __init__(self, sender_id, ring_id, seq, dest_group, payload):
         self.sender_id = sender_id
@@ -60,72 +69,11 @@ class RegularMessage:
         self.dest_group = dest_group
         self.payload = payload
 
-    #: (sender_id, ring_id, dest_group) -> (prefix, mid) byte templates.
-    #: A sender emits thousands of frames differing only in ``seq`` and
-    #: ``payload``; the CDR bytes around them (alignment included) are
-    #: constant, so the hot encode is two struct packs and a concat.
-    _TEMPLATE_CACHE = perf.register_cache(perf.BytesKeyedCache("multicast.encode_template"))
-
     def encode(self):
-        key = (self.sender_id, self.ring_id, self.dest_group)
-        template = self._TEMPLATE_CACHE.get(key)
-        if template is None:
-            template = self._TEMPLATE_CACHE.put(key, self._make_template())
-        prefix, mid = template
-        return _seeded(
-            prefix + _U64.pack(self.seq) + mid + _U32.pack(len(self.payload)) + self.payload,
-            self,
-        )
-
-    def _encode(self):
-        encoder = CdrEncoder()
-        encoder.write_octet(FRAME_REGULAR)
-        encoder.write_ulong(self.sender_id)
-        encoder.write_ulong(self.ring_id)
-        encoder.write_ulonglong(self.seq)
-        encoder.write_string(self.dest_group)
-        encoder.write_octets(self.payload)
-        return encoder.getvalue()
-
-    def _make_template(self):
-        """Derive (prefix, mid) from two generic probe encodings.
-
-        Two probes differing only in ``seq`` locate the 8-byte seq
-        field; the trailing 4 bytes of an empty-payload probe are the
-        payload length.  The template is checked against the generic
-        encoder once, so a layout change cannot desynchronise them.
-        """
-        cls = type(self)
-        probe = cls(self.sender_id, self.ring_id, 0, self.dest_group, b"")._encode()
-        probe_hi = cls(self.sender_id, self.ring_id, 2**64 - 1, self.dest_group, b"")._encode()
-        offset = next(i for i in range(len(probe)) if probe[i] != probe_hi[i])
-        prefix, mid = probe[:offset], probe[offset + 8 : -4]
-        rebuilt = prefix + _U64.pack(12345) + mid + _U32.pack(3) + b"xyz"
-        if rebuilt != cls(self.sender_id, self.ring_id, 12345, self.dest_group, b"xyz")._encode():
-            raise MulticastCodecError("RegularMessage encode template mismatch")
-        return prefix, mid
-
-    @classmethod
-    def decode(cls, decoder):
-        return cls(
-            decoder.read_ulong(),
-            decoder.read_ulong(),
-            decoder.read_ulonglong(),
-            decoder.read_string(),
-            decoder.read_octets(),
-        )
-
-    def __repr__(self):
-        return "RegularMessage(from=P%d, ring=%d, seq=%d, group=%s, %d bytes)" % (
-            self.sender_id,
-            self.ring_id,
-            self.seq,
-            self.dest_group,
-            len(self.payload),
-        )
+        return _seeded(self.SCHEMA.encode_hot(self), self)
 
 
-class MessageFragment:
+class MessageFragment(Frame):
     """One chunk of a payload too large for a single regular message.
 
     Large payloads are split at ``fragment_payload_bytes`` boundaries;
@@ -139,17 +87,19 @@ class MessageFragment:
     """
 
     frame_type = FRAME_FRAGMENT
-
-    __slots__ = (
-        "sender_id",
-        "ring_id",
-        "seq",
-        "dest_group",
-        "frag_id",
-        "frag_index",
-        "frag_total",
-        "payload",
+    SCHEMA = Schema(
+        ("sender_id", "ulong"),
+        ("ring_id", "ulong"),
+        ("seq", "ulonglong"),
+        ("dest_group", "string"),
+        ("frag_id", "ulong"),
+        ("frag_index", "ulong"),
+        ("frag_total", "ulong"),
+        ("payload", "octets"),
+        typed=True,
+        error=MulticastCodecError,
     )
+    __slots__ = SCHEMA.names
 
     def __init__(
         self, sender_id, ring_id, seq, dest_group, frag_id, frag_index, frag_total, payload
@@ -166,45 +116,46 @@ class MessageFragment:
     def encode(self):
         return _seeded(self._encode(), self)
 
-    def _encode(self):
-        encoder = CdrEncoder()
-        encoder.write_octet(FRAME_FRAGMENT)
-        encoder.write_ulong(self.sender_id)
-        encoder.write_ulong(self.ring_id)
-        encoder.write_ulonglong(self.seq)
-        encoder.write_string(self.dest_group)
-        encoder.write_ulong(self.frag_id)
-        encoder.write_ulong(self.frag_index)
-        encoder.write_ulong(self.frag_total)
-        encoder.write_octets(self.payload)
-        return encoder.getvalue()
+
+#: a signed frame on the wire: its type, the signable bytes, the signature
+_SIGNED = Schema(
+    ("frame_type", "octet"),
+    ("signable", "octets"),
+    ("signature", "octets"),
+    error=MulticastCodecError,
+)
+
+
+class _SignedFrame(Frame):
+    """A frame whose ``SCHEMA`` fields are signed.
+
+    The signable bytes are the encoding of those fields; on the wire
+    they sit between the frame type and the signature, an integer in
+    its shortest big-endian octets (``00 2a`` is not ``2a``).
+    """
+
+    __slots__ = ("signature",)
+
+    def signable_bytes(self):
+        """The bytes the signature covers: every field but itself."""
+        return self.SCHEMA.encode(self)
+
+    def _encode(self, signable=None):
+        """The wire bytes; seals nothing and seeds no memo."""
+        if signable is None:
+            signable = self.signable_bytes()
+        return _SIGNED.pack((self.frame_type, signable, _int_to_octets(self.signature)))
 
     @classmethod
-    def decode(cls, decoder):
-        return cls(
-            decoder.read_ulong(),
-            decoder.read_ulong(),
-            decoder.read_ulonglong(),
-            decoder.read_string(),
-            decoder.read_ulong(),
-            decoder.read_ulong(),
-            decoder.read_ulong(),
-            decoder.read_octets(),
-        )
-
-    def __repr__(self):
-        return "MessageFragment(from=P%d, ring=%d, seq=%d, group=%s, %d/%d, %d bytes)" % (
-            self.sender_id,
-            self.ring_id,
-            self.seq,
-            self.dest_group,
-            self.frag_index + 1,
-            self.frag_total,
-            len(self.payload),
-        )
+    def decode(cls, data):
+        _, signable, signature = _SIGNED.unpack(data)
+        frame = cls.SCHEMA.decode(cls, signable, signature=int.from_bytes(signature, "big"))
+        if frame._encode() != data:  # a zero-padded signature, an unsorted set
+            raise MulticastCodecError("non-canonical %s frame" % cls.__name__)
+        return frame
 
 
-class MembershipProposal:
+class MembershipProposal(_SignedFrame):
     """One signed proposal in a membership round.
 
     ``candidate_set`` is the membership the proposer is willing to
@@ -215,17 +166,17 @@ class MembershipProposal:
     """
 
     frame_type = FRAME_PROPOSAL
-
-    __slots__ = (
-        "proposer",
-        "old_ring_id",
-        "round_number",
-        "candidate_set",
-        "have_contiguous",
-        "suspects",
-        "joining",
-        "signature",
+    SCHEMA = Schema(
+        ("proposer", "ulong"),
+        ("old_ring_id", "ulong"),
+        ("round_number", "ulong"),
+        ("candidate_set", ("sequence", "ulong")),
+        ("have_contiguous", "ulonglong"),
+        ("suspects", ("sequence", "ulong")),
+        ("joining", "boolean"),
+        error=MulticastCodecError,
     )
+    __slots__ = SCHEMA.names
 
     def __init__(
         self,
@@ -249,54 +200,8 @@ class MembershipProposal:
         self.joining = joining
         self.signature = signature
 
-    def signable_bytes(self):
-        """The bytes covered by the proposal signature."""
-        encoder = CdrEncoder()
-        encoder.write_ulong(self.proposer)
-        encoder.write_ulong(self.old_ring_id)
-        encoder.write_ulong(self.round_number)
-        encoder.write(("sequence", "ulong"), list(self.candidate_set))
-        encoder.write_ulonglong(self.have_contiguous)
-        encoder.write(("sequence", "ulong"), list(self.suspects))
-        encoder.write_boolean(self.joining)
-        return encoder.getvalue()
 
-    def encode(self):
-        encoder = CdrEncoder()
-        encoder.write_octet(FRAME_PROPOSAL)
-        encoder.write_octets(self.signable_bytes())
-        encoder.write_octets(_int_to_octets(self.signature))
-        return encoder.getvalue()
-
-    _encode = encode  # seeds no memo: already what ``decode_frame`` re-checks against
-
-    @classmethod
-    def decode(cls, decoder):
-        signable = decoder.read("octets")
-        signature = _octets_to_int(decoder.read("octets"))
-        inner = CdrDecoder(signable)
-        proposal = cls(
-            inner.read("ulong"),
-            inner.read("ulong"),
-            inner.read("ulong"),
-            inner.read(("sequence", "ulong")),
-            inner.read("ulonglong"),
-            inner.read(("sequence", "ulong")),
-            joining=inner.read("boolean"),
-            signature=signature,
-        )
-        return proposal
-
-    def __repr__(self):
-        return "MembershipProposal(P%d, ring=%d, round=%d, set=%s)" % (
-            self.proposer,
-            self.old_ring_id,
-            self.round_number,
-            list(self.candidate_set),
-        )
-
-
-class JoinRequest:
+class JoinRequest(_SignedFrame):
     """A processor asking to (re)join the membership.
 
     Broadcast periodically by a processor that is not currently a
@@ -307,41 +212,16 @@ class JoinRequest:
     """
 
     frame_type = FRAME_JOIN_REQUEST
-
-    __slots__ = ("proc_id", "request_time", "signature")
+    SCHEMA = Schema(("proc_id", "ulong"), ("request_time", "double"), error=MulticastCodecError)
+    __slots__ = SCHEMA.names
 
     def __init__(self, proc_id, request_time, signature=0):
         self.proc_id = proc_id
         self.request_time = request_time
         self.signature = signature
 
-    def signable_bytes(self):
-        encoder = CdrEncoder()
-        encoder.write_ulong(self.proc_id)
-        encoder.write_double(self.request_time)
-        return encoder.getvalue()
 
-    def encode(self):
-        encoder = CdrEncoder()
-        encoder.write_octet(FRAME_JOIN_REQUEST)
-        encoder.write_octets(self.signable_bytes())
-        encoder.write_octets(_int_to_octets(self.signature))
-        return encoder.getvalue()
-
-    _encode = encode  # seeds no memo: already what ``decode_frame`` re-checks against
-
-    @classmethod
-    def decode(cls, decoder):
-        signable = decoder.read("octets")
-        signature = _octets_to_int(decoder.read("octets"))
-        inner = CdrDecoder(signable)
-        return cls(inner.read("ulong"), inner.read("double"), signature)
-
-    def __repr__(self):
-        return "JoinRequest(P%d @ %.3f)" % (self.proc_id, self.request_time)
-
-
-class MembershipCommit:
+class MembershipCommit(Frame):
     """A self-certifying bundle of the unanimous proposals of one round.
 
     Once a member observes unanimity it broadcasts the complete set of
@@ -353,34 +233,21 @@ class MembershipCommit:
     """
 
     frame_type = FRAME_COMMIT
-
-    __slots__ = ("sender_id", "old_ring_id", "round_number", "proposal_frames")
+    SCHEMA = Schema(
+        ("sender_id", "ulong"),
+        ("old_ring_id", "ulong"),
+        ("round_number", "ulong"),
+        ("proposal_frames", ("sequence", "octets")),
+        typed=True,
+        error=MulticastCodecError,
+    )
+    __slots__ = SCHEMA.names
 
     def __init__(self, sender_id, old_ring_id, round_number, proposal_frames):
         self.sender_id = sender_id
         self.old_ring_id = old_ring_id
         self.round_number = round_number
         self.proposal_frames = list(proposal_frames)
-
-    def encode(self):
-        encoder = CdrEncoder()
-        encoder.write_octet(FRAME_COMMIT)
-        encoder.write_ulong(self.sender_id)
-        encoder.write_ulong(self.old_ring_id)
-        encoder.write_ulong(self.round_number)
-        encoder.write(("sequence", "octets"), self.proposal_frames)
-        return encoder.getvalue()
-
-    _encode = encode  # seeds no memo: already what ``decode_frame`` re-checks against
-
-    @classmethod
-    def decode(cls, decoder):
-        return cls(
-            decoder.read_ulong(),
-            decoder.read_ulong(),
-            decoder.read_ulong(),
-            decoder.read(("sequence", "octets")),
-        )
 
     def proposals(self):
         """Decode the bundled proposals.
@@ -399,65 +266,40 @@ class MembershipCommit:
             out.append((proposal, frame))
         return out
 
-    def __repr__(self):
-        return "MembershipCommit(P%d, ring=%d, round=%d, %d proposals)" % (
-            self.sender_id,
-            self.old_ring_id,
-            self.round_number,
-            len(self.proposal_frames),
-        )
-
 
 def _int_to_octets(value):
     length = max(1, (value.bit_length() + 7) // 8)
     return value.to_bytes(length, "big")
 
 
-def _octets_to_int(data):
-    return int.from_bytes(data, "big")
-
-
 def decode_frame(data):
     """Parse one multicast frame; raises MulticastCodecError on garbage.
 
-    Only the canonical encoding of a frame is a frame.  The parser skips
-    CDR padding and whatever follows the last field, while digests and
-    the mutant-token comparison are over the raw bytes and signatures
-    over the *re-encoding* of the parsed fields: a token with one padding
-    bit flipped in transit would verify, differ from the stored copy of
-    its visit, and convict its honest holder.  So bytes that do not
-    re-encode to themselves are rejected here, as corruption, before any
-    protocol layer sees them.  (The check does not seal the frame.)
+    Only the canonical encoding of a frame is a frame
+    (:mod:`repro.orb.schema`): digests and the mutant-token comparison
+    are over the raw bytes and signatures over the *re-encoding* of the
+    parsed fields, so a token with one padding bit flipped in transit
+    would verify, differ from the stored copy of its visit, and convict
+    its honest holder.  Such bytes are rejected here, as corruption,
+    before any protocol layer sees them.  (Decoding does not seal the
+    frame.)
     """
-    frame = _parse_frame(data)
-    if frame._encode() != data:
-        raise MulticastCodecError("non-canonical %s frame" % type(frame).__name__)
-    return frame
-
-
-def _parse_frame(data):
     from repro.multicast.token import Token, TokenCertificate  # local import to avoid a cycle
 
-    decoder = CdrDecoder(data)
-    try:
-        frame_type = decoder.read_octet()
-        if frame_type == FRAME_REGULAR:
-            return RegularMessage.decode(decoder)
-        if frame_type == FRAME_TOKEN:
-            return Token.decode(decoder)
-        if frame_type == FRAME_PROPOSAL:
-            return MembershipProposal.decode(decoder)
-        if frame_type == FRAME_COMMIT:
-            return MembershipCommit.decode(decoder)
-        if frame_type == FRAME_JOIN_REQUEST:
-            return JoinRequest.decode(decoder)
-        if frame_type == FRAME_FRAGMENT:
-            return MessageFragment.decode(decoder)
-        if frame_type == FRAME_CERTIFICATE:
-            return TokenCertificate.decode(decoder)
-    except MarshalError as exc:
-        raise MulticastCodecError("malformed multicast frame: %s" % exc)
-    raise MulticastCodecError("unknown frame type %d" % frame_type)
+    if not data:
+        raise MulticastCodecError("empty multicast frame")
+    for cls in (
+        RegularMessage,
+        Token,
+        MembershipProposal,
+        MembershipCommit,
+        JoinRequest,
+        MessageFragment,
+        TokenCertificate,
+    ):
+        if cls.frame_type == data[0]:
+            return cls.decode(data)
+    raise MulticastCodecError("unknown frame type %d" % data[0])
 
 
 #: frame bytes -> decoded frame object, shared across the whole LAN:

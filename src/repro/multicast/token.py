@@ -23,32 +23,31 @@ itself; ``prev_token_digest`` chains each token to its predecessor so
 that a malicious holder cannot rewrite history it did not create.
 """
 
-from repro.orb.cdr import CdrDecoder, CdrEncoder
 from repro.multicast.messages import (
     FRAME_CERTIFICATE,
     FRAME_TOKEN,
-    _int_to_octets,
-    _octets_to_int,
+    MulticastCodecError,
     _seeded,
+    _SignedFrame,
 )
+from repro.orb.schema import Schema
 
+#: one ``message_digest_list`` entry: a message's seq and its digest
 DIGEST_ENTRY_TAG = ("struct", (("seq", "ulonglong"), ("digest", "octets")))
 
 #: hard cap on the visits one certificate may vouch (memory/abuse bound)
 MAX_CERT_SPAN = 1024
 
 
-class _SignedFrame:
-    """The framing tokens and certificates share, and its seal.
+class _SealedFrame(_SignedFrame):
+    """A signed frame that seals itself when encoded.
 
-    On the wire a signed frame is its type octet, the signable bytes
-    and the signature.  ``encode()`` *seals* the frame: it keeps the
-    signable bytes it just wrote, so the receivers of an uncorrupted
-    broadcast — who are handed this very object by the decode memo and
-    may not change it (``_seeded``) — check the signature over those
-    bytes instead of running the CDR encoder once each.  A frame parsed
-    off the wire is not sealed; :meth:`signable_bytes` stays a pure
-    function of the fields.
+    ``encode()`` keeps the signable bytes it just wrote, so the
+    receivers of an uncorrupted broadcast — who are handed this very
+    object by the decode memo and may not change it (``_seeded``) —
+    check the signature over those bytes instead of running the CDR
+    encoder once each.  A frame parsed off the wire is not sealed;
+    :meth:`signable_bytes` stays a pure function of the fields.
 
     The same contract carries the frame's observability summary: every
     recorder that logs a sealed frame is handed one dict
@@ -56,14 +55,6 @@ class _SignedFrame:
     """
 
     __slots__ = ("_sealed", "_summary")
-
-    def _encode(self, signable=None):
-        """The wire bytes; seals nothing and seeds no memo."""
-        encoder = CdrEncoder()
-        encoder.write_octet(self.frame_type)
-        encoder.write_octets(self.signable_bytes() if signable is None else signable)
-        encoder.write_octets(_int_to_octets(self.signature))
-        return encoder.getvalue()
 
     def _seal(self, signable):
         """Frame ``signable``, the encoding of the fields as they are now."""
@@ -101,7 +92,7 @@ class _SignedFrame:
         return summary
 
 
-class Token(_SignedFrame):
+class Token(_SealedFrame):
     """One visit's token."""
 
     frame_type = FRAME_TOKEN
@@ -109,22 +100,22 @@ class Token(_SignedFrame):
     #: sentinel for "no processor is currently pinning the aru"
     NO_ARU_ID = 0xFFFFFFFF
 
-    __slots__ = (
-        "sender_id",
-        "ring_id",
-        "visit",
-        "seq",
-        "aru",
-        "aru_id",
-        "successor",
-        "rtr_list",
-        "rtg_list",
-        "message_digest_list",
-        "prev_token_digest",
-        "signature",
-        "_form_members",
-        "_form_ok",
+    #: the fields in wire order: ``aru_id`` precedes ``successor``
+    SCHEMA = Schema(
+        ("sender_id", "ulong"),
+        ("ring_id", "ulong"),
+        ("visit", "ulonglong"),
+        ("seq", "ulonglong"),
+        ("aru", "ulonglong"),
+        ("aru_id", "ulong"),
+        ("successor", "ulong"),
+        ("rtr_list", ("sequence", "ulonglong")),
+        ("rtg_list", ("sequence", "ulonglong")),
+        ("message_digest_list", ("sequence", DIGEST_ENTRY_TAG)),
+        ("prev_token_digest", "octets"),
+        error=MulticastCodecError,
     )
+    __slots__ = SCHEMA.names + ("_form_members", "_form_ok")
 
     def __init__(
         self,
@@ -160,63 +151,6 @@ class Token(_SignedFrame):
         #: the membership :meth:`well_formed` last checked against
         self._form_members = None
         self._form_ok = False
-
-    # ------------------------------------------------------------------
-    # encoding
-    # ------------------------------------------------------------------
-
-    def signable_bytes(self):
-        """All fields except the signature, in canonical order.
-
-        Sequences are emitted with the direct primitive methods
-        (length then elements, structs field by field) — byte-identical
-        to the generic ``("sequence", ...)`` tags this encoding used to
-        be written with, as ``tests/unit/test_token.py`` asserts.
-        """
-        encoder = CdrEncoder()
-        encoder.write_ulong(self.sender_id)
-        encoder.write_ulong(self.ring_id)
-        encoder.write_ulonglong(self.visit)
-        encoder.write_ulonglong(self.seq)
-        encoder.write_ulonglong(self.aru)
-        encoder.write_ulong(self.aru_id)
-        encoder.write_ulong(self.successor)
-        encoder.write_ulong(len(self.rtr_list))
-        for seq in self.rtr_list:
-            encoder.write_ulonglong(seq)
-        encoder.write_ulong(len(self.rtg_list))
-        for seq in self.rtg_list:
-            encoder.write_ulonglong(seq)
-        encoder.write_ulong(len(self.message_digest_list))
-        for seq, digest in self.message_digest_list:
-            encoder.write_ulonglong(seq)
-            encoder.write_octets(digest)
-        encoder.write_octets(self.prev_token_digest)
-        return encoder.getvalue()
-
-    @classmethod
-    def decode(cls, decoder):
-        signable = decoder.read_octets()
-        signature = _octets_to_int(decoder.read_octets())
-        inner = CdrDecoder(signable)
-        token = cls(
-            sender_id=inner.read_ulong(),
-            ring_id=inner.read_ulong(),
-            visit=inner.read_ulonglong(),
-            seq=inner.read_ulonglong(),
-            aru=inner.read_ulonglong(),
-            aru_id=inner.read_ulong(),
-            successor=inner.read_ulong(),
-            rtr_list=[inner.read_ulonglong() for _ in range(inner.read_ulong())],
-            rtg_list=[inner.read_ulonglong() for _ in range(inner.read_ulong())],
-            message_digest_list=[
-                (inner.read_ulonglong(), inner.read_octets())
-                for _ in range(inner.read_ulong())
-            ],
-            prev_token_digest=inner.read_octets(),
-            signature=signature,
-        )
-        return token
 
     # ------------------------------------------------------------------
     # integrity checks
@@ -291,18 +225,8 @@ class Token(_SignedFrame):
             "signed": bool(self.signature),
         }
 
-    def __repr__(self):
-        return "Token(P%d, ring=%d, visit=%d, seq=%d, aru=%d, ->P%d)" % (
-            self.sender_id,
-            self.ring_id,
-            self.visit,
-            self.seq,
-            self.aru,
-            self.successor,
-        )
 
-
-class TokenCertificate(_SignedFrame):
+class TokenCertificate(_SealedFrame):
     """One RSA signature vouching a contiguous span of token visits.
 
     The flat batch-signature scheme (after MABS): with
@@ -324,7 +248,14 @@ class TokenCertificate(_SignedFrame):
 
     frame_type = FRAME_CERTIFICATE
 
-    __slots__ = ("signer_id", "ring_id", "first_visit", "digests", "signature")
+    SCHEMA = Schema(
+        ("signer_id", "ulong"),
+        ("ring_id", "ulong"),
+        ("first_visit", "ulonglong"),
+        ("digests", ("sequence", "octets")),
+        error=MulticastCodecError,
+    )
+    __slots__ = SCHEMA.names
 
     def __init__(self, signer_id, ring_id, first_visit, digests, signature=0):
         self.signer_id = signer_id
@@ -344,29 +275,6 @@ class TokenCertificate(_SignedFrame):
         first = self.first_visit
         for offset, digest in enumerate(self.digests):
             yield first + offset, digest
-
-    def signable_bytes(self):
-        encoder = CdrEncoder()
-        encoder.write_ulong(self.signer_id)
-        encoder.write_ulong(self.ring_id)
-        encoder.write_ulonglong(self.first_visit)
-        encoder.write_ulong(len(self.digests))
-        for digest in self.digests:
-            encoder.write_octets(digest)
-        return encoder.getvalue()
-
-    @classmethod
-    def decode(cls, decoder):
-        signable = decoder.read_octets()
-        signature = _octets_to_int(decoder.read_octets())
-        inner = CdrDecoder(signable)
-        return cls(
-            signer_id=inner.read_ulong(),
-            ring_id=inner.read_ulong(),
-            first_visit=inner.read_ulonglong(),
-            digests=[inner.read_octets() for _ in range(inner.read_ulong())],
-            signature=signature,
-        )
 
     def well_formed(self, ring_members):
         """Structural validity: signer is a member, span sane and bounded."""
@@ -388,11 +296,3 @@ class TokenCertificate(_SignedFrame):
             "last_visit": self.last_visit,
             "count": len(self.digests),
         }
-
-    def __repr__(self):
-        return "TokenCertificate(P%d, ring=%d, visits %d..%d)" % (
-            self.signer_id,
-            self.ring_id,
-            self.first_visit,
-            self.last_visit,
-        )

@@ -21,10 +21,9 @@ signatures can drive marshalling generically:
 
 Every primitive also has a direct method (``write_ulong``,
 ``read_ulonglong``, ...) compiled against a precompiled
-:class:`struct.Struct`; the wire-format hot paths (GIOP headers,
-multicast frames, tokens) call these instead of the generic
-string-tag dispatch.  Direct methods and generic ``write``/``read``
-produce byte-identical output.
+:class:`struct.Struct`, which the generic ``write``/``read`` dispatch
+to.  The wire frames are marshalled by :mod:`repro.orb.schema`, compiled
+from their declarations, byte-identically.
 """
 
 import struct

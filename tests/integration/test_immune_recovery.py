@@ -9,6 +9,8 @@ the service answers throughout.
 import pytest
 
 from repro.core.config import ImmuneConfig, SurvivabilityCase
+from repro.core.groups import UPDATE_REMOVE, GroupUpdate
+from repro.core.identifiers import BASE_GROUP, KIND_GROUP_UPDATE, ImmuneMessage
 from repro.core.immune import ImmuneSystem
 from repro.orb.idl import InterfaceDef, OperationDef, ParamDef
 from repro.sim.faults import FaultPlan
@@ -141,3 +143,32 @@ def test_reads_after_recovery_are_consistent():
     immune.run(until=8.0)
     for pid, values in got.items():
         assert values == ["santa barbara"], "client on P%d got %r" % (pid, values)
+
+
+def _announce(immune, pid, action, group_name, proc_id):
+    """Processor ``pid`` multicasts a group update to the base group."""
+    update = GroupUpdate(action, group_name, proc_id).encode()
+    message = ImmuneMessage(KIND_GROUP_UPDATE, group_name, 0, pid, BASE_GROUP, update)
+    immune.managers[pid].endpoint.multicast(BASE_GROUP, message.encode())
+
+
+def test_a_group_update_with_an_unknown_action_is_dropped():
+    """It used to decode, and ``ObjectGroupTable.apply`` raised out of
+    every Replication Manager's delivery."""
+    immune, _store, _client = build()
+    immune.scheduler.at(0.5, _announce, immune, 5, 3, "store", 5)
+    immune.run(until=1.5)
+    for manager in immune.managers.values():
+        assert manager.groups.members("store") == (0, 1, 2)
+
+
+def test_a_member_cannot_remove_another_processors_replicas():
+    """P5 hosts no ``store`` replica; removing P0's and P1's would leave
+    one replica deciding every vote."""
+    immune, _store, _client = build()
+    immune.scheduler.at(0.5, _announce, immune, 5, UPDATE_REMOVE, "store", 0)
+    immune.scheduler.at(0.5, _announce, immune, 5, UPDATE_REMOVE, "store", 1)
+    immune.run(until=1.5)
+    for manager in immune.managers.values():
+        assert manager.groups.members("store") == (0, 1, 2)
+        assert manager.stats["group_updates_refused"] == 2

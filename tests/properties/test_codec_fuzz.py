@@ -7,12 +7,13 @@ parse) is a crash vector.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.groups import GroupError, GroupUpdate
 from repro.core.identifiers import ImmuneCodecError, ImmuneMessage
 from repro.core.value_fault import ValueFaultCodecError, ValueFaultVote
 from repro.multicast.messages import MulticastCodecError, decode_frame
 from repro.orb.giop import GiopError, RequestMessage, decode_message
 from repro.orb.transport import split_frames
-from tests.properties.test_frame_roundtrip import _certificate, _fragment, _regular, _token
+from tests.properties.frames import any_frame, decode
 
 _SETTINGS = dict(max_examples=300)
 
@@ -62,6 +63,15 @@ def test_value_fault_vote_decode_never_crashes(data):
         pass
 
 
+@given(st.binary(max_size=256))
+@settings(**_SETTINGS)
+def test_group_update_decode_never_crashes(data):
+    try:
+        GroupUpdate.decode(data)
+    except GroupError:
+        pass
+
+
 @given(st.binary(min_size=13, max_size=128), st.integers(0, 12 * 8 - 1))
 @settings(max_examples=200)
 def test_bitflipped_giop_frames_fail_cleanly(body, bit):
@@ -91,10 +101,10 @@ def test_bitflipped_multicast_frames_fail_cleanly(payload, bit_position):
     assert hasattr(decoded, "frame_type")
 
 
-@given(st.one_of(_regular, _fragment, _token, _certificate), st.data())
+@given(any_frame(), st.data())
 @settings(max_examples=600, deadline=None)
 def test_a_mutated_byte_is_rejected_or_is_the_frame_it_decodes_to(frame, data):
-    """Only canonical bytes are a frame.
+    """Only canonical bytes are a frame, of every declared kind.
 
     Digests and the mutant-token comparison are over raw bytes, token
     and certificate signatures over the re-encoding of the parsed
@@ -107,7 +117,7 @@ def test_a_mutated_byte_is_rejected_or_is_the_frame_it_decodes_to(frame, data):
     raw[index] ^= data.draw(st.integers(1, 255), label="flip")
     mutated = bytes(raw)
     try:
-        decoded = decode_frame(mutated)
-    except MulticastCodecError:
+        decoded = decode(type(frame), mutated)
+    except type(frame).SCHEMA.error:
         return
     assert decoded.encode() == mutated

@@ -1,60 +1,20 @@
-"""Property: ``decode_frame(x.encode())`` equals ``x`` field by field.
+"""Property: decoding ``x.encode()`` gives ``x`` field by field, for
+every declared wire frame.
 
 ``encode()`` of a regular message, fragment, token or token certificate
 seeds the LAN-wide decode memo with the very object that was encoded, so
 receivers of an uncorrupted broadcast never parse it.  That is only
 invisible if parsing the bytes would have produced an equal object —
 same values and same types in every field — which is what this oracle
-checks with the plain, unmemoised ``decode_frame``.
+checks with the plain, unmemoised decoders.  The frames are drawn from
+the declarations (``tests/properties/frames.py``).
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.multicast.messages import (
-    MessageFragment,
-    RegularMessage,
-    decode_frame,
-    decode_frame_shared,
-)
+from repro.multicast.messages import decode_frame, decode_frame_shared
 from repro.multicast.token import Token, TokenCertificate
-
-_ulong = st.integers(0, 2**32 - 1)
-_ulonglong = st.integers(0, 2**64 - 1)
-_digest = st.binary(max_size=20)
-_group = st.text(st.characters(blacklist_characters="\x00", blacklist_categories=("Cs",)), max_size=24)
-_signature = st.integers(0, 2**300)
-
-_regular = st.builds(RegularMessage, _ulong, _ulong, _ulonglong, _group, st.binary(max_size=200))
-_fragment = st.builds(
-    MessageFragment, _ulong, _ulong, _ulonglong, _group, _ulong, _ulong, _ulong,
-    st.binary(max_size=200),
-)
-_token = st.builds(
-    Token,
-    sender_id=_ulong,
-    ring_id=_ulong,
-    visit=_ulonglong,
-    seq=_ulonglong,
-    aru=_ulonglong,
-    successor=_ulong,
-    aru_id=_ulong,
-    rtr_list=st.lists(_ulonglong, max_size=6),
-    rtg_list=st.lists(_ulonglong, max_size=6),
-    message_digest_list=st.lists(st.tuples(_ulonglong, _digest), max_size=6),
-    prev_token_digest=_digest,
-    signature=_signature,
-)
-_certificate = st.builds(
-    TokenCertificate, _ulong, _ulong, _ulonglong, st.lists(_digest, max_size=8), _signature
-)
-
-def _fields(frame):
-    """What a frame *is*: every public slot (the token's form-check memo is private)."""
-    return [
-        (slot, getattr(frame, slot))
-        for slot in type(frame).__slots__
-        if not slot.startswith("_")
-    ]
+from tests.properties.frames import SEEDED, any_boundary_frame, any_frame, decode, fields_of, frames
 
 
 def _typed(value):
@@ -64,26 +24,39 @@ def _typed(value):
     return (type(value), value)
 
 
-@given(st.one_of(_regular, _fragment, _token, _certificate))
-@settings(max_examples=400, deadline=None)
-def test_decoding_an_encoded_frame_rebuilds_it_field_by_field(frame):
+def _rebuilds(frame):
     raw = frame.encode()
-    assert decode_frame_shared(raw) is frame  # seeded: receivers get the encoded object
-    parsed = decode_frame(raw)
+    if isinstance(frame, SEEDED):
+        assert decode_frame_shared(raw) is frame  # seeded: receivers get the encoded object
+    parsed = decode(type(frame), raw)
     assert type(parsed) is type(frame)
     assert parsed is not frame
-    assert [(slot, _typed(value)) for slot, value in _fields(parsed)] == [
-        (slot, _typed(value)) for slot, value in _fields(frame)
+    assert [(name, _typed(value)) for name, value in fields_of(parsed)] == [
+        (name, _typed(value)) for name, value in fields_of(frame)
     ]
     assert parsed.encode() == raw
 
 
+@given(any_frame())
+@settings(max_examples=400, deadline=None)
+def test_decoding_an_encoded_frame_rebuilds_it_field_by_field(frame):
+    _rebuilds(frame)
+
+
+@given(any_boundary_frame())
+@settings(max_examples=300, deadline=None)
+def test_a_frame_with_one_field_at_a_boundary_still_decodes_cleanly(frame):
+    """The boundary mutator's frames are well formed: what they break,
+    they break past the decoder, where a byte-level fuzzer never gets."""
+    _rebuilds(frame)
+
+
 def _rebuilt(frame):
     """An equal frame built from the same fields, never encoded."""
-    return type(frame)(**dict(_fields(frame)))
+    return type(frame)(**dict(fields_of(frame)))
 
 
-@given(st.one_of(_token, _certificate))
+@given(st.one_of(frames(Token), frames(TokenCertificate)))
 @settings(max_examples=200, deadline=None)
 def test_encode_seals_the_signable_bytes_and_parsing_does_not(frame):
     """``encode()`` keeps the signable bytes it wrote (what receivers of

@@ -7,6 +7,8 @@ from repro.core.identifiers import (
     ImmuneCodecError,
     ImmuneMessage,
     KIND_INVOCATION,
+    KIND_NAMES,
+    KIND_PASSIVE_UPDATE,
     KIND_RESPONSE,
     OperationId,
 )
@@ -30,6 +32,16 @@ def test_immune_message_bad_kind_rejected():
     raw[0] = 99
     with pytest.raises(ImmuneCodecError):
         ImmuneMessage.decode(bytes(raw))
+
+
+def test_every_kind_that_decodes_has_a_name_in_the_repr():
+    """One table: the kinds decode accepts are the kinds repr names."""
+    message = ImmuneMessage(KIND_PASSIVE_UPDATE, "primary", 4, 2, "backups", b"state")
+    assert repr(message).startswith("ImmuneMessage(kind=PSV, source_group='primary'")
+    for kind, name in KIND_NAMES.items():
+        message = ImmuneMessage(kind, "s", 1, 0, "t", b"")
+        assert ImmuneMessage.decode(message.encode()).kind == kind
+        assert "kind=%s," % name in repr(message)
 
 
 def test_immune_message_truncated_rejected():

@@ -6,7 +6,6 @@ from repro.crypto.costmodel import CryptoCostModel
 from repro.crypto.keystore import KeyStore
 from repro.multicast.messages import FRAME_CERTIFICATE, decode_frame
 from repro.multicast.token import MAX_CERT_SPAN, TokenCertificate
-from repro.orb.cdr import CdrDecoder
 
 
 def make_cert(first_visit=7, count=3, signer_id=2, ring_id=5, signature=0):
@@ -33,9 +32,8 @@ def test_span_accessors():
 def test_encode_decode_roundtrip():
     cert = make_cert(signature=123456789)
     raw = cert.encode()
-    decoder = CdrDecoder(raw)
-    assert decoder.read_octet() == FRAME_CERTIFICATE
-    decoded = TokenCertificate.decode(decoder)
+    assert raw[0] == FRAME_CERTIFICATE
+    decoded = TokenCertificate.decode(raw)
     assert decoded.signer_id == cert.signer_id
     assert decoded.ring_id == cert.ring_id
     assert decoded.first_visit == cert.first_visit
