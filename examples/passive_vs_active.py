@@ -19,8 +19,8 @@ Run:  python examples/passive_vs_active.py
 
 from repro.core import ImmuneConfig, ImmuneSystem, SurvivabilityCase
 from repro.core.replica import ValueFaultServant
-from repro.orb.cdr import CdrDecoder, CdrEncoder
 from repro.orb.idl import InterfaceDef, OperationDef, ParamDef
+from repro.orb.schema import Schema
 
 PRICER_IDL = InterfaceDef(
     "Pricer", [OperationDef("quote", [ParamDef("units", "long")], result="long")]
@@ -28,16 +28,19 @@ PRICER_IDL = InterfaceDef(
 
 UNIT_PRICE = 3
 
+#: the pricer's checkpoint: its unit price
+PRICER_STATE = Schema(("unit_price", "long"))
+
 
 class PricerServant:
     def quote(self, units):
         return units * UNIT_PRICE
 
     def get_state(self):
-        return CdrEncoder().write("long", UNIT_PRICE).getvalue()
+        return PRICER_STATE.pack((UNIT_PRICE,))
 
     def set_state(self, state):
-        CdrDecoder(state).read("long")
+        PRICER_STATE.unpack(state)
 
 
 def run_mode(passive):

@@ -39,15 +39,21 @@ from repro.core.value_fault import (
     ValueFaultVote,
 )
 from repro.core.voting import LateFault, VoteDecision, Voter
+from repro.orb.cdr import MarshalError
 from repro.orb.giop import (
     GiopError,
     ReplyMessage,
     RequestMessage,
     decode_message_shared,
 )
+from repro.orb.schema import Schema
 
 #: simulated CPU cost of intercepting/wrapping one IIOP frame
 INTERCEPTION_COST = 15e-6
+
+#: a state checkpoint (replica reallocation, live migration): the
+#: group's operation counter at the cut, then the servant's own state
+STATE_CHECKPOINT = Schema(("op_counter", "ulonglong"), ("state", "octets"))
 
 
 class ReplicationError(Exception):
@@ -110,6 +116,7 @@ class ReplicationManager:
             "duplicates_suppressed": 0,
             "value_fault_votes_sent": 0,
             "group_updates_refused": 0,
+            "checkpoints_refused": 0,
         }
         if obs is not None:
             obs.registry.derive_counters(
@@ -606,26 +613,23 @@ class ReplicationManager:
         get_state = getattr(servant, "get_state", None)
         if get_state is None:
             return None
-        from repro.orb.cdr import CdrEncoder
-
-        encoder = CdrEncoder()
-        encoder.write("ulonglong", self._op_counters.get(group_name, 0))
-        encoder.write("octets", get_state())
-        return encoder.getvalue()
+        return STATE_CHECKPOINT.pack((self._op_counters.get(group_name, 0), get_state()))
 
     def _on_state_checkpoint(self, group_name, state, joiner):
         if joiner != self.my_id:
             # Another processor is joining; update our table when its
             # GroupUpdate arrives (sent by the joiner below).
             return
+        try:
+            op_counter, servant_state = STATE_CHECKPOINT.unpack(state)
+        except MarshalError:
+            # Any ring member can multicast a checkpoint: a malformed
+            # one is dropped, and the join waits for its donor's.
+            self.stats["checkpoints_refused"] += 1
+            return
         factory = self._join_factories.pop(group_name, None)
         if factory is None:
             return
-        from repro.orb.cdr import CdrDecoder
-
-        decoder = CdrDecoder(state)
-        op_counter = decoder.read("ulonglong")
-        servant_state = decoder.read("octets")
         factory(servant_state)
         self._op_counters[group_name] = op_counter
         self.host_replica(group_name)

@@ -28,6 +28,7 @@ from repro.core.identifiers import (
     KIND_PASSIVE_UPDATE,
     KIND_RESPONSE,
 )
+from repro.orb.cdr import MarshalError
 from repro.orb.giop import GiopError, RequestMessage, decode_message
 
 #: simulated CPU cost of applying one state checkpoint at a backup
@@ -50,7 +51,12 @@ class PassiveGroupDriver:
         #: the manager's filter for the group, so its exclusion sweep
         #: reaches this one too
         self._dup = manager.dup_filter_for(group_name)
-        self.stats = {"executed": 0, "checkpoints_sent": 0, "checkpoints_applied": 0}
+        self.stats = {
+            "executed": 0,
+            "checkpoints_sent": 0,
+            "checkpoints_applied": 0,
+            "checkpoints_refused": 0,
+        }
 
     # ------------------------------------------------------------------
     # role
@@ -129,8 +135,13 @@ class PassiveGroupDriver:
         if set_state is None:
             return
         self.manager.processor.charge(CHECKPOINT_APPLY_COST, "rm.passive")
+        try:
+            set_state(message.body)
+        except MarshalError:
+            # a state that does not unmarshal is refused, not applied
+            self.stats["checkpoints_refused"] += 1
+            return
         self.stats["checkpoints_applied"] += 1
-        set_state(message.body)
 
     # ------------------------------------------------------------------
     # oneway invocations need no response but still need checkpoints

@@ -30,7 +30,7 @@ class ValueFaultVote(Frame):
         ("source_group", "string"),
         ("op_num", "ulonglong"),
         ("target_group", "string"),
-        ("entries", ("sequence", ("struct", (("sender", "ulong"), ("digest", "octets"))))),
+        ("entries", ("sequence", ("record", (("sender", "ulong"), ("digest", "octets"))))),
         error=ValueFaultCodecError,
     )
     __slots__ = SCHEMA.names

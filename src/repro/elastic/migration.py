@@ -39,7 +39,7 @@ Migrations serialise: one epoch at a time, queued FIFO.
 from collections import deque
 
 from repro.cluster.config import ClusterConfigError
-from repro.orb.cdr import CdrDecoder
+from repro.core.manager import STATE_CHECKPOINT
 
 
 class MigrationError(Exception):
@@ -210,9 +210,9 @@ class MigrationCoordinator:
                 % group_name,
             )
             return
-        decoder = CdrDecoder(src_immune.managers[donor].capture_state(group_name))
-        op_counter = decoder.read("ulonglong")
-        servant_state = decoder.read("octets")
+        op_counter, servant_state = STATE_CHECKPOINT.unpack(
+            src_immune.managers[donor].capture_state(group_name)
+        )
         src_immune.export_group(group_name)
         new_procs = cluster.placement.replica_procs(
             group_name, job.dst_ring, degree

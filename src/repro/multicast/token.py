@@ -33,7 +33,7 @@ from repro.multicast.messages import (
 from repro.orb.schema import Schema
 
 #: one ``message_digest_list`` entry: a message's seq and its digest
-DIGEST_ENTRY_TAG = ("struct", (("seq", "ulonglong"), ("digest", "octets")))
+DIGEST_ENTRY_TAG = ("record", (("seq", "ulonglong"), ("digest", "octets")))
 
 #: hard cap on the visits one certificate may vouch (memory/abuse bound)
 MAX_CERT_SPAN = 1024

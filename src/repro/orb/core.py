@@ -229,21 +229,7 @@ class Orb:
         previous_source = self._current_source_key
         self._current_source_key = request.object_key
         try:
-            result_body = skeleton.dispatch(request.operation, request.body)
-            status = REPLY_NO_EXCEPTION
-        except UserException as exc:
-            operation = skeleton.interface.operations.get(request.operation)
-            if operation is not None and operation.exception_for(exc.repository_id):
-                result_body = exc.marshal()
-                status = REPLY_USER_EXCEPTION
-            else:
-                # An undeclared exception escapes as a system exception,
-                # as in CORBA.
-                result_body = b""
-                status = REPLY_SYSTEM_EXCEPTION
-        except IdlError:
-            result_body = b""
-            status = REPLY_SYSTEM_EXCEPTION
+            status, result_body = self._dispatch(skeleton, request)
         finally:
             self._current_source_key = previous_source
         self.stats["requests_served"] += 1
@@ -252,6 +238,23 @@ class Orb:
             reply_frame = reply.encode()
             self.processor.charge(self.costs.marshal_cost(len(reply_frame)), "orb.marshal")
             reply_sink(reply_frame)
+
+    @staticmethod
+    def _dispatch(skeleton, request):
+        """``(reply status, body)`` of serving ``request``.  A body that
+        does not unmarshal, or a result or user exception that does not
+        marshal, is a system exception (CORBA's MARSHAL), as is an
+        undeclared user exception."""
+        try:
+            try:
+                return REPLY_NO_EXCEPTION, skeleton.dispatch(request.operation, request.body)
+            except UserException as exc:
+                operation = skeleton.interface.operations.get(request.operation)
+                if operation is not None and operation.exception_for(exc.repository_id):
+                    return REPLY_USER_EXCEPTION, exc.marshal()
+        except IdlError:
+            pass
+        return REPLY_SYSTEM_EXCEPTION, b""
 
     def _expire_request(self, request_id, operation_name):
         handler = self._pending_replies.pop(request_id, None)

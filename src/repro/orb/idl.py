@@ -22,7 +22,8 @@ Immune system depends on.
 """
 
 from repro import perf
-from repro.orb.cdr import CdrDecoder, CdrEncoder, MarshalError
+from repro.orb.cdr import ERRORS, TAIL
+from repro.orb.schema import Schema
 
 #: (parameter type tags, argument values) -> marshalled body.  Shared
 #: across operations: two operations with the same signature marshal
@@ -31,7 +32,17 @@ _MARSHAL_CACHE = perf.register_cache(perf.BytesKeyedCache("idl.marshal"))
 
 
 class IdlError(Exception):
-    """Raised on interface definition or dispatch errors."""
+    """Raised on interface definition or dispatch errors, and on a body
+    that does not unmarshal (CORBA's MARSHAL)."""
+
+
+def _pack(schema, values, what, name):
+    """``schema``'s encoding of ``values``; a value its tag cannot hold
+    raises :class:`IdlError` saying they are the ``what`` of ``name``."""
+    try:
+        return schema.pack(values)
+    except ERRORS as exc:
+        raise IdlError("%s of %s: %s" % (what, name, exc))
 
 
 class UserException(Exception):
@@ -46,6 +57,12 @@ class UserException(Exception):
     repository_id = "IDL:repro/UserException:1.0"
     #: ((member name, CDR type tag), ...)
     members = ()
+    #: the body: the repository id, then the members
+    _schema = Schema(("repository_id", "string"), error=IdlError)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._schema = Schema(("repository_id", "string"), *cls.members, error=IdlError)
 
     def __init__(self, **values):
         self.values = {}
@@ -63,22 +80,17 @@ class UserException(Exception):
         super().__init__(self.repository_id)
 
     def marshal(self):
-        encoder = CdrEncoder()
-        encoder.write("string", self.repository_id)
-        for name, tag in self.members:
-            encoder.write(tag, self.values[name])
-        return encoder.getvalue()
+        values = [self.repository_id] + [self.values[name] for name, _ in self.members]
+        return _pack(self._schema, values, "members", type(self).__name__)
 
     @classmethod
     def unmarshal(cls, body):
-        decoder = CdrDecoder(body)
-        repository_id = decoder.read("string")
+        repository_id, *values = cls._schema.unpack(body)
         if repository_id != cls.repository_id:
             raise IdlError(
                 "expected exception %s, got %s" % (cls.repository_id, repository_id)
             )
-        values = {name: decoder.read(tag) for name, tag in cls.members}
-        return cls(**values)
+        return cls(**{name: value for (name, _), value in zip(cls.members, values)})
 
     def __eq__(self, other):
         return (
@@ -95,9 +107,13 @@ class UserException(Exception):
         return "%s(%s)" % (type(self).__name__, body)
 
 
+#: a user exception body as far as its repository id
+_EXCEPTION_ID = Schema(("repository_id", "string"), ("members", TAIL), error=IdlError)
+
+
 def peek_exception_id(body):
     """The repository id of a marshalled user exception."""
-    return CdrDecoder(body).read("string")
+    return _EXCEPTION_ID.unpack(body)[0]
 
 
 class ParamDef:
@@ -122,7 +138,9 @@ class OperationDef:
         self.name = name
         self.params = list(params)
         self._tag_key = tuple(param.type_tag for param in self.params)
+        self._args = Schema(*((p.name, p.type_tag) for p in self.params), error=IdlError)
         self.result = result
+        self._result = None if result is None else Schema(("result", result), error=IdlError)
         self.oneway = oneway
         #: UserException subclasses this operation may raise
         self.raises = tuple(raises)
@@ -153,29 +171,22 @@ class OperationDef:
             return self._marshal_args(args)
 
     def _marshal_args(self, args):
-        encoder = CdrEncoder()
-        for param, value in zip(self.params, args):
-            try:
-                encoder.write(param.type_tag, value)
-            except MarshalError as exc:
-                raise IdlError("argument %r of %s: %s" % (param.name, self.name, exc))
-        return encoder.getvalue()
+        return _pack(self._args, args, "arguments", self.name)
 
     def unmarshal_args(self, body):
-        decoder = CdrDecoder(body)
-        return [decoder.read(param.type_tag) for param in self.params]
+        """The arguments ``body`` is the canonical encoding of; raises
+        :class:`IdlError` on anything else."""
+        return self._args.unpack(body)
 
     def marshal_result(self, value):
-        if self.result is None:
+        if self._result is None:
             return b""
-        encoder = CdrEncoder()
-        encoder.write(self.result, value)
-        return encoder.getvalue()
+        return _pack(self._result, (value,), "result", self.name)
 
     def unmarshal_result(self, body):
-        if self.result is None:
+        if self._result is None:
             return None
-        return CdrDecoder(body).read(self.result)
+        return self._result.unpack(body)[0]
 
     def __repr__(self):
         kind = "oneway " if self.oneway else ""

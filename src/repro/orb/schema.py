@@ -2,154 +2,32 @@
 
 A frame class declares its fields once, in wire order, as ``(name,
 tag)`` pairs (:class:`Schema`).  The tags are :mod:`repro.orb.cdr`'s,
-with three differences:
-
-* ``("struct", ...)`` values are tuples in field order, not dicts;
-* :func:`one_of` is a primitive whose decoded value must be one of a
-  table of codes (the table also names them in the repr); the encoder
-  writes any value the primitive holds;
-* :data:`TAIL` is the rest of the stream as raw bytes, with no length
-  prefix (a GIOP body); it can only be the last field.
+whose compiler is the only CDR implementation; frames use its
+``("record", ...)`` entries, :func:`one_of` codes and :data:`TAIL`
+bodies.  An IDL operation's arguments and result, a user exception, a
+state checkpoint and a servant state are declared the same way and
+marshal through :meth:`Schema.pack` / :meth:`Schema.unpack`.
 
 From that one list the schema derives encode, decode, repr and, when the
 declaration names two ``holes``, the hot byte template.  Each is
 compiled once: the leading run of fixed-size primitives, whose CDR
 alignment is known statically, packs as one precomputed
 :class:`struct.Struct`; every later field is a closure that pads to its
-alignment.  The bytes are exactly :class:`~repro.orb.cdr.CdrEncoder`'s.
+alignment.
 
-Only the canonical encoding of a frame decodes: nonzero padding,
-bytes after the last field or a boolean of 2 are rejected as
-corruption.  Digests are over raw bytes and signatures over
-re-encodings, so a frame with two encodings could make two validly
-signed frames out of one honest one.
+Only the canonical encoding decodes: nonzero padding, bytes after the
+last field or a boolean of 2 are rejected as corruption.  Digests are
+over raw bytes and signatures over re-encodings, so a frame with two
+encodings could make two validly signed frames out of one honest one;
+and voters compare bodies by their bytes.
 """
 
 import struct
 from operator import attrgetter
 
 from repro import perf
-from repro.orb.cdr import _PRIMITIVES, MarshalError
-
-#: a raw byte tail with no length prefix (the last field only)
-TAIL = "tail"
-
-#: primitive tag -> struct format character ("?" reads a boolean as bool)
-_CODES = dict({tag: packer.format[-1] for tag, (packer, _) in _PRIMITIVES.items()}, boolean="?")
-_PAD = [b"\x00" * n for n in range(8)]
-_U32 = struct.Struct("<I")
-#: what malformed bytes raise inside the codec
-_ERRORS = (MarshalError, struct.error, ValueError, IndexError)
-
-
-def one_of(tag, names):
-    """A primitive ``tag`` that decodes only to a key of ``names``
-    (code -> the name a repr shows)."""
-    return ("one_of", tag, names)
-
-
-def _code(tag):
-    """The struct code of a fixed-size tag, else None."""
-    if isinstance(tag, tuple):
-        return _CODES[tag[1]] if tag[0] == "one_of" else None
-    return _CODES.get(tag)
-
-
-def _length(data, pos):
-    """``(length, start)`` of the ulong length at ``pos``, over zero padding."""
-    pad = -pos % 4
-    if pad and data[pos : pos + pad] != _PAD[pad]:
-        raise MarshalError("non-canonical (nonzero) CDR padding")
-    pos += pad + 4
-    return _U32.unpack_from(data, pos - 4)[0], pos
-
-
-def _field(tag):
-    """``(write, read)`` for ``tag``: ``write(buf, value)`` appends the
-    value, padded, to a bytearray; ``read(data, pos)`` is ``(value, end)``
-    and accepts only the bytes ``write`` makes: zero padding, a boolean
-    of 0 or 1."""
-    code = _code(tag)
-    if code is not None:
-        packer = struct.Struct("<" + code)
-        pack, size = packer.pack, packer.size
-        unpack_from = struct.Struct("<" + code.replace("?", "B")).unpack_from
-        boolean = code == "?"
-        codes = tag[2] if isinstance(tag, tuple) else None  # one_of
-
-        def write(buf, value):
-            buf += _PAD[-len(buf) % size]
-            buf += pack(value)
-
-        def read(data, pos):
-            pad = -pos % size
-            if pad and data[pos : pos + pad] != _PAD[pad]:
-                raise MarshalError("non-canonical (nonzero) CDR padding")
-            value = unpack_from(data, pos + pad)[0]
-            if boolean:
-                if value > 1:
-                    raise MarshalError("non-canonical boolean octet %d" % value)
-                value = value == 1
-            elif codes is not None and value not in codes:
-                raise MarshalError("unknown code %r" % (value,))
-            return value, pos + pad + size
-
-    elif tag in ("string", "octets"):
-        string = tag == "string"
-
-        def write(buf, value):
-            if string:
-                value = value.encode("utf-8") + b"\x00"  # CDR counts the NUL
-            buf += _PAD[-len(buf) % 4]
-            buf += _U32.pack(len(value))
-            buf += value
-
-        def read(data, pos):
-            length, pos = _length(data, pos)
-            end = pos + length
-            if end > len(data) or string and (end == pos or data[end - 1]):
-                raise MarshalError("truncated %s, or a string without its NUL" % tag)
-            return (data[pos : end - 1].decode("utf-8") if string else data[pos:end]), end
-
-    elif tag == TAIL:
-        write = bytearray.extend
-
-        def read(data, pos):
-            return data[pos:], len(data)
-
-    elif tag[0] == "sequence":
-        write_item, read_item = _field(tag[1])
-
-        def write(buf, value):
-            buf += _PAD[-len(buf) % 4]
-            buf += _U32.pack(len(value))
-            for element in value:
-                write_item(buf, element)
-
-        def read(data, pos):
-            length, pos = _length(data, pos)
-            out = []
-            # every element takes a byte at least: a wild length hits the end
-            for _ in range(length):
-                value, pos = read_item(data, pos)
-                out.append(value)
-            return out, pos
-
-    else:  # a struct
-        items = [_field(field_tag) for _, field_tag in tag[1]]
-
-        def write(buf, value):
-            for (write_item, _), element in zip(items, value):
-                write_item(buf, element)
-
-        def read(data, pos):
-            out = []
-            for _, read_item in items:
-                value, pos = read_item(data, pos)
-                out.append(value)
-            return tuple(out), pos
-
-    return write, read
+from repro.orb.cdr import _CODES, _U32, ERRORS, TAIL, MarshalError, _code, _field
+from repro.orb.cdr import one_of  # noqa: F401  (the frame modules' import)
 
 
 def _show(value, names=None):
@@ -162,7 +40,8 @@ def _show(value, names=None):
 
 
 class Schema:
-    """The fields of one frame, and the codec compiled from them.
+    """The fields of one frame (or body, or state), and the codec
+    compiled from them.
 
     A ``typed`` encoding starts with the frame's ``frame_type`` octet,
     which is not a field (the multicast frames).  ``holes`` names the
@@ -180,8 +59,11 @@ class Schema:
         self.error = error
         self._typed = int(typed)
         wire = (("frame_type", "octet"),) * self._typed + fields
+        names = [name for name, _ in wire]
         #: frame -> the tuple :meth:`pack` takes (its type, its fields)
-        self.values = attrgetter(*(name for name, _ in wire))
+        self.values = attrgetter(*names) if len(names) > 1 else lambda frame: tuple(
+            getattr(frame, name) for name in names
+        )
         tags = [tag for _, tag in wire]
         fmt = "<"
         for count, tag in enumerate(tags + [None]):
@@ -214,10 +96,10 @@ class Schema:
             for read in self._readers:
                 value, pos = read(data, pos)
                 values.append(value)
-        except _ERRORS as exc:
-            raise self.error("malformed frame: %s" % exc)
+        except ERRORS as exc:
+            raise self.error("malformed CDR: %s" % exc)
         if pos != len(data):
-            raise self.error("non-canonical frame: %d bytes after it" % (len(data) - pos))
+            raise self.error("non-canonical CDR: %d bytes after it" % (len(data) - pos))
         return values
 
     def encode(self, frame):

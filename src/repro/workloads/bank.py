@@ -8,8 +8,8 @@ Table 1 fault drills use this workload to show continuous correct
 service under replica corruption and processor loss.
 """
 
-from repro.orb.cdr import CdrDecoder, CdrEncoder
 from repro.orb.idl import InterfaceDef, OperationDef, ParamDef
+from repro.orb.schema import Schema
 
 BANK_IDL = InterfaceDef(
     "Bank",
@@ -41,6 +41,12 @@ BANK_IDL = InterfaceDef(
         OperationDef("balance", [ParamDef("account", "long")], result="long"),
         OperationDef("total_assets", [], result="long"),
     ],
+)
+
+#: a branch's checkpoint: the next account id, then (id, balance) by id
+_STATE = Schema(
+    ("next_id", "ulong"),
+    ("accounts", ("sequence", ("record", (("id", "ulong"), ("balance", "longlong"))))),
 )
 
 
@@ -97,24 +103,11 @@ class BankServant:
     # ------------------------------------------------------------------
 
     def get_state(self):
-        encoder = CdrEncoder()
-        encoder.write("ulong", self._next_id)
-        encoder.write(
-            ("sequence", ("struct", (("id", "ulong"), ("balance", "longlong")))),
-            [
-                {"id": acct, "balance": bal}
-                for acct, bal in sorted(self._accounts.items())
-            ],
-        )
-        return encoder.getvalue()
+        return _STATE.pack((self._next_id, sorted(self._accounts.items())))
 
     def set_state(self, state):
-        decoder = CdrDecoder(state)
-        self._next_id = decoder.read("ulong")
-        entries = decoder.read(
-            ("sequence", ("struct", (("id", "ulong"), ("balance", "longlong"))))
-        )
-        self._accounts = {entry["id"]: entry["balance"] for entry in entries}
+        self._next_id, accounts = _STATE.unpack(state)
+        self._accounts = dict(accounts)
 
     @classmethod
     def from_state(cls, state):

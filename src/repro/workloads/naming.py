@@ -13,7 +13,6 @@ object references (the group name + type id), which
 :class:`NamingClient` turns back into live stubs.
 """
 
-from repro.orb.cdr import CdrDecoder, CdrEncoder
 from repro.orb.idl import (
     InterfaceDef,
     OperationDef,
@@ -21,6 +20,7 @@ from repro.orb.idl import (
     UserException,
 )
 from repro.orb.ior import ObjectReference
+from repro.orb.schema import Schema
 
 
 class NotFound(UserException):
@@ -89,6 +89,10 @@ def _validate(name):
         raise InvalidName(name=name)
 
 
+#: the naming context's checkpoint: its (name, reference) bindings by name
+_STATE = Schema(("bindings", ("sequence", ("record", (("name", "string"), ("ref", "string"))))))
+
+
 class NamingServant:
     """Deterministic hierarchical name table."""
 
@@ -126,18 +130,11 @@ class NamingServant:
 
     # checkpointing for reallocation
     def get_state(self):
-        encoder = CdrEncoder()
-        tag = ("sequence", ("struct", (("name", "string"), ("ref", "string"))))
-        encoder.write(
-            tag,
-            [{"name": n, "ref": r} for n, r in sorted(self._bindings.items())],
-        )
-        return encoder.getvalue()
+        return _STATE.pack((sorted(self._bindings.items()),))
 
     def set_state(self, state):
-        tag = ("sequence", ("struct", (("name", "string"), ("ref", "string"))))
-        entries = CdrDecoder(state).read(tag)
-        self._bindings = {e["name"]: e["ref"] for e in entries}
+        (bindings,) = _STATE.unpack(state)
+        self._bindings = dict(bindings)
 
     @classmethod
     def from_state(cls, state):

@@ -27,14 +27,16 @@ duplicated invocation anywhere in a migration window:
   replica, and all replicas of every branch agree byte-for-byte.
 """
 
-from repro.orb.cdr import CdrDecoder, CdrEncoder
+from repro.orb.schema import Schema, one_of
 from repro.workloads.bank import BANK_IDL, BankServant, Branches
 
 #: audit ledger entry kinds, encoded as octets in the checkpoint
 _LEDGER_KINDS = {"w": 0, "d": 1, "t": 2}
 _LEDGER_NAMES = {v: k for k, v in _LEDGER_KINDS.items()}
 
-_LEDGER_CDR = ("sequence", ("struct", (("kind", "octet"), ("amount", "longlong"))))
+#: an audited branch's checkpoint: the bank's own, then the ledger
+_ENTRY = ("record", (("kind", one_of("octet", _LEDGER_NAMES)), ("amount", "longlong")))
+_STATE = Schema(("bank", "octets"), ("ledger", ("sequence", _ENTRY)))
 
 
 class AuditedBankServant(BankServant):
@@ -70,24 +72,13 @@ class AuditedBankServant(BankServant):
         return result
 
     def get_state(self):
-        encoder = CdrEncoder()
-        encoder.write("octets", super().get_state())
-        encoder.write(
-            _LEDGER_CDR,
-            [
-                {"kind": _LEDGER_KINDS[kind], "amount": amount}
-                for kind, amount in self.ledger
-            ],
-        )
-        return encoder.getvalue()
+        ledger = [(_LEDGER_KINDS[kind], amount) for kind, amount in self.ledger]
+        return _STATE.pack((super().get_state(), ledger))
 
     def set_state(self, state):
-        decoder = CdrDecoder(state)
-        super().set_state(decoder.read("octets"))
-        self.ledger = [
-            (_LEDGER_NAMES[entry["kind"]], entry["amount"])
-            for entry in decoder.read(_LEDGER_CDR)
-        ]
+        bank, ledger = _STATE.unpack(state)
+        super().set_state(bank)
+        self.ledger = [(_LEDGER_NAMES[kind], amount) for kind, amount in ledger]
 
     @classmethod
     def from_state(cls, state):

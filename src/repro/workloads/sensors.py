@@ -10,8 +10,8 @@ bogus track is outvoted; a corrupted sensor replica is outvoted by its
 peers within the same sensor group.
 """
 
-from repro.orb.cdr import CdrDecoder, CdrEncoder
 from repro.orb.idl import InterfaceDef, OperationDef, ParamDef
+from repro.orb.schema import Schema
 
 FUSION_IDL = InterfaceDef(
     "FusionCentre",
@@ -35,6 +35,13 @@ FUSION_IDL = InterfaceDef(
     ],
 )
 
+#: the fusion servant's checkpoint: each track's running sums, by track
+_TRACK = (
+    "record",
+    (("track", "ulong"), ("sum_x", "longlong"), ("sum_y", "longlong"), ("count", "ulong")),
+)
+_STATE = Schema(("tracks", ("sequence", _TRACK)))
+
 
 class FusionServant:
     """Deterministic running-average fusion of track reports."""
@@ -57,45 +64,11 @@ class FusionServant:
 
     # checkpointing for reallocation
     def get_state(self):
-        encoder = CdrEncoder()
-        tag = (
-            "sequence",
-            (
-                "struct",
-                (
-                    ("track", "ulong"),
-                    ("sum_x", "longlong"),
-                    ("sum_y", "longlong"),
-                    ("count", "ulong"),
-                ),
-            ),
-        )
-        encoder.write(
-            tag,
-            [
-                {"track": t, "sum_x": sx, "sum_y": sy, "count": c}
-                for t, (sx, sy, c) in sorted(self._tracks.items())
-            ],
-        )
-        return encoder.getvalue()
+        return _STATE.pack(([(t, *sums) for t, sums in sorted(self._tracks.items())],))
 
     def set_state(self, state):
-        tag = (
-            "sequence",
-            (
-                "struct",
-                (
-                    ("track", "ulong"),
-                    ("sum_x", "longlong"),
-                    ("sum_y", "longlong"),
-                    ("count", "ulong"),
-                ),
-            ),
-        )
-        entries = CdrDecoder(state).read(tag)
-        self._tracks = {
-            e["track"]: (e["sum_x"], e["sum_y"], e["count"]) for e in entries
-        }
+        (tracks,) = _STATE.unpack(state)
+        self._tracks = {t: (sx, sy, c) for t, sx, sy, c in tracks}
 
 
 def scripted_track(track_id, steps, stride_mm=250):

@@ -122,6 +122,29 @@ def test_reallocation_after_crash_restores_degree():
     assert ledger.servants[0].entries == before + after
 
 
+def test_a_malformed_checkpoint_from_another_member_is_dropped():
+    """P5 hosts no ledger replica, yet keeps multicasting a truncated
+    checkpoint for P6's join: P6 drops each one (counted) and installs
+    the honest donor's state when it arrives."""
+    from repro.core.identifiers import BASE_GROUP, KIND_STATE_TRANSFER, ImmuneMessage
+
+    immune, ledger, writer = build()
+    write_entries(immune, writer, ledger, 0.3, ["a", "b"])
+    immune.scheduler.at(1.5, immune.reallocate, "ledger", 6, LedgerServant.from_state)
+    forged = ImmuneMessage(KIND_STATE_TRANSFER, "ledger", 6, 5, BASE_GROUP, b"\x01\x07")
+
+    def forge(at):
+        immune.managers[5].endpoint.multicast(BASE_GROUP, forged.encode())
+        if at < 2.5:
+            immune.scheduler.at(at + 0.02, forge, at + 0.02)
+
+    immune.scheduler.at(1.5, forge, 1.5)
+    immune.run(until=4.0)
+    assert immune.group_members("ledger") == (0, 1, 2, 6)
+    assert ledger.servants[6].entries == ["a", "b"]
+    assert immune.managers[6].stats["checkpoints_refused"] > 0
+
+
 def test_reallocating_client_group_is_rejected():
     immune, ledger, writer = build()
     from repro.core.config import ConfigError

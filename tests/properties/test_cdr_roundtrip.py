@@ -1,8 +1,10 @@
-"""Property-based tests: CDR marshalling is a faithful round trip."""
+"""Property-based tests: CDR marshalling is a faithful round trip, and
+only a canonical encoding decodes."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.orb.cdr import CdrDecoder, CdrEncoder
+from repro.orb.idl import IdlError, OperationDef, ParamDef
 
 PRIMITIVE_STRATEGIES = {
     "boolean": st.booleans(),
@@ -43,7 +45,22 @@ def typed_values():
             )
         )
 
-    return primitive | build_sequence(primitive) | build_struct(primitive)
+    enum = st.lists(st.sampled_from("ABCDEFGH"), min_size=1, max_size=5, unique=True).flatmap(
+        lambda members: st.tuples(st.just(("enum", tuple(members))), st.sampled_from(members))
+    )
+
+    def build_union(inner):
+        return st.lists(inner, min_size=1, max_size=4).flatmap(
+            lambda cases: st.integers(0, len(cases) - 1).map(
+                lambda pick: (
+                    ("union", tuple(("c%d" % i, tag) for i, (tag, _) in enumerate(cases))),
+                    ("c%d" % pick, cases[pick][1]),
+                )
+            )
+        )
+
+    leaf = primitive | enum | build_union(primitive)
+    return leaf | build_sequence(primitive) | build_struct(leaf)
 
 
 @given(typed_values())
@@ -76,3 +93,50 @@ def test_alignment_padding_is_deterministic(prefix, number):
     encoder_b.write("octets", prefix)
     encoder_b.write("ulong", number)
     assert encoder_a.getvalue() == encoder_b.getvalue()
+
+
+#: one operation over every kind of tag
+EVERY_TAG = OperationDef(
+    "every",
+    [
+        ParamDef("flag", "boolean"),
+        ParamDef("count", "ulong"),
+        ParamDef("ratio", "float"),
+        ParamDef("name", "string"),
+        ParamDef("blob", "octets"),
+        ParamDef("ticks", ("sequence", "longlong")),
+        ParamDef("color", ("enum", ("RED", "GREEN", "BLUE"))),
+        ParamDef("shape", ("union", (("circle", "double"), ("label", "string")))),
+        ParamDef("point", ("struct", (("x", "short"), ("weight", "double")))),
+    ],
+)
+
+EVERY_TAG_ARGS = st.tuples(
+    st.booleans(),
+    PRIMITIVE_STRATEGIES["ulong"],
+    st.floats(width=32, allow_nan=False),
+    st.text(max_size=8),
+    st.binary(max_size=8),
+    st.lists(PRIMITIVE_STRATEGIES["longlong"], max_size=3),
+    st.sampled_from(["RED", "GREEN", "BLUE"]),
+    st.one_of(
+        PRIMITIVE_STRATEGIES["double"].map(lambda v: ("circle", v)),
+        st.text(max_size=8).map(lambda v: ("label", v)),
+    ),
+    st.fixed_dictionaries(
+        {"x": PRIMITIVE_STRATEGIES["short"], "weight": PRIMITIVE_STRATEGIES["double"]}
+    ),
+)
+
+
+@given(EVERY_TAG_ARGS, st.data())
+@settings(max_examples=300)
+def test_a_mutated_body_is_refused_or_is_the_canonical_encoding_of_what_it_decodes_to(args, data):
+    body = bytearray(EVERY_TAG.marshal_args(list(args)))
+    index = data.draw(st.integers(0, len(body) - 1))
+    body[index] = data.draw(st.integers(0, 255).filter(lambda b: b != body[index]))
+    try:
+        decoded = EVERY_TAG.unmarshal_args(bytes(body))
+    except IdlError:
+        return
+    assert EVERY_TAG.marshal_args(decoded) == bytes(body)

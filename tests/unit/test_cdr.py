@@ -306,7 +306,7 @@ def test_nested_struct_sequence_alignment():
 @pytest.mark.parametrize("tag", sorted(PRIMITIVE_SAMPLES))
 @pytest.mark.parametrize("offset", range(1, 8))
 def test_direct_writer_and_reader_match_struct_pack_oracle(tag, offset):
-    """``write_<tag>``/``read_<tag>`` agree with plain ``struct`` calls
+    """``write(tag, ...)``/``read(tag)`` agree with plain ``struct`` calls
     from every misaligned starting offset."""
     value = PRIMITIVE_SAMPLES[tag]
     expected = bytearray(b"\xee" * offset)
@@ -315,18 +315,18 @@ def test_direct_writer_and_reader_match_struct_pack_oracle(tag, offset):
 
     encoder = CdrEncoder()
     for _ in range(offset):
-        encoder.write_octet(0xEE)
-    assert getattr(encoder, "write_" + tag)(value) is encoder
-    encoder.write_octet(0x77)
+        encoder.write("octet", 0xEE)
+    assert encoder.write(tag, value) is encoder
+    encoder.write("octet", 0x77)
     assert encoder.getvalue() == bytes(expected)
 
     decoder = CdrDecoder(bytes(expected))
     for _ in range(offset):
-        assert decoder.read_octet() == 0xEE
+        assert decoder.read("octet") == 0xEE
     aligned = offset + (-offset % SIZES[tag])
     (oracle_value,) = struct.unpack_from(FORMATS[tag], expected, aligned)
-    assert getattr(decoder, "read_" + tag)() == oracle_value == value
-    assert decoder.read_octet() == 0x77
+    assert decoder.read(tag) == oracle_value == value
+    assert decoder.read("octet") == 0x77
     assert decoder.at_end()
 
 
@@ -336,39 +336,28 @@ def test_mixed_stream_matches_struct_pack_oracle():
     encoder = CdrEncoder()
     expected = bytearray()
     values = []
-    encoder.write_octet(1)
+    encoder.write("octet", 1)
     oracle_append(expected, "octet", 1)
     for tag in sorted(PRIMITIVE_SAMPLES):
-        getattr(encoder, "write_" + tag)(PRIMITIVE_SAMPLES[tag])
+        encoder.write(tag, PRIMITIVE_SAMPLES[tag])
         oracle_append(expected, tag, PRIMITIVE_SAMPLES[tag])
-        encoder.write_octet(2)  # de-align before the next primitive
+        encoder.write("octet", 2)  # de-align before the next primitive
         oracle_append(expected, "octet", 2)
         values.append(PRIMITIVE_SAMPLES[tag])
-    encoder.write_string("odd-offset string")
+    encoder.write("string", "odd-offset string")
     oracle_append(expected, "ulong", len("odd-offset string") + 1)
     expected.extend(b"odd-offset string\x00")
-    encoder.write_octets(b"\x00\x01\x02")
+    encoder.write("octets", b"\x00\x01\x02")
     oracle_append(expected, "ulong", 3)
     expected.extend(b"\x00\x01\x02")
     data = encoder.getvalue()
     assert data == bytes(expected)
 
     decoder = CdrDecoder(data)
-    assert decoder.read_octet() == 1
+    assert decoder.read("octet") == 1
     for tag, value in zip(sorted(PRIMITIVE_SAMPLES), values):
-        assert getattr(decoder, "read_" + tag)() == value
-        assert decoder.read_octet() == 2
-    assert decoder.read_string() == "odd-offset string"
-    assert decoder.read_octets() == b"\x00\x01\x02"
+        assert decoder.read(tag) == value
+        assert decoder.read("octet") == 2
+    assert decoder.read("string") == "odd-offset string"
+    assert decoder.read("octets") == b"\x00\x01\x02"
     assert decoder.at_end()
-
-
-def test_direct_methods_match_generic_write():
-    for tag, value in PRIMITIVE_SAMPLES.items():
-        direct = CdrEncoder()
-        getattr(direct, "write_" + tag)(value)
-        generic = CdrEncoder().write(tag, value)
-        assert direct.getvalue() == generic.getvalue(), tag
-        assert getattr(CdrDecoder(direct.getvalue()), "read_" + tag)() == (
-            CdrDecoder(generic.getvalue()).read(tag)
-        )

@@ -6,7 +6,9 @@ has a :class:`~repro.orb.schema.Schema` whose fields are its slots, and
 the modules build no ``CdrEncoder``/``CdrDecoder`` of their own: encode,
 decode, repr and the hot templates all come from
 :mod:`repro.orb.schema`, which derives one template for all three
-template memos.
+template memos.  Application bodies, the state checkpoint and servant
+states are declared :class:`Schema` values too (:data:`DECLARED`), and
+:mod:`repro.orb.cdr` holds the one tag compiler the cursors also use.
 """
 
 import importlib
@@ -15,6 +17,7 @@ import pathlib
 import re
 
 import repro
+from repro.orb.cdr import _PRIMITIVES, CdrDecoder, CdrEncoder
 from repro.orb.schema import Schema
 
 SRC = pathlib.Path(repro.__file__).parent
@@ -26,6 +29,11 @@ MODULES = (
     "repro.orb.giop",
     "repro.core.groups",
     "repro.core.value_fault",
+)
+
+#: modules whose bodies and states marshal through declarations only
+DECLARED = ("orb/idl.py", "core/manager.py", "elastic/migration.py") + tuple(
+    str(path.relative_to(SRC)) for path in sorted(SRC.joinpath("workloads").glob("*.py"))
 )
 
 FRAMES = {
@@ -58,3 +66,24 @@ def test_no_frame_module_marshals_by_hand():
         source = path.read_text()
         assert not re.search(r"\bCdr(En|De)coder\(", source), path.name
 
+
+
+def test_no_body_or_state_is_marshalled_through_a_cursor():
+    for name in DECLARED:
+        source = SRC.joinpath(name).read_text()
+        assert not re.search(r"\bCdr(En|De)coder\(", source), name
+
+
+def test_the_cursors_have_no_per_tag_methods():
+    tags = set(_PRIMITIVES) | {"string", "octets"}
+    for cursor, verb in ((CdrEncoder, "write_"), (CdrDecoder, "read_")):
+        assert not [tag for tag in tags if hasattr(cursor, verb + tag)], cursor.__name__
+
+
+def test_one_tag_compiler():
+    compilers = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if re.search(r"^def _field\(", path.read_text(), re.M)
+    ]
+    assert compilers == ["orb/cdr.py"]

@@ -182,8 +182,8 @@ def test_a_zero_padded_signature_is_not_canonical():
 
     token = Token(1, 7, 12, 40, 38, 2, signature=42)
     encoder = CdrEncoder()
-    encoder.write_octet(Token.frame_type)
-    encoder.write_octets(token.signable_bytes())
-    encoder.write_octets(b"\x00\x2a")
+    encoder.write("octet", Token.frame_type)
+    encoder.write("octets", token.signable_bytes())
+    encoder.write("octets", b"\x00\x2a")
     with pytest.raises(MulticastCodecError, match="non-canonical"):
         decode_frame(encoder.getvalue())

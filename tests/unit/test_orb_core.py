@@ -193,3 +193,46 @@ def test_servant_can_invoke_out_through_a_stub():
     stub.notify(b"hop")
     sched.run()
     assert backend.notifications == [b"hop!"]
+
+
+def test_a_request_body_that_does_not_unmarshal_is_a_system_exception():
+    """A string argument that claims 5 bytes and holds 2 is CORBA's
+    MARSHAL at the server, not an error out of ``run()``."""
+    from repro.orb.giop import REPLY_SYSTEM_EXCEPTION
+
+    sched, _, (client_orb, server_orb) = make_world()
+    ref = server_orb.register_servant("echo/1", EchoServant(), ECHO_IDL)
+    replies = []
+    echo = ECHO_IDL.operation("echo")
+    client_orb.send_request(ref, echo, b"\x05\x00\x00\x00ab", lambda *reply: replies.append(reply))
+    sched.run()
+    assert replies == [(REPLY_SYSTEM_EXCEPTION, b"")]
+
+
+def test_a_result_that_does_not_marshal_is_a_system_exception():
+    from repro.orb.giop import REPLY_SYSTEM_EXCEPTION
+
+    class WrongResult(EchoServant):
+        def echo(self, text):
+            return 42  # the IDL result is a string
+
+    sched, _, (client_orb, server_orb) = make_world()
+    ref = server_orb.register_servant("echo/1", WrongResult(), ECHO_IDL)
+    errors = []
+    client_orb.stub(ECHO_IDL, ref).echo("hi", reply_to=errors.append, on_exception=errors.append)
+    sched.run()
+    assert len(errors) == 1 and "status %d" % REPLY_SYSTEM_EXCEPTION in str(errors[0])
+
+
+def test_bytes_after_the_last_argument_are_refused():
+    """Only the canonical body dispatches: ``notify`` must not see
+    ``b"Z"`` out of a body that has ``junk`` after it."""
+    sched, _, (client_orb, server_orb) = make_world()
+    servant = EchoServant()
+    ref = server_orb.register_servant("echo/1", servant, ECHO_IDL)
+    notify = ECHO_IDL.operation("notify")
+    client_orb.send_request(ref, notify, b"\x01\x00\x00\x00Zjunk", None)
+    client_orb.send_request(ref, notify, notify.marshal_args([b"Z"]), None)
+    sched.run()
+    assert servant.notifications == [b"Z"]
+    assert server_orb.stats["requests_served"] == 2

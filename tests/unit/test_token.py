@@ -132,25 +132,31 @@ def test_well_formed_memo_is_keyed_by_membership_value(monkeypatch):
 
 
 def test_signable_bytes_match_generic_sequence_tags():
-    """The direct-method encoding equals the generic-tag encoding it
-    replaced (the byte-identity `Token.signable_bytes` promises)."""
-    from repro.orb.cdr import CdrEncoder
+    """The signable bytes are the fields' CDR, assembled here with
+    ``struct.pack`` and explicit padding rather than by the codec."""
+    import struct
 
-    token = make_token()
-    generic = CdrEncoder()
-    generic.write("ulong", token.sender_id)
-    generic.write("ulong", token.ring_id)
-    generic.write("ulonglong", token.visit)
-    generic.write("ulonglong", token.seq)
-    generic.write("ulonglong", token.aru)
-    generic.write("ulong", token.aru_id)
-    generic.write("ulong", token.successor)
-    generic.write(("sequence", "ulonglong"), token.rtr_list)
-    generic.write(("sequence", "ulonglong"), token.rtg_list)
-    digest_struct = ("struct", (("seq", "ulonglong"), ("digest", "octets")))
-    generic.write(
-        ("sequence", digest_struct),
-        [{"seq": s, "digest": d} for s, d in token.message_digest_list],
-    )
-    generic.write("octets", token.prev_token_digest)
-    assert token.signable_bytes() == generic.getvalue()
+    def put(buf, fmt, value):
+        buf.extend(b"\x00" * (-len(buf) % struct.calcsize(fmt)))
+        buf.extend(struct.pack("<" + fmt, value))
+
+    def put_octets(buf, data):
+        put(buf, "I", len(data))
+        buf.extend(data)
+
+    odd = dict(message_digest_list=[(119, b"d" * 5), (120, b"e" * 3)], prev_token_digest=b"p" * 7)
+    for token in (make_token(), make_token(**odd)):
+        expected = bytearray()
+        for fmt, name in (("I", "sender_id"), ("I", "ring_id"), ("Q", "visit"), ("Q", "seq"),
+                          ("Q", "aru"), ("I", "aru_id"), ("I", "successor")):
+            put(expected, fmt, getattr(token, name))
+        for seqs in (token.rtr_list, token.rtg_list):
+            put(expected, "I", len(seqs))
+            for seq in seqs:
+                put(expected, "Q", seq)
+        put(expected, "I", len(token.message_digest_list))
+        for seq, digest in token.message_digest_list:
+            put(expected, "Q", seq)
+            put_octets(expected, digest)
+        put_octets(expected, token.prev_token_digest)
+        assert token.signable_bytes() == bytes(expected)
