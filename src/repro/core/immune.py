@@ -331,8 +331,9 @@ class ImmuneSystem:
 
         Builds the full per-processor stack — simulated host, ORB,
         Secure Multicast endpoint, Replication Manager — with the
-        constructor's own routine, at runtime.  The keystore provisions
-        the new principal's keypair lazily.  The caller admits the
+        constructor's own routine, at runtime.  The new principal is
+        enrolled in the keystore; a ring that signs draws its key pair
+        here, one that only digests never does.  The caller admits the
         processor to the ring afterwards (see :meth:`join_processor`).
         """
         if not self.config.case.replicated:

@@ -28,11 +28,17 @@ class KeyStore:
     """A directory of every processor's public key.
 
     A real deployment would bootstrap this from a certificate
-    authority; the simulation generates all key pairs up front from the
-    experiment seed.  Private keys never leave the store except through
-    the owning processor's :class:`SigningService` — a Byzantine
-    processor cannot sign as anyone else, which is exactly the
-    authentication property the protocols rely on.
+    authority; the simulation draws key pairs from the experiment seed.
+    A principal takes its place in the draw order when it is enrolled
+    (:meth:`signing_service`); its key pair is generated when first
+    needed — its first signature, the first verification against it,
+    or :meth:`provision` — after every earlier-enrolled one still
+    missing.  So each principal holds the key that drawing in enrolment
+    order gives it, and a deployment that never signs generates none.
+    Private keys never leave the store except through the owning
+    processor's :class:`SigningService` — a Byzantine processor cannot
+    sign as anyone else, which is exactly the authentication property
+    the protocols rely on.
     """
 
     def __init__(self, rng, modulus_bits=300, digest_fn=md4_digest):
@@ -43,7 +49,10 @@ class KeyStore:
         #: consumer (signing services, voters, structural hashing)
         #: shares one memo keyed by payload bytes
         self.digest_fn = self._digest
-        self._keypairs = {}
+        #: principal -> its place in the draw order
+        self._rank = {}
+        #: the key pairs drawn so far, by rank
+        self._drawn = []
 
     def _digest(self, data):
         """``digest_fn(data)``, memoised by payload bytes.
@@ -59,20 +68,38 @@ class KeyStore:
             digest = _DIGEST_CACHE.put(key, fn(key[1]))
         return digest
 
+    @property
+    def drawn(self):
+        """How many key pairs have been generated so far."""
+        return len(self._drawn)
+
+    def _enrol(self, proc_id):
+        """``proc_id``'s place in the draw order, given it now if it is new."""
+        return self._rank.setdefault(proc_id, len(self._rank))
+
+    def _keypair(self, rank):
+        """The key pair at ``rank``, drawing it and every earlier one still missing."""
+        drawn = self._drawn
+        while len(drawn) <= rank:
+            drawn.append(generate_keypair(self._rng, self.modulus_bits))
+        return drawn[rank]
+
     def provision(self, proc_id):
-        """Generate (or return the existing) key pair for ``proc_id``."""
-        if proc_id not in self._keypairs:
-            self._keypairs[proc_id] = generate_keypair(self._rng, self.modulus_bits)
-        return self._keypairs[proc_id]
+        """Enrol ``proc_id`` if it is new and return its key pair, drawn now if need be."""
+        return self._keypair(self._enrol(proc_id))
 
     def public_key(self, proc_id):
-        """Public key of ``proc_id``; provisioning on demand."""
-        return self.provision(proc_id).public
+        """Public key of ``proc_id``; ``KeyError`` if it was never enrolled.
+
+        A signer id that no principal holds (a corrupted frame, a
+        masquerader) is refused here and draws no key.
+        """
+        return self._keypair(self._rank[proc_id]).public
 
     def signing_service(self, processor, cost_model, obs=None):
-        """Build the :class:`SigningService` for one processor."""
-        keypair = self.provision(processor.proc_id)
-        return SigningService(processor, keypair, self, cost_model, obs=obs)
+        """Enrol one processor and build its :class:`SigningService`."""
+        self._enrol(processor.proc_id)
+        return SigningService(processor, self, cost_model, obs=obs)
 
 
 class SigningService:
@@ -83,9 +110,8 @@ class SigningService:
     below the ORB and preempt application processing.
     """
 
-    def __init__(self, processor, keypair, keystore, cost_model, obs=None):
+    def __init__(self, processor, keystore, cost_model, obs=None):
         self.processor = processor
-        self._keypair = keypair
         self._keystore = keystore
         self.cost_model = cost_model
         #: operation counts; ``batched_digests`` is the number of token
@@ -133,7 +159,7 @@ class SigningService:
         self._charge(self.cost_model.sign_cost(), "sign")
         self.stats["digest_ops"] += 1
         self.stats["sign_ops"] += 1
-        return self._keypair.sign(digest)
+        return self._keystore.provision(self.processor.proc_id).sign(digest)
 
     def verify(self, signer_id, data, signature):
         """Verify ``signature`` over ``data`` against ``signer_id``'s key.
@@ -144,13 +170,17 @@ class SigningService:
         verifies the same ``(signer, bytes, signature)`` triple, so the
         RSA math runs once per frame instead of once per receiver.  A
         forged or corrupted signature is a different triple and misses.
+        A signer that was never enrolled fails without drawing a key.
         """
         digest = self._keystore.digest_fn(data)
         self._charge(self.cost_model.digest_cost(len(data)), "digest")
         self._charge(self.cost_model.verify_cost(), "verify")
         self.stats["digest_ops"] += 1
         self.stats["verify_ops"] += 1
-        public_key = self._keystore.public_key(signer_id)
+        try:
+            public_key = self._keystore.public_key(signer_id)
+        except KeyError:
+            return False
         key = (public_key, bytes(data), signature)
         result = _VERIFY_CACHE.get(key)
         if result is None:

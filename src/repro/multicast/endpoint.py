@@ -59,6 +59,10 @@ class SecureGroupEndpoint:
         self.config = config or MulticastConfig()
         self.obs = obs
         self.signing = keystore.signing_service(processor, crypto_costs, obs=obs)
+        if self.config.security.signatures_enabled:
+            # Draw the key pair now, not at the first signature inside
+            # the run: a signing ring pays for its keys at set-up.
+            keystore.provision(processor.proc_id)
         self.detector = ByzantineFaultDetector(
             processor.proc_id, scheduler, trace, obs=obs
         )
