@@ -11,7 +11,7 @@ via the cost model.
 
 from repro import perf
 from repro.crypto.md4 import md4_digest
-from repro.crypto.rsa import generate_keypair
+from repro.crypto.rsa import check_modulus_bits, generate_keypair
 
 #: payload bytes -> digest, shared by every processor in the process:
 #: in a broadcast simulation N receivers digest byte-identical frames,
@@ -39,9 +39,14 @@ class KeyStore:
     processor's :class:`SigningService` — a Byzantine processor cannot
     sign as anyone else, which is exactly the authentication property
     the protocols rely on.
+
+    A modulus too small to draw a key at is refused here, with
+    :class:`~repro.crypto.rsa.CryptoError`, whether or not a key is
+    ever drawn.
     """
 
     def __init__(self, rng, modulus_bits=300, digest_fn=md4_digest):
+        check_modulus_bits(modulus_bits)
         self._rng = rng
         self.modulus_bits = modulus_bits
         self._raw_digest_fn = digest_fn

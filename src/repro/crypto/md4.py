@@ -43,6 +43,8 @@ the same state over random 0-300-byte inputs.
 
 import struct
 
+from repro.crypto.libcrypto import open_libcrypto
+
 _MASK = 0xFFFFFFFF
 
 # Per-round left-rotation amounts (RFC 1320 section 3.4).
@@ -228,20 +230,17 @@ _MULTI_BLOCK_PROBE = bytes(range(256)) * 2
 def _load_libcrypto():
     """libcrypto's one-shot MD4 as ``bytes -> 16 bytes``, or ``None``.
 
-    Resolved from the shared object ``_hashlib`` is built from, which
-    links libcrypto: no library search (``ctypes.util.find_library`` may
-    spawn ``ldconfig`` or a compiler) and no second copy of OpenSSL in
-    the process.
+    Resolved from :func:`repro.crypto.libcrypto.open_libcrypto`'s handle.
     """
-    try:
-        import _hashlib
-        import ctypes
-    except ImportError:
+    library = open_libcrypto()
+    if library is None:
         return None
     try:
-        one_shot = ctypes.CDLL(_hashlib.__file__).MD4
-    except (OSError, AttributeError):
+        one_shot = library.MD4
+    except AttributeError:
         return None
+    import ctypes
+
     digest_buffer = ctypes.c_char * 16
     one_shot.argtypes = (ctypes.c_char_p, ctypes.c_size_t, ctypes.c_char_p)
     one_shot.restype = ctypes.c_void_p

@@ -12,6 +12,14 @@ The digest is deterministically padded into a full-width integer
 that forging a signature for a different digest requires inverting RSA
 within the simulation — mutant tokens injected by the adversary module
 genuinely fail verification.
+
+Key generation draws its primes through :mod:`repro.crypto.primes`,
+whose Miller-Rabin rounds run on libcrypto where the platform offers it
+(``primes.BACKEND``); the keys are the same either way.  Signing and
+verification stay on builtin ``pow``: their host cost falls inside a
+run, not at set-up.  A modulus below :data:`MIN_MODULUS_BITS` cannot hold the
+padded digest; :func:`check_modulus_bits` refuses it, for
+:func:`generate_keypair` and for the key store that will call it.
 """
 
 from repro.crypto.primes import generate_prime
@@ -19,6 +27,10 @@ from repro.crypto.primes import generate_prime
 
 class CryptoError(Exception):
     """Raised on malformed keys, digests, or signatures."""
+
+
+#: the smallest modulus a key pair is drawn for: it must hold a padded MD4 digest
+MIN_MODULUS_BITS = 200
 
 
 def _egcd(a, b):
@@ -115,6 +127,12 @@ class RsaKeyPair:
         return "RsaKeyPair(%d bits)" % self.public.modulus_bits
 
 
+def check_modulus_bits(modulus_bits):
+    """Raise :class:`CryptoError` if no key pair can be drawn at this size."""
+    if modulus_bits < MIN_MODULUS_BITS:
+        raise CryptoError("modulus of %d bits cannot hold a padded MD4 digest" % modulus_bits)
+
+
 def generate_keypair(rng, modulus_bits=300):
     """Generate an RSA key pair with a modulus of ``modulus_bits`` bits.
 
@@ -122,8 +140,7 @@ def generate_keypair(rng, modulus_bits=300):
     exponent is 65537 when coprime to phi, falling back to smaller
     Fermat primes for unusual phi values.
     """
-    if modulus_bits < 200:
-        raise CryptoError("modulus of %d bits cannot hold a padded MD4 digest" % modulus_bits)
+    check_modulus_bits(modulus_bits)
     half = modulus_bits // 2
     while True:
         p = generate_prime(half, rng)

@@ -1,25 +1,31 @@
 """Integration gate: how the host computes is invisible to simulated results.
 
 Simulated CPU is charged by the cost model before any memo is
-consulted and whichever MD4 backend runs, so a hit or a native digest
-may save host CPU but never move a simulated number.  Each seeded drill
-runs five times in one process:
+consulted and whichever MD4 backend runs, and key generation charges
+none, so a hit, a native digest or a native exponentiation may save
+host CPU but never move a simulated number.  Each seeded drill runs six
+times in one process:
 
 * **cold** — every memo emptied first (``perf.clear_caches()``);
 * **warm** — again, with whatever the first run left behind;
 * **python MD4** — cold again, with ``md4_digest`` routed through the
   RFC 1320 Python code instead of the backend selected at import
   (``repro.crypto.md4.BACKEND``);
+* **builtin pow** — cold again, with every key pair drawn on builtin
+  ``pow`` instead of the exponentiation selected at import
+  (``repro.crypto.primes.BACKEND``);
 * **bounded** — cold again, with ``perf.MEMO_BOUND`` patched to 2, so
   once a table holds two entries every put evicts the older one;
 * **defeated** — every memo forced to miss (``tests.support.defeat_memos``),
   so every digest, verification, encode and decode is recomputed.
 
 The observability JSONL export and the simulated fingerprint of the
-five runs must be byte-identical.  A memo that returned a stale or
+six runs must be byte-identical.  A memo that returned a stale or
 wrong value, a code path that charged simulated time only on a miss or
-that read an entry eviction had dropped, or a backend that disagreed
-with RFC 1320 on one input would make a run differ.
+that read an entry eviction had dropped, a digest backend that
+disagreed with RFC 1320 on one input, or an exponentiation that moved
+one Miller-Rabin decision (a different key signs differently) would
+make a run differ.
 
 The frame-decode memo is *seeded* by ``encode()``: receivers of an
 uncorrupted broadcast are handed the originator's own object and parse
@@ -28,11 +34,14 @@ signable bytes it wrote, which those receivers verify signatures over;
 with the memos defeated every receiver parses an unsealed object of its
 own, so the comparison above covers the seal too — and the field dict a
 sealed frame hands every recorder that logs it, which a parsed frame
-rebuilds per call.  The last four tests poison the seed, the seal, that
-shared summary and — one bit of every digest — the selected MD4 backend,
-and require the comparison to notice.
+rebuilds per call.  The last five tests poison the seed, the seal, that
+shared summary, one bit of every digest of the selected MD4 backend and
+half the round-1 exponentiations of the selected one, and require the
+comparison to notice.
 """
 
+import contextlib
+import itertools
 import json
 
 import pytest
@@ -46,7 +55,7 @@ from repro.bench.harness import measure, packet_case
 from repro.bench.perf import _sim_fingerprint
 from repro.cluster import ClusterConfig, ClusterManager
 from repro.core.config import SurvivabilityCase
-from repro.crypto import md4
+from repro.crypto import md4, primes
 from repro.multicast import messages, token
 from repro.obs import Observability
 from repro.obs.export import export_jsonl
@@ -54,7 +63,7 @@ from repro.obs.forensics import DEFAULT_CAPACITY, ForensicsHub, build_report
 from repro.wan import WanConfig, WanManager
 from repro.workloads.open_loop import COUNTER_IDL
 from repro.workloads.open_loop import CounterServant as _CountingServant
-from tests.support import defeat_memos, force_python_md4
+from tests.support import defeat_memos, force_builtin_pow, force_python_md4
 
 
 def figure7_case4_drill(path):
@@ -157,6 +166,11 @@ def test_cold_warm_and_defeated_memos_agree_byte_for_byte(drill, tmp_path, monke
         python_md4 = _run(drill, tmp_path / "python_md4.jsonl")
 
     with monkeypatch.context() as patch:
+        force_builtin_pow(patch)
+        perf.clear_caches()
+        builtin_pow = _run(drill, tmp_path / "builtin_pow.jsonl")
+
+    with monkeypatch.context() as patch:
         patch.setattr(perf, "MEMO_BOUND", 2)
         perf.clear_caches()
         bounded = _run(drill, tmp_path / "bounded.jsonl")
@@ -169,6 +183,7 @@ def test_cold_warm_and_defeated_memos_agree_byte_for_byte(drill, tmp_path, monke
     assert cold[0].count(b"\n") > 100
     assert warm == cold
     assert python_md4 == cold
+    assert builtin_pow == cold
     assert bounded == cold
     assert defeated == cold
 
@@ -282,3 +297,30 @@ def test_a_poisoned_md4_backend_is_caught(tmp_path, monkeypatch):
     force_python_md4(monkeypatch)
     reference = _run(batch_intrusion_drill, tmp_path / "python_md4.jsonl")
     assert flipped != reference
+
+
+def test_a_poisoned_exponentiation_is_caught(tmp_path, monkeypatch):
+    """The per-visit-signed drill is sensitive to the keys it draws.
+
+    Answer every round-1 exponentiation of an even base with 2, which no
+    prime's squaring loop turns into ``n - 1``: about half the primes are
+    rejected and the next candidates drawn, so every key is still a valid
+    key pair, just another one.  Signatures differ, and with them the
+    bytes and timing of the signed tokens, so the export must differ from
+    the run on builtin ``pow``.
+    """
+    selected = primes._fixed_modulus
+
+    @contextlib.contextmanager
+    def poisoned(exponent, modulus):
+        with selected(exponent, modulus) as power:
+            rounds = itertools.count()
+            yield lambda base: 2 if next(rounds) == 0 and base % 2 == 0 else power(base)
+
+    monkeypatch.setattr(primes, "_fixed_modulus", poisoned)
+    perf.clear_caches()
+    rejected = _run(figure7_case4_drill, tmp_path / "poisoned.jsonl")
+    force_builtin_pow(monkeypatch)
+    perf.clear_caches()
+    reference = _run(figure7_case4_drill, tmp_path / "builtin_pow.jsonl")
+    assert rejected != reference

@@ -2,9 +2,10 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import md4
+from repro.crypto import md4, primes
 from repro.crypto.md4 import md4_digest
 from repro.crypto.rsa import generate_keypair
 
@@ -31,6 +32,31 @@ def test_md4_unrolled_block_equals_rfc_reference_block(data):
         fast = md4._process_block(fast, block)
         reference = md4._process_block_reference(reference, block)
         assert fast == reference
+
+
+@st.composite
+def _exponentiations(draw):
+    """An odd modulus of 8-1024 bits, one to three bases in ``[0, n)`` and an
+    exponent that is 0, 1 or anything up to ``n``."""
+    bits = draw(st.integers(8, 1024))
+    modulus = draw(st.integers(2 ** (bits - 1), 2**bits - 1)) | 1
+    bases = draw(st.lists(st.integers(0, modulus - 1), min_size=1, max_size=3))
+    exponent = draw(st.one_of(st.sampled_from((0, 1)), st.integers(0, modulus)))
+    return bases, exponent, modulus
+
+
+@pytest.mark.skipif(
+    primes.BACKEND == "builtin",
+    reason="no usable libcrypto exponentiation on this platform: builtin pow is the only one",
+)
+@given(_exponentiations())
+@settings(max_examples=200)
+def test_native_exponentiation_equals_builtin_pow(case):
+    """Over one loaded modulus, every base in turn comes out exactly as
+    ``pow`` computes it."""
+    bases, exponent, modulus = case
+    with primes._fixed_modulus(exponent, modulus) as power:
+        assert [power(base) for base in bases] == [pow(b, exponent, modulus) for b in bases]
 
 
 @given(st.binary(max_size=256), st.binary(max_size=256))

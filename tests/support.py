@@ -3,7 +3,7 @@
 import random
 
 from repro import perf
-from repro.crypto import md4
+from repro.crypto import md4, primes
 from repro.crypto.costmodel import CryptoCostModel
 from repro.crypto.keystore import KeyStore
 from repro.multicast.config import MulticastConfig, SecurityLevel
@@ -81,6 +81,19 @@ def force_python_md4(monkeypatch):
     """
     monkeypatch.setattr(md4, "_digest", md4._python_digest)
     perf.clear_caches()
+
+
+def force_builtin_pow(monkeypatch):
+    """Route Miller-Rabin's exponentiations through builtin ``pow``.
+
+    Whatever backend ``repro.crypto.primes`` selected at import, every
+    key pair drawn in the rest of the test (or of the
+    ``monkeypatch.context()``) is drawn the way a platform without a
+    usable libcrypto draws it.  It must be the same key pair, and a
+    seeded run under this patch must equal the run on the selected
+    backend byte for byte.
+    """
+    monkeypatch.setattr(primes, "_fixed_modulus", primes._builtin_fixed_modulus)
 
 
 def retained_operations(deployment):

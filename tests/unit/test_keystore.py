@@ -11,6 +11,7 @@ from repro.core.config import ImmuneConfig, SurvivabilityCase
 from repro.core.immune import ImmuneSystem
 from repro.crypto.costmodel import CryptoCostModel
 from repro.crypto.keystore import KeyStore
+from repro.crypto.rsa import MIN_MODULUS_BITS, CryptoError
 from repro.sim.process import Processor
 from repro.sim.scheduler import Scheduler
 from repro.wan.config import SiteSpec, WanConfig
@@ -25,6 +26,17 @@ def world():
     store = KeyStore(random.Random(42), modulus_bits=256)
     model = CryptoCostModel(modulus_bits=256)
     return sched, proc_a, proc_b, store, model
+
+
+def test_an_unusable_modulus_is_refused_when_the_store_is_built():
+    """A voting ring draws no key, yet a modulus too small to hold a padded
+    digest still fails at construction, not in the first signing ring."""
+    with pytest.raises(CryptoError):
+        ImmuneSystem(4, config=ImmuneConfig(
+            case=SurvivabilityCase.MAJORITY_VOTING, modulus_bits=128, seed=1))
+    with pytest.raises(CryptoError):
+        KeyStore(random.Random(1), modulus_bits=MIN_MODULUS_BITS - 1)
+    assert KeyStore(random.Random(1), modulus_bits=MIN_MODULUS_BITS).drawn == 0
 
 
 def test_provision_is_idempotent(world):
