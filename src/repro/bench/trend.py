@@ -58,8 +58,10 @@ def collect(directory):
     """Scan ``directory`` for ``BENCH_*.json`` and extract trend rows.
 
     Returns a list of per-artefact entries sorted by filename.  The
-    aggregate's own output (``BENCH_trend.json``) and any ``-rerun``
-    scratch copies are skipped.
+    aggregate's own output (``BENCH_trend.json``), the benchmark
+    ladder's smoke result (``BENCH_ladder.json``, which CI compares
+    with a fresh run of its own) and any ``-rerun`` scratch copies are
+    skipped.
     """
     from repro.bench.scenarios import SCENARIOS  # the table imports this module
 
@@ -70,7 +72,7 @@ def collect(directory):
     for path in sorted(glob.glob(os.path.join(directory, "BENCH_*.json"))):
         name = os.path.basename(path)
         stem = name[: -len(".json")]
-        if stem == "BENCH_trend" or stem.endswith("-rerun"):
+        if stem in ("BENCH_trend", "BENCH_ladder") or stem.endswith("-rerun"):
             continue
         try:
             with open(path, "r") as fh:

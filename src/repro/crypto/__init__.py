@@ -7,8 +7,9 @@ the protocols above operate on real digests and real signatures —
 corruption injected on the wire genuinely breaks digests, and forged
 tokens genuinely fail verification.  (Where the platform's libcrypto
 exports ``MD4()`` the host computes the same RFC 1320 function there,
-and key generation's Miller-Rabin exponentiations run on its bignums;
-see :mod:`repro.crypto.md4` and :mod:`repro.crypto.primes`.)
+and every RSA exponentiation — key generation's Miller-Rabin rounds,
+signing and verification — runs on its bignums; see
+:mod:`repro.crypto.md4` and :mod:`repro.crypto.bignum`.)
 
 Because the host CPU is decades faster than the paper's 167 MHz
 UltraSPARCs, *simulated* CPU cost for each operation comes from

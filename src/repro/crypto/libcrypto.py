@@ -1,9 +1,10 @@
 """The host's libcrypto, for the crypto backends that run on it.
 
 :mod:`repro.crypto.md4` (the one-shot ``MD4()``) and
-:mod:`repro.crypto.primes` (the bignum exponentiation) each resolve
-their symbols from the handle :func:`open_libcrypto` returns, and each
-trusts them only after a known-answer self-test of its own.
+:mod:`repro.crypto.bignum` (the Montgomery exponentiation that key
+generation, signing and verification share) each resolve their symbols
+from the handle :func:`open_libcrypto` returns, and each trusts them
+only after a known-answer self-test of its own.
 """
 
 

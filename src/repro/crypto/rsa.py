@@ -13,15 +13,21 @@ that forging a signature for a different digest requires inverting RSA
 within the simulation — mutant tokens injected by the adversary module
 genuinely fail verification.
 
-Key generation draws its primes through :mod:`repro.crypto.primes`,
-whose Miller-Rabin rounds run on libcrypto where the platform offers it
-(``primes.BACKEND``); the keys are the same either way.  Signing and
-verification stay on builtin ``pow``: their host cost falls inside a
-run, not at set-up.  A modulus below :data:`MIN_MODULUS_BITS` cannot hold the
-padded digest; :func:`check_modulus_bits` refuses it, for
-:func:`generate_keypair` and for the key store that will call it.
+Every exponentiation runs on :func:`repro.crypto.bignum.fixed_modulus`:
+libcrypto's Montgomery exponentiation where the platform offers it,
+builtin ``pow`` otherwise (``bignum.BACKEND``).  Key generation's
+Miller-Rabin rounds load each candidate once (:mod:`repro.crypto.primes`);
+a key pair loads its two CRT halves, and its public key ``e`` and ``n``,
+when it is drawn, and keeps them until it is dropped.  The padding, the
+range check and the CRT recombination stay in Python.  Keys, signatures
+and verdicts are the same on either backend, and what they cost the
+simulated CPU comes from the cost model.  A modulus below
+:data:`MIN_MODULUS_BITS` cannot hold the padded digest;
+:func:`check_modulus_bits` refuses it, for :func:`generate_keypair` and
+for the key store that will call it.
 """
 
+from repro.crypto import bignum
 from repro.crypto.primes import generate_prime
 
 
@@ -77,6 +83,8 @@ class RsaPublicKey:
         self.e = e
         self.modulus_bits = n.bit_length()
         self.modulus_bytes = (self.modulus_bits + 7) // 8
+        #: ``signature -> signature**e mod n``, loaded once
+        self._power = bignum.fixed_modulus(e, n)
 
     def verify(self, digest, signature):
         """True iff ``signature`` is a valid signature of ``digest``."""
@@ -84,7 +92,7 @@ class RsaPublicKey:
             raise CryptoError("signature must be an int, got %r" % type(signature))
         if not 0 <= signature < self.n:
             return False
-        recovered = pow(signature, self.e, self.n)
+        recovered = self._power(signature)
         try:
             expected = int.from_bytes(_pad_digest(digest, self.modulus_bytes), "big")
         except CryptoError:
@@ -112,15 +120,20 @@ class RsaKeyPair:
         # implementation keeps: signing modulo p and q separately costs
         # two half-width modexps (~4x faster) and recombines to the
         # *same* integer as pow(m, d, n).
-        self._crt = (p, q, d % (p - 1), d % (q - 1), _modinv(q, p))
+        dp, dq = d % (p - 1), d % (q - 1)
+        self._crt = (p, q, dp, dq, _modinv(q, p))
+        #: ``x -> x**dp mod p`` and ``x -> x**dq mod q``, loaded once and
+        #: released when the pair is dropped
+        self._halves = (bignum.fixed_modulus(dp, p), bignum.fixed_modulus(dq, q))
 
     def sign(self, digest):
         """Sign a fixed-size digest; returns the signature as an int."""
         block = _pad_digest(digest, self.public.modulus_bytes)
         m = int.from_bytes(block, "big")
-        p, q, dp, dq, qinv = self._crt
-        mp = pow(m % p, dp, p)
-        mq = pow(m % q, dq, q)
+        p, q, _, _, qinv = self._crt
+        power_p, power_q = self._halves
+        mp = power_p(m % p)
+        mq = power_q(m % q)
         return mq + ((mp - mq) * qinv % p) * q
 
     def __repr__(self):

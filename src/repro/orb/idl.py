@@ -22,7 +22,7 @@ Immune system depends on.
 """
 
 from repro import perf
-from repro.orb.cdr import ERRORS, TAIL
+from repro.orb.cdr import ERRORS, TAIL, MarshalError
 from repro.orb.schema import Schema
 
 #: (parameter type tags, argument values) -> marshalled body.  Shared
@@ -300,29 +300,37 @@ class Stub:
                     REPLY_USER_EXCEPTION,
                 )
 
-                if reply_status == REPLY_NO_EXCEPTION:
-                    reply_to(operation.unmarshal_result(reply_body))
-                    return
-                if reply_status == REPLY_USER_EXCEPTION:
-                    repository_id = peek_exception_id(reply_body)
-                    exc_class = operation.exception_for(repository_id)
-                    if exc_class is None:
-                        error = IdlError(
-                            "undeclared user exception %s from %s"
-                            % (repository_id, operation.name)
+                # A result or user exception that does not unmarshal is
+                # CORBA's MARSHAL: reported like any other failed
+                # invocation, never raised out of the scheduler.
+                try:
+                    error = None
+                    if reply_status == REPLY_NO_EXCEPTION:
+                        result = operation.unmarshal_result(reply_body)
+                    elif reply_status == REPLY_USER_EXCEPTION:
+                        repository_id = peek_exception_id(reply_body)
+                        exc_class = operation.exception_for(repository_id)
+                        if exc_class is None:
+                            error = IdlError(
+                                "undeclared user exception %s from %s"
+                                % (repository_id, operation.name)
+                            )
+                        else:
+                            error = exc_class.unmarshal(reply_body)
+                    elif reply_status == 0xFFFF:
+                        error = InvocationTimeout(
+                            "no reply to %s within its deadline" % operation.name
                         )
                     else:
-                        error = exc_class.unmarshal(reply_body)
-                elif reply_status == 0xFFFF:
-                    error = InvocationTimeout(
-                        "no reply to %s within its deadline" % operation.name
-                    )
-                else:
-                    error = GiopError(
-                        "system exception from %s (status %d)"
-                        % (operation.name, reply_status)
-                    )
-                if on_exception is not None:
+                        error = GiopError(
+                            "system exception from %s (status %d)"
+                            % (operation.name, reply_status)
+                        )
+                except (IdlError, MarshalError) as exc:
+                    error = IdlError("reply to %s does not unmarshal: %s" % (operation.name, exc))
+                if error is None:
+                    reply_to(result)
+                elif on_exception is not None:
                     on_exception(error)
                 else:
                     raise error

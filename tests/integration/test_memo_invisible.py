@@ -1,9 +1,9 @@
 """Integration gate: how the host computes is invisible to simulated results.
 
 Simulated CPU is charged by the cost model before any memo is
-consulted and whichever MD4 backend runs, and key generation charges
-none, so a hit, a native digest or a native exponentiation may save
-host CPU but never move a simulated number.  Each seeded drill runs six
+consulted and whichever MD4 or exponentiation backend runs (key
+generation charges none), so a hit, a native digest or a native
+exponentiation may save host CPU but never move a simulated number.  Each seeded drill runs six
 times in one process:
 
 * **cold** — every memo emptied first (``perf.clear_caches()``);
@@ -11,9 +11,10 @@ times in one process:
 * **python MD4** — cold again, with ``md4_digest`` routed through the
   RFC 1320 Python code instead of the backend selected at import
   (``repro.crypto.md4.BACKEND``);
-* **builtin pow** — cold again, with every key pair drawn on builtin
-  ``pow`` instead of the exponentiation selected at import
-  (``repro.crypto.primes.BACKEND``);
+* **builtin pow** — cold again, with every key pair drawn, every
+  signature made and every signature verified on builtin ``pow``
+  instead of the exponentiation selected at import
+  (``repro.crypto.bignum.BACKEND``);
 * **bounded** — cold again, with ``perf.MEMO_BOUND`` patched to 2, so
   once a table holds two entries every put evicts the older one;
 * **defeated** — every memo forced to miss (``tests.support.defeat_memos``),
@@ -24,8 +25,8 @@ six runs must be byte-identical.  A memo that returned a stale or
 wrong value, a code path that charged simulated time only on a miss or
 that read an entry eviction had dropped, a digest backend that
 disagreed with RFC 1320 on one input, or an exponentiation that moved
-one Miller-Rabin decision (a different key signs differently) would
-make a run differ.
+one Miller-Rabin decision (a different key signs differently) or one
+signature would make a run differ.
 
 The frame-decode memo is *seeded* by ``encode()``: receivers of an
 uncorrupted broadcast are handed the originator's own object and parse
@@ -36,11 +37,10 @@ own, so the comparison above covers the seal too — and the field dict a
 sealed frame hands every recorder that logs it, which a parsed frame
 rebuilds per call.  The last five tests poison the seed, the seal, that
 shared summary, one bit of every digest of the selected MD4 backend and
-half the round-1 exponentiations of the selected one, and require the
-comparison to notice.
+half of Miller-Rabin's round-1 exponentiations on the selected one, and
+require the comparison to notice.
 """
 
-import contextlib
 import itertools
 import json
 
@@ -55,7 +55,7 @@ from repro.bench.harness import measure, packet_case
 from repro.bench.perf import _sim_fingerprint
 from repro.cluster import ClusterConfig, ClusterManager
 from repro.core.config import SurvivabilityCase
-from repro.crypto import md4, primes
+from repro.crypto import bignum, md4
 from repro.multicast import messages, token
 from repro.obs import Observability
 from repro.obs.export import export_jsonl
@@ -307,17 +307,26 @@ def test_a_poisoned_exponentiation_is_caught(tmp_path, monkeypatch):
     rejected and the next candidates drawn, so every key is still a valid
     key pair, just another one.  Signatures differ, and with them the
     bytes and timing of the signed tokens, so the export must differ from
-    the run on builtin ``pow``.
+    the run on builtin ``pow``.  Only Miller-Rabin's loaded moduli (``n``
+    with ``n - 1 = d * 2**r``, ``d`` the exponent) are poisoned: signing
+    and verification stay correct.
     """
-    selected = primes._fixed_modulus
+    selected = bignum.fixed_modulus
 
-    @contextlib.contextmanager
     def poisoned(exponent, modulus):
-        with selected(exponent, modulus) as power:
-            rounds = itertools.count()
-            yield lambda base: 2 if next(rounds) == 0 and base % 2 == 0 else power(base)
+        power = selected(exponent, modulus)
+        doubling, remainder = divmod(modulus - 1, exponent or 1)
+        if remainder or doubling & (doubling - 1):
+            return power
+        rounds = itertools.count()
 
-    monkeypatch.setattr(primes, "_fixed_modulus", poisoned)
+        def first_round_poisoned(base):
+            return 2 if next(rounds) == 0 and base % 2 == 0 else power(base)
+
+        first_round_poisoned.close = power.close
+        return first_round_poisoned
+
+    monkeypatch.setattr(bignum, "fixed_modulus", poisoned)
     perf.clear_caches()
     rejected = _run(figure7_case4_drill, tmp_path / "poisoned.jsonl")
     force_builtin_pow(monkeypatch)

@@ -5,9 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import md4, primes
+from repro.crypto import bignum, md4
 from repro.crypto.md4 import md4_digest
-from repro.crypto.rsa import generate_keypair
+from repro.crypto.rsa import _pad_digest, generate_keypair
 
 _KEYPAIR = generate_keypair(random.Random(77), modulus_bits=300)
 _OTHER = generate_keypair(random.Random(78), modulus_bits=300)
@@ -45,18 +45,40 @@ def _exponentiations(draw):
     return bases, exponent, modulus
 
 
-@pytest.mark.skipif(
-    primes.BACKEND == "builtin",
+_NATIVE_ONLY = pytest.mark.skipif(
+    bignum.BACKEND == "builtin",
     reason="no usable libcrypto exponentiation on this platform: builtin pow is the only one",
 )
+
+
+@_NATIVE_ONLY
 @given(_exponentiations())
 @settings(max_examples=200)
 def test_native_exponentiation_equals_builtin_pow(case):
     """Over one loaded modulus, every base in turn comes out exactly as
     ``pow`` computes it."""
     bases, exponent, modulus = case
-    with primes._fixed_modulus(exponent, modulus) as power:
-        assert [power(base) for base in bases] == [pow(b, exponent, modulus) for b in bases]
+    power = bignum.fixed_modulus(exponent, modulus)
+    assert [power(base) for base in bases] == [pow(b, exponent, modulus) for b in bases]
+    power.close()
+
+
+@_NATIVE_ONLY
+@given(st.integers(200, 1024), st.integers(0, 2**32), st.binary(min_size=16, max_size=16))
+@settings(max_examples=25)
+def test_native_sign_and_verify_equal_builtin_pow(bits, seed, digest):
+    """For key pairs across the key-size ablation's range, the signature
+    is ``pow(m, d, n)`` exactly, and ``verify`` gives builtin ``pow``'s
+    verdict on it, on its neighbours and on both ends of the range."""
+    key = generate_keypair(random.Random(seed), modulus_bits=bits)
+    p, q = key._crt[:2]
+    n, e = key.public.n, key.public.e
+    m = int.from_bytes(_pad_digest(digest, key.public.modulus_bytes), "big")
+    signature = key.sign(digest)
+    assert signature == pow(m, pow(e, -1, (p - 1) * (q - 1)), n)
+    for candidate in (signature, signature + 1, signature - 1, 0, n - 1):
+        expected = 0 <= candidate < n and pow(candidate, e, n) == m
+        assert key.public.verify(digest, candidate) == expected
 
 
 @given(st.binary(max_size=256), st.binary(max_size=256))

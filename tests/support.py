@@ -3,7 +3,7 @@
 import random
 
 from repro import perf
-from repro.crypto import md4, primes
+from repro.crypto import bignum, md4
 from repro.crypto.costmodel import CryptoCostModel
 from repro.crypto.keystore import KeyStore
 from repro.multicast.config import MulticastConfig, SecurityLevel
@@ -84,16 +84,16 @@ def force_python_md4(monkeypatch):
 
 
 def force_builtin_pow(monkeypatch):
-    """Route Miller-Rabin's exponentiations through builtin ``pow``.
+    """Route every RSA exponentiation through builtin ``pow``.
 
-    Whatever backend ``repro.crypto.primes`` selected at import, every
+    Whatever backend ``repro.crypto.bignum`` selected at import, every
     key pair drawn in the rest of the test (or of the
-    ``monkeypatch.context()``) is drawn the way a platform without a
-    usable libcrypto draws it.  It must be the same key pair, and a
-    seeded run under this patch must equal the run on the selected
-    backend byte for byte.
+    ``monkeypatch.context()``) is drawn, signs and verifies the way a
+    platform without a usable libcrypto does.  It must be the same key
+    pair with the same signatures and verdicts, and a seeded run under
+    this patch must equal the run on the selected backend byte for byte.
     """
-    monkeypatch.setattr(primes, "_fixed_modulus", primes._builtin_fixed_modulus)
+    monkeypatch.setattr(bignum, "fixed_modulus", bignum._builtin_fixed_modulus)
 
 
 def retained_operations(deployment):

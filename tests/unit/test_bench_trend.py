@@ -53,6 +53,7 @@ def test_collect_extracts_all_headlines(tmp_path):
 def test_collect_skips_trend_and_scratch_copies(tmp_path):
     seed_artifacts(tmp_path)
     write(tmp_path, "BENCH_trend.json", {"bench": "trend"})
+    write(tmp_path, "BENCH_ladder.json", {"smoke": True, "workloads": {}})
     write(tmp_path, "BENCH_pr2-rerun.json", {"bench": "pr2-hot-path-overhaul"})
     write(tmp_path, "BENCH_pr7-rerun.json", {"bench": "x"})
     entries = collect(str(tmp_path))

@@ -178,6 +178,23 @@ def test_a_six_processor_ring_holds_the_pinned_keys():
     )
 
 
+def test_the_six_processor_ring_signs_the_pinned_signatures():
+    """Signing runs on whichever exponentiation the platform offers; the
+    signatures are those builtin ``pow`` made, bit for bit."""
+    immune = ImmuneSystem(
+        6, config=ImmuneConfig(seed=7, case=SurvivabilityCase.MAJORITY_VOTING)
+    )
+    store = immune.keystore
+    digests = [hashlib.sha256(b"digest %d" % i).digest()[:16] for i in range(64)]
+    signatures = [(pid, [store.provision(pid).sign(d) for d in digests])
+                  for pid in sorted(immune.processors)]
+    assert hashlib.sha256(repr(signatures).encode()).hexdigest() == (
+        "9fe8006ccbcb040ceb90a36299193d6eb24eea3d7d855533cf496b8babe53297"
+    )
+    assert all(store.public_key(pid).verify(d, s)
+               for pid, row in signatures for d, s in zip(digests, row))
+
+
 def test_a_thirty_processor_wan_holds_the_pinned_keys():
     wan = WanManager(
         WanConfig(sites=(SiteSpec("alpha", num_rings=2), SiteSpec("beta")), seed=7)

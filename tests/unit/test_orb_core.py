@@ -3,7 +3,7 @@
 import pytest
 
 from repro.orb.core import BatchingPolicy, Orb, OrbCostModel
-from repro.orb.idl import InterfaceDef, OperationDef, ParamDef
+from repro.orb.idl import IdlError, InterfaceDef, OperationDef, ParamDef, UserException
 from repro.orb.transport import DirectTransport
 from repro.sim.network import Network, NetworkParams
 from repro.sim.process import Processor
@@ -236,3 +236,50 @@ def test_bytes_after_the_last_argument_are_refused():
     sched.run()
     assert servant.notifications == [b"Z"]
     assert server_orb.stats["requests_served"] == 2
+
+
+class Refused(UserException):
+    repository_id = "IDL:test/Refused:1.0"
+    members = (("reason", "string"),)
+
+
+GUARDED_IDL = InterfaceDef(
+    "Guarded",
+    [OperationDef("echo", [ParamDef("text", "string")], result="string", raises=(Refused,))],
+)
+
+
+@pytest.mark.parametrize(
+    "status, body",
+    [
+        # a canonical result, then bytes after it
+        ("no-exception", GUARDED_IDL.operation("echo").marshal_result("HELLO") + b"junk"),
+        # a declared user exception cut off inside its member
+        ("user-exception", Refused(reason="closed").marshal()[:-3]),
+    ],
+    ids=["result-with-trailing-bytes", "truncated-user-exception"],
+)
+def test_a_reply_that_does_not_unmarshal_is_reported_not_raised(status, body):
+    """CORBA's MARSHAL at the client: the reply goes to ``on_exception`` as
+    an ``IdlError``, and raises out of ``run()`` only for an invocation
+    that gave no ``on_exception``."""
+    from repro.orb.giop import REPLY_NO_EXCEPTION, REPLY_USER_EXCEPTION, ReplyMessage
+
+    status = {"no-exception": REPLY_NO_EXCEPTION, "user-exception": REPLY_USER_EXCEPTION}[status]
+    sched, _, (client_orb, server_orb) = make_world()
+    ref = server_orb.register_servant("guarded/1", EchoServant(), GUARDED_IDL)
+    stub = client_orb.stub(GUARDED_IDL, ref)
+    replies, errors = [], []
+    stub.echo("hello", reply_to=replies.append, on_exception=errors.append)
+    # the malformed reply arrives first; the server's own is then a duplicate
+    client_orb.deliver_frame(ReplyMessage(0, status, body).encode(), None)
+    sched.run()
+    assert replies == []
+    assert len(errors) == 1 and type(errors[0]) is IdlError
+    assert "does not unmarshal" in str(errors[0])
+
+    stub.echo("again", reply_to=replies.append)
+    with pytest.raises(IdlError):
+        client_orb.deliver_frame(ReplyMessage(1, status, body).encode(), None)
+        sched.run()
+    assert replies == []
