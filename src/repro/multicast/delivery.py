@@ -77,6 +77,33 @@ def _drop_below(table, low, limit):
             del table[key]
 
 
+class VisitEvidence:
+    """What one processor of a batch-signature ring knows about one
+    token visit: the authentication horizon's per-visit state.
+
+    ``digest`` and ``seq`` belong to the token bytes held for the visit
+    (``_token_raw_by_visit``), ``None`` while none are.  ``claims`` maps
+    each certificate signer to the digest it vouched; ``agreed`` is the
+    digest every claim shares, ``None`` while there is none or once two
+    disagree (a receipt never replaces a claim, so a disagreement lasts
+    until the record is swept).  ``variants`` are raw token variants
+    kept until a certificate arbitrates which bytes are genuine, and
+    ``certs`` the raw certificates whose span ends at this visit, keyed
+    ``(signer, first_visit, last_visit)``, kept for recovery and
+    duplicate suppression: they leave with the record.
+    """
+
+    __slots__ = ("digest", "seq", "claims", "agreed", "variants", "certs")
+
+    def __init__(self):
+        self.digest = None
+        self.seq = None
+        self.claims = {}
+        self.agreed = None
+        self.variants = []
+        self.certs = {}
+
+
 class DeliveryProtocol:
     """One processor's instance of the message delivery protocol."""
 
@@ -174,16 +201,10 @@ class DeliveryProtocol:
         #: digest is unanimously vouched by verified certificates and
         #: any raw token we hold for it matches the vouch
         self._auth_visit = 0
-        #: visit -> {cert signer -> vouched digest}; a signer claiming
-        #: two digests for one visit convicts itself, and a signed token
+        #: visit -> :class:`VisitEvidence`; a signer claiming two
+        #: digests for one visit convicts itself, and a signed token
         #: contradicting its own sender's claim convicts the sender
-        self._vouch_claims = {}
-        #: visit -> extra raw token variants (mutant candidates kept
-        #: until a certificate arbitrates which bytes are genuine)
-        self._token_variants = {}
-        #: (signer, first_visit, last_visit) -> raw certificate bytes,
-        #: retained for recovery and duplicate suppression
-        self._cert_raws = {}
+        self._evidence_by_visit = {}
         #: own token visits since this processor last certified
         self._own_visits_since_cert = 0
         self._last_cert_raw = b""
@@ -258,9 +279,7 @@ class DeliveryProtocol:
         self._parked_origination = None
         self._recent_arus = deque(maxlen=max(len(self.members), 2))
         self._auth_visit = 0
-        self._vouch_claims.clear()
-        self._token_variants.clear()
-        self._cert_raws.clear()
+        self._evidence_by_visit.clear()
         self._last_cert_raw = b""
         self._last_cert_span = None
         self._convicted = set()
@@ -412,8 +431,11 @@ class DeliveryProtocol:
         if self._batch:
             # Certificates are what let a recovering processor
             # authenticate the tokens above: ship every span we hold.
-            for key in sorted(self._cert_raws):
-                frames.append(self._cert_raws[key])
+            certs = {}
+            for evidence in self._evidence_by_visit.values():
+                certs.update(evidence.certs)
+            for key in sorted(certs):
+                frames.append(certs[key])
         return frames
 
     # ------------------------------------------------------------------
@@ -547,13 +569,13 @@ class DeliveryProtocol:
 
     def _absorb_historical_batch(self, token, raw):
         """Recover a missed token, honouring any certificate vouches."""
-        vouched = self._vouch_digest(token.visit)
-        digest = self._digest_of(raw)
-        if vouched is not None and digest != vouched:
+        evidence = self._evidence_by_visit.get(token.visit)
+        vouched = evidence.agreed if evidence is not None else None
+        if vouched is not None and self._digest_of(raw) != vouched:
             self._note_variant(token.visit, raw)
             self._resolve_visit(token.visit)
             return
-        if vouched is None and self._vouch_claims.get(token.visit):
+        if vouched is None and evidence is not None and evidence.claims:
             # Certificates disagree about this visit: hold the bytes
             # for evidence but trust nothing until membership resolves.
             self._note_variant(token.visit, raw)
@@ -572,7 +594,8 @@ class DeliveryProtocol:
         if cert.signer_id not in self.members:
             return
         key = (cert.signer_id, cert.first_visit, cert.last_visit)
-        if self._cert_raws.get(key) == raw:
+        last = self._evidence_by_visit.get(cert.last_visit)
+        if last is not None and last.certs.get(key) == raw:
             return  # duplicate (retransmission or recovery overlap)
         if not self.signing.verify_batch(
             cert.signer_id, cert.sealed_bytes(), cert.signature, len(cert.digests)
@@ -585,31 +608,35 @@ class DeliveryProtocol:
             self._convict(cert.signer_id, "malformed_token")
             return
         self.stats["certs_verified"] += 1
-        self._cert_raws[key] = raw
+        if cert.first_visit < self._history_low:
+            self._history_low = cert.first_visit
+        self._evidence(cert.last_visit).certs[key] = raw
         self._last_activity = self.scheduler.now
         self._apply_vouches(cert)
 
+    def _evidence(self, visit):
+        """The record of ``visit``, made empty if there is none yet (the
+        caller has lowered ``_history_low`` to ``visit`` if need be)."""
+        evidence = self._evidence_by_visit.get(visit)
+        if evidence is None:
+            evidence = self._evidence_by_visit[visit] = VisitEvidence()
+        return evidence
+
     def _apply_vouches(self, cert):
         """Record a verified certificate's per-visit digest claims."""
-        first = cert.first_visit
-        if first < self._history_low:
-            self._history_low = first
         # Every certificate re-vouches the whole token history, so this
         # loop runs ~64 entries per receipt: an entry already known from
-        # this signer costs a probe and a compare.  The tables are only
+        # this signer costs a probe and a compare, a new one a compare
+        # with the record's agreed and held digests.  The table is only
         # ever cleared in place, never rebound.
         signer = cert.signer_id
-        claims_by_visit = self._vouch_claims
-        raw_by_visit = self._token_raw_by_visit
-        variants = self._token_variants
-        digest_of = self._digest_of
+        records = self._evidence_by_visit
         conflicted = []
-        for visit, digest in enumerate(cert.digests, first):
-            if visit < 1:
-                continue
-            claims = claims_by_visit.get(visit)
-            if claims is None:
-                claims = claims_by_visit[visit] = {}
+        for visit, digest in enumerate(cert.digests, cert.first_visit):
+            evidence = records.get(visit)
+            if evidence is None:
+                evidence = records[visit] = VisitEvidence()
+            claims = evidence.claims
             existing = claims.get(signer)
             if existing is not None:
                 if existing != digest:
@@ -617,12 +644,16 @@ class DeliveryProtocol:
                     # provable certificate equivocation.
                     self._convict(signer, "mutant_token")
                 continue
+            if not claims:
+                evidence.agreed = digest
+            elif evidence.agreed != digest:
+                evidence.agreed = None
             claims[signer] = digest
-            stored = raw_by_visit.get(visit)
+            held = evidence.digest
             if (
-                visit in variants
-                or (len(claims) > 1 and len(set(claims.values())) > 1)
-                or (stored is not None and digest_of(stored) != digest)
+                evidence.variants
+                or evidence.agreed is None
+                or (held is not None and held != digest)
             ):
                 conflicted.append(visit)
         for visit in conflicted:
@@ -641,15 +672,8 @@ class DeliveryProtocol:
         """The unanimously vouched digest for ``visit`` (None if unknown
         or certificates disagree — conflicting vouches authenticate
         nothing until the equivocator is excluded)."""
-        claims = self._vouch_claims.get(visit)
-        if not claims:
-            return None
-        vouched = iter(claims.values())
-        digest = next(vouched)
-        for other in vouched:
-            if other != digest:
-                return None
-        return digest
+        evidence = self._evidence_by_visit.get(visit)
+        return evidence.agreed if evidence is not None else None
 
     def _advance_authentication(self):
         """Advance the contiguous horizon of settled token visits.
@@ -661,16 +685,17 @@ class DeliveryProtocol:
         gap that retransmission repairs (the covering token is resent
         and must then match the vouch to be harvested).
         """
-        vouch_digest = self._vouch_digest
-        raw_by_visit = self._token_raw_by_visit
-        digest_of = self._digest_of
+        records = self._evidence_by_visit
         nxt = self._auth_visit + 1
         while True:
-            digest = vouch_digest(nxt)
-            if digest is None:
+            evidence = records.get(nxt)
+            if evidence is None:
                 break
-            raw = raw_by_visit.get(nxt)
-            if raw is not None and digest_of(raw) != digest:
+            agreed = evidence.agreed
+            if agreed is None:
+                break
+            held = evidence.digest
+            if held is not None and held != agreed:
                 break  # contradiction pending evidence resolution
             self._auth_visit = nxt
             nxt += 1
@@ -678,7 +703,7 @@ class DeliveryProtocol:
     def _note_variant(self, visit, raw):
         if visit < self._history_low:
             self._history_low = visit
-        variants = self._token_variants.setdefault(visit, [])
+        variants = self._evidence(visit).variants
         if raw not in variants and len(variants) < 4:
             variants.append(raw)
 
@@ -690,9 +715,12 @@ class DeliveryProtocol:
         the matching variant is (re)harvested, every validly signed
         contradicting variant whose own sender vouched otherwise is
         convicted, and our contradicted copy is published as evidence.
+        Whichever copy is dropped takes its ``seq`` out of
+        ``_max_seq_seen`` too.
         """
         stored = self._token_raw_by_visit.get(visit)
-        candidates = list(self._token_variants.get(visit, ()))
+        evidence = self._evidence_by_visit.get(visit)
+        candidates = list(evidence.variants) if evidence is not None else []
         if stored is not None and stored not in candidates:
             candidates.append(stored)
         for raw in candidates:
@@ -716,10 +744,13 @@ class DeliveryProtocol:
                 except MulticastCodecError:
                     token = None
                 if isinstance(token, Token):
-                    if stored is not None:
+                    if stored is None:
+                        self._harvest_token(token, keeper)
+                        self._max_seq_seen = max(self._max_seq_seen, token.seq)
+                    else:
                         self._unharvest(visit)
-                    self._harvest_token(token, keeper)
-                    self._max_seq_seen = max(self._max_seq_seen, token.seq)
+                        self._harvest_token(token, keeper)
+                        self._recount_max_seq()
         elif stored is not None:
             # Our copy contradicts the certificate: publish it as
             # evidence, then drop its harvested digests so nothing
@@ -727,8 +758,18 @@ class DeliveryProtocol:
             # genuine token back.
             self._rebroadcast_evidence(visit)
             self._unharvest(visit)
+            self._recount_max_seq()
         self._advance_authentication()
         self._advance_delivery()
+
+    def _recount_max_seq(self):
+        """Derive ``_max_seq_seen`` again after a held token was dropped:
+        a provisional token that lost arbitration leaves no trace in the
+        seq horizon (its ``seq`` may be anything its sender made up)."""
+        self._max_seq_seen = max(
+            [self._delivered_up_to]
+            + [e.seq for e in self._evidence_by_visit.values() if e.seq is not None]
+        )
 
     def _maybe_convict_mutant(self, visit, raw):
         """Convict the sender of a signed token contradicting its own cert."""
@@ -738,7 +779,8 @@ class DeliveryProtocol:
             return
         if not isinstance(token, Token) or not token.signature:
             return
-        claimed = self._vouch_claims.get(visit, {}).get(token.sender_id)
+        evidence = self._evidence_by_visit.get(visit)
+        claimed = evidence.claims.get(token.sender_id) if evidence is not None else None
         if claimed is None or claimed == self._digest_of(raw):
             return
         if not self.signing.verify(
@@ -771,12 +813,15 @@ class DeliveryProtocol:
 
     def _harvest_token(self, token, raw, reindex=True):
         """Adopt ``raw`` as the genuine token of its visit: store the
-        bytes and index the message digests it carries (``reindex``
+        bytes (on a batch ring with their digest and seq in the visit's
+        record) and index the message digests it carries (``reindex``
         replaces what an earlier token claimed for the same seqs)."""
         visit = token.visit
         self._token_raw_by_visit[visit] = raw
         if visit < self._history_low:
             self._history_low = visit
+        if self._batch:
+            self._hold(visit, raw, token.seq)
         digests = token.message_digest_list
         if not (self._digests and digests):
             return
@@ -793,9 +838,20 @@ class DeliveryProtocol:
                 self._digest_by_seq.setdefault(seq, (digest, sender))
                 self._token_covering.setdefault(seq, visit)
 
+    def _hold(self, visit, raw, seq):
+        """Note in ``visit``'s record the digest and seq of the token
+        bytes just stored for it: hashed once here, read by every
+        certificate that vouches the visit afterwards."""
+        evidence = self._evidence(visit)
+        evidence.digest = self._digest_of(raw)
+        evidence.seq = seq
+
     def _unharvest(self, visit):
         """Forget a visit's token and every digest it had contributed."""
         self._token_raw_by_visit.pop(visit, None)
+        evidence = self._evidence_by_visit.get(visit)
+        if evidence is not None:
+            evidence.digest = evidence.seq = None
         for seq in [s for s, v in self._token_covering.items() if v == visit]:
             del self._token_covering[seq]
             self._digest_by_seq.pop(seq, None)
@@ -814,30 +870,30 @@ class DeliveryProtocol:
             return
         newest = newest_token.visit
         floor = max(1, newest - min(_TOKEN_HISTORY, MAX_CERT_SPAN) + 1)
-        raw_by_visit = self._token_raw_by_visit
-        digest_of = self._digest_of
-        digests = []
+        records = self._evidence_by_visit
+        held = []
         visit = newest
         while visit >= floor:
-            raw = raw_by_visit.get(visit)
-            if raw is None:
+            evidence = records.get(visit)
+            if evidence is None or evidence.digest is None:
                 break  # a gap ends the contiguous span we can vouch
-            digests.append(digest_of(raw))
+            held.append(evidence)
             visit -= 1
-        if not digests:
+        if not held:
             return
         first = visit + 1
         span = (first, newest)
         if span == self._last_cert_span:
             return  # nothing new since our previous certificate
-        digests.reverse()
+        held.reverse()
+        digests = [evidence.digest for evidence in held]
         cert = TokenCertificate(self.my_id, self.ring_id, first, digests)
         raw = cert.encode_signed(
             lambda signable: self.signing.sign_batch(signable, len(digests))
         )
         self._last_cert_span = span
         self._last_cert_raw = raw
-        self._cert_raws[(self.my_id, first, newest)] = raw
+        held[-1].certs[(self.my_id, first, newest)] = raw
         self._own_visits_since_cert = 0
         self.stats["certs_signed"] += 1
         if self._forensics is not None:
@@ -858,14 +914,17 @@ class DeliveryProtocol:
                 send_at, self._transmit_frames, [raw], label="cert.transmit"
             )
         # Our own broadcast does not loop back: apply the vouches here.
+        # Our own claims are the only ones a later call may replace, so
+        # ``agreed`` is recomputed from the claims whenever it is not
+        # already our digest.
         my_id = self.my_id
-        claims_by_visit = self._vouch_claims
-        for vouch_visit, digest in enumerate(digests, first):
-            claims = claims_by_visit.get(vouch_visit)
-            if claims is None:
-                claims_by_visit[vouch_visit] = {my_id: digest}
-            else:
-                claims[my_id] = digest
+        for evidence, digest in zip(held, digests):
+            claims = evidence.claims
+            claims[my_id] = digest
+            if evidence.agreed != digest:
+                evidence.agreed = (
+                    digest if all(c == digest for c in claims.values()) else None
+                )
         self._advance_authentication()
         self._advance_delivery()
 
@@ -1041,6 +1100,8 @@ class DeliveryProtocol:
         self._last_accepted = token
         self._last_accepted_raw = raw
         self._token_raw_by_visit[token.visit] = raw
+        if self._batch:
+            self._hold(token.visit, raw, token.seq)
         for seq, _ in digest_list:
             self._token_covering[seq] = token.visit
         if self._tracer is not None and digest_list:
@@ -1365,10 +1426,9 @@ class DeliveryProtocol:
         self._history_low = floor
         _drop_below(self._token_raw_by_visit, low, floor)
         if self._batch:
-            _drop_below(self._vouch_claims, low, floor)
-            _drop_below(self._token_variants, low, floor)
-            for key in [k for k in self._cert_raws if k[2] < floor]:
-                del self._cert_raws[key]
+            # A certificate lives in the record of its span's last
+            # visit, so it is swept with that visit.
+            _drop_below(self._evidence_by_visit, low, floor)
 
     def _rebroadcast_evidence(self, visit):
         raw = self._token_raw_by_visit.get(visit)

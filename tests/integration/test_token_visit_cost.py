@@ -17,7 +17,7 @@ deliver everything, everywhere, in one order.
 import pytest
 
 from repro import perf
-from repro.multicast.config import SecurityLevel
+from repro.multicast.config import MulticastConfig, SecurityLevel
 from repro.multicast.delivery import _TOKEN_HISTORY
 from repro.sim.faults import FaultPlan, LinkFaults
 from tests.support import MulticastWorld
@@ -26,10 +26,11 @@ PROCESSORS = 6
 MESSAGES = 60
 
 
-def _world(security, fault_plan=None):
+def _world(security, fault_plan=None, batch=False):
     perf.clear_caches()
+    config = MulticastConfig(security=security, batch_signatures=batch)
     world = MulticastWorld(
-        num=PROCESSORS, security=security, seed=11, fault_plan=fault_plan
+        num=PROCESSORS, seed=11, config=config, fault_plan=fault_plan
     ).start()
     for i in range(MESSAGES):
         world.scheduler.at(
@@ -74,6 +75,37 @@ def test_loss_free_ring_keeps_per_visit_state_constant():
         assert not delivery._received
         assert not delivery._digest_by_seq
         assert not delivery._token_covering
+    assert len({tuple(world.delivered_payloads(pid)) for pid in world.endpoints}) == 1
+
+
+def test_loss_free_batch_ring_keeps_one_record_per_visit_in_the_window():
+    """On a batch-signature ring each visit's evidence is one record,
+    swept with the visit's raw bytes; a certificate lives in the record
+    of its span's last visit, so every retained one ends in the window."""
+    world = _world(SecurityLevel.SIGNATURES, batch=True)
+    now = 0.0
+    while now < 1.0:
+        now += 0.01
+        world.run(until=now)
+        for endpoint in world.endpoints.values():
+            delivery = endpoint.delivery
+            records = delivery._evidence_by_visit
+            assert len(records) <= _TOKEN_HISTORY + 1
+            if delivery._last_accepted is None:
+                continue
+            window_low = delivery._last_accepted.visit - _TOKEN_HISTORY
+            assert min(records, default=window_low) >= window_low
+            for visit, evidence in records.items():
+                for _signer, _first, last in evidence.certs:
+                    assert last == visit
+
+    assert _newest_visit(world) >= 500
+    for pid, endpoint in world.endpoints.items():
+        delivery = endpoint.delivery
+        assert len(world.delivered[pid]) == MESSAGES
+        assert sum(len(e.certs) for e in delivery._evidence_by_visit.values()) > 0
+        assert not delivery._received
+        assert not delivery._digest_by_seq
     assert len({tuple(world.delivered_payloads(pid)) for pid in world.endpoints}) == 1
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the perf-trajectory aggregator (:mod:`repro.bench.trend`)."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -173,3 +174,62 @@ def test_every_committed_artifact_contributes_headline_rows():
     for entry in entries:
         assert entry["rows"], "%s contributes no headline rows" % entry["file"]
     assert "no recognised headline" not in render_table(entries)
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+CLAIM_FIELDS = {
+    "metric", "value", "unit", "gate", "ok", "pr", "commit", "workload",
+    "seed", "pairs", "lower_in", "parent_quartiles", "change_quartiles",
+    "transcribed",
+}
+
+
+def _claims():
+    return json.loads((ROOT / "BENCH_claims.json").read_text())
+
+
+def test_every_claim_row_is_complete_and_says_what_it_measured():
+    report = _claims()
+    assert report["bench"] == "claims"
+    rows = report["headline"]
+    assert [row["pr"] for row in rows] == sorted(row["pr"] for row in rows)
+    assert any(row["transcribed"] for row in rows)
+    workloads = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    for row in rows:
+        assert set(row) == CLAIM_FIELDS
+        assert row["workload"] in workloads
+        assert row["metric"] == "PR %d %s %s" % (row["pr"], row["workload"], row["metric"].split()[-1])
+        assert row["value"] == row["change_quartiles"][1]
+        assert row["gate"] == "<%s" % row["parent_quartiles"][1]
+        assert sorted(row["parent_quartiles"]) == row["parent_quartiles"]
+        assert sorted(row["change_quartiles"]) == row["change_quartiles"]
+        assert 0 <= row["lower_in"] <= row["pairs"]
+
+
+def test_a_measured_claims_ok_follows_from_its_quartiles():
+    """The rule a host claim is held to: better in at least nine of
+    ten alternating pairs, and the medians apart by more than the
+    parent's inter-quartile distance, in the metric's own direction."""
+    better = {
+        m["name"]: m["better"]
+        for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    }
+    measured = [row for row in _claims()["headline"] if not row["transcribed"]]
+    assert measured, "no measured claim row"
+    for row in measured:
+        q1, parent, q3 = row["parent_quartiles"]
+        change = row["change_quartiles"][1]
+        gain = parent - change if better[row["metric"].split()[-1]] == "lower" else change - parent
+        agrees = row["pairs"] == 10 and row["lower_in"] >= 9 and gain > q3 - q1
+        assert row["ok"] is agrees, row["metric"]
+
+
+def test_the_trend_regenerates_with_every_claim_row(tmp_path, capsys):
+    out = tmp_path / "BENCH_trend.json"
+    assert main(["trend", "--dir", str(ROOT), "--out", str(out)]) == 0
+    assert out.read_bytes() == (ROOT / "BENCH_trend.json").read_bytes()
+    trend = json.loads(out.read_text())
+    claimed = [row["metric"] for row in trend["rows"] if row["file"] == "BENCH_claims.json"]
+    assert claimed == [row["metric"] for row in _claims()["headline"]]
+    table = capsys.readouterr().out
+    assert all(metric in table for metric in claimed)

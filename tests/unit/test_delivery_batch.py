@@ -10,6 +10,8 @@ and payload fragmentation of the batch pipeline.
 import random
 from collections import deque
 
+import pytest
+
 from repro.crypto.costmodel import CryptoCostModel
 from repro.crypto.keystore import KeyStore
 from repro.multicast.config import MulticastConfig, SecurityLevel
@@ -262,3 +264,75 @@ def test_backpressure_forces_synchronous_certificate():
     assert h.protocol.stats["certs_signed"] == 1
     # Our certificate vouched everything we hold, so the horizon moved.
     assert h.protocol._auth_visit >= 3
+
+
+# A provisional token that loses certificate arbitration must leave no
+# trace in the seq horizon: the next origination's ``_missing_seqs()``
+# ranges up to ``_max_seq_seen``, so a made-up seq of 10**12 would have
+# it build a set of 10**12 entries.  Both a seq far above the genuine
+# one and genuine + 1 (what ``MutantTokenBehaviour`` sends) are covered.
+
+
+@pytest.mark.parametrize("mutant_seq", [10**12, 1])
+def test_a_contradicted_token_drops_its_seq_from_the_horizon(mutant_seq):
+    h = BatchHarness()
+    _, mutant = h.feed_token(1, visit=1, seq=mutant_seq)
+    assert h.protocol._max_seq_seen == mutant_seq
+    _, genuine = h.token(1, visit=1, seq=0)
+    # The genuine bytes are vouched but not held: our copy is dropped.
+    h.feed_certificate(2, first_visit=1, raws=[genuine])
+    h.feed_certificate(1, first_visit=1, raws=[genuine])
+    assert 1 not in h.protocol._token_raw_by_visit
+    assert h.protocol._max_seq_seen == 0
+    assert h.protocol._missing_seqs() == set()
+
+
+@pytest.mark.parametrize("mutant_seq", [10**12, 1])
+def test_a_reharvested_variant_replaces_the_losers_seq(mutant_seq):
+    h = BatchHarness()
+    h.feed_token(1, visit=1, seq=mutant_seq)
+    genuine_token, genuine = h.token(1, visit=1, seq=0)
+    h.protocol.on_token(genuine_token, genuine)  # held as a variant
+    assert h.protocol._max_seq_seen == mutant_seq
+    h.feed_certificate(2, first_visit=1, raws=[genuine])
+    assert h.protocol._token_raw_by_visit[1] == genuine
+    assert h.protocol._max_seq_seen == 0
+    assert h.protocol._missing_seqs() == set()
+
+
+def test_the_horizon_keeps_the_highest_seq_still_held():
+    h = BatchHarness()
+    raw = h.feed_message(1, 1, b"payload")
+    _, first = h.feed_token(1, visit=1, seq=1, digests=[(1, h.digest_of(raw))])
+    h.feed_token(2, visit=2, seq=10**12)
+    _, genuine = h.token(2, visit=2, seq=1)
+    h.feed_certificate(1, first_visit=1, raws=[first, genuine])
+    assert h.protocol._max_seq_seen == 1  # visit 1's token is still held
+    assert [p for _, _, _, p in h.delivered] == [b"payload"]
+
+
+def test_history_sweep_catches_a_replayed_ancient_certificate():
+    """The batch twin of the history sweep: a visit's record goes with
+    its raw bytes, and a certificate whose span ends below the window
+    (rebroadcast long after) is swept with its record by the next
+    token."""
+    h = BatchHarness()
+    protocol = h.protocol
+    raws = {}
+    for visit in range(1, 101):
+        _, raws[visit] = h.feed_token(1, visit=visit, seq=0)
+    assert sorted(protocol._evidence_by_visit) == list(range(36, 101))
+    h.feed_token(1, visit=3, seq=0)  # a token missed long ago, rebroadcast
+    assert protocol._token_raw_by_visit[3] == raws[3]
+    _, ancient = h.feed_certificate(2, first_visit=2, raws=[raws[2], raws[3]])
+    assert sorted(protocol._evidence_by_visit)[:2] == [2, 3]
+    assert protocol._evidence_by_visit[3].digest == h.digest_of(raws[3])
+    assert protocol._evidence_by_visit[3].certs == {(2, 2, 3): ancient}
+    assert ancient in protocol.recovery_frames(0)
+    h.feed_token(1, visit=101, seq=0)
+    assert sorted(protocol._evidence_by_visit) == list(range(37, 102))
+    assert sorted(protocol._token_raw_by_visit) == list(range(37, 102))
+    assert ancient not in protocol.recovery_frames(0)
+    h.feed_token(1, visit=5000, seq=0)  # a jump: the tables are the shorter walk
+    assert sorted(protocol._evidence_by_visit) == [5000]
+    assert sorted(protocol._token_raw_by_visit) == [5000]
