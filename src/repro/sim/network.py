@@ -36,7 +36,13 @@ class NetworkParams:
 
 
 class Datagram:
-    """One frame on the wire, as seen by a single receiver."""
+    """One transmission on the wire.
+
+    Every receiver whose copy arrives intact is handed the same object,
+    so it is read-only: a handler never writes to it.  ``dst`` is the
+    transmission's, ``None`` for a broadcast.  A copy corrupted in
+    transit is a datagram of its own, with ``corrupted`` set.
+    """
 
     __slots__ = ("src", "dst", "dst_port", "payload", "corrupted", "sent_at")
 
@@ -149,36 +155,34 @@ class Network:
         start = max(now, self._medium_free_at)
         end = start + self.params.transmit_time(len(payload))
         self._medium_free_at = end
-        for dst_id in receivers:
-            self._schedule_delivery(src_id, dst_id, dst_port, payload, end, now)
-
-    def _schedule_delivery(self, src_id, dst_id, dst_port, payload, tx_end, sent_at):
+        shared = Datagram(src_id, dst, dst_port, payload, now)
         rng = self._rng
         plan = self._fault_plan
-        # The RNG is drawn in a fixed order (loss, corruption, jitter),
-        # each only where its probability is positive: a seeded run
-        # depends on it.
-        faults = None if plan is None else plan.faults_at(src_id, dst_id, sent_at)
-        if faults is not None and faults.loss_prob > 0.0 and rng.random() < faults.loss_prob:
-            self.stats["dropped"] += 1
-            return
-        datagram = Datagram(src_id, dst_id, dst_port, payload, sent_at)
-        if faults is not None and faults.corrupt_prob > 0.0 and rng.random() < faults.corrupt_prob:
-            datagram.payload = _flip_bytes(payload, rng)
-            datagram.corrupted = True
-            self.stats["corrupted"] += 1
-        delay = self.params.propagation_delay
-        if self.params.jitter and rng is not None:
-            delay += rng.uniform(0.0, self.params.jitter)
-        if faults is not None:
-            delay += faults.extra_delay
-        self.scheduler.at(
-            tx_end + delay,
-            self._deliver,
-            dst_id,
-            datagram,
-            label="net.deliver",
-        )
+        propagation = self.params.propagation_delay
+        jitter = self.params.jitter if rng is not None else 0.0
+        at = self.scheduler.at
+        for dst_id in receivers:
+            # The RNG is drawn in a fixed order (loss, corruption,
+            # jitter), each only where its probability is positive: a
+            # seeded run depends on it.
+            faults = None if plan is None else plan.faults_at(src_id, dst_id, now)
+            datagram = shared
+            delay = propagation
+            if faults is not None:
+                if faults.loss_prob > 0.0 and rng.random() < faults.loss_prob:
+                    self.stats["dropped"] += 1
+                    continue
+                if faults.corrupt_prob > 0.0 and rng.random() < faults.corrupt_prob:
+                    datagram = Datagram(src_id, dst, dst_port, _flip_bytes(payload, rng), now)
+                    datagram.corrupted = True
+                    self.stats["corrupted"] += 1
+            if jitter:
+                # ``uniform(0.0, jitter)`` is ``0.0 + jitter * random()``:
+                # the same float, one call fewer
+                delay += jitter * rng.random()
+            if faults is not None:
+                delay += faults.extra_delay
+            at(end + delay, self._deliver, dst_id, datagram, label="net.deliver")
 
     def _deliver(self, dst_id, datagram):
         receiver = self._processors.get(dst_id)

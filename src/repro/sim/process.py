@@ -107,7 +107,7 @@ class Processor:
         # Inlined lane arithmetic (the properties above repeat it):
         # charge() runs for every marshalling step, digest, and
         # signature of every message, so attribute hops matter here.
-        now = self.scheduler._now
+        now = self.scheduler.now
         if priority:
             start = self._prio_free_at
             if start < now:

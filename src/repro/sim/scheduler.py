@@ -98,7 +98,8 @@ class Scheduler:
         #: (``seq`` is unique, so the event object is never compared)
         self._queue = []
         self._seq = itertools.count()
-        self._now = 0.0
+        #: current simulation time in seconds
+        self.now = 0.0
         self._stopped = False
         self._cancelled = 0
         self.events_executed = 0
@@ -110,16 +111,11 @@ class Scheduler:
         #: shared scheduler, which must not duplicate the collector
         self._metrics_roots = []
 
-    @property
-    def now(self):
-        """Current simulation time in seconds."""
-        return self._now
-
     def at(self, time, fn, *args, priority=PRIORITY_NORMAL, label=""):
         """Schedule ``fn(*args)`` at absolute simulation ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                "cannot schedule event at %.9f before now %.9f" % (time, self._now)
+                "cannot schedule event at %.9f before now %.9f" % (time, self.now)
             )
         event = Event(time, priority, next(self._seq), fn, args, label)
         event._scheduler = self
@@ -133,7 +129,7 @@ class Scheduler:
         # Inlined ``at`` body: a non-negative delay can never schedule
         # into the past, and nearly every event in a protocol-heavy run
         # arrives through this method.
-        time = self._now + delay
+        time = self.now + delay
         event = Event(time, priority, next(self._seq), fn, args, label)
         event._scheduler = self
         heapq.heappush(self._queue, (time, priority, event.seq, event))
@@ -179,7 +175,7 @@ class Scheduler:
         """
         if delay < 0:
             raise SimulationError("negative delay %r" % (delay,))
-        time = self._now + delay
+        time = self.now + delay
         if event._scheduler is self and not event.cancelled and time >= event.time:
             event.time = time
             event.seq = next(self._seq)
@@ -247,7 +243,7 @@ class Scheduler:
         root.add_collector(self._collect_metrics)
 
     def _collect_metrics(self, registry):
-        registry.gauge("scheduler.now").set(self._now)
+        registry.gauge("scheduler.now").set(self.now)
         registry.gauge("scheduler.queue_pending").set(self.pending())
         registry.gauge("scheduler.events_executed").set(self.events_executed)
         for label, count in self.events_by_label.items():
@@ -280,7 +276,7 @@ class Scheduler:
             # An entry's key never exceeds its event's (``reschedule``
             # only moves events later), so it bounds the event's time.
             if until is not None and entry[0] > until:
-                self._now = until
+                self.now = until
                 break
             event = entry[3]
             if event.cancelled:
@@ -294,7 +290,7 @@ class Scheduler:
                 continue
             heappop(queue)
             event._scheduler = None
-            self._now = event.time
+            self.now = event.time
             event.fn(*event.args)
             executed += 1
             self.events_executed += 1
@@ -302,6 +298,6 @@ class Scheduler:
             if counts is not None:
                 label = event.label or "(unlabeled)"
                 counts[label] = counts.get(label, 0) + 1
-        if not self._queue and until is not None and self._now < until:
-            self._now = until
-        return self._now
+        if not self._queue and until is not None and self.now < until:
+            self.now = until
+        return self.now

@@ -1,15 +1,19 @@
-"""Property: ``Scheduler.reschedule`` is ``cancel`` + ``after``, observably.
+"""Property: the scheduler is one ``(time, priority, seq)`` heap, observably.
 
 A random program of ``at`` / ``after`` / ``cancel`` / ``reschedule`` /
-``run`` steps is interpreted twice: on the real scheduler, whose
-``reschedule`` re-arms a queued event in place, and on a reference whose
-``reschedule`` is literally ``event.cancel()`` followed by ``after()``.
-The executed ``(time, priority, label)`` trace, ``events_executed``,
+``run`` steps is interpreted twice: on the real scheduler — ``reschedule``
+re-arming a queued event in place, exact cancellation counts,
+compaction — and on a reference written here from the specification:
+one heap, lazy deletion and nothing else, whose ``reschedule`` is
+literally ``event.cancel()`` followed by ``after()``.  The executed
+``(time, priority, label)`` trace, ``events_executed``,
 ``events_by_label``, ``pending()`` and the clock must agree after every
 ``run`` step.  Delays come from a small grid so ties (equal time, equal
 priority, order by sequence number) are common; bursts of
 armed-then-cancelled events force heap compactions in between.
 """
+import heapq
+import itertools
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -18,14 +22,64 @@ from repro.sim.scheduler import Scheduler
 _PRIORITIES = (Scheduler.PRIORITY_NORMAL, Scheduler.PRIORITY_TIMER)
 
 
-class ReferenceScheduler(Scheduler):
-    """Reschedule the long way round: the specification."""
+class ReferenceEvent:
+    __slots__ = ("time", "priority", "seq", "fn", "args", "label", "cancelled")
+
+    def __init__(self, time, priority, seq, fn, args, label):
+        self.time, self.priority, self.seq = time, priority, seq
+        self.fn, self.args, self.label = fn, args, label
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class ReferenceScheduler:
+    """The specification: one heap, and reschedule the long way round."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_executed = 0
+        self.events_by_label = None
+        self._heap = []
+        self._seq = itertools.count()
+
+    def at(self, time, fn, *args, priority=Scheduler.PRIORITY_NORMAL, label=""):
+        assert time >= self.now
+        event = ReferenceEvent(time, priority, next(self._seq), fn, args, label)
+        heapq.heappush(self._heap, (time, priority, event.seq, event))
+        return event
+
+    def after(self, delay, fn, *args, priority=Scheduler.PRIORITY_NORMAL, label=""):
+        return self.at(self.now + delay, fn, *args, priority=priority, label=label)
 
     def reschedule(self, event, delay):
         event.cancel()
         return self.after(
             delay, event.fn, *event.args, priority=event.priority, label=event.label
         )
+
+    def pending(self):
+        return sum(not entry[3].cancelled for entry in self._heap)
+
+    def run(self, until=None, max_events=None):
+        heap = self._heap
+        executed = 0
+        while max_events is None or executed < max_events:
+            while heap and heap[0][3].cancelled:
+                heapq.heappop(heap)
+            if not heap or (until is not None and heap[0][0] > until):
+                if until is not None:
+                    self.now = until
+                break
+            event = heapq.heappop(heap)[3]
+            self.now = event.time
+            event.fn(*event.args)
+            executed += 1
+            self.events_executed += 1
+            label = event.label or "(unlabeled)"
+            self.events_by_label[label] = self.events_by_label.get(label, 0) + 1
+        return self.now
 
 
 class Interpreter:

@@ -188,25 +188,20 @@ def _claims():
     return json.loads((ROOT / "BENCH_claims.json").read_text())
 
 
-def test_every_claim_row_is_complete_and_says_what_it_measured():
-    report = _claims()
-    assert report["bench"] == "claims"
-    rows = report["headline"]
-    assert [row["pr"] for row in rows] == sorted(row["pr"] for row in rows)
-    assert any(row["transcribed"] for row in rows)
+def check_claim_row(row):
+    """A claim row is complete and says what it measured."""
     workloads = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
-    for row in rows:
-        assert set(row) == CLAIM_FIELDS
-        assert row["workload"] in workloads
-        assert row["metric"] == "PR %d %s %s" % (row["pr"], row["workload"], row["metric"].split()[-1])
-        assert row["value"] == row["change_quartiles"][1]
-        assert row["gate"] == "<%s" % row["parent_quartiles"][1]
-        assert sorted(row["parent_quartiles"]) == row["parent_quartiles"]
-        assert sorted(row["change_quartiles"]) == row["change_quartiles"]
-        assert 0 <= row["lower_in"] <= row["pairs"]
+    assert set(row) == CLAIM_FIELDS
+    assert row["workload"] in workloads
+    assert row["metric"] == "PR %d %s %s" % (row["pr"], row["workload"], row["metric"].split()[-1])
+    assert row["value"] == row["change_quartiles"][1]
+    assert row["gate"] == "<%s" % row["parent_quartiles"][1]
+    assert sorted(row["parent_quartiles"]) == row["parent_quartiles"]
+    assert sorted(row["change_quartiles"]) == row["change_quartiles"]
+    assert 0 <= row["lower_in"] <= row["pairs"]
 
 
-def test_a_measured_claims_ok_follows_from_its_quartiles():
+def check_measured_claim_ok(row):
     """The rule a host claim is held to: better in at least nine of
     ten alternating pairs, and the medians apart by more than the
     parent's inter-quartile distance, in the metric's own direction."""
@@ -214,14 +209,28 @@ def test_a_measured_claims_ok_follows_from_its_quartiles():
         m["name"]: m["better"]
         for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     }
+    q1, parent, q3 = row["parent_quartiles"]
+    change = row["change_quartiles"][1]
+    gain = parent - change if better[row["metric"].split()[-1]] == "lower" else change - parent
+    agrees = row["pairs"] == 10 and row["lower_in"] >= 9 and gain > q3 - q1
+    assert row["ok"] is agrees, row["metric"]
+
+
+def test_every_claim_row_is_complete_and_says_what_it_measured():
+    report = _claims()
+    assert report["bench"] == "claims"
+    rows = report["headline"]
+    assert [row["pr"] for row in rows] == sorted(row["pr"] for row in rows)
+    assert any(row["transcribed"] for row in rows)
+    for row in rows:
+        check_claim_row(row)
+
+
+def test_a_measured_claims_ok_follows_from_its_quartiles():
     measured = [row for row in _claims()["headline"] if not row["transcribed"]]
     assert measured, "no measured claim row"
     for row in measured:
-        q1, parent, q3 = row["parent_quartiles"]
-        change = row["change_quartiles"][1]
-        gain = parent - change if better[row["metric"].split()[-1]] == "lower" else change - parent
-        agrees = row["pairs"] == 10 and row["lower_in"] >= 9 and gain > q3 - q1
-        assert row["ok"] is agrees, row["metric"]
+        check_measured_claim_ok(row)
 
 
 def test_the_trend_regenerates_with_every_claim_row(tmp_path, capsys):

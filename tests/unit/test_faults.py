@@ -144,7 +144,7 @@ class ThreeCallPlan:
 
 
 class RecordingRng(random.Random):
-    """Logs every ``random()`` the network draws (``uniform`` is one)."""
+    """Logs every ``random()`` the network draws."""
 
     def __init__(self, seed):
         super().__init__(seed)
@@ -157,7 +157,8 @@ class RecordingRng(random.Random):
 
 
 def reference_run(plan, sends, params, seed, num=4):
-    """What the parent's ``_schedule_delivery`` did with each datagram."""
+    """What the network does with each receiver's copy of each send,
+    asking the three per-datagram questions (loss, corruption, delay)."""
     rng = RecordingRng(seed)
     three = ThreeCallPlan(plan)
     arrivals, dropped, corrupted = [], 0, 0
@@ -177,7 +178,7 @@ def reference_run(plan, sends, params, seed, num=4):
                 corrupted += 1
             delay = params.propagation_delay
             if params.jitter:
-                delay += rng.uniform(0.0, params.jitter)
+                delay += params.jitter * rng.random()
             delay += three.extra_delay(src, receiver, now, rng)
             arrivals.append((tx_end + delay, src, receiver, delivered))
     return sorted(arrivals), dropped, corrupted, rng.draws
@@ -230,3 +231,13 @@ def test_one_query_draws_what_three_calls_drew(name, jitter):
     assert (net.stats["dropped"], net.stats["corrupted"]) == (dropped, corrupted)
     if name != "crash only":
         assert dropped + corrupted > 0  # the case injects something
+
+
+@pytest.mark.parametrize("jitter", [5e-6, 1e-3, 0.1, 7.3])
+def test_scaled_random_draws_what_uniform_drew(jitter):
+    """``jitter * random()`` is the float ``uniform(0.0, jitter)`` is, draw
+    for draw: the network's jitter draw lost a call and moved nothing."""
+    scaled, uniform = random.Random(29), random.Random(29)
+    for _ in range(10_000):
+        assert jitter * scaled.random() == uniform.uniform(0.0, jitter)
+    assert scaled.getstate() == uniform.getstate()

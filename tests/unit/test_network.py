@@ -181,3 +181,36 @@ def test_flip_bytes_single_byte_payload_always_changes():
 
 def test_flip_bytes_empty_payload_is_noop():
     assert _flip_bytes(b"", random.Random(1)) == b""
+
+
+def test_a_broadcast_hands_every_intact_receiver_one_shared_datagram():
+    sched, net, procs = make_lan(5)
+    boxes = [collect(p) for p in procs]
+    net.broadcast(2, "p", b"shared")
+    net.unicast(2, 4, "p", b"alone")
+    sched.run()
+    received = [box[0] for box in boxes if box]
+    assert len(received) == 4
+    assert all(d is received[0] for d in received)
+    shared = received[0]
+    assert (shared.src, shared.dst, shared.payload, shared.corrupted) == (2, None, b"shared", False)
+    alone = boxes[4][1]
+    assert alone is not shared
+    assert (alone.src, alone.dst, alone.payload) == (2, 4, b"alone")
+
+
+def test_each_corrupted_copy_is_a_datagram_of_its_own():
+    sched, net, procs = make_lan(8, fault_plan=FaultPlan(LinkFaults(corrupt_prob=0.5)))
+    boxes = [collect(p) for p in procs]
+    net.broadcast(0, "p", b"payload-" * 8)
+    sched.run()
+    received = [d for box in boxes for d in box]
+    assert len(received) == 7
+    corrupted = [d for d in received if d.corrupted]
+    intact = [d for d in received if not d.corrupted]
+    assert corrupted and intact  # (seed 7 draws both)
+    assert len({id(d) for d in corrupted}) == len(corrupted)
+    assert all(d is intact[0] for d in intact)
+    assert all(d is not intact[0] and d.payload != intact[0].payload for d in corrupted)
+    assert all((d.src, d.dst) == (0, None) for d in received)
+    assert net.stats["corrupted"] == len(corrupted)
