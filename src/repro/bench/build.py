@@ -164,13 +164,19 @@ class Built:
 
 
 def _fault_plan(faults):
+    """The plan of ``faults``' link-fault window and crashes, or None.
+
+    A :class:`FaultPlan` holds one link-fault window, so a second
+    ``loss`` / ``corruption`` tuple is refused, not dropped.
+    """
+    links = [fault for fault in faults if fault[0] in ("loss", "corruption")]
+    if len(links) > 1:
+        raise ValueError("one link-fault window per scenario, got %s" % (links,))
     plan = None
-    for kind, *args in faults:
-        if kind in ("loss", "corruption"):
-            probability, start, end = args
-            key = "loss_prob" if kind == "loss" else "corrupt_prob"
-            plan = FaultPlan(default=LinkFaults(**{key: probability}),
-                             active_from=start, active_until=end)
+    for kind, probability, start, end in links:
+        key = "loss_prob" if kind == "loss" else "corrupt_prob"
+        plan = FaultPlan(default=LinkFaults(**{key: probability}),
+                         active_from=start, active_until=end)
     for kind, *args in faults:
         if kind == "crash":
             plan = (plan or FaultPlan()).schedule_crash(*args)

@@ -262,7 +262,7 @@ def run_geo_drill(seed, case, transfers=2):
     # a *detectable* fault: one replica of the surviving link corrupts
     # its alpha->beta direction; beta's voters outvote and convict it
     corrupt_at = honest_at + 0.3
-    corrupt = wan.corrupt_site_gateway(
+    corrupt = wan.corrupt_gateway(
         "alpha", "beta", index=0, at_time=corrupt_at, direction="alpha"
     )
     drill_at = corrupt_at + 0.3

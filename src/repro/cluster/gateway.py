@@ -108,8 +108,8 @@ class _Forwarder:
         self.dst = dst
         self.src_pid = src_pid
         self.dst_pid = dst_pid
-        #: directed Byzantine toggle: corrupts this direction only (the
-        #: replica-wide ``corrupt`` flag covers both directions)
+        #: Byzantine toggle: this replica corrupts what it forwards in
+        #: this direction
         self.corrupt = False
         link = replica.link
         self._hop = hop = link.hop
@@ -210,7 +210,7 @@ class _Forwarder:
     def _forward(self, message, body):
         hop = self._hop
         self._src_proc.charge(hop.cost, hop.family + ".forward")
-        corrupt = self.corrupt or self.replica.corrupt
+        corrupt = self.corrupt
         if corrupt:
             # The Byzantine gateway drill: this replica forwards a
             # corrupted copy, which the destination ring outvotes.
@@ -283,18 +283,22 @@ class _Forwarder:
 
 class GatewayReplica:
     """One logical gateway entity of a link: a pid on each side, with a
-    forwarder in each direction and a shared Byzantine toggle."""
+    forwarder in each direction."""
 
     def __init__(self, link, index, pid_a, pid_b):
         self.link = link
         self.index = index
         self.pid_a = pid_a
         self.pid_b = pid_b
-        #: when true this replica corrupts everything it forwards — the
-        #: fault the destination rings' majority voting must mask
-        self.corrupt = False
         self.forward_ab = _Forwarder(self, link.a, link.b, pid_a, pid_b)
         self.forward_ba = _Forwarder(self, link.b, link.a, pid_b, pid_a)
+
+    @property
+    def corrupt(self):
+        """Whether this replica corrupts everything it forwards, both
+        directions — the fault the destination rings' majority voting
+        must mask."""
+        return self.forward_ab.corrupt and self.forward_ba.corrupt
 
     def forwarder_from(self, key):
         """The forwarder carrying traffic *out of* child ``key``; its

@@ -215,7 +215,8 @@ class Federation:
         """
         replica = self._link(a, b).replicas[index]
         if direction is None:
-            targets, culprits = [replica], (replica.pid_a, replica.pid_b)
+            targets = [replica.forward_ab, replica.forward_ba]
+            culprits = (replica.pid_a, replica.pid_b)
         else:
             targets = [replica.forwarder_from(direction)]
             culprits = (targets[0].dst_pid,)

@@ -18,9 +18,10 @@ guarantees:
 :class:`repro.multicast.endpoint.SecureGroupEndpoint` ties the three
 together per processor and is the interface the Replication Manager
 programs against (the paper's "object group interface" sits directly
-above it).  :mod:`repro.multicast.adversary` hosts the pluggable
-Byzantine behaviours used to exercise the detector in tests and in the
-Table 1/5 benches.
+above it).  :mod:`repro.multicast.adversary` hosts the Byzantine
+behaviours used to exercise the detector in tests and in the Table 1/5
+benches: rules at a compromised processor's network edge
+(``Processor.stage``) over the frames it sends and receives.
 """
 
 from repro.multicast.config import MulticastConfig, SecurityLevel

@@ -91,6 +91,18 @@ class SecureGroupEndpoint:
         )
         self._deliver_listeners = []
         self._membership_listeners = []
+        #: frame type -> protocol handler.  Fragments are ordinary
+        #: ordered messages with reassembly metadata; the delivery
+        #: protocol treats them alike until the final delivery upcall.
+        self._handlers = {
+            Token: self.delivery.on_token,
+            RegularMessage: self.delivery.on_regular,
+            MessageFragment: self.delivery.on_regular,
+            TokenCertificate: self.delivery.on_certificate,
+            MembershipProposal: self.membership.on_proposal,
+            MembershipCommit: self.membership.on_commit,
+            JoinRequest: self.membership.on_join_request,
+        }
         processor.register_handler(MULTICAST_PORT, self._on_datagram)
 
     # ------------------------------------------------------------------
@@ -156,25 +168,9 @@ class SecureGroupEndpoint:
             frame = decode_frame_shared(payload)
         except MulticastCodecError:
             return  # corrupted beyond parsing: dropped, rtr repairs it
-        # Handlers are looked up per frame, not bound at construction:
-        # repro.multicast.adversary compromises an endpoint by replacing
-        # them on the protocol instances.
-        kind = type(frame)
-        if kind is Token:
-            self.delivery.on_token(frame, payload)
-        elif kind is RegularMessage or kind is MessageFragment:
-            # Fragments are ordinary ordered messages with reassembly
-            # metadata; the delivery protocol treats them alike until
-            # the final delivery upcall.
-            self.delivery.on_regular(frame, payload)
-        elif kind is TokenCertificate:
-            self.delivery.on_certificate(frame, payload)
-        elif kind is MembershipProposal:
-            self.membership.on_proposal(frame, payload)
-        elif kind is MembershipCommit:
-            self.membership.on_commit(frame, payload)
-        elif kind is JoinRequest:
-            self.membership.on_join_request(frame, payload)
+        handler = self._handlers.get(type(frame))
+        if handler is not None:
+            handler(frame, payload)
 
     # ------------------------------------------------------------------
     # upcalls

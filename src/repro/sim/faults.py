@@ -7,8 +7,9 @@ message corruption, arbitrary delay) and schedules *processor*-level
 crashes.  Object-replica faults (value faults, send omission, replica
 crash) are injected higher in the stack, by wrapping application
 servants — see :mod:`repro.core.replica` — and malicious *protocol*
-behaviour (mutant tokens, masquerade) is injected by
-:mod:`repro.multicast.adversary`.
+behaviour (mutant tokens, masquerade, silence, ...) by the rules of
+:mod:`repro.multicast.adversary` at a compromised processor's network
+edge (``Processor.stage``).
 
 All probabilistic decisions draw from RNG streams owned by the caller,
 so a plan is fully reproducible from the master seed.

@@ -11,6 +11,13 @@ under control of a :class:`repro.sim.faults.FaultPlan`.
 Payloads are raw ``bytes``.  Corruption genuinely flips bits, so the
 message-digest machinery in the Secure Multicast Protocols is exercised
 for real rather than via a boolean flag.
+
+A processor may carry an interception stage at its edge
+(``Processor.stage``): the network hands it every transmission the
+processor makes and every datagram it receives, and sends or delivers
+what the stage returns.  A compromised host is modelled there
+(:mod:`repro.multicast.adversary`); without a stage the edge costs one
+attribute test, no scheduler event and no random draw.
 """
 
 from repro.sim.scheduler import SimulationError
@@ -130,7 +137,7 @@ class Network:
 
     def unicast(self, src_id, dst_id, dst_port, payload):
         """Send ``payload`` bytes from ``src_id`` to ``dst_id`` only."""
-        self._transmit(src_id, dst_port, payload, [dst_id], dst=dst_id)
+        self._transmit(src_id, dst_port, payload, dst_id)
 
     def broadcast(self, src_id, dst_port, payload):
         """Send ``payload`` to every *other* processor on the LAN.
@@ -139,15 +146,27 @@ class Network:
         (it already holds the message), matching a real multicast NIC
         configured without self-delivery.
         """
-        receivers = [pid for pid in self._processors if pid != src_id]
-        self._transmit(src_id, dst_port, payload, receivers, dst=None)
+        self._transmit(src_id, dst_port, payload, None)
 
-    def _transmit(self, src_id, dst_port, payload, receivers, dst):
+    def _transmit(self, src_id, dst_port, payload, dst):
+        """Put one transmission through the sender's edge: a processor
+        with an interception stage sends what its ``outbound`` returns."""
         sender = self._processors.get(src_id)
         if sender is None or sender.crashed:
             return
+        if sender.stage is None:
+            self._send(src_id, dst_port, payload, dst)
+            return
+        for payload, dst in sender.stage.outbound(dst_port, payload, dst):
+            self._send(src_id, dst_port, payload, dst)
+
+    def _send(self, src_id, dst_port, payload, dst):
         if not isinstance(payload, (bytes, bytearray)):
             raise SimulationError("network payloads must be bytes, got %r" % type(payload))
+        if dst is None:
+            receivers = [pid for pid in self._processors if pid != src_id]
+        else:
+            receivers = (dst,)
         payload = bytes(payload)
         self.stats["sent"] += 1
         self.stats["bytes_sent"] += len(payload) + self.params.header_bytes
@@ -189,6 +208,10 @@ class Network:
         if receiver is None or receiver.crashed:
             return
         self.stats["delivered"] += 1
+        if receiver.stage is not None:
+            datagram = receiver.stage.inbound(datagram)
+            if datagram is None:
+                return
         # Processor.deliver, inlined: one frame per receiver per token
         # visit comes through here.
         handler = receiver._handlers.get(datagram.dst_port)

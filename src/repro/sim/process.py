@@ -2,7 +2,8 @@
 
 A :class:`Processor` models one workstation in the paper's testbed: it
 has an identity, a single CPU that serialises work, a network interface
-on which protocol endpoints register port handlers, and a crash flag.
+on which protocol endpoints register port handlers, an optional
+interception stage at that interface, and a crash flag.
 
 The CPU model is the part that matters for reproducing Figure 7.  Real
 protocol work (marshalling, MD4 digests, RSA signatures) is *charged*
@@ -29,6 +30,12 @@ class Processor:
         self._prio_free_at = 0.0
         self._handlers = {}
         self._network = None
+        #: the interception stage at this host's network edge, or None:
+        #: ``outbound(port, payload, dst) -> [(payload, dst)]`` is asked
+        #: for every transmission it makes and ``inbound(datagram) ->
+        #: datagram | None`` for every datagram it receives
+        #: (:mod:`repro.multicast.adversary` installs one)
+        self.stage = None
         #: cumulative CPU seconds charged, by category (for reports)
         self.cpu_accounting = {}
 

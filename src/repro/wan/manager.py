@@ -135,11 +135,6 @@ class WanManager(Federation):
     # fault injection (drills and the bench's Byzantine sections)
     # ------------------------------------------------------------------
 
-    def corrupt_site_gateway(self, site_a, site_b, index=0, at_time=None, direction=None):
-        """The federation's name for :meth:`corrupt_gateway`: one
-        site-gateway replica turns Byzantine (``direction`` is a site)."""
-        return self.corrupt_gateway(site_a, site_b, index, at_time, direction)
-
     def compromise_site(self, site, at_time=None):
         """Turn a *whole site* Byzantine: every forwarder carrying data
         out of ``site`` corrupts what it sends, each replica differently.

@@ -83,7 +83,7 @@ def test_byzantine_site_gateway_masked_and_attributed():
         "counter", COUNTER_IDL, lambda pid: CountingServant(), site="beta"
     )
     client = wan.deploy_client("driver", site="alpha")
-    corrupt = wan.corrupt_site_gateway("alpha", "beta", index=0, direction="alpha")
+    corrupt = wan.corrupt_gateway("alpha", "beta", index=0, direction="alpha")
     replies = _drive(wan, client, server, operations=5)
     wan.start()
     wan.run(until=4.0)

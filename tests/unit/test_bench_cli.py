@@ -15,7 +15,7 @@ import pathlib
 import pytest
 
 import repro
-from repro.bench.build import Scenario
+from repro.bench.build import Scenario, build
 from repro.bench.scenarios import SCENARIOS, main
 
 BENCH = pathlib.Path(repro.__file__).parent / "bench"
@@ -108,3 +108,11 @@ def test_every_module_level_scenario_round_trips_through_repr():
     assert len({id(value) for _module, _name, value in scenarios}) >= 8
     for module, name, value in scenarios:
         assert eval(repr(value), {"Scenario": Scenario}) == value, (module, name)
+
+
+def test_a_second_link_fault_window_is_refused_not_dropped():
+    """A ``FaultPlan`` holds one link-fault window: a scenario naming two
+    is an error that names both, not a plan that keeps only the last."""
+    faults = (("loss", 0.25, 0, 2), ("corruption", 0.15, 1, 3))
+    with pytest.raises(ValueError, match=r"\('loss', 0\.25.*\('corruption', 0\.15"):
+        build(Scenario(faults=faults))

@@ -39,7 +39,6 @@ class Level:
             self.a, self.b = 0, 1
             self.manager = ClusterManager(ClusterConfig(num_rings=2, seed=1), obs=self.obs)
             where = lambda key: {"ring": key}
-            self.corrupt = self.manager.corrupt_gateway
         else:
             self.a, self.b = "alpha", "beta"
             plan = FaultPlan().schedule_partition("alpha", "beta", *PARTITION)
@@ -49,7 +48,7 @@ class Level:
                 fault_plan=plan,
             )
             where = lambda key: {"site": key}
-            self.corrupt = self.manager.corrupt_site_gateway
+        self.corrupt = self.manager.corrupt_gateway
         self.scheduler = self.manager.scheduler
         self.src = self.manager.deploy_client("src", **where(self.a)).replica_procs
         self.dst = self.manager.deploy(
