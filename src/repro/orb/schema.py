@@ -9,11 +9,12 @@ state checkpoint and a servant state are declared the same way and
 marshal through :meth:`Schema.pack` / :meth:`Schema.unpack`.
 
 From that one list the schema derives encode, decode, repr and, when the
-declaration names two ``holes``, the hot byte template.  Each is
-compiled once: the leading run of fixed-size primitives, whose CDR
-alignment is known statically, packs as one precomputed
-:class:`struct.Struct`; every later field is a closure that pads to its
-alignment.
+declaration names two ``holes``, the hot byte template.  The whole
+declaration is one generated function that writes it and one that
+reads it (:func:`repro.orb.cdr.writer` / :func:`~repro.orb.cdr.reader`),
+each generated on first use: straight-line code whose padding is a
+constant wherever the position is known, which it is from the first
+field up to the first string, byte string or sequence.
 
 Only the canonical encoding decodes: nonzero padding, bytes after the
 last field or a boolean of 2 are rejected as corruption.  Digests are
@@ -26,7 +27,7 @@ import struct
 from operator import attrgetter
 
 from repro import perf
-from repro.orb.cdr import _CODES, _U32, ERRORS, TAIL, MarshalError, _code, _field
+from repro.orb.cdr import _CODES, _U32, TAIL, MarshalError, reader, writer
 from repro.orb.cdr import one_of  # noqa: F401  (the frame modules' import)
 
 
@@ -58,52 +59,39 @@ class Schema:
         self.names = tuple(name for name, _ in fields)
         self.error = error
         self._typed = int(typed)
-        wire = (("frame_type", "octet"),) * self._typed + fields
-        names = [name for name, _ in wire]
+        #: the fields as encoded: the frame type first if typed
+        self.wire = (("frame_type", "octet"),) * self._typed + fields
+        self._wire = tuple(name for name, _ in self.wire)
         #: frame -> the tuple :meth:`pack` takes (its type, its fields)
-        self.values = attrgetter(*names) if len(names) > 1 else lambda frame: tuple(
-            getattr(frame, name) for name in names
+        self.values = attrgetter(*self._wire) if len(self.wire) > 1 else lambda frame: tuple(
+            getattr(frame, name) for name in self._wire
         )
-        tags = [tag for _, tag in wire]
-        fmt = "<"
-        for count, tag in enumerate(tags + [None]):
-            code = _code(tag)
-            if code is None:
-                break
-            fmt += "x" * (-struct.calcsize(fmt) % struct.calcsize(code)) + code
-        self._head, self._count = struct.Struct(fmt), count
-        codecs = [_field(tag) for tag in tags]
-        self._writers = [write for write, _ in codecs[count:]]
-        self._readers = [read for _, read in codecs]
+        self._tags = tuple(tag for _, tag in self.wire)
         self._order = None
-        self.encode_hot = self.encode if holes is None else self._template(holes, memo, tags)
+        if holes is not None:
+            self.encode_hot = self._template(holes, memo, self._tags)
 
-    def pack(self, values):
-        """The encoding of ``values``, the frame type first if typed."""
-        buf = self._head.pack(*values[: self._count])
-        if self._writers:
-            buf = bytearray(buf)
-            for write, value in zip(self._writers, values[self._count :]):
-                write(buf, value)
-        return bytes(buf)
+    def __getattr__(self, name):
+        """The generated codec, on first use (an import generates none):
 
-    def unpack(self, data):
-        """The values ``data`` is the encoding of, the type first if
-        typed; raises ``error`` unless ``data`` is exactly what
-        :meth:`pack` makes of them."""
-        data, values, pos = bytes(data), [], 0
-        try:
-            for read in self._readers:
-                value, pos = read(data, pos)
-                values.append(value)
-        except ERRORS as exc:
-            raise self.error("malformed CDR: %s" % exc)
-        if pos != len(data):
-            raise self.error("non-canonical CDR: %d bytes after it" % (len(data) - pos))
-        return values
-
-    def encode(self, frame):
-        return self.pack(self.values(frame))
+        * ``pack(values)`` — the encoding of ``values``, the frame type
+          first if typed;
+        * ``encode(frame)`` — the encoding of a frame's fields, which is
+          also ``encode_hot`` when the declaration has no holes;
+        * ``unpack(data)`` — the values ``data`` is the encoding of, the
+          type first if typed; raises ``error`` unless ``data`` is
+          exactly what ``pack`` makes of them.
+        """
+        if name == "pack":
+            codec = writer(self._tags)
+        elif name in ("encode", "encode_hot"):
+            codec = self.encode = writer(self._tags, names=self._wire)
+        elif name == "unpack":
+            codec = reader(self._tags, error=self.error)
+        else:
+            raise AttributeError(name)
+        setattr(self, name, codec)
+        return codec
 
     def decode(self, cls, data, **extra):
         """The ``cls`` frame ``data`` is the encoding of; ``extra`` are

@@ -31,10 +31,11 @@ the sharing there is: a receiver asks for what another receiver of the
 same frame (or replica of the same invocation) put a moment before.
 The largest put→hit distance on the ladder's reference rungs (seed 7,
 nothing evicted), in insertions into the same table and in their key
-bytes: 13 (7 KiB) on ``ring_oneway_64b``, 29 (43 KiB) on
-``ring_signed_twoway_4k``, 606 (315 KiB) on ``ring_fault_drill_obs``,
-whose certificates re-vouch token digests up to a batch old (77 of its
-909 923 digest hits are lost; 47 were under the entry count).
+bytes: 13 (7 KiB, a digest) on ``ring_oneway_64b``, 29 (43 KiB, a
+digest) on ``ring_signed_twoway_4k``, 494 (261 KiB, a decoded frame) on
+``ring_fault_drill_obs``, whose certificates re-vouch token digests up
+to a batch old (156 insertions, 82 KiB); none of the three loses a hit
+under the bound (the drill's digest table: 0 of 192 487).
 ``wan_mixed_twoway``'s cross-site gateways reuse digests and GIOP
 frames after a 50 ms flight, up to 39 285 insertions (19 MiB) later,
 and lose 230 of 115 230 digest hits and 126 of 11 730 GIOP decode hits,

@@ -212,8 +212,6 @@ class Network:
             datagram = receiver.stage.inbound(datagram)
             if datagram is None:
                 return
-        # Processor.deliver, inlined: one frame per receiver per token
-        # visit comes through here.
         handler = receiver._handlers.get(datagram.dst_port)
         if handler is not None:
             handler(datagram)

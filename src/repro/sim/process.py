@@ -54,20 +54,13 @@ class Processor:
         return self._network
 
     def register_handler(self, port, fn):
-        """Register ``fn(datagram)`` to receive datagrams sent to ``port``."""
+        """Register ``fn(datagram)`` to receive datagrams sent to ``port``
+        (``Network._deliver`` dispatches on it, past the stage)."""
         if port in self._handlers:
             raise SimulationError(
                 "port %r already registered on processor %s" % (port, self.name)
             )
         self._handlers[port] = fn
-
-    def deliver(self, datagram):
-        """Entry point used by the network to hand a datagram to this host."""
-        if self.crashed:
-            return
-        handler = self._handlers.get(datagram.dst_port)
-        if handler is not None:
-            handler(datagram)
 
     # ------------------------------------------------------------------
     # CPU model

@@ -83,7 +83,7 @@ def test_the_scan_sees_a_method_assignment():
 
 
 def test_no_module_assigns_to_a_protocol_or_network_method():
-    assert {"broadcast", "on_regular", "_originate_token", "deliver"} <= set().union(
+    assert {"broadcast", "on_regular", "_originate_token", "register_handler"} <= set().union(
         *METHODS.values()
     )
     root = Path(repro.__file__).parent

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.sim.scheduler import Scheduler, SimulationError
+from repro.sim.network import Network
 from repro.sim.process import Processor
+from repro.sim.rng import RngStreams
+from repro.sim.scheduler import Scheduler, SimulationError
 
 
 @pytest.fixture
@@ -70,15 +72,21 @@ def test_crash_is_idempotent(sched, proc):
     assert proc.crash_time == 1.0
 
 
-def test_handler_registration_and_dispatch(sched, proc):
-    class FakeDatagram:
-        dst_port = "ring"
-
+def _wired(sched, proc):
+    """``proc`` on a LAN with a sender, P1, and what ``proc`` receives on ``ring``."""
+    net = Network(sched, rng=RngStreams(7).stream("net"))
+    net.add_processor(proc)
+    net.add_processor(Processor(1, sched))
     seen = []
     proc.register_handler("ring", seen.append)
-    dgram = FakeDatagram()
-    proc.deliver(dgram)
-    assert seen == [dgram]
+    return net, seen
+
+
+def test_handler_registration_and_dispatch(sched, proc):
+    net, seen = _wired(sched, proc)
+    net.unicast(1, proc.proc_id, "ring", b"frame")
+    sched.run()
+    assert [datagram.payload for datagram in seen] == [b"frame"]
 
 
 def test_duplicate_port_registration_rejected(proc):
@@ -87,14 +95,28 @@ def test_duplicate_port_registration_rejected(proc):
         proc.register_handler("ring", lambda d: None)
 
 
-def test_crashed_processor_drops_deliveries(proc):
-    class FakeDatagram:
-        dst_port = "ring"
-
-    seen = []
-    proc.register_handler("ring", seen.append)
+def test_crashed_processor_drops_deliveries(sched, proc):
+    net, seen = _wired(sched, proc)
     proc.crash()
-    proc.deliver(FakeDatagram())
+    net.unicast(1, proc.proc_id, "ring", b"frame")
+    sched.run()
+    assert seen == []
+
+
+def test_a_stage_that_drops_an_inbound_datagram_leaves_the_handler_nothing(sched, proc):
+    class DropAll:
+        def __init__(self):
+            self.asked = []
+
+        def inbound(self, datagram):
+            self.asked.append(datagram.payload)
+            return None
+
+    net, seen = _wired(sched, proc)
+    proc.stage = DropAll()
+    net.unicast(1, proc.proc_id, "ring", b"frame")
+    sched.run()
+    assert proc.stage.asked == [b"frame"]
     assert seen == []
 
 
