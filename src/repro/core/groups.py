@@ -23,13 +23,9 @@ class GroupError(Exception):
 
 
 def majority_of(degree):
-    """Votes needed for a majority of ``degree`` replicas: ceil((r+1)/2)."""
+    """Votes needed for a majority of ``degree`` replicas: ceil((r+1)/2),
+    the correct replicas an object needs (paper section 3.1)."""
     return (degree + 2) // 2
-
-
-def required_correct_replicas(degree):
-    """Correct replicas required for an object of ``degree`` replicas."""
-    return (degree + 2) // 2  # ceil((r+1)/2), paper section 3.1
 
 
 class GroupUpdate(Frame):

@@ -19,7 +19,7 @@ Delivery rule at security level:
   suppresses corrupted, masqueraded, and mutant messages (cases 3/4).
 
 Mutant *tokens* are handled by evidence exchange: every processor
-stores the raw bytes of recent tokens; on seeing either (a) a second
+holds the raw bytes of recent tokens; on seeing either (a) a second
 validly-signed token for the same visit with different bytes, or (b) a
 successor token whose ``prev_token_digest`` contradicts the stored
 predecessor, it rebroadcasts its stored copy so that every correct
@@ -77,13 +77,35 @@ def _drop_below(table, low, limit):
             del table[key]
 
 
-class VisitEvidence:
-    """What one processor of a batch-signature ring knows about one
-    token visit: the authentication horizon's per-visit state.
+class SeqRecord:
+    """What one processor knows about one sequence number.
 
-    ``digest`` and ``seq`` belong to the token bytes held for the visit
-    (``_token_raw_by_visit``), ``None`` while none are.  ``claims`` maps
-    each certificate signer to the digest it vouched; ``agreed`` is the
+    ``variants`` are the distinct raw bytes received (mutant candidates).
+    ``digest``, ``sender`` and ``visit`` come from the one accepted token
+    that vouches the seq (``None`` while none does), ``visit`` so that a
+    retransmission resends that token too.  ``originated`` is the
+    send-queue entry this processor sequenced as the seq, until it
+    delivers it: what an installation that cuts below it queues again.
+    """
+
+    __slots__ = ("variants", "digest", "sender", "visit", "originated")
+
+    def __init__(self):
+        self.variants = ()
+        self.digest = None
+        self.sender = None
+        self.visit = None
+        self.originated = None
+
+
+class VisitEvidence:
+    """What one processor knows about one token visit.
+
+    ``raw`` is the token bytes held for the visit, ``None`` while none
+    are; on a batch-signature ring ``digest`` and ``seq`` are theirs,
+    set exactly while they are held.  The rest is the authentication
+    horizon's, used on a batch ring only.  ``claims`` maps each
+    certificate signer to the digest it vouched; ``agreed`` is the
     digest every claim shares, ``None`` while there is none or once two
     disagree (a receipt never replaces a claim, so a disagreement lasts
     until the record is swept).  ``variants`` are raw token variants
@@ -93,9 +115,10 @@ class VisitEvidence:
     duplicate suppression: they leave with the record.
     """
 
-    __slots__ = ("digest", "seq", "claims", "agreed", "variants", "certs")
+    __slots__ = ("raw", "digest", "seq", "claims", "agreed", "variants", "certs")
 
     def __init__(self):
+        self.raw = None
         self.digest = None
         self.seq = None
         self.claims = {}
@@ -157,29 +180,17 @@ class DeliveryProtocol:
         self._batch = config.batch_signatures
 
         self._send_queue = deque()
-        #: seq -> the send-queue entry this processor sequenced as seq,
-        #: until it delivers that seq: what an installation that cuts
-        #: below it puts back on the queue
-        self._originated = {}
-        #: seq -> list of distinct raw message variants (mutant candidates)
-        self._received = {}
-        #: seq -> (digest, originating token sender)
-        self._digest_by_seq = {}
-        #: seq -> visit of the token whose digest list covers it (so
-        #: retransmissions can resend the covering token too — a
-        #: processor that missed the token cannot otherwise verify or
-        #: deliver the message)
-        self._token_covering = {}
+        #: seq -> :class:`SeqRecord`
+        self._seqs = {}
+        #: visit -> :class:`VisitEvidence`
+        self._visits = {}
         self._delivered_up_to = 0
         self._max_seq_seen = 0
         self._last_accepted = None
         self._last_accepted_raw = b""
-        self._token_raw_by_visit = {}
-        #: no visit-keyed table below holds a key under this one (what
-        #: ``_prune_token_history`` has already swept)
+        #: ``_visits`` holds no key under this one (swept below it)
         self._history_low = 0
-        #: no seq-keyed table holds a key at or under this one (what
-        #: ``_collect_garbage`` has already swept)
+        #: ``_seqs`` holds no key at or under this one (swept up to it)
         self._collected_up_to = 0
         self._pending_rtr = set()
         self._progress_timer = None
@@ -201,10 +212,6 @@ class DeliveryProtocol:
         #: digest is unanimously vouched by verified certificates and
         #: any raw token we hold for it matches the vouch
         self._auth_visit = 0
-        #: visit -> :class:`VisitEvidence`; a signer claiming two
-        #: digests for one visit convicts itself, and a signed token
-        #: contradicting its own sender's claim convicts the sender
-        self._evidence_by_visit = {}
         #: own token visits since this processor last certified
         self._own_visits_since_cert = 0
         self._last_cert_raw = b""
@@ -261,10 +268,8 @@ class DeliveryProtocol:
         self._ceiling = None
         self.members = tuple(sorted(members))
         self.ring_id = ring_id
-        self._received.clear()
-        self._digest_by_seq.clear()
-        self._token_covering.clear()
-        self._token_raw_by_visit.clear()
+        self._seqs.clear()
+        self._visits.clear()
         self._history_low = 0
         self._collected_up_to = start_seq
         self._pending_rtr.clear()
@@ -279,7 +284,6 @@ class DeliveryProtocol:
         self._parked_origination = None
         self._recent_arus = deque(maxlen=max(len(self.members), 2))
         self._auth_visit = 0
-        self._evidence_by_visit.clear()
         self._last_cert_raw = b""
         self._last_cert_span = None
         self._convicted = set()
@@ -328,14 +332,15 @@ class DeliveryProtocol:
         Called when it (re)joins: the ring that excluded it dropped
         those messages at every survivor, so they are dropped here too.
         """
-        self._originated.clear()
+        for record in self._seqs.values():
+            record.originated = None
 
     def _reoriginate(self):
         """Put what this processor sequenced and nobody delivered back at
         the head of the send queue.
 
         Every survivor delivers exactly up to the cut before it
-        installs, so the entries left in ``_originated`` lie above it
+        installs, so the entries still ``originated`` lie above it
         and were delivered nowhere: sending them again, in seq order, is
         exactly-once.  Every member drops its partial reassemblies at
         the install, so a payload split into fragments goes again whole:
@@ -344,8 +349,8 @@ class DeliveryProtocol:
         above the cut or still queued.  A payload is handed up with its
         last chunk, so the order of hand-ups is unchanged.
         """
-        resend = [self._originated[seq] for seq in sorted(self._originated)]
-        self._originated.clear()
+        records = [record for _, record in sorted(self._seqs.items())]
+        resend = [r.originated for r in records if r.originated is not None]
         restart = []
         for (sender, frag_id), partial in self._reassembly.items():
             if sender != self.my_id:
@@ -422,17 +427,19 @@ class DeliveryProtocol:
     def recovery_frames(self, above_seq):
         """Raw frames (messages + covering tokens) others may be missing."""
         frames = []
-        for seq in sorted(self._received):
+        seqs = self._seqs
+        for seq in sorted(seqs):
             if seq > above_seq:
-                frames.extend(self._received[seq])
+                frames.extend(seqs[seq].variants)
+        visits = self._visits
         if self._digests:
-            for visit in sorted(self._token_raw_by_visit):
-                frames.append(self._token_raw_by_visit[visit])
+            held = [visits[visit].raw for visit in sorted(visits)]
+            frames.extend(raw for raw in held if raw is not None)
         if self._batch:
             # Certificates are what let a recovering processor
             # authenticate the tokens above: ship every span we hold.
             certs = {}
-            for evidence in self._evidence_by_visit.values():
+            for evidence in visits.values():
                 certs.update(evidence.certs)
             for key in sorted(certs):
                 frames.append(certs[key])
@@ -454,10 +461,11 @@ class DeliveryProtocol:
             # otherwise one flipped bit would have us request a 2^56
             # message backlog.
             return
-        variants = self._received.setdefault(message.seq, [])
-        if raw not in variants:
-            if len(variants) < 3:
-                variants.append(raw)
+        seqs = self._seqs
+        record = seqs.get(message.seq) or seqs.setdefault(message.seq, SeqRecord())
+        variants = record.variants
+        if raw not in variants and len(variants) < 3:
+            record.variants = variants + (raw,)
         self._last_activity = self.scheduler.now
         self._advance_delivery()
 
@@ -476,7 +484,7 @@ class DeliveryProtocol:
             if self._signatures:
                 self.detector.suspect(token.sender_id, "malformed_token")
             return
-        stored = self._token_raw_by_visit.get(token.visit)
+        stored = self._held(token.visit)
         if stored is not None:
             if stored == raw:
                 self._reset_progress_timer()  # a benign retransmission
@@ -546,7 +554,7 @@ class DeliveryProtocol:
             ):
                 self._convict(token.sender_id, "malformed_token")
             return
-        stored = self._token_raw_by_visit.get(token.visit)
+        stored = self._held(token.visit)
         if stored is not None:
             if stored == raw:
                 self._reset_progress_timer()  # a benign retransmission
@@ -569,7 +577,7 @@ class DeliveryProtocol:
 
     def _absorb_historical_batch(self, token, raw):
         """Recover a missed token, honouring any certificate vouches."""
-        evidence = self._evidence_by_visit.get(token.visit)
+        evidence = self._visits.get(token.visit)
         vouched = evidence.agreed if evidence is not None else None
         if vouched is not None and self._digest_of(raw) != vouched:
             self._note_variant(token.visit, raw)
@@ -594,7 +602,7 @@ class DeliveryProtocol:
         if cert.signer_id not in self.members:
             return
         key = (cert.signer_id, cert.first_visit, cert.last_visit)
-        last = self._evidence_by_visit.get(cert.last_visit)
+        last = self._visits.get(cert.last_visit)
         if last is not None and last.certs.get(key) == raw:
             return  # duplicate (retransmission or recovery overlap)
         if not self.signing.verify_batch(
@@ -617,10 +625,15 @@ class DeliveryProtocol:
     def _evidence(self, visit):
         """The record of ``visit``, made empty if there is none yet (the
         caller has lowered ``_history_low`` to ``visit`` if need be)."""
-        evidence = self._evidence_by_visit.get(visit)
+        evidence = self._visits.get(visit)
         if evidence is None:
-            evidence = self._evidence_by_visit[visit] = VisitEvidence()
+            evidence = self._visits[visit] = VisitEvidence()
         return evidence
+
+    def _held(self, visit):
+        """The token bytes held for ``visit``, or ``None``."""
+        evidence = self._visits.get(visit)
+        return evidence.raw if evidence is not None else None
 
     def _apply_vouches(self, cert):
         """Record a verified certificate's per-visit digest claims."""
@@ -630,7 +643,7 @@ class DeliveryProtocol:
         # with the record's agreed and held digests.  The table is only
         # ever cleared in place, never rebound.
         signer = cert.signer_id
-        records = self._evidence_by_visit
+        records = self._visits
         conflicted = []
         for visit, digest in enumerate(cert.digests, cert.first_visit):
             evidence = records.get(visit)
@@ -672,7 +685,7 @@ class DeliveryProtocol:
         """The unanimously vouched digest for ``visit`` (None if unknown
         or certificates disagree — conflicting vouches authenticate
         nothing until the equivocator is excluded)."""
-        evidence = self._evidence_by_visit.get(visit)
+        evidence = self._visits.get(visit)
         return evidence.agreed if evidence is not None else None
 
     def _advance_authentication(self):
@@ -685,7 +698,7 @@ class DeliveryProtocol:
         gap that retransmission repairs (the covering token is resent
         and must then match the vouch to be harvested).
         """
-        records = self._evidence_by_visit
+        records = self._visits
         nxt = self._auth_visit + 1
         while True:
             evidence = records.get(nxt)
@@ -718,8 +731,8 @@ class DeliveryProtocol:
         Whichever copy is dropped takes its ``seq`` out of
         ``_max_seq_seen`` too.
         """
-        stored = self._token_raw_by_visit.get(visit)
-        evidence = self._evidence_by_visit.get(visit)
+        stored = self._held(visit)
+        evidence = self._visits.get(visit)
         candidates = list(evidence.variants) if evidence is not None else []
         if stored is not None and stored not in candidates:
             candidates.append(stored)
@@ -768,7 +781,7 @@ class DeliveryProtocol:
         seq horizon (its ``seq`` may be anything its sender made up)."""
         self._max_seq_seen = max(
             [self._delivered_up_to]
-            + [e.seq for e in self._evidence_by_visit.values() if e.seq is not None]
+            + [e.seq for e in self._visits.values() if e.seq is not None]
         )
 
     def _maybe_convict_mutant(self, visit, raw):
@@ -779,7 +792,7 @@ class DeliveryProtocol:
             return
         if not isinstance(token, Token) or not token.signature:
             return
-        evidence = self._evidence_by_visit.get(visit)
+        evidence = self._visits.get(visit)
         claimed = evidence.claims.get(token.sender_id) if evidence is not None else None
         if claimed is None or claimed == self._digest_of(raw):
             return
@@ -812,16 +825,20 @@ class DeliveryProtocol:
         self.detector.suspect(proc_id, kind)
 
     def _harvest_token(self, token, raw, reindex=True):
-        """Adopt ``raw`` as the genuine token of its visit: store the
-        bytes (on a batch ring with their digest and seq in the visit's
-        record) and index the message digests it carries (``reindex``
-        replaces what an earlier token claimed for the same seqs)."""
+        """Adopt ``raw`` as the genuine token of its visit: hold it in the
+        visit's record (on a batch ring with its seq and digest, hashed
+        once for every certificate that vouches the visit) and index the
+        message digests it carries (``reindex`` replaces what an earlier
+        token claimed for the same seqs)."""
         visit = token.visit
-        self._token_raw_by_visit[visit] = raw
         if visit < self._history_low:
             self._history_low = visit
+        visits = self._visits
+        evidence = visits.get(visit) or visits.setdefault(visit, VisitEvidence())
+        evidence.raw = raw
         if self._batch:
-            self._hold(visit, raw, token.seq)
+            evidence.digest = self._digest_of(raw)
+            evidence.seq = token.seq
         digests = token.message_digest_list
         if not (self._digests and digests):
             return
@@ -829,32 +846,23 @@ class DeliveryProtocol:
         if lowest <= self._collected_up_to:
             self._collected_up_to = lowest - 1
         sender = token.sender_id
-        if reindex:
-            for seq, digest in digests:
-                self._digest_by_seq[seq] = (digest, sender)
-                self._token_covering[seq] = visit
-        else:
-            for seq, digest in digests:
-                self._digest_by_seq.setdefault(seq, (digest, sender))
-                self._token_covering.setdefault(seq, visit)
-
-    def _hold(self, visit, raw, seq):
-        """Note in ``visit``'s record the digest and seq of the token
-        bytes just stored for it: hashed once here, read by every
-        certificate that vouches the visit afterwards."""
-        evidence = self._evidence(visit)
-        evidence.digest = self._digest_of(raw)
-        evidence.seq = seq
+        seqs = self._seqs
+        for seq, digest in digests:
+            record = seqs.get(seq) or seqs.setdefault(seq, SeqRecord())
+            if reindex or record.visit is None:
+                record.digest = digest
+                record.sender = sender
+                record.visit = visit
 
     def _unharvest(self, visit):
-        """Forget a visit's token and every digest it had contributed."""
-        self._token_raw_by_visit.pop(visit, None)
-        evidence = self._evidence_by_visit.get(visit)
-        if evidence is not None:
-            evidence.digest = evidence.seq = None
-        for seq in [s for s, v in self._token_covering.items() if v == visit]:
-            del self._token_covering[seq]
-            self._digest_by_seq.pop(seq, None)
+        """Drop a visit's held token and the vouches it still gives."""
+        evidence = self._visits[visit]
+        token = decode_frame_shared(evidence.raw)
+        evidence.raw = evidence.digest = evidence.seq = None
+        for seq, _digest in token.message_digest_list:
+            record = self._seqs.get(seq)
+            if record is not None and record.visit == visit:
+                record.digest = record.sender = record.visit = None
 
     def _issue_certificate(self, reason):
         """Sign one certificate vouching our contiguous recent span.
@@ -870,7 +878,7 @@ class DeliveryProtocol:
             return
         newest = newest_token.visit
         floor = max(1, newest - min(_TOKEN_HISTORY, MAX_CERT_SPAN) + 1)
-        records = self._evidence_by_visit
+        records = self._visits
         held = []
         visit = newest
         while visit >= floor:
@@ -1058,8 +1066,9 @@ class DeliveryProtocol:
         rtr_in |= self._pending_rtr
         self._outgoing_frames = []
         rtg = self._service_retransmissions(rtr_in)
-        digest_list = self._send_new_messages()
+        # What this visit sequences is held whole, so it is never a gap.
         my_gaps = self._missing_seqs()
+        digest_list = self._send_new_messages()
         rtr_out = sorted((rtr_in - set(rtg)) | my_gaps)
         aru, aru_id = self._update_aru(previous)
         token = Token(
@@ -1099,11 +1108,7 @@ class DeliveryProtocol:
         # Treat our own token as accepted so the chain continues from it.
         self._last_accepted = token
         self._last_accepted_raw = raw
-        self._token_raw_by_visit[token.visit] = raw
-        if self._batch:
-            self._hold(token.visit, raw, token.seq)
-        for seq, _ in digest_list:
-            self._token_covering[seq] = token.visit
+        self._harvest_token(token, raw)
         if self._tracer is not None and digest_list:
             summary = token.trace_summary()
             for seq, _ in digest_list:
@@ -1135,12 +1140,14 @@ class DeliveryProtocol:
 
     def _send_new_messages(self):
         digest_list = []
+        seqs = self._seqs
         budget = self.config.max_messages_per_token_visit
         while self._send_queue and budget > 0:
             entry = self._send_queue.popleft()
             dest_group, payload, frag, trace_ctx = entry
             seq = self._max_seq_seen + 1
-            self._originated[seq] = entry
+            record = seqs.get(seq) or seqs.setdefault(seq, SeqRecord())
+            record.originated = entry
             if trace_ctx is not None:
                 self._tracer.copy_sent(trace_ctx, self.my_id, seq)
             if frag is None:
@@ -1165,12 +1172,10 @@ class DeliveryProtocol:
                 self.config.message_handling_cost, "multicast.send", priority=True
             )
             if self._digests:
-                digest = self.signing.digest(raw)
-                digest_list.append((seq, digest))
-                self._digest_by_seq[seq] = (digest, self.my_id)
-                # covering visit recorded below once the token is built
+                # indexed with the token that carries it
+                digest_list.append((seq, self.signing.digest(raw)))
             self._outgoing_frames.append(raw)
-            self._received.setdefault(seq, []).append(raw)
+            record.variants += (raw,)
             self._max_seq_seen = seq
             self.stats["sent"] += 1
             budget -= 1
@@ -1180,17 +1185,15 @@ class DeliveryProtocol:
         rtg = []
         covering_visits = set()
         for seq in sorted(rtr_in):
-            if seq <= self._delivered_up_to and seq not in self._received:
-                # Delivered and garbage collected everywhere reachable;
-                # cannot service, leave for someone who still holds it.
+            record = self._seqs.get(seq)
+            if record is None or not record.variants:
+                # Never received, discarded, or delivered and garbage
+                # collected: leave it for someone who still holds it.
                 continue
-            variants = self._received.get(seq)
-            if not variants:
-                continue
-            for raw in variants:
+            for raw in record.variants:
                 self._outgoing_frames.append(raw)
                 self.stats["retransmits"] += 1
-            visit = self._token_covering.get(seq)
+            visit = record.visit
             if visit is not None:
                 covering_visits.add(visit)
             rtg.append(seq)
@@ -1201,7 +1204,7 @@ class DeliveryProtocol:
         # A requester that missed the covering token cannot verify or
         # deliver the message: resend those tokens alongside.
         for visit in sorted(covering_visits):
-            raw = self._token_raw_by_visit.get(visit)
+            raw = self._held(visit)
             if raw is not None:
                 self._outgoing_frames.append(raw)
         if self._batch and covering_visits and self._last_cert_raw:
@@ -1220,11 +1223,13 @@ class DeliveryProtocol:
         or delivered.
         """
         missing = set()
+        seqs = self._seqs
         digests_needed = self._digests
         for seq in range(self._delivered_up_to + 1, self._max_seq_seen + 1):
-            if seq not in self._received:
+            record = seqs.get(seq)
+            if record is None or not record.variants:
                 missing.add(seq)
-            elif digests_needed and seq not in self._digest_by_seq:
+            elif digests_needed and record.digest is None:
                 missing.add(seq)
         return missing
 
@@ -1271,10 +1276,10 @@ class DeliveryProtocol:
             if self._ceiling is not None and self._delivered_up_to >= self._ceiling:
                 break
             seq = self._delivered_up_to + 1
-            variants = self._received.get(seq)
-            if not variants:
+            record = self._seqs.get(seq)
+            if record is None or not record.variants:
                 break
-            raw = self._select_deliverable(seq, variants)
+            raw = self._select_deliverable(seq, record)
             if raw is None:
                 break
             try:
@@ -1282,11 +1287,11 @@ class DeliveryProtocol:
             except MulticastCodecError:
                 # Stored bytes fail to parse (corrupted without digests):
                 # discard and let retransmission repair it.
-                self._received.pop(seq, None)
+                record.variants = ()
                 self._pending_rtr.add(seq)
                 break
             self._delivered_up_to = seq
-            self._originated.pop(seq, None)
+            record.originated = None
             advanced = True
             self.stats["delivered"] += 1
             if self._forensics is not None:
@@ -1297,9 +1302,7 @@ class DeliveryProtocol:
                     group=message.dest_group,
                 )
             if self._tracer is not None:
-                self._tracer.delivered(
-                    seq, message.sender_id, self._token_covering.get(seq)
-                )
+                self._tracer.delivered(seq, message.sender_id, record.visit)
             self.processor.charge(
                 self.config.message_handling_cost, "multicast.deliver", priority=True
             )
@@ -1353,21 +1356,20 @@ class DeliveryProtocol:
             self._tracer.reassembled(message.seq, message.sender_id)
         return b"".join(entry["chunks"][i] for i in range(entry["total"]))
 
-    def _select_deliverable(self, seq, variants):
+    def _select_deliverable(self, seq, record):
         """Pick the variant to deliver, honouring the security level."""
+        variants = record.variants
         if not self._digests:
             return variants[0]
-        entry = self._digest_by_seq.get(seq)
-        if entry is None:
+        digest = record.digest
+        if digest is None:
             return None  # no accepted token covers this seq yet
-        if self._batch:
-            covering = self._token_covering.get(seq)
-            if covering is None or covering > self._auth_visit:
-                # Pipelined: ordering has run ahead of authentication;
-                # delivery waits for a certificate to settle the
-                # covering token visit.
-                return None
-        digest, token_sender = entry
+        if self._batch and record.visit > self._auth_visit:
+            # Pipelined: ordering has run ahead of authentication;
+            # delivery waits for a certificate to settle the covering
+            # token visit.
+            return None
+        token_sender = record.sender
         for raw in variants:
             if self.signing.digest(raw) != digest:
                 continue
@@ -1383,7 +1385,7 @@ class DeliveryProtocol:
                 continue
             return raw
         # Every variant failed the digest check: corrupted or mutant.
-        self._received.pop(seq, None)
+        record.variants = ()
         self._pending_rtr.add(seq)
         self.stats["digest_discards"] += 1
         if self._forensics is not None:
@@ -1414,9 +1416,7 @@ class DeliveryProtocol:
         if bound <= low:
             return
         self._collected_up_to = bound
-        # (every _token_covering key is a _digest_by_seq key)
-        for table in (self._received, self._digest_by_seq, self._token_covering):
-            _drop_below(table, low + 1, bound + 1)
+        _drop_below(self._seqs, low + 1, bound + 1)
 
     def _prune_token_history(self, newest_visit):
         floor = newest_visit - _TOKEN_HISTORY
@@ -1424,14 +1424,12 @@ class DeliveryProtocol:
         if floor <= low:
             return
         self._history_low = floor
-        _drop_below(self._token_raw_by_visit, low, floor)
-        if self._batch:
-            # A certificate lives in the record of its span's last
-            # visit, so it is swept with that visit.
-            _drop_below(self._evidence_by_visit, low, floor)
+        # A certificate lives in the record of its span's last visit, so
+        # it is swept with that visit.
+        _drop_below(self._visits, low, floor)
 
     def _rebroadcast_evidence(self, visit):
-        raw = self._token_raw_by_visit.get(visit)
+        raw = self._held(visit)
         if raw is not None:
             self.network.broadcast(self.my_id, MULTICAST_PORT, raw)
 

@@ -166,10 +166,14 @@ class Token(_SealedFrame):
     def well_formed(self, ring_members):
         """Structural validity checks (the detector's token-form check).
 
-        Verifies the invariants any correct holder maintains: the
-        sender and successor are ring members, the successor follows
-        the sender on the ring, aru never exceeds seq, and the digest
-        list covers exactly the seq range this visit added.
+        Verifies invariants any correct holder maintains: the sender
+        and successor are ring members, the successor follows the
+        sender on the ring, aru never exceeds seq, the aru holder (if
+        any) is a member, and the digest list's seqs are in
+        non-decreasing order (a repeat passes) with the last at most
+        ``seq``.  Whether the list covers exactly the seq range this
+        visit added needs the last accepted token: that relative check
+        is ROADMAP item 2(a).
 
         Every receiver on a LAN asks this of the one shared decoded
         frame, so the answer is kept with the membership *value* it was

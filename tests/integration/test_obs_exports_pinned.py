@@ -156,9 +156,7 @@ def drill_dropping_above_the_cut():
     """The drill as the ring ran it before a survivor re-sent what it had
     sequenced above an installation's cut: those messages are dropped."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            DeliveryProtocol, "_reoriginate", lambda self: self._originated.clear()
-        )
+        patch.setattr(DeliveryProtocol, "_reoriginate", DeliveryProtocol.drop_originated)
         return run_drill()
 
 

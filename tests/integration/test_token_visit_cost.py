@@ -2,7 +2,7 @@
 
 On a seeded, loss-free six-processor ring every per-visit structure must
 stay bounded while hundreds of (mostly idle) visits go by: the token
-history holds one window, the message tables empty once everything is
+history holds one window, the seq records empty once everything is
 delivered and acknowledged, the progress timers are re-armed in place
 instead of littering the scheduler heap with cancelled entries, and no
 frame is ever parsed, because ``encode()`` seeded the decode memo with
@@ -63,7 +63,7 @@ def test_loss_free_ring_keeps_per_visit_state_constant():
                 parses_at.setdefault(mark, perf.cache_stats()["multicast.decode"]["misses"])
         assert world.scheduler.cancelled_pending <= PROCESSORS
         for endpoint in world.endpoints.values():
-            assert len(endpoint.delivery._token_raw_by_visit) <= _TOKEN_HISTORY + 1
+            assert len(endpoint.delivery._visits) <= _TOKEN_HISTORY + 1
 
     # The traffic ended at 0.62 s: the ring has long been quiescent.
     assert _newest_visit(world) >= 500
@@ -72,15 +72,13 @@ def test_loss_free_ring_keeps_per_visit_state_constant():
     for pid, endpoint in world.endpoints.items():
         delivery = endpoint.delivery
         assert len(world.delivered[pid]) == MESSAGES
-        assert not delivery._received
-        assert not delivery._digest_by_seq
-        assert not delivery._token_covering
+        assert not delivery._seqs
     assert len({tuple(world.delivered_payloads(pid)) for pid in world.endpoints}) == 1
 
 
 def test_loss_free_batch_ring_keeps_one_record_per_visit_in_the_window():
     """On a batch-signature ring each visit's evidence is one record,
-    swept with the visit's raw bytes; a certificate lives in the record
+    held with the visit's raw bytes; a certificate lives in the record
     of its span's last visit, so every retained one ends in the window."""
     world = _world(SecurityLevel.SIGNATURES, batch=True)
     now = 0.0
@@ -89,7 +87,7 @@ def test_loss_free_batch_ring_keeps_one_record_per_visit_in_the_window():
         world.run(until=now)
         for endpoint in world.endpoints.values():
             delivery = endpoint.delivery
-            records = delivery._evidence_by_visit
+            records = delivery._visits
             assert len(records) <= _TOKEN_HISTORY + 1
             if delivery._last_accepted is None:
                 continue
@@ -103,9 +101,8 @@ def test_loss_free_batch_ring_keeps_one_record_per_visit_in_the_window():
     for pid, endpoint in world.endpoints.items():
         delivery = endpoint.delivery
         assert len(world.delivered[pid]) == MESSAGES
-        assert sum(len(e.certs) for e in delivery._evidence_by_visit.values()) > 0
-        assert not delivery._received
-        assert not delivery._digest_by_seq
+        assert sum(len(e.certs) for e in delivery._visits.values()) > 0
+        assert not delivery._seqs
     assert len({tuple(world.delivered_payloads(pid)) for pid in world.endpoints}) == 1
 
 

@@ -140,3 +140,13 @@ def test_an_incorrect_pass_is_refused(capsys):
     })
     with pytest.raises(SystemExit, match="correctness gate"):
         _run(capsys, runner, pairs=1)
+
+
+def test_without_pr_the_tool_refuses_before_any_pass(capsys):
+    runner = Runner({"parent": [], ROOT: []})
+    with pytest.raises(SystemExit) as refused:
+        claim_pairs.main(["parent", ROOT, "--workload", "wan_mixed_twoway", "--seed", "47"],
+                         run=runner)
+    assert refused.value.code == 2  # argparse's usage error
+    assert runner.calls == []
+    assert "--pr" in capsys.readouterr().err

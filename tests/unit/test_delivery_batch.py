@@ -282,7 +282,7 @@ def test_a_contradicted_token_drops_its_seq_from_the_horizon(mutant_seq):
     # The genuine bytes are vouched but not held: our copy is dropped.
     h.feed_certificate(2, first_visit=1, raws=[genuine])
     h.feed_certificate(1, first_visit=1, raws=[genuine])
-    assert 1 not in h.protocol._token_raw_by_visit
+    assert h.protocol._visits[1].raw is None
     assert h.protocol._max_seq_seen == 0
     assert h.protocol._missing_seqs() == set()
 
@@ -295,7 +295,7 @@ def test_a_reharvested_variant_replaces_the_losers_seq(mutant_seq):
     h.protocol.on_token(genuine_token, genuine)  # held as a variant
     assert h.protocol._max_seq_seen == mutant_seq
     h.feed_certificate(2, first_visit=1, raws=[genuine])
-    assert h.protocol._token_raw_by_visit[1] == genuine
+    assert h.protocol._visits[1].raw == genuine
     assert h.protocol._max_seq_seen == 0
     assert h.protocol._missing_seqs() == set()
 
@@ -321,18 +321,19 @@ def test_history_sweep_catches_a_replayed_ancient_certificate():
     raws = {}
     for visit in range(1, 101):
         _, raws[visit] = h.feed_token(1, visit=visit, seq=0)
-    assert sorted(protocol._evidence_by_visit) == list(range(36, 101))
+    assert sorted(protocol._visits) == list(range(36, 101))
     h.feed_token(1, visit=3, seq=0)  # a token missed long ago, rebroadcast
-    assert protocol._token_raw_by_visit[3] == raws[3]
+    assert protocol._visits[3].raw == raws[3]
     _, ancient = h.feed_certificate(2, first_visit=2, raws=[raws[2], raws[3]])
-    assert sorted(protocol._evidence_by_visit)[:2] == [2, 3]
-    assert protocol._evidence_by_visit[3].digest == h.digest_of(raws[3])
-    assert protocol._evidence_by_visit[3].certs == {(2, 2, 3): ancient}
+    assert sorted(protocol._visits)[:2] == [2, 3]
+    assert protocol._visits[2].raw is None
+    assert protocol._visits[3].digest == h.digest_of(raws[3])
+    assert protocol._visits[3].certs == {(2, 2, 3): ancient}
     assert ancient in protocol.recovery_frames(0)
     h.feed_token(1, visit=101, seq=0)
-    assert sorted(protocol._evidence_by_visit) == list(range(37, 102))
-    assert sorted(protocol._token_raw_by_visit) == list(range(37, 102))
+    assert sorted(protocol._visits) == list(range(37, 102))
+    assert all(protocol._visits[visit].raw == raws[visit] for visit in range(37, 101))
     assert ancient not in protocol.recovery_frames(0)
-    h.feed_token(1, visit=5000, seq=0)  # a jump: the tables are the shorter walk
-    assert sorted(protocol._evidence_by_visit) == [5000]
-    assert sorted(protocol._token_raw_by_visit) == [5000]
+    h.feed_token(1, visit=5000, seq=0)  # a jump: the table is the shorter walk
+    assert sorted(protocol._visits) == [5000]
+    assert protocol._visits[5000].raw is not None

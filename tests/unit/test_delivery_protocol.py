@@ -172,7 +172,7 @@ def test_duplicate_message_ignored():
 def test_absurd_seq_is_rejected():
     h = Harness()
     h.feed_message(1, 2**40)
-    assert 2**40 not in h.protocol._received
+    assert 2**40 not in h.protocol._seqs
     assert h.protocol._max_seq_seen == 0
 
 
@@ -311,13 +311,13 @@ def test_gc_waits_for_full_rotation_window():
     h = Harness(security=SecurityLevel.NONE, members=(0, 1, 2))
     protocol = h.protocol
     h.feed_message(1, 1)
-    assert 1 in protocol._received
+    assert 1 in protocol._seqs
     # Fewer arus than the window: no collection yet.
     protocol._collect_garbage(5)
-    assert 1 in protocol._received
+    assert 1 in protocol._seqs
     protocol._collect_garbage(5)
     protocol._collect_garbage(5)
-    assert 1 not in protocol._received  # 3-member window complete
+    assert 1 not in protocol._seqs  # 3-member window complete
 
 
 def test_gc_uses_minimum_of_window():
@@ -327,14 +327,14 @@ def test_gc_uses_minimum_of_window():
     protocol._collect_garbage(5)
     protocol._collect_garbage(0)  # someone still lacks everything
     protocol._collect_garbage(5)
-    assert 1 in protocol._received  # min of window is 0
+    assert 1 in protocol._seqs  # min of window is 0
 
 
 def test_history_sweep_catches_a_replayed_ancient_token():
     """Pruning pops the visit that fell out of the window — and a visit
     replayed *below* the window is still gone after the next token."""
     h = Harness()
-    history = h.protocol._token_raw_by_visit
+    history = h.protocol._visits
     for visit in range(1, 101):
         h.feed_token(1, visit=visit, seq=0)
     assert sorted(history) == list(range(36, 101))
@@ -342,7 +342,7 @@ def test_history_sweep_catches_a_replayed_ancient_token():
     assert 3 in history
     h.feed_token(1, visit=101, seq=0)
     assert sorted(history) == list(range(37, 102))
-    h.feed_token(1, visit=5000, seq=0)  # a jump: the tables are the shorter walk
+    h.feed_token(1, visit=5000, seq=0)  # a jump: the table is the shorter walk
     assert sorted(history) == [5000]
 
 
@@ -354,17 +354,17 @@ def test_garbage_sweep_catches_digests_replayed_below_the_bound():
     h.feed_token(1, visit=1, seq=3, aru=3, digests=digests)
     assert len(h.delivered) == 3
     h.feed_token(2, visit=2, seq=3, aru=3)
-    assert protocol._digest_by_seq  # no full rotation of arus seen yet
+    assert protocol._seqs  # no full rotation of arus seen yet
     h.feed_token(0, visit=3, seq=3, aru=3)
-    assert not protocol._received and not protocol._digest_by_seq
-    assert not protocol._token_covering
+    assert not protocol._seqs
     # The covering token is replayed after its digests were collected
     # (visit 1 was dropped from the history to make it a stranger).
-    del protocol._token_raw_by_visit[1]
+    del protocol._visits[1]
     h.feed_token(1, visit=1, seq=3, aru=3, digests=digests)
-    assert sorted(protocol._digest_by_seq) == [1, 2, 3]
+    vouches = {seq: (r.digest, r.visit) for seq, r in protocol._seqs.items()}
+    assert vouches == {seq: (digest, 1) for seq, digest in digests}
     h.feed_token(1, visit=4, seq=3, aru=3)
-    assert not protocol._digest_by_seq and not protocol._token_covering
+    assert not protocol._seqs
 
 
 def test_missing_seqs_include_digestless_messages():
@@ -373,6 +373,11 @@ def test_missing_seqs_include_digestless_messages():
     h.protocol._max_seq_seen = 2
     missing = h.protocol._missing_seqs()
     assert missing == {1, 2}  # 1 lacks its digest, 2 lacks bytes
+
+
+def _originated(protocol):
+    """The seqs whose send-queue entry this processor still holds."""
+    return [seq for seq, r in protocol._seqs.items() if r.originated is not None]
 
 
 @pytest.mark.parametrize("above_the_cut", [1, 0])
@@ -392,7 +397,7 @@ def test_an_installation_resends_a_straddling_fragmented_payload_whole(above_the
     protocol.freeze_delivery()  # a reconfiguration starts: the cut is 1
     for _ in range(above_the_cut):
         protocol._send_new_messages()  # chunk 1 as seq 2
-    assert h.delivered == [] and len(protocol._originated) == above_the_cut
+    assert h.delivered == [] and len(_originated(protocol)) == above_the_cut
 
     protocol.start_ring((0, 1, 2), ring_id=2, start_seq=1)
     queued = list(protocol._send_queue)
@@ -402,7 +407,7 @@ def test_an_installation_resends_a_straddling_fragmented_payload_whole(above_the
     protocol._send_new_messages()
     protocol._advance_delivery()
     assert h.delivered == [(4, 0, "g", payload)]
-    assert not protocol._originated and not protocol._send_queue
+    assert not _originated(protocol) and not protocol._send_queue
 
 
 def test_a_rejoining_processor_resends_nothing_it_sequenced_before():

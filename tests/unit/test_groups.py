@@ -9,7 +9,6 @@ from repro.core.groups import (
     UPDATE_ADD,
     UPDATE_REMOVE,
     majority_of,
-    required_correct_replicas,
 )
 
 
@@ -18,9 +17,9 @@ def test_majority_thresholds():
     assert [majority_of(r) for r in range(1, 8)] == [1, 2, 2, 3, 3, 4, 4]
 
 
-def test_required_correct_replicas_matches_paper():
-    assert required_correct_replicas(3) == 2
-    assert required_correct_replicas(5) == 3
+def test_majority_is_the_papers_correct_replica_count():
+    assert majority_of(3) == 2
+    assert majority_of(5) == 3
 
 
 def test_create_and_query():

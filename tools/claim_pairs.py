@@ -1,6 +1,6 @@
 """Alternating parent/change ladder passes for a host-metric claim.
 
-    python3 tools/claim_pairs.py PARENT_TREE CHANGE_TREE --workload W --seed S --pairs 10
+    python3 tools/claim_pairs.py PARENT_TREE CHANGE_TREE --workload W --seed S --pr N --pairs 10
 
 Each pair runs ``python3 -m ladder pass --workload W --seed S --seconds
 20 --trace 0`` once in each tree (a checkout of the parent commit and
@@ -17,8 +17,9 @@ how many pairs the change won, and the median gap against the parent's
 inter-quartile distance.  A claim holds
 when the change is better in at least nine of ten pairs and the medians
 lie further apart than the parent's quartiles.  The last line is the
-claim's ``BENCH_claims.json`` row (``pr`` is ``--pr``, by default one
-past the change tree's last row; ``commit`` is the parent tree's HEAD).
+claim's ``BENCH_claims.json`` row (``pr`` is ``--pr``, the number of the
+change making the claim, which nothing can guess: the claims file has no
+row for a change that made no claim; ``commit`` is the parent tree's HEAD).
 """
 
 import argparse
@@ -124,11 +125,6 @@ def _declared(tree, metric):
     raise SystemExit("%s is not an end-to-end metric of BENCHMARK.json" % metric)
 
 
-def _next_pr(tree):
-    with open(os.path.join(tree, "BENCH_claims.json")) as claims:
-        return json.load(claims)["headline"][-1]["pr"] + 1
-
-
 def parent_commit(tree):
     done = subprocess.run(["git", "rev-parse", "--short=7", "HEAD"], cwd=tree,
                           capture_output=True, text=True)
@@ -148,7 +144,7 @@ def main(argv, run=run_pass):
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--metric", default="host_cal_per_inv")
-    parser.add_argument("--pr", type=int)
+    parser.add_argument("--pr", type=int, required=True)
     args = parser.parse_args(argv)
     declared = _declared(args.change_tree, args.metric)
     pairs = []
@@ -173,9 +169,8 @@ def main(argv, run=run_pass):
             print("%s median: parent %.4g, change %.4g" % (
                 name, statistics.median(p[0][name] for p, _ in pairs),
                 statistics.median(c[0][name] for _, c in pairs)))
-    pr = args.pr if args.pr is not None else _next_pr(args.change_tree)
     row = claim_row(summary, declared["better"], args.metric, declared["unit"], args.workload,
-                    args.seed, pr, parent_commit(args.parent_tree))
+                    args.seed, args.pr, parent_commit(args.parent_tree))
     print("change better in %d of %d pairs; median gap %.4g against the parent's IQR %.4g: "
           "the claim %s" % (summary["wins"], summary["pairs"], summary["gain"], summary["iqr"],
                             "holds" if row["ok"] else "does not hold"))
