@@ -25,7 +25,7 @@ then asserts the elasticity contract end to end:
 Run:  python examples/elastic_ramp.py
 """
 
-from repro.elastic import AutoscalerPolicy, ElasticCluster, ElasticConfig
+from repro.elastic import ElasticCluster, ElasticConfig
 from repro.obs import Observability, SeriesSampler
 from repro.obs.forensics import ForensicsHub, score
 from repro.workloads.ramp import RampBank
@@ -46,10 +46,7 @@ def main():
         obs.registry, period=0.1, families={"rm.delivered_to_orb"}
     )
     sampler.start(cluster.scheduler)
-    cluster.enable_autoscaler(
-        sampler,
-        AutoscalerPolicy(split_threshold=60.0, merge_threshold=5.0, cooldown=1.0),
-    )
+    cluster.enable_autoscaler(sampler)
 
     # audit the books the instant every migration cutover lands
     audits = []

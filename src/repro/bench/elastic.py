@@ -40,7 +40,6 @@ Usage::
 
 from repro.bench.build import Scenario, build
 from repro.core.config import SurvivabilityCase
-from repro.elastic import AutoscalerPolicy
 from repro.obs import SeriesSampler
 from repro.obs.critpath import attribute_spans
 from repro.obs.forensics import DEFAULT_CAPACITY, merge_timeline, score
@@ -64,8 +63,7 @@ def run_elastic_drill(seed, case):
         obs.registry, period=0.1, families={"rm.delivered_to_orb"}
     )
     sampler.start(cluster.scheduler)
-    policy = AutoscalerPolicy(split_threshold=60.0, merge_threshold=5.0, cooldown=1.0)
-    cluster.enable_autoscaler(sampler, policy)
+    cluster.enable_autoscaler(sampler)
 
     # the conservation identity is checked at *every* migration epoch,
     # the instant the cutover lands — mid-flight money must balance

@@ -13,7 +13,7 @@ here so every bench and example names them explicitly:
 * ``FULL_SURVIVABILITY`` (case 4) — case 3 plus RSA-signed tokens.
 
 :class:`ImmuneConfig` bundles the knobs (messages per token visit, RSA
-modulus size, the batch-signature pipeline) and enforces the
+modulus size, batch signatures) and enforces the
 resilience requirements of section 3.1: at least ``ceil((2n+1)/3)``
 correct processors out of ``n``, at least ``ceil((r+1)/2)`` correct
 replicas out of ``r``, and at most one replica of an object per
@@ -76,9 +76,6 @@ class ImmuneConfig:
         messages_per_token_visit=6,
         seed=0,
         batch_signatures=False,
-        signature_batch_visits=4,
-        pipeline_depth=4,
-        fragment_payload_bytes=4096,
     ):
         self.case = case
         self.modulus_bits = modulus_bits
@@ -91,9 +88,6 @@ class ImmuneConfig:
             security=case.security_level,
             max_messages_per_token_visit=messages_per_token_visit,
             batch_signatures=batch_signatures,
-            signature_batch_visits=signature_batch_visits,
-            pipeline_depth=pipeline_depth,
-            fragment_payload_bytes=fragment_payload_bytes,
         )
         self.batch_signatures = self.multicast.batch_signatures
 

@@ -86,9 +86,6 @@ class ImmuneMessage(Frame):
     * ``KIND_PASSIVE_UPDATE`` — a warm-passive primary's checkpoint.
     """
 
-    #: A Replication Manager re-encodes thousands of messages that differ
-    #: only in ``op_num`` and ``body``: one byte template per (kind,
-    #: source_group, replica_proc, target_group).
     SCHEMA = Schema(
         ("kind", one_of("octet", KIND_NAMES)),
         ("source_group", "string"),
@@ -96,8 +93,6 @@ class ImmuneMessage(Frame):
         ("replica_proc", "ulong"),
         ("target_group", "string"),
         ("body", "octets"),
-        holes=("op_num", "body"),
-        memo="immune.encode_template",
         error=ImmuneCodecError,
     )
     __slots__ = SCHEMA.names
@@ -114,8 +109,8 @@ class ImmuneMessage(Frame):
     def operation_id(self):
         return OperationId(self.source_group, self.op_num)
 
-    #: the template encode, a plain function: it binds as this method
-    encode = SCHEMA.encode_hot
+    def encode(self):
+        return self.SCHEMA.encode(self)
 
     #: payload bytes -> decoded message, shared across every processor:
     #: one multicast delivery hands the identical payload to N

@@ -72,6 +72,9 @@ class ImmuneSystem:
     ):
         """Build one deployment.
 
+        ``trace_kinds`` left ``None`` records every :class:`TraceLog`
+        kind; an empty set records none (the benches' setting).
+
         ``scheduler``, ``proc_ids``, ``keystore`` and ``streams`` exist
         for :mod:`repro.cluster`: a multi-ring cluster runs several
         deployments on one shared scheduler, numbers their processors
@@ -84,7 +87,7 @@ class ImmuneSystem:
         self.config.validate_system(num_processors)
         self.scheduler = scheduler if scheduler is not None else Scheduler()
         self.streams = streams if streams is not None else RngStreams(self.config.seed)
-        self.trace = TraceLog(self.scheduler, enabled_kinds=trace_kinds)
+        self.trace = TraceLog(self.scheduler)
         #: what the layers record into: None when no kind is enabled, so
         #: a switched-off log costs each record site one None check
         self._layer_trace = self.trace if trace_kinds is None or trace_kinds else None

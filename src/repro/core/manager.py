@@ -194,14 +194,14 @@ class ReplicationManager:
         its table is stale.  A production deployment would carry the
         table inside the state checkpoints; here the administrator (the
         facade) reinstalls a correct manager's snapshot before the
-        replicas are reallocated.
+        replicas are reallocated.  The table is rewritten in place, so
+        whatever holds it (voters, a gateway forwarder's voters) reads
+        the new placements.
         """
-        self.groups = ObjectGroupTable()
         for group_name, members in sorted(snapshot.items()):
-            self.groups.create(group_name, members)
-        self._vfd._groups = self.groups
-        for voter in self._voters.values():
-            voter._groups = self.groups
+            self.groups.replace(group_name, members)
+        # groups are never deleted, so the snapshot names every group
+        assert self.groups.snapshot() == snapshot
 
     def reregister_group(self, group_name, proc_ids):
         """Atomically rewrite a group's replica placement (migration cutover)."""

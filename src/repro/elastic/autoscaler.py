@@ -7,8 +7,9 @@ family carries a ``ring=`` label on every clustered deployment).  Two
 actions:
 
 * **split** — when the hottest active ring's rate crosses
-  ``split_threshold`` and the configuration has growth headroom, a new
-  ring is created and the hot ring's migratable groups are rebalanced
+  ``split_threshold`` (a constant of :class:`AutoscalerPolicy`, like
+  every threshold here) and the configuration has growth headroom, a
+  new ring is created and the hot ring's migratable groups are rebalanced
   between the two along the deterministic rendezvous proposal
   (:meth:`~repro.cluster.placement.PlacementEngine.propose_layout` +
   :meth:`~repro.cluster.placement.PlacementEngine.rebalance_delta`);
@@ -27,35 +28,36 @@ serial and prevents oscillation.
 
 
 class AutoscalerPolicy:
-    """The thresholds and pacing of one autoscaler."""
+    """The thresholds and pacing of every autoscaler."""
 
     #: seconds between decisions, and the rate window each one reads
     decision_period = 0.25
     window = 0.25
+    #: split the hottest active ring at this many delivered invocations
+    #: a second
+    split_threshold = 60.0
+    #: merge the two coldest active rings when together they stay at or
+    #: under this rate (well below ``split_threshold``, or the
+    #: autoscaler oscillates)
+    merge_threshold = 5.0
+    #: seconds after an action during which no decision is taken
+    cooldown = 1.0
     #: never merge below this many active rings
     min_rings = 1
     #: the per-ring series whose rate is the load signal
     signal_family = "rm.delivered_to_orb"
 
-    def __init__(self, split_threshold=100.0, merge_threshold=10.0, cooldown=0.75):
-        if merge_threshold >= split_threshold:
-            raise ValueError(
-                "merge_threshold %r must stay below split_threshold %r or "
-                "the autoscaler oscillates" % (merge_threshold, split_threshold)
-            )
-        self.split_threshold = split_threshold
-        self.merge_threshold = merge_threshold
-        self.cooldown = cooldown
-
 
 class Autoscaler:
     """Splits hot rings and merges cold ones, deterministically."""
 
-    def __init__(self, cluster, coordinator, sampler, policy=None):
+    #: the thresholds and pacing every decision reads
+    policy = AutoscalerPolicy
+
+    def __init__(self, cluster, coordinator, sampler):
         self.cluster = cluster
         self.coordinator = coordinator
         self.sampler = sampler
-        self.policy = policy or AutoscalerPolicy()
         self._handle = None
         self._last_action = None
         #: decision log for reports: (time, action, detail) tuples

@@ -118,9 +118,7 @@ class ElasticCluster(ClusterManager):
         """Queue a live migration (see :mod:`repro.elastic.migration`)."""
         return self.coordinator.migrate(group_name, dst_ring, done=done)
 
-    def enable_autoscaler(self, sampler, policy=None):
+    def enable_autoscaler(self, sampler):
         """Arm the autoscaler on ``sampler`` (a SeriesSampler)."""
-        self.autoscaler = Autoscaler(
-            self, self.coordinator, sampler, policy=policy
-        ).start()
+        self.autoscaler = Autoscaler(self, self.coordinator, sampler).start()
         return self.autoscaler

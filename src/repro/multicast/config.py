@@ -56,7 +56,12 @@ class SecurityLevel(enum.Enum):
 
 
 class MulticastConfig:
-    """Tunable parameters of the protocol stack."""
+    """Parameters of the protocol stack.
+
+    What a deployment varies (the security level, the paper's ``j`` and
+    batch signatures) is a constructor argument; everything else is a
+    class constant, one value for every ring.
+    """
 
     #: CPU cost of processing a token visit (excluding crypto)
     token_hold_cost = 15e-6
@@ -72,15 +77,24 @@ class MulticastConfig:
     #: token rotations a processor's aru may stall before it is
     #: suspected of receive omission
     aru_stall_rotations = 12
+    #: on a batch-signature ring, a holder certifies after this many of
+    #: its own token visits (larger amortises the signature further but
+    #: delays authentication, and with it delivery)
+    signature_batch_visits = 4
+    #: maximum token *rotations* of unauthenticated visits kept in
+    #: flight before a holder certifies synchronously (backpressure:
+    #: bounds how far ordering may run ahead of authentication)
+    pipeline_depth = 4
+    #: payloads larger than this are split into MessageFragment frames,
+    #: each with its own sequence number and digest, and reassembled at
+    #: delivery
+    fragment_payload_bytes = 4096
 
     def __init__(
         self,
         security=SecurityLevel.SIGNATURES,
         max_messages_per_token_visit=6,
         batch_signatures=False,
-        signature_batch_visits=4,
-        pipeline_depth=4,
-        fragment_payload_bytes=4096,
     ):
         self.security = security
         #: the paper's parameter j: "up to six multicast messages are
@@ -108,22 +122,6 @@ class MulticastConfig:
                 "batch_signatures requires SecurityLevel.SIGNATURES "
                 "(certificates are RSA-signed); got security=%s" % security.name
             )
-        #: a holder certifies after this many of its own token visits
-        #: (the batch size knob: larger amortises the signature further
-        #: but delays authentication, and with it delivery)
-        self.signature_batch_visits = _checked_int(
-            "signature_batch_visits", signature_batch_visits, 1, 64
-        )
-        #: maximum token *rotations* of unauthenticated visits kept in
-        #: flight before a holder certifies synchronously (backpressure:
-        #: bounds how far ordering may run ahead of authentication)
-        self.pipeline_depth = _checked_int("pipeline_depth", pipeline_depth, 1, 128)
-        #: payloads larger than this are split into MessageFragment
-        #: frames, each with its own sequence number and digest, and
-        #: reassembled at delivery
-        self.fragment_payload_bytes = _checked_int(
-            "fragment_payload_bytes", fragment_payload_bytes, 64, 1 << 20
-        )
 
     def resolve_timeouts(self, cost_model, num_processors):
         """Derive the timeouts, scaled to crypto costs and ring size.

@@ -34,12 +34,12 @@ token visits.  Ordering runs ahead of authentication — the ring keeps
 rotating and originating while signatures are pending — and delivery of
 each message is gated on its covering token visit falling inside the
 *authentication horizon* established by verified certificates.
-``pipeline_depth`` bounds how many rotations ordering may run ahead;
-past it the holder certifies synchronously before originating, putting
-the signature back on the critical path (backpressure).  A validly
-signed token variant that contradicts the same processor's own verified
-certificate is a provable mutant and is convicted exactly as in the
-per-visit-signature mode.
+``MulticastConfig.pipeline_depth`` (a class constant) bounds how many
+rotations ordering may run ahead; past it the holder certifies
+synchronously before originating, putting the signature back on the
+critical path (backpressure).  A validly signed token variant that
+contradicts the same processor's own verified certificate is a provable
+mutant and is convicted exactly as in the per-visit-signature mode.
 """
 
 import itertools

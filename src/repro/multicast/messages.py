@@ -47,8 +47,6 @@ class RegularMessage(Frame):
     """
 
     frame_type = FRAME_REGULAR
-    #: A sender emits thousands of frames differing only in ``seq`` and
-    #: ``payload``: one byte template per (sender_id, ring_id, dest_group).
     SCHEMA = Schema(
         ("sender_id", "ulong"),
         ("ring_id", "ulong"),
@@ -56,8 +54,6 @@ class RegularMessage(Frame):
         ("dest_group", "string"),
         ("payload", "octets"),
         typed=True,
-        holes=("seq", "payload"),
-        memo="multicast.encode_template",
         error=MulticastCodecError,
     )
     __slots__ = SCHEMA.names
@@ -70,7 +66,7 @@ class RegularMessage(Frame):
         self.payload = payload
 
     def encode(self):
-        return _seeded(self.SCHEMA.encode_hot(self), self)
+        return _seeded(self._encode(), self)
 
 
 class MessageFragment(Frame):

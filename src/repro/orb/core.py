@@ -31,14 +31,13 @@ _TIMEOUT_STATUS = 0xFFFF
 
 
 class OrbCostModel:
-    """Simulated CPU costs of ORB operations (167 MHz-era defaults)."""
+    """Simulated CPU costs of ORB operations (167 MHz-era constants)."""
 
-    def __init__(self, marshal_base=40e-6, marshal_per_byte=25e-9, dispatch_base=120e-6):
-        #: building or parsing one GIOP frame
-        self.marshal_base = marshal_base
-        self.marshal_per_byte = marshal_per_byte
-        #: adapter lookup + skeleton dispatch per incoming request
-        self.dispatch_base = dispatch_base
+    #: building or parsing one GIOP frame
+    marshal_base = 40e-6
+    marshal_per_byte = 25e-9
+    #: adapter lookup + skeleton dispatch per incoming request
+    dispatch_base = 120e-6
 
     def marshal_cost(self, num_bytes):
         return self.marshal_base + self.marshal_per_byte * num_bytes

@@ -27,7 +27,7 @@ import struct
 from operator import attrgetter
 
 from repro import perf
-from repro.orb.cdr import _CODES, _U32, TAIL, MarshalError, reader, writer
+from repro.orb.cdr import _CODES, TAIL, MarshalError, reader, writer
 from repro.orb.cdr import one_of  # noqa: F401  (the frame modules' import)
 
 
@@ -47,11 +47,11 @@ class Schema:
     A ``typed`` encoding starts with the frame's ``frame_type`` octet,
     which is not a field (the multicast frames).  ``holes`` names the
     two fields the hot template leaves open — a fixed-size unsigned
-    primitive and the last field, ``octets`` or :data:`TAIL` — and
-    ``memo`` the :mod:`repro.perf` table that keeps the templates, keyed
-    by the other fields' values.  Decoding raises ``error``; encoding a
-    value its tag cannot hold raises what :mod:`struct` or the value
-    raises.
+    primitive and the last field, a :data:`TAIL` — and ``memo`` the
+    :mod:`repro.perf` table that keeps the templates, keyed by the other
+    fields' values (GIOP's request is the one declaration that has
+    them).  Decoding raises ``error``; encoding a value its tag cannot
+    hold raises what :mod:`struct` or the value raises.
     """
 
     def __init__(self, *fields, typed=False, holes=None, memo=None, error=MarshalError):
@@ -124,9 +124,8 @@ class Schema:
         index = self._typed + self.names.index(hole)
         hole_struct = struct.Struct("<" + _CODES[tags[index]])
         pack_hole = hole_struct.pack
-        if tail != self.names[-1] or tags[-1] not in ("octets", TAIL):
-            raise MarshalError("a template's tail is the last field")
-        prefixed = tags[-1] == "octets"
+        if tail != self.names[-1] or tags[-1] != TAIL:
+            raise MarshalError("a template's tail is the last field, a TAIL")
         key_of = attrgetter(*(name for name in self.names if name not in holes))
         hole_of, tail_of = attrgetter(hole), attrgetter(tail)
         table = perf.register_cache(perf.BytesKeyedCache(memo))
@@ -139,10 +138,9 @@ class Schema:
             low = self.pack(values)
             values[index] = 2 ** (8 * hole_struct.size) - 1  # the hole is unsigned
             at = next(i for i, (a, b) in enumerate(zip(low, self.pack(values))) if a != b)
-            prefix, mid = low[:at], low[at + hole_struct.size : len(low) - 4 * prefixed]
+            prefix, mid = low[:at], low[at + hole_struct.size :]
             values[index], values[-1] = 123, b"xyz"
-            length = _U32.pack(3) if prefixed else b""
-            if prefix + pack_hole(123) + mid + length + b"xyz" != self.pack(values):
+            if prefix + pack_hole(123) + mid + b"xyz" != self.pack(values):
                 raise MarshalError("encode template mismatch")
             return prefix, mid
 
@@ -152,10 +150,7 @@ class Schema:
             if template is None:
                 template = table.put(key, derive(frame))
             prefix, mid = template
-            tail = tail_of(frame)
-            if prefixed:
-                return prefix + pack_hole(hole_of(frame)) + mid + _U32.pack(len(tail)) + tail
-            return prefix + pack_hole(hole_of(frame)) + mid + tail
+            return prefix + pack_hole(hole_of(frame)) + mid + tail_of(frame)
 
         return encode_hot
 

@@ -28,12 +28,12 @@ class NetworkParams:
 
     #: per-frame overhead (Ethernet + IP + UDP headers)
     header_bytes = 42
+    #: shared-medium bandwidth (the paper's 100 Mbps)
+    bandwidth_bps = 100_000_000
+    #: fixed propagation + interrupt/dispatch latency per hop
+    propagation_delay = 20e-6
 
-    def __init__(self, bandwidth_bps=100_000_000, propagation_delay=20e-6, jitter=5e-6):
-        #: shared-medium bandwidth (defaults to the paper's 100 Mbps)
-        self.bandwidth_bps = bandwidth_bps
-        #: fixed propagation + interrupt/dispatch latency per hop
-        self.propagation_delay = propagation_delay
+    def __init__(self, jitter=5e-6):
         #: uniform extra delay in ``[0, jitter)`` applied per receiver
         self.jitter = jitter
 

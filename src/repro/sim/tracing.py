@@ -55,20 +55,18 @@ class TraceRecord:
 
 
 class TraceLog:
-    """Append-only log of simulation events, indexed by kind."""
+    """Append-only log of simulation events, indexed by kind.
 
-    def __init__(self, scheduler, enabled_kinds=None):
+    It records every kind it is handed; a deployment that records none
+    (``ImmuneSystem(trace_kinds=frozenset())``) hands its layers no log.
+    """
+
+    def __init__(self, scheduler):
         self._scheduler = scheduler
         self.records = []
         self._by_kind = {}
-        #: if set, only these kinds are recorded (benches pass an empty
-        #: set, and :class:`~repro.core.immune.ImmuneSystem` then hands
-        #: its layers no log at all)
-        self.enabled_kinds = enabled_kinds
 
     def record(self, kind, **fields):
-        if self.enabled_kinds is not None and kind not in self.enabled_kinds:
-            return None
         rec = TraceRecord(self._scheduler.now, kind, fields)
         self.records.append(rec)
         self._by_kind.setdefault(kind, []).append(rec)

@@ -72,13 +72,14 @@ class WanConfig:
 
     #: replicas of a group placed without ``on_procs`` or ``degree``
     replication_degree = ClusterConfig.replication_degree
+    #: backbone processors of every site that host its site gateways
+    wan_gateway_degree = 3
 
     def __init__(
         self,
         sites=("alpha", "beta"),
         case=SurvivabilityCase.MAJORITY_VOTING,
         seed=0,
-        wan_gateway_degree=3,
         latency=0.030,
         loss_prob=0.0,
         loss_burst=0.0,
@@ -94,10 +95,8 @@ class WanConfig:
         for name in names:
             if names.count(name) > 1:
                 raise WanConfigError("duplicate site name %r" % name)
-        _checked("wan_gateway_degree", wan_gateway_degree, 1, 4096)
         self.case = case
         self.seed = seed
-        self.wan_gateway_degree = wan_gateway_degree
         self.latency = latency
         self.loss_prob = loss_prob
         self.loss_burst = loss_burst

@@ -67,12 +67,9 @@ def test_intrusion_drill_with_batched_signatures_keeps_perfect_score():
     assert any(e.etype == "batch_verify" for e in timeline)
 
 
-def test_large_payloads_fragment_and_survive_the_ring():
-    config = MulticastConfig(
-        security=SecurityLevel.SIGNATURES,
-        batch_signatures=True,
-        fragment_payload_bytes=256,
-    )
+def test_large_payloads_fragment_and_survive_the_ring(monkeypatch):
+    monkeypatch.setattr(MulticastConfig, "fragment_payload_bytes", 256)
+    config = MulticastConfig(security=SecurityLevel.SIGNATURES, batch_signatures=True)
     world = MulticastWorld(num=3, seed=11, config=config).start()
     world.run(until=0.5)  # let the ring form
     payload = bytes(range(256)) * 5  # 1280 B -> 5 fragments

@@ -96,6 +96,23 @@ def test_hash_placed_groups_work_wherever_they_land():
     assert sorted(replies) == expected_replies(2, client)
 
 
+def test_a_resync_of_a_gateway_host_reaches_its_forwarders_voters():
+    cluster, server, client = build()
+    drive(cluster, client, server, operations=1)
+    (link,) = cluster.links.values()
+    forwarder = link.replicas[0].forwarder_from(0)
+    voter = forwarder._voters["counter"]  # built by the cross-ring call
+    manager = cluster.rings[0].managers[forwarder.src_pid]
+    snapshot = manager.groups.snapshot()
+    moved = snapshot["driver"][:-1]
+    snapshot["driver"] = moved
+    manager.resync_groups(snapshot)
+    # The forwarder votes the client's copies against the table its
+    # source-side manager now holds, not the one it held before.
+    assert manager.groups.members("driver") == moved
+    assert voter._groups.members("driver") == moved
+
+
 def test_byzantine_gateway_is_outvoted_and_attributed():
     obs = Observability(forensics=ForensicsHub())
     cluster = ClusterManager(

@@ -19,12 +19,7 @@ simulated clusters:
 
 import pytest
 
-from repro.elastic import (
-    AutoscalerPolicy,
-    ElasticCluster,
-    ElasticConfig,
-    MigrationError,
-)
+from repro.elastic import ElasticCluster, ElasticConfig, MigrationError
 from repro.multicast.config import MulticastConfig
 from repro.obs import Observability, SeriesSampler
 from repro.obs.critpath import attribute_spans
@@ -323,8 +318,7 @@ def test_autoscaler_splits_and_merges_with_conservation_at_every_epoch():
         obs.registry, period=0.1, families={"rm.delivered_to_orb"}
     )
     sampler.start(cluster.scheduler)
-    policy = AutoscalerPolicy(split_threshold=60.0, merge_threshold=5.0, cooldown=1.0)
-    cluster.enable_autoscaler(sampler, policy)
+    cluster.enable_autoscaler(sampler)
 
     audits = []
     cluster.coordinator.listeners.append(

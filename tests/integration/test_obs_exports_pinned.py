@@ -64,6 +64,7 @@ import pytest
 from repro.core.config import ImmuneConfig, SurvivabilityCase
 from repro.core.immune import ImmuneSystem
 from repro.core.replica import ValueFaultServant
+from repro.multicast.config import MulticastConfig
 from repro.multicast.delivery import DeliveryProtocol
 from repro.obs import Observability, TraceCollector
 from repro.obs.forensics import ForensicsHub, build_report, fault_id_for, merge_timeline
@@ -101,11 +102,17 @@ class VaultServant:
 
 
 def run_drill(seed=SEED):
+    """The drill, its larger payloads split into ``FRAGMENT_BYTES`` frames."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MulticastConfig, "fragment_payload_bytes", FRAGMENT_BYTES)
+        return _drill(seed)
+
+
+def _drill(seed):
     config = ImmuneConfig(
         case=SurvivabilityCase.FULL_SURVIVABILITY,
         seed=seed,
         batch_signatures=True,
-        fragment_payload_bytes=FRAGMENT_BYTES,
     )
     plan = FaultPlan(
         default=LinkFaults(loss_prob=0.003), active_from=0.15, active_until=1.0

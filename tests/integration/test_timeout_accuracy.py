@@ -68,10 +68,11 @@ class Target:
 #: one seeded ring: ``argument`` None is the payload that makes a 64-byte
 #: IIOP frame, ``interval`` the seconds between invocations, ``span`` the
 #: simulated seconds of load, ``config`` further ``ImmuneConfig`` keywords
+#: and ``constants`` the ``MulticastConfig`` constants the ring patches
 Ring = collections.namedtuple(
     "Ring",
-    "processors servers clients case batch op argument interval span config",
-    defaults=({},),
+    "processors servers clients case batch op argument interval span config constants",
+    defaults=({}, {}),
 )
 
 RINGS = {
@@ -103,7 +104,8 @@ RINGS = {
     "batch_shallow_pipeline": Ring(
         6, [0, 1, 2], [3, 4, 5], SurvivabilityCase.FULL_SURVIVABILITY, batch=True,
         op="push", argument=None, interval=300e-6, span=0.3,
-        config=dict(signature_batch_visits=64, pipeline_depth=1, modulus_bits=512),
+        config=dict(modulus_bits=512),
+        constants=dict(signature_batch_visits=64, pipeline_depth=1),
     ),
 }
 BATCH_RINGS = sorted(name for name, ring in RINGS.items() if ring.batch)
@@ -158,6 +160,8 @@ class TokenEvents:
 
 def run_ring(name, monkeypatch, loss_prob=0.0, seed=5):
     ring = RINGS[name]
+    for constant, value in ring.constants.items():
+        monkeypatch.setattr(MulticastConfig, constant, value)
     events = TokenEvents(monkeypatch)
     obs = Observability(forensics=ForensicsHub())
     immune = ImmuneSystem(

@@ -142,20 +142,18 @@ class MulticastWorld:
         fault_plan=None,
         modulus_bits=256,
         config=None,
-        net_params=None,
-        trace_kinds=None,
         obs=None,
     ):
         self.scheduler = Scheduler()
         self.streams = RngStreams(seed)
-        self.trace = TraceLog(self.scheduler, enabled_kinds=trace_kinds)
+        self.trace = TraceLog(self.scheduler)
         self.fault_plan = fault_plan
         self.obs = obs
         if obs is not None:
             obs.bind(self.scheduler)
         self.network = Network(
             self.scheduler,
-            params=net_params or NetworkParams(),
+            params=NetworkParams(),
             rng=self.streams.stream("net"),
             fault_plan=fault_plan,
         )

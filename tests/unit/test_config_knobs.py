@@ -22,6 +22,11 @@ value that is not its default by one of three kinds of call:
 A keyword with no setter becomes a constant under the same attribute
 name, or goes.  The knobs the paper varies (case, ``j``, the modulus,
 the degree of replication) all have setters in ``repro.bench``.
+
+A test or an example is not a reason for a keyword either: the keywords
+that only ``tests/`` and ``examples/`` set are exactly those of
+:data:`SET_ONLY_BY_TESTS`, each with its reason.  A test that needs
+another value of a constant patches the class attribute.
 """
 
 import ast
@@ -42,9 +47,7 @@ AUDITED = {
     "WanConfig": "wan/config.py",
     "SiteSpec": "wan/config.py",
     "CryptoCostModel": "crypto/costmodel.py",
-    "OrbCostModel": "orb/core.py",
     "NetworkParams": "sim/network.py",
-    "AutoscalerPolicy": "elastic/autoscaler.py",
     "PlacementEngine": "cluster/placement.py",
     "ImmuneSystem": "core/immune.py",
     "ClusterManager": "cluster/manager.py",
@@ -225,6 +228,20 @@ def inventory(ctors, audited):
     return {(name, keyword) for name in audited for keyword in ctors[name].defaults}
 
 
+#: the keywords every setter of which lies under ``tests/`` or
+#: ``examples/``, and why each is still a keyword
+SET_ONLY_BY_TESTS = {
+    ("ClusterConfig", "case"): "the paper's cases, under which tests run clusters",
+    ("WanConfig", "case"): "the paper's cases, under which tests run federations",
+    ("ClusterManager", "fault_plans"): "fault injection into one ring of a cluster",
+    ("WanManager", "fault_plan"): "fault injection on the WAN links",
+    ("NetworkParams", "jitter"): "a LAN without jitter, for exact arrival times",
+    ("WanConfig", "loss_prob"): "correlated WAN loss, ROADMAP item 16",
+    ("WanConfig", "loss_burst"): "correlated WAN loss, ROADMAP item 16",
+    ("ElasticCluster", "config"): "bench/build.py sets it through its shape table",
+}
+
+
 def test_every_optional_keyword_has_a_setter():
     setters, ctors = scan(_python(ROOT / d for d in CALLERS), AUDITED,
                           defined_in=_python([SRC]))
@@ -237,6 +254,15 @@ def test_every_optional_keyword_has_a_setter():
     assert not unset, "optional keywords no caller sets: %s" % unset
 
 
+def test_no_keyword_is_set_only_by_tests_unless_listed():
+    """A value that only tests or examples set is a constant that a test
+    patches: "with one value in use, ask for a constant"."""
+    keywords = inventory(constructors(_python([SRC])), AUDITED)
+    outside, _ = scan(_python(ROOT / d for d in CALLERS if d not in ("tests", "examples")),
+                      AUDITED, defined_in=_python([SRC]))
+    assert keywords - set(outside) == set(SET_ONLY_BY_TESTS)
+
+
 def test_the_scan_finds_real_setters_in_scenario_pairs_and_parametrize_rows():
     setters, _ = scan(_python(ROOT / d for d in CALLERS), AUDITED,
                       defined_in=_python([SRC]))
@@ -244,8 +270,8 @@ def test_the_scan_finds_real_setters_in_scenario_pairs_and_parametrize_rows():
                for where in setters[("ClusterConfig", "placement_mode")])
     assert any(where.startswith("src/repro/bench/ablations.py")
                for where in setters[("ImmuneConfig", "modulus_bits")])
-    assert any(where.startswith("tests/unit/test_multicast_config_validation.py")
-               for where in setters[("MulticastConfig", "pipeline_depth")])
+    assert any(where.startswith("tests/unit/test_placement.py")
+               for where in setters[("ClusterConfig", "case")])
 
 
 SYNTHETIC = '''
@@ -268,6 +294,12 @@ Facade(config=object())
 Scaled(shaped=9)
 '''
 
+PARAMETRIZED = '''
+@pytest.mark.parametrize("field,low,high", [("unused", 0, 9)])
+def test_ranges(field, low, high):
+    Knobs(**{field: low})
+'''
+
 
 def test_the_scan_reports_an_unset_and_a_pass_through_only_keyword(tmp_path):
     source = tmp_path / "synthetic.py"
@@ -281,3 +313,7 @@ def test_the_scan_reports_an_unset_and_a_pass_through_only_keyword(tmp_path):
     setters, ctors = scan([source], audited)
     assert inventory(ctors, audited) - set(setters) == {("Knobs", "unused")}
     assert setters[("Knobs", "relayed")] == {"Facade.relayed"}
+    # a ("name", value, ...) row of a parametrize over a call sets it
+    source.write_text(SYNTHETIC + "Facade(relayed=7)\n" + PARAMETRIZED)
+    setters, ctors = scan([source], audited)
+    assert inventory(ctors, audited) == set(setters)

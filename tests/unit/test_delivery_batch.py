@@ -28,7 +28,7 @@ from repro.sim.scheduler import Scheduler
 class BatchHarness:
     """Delivery protocol under test on P0 with batch_signatures on."""
 
-    def __init__(self, members=(0, 1, 2), **config_kw):
+    def __init__(self, members=(0, 1, 2)):
         self.scheduler = Scheduler()
         self.network = Network(
             self.scheduler,
@@ -44,11 +44,7 @@ class BatchHarness:
             self.network.add_processor(proc)
             self.processors[pid] = proc
             self.signings[pid] = self.keystore.signing_service(proc, costs)
-        self.config = MulticastConfig(
-            security=SecurityLevel.SIGNATURES,
-            batch_signatures=True,
-            **config_kw
-        )
+        self.config = MulticastConfig(security=SecurityLevel.SIGNATURES, batch_signatures=True)
         self.config.resolve_timeouts(costs, len(members))
         self.delivered = []
         self.detector = ByzantineFaultDetector(0, self.scheduler)
@@ -228,8 +224,9 @@ def test_vouched_variant_replaces_contradicted_stored_copy():
     assert [p for _, _, _, p in h.delivered] == [b"payload"]
 
 
-def test_large_payload_fragments_and_reassembles():
-    h = BatchHarness(fragment_payload_bytes=64)
+def test_large_payload_fragments_and_reassembles(monkeypatch):
+    monkeypatch.setattr(MulticastConfig, "fragment_payload_bytes", 64)
+    h = BatchHarness()
     payload = bytes(range(256)) * 2  # 512 bytes -> 8 fragments of 64
     h.protocol.queue_message("g", payload)
     queued = list(h.protocol._send_queue)
@@ -250,8 +247,10 @@ def test_large_payload_fragments_and_reassembles():
     assert h.delivered == [(8, 1, "g", payload)]
 
 
-def test_backpressure_forces_synchronous_certificate():
-    h = BatchHarness(members=(0, 1), pipeline_depth=1, signature_batch_visits=64)
+def test_backpressure_forces_synchronous_certificate(monkeypatch):
+    monkeypatch.setattr(MulticastConfig, "pipeline_depth", 1)
+    monkeypatch.setattr(MulticastConfig, "signature_batch_visits", 64)
+    h = BatchHarness(members=(0, 1))
     h.protocol.circulating = True
     # P1's token hands the ring to P0 with authentication far behind:
     # visits 1..4 are ordered, none vouched, lag > depth * n = 2.

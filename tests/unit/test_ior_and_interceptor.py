@@ -61,8 +61,11 @@ def test_interceptor_binds_and_diverts_frames():
     ]
 
 
-def test_orb_cost_model_scaling():
-    costs = OrbCostModel(marshal_base=10e-6, marshal_per_byte=1e-9, dispatch_base=50e-6)
+def test_orb_cost_model_scaling(monkeypatch):
+    monkeypatch.setattr(OrbCostModel, "marshal_base", 10e-6)
+    monkeypatch.setattr(OrbCostModel, "marshal_per_byte", 1e-9)
+    monkeypatch.setattr(OrbCostModel, "dispatch_base", 50e-6)
+    costs = OrbCostModel()
     assert costs.marshal_cost(0) == pytest.approx(10e-6)
     assert costs.marshal_cost(1000) == pytest.approx(11e-6)
     assert costs.dispatch_cost() == pytest.approx(50e-6)

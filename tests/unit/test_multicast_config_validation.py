@@ -1,10 +1,10 @@
-"""Validation of the MulticastConfig knobs (the paper's j, pipelining).
+"""Validation of the MulticastConfig knobs (the paper's j, batch signatures).
 
-Every tunable that the batch-signature pipeline added — and the paper's
-``j`` (messages per token visit) that predated it — must reject
-nonsense values with an error message that names the field, the
-accepted range, and the offending value, so a misconfigured experiment
-fails at construction instead of deadlocking a ring.
+The paper's ``j`` (messages per token visit) and the batch-signature
+switch must reject nonsense values with an error message that names
+the field, the accepted range, and the offending value, so a
+misconfigured experiment fails at construction instead of deadlocking a
+ring.  The pipeline's cadence, depth and fragment size are constants.
 """
 
 import pytest
@@ -36,26 +36,6 @@ def test_j_rejects_out_of_range_and_non_integers(value):
     assert repr(value) in message or str(value) in message
 
 
-@pytest.mark.parametrize(
-    "field,low,high",
-    [
-        ("signature_batch_visits", 1, 64),
-        ("pipeline_depth", 1, 128),
-        ("fragment_payload_bytes", 64, 1 << 20),
-    ],
-)
-def test_pipeline_knobs_enforce_their_ranges(field, low, high):
-    MulticastConfig(**{field: low})
-    MulticastConfig(**{field: high})
-    for bad in (low - 1, high + 1):
-        with pytest.raises(MulticastConfigError) as excinfo:
-            MulticastConfig(**{field: bad})
-        message = str(excinfo.value)
-        assert field in message
-        assert str(low) in message and str(high) in message
-        assert str(bad) in message
-
-
 def test_batch_signatures_must_be_bool():
     with pytest.raises(MulticastConfigError) as excinfo:
         MulticastConfig(batch_signatures=1)
@@ -80,12 +60,6 @@ def test_immune_config_passes_pipeline_knobs_through():
     config = ImmuneConfig(
         case=SurvivabilityCase.FULL_SURVIVABILITY,
         batch_signatures=True,
-        signature_batch_visits=8,
-        pipeline_depth=2,
-        fragment_payload_bytes=1024,
     )
     assert config.batch_signatures is True
     assert config.multicast.batch_signatures is True
-    assert config.multicast.signature_batch_visits == 8
-    assert config.multicast.pipeline_depth == 2
-    assert config.multicast.fragment_payload_bytes == 1024

@@ -16,8 +16,15 @@ from repro.multicast.config import MulticastConfig, SecurityLevel
 COSTS = CryptoCostModel(modulus_bits=256)
 
 
-def resolved(num_processors, security=SecurityLevel.SIGNATURES, **kwargs):
-    config = MulticastConfig(security=security, **kwargs)
+def resolved(num_processors, security=SecurityLevel.SIGNATURES, batch_signatures=False,
+             **constants):
+    """A config resolved for ``num_processors``, with ``constants``
+    (``signature_batch_visits``, ``pipeline_depth``) set on it in place
+    of the class's."""
+    config = MulticastConfig(security=security, batch_signatures=batch_signatures)
+    for name, value in constants.items():
+        assert hasattr(MulticastConfig, name), name
+        setattr(config, name, value)
     config.resolve_timeouts(COSTS, num_processors)
     return config
 

@@ -50,8 +50,15 @@ def test_payload_must_be_bytes():
         net.unicast(0, 1, "p", {"not": "bytes"})
 
 
-def test_transmission_time_models_bandwidth():
-    params = NetworkParams(bandwidth_bps=8_000_000, propagation_delay=0.0, jitter=0.0)
+def slow_wire(monkeypatch):
+    """A jitter-free 8 Mbps LAN with no propagation delay."""
+    monkeypatch.setattr(NetworkParams, "bandwidth_bps", 8_000_000)
+    monkeypatch.setattr(NetworkParams, "propagation_delay", 0.0)
+    return NetworkParams(jitter=0.0)
+
+
+def test_transmission_time_models_bandwidth(monkeypatch):
+    params = slow_wire(monkeypatch)
     # 1000 payload + 42 header bytes at 1 MB/s -> 1.042 ms on the wire.
     sched, net, procs = make_lan(2, params=params)
     arrivals = []
@@ -61,8 +68,8 @@ def test_transmission_time_models_bandwidth():
     assert arrivals[0] == pytest.approx(1.042e-3)
 
 
-def test_medium_is_serialised():
-    params = NetworkParams(bandwidth_bps=8_000_000, propagation_delay=0.0, jitter=0.0)
+def test_medium_is_serialised(monkeypatch):
+    params = slow_wire(monkeypatch)
     sched, net, procs = make_lan(2, params=params)
     arrivals = []
     procs[1].register_handler("p", lambda d: arrivals.append(sched.now))

@@ -34,13 +34,3 @@ def test_of_kinds_merges_in_order():
     trace.record("a", n=3)
     merged = trace.of_kinds("a", "b")
     assert [r.n for r in merged] == [1, 2, 3]
-
-
-def test_enabled_kinds_filters_noise():
-    sched = Scheduler()
-    trace = TraceLog(sched, enabled_kinds={"important"})
-    trace.record("net.send", x=1)
-    trace.record("important", x=2)
-    assert trace.count("net.send") == 0
-    assert trace.count("important") == 1
-    assert trace.kinds() == ["important"]

@@ -55,14 +55,15 @@ def test_site_spec_ranges_named(value):
 
 
 @pytest.mark.parametrize("degree", [1, 2])
-def test_voting_needs_three_site_gateways(degree):
+def test_voting_needs_three_site_gateways(degree, monkeypatch):
+    monkeypatch.setattr(WanConfig, "wan_gateway_degree", degree)
     with pytest.raises(WanConfigError) as excinfo:
-        WanConfig(wan_gateway_degree=degree)
+        WanConfig()
     message = str(excinfo.value)
     assert "wan_gateway_degree" in message
     assert ">= 3" in message
     # a non-voting case accepts smaller degrees
-    WanConfig(case=SurvivabilityCase.ACTIVE_REPLICATION, wan_gateway_degree=degree)
+    WanConfig(case=SurvivabilityCase.ACTIVE_REPLICATION)
 
 
 def test_cluster_config_rejects_small_wan_gateway_degree():
