@@ -55,16 +55,6 @@ class ObjectGroupTable:
 
     def __init__(self):
         self._groups = {}
-        self._listeners = []
-
-    def on_change(self, fn):
-        """Register ``fn(group_name, members)`` for membership changes."""
-        self._listeners.append(fn)
-
-    def _notify(self, group_name):
-        members = self._groups.get(group_name, ())
-        for fn in list(self._listeners):
-            fn(group_name, members)
 
     def create(self, group_name, proc_ids):
         """Create a group with its initial replica placement."""
@@ -77,15 +67,14 @@ class ObjectGroupTable:
                 % (group_name, proc_ids)
             )
         self._groups[group_name] = proc_ids
-        self._notify(group_name)
 
     def replace(self, group_name, proc_ids):
         """Atomically install a new replica placement for a group.
 
-        A live migration rewrites the placement in one step — listeners
-        see a single change to the final membership rather than a
-        remove/add sequence that would transiently drop the group below
-        its voting threshold.  Creates the group if it does not exist.
+        A live migration rewrites the placement in one step rather than
+        as a remove/add sequence that would transiently drop the group
+        below its voting threshold.  Creates the group if it does not
+        exist.
         """
         proc_ids = tuple(sorted(proc_ids))
         if len(set(proc_ids)) != len(proc_ids):
@@ -93,24 +82,19 @@ class ObjectGroupTable:
                 "at most one replica of %r per processor (got %r)"
                 % (group_name, proc_ids)
             )
-        if self._groups.get(group_name) == proc_ids:
-            return
         self._groups[group_name] = proc_ids
-        self._notify(group_name)
 
     def add_replica(self, group_name, proc_id):
         members = self._groups.get(group_name, ())
         if proc_id in members:
             return
         self._groups[group_name] = tuple(sorted(members + (proc_id,)))
-        self._notify(group_name)
 
     def remove_replica(self, group_name, proc_id):
         members = self._groups.get(group_name)
         if members is None or proc_id not in members:
             return
         self._groups[group_name] = tuple(m for m in members if m != proc_id)
-        self._notify(group_name)
 
     def remove_processor(self, proc_id):
         """Drop every replica hosted by an excluded processor.

@@ -18,7 +18,7 @@ The servants and the invoking code are exactly what they would be on a
 bare ORB — the Immune system's transparency claim, reproduced.
 """
 
-from repro.core.config import ConfigError, ImmuneConfig, SurvivabilityCase
+from repro.core.config import ConfigError, ImmuneConfig
 from repro.core.identifiers import BASE_GROUP
 from repro.core.manager import ReplicationManager
 from repro.crypto.keystore import KeyStore
@@ -37,15 +37,21 @@ import random
 
 
 class GroupHandle:
-    """A deployed object group (or the unreplicated singleton object)."""
+    """A deployed object group (or the unreplicated singleton object).
 
-    def __init__(self, group_name, interface, reference, replica_procs, servants):
+    ``replica_procs`` names exactly the replicas that are active, in
+    install order, and ``servants`` their servants (empty for a pure
+    client group); :meth:`ImmuneSystem._install_replica` and
+    :meth:`ImmuneSystem.withdraw_replica` keep both.
+    """
+
+    def __init__(self, group_name, interface, reference):
         self.group_name = group_name
         self.interface = interface
         self.reference = reference
-        self.replica_procs = tuple(replica_procs)
-        #: pid -> servant instance (None for pure client groups)
-        self.servants = dict(servants)
+        self.replica_procs = ()
+        #: pid -> servant instance
+        self.servants = {}
         #: home ring index / site name, stamped by the cluster and WAN
         #: facades at deploy (and re-stamped by a live migration)
         self.ring = None
@@ -202,27 +208,7 @@ class ImmuneSystem:
         processor.  In the unreplicated case only the first processor
         of ``on_procs`` is used.
         """
-        if group_name in self._groups or group_name == BASE_GROUP:
-            raise ConfigError("group name %r already in use" % group_name)
-        if not self.config.case.replicated:
-            on_procs = list(on_procs)[:1]
-        self.config.validate_placement(group_name, on_procs, self.processors)
-        servants = {}
-        for pid in on_procs:
-            servant = servant_factory(pid)
-            self.orbs[pid].register_servant(group_name, servant, interface)
-            servants[pid] = servant
-        if self.config.case.replicated:
-            reference = ObjectReference(interface.name, group_name)
-            for manager in self.managers.values():
-                manager.register_group(group_name, on_procs)
-            for pid in on_procs:
-                self.managers[pid].host_replica(group_name)
-        else:
-            reference = ObjectReference(interface.name, group_name, host=on_procs[0])
-        handle = GroupHandle(group_name, interface, reference, on_procs, servants)
-        self._groups[group_name] = handle
-        return handle
+        return self._deploy(group_name, interface, servant_factory, on_procs)
 
     def deploy_passive(self, group_name, interface, servant_factory, on_procs):
         """Deploy a *warm-passively* replicated server object.
@@ -237,25 +223,7 @@ class ImmuneSystem:
         """
         if not self.config.case.replicated:
             raise ConfigError("passive replication needs a replicated case")
-        if group_name in self._groups or group_name == BASE_GROUP:
-            raise ConfigError("group name %r already in use" % group_name)
-        self.config.validate_placement(group_name, on_procs, self.processors)
-        servants = {}
-        for pid in on_procs:
-            servant = servant_factory(pid)
-            self.orbs[pid].register_servant(group_name, servant, interface)
-            servants[pid] = servant
-        reference = ObjectReference(interface.name, group_name)
-        handle = GroupHandle(group_name, interface, reference, on_procs, servants)
-        for manager in self.managers.values():
-            manager.register_group(group_name, on_procs)
-            manager.mark_passive_source(group_name)
-        for pid in on_procs:
-            self.managers[pid].host_passive_replica(
-                group_name, lambda pid=pid: handle.servants[pid]
-            )
-        self._groups[group_name] = handle
-        return handle
+        return self._deploy(group_name, interface, servant_factory, on_procs, passive=True)
 
     def deploy_client(self, group_name, on_procs):
         """Deploy an actively replicated client object (a pure invoker).
@@ -264,19 +232,57 @@ class ImmuneSystem:
         majority voting are used (paper section 6.1) — so responses to
         the client group are voted at each client replica.
         """
+        return self._deploy(group_name, None, lambda pid: None, on_procs)
+
+    def _deploy(self, group_name, interface, servant_factory, on_procs, passive=False):
+        """Check a new group's name and placement, register it with every
+        Replication Manager and install its replicas (a pure client's
+        servants are None; the unreplicated case uses the first of
+        ``on_procs`` alone)."""
         if group_name in self._groups or group_name == BASE_GROUP:
             raise ConfigError("group name %r already in use" % group_name)
-        if not self.config.case.replicated:
+        replicated = self.config.case.replicated
+        if not replicated:
             on_procs = list(on_procs)[:1]
-        if self.config.case.replicated:
-            self.config.validate_placement(group_name, on_procs, self.processors)
-            for manager in self.managers.values():
-                manager.register_group(group_name, on_procs)
-            for pid in on_procs:
-                self.managers[pid].host_replica(group_name)
-        handle = GroupHandle(group_name, None, None, on_procs, {})
+        self.config.validate_placement(group_name, on_procs, self.processors)
+        reference = None
+        if interface is not None:
+            host = None if replicated else on_procs[0]
+            reference = ObjectReference(interface.name, group_name, host=host)
+        handle = GroupHandle(group_name, interface, reference)
+        for manager in self.managers.values():
+            manager.register_group(group_name, on_procs, passive)
+        for pid in on_procs:
+            self._install_replica(handle, pid, servant_factory(pid))
         self._groups[group_name] = handle
         return handle
+
+    def _install_replica(self, handle, pid, servant, op_counter=None):
+        """The one way a replica starts: activate ``servant`` (None for a
+        pure client) on ``pid``'s ORB, name it in the handle, and host
+        the group at ``pid``'s Replication Manager, resuming the group's
+        ``op_counter`` when the replica starts from a checkpoint."""
+        if servant is not None:
+            self.orbs[pid].register_servant(handle.group_name, servant, handle.interface)
+            handle.servants[pid] = servant
+        handle.replica_procs += (pid,)
+        manager = self.managers.get(pid)
+        if manager is not None:
+            manager.host_replica(handle.group_name, op_counter)
+
+    def withdraw_replica(self, group_name, pid):
+        """The one way a replica stops: deactivate its servant on
+        ``pid``'s ORB, drop the group at ``pid``'s Replication Manager,
+        and remove the replica from the group's handle.  The group
+        table is not touched (see :func:`repro.core.replica.crash_replica`
+        and :meth:`export_group` for who rewrites it)."""
+        handle = self._groups[group_name]
+        self.orbs[pid].adapter.deactivate(group_name)
+        manager = self.managers.get(pid)
+        if manager is not None:
+            manager.drop_replica(group_name)
+        handle.servants.pop(pid, None)
+        handle.replica_procs = tuple(p for p in handle.replica_procs if p != pid)
 
     def client_stubs(self, client_handle, interface, server_handle):
         """Stubs for every client replica: [(pid, stub), ...].
@@ -390,20 +396,15 @@ class ImmuneSystem:
     def export_group(self, group_name):
         """Withdraw a migrating group from this deployment (cutover).
 
-        Deactivates its servants and drops replica hosting on the old
-        processors, and removes the local handle.  The group-table
-        rewrite is the coordinator's job (every Replication Manager of
-        every ring sees the same :meth:`~repro.core.manager.ReplicationManager.reregister_group`).
+        Withdraws every replica the handle names and removes the local
+        handle.  The group-table rewrite is the coordinator's job (every
+        Replication Manager of every ring sees the same
+        :meth:`~repro.core.manager.ReplicationManager.reregister_group`).
         """
-        handle = self._groups.pop(group_name)
+        handle = self._groups[group_name]
         for pid in handle.replica_procs:
-            orb = self.orbs.get(pid)
-            if orb is not None:
-                orb.adapter.deactivate(group_name)
-            manager = self.managers.get(pid)
-            if manager is not None:
-                manager.drop_replica(group_name)
-        return handle
+            self.withdraw_replica(group_name, pid)
+        return self._groups.pop(group_name)
 
     def adopt_group(self, handle, on_procs, servant_from_state, state_bytes,
                     op_counter=0):
@@ -414,19 +415,8 @@ class ImmuneSystem:
         counter keeps the group's outbound numbering monotonic across
         the move.
         """
-        on_procs = tuple(sorted(on_procs))
-        servants = {}
-        for pid in on_procs:
-            servant = servant_from_state(state_bytes)
-            self.orbs[pid].register_servant(
-                handle.group_name, servant, handle.interface
-            )
-            servants[pid] = servant
-            manager = self.managers[pid]
-            manager.host_replica(handle.group_name)
-            manager.restore_op_counter(handle.group_name, op_counter)
-        handle.replica_procs = on_procs
-        handle.servants = servants
+        for pid in sorted(on_procs):
+            self._install_replica(handle, pid, servant_from_state(state_bytes), op_counter)
         self._groups[handle.group_name] = handle
         return handle
 
@@ -445,15 +435,12 @@ class ImmuneSystem:
         handle = self._groups[group_name]
         if handle.interface is None:
             raise ConfigError("cannot reallocate a pure client group %r" % group_name)
-        manager = self.managers[new_pid]
-        orb = self.orbs[new_pid]
-
-        def factory_and_register(state_bytes):
-            servant = servant_from_state(state_bytes)
-            orb.register_servant(group_name, servant, handle.interface)
-            handle.servants[new_pid] = servant
-
-        manager.request_join(group_name, factory_and_register)
+        self.managers[new_pid].request_join(
+            group_name,
+            lambda state, op_counter: self._install_replica(
+                handle, new_pid, servant_from_state(state), op_counter
+            ),
+        )
 
     def recover_processor(self, pid, servant_factories):
         """Bring an excluded-but-repaired processor fully back.
@@ -465,29 +452,19 @@ class ImmuneSystem:
            :meth:`repro.multicast.endpoint.SecureGroupEndpoint.request_join`);
         2. once admitted, its object group table is resynced and every
            group in ``servant_factories`` (``{group_name:
-           servant_from_state}``) is reallocated onto it by ordered
-           state transfer.
+           servant_from_state}``) is withdrawn from it and reallocated
+           onto it by ordered state transfer.
 
         A processor convicted of Byzantine behaviour is refused at
         phase 1 by every correct member.
         """
         if not self.config.case.replicated:
             raise ConfigError("processor recovery needs a replicated case")
-        manager = self.managers[pid]
-        orb = self.orbs[pid]
 
         def reallocate_groups():
             for group_name, from_state in sorted(servant_factories.items()):
-                handle = self._groups[group_name]
-                orb.adapter.deactivate(group_name)
-                manager.drop_replica(group_name)
-
-                def factory_and_register(state, group_name=group_name, handle=handle, from_state=from_state):
-                    servant = from_state(state)
-                    orb.register_servant(group_name, servant, handle.interface)
-                    handle.servants[pid] = servant
-
-                manager.request_join(group_name, factory_and_register)
+                self.withdraw_replica(group_name, pid)
+                self.reallocate(group_name, pid, from_state)
 
         self._join_and_resync(pid, then=reallocate_groups)
 

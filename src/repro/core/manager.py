@@ -33,6 +33,7 @@ from repro.core.identifiers import (
     KIND_STATE_TRANSFER,
     KIND_VALUE_FAULT_VOTE,
 )
+from repro.core.passive import PassiveGroupDriver
 from repro.core.value_fault import (
     ValueFaultCodecError,
     ValueFaultDetector,
@@ -60,6 +61,32 @@ class ReplicationError(Exception):
     """Raised on Replication Manager misconfiguration."""
 
 
+class HostedGroup:
+    """One manager's record of a group it hosts or has hosted: the
+    group's voter (active replication) or passive driver, its duplicate
+    filter, and whether a replica is active here now."""
+
+    __slots__ = ("voter", "passive", "dup", "active")
+
+    def __init__(self):
+        self.voter = None
+        self.passive = None
+        self.dup = DuplicateFilter()
+        self.active = False
+
+
+class InFlight:
+    """A two-way invocation intercepted here and not yet answered: the
+    local replica's own GIOP request id, and the target group once the
+    invocation is multicast (None while a hold parks it)."""
+
+    __slots__ = ("request_id", "target")
+
+    def __init__(self, request_id):
+        self.request_id = request_id
+        self.target = None
+
+
 class ReplicationManager:
     """The per-processor Replication Manager."""
 
@@ -76,33 +103,27 @@ class ReplicationManager:
         self.groups = ObjectGroupTable()
         self.voting_enabled = config.case.voting
         self._orb = None
-        self._local_groups = set()
-        self._voters = {}
-        self._dup_filters = {}
-        #: warm-passively replicated groups hosted here: group -> driver
-        self._passive_drivers = {}
+        #: group -> HostedGroup, from the first time a replica of the
+        #: group is hosted here (kept after a drop, so a re-hosted
+        #: replica resumes the same voter)
+        self._hosted = {}
         #: groups known (system-wide) to be passively replicated, whose
         #: responses are sent by the primary alone and must therefore
         #: bypass response voting at the clients
         self._passive_sources = set()
         self._op_counters = {}
-        self._reply_map = {}
-        #: elastic live migration: groups whose outbound invocations are
-        #: parked (target group -> hold), and the parked frames in
-        #: interception order
-        self._held_groups = set()
-        self._held_buffers = {}
-        #: two-way invocations multicast but not yet answered:
-        #: (source_group, op_num) -> target group.  Only *multicast*
-        #: work counts (held frames are not pending), so a migration
-        #: coordinator can drain a group to quiescence by watching this.
-        self._pending_targets = {}
-        #: listeners for processor exclusions (the facade's reallocation
-        #: policy hangs off this): fn(excluded_pid, affected_groups)
+        #: two-way invocations intercepted here and not yet answered:
+        #: (source_group, op_num) -> InFlight
+        self._inflight = {}
+        #: elastic live migration: target group -> the frames a hold
+        #: parks for it, in interception order
+        self._held = {}
+        #: listeners for processor exclusions (a gateway forwarder
+        #: rechecks its voters): fn(excluded_pid, affected_groups)
         self._exclusion_listeners = []
-        #: state-transfer machinery (replica reallocation)
-        self._join_factories = {}
-        self._join_buffers = {}
+        #: replica reallocation: group -> (install(state, op_counter),
+        #: the group's deliveries buffered since the join marker)
+        self._joins = {}
         self._vfd = ValueFaultDetector(
             self.groups,
             endpoint.report_value_fault_suspect,
@@ -140,49 +161,50 @@ class ReplicationManager:
         """Called by the interceptor transport when installed in an ORB."""
         self._orb = orb
 
-    def register_group(self, group_name, proc_ids):
+    def register_group(self, group_name, proc_ids, passive=False):
         """Bootstrap knowledge of an object group's replica placement.
 
         Initial deployment is configuration-time knowledge shared by
         every Replication Manager; runtime changes flow through the
-        base group and the processor membership protocol.
+        base group and the processor membership protocol.  A
+        ``passive`` group is warm-passively replicated system-wide.
         """
         self.groups.create(group_name, proc_ids)
+        if passive:
+            self._passive_sources.add(group_name)
 
-    def host_replica(self, group_name):
-        """Mark that a replica of ``group_name`` is active on this ORB."""
-        self._local_groups.add(group_name)
-        if group_name not in self._voters:
-            self._voters[group_name] = Voter(
-                group_name,
-                self.groups,
-                self.endpoint.signing.digest_fn,
-                obs=self._obs,
-                proc_id=self.my_id,
-            )
-            self._dup_filters[group_name] = DuplicateFilter()
+    def host_replica(self, group_name, op_counter=None):
+        """Mark that a replica of ``group_name`` is active on this ORB.
 
-    def host_passive_replica(self, group_name, servant_getter):
-        """Host a warm-passive replica (see :mod:`repro.core.passive`)."""
-        from repro.core.passive import PassiveGroupDriver
-
-        self._local_groups.add(group_name)
-        self._dup_filters.setdefault(group_name, DuplicateFilter())
-        self._passive_drivers[group_name] = PassiveGroupDriver(
-            self, group_name, servant_getter
-        )
-        return self._passive_drivers[group_name]
-
-    def mark_passive_source(self, group_name):
-        """Record that ``group_name`` is passively replicated system-wide."""
-        self._passive_sources.add(group_name)
+        A replica that starts from a checkpoint resumes the group's
+        operation counter (``op_counter``) so its outbound numbering
+        matches its peers'.
+        """
+        hosted = self._hosted.get(group_name)
+        if hosted is None:
+            hosted = self._hosted[group_name] = HostedGroup()
+            if group_name in self._passive_sources:
+                hosted.passive = PassiveGroupDriver(self, group_name, hosted.dup)
+            else:
+                hosted.voter = Voter(
+                    group_name,
+                    self.groups,
+                    self.endpoint.signing.digest_fn,
+                    obs=self._obs,
+                    proc_id=self.my_id,
+                )
+        hosted.active = True
+        if op_counter is not None:
+            self._op_counters[group_name] = op_counter
 
     def drop_replica(self, group_name):
-        self._local_groups.discard(group_name)
-        self._passive_drivers.pop(group_name, None)
+        hosted = self._hosted.get(group_name)
+        if hosted is not None:
+            hosted.active = False
 
     def hosts(self, group_name):
-        return group_name in self._local_groups
+        hosted = self._hosted.get(group_name)
+        return hosted is not None and hosted.active
 
     def on_exclusion(self, fn):
         self._exclusion_listeners.append(fn)
@@ -219,46 +241,51 @@ class ReplicationManager:
         multicast is deferred until :meth:`release_group`, keeping the
         migrating group's delivery pipeline drainable.
         """
-        self._held_groups.add(group_name)
-        self._held_buffers.setdefault(group_name, [])
+        self._held.setdefault(group_name, [])
 
     def release_group(self, group_name):
         """Release a hold and multicast the parked frames in order."""
-        self._held_groups.discard(group_name)
-        for key, target_group, encoded, response_expected in self._held_buffers.pop(
-            group_name, []
-        ):
+        for key, target_group, encoded, inflight in self._held.pop(group_name, []):
             # Marked at release: the intercepted->migration_held delta
             # prices the hold and is attributed to the migration cause.
             self._mark(key, "migration_held")
-            if response_expected:
-                self._pending_targets[key] = target_group
+            if inflight is not None:
+                inflight.target = target_group
             self.endpoint.multicast(target_group, encoded)
             self._mark(key, "multicast_queued")
 
     def pending_to(self, group_name):
-        """Two-way invocations in flight toward ``group_name`` from here."""
-        return sum(1 for g in self._pending_targets.values() if g == group_name)
+        """Two-way invocations multicast toward ``group_name`` from here
+        and not yet answered (parked frames are not pending), so a
+        migration coordinator can drain a group by watching this."""
+        return sum(1 for r in self._inflight.values() if r.target == group_name)
 
     def held_for(self, group_name):
         """Frames parked for ``group_name`` by a live-migration hold."""
-        return len(self._held_buffers.get(group_name, ()))
+        return len(self._held.get(group_name, ()))
 
     def capture_state(self, group_name):
-        """Checkpoint a locally hosted group (migration state transfer)."""
-        return self._capture_state(group_name)
+        """Checkpoint a locally hosted group (reallocation and migration
+        state transfer): its operation counter and servant state, or
+        None when no servant here exposes ``get_state``."""
+        servant = self.servant(group_name)
+        get_state = getattr(servant, "get_state", None)
+        if get_state is None:
+            return None
+        return STATE_CHECKPOINT.pack((self._op_counters.get(group_name, 0), get_state()))
 
-    def restore_op_counter(self, group_name, value):
-        """Install a transferred operation counter on an adopting host."""
-        self._op_counters[group_name] = max(
-            self._op_counters.get(group_name, 0), value
-        )
+    def servant(self, group_name):
+        """The servant active for ``group_name`` on this ORB, or None."""
+        skeleton = self._orb.adapter.skeleton(group_name.encode("utf-8"))
+        return None if skeleton is None else skeleton.servant
 
     def voter_for(self, group_name):
-        return self._voters.get(group_name)
+        hosted = self._hosted.get(group_name)
+        return None if hosted is None else hosted.voter
 
     def dup_filter_for(self, group_name):
-        return self._dup_filters.get(group_name)
+        hosted = self._hosted.get(group_name)
+        return None if hosted is None else hosted.dup
 
     def _mark(self, key, stage):
         """Mark a Figure-7 stage on the span (which marks the causal
@@ -289,8 +316,11 @@ class ReplicationManager:
         self.processor.charge(INTERCEPTION_COST, "rm.intercept")
         op_num = self._op_counters.get(source_group, 0)
         self._op_counters[source_group] = op_num + 1
+        inflight = None
         if message.response_expected:
-            self._reply_map[(source_group, op_num)] = message.request_id
+            inflight = self._inflight[(source_group, op_num)] = InFlight(
+                message.request_id
+            )
         normalised = RequestMessage(
             op_num,
             message.object_key,
@@ -324,18 +354,12 @@ class ReplicationManager:
                 encoded, (source_group, op_num), "req",
                 ("stage", "multicast_queued"),
             )
-        if reference.group_name in self._held_groups:
-            self._held_buffers[reference.group_name].append(
-                (
-                    (source_group, op_num),
-                    reference.group_name,
-                    encoded,
-                    message.response_expected,
-                )
-            )
+        held = self._held.get(reference.group_name)
+        if held is not None:
+            held.append(((source_group, op_num), reference.group_name, encoded, inflight))
             return
-        if message.response_expected:
-            self._pending_targets[(source_group, op_num)] = reference.group_name
+        if inflight is not None:
+            inflight.target = reference.group_name
         self.endpoint.multicast(reference.group_name, encoded)
         self._mark((source_group, op_num), "multicast_queued")
 
@@ -385,15 +409,19 @@ class ReplicationManager:
         if dest_group == BASE_GROUP:
             self._on_base_group(message)
             return
-        driver = self._passive_drivers.get(dest_group)
-        if driver is not None:
-            driver.on_message(message)
+        hosted = self._hosted.get(dest_group)
+        if hosted is None or not hosted.active:
+            # filtered: no replica of the target group here (a joining
+            # replica buffers the group's operations until its state)
+            join = self._joins.get(dest_group)
+            if join is not None and message.kind in (KIND_INVOCATION, KIND_RESPONSE):
+                join[1].append((sender_id, seq, dest_group, payload))
+            return
+        if hosted.passive is not None:
+            hosted.passive.on_message(message)
             return
         if message.kind not in (KIND_INVOCATION, KIND_RESPONSE):
             return
-        self._buffer_if_joining(sender_id, seq, dest_group, payload)
-        if dest_group not in self._local_groups:
-            return  # filtered: no replica of the target group here
         if message.kind == KIND_INVOCATION:
             self._mark((message.source_group, message.op_num), "ordered")
         else:
@@ -405,18 +433,17 @@ class ReplicationManager:
             # on — which is precisely why passive replication cannot
             # mask value faults (paper section 5).  With one sender by
             # design, its key is held for good.
-            self._deliver_without_voting(message, None)
+            self._deliver_without_voting(message, hosted.dup, None)
             return
         if self.voting_enabled:
-            self._vote_on_copy(message)
+            self._vote_on_copy(message, hosted.voter)
         else:
-            self._deliver_without_voting(message, self.groups)
+            self._deliver_without_voting(message, hosted.dup, self.groups)
 
     def _op_key(self, message):
         return (message.kind, message.source_group, message.target_group, message.op_num)
 
-    def _vote_on_copy(self, message):
-        voter = self._voters[message.target_group]
+    def _vote_on_copy(self, message, voter):
         outcome = voter.add_copy(
             message.source_group, self._op_key(message), message.replica_proc, message.body
         )
@@ -431,8 +458,7 @@ class ReplicationManager:
         elif isinstance(outcome, LateFault):
             self.publish_value_fault(message, outcome.vote_set)
 
-    def _deliver_without_voting(self, message, groups):
-        dup = self._dup_filters[message.target_group]
+    def _deliver_without_voting(self, message, dup, groups):
         if not dup.mark_delivered(
             self._op_key(message), message.source_group, message.replica_proc, groups
         ):
@@ -456,11 +482,8 @@ class ReplicationManager:
             return
         # A voted response: correlate back to this replica's original
         # GIOP request id before handing it to the ORB.
-        self._pending_targets.pop((message.target_group, message.op_num), None)
-        original_id = self._reply_map.pop(
-            (message.target_group, message.op_num), None
-        )
-        if original_id is None:
+        inflight = self._inflight.pop((message.target_group, message.op_num), None)
+        if inflight is None:
             return  # we never issued this invocation (or already replied)
         try:
             reply = decode_message_shared(body)
@@ -468,7 +491,7 @@ class ReplicationManager:
             return
         if not isinstance(reply, ReplyMessage):
             return
-        restored = ReplyMessage(original_id, reply.reply_status, reply.body).encode()
+        restored = ReplyMessage(inflight.request_id, reply.reply_status, reply.body).encode()
         self._mark((message.target_group, message.op_num), "reply_voted")
         self._orb.deliver_frame(restored, None)
 
@@ -535,10 +558,12 @@ class ReplicationManager:
                 fn(pid, affected)
         # Shrunken degrees may complete operations and unblock pending
         # votes.
-        for dup in self._dup_filters.values():
-            dup.recheck(self.groups)
-        for group_name in sorted(self._voters):
-            voter = self._voters[group_name]
+        for hosted in self._hosted.values():
+            hosted.dup.recheck(self.groups)
+        for group_name in sorted(self._hosted):
+            voter = self._hosted[group_name].voter
+            if voter is None:
+                continue
             for decision in voter.reconsider():
                 # The voter keys entries as (source group, manager op
                 # key); the inner key carries the frame coordinates.
@@ -557,26 +582,20 @@ class ReplicationManager:
     # correct processors")
     # ------------------------------------------------------------------
 
-    def request_join(self, group_name, factory_and_register):
+    def request_join(self, group_name, install):
         """Start joining ``group_name`` on this processor.
 
-        ``factory_and_register(state_bytes)`` must create the local
-        servant from the checkpointed state and activate it on the ORB;
-        the manager handles ordering: it buffers the group's operations
-        from the join marker onward and replays them once the state
-        checkpoint arrives.
+        ``install(state_bytes, op_counter)`` must create the local
+        servant from the checkpointed state and host it (the facade's
+        one install routine); the manager handles ordering: it buffers
+        the group's operations from the join marker onward and replays
+        them once the state checkpoint arrives.
         """
-        self._join_factories[group_name] = factory_and_register
-        self._join_buffers[group_name] = []
+        self._joins[group_name] = (install, [])
         marker = ImmuneMessage(
             KIND_STATE_TRANSFER, group_name, 0, self.my_id, BASE_GROUP, b"\x00"
         )
         self.endpoint.multicast(BASE_GROUP, marker.encode())
-
-    def _buffer_if_joining(self, sender_id, seq, dest_group, payload):
-        buffer = self._join_buffers.get(dest_group)
-        if buffer is not None and dest_group not in self._local_groups:
-            buffer.append((sender_id, seq, dest_group, payload))
 
     def _on_state_transfer(self, message):
         group_name = message.source_group
@@ -592,7 +611,7 @@ class ReplicationManager:
             return
         if self.my_id != members[0]:
             return  # the lowest surviving member is the donor
-        state = self._capture_state(group_name)
+        state = self.capture_state(group_name)
         if state is None:
             return
         checkpoint = ImmuneMessage(
@@ -604,16 +623,6 @@ class ReplicationManager:
             b"\x01" + state,
         )
         self.endpoint.multicast(BASE_GROUP, checkpoint.encode())
-
-    def _capture_state(self, group_name):
-        skeleton = self._orb.adapter.skeleton(group_name.encode("utf-8"))
-        if skeleton is None:
-            return None
-        servant = skeleton.servant
-        get_state = getattr(servant, "get_state", None)
-        if get_state is None:
-            return None
-        return STATE_CHECKPOINT.pack((self._op_counters.get(group_name, 0), get_state()))
 
     def _on_state_checkpoint(self, group_name, state, joiner):
         if joiner != self.my_id:
@@ -627,15 +636,13 @@ class ReplicationManager:
             # one is dropped, and the join waits for its donor's.
             self.stats["checkpoints_refused"] += 1
             return
-        factory = self._join_factories.pop(group_name, None)
-        if factory is None:
+        join = self._joins.pop(group_name, None)
+        if join is None:
             return
-        factory(servant_state)
-        self._op_counters[group_name] = op_counter
-        self.host_replica(group_name)
+        install, buffered = join
+        install(servant_state, op_counter)
         self.groups.add_replica(group_name, self.my_id)
         # Replay operations delivered between the marker and now.
-        buffered = self._join_buffers.pop(group_name, [])
         for args in buffered:
             self._on_deliver(*args)
         # Announce the join so every manager raises the group's degree.

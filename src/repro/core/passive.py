@@ -26,7 +26,6 @@ while passive delivers the corruption.
 from repro.core.identifiers import (
     ImmuneMessage,
     KIND_PASSIVE_UPDATE,
-    KIND_RESPONSE,
 )
 from repro.orb.cdr import MarshalError
 from repro.orb.giop import GiopError, RequestMessage, decode_message
@@ -38,19 +37,17 @@ CHECKPOINT_APPLY_COST = 25e-6
 class PassiveGroupDriver:
     """Passive-replication behaviour for one group, on one manager.
 
-    Installed by :meth:`ImmuneSystem.deploy_passive`; the Replication
-    Manager delegates the group's inbound traffic here instead of to a
-    voter.
+    Made by the Replication Manager when it hosts a group registered
+    as passive (:meth:`ImmuneSystem.deploy_passive`); the manager
+    delegates the group's inbound traffic here instead of to a voter.
     """
 
-    def __init__(self, manager, group_name, servant_getter):
+    def __init__(self, manager, group_name, dup):
         self.manager = manager
         self.group_name = group_name
-        #: returns the local servant instance (for checkpointing)
-        self._servant_getter = servant_getter
         #: the manager's filter for the group, so its exclusion sweep
         #: reaches this one too
-        self._dup = manager.dup_filter_for(group_name)
+        self._dup = dup
         self.stats = {
             "executed": 0,
             "checkpoints_sent": 0,
@@ -87,50 +84,40 @@ class PassiveGroupDriver:
         manager = self.manager
         self.stats["executed"] += 1
         manager.processor.charge(25e-6, "rm.passive")
-        if self.needs_checkpoint_for_oneway(message.body):
+        if _is_oneway(message.body):
             manager._orb.deliver_frame(message.body, None)
             # The dispatch is queued on the application lane; queue the
             # checkpoint right behind it so it captures the post-op state.
-            manager.processor.execute(
-                1e-6, self.checkpoint_after_oneway, category="rm.passive"
-            )
-        else:
-            manager._orb.deliver_frame(message.body, self._checkpointing_sink(message))
-
-    def _checkpointing_sink(self, message):
-        manager = self.manager
-        inner = manager._response_sink(
+            manager.processor.execute(1e-6, self.checkpoint, category="rm.passive")
+            return
+        respond = manager._response_sink(
             message.source_group, message.op_num, message.target_group
         )
 
-        def send_response_and_checkpoint(reply_frame):
-            inner(reply_frame)
-            state = self._capture_state()
-            if state is None:
-                return
-            self.stats["checkpoints_sent"] += 1
-            checkpoint = ImmuneMessage(
-                KIND_PASSIVE_UPDATE,
-                self.group_name,
-                message.op_num,
-                manager.my_id,
-                self.group_name,
-                state,
-            )
-            manager.endpoint.multicast(self.group_name, checkpoint.encode())
+        def respond_then_checkpoint(reply_frame):
+            respond(reply_frame)
+            self.checkpoint(message.op_num)
 
-        return send_response_and_checkpoint
+        manager._orb.deliver_frame(message.body, respond_then_checkpoint)
 
-    def _capture_state(self):
-        servant = self._servant_getter()
-        get_state = getattr(servant, "get_state", None)
-        return None if get_state is None else get_state()
+    def checkpoint(self, op_num=0):
+        """Multicast the servant's state to the group's backups."""
+        manager = self.manager
+        get_state = getattr(manager.servant(self.group_name), "get_state", None)
+        if get_state is None:
+            return
+        self.stats["checkpoints_sent"] += 1
+        checkpoint = ImmuneMessage(
+            KIND_PASSIVE_UPDATE, self.group_name, op_num, manager.my_id,
+            self.group_name, get_state(),
+        )
+        manager.endpoint.multicast(self.group_name, checkpoint.encode())
 
     def _apply_checkpoint(self, message):
         # The primary's own checkpoint echoes back; only backups apply.
         if message.replica_proc == self.manager.my_id:
             return
-        servant = self._servant_getter()
+        servant = self.manager.servant(self.group_name)
         set_state = getattr(servant, "set_state", None)
         if set_state is None:
             return
@@ -143,28 +130,11 @@ class PassiveGroupDriver:
             return
         self.stats["checkpoints_applied"] += 1
 
-    # ------------------------------------------------------------------
-    # oneway invocations need no response but still need checkpoints
-    # ------------------------------------------------------------------
 
-    def needs_checkpoint_for_oneway(self, body):
-        try:
-            request = decode_message(body)
-        except GiopError:
-            return False
-        return isinstance(request, RequestMessage) and not request.response_expected
-
-    def checkpoint_after_oneway(self):
-        state = self._capture_state()
-        if state is None:
-            return
-        self.stats["checkpoints_sent"] += 1
-        checkpoint = ImmuneMessage(
-            KIND_PASSIVE_UPDATE,
-            self.group_name,
-            0,
-            self.manager.my_id,
-            self.group_name,
-            state,
-        )
-        self.manager.endpoint.multicast(self.group_name, checkpoint.encode())
+def _is_oneway(body):
+    """A one-way request needs no response but still a checkpoint."""
+    try:
+        request = decode_message(body)
+    except GiopError:
+        return False
+    return isinstance(request, RequestMessage) and not request.response_expected

@@ -152,17 +152,17 @@ class SendOmissionTap:
 def crash_replica(immune, group_name, pid):
     """Crash a single replica (not its processor).
 
-    The servant is deactivated and the group's membership is updated so
-    every Replication Manager lowers the group's degree — the paper's
-    "use of replicas on other processors" recovery for replica crashes.
+    The replica is withdrawn (``immune.withdraw_replica``: servant
+    deactivated, group dropped, handle updated) and the group's
+    membership is updated so every Replication Manager lowers the
+    group's degree — the paper's "use of replicas on other processors"
+    recovery for replica crashes.
     """
     from repro.core.groups import GroupUpdate, UPDATE_REMOVE
     from repro.core.identifiers import BASE_GROUP, ImmuneMessage, KIND_GROUP_UPDATE
 
-    orb = immune.orbs[pid]
-    orb.adapter.deactivate(group_name)
+    immune.withdraw_replica(group_name, pid)
     manager = immune.managers[pid]
-    manager.drop_replica(group_name)
     update = GroupUpdate(UPDATE_REMOVE, group_name, pid)
     announce = ImmuneMessage(
         KIND_GROUP_UPDATE, group_name, 0, pid, BASE_GROUP, update.encode()

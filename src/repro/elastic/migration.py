@@ -190,7 +190,7 @@ class MigrationCoordinator:
         src_immune = cluster.rings[job.src_ring]
         dst_immune = cluster.rings[job.dst_ring]
         handle = src_immune.group(group_name)
-        degree = len(handle.replica_procs)
+        degree = len(cluster.placement.placements[group_name].procs)
         donor = next(
             (
                 pid

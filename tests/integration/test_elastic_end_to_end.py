@@ -19,6 +19,7 @@ simulated clusters:
 
 import pytest
 
+from repro.core.replica import crash_replica
 from repro.elastic import ElasticCluster, ElasticConfig, MigrationError
 from repro.multicast.config import MulticastConfig
 from repro.obs import Observability, SeriesSampler
@@ -227,6 +228,78 @@ def test_cutover_without_a_live_donor_fails_the_job_and_frees_the_cluster():
         stub.deposit(acct["id"], 5, reply_to=results.append)
     cluster.run(until=7.0)
     assert results == [105] * len(client.replica_procs)
+
+
+def _bank_with_an_account(seed=7):
+    """A one-ring elastic cluster with ``bank`` deployed, a three-replica
+    ``driver`` client, and one account of 100 opened by t=0.5."""
+    cluster, obs = build_cluster(seed=seed)
+    server = cluster.deploy(
+        "bank", BANK_IDL, lambda pid: BankServant(),
+        servant_from_state=BankServant.from_state,
+    )
+    client = cluster.deploy_client("driver")
+    cluster.start()
+    stubs = cluster.client_stubs(client, BANK_IDL, server)
+    acct = {}
+    for _pid, stub in stubs:
+        stub.open_account("alice", 100, reply_to=lambda v: acct.setdefault("id", v))
+    cluster.run(until=0.5)
+    return cluster, server, stubs, acct["id"]
+
+
+def _deposit(cluster, stubs, account, amount, until):
+    results = []
+    for _pid, stub in stubs:
+        stub.deposit(account, amount, reply_to=results.append)
+    cluster.run(until=until)
+    return results
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_a_migration_after_a_replica_crash_takes_state_from_a_live_replica(seed):
+    cluster, server, stubs, account = _bank_with_an_account(seed)
+    crashed = server.replica_procs[0]
+    stale = server.servants[crashed]
+    crash_replica(cluster.rings[0], "bank", crashed)
+    assert crashed not in server.replica_procs and crashed not in server.servants
+    assert _deposit(cluster, stubs, account, 5, until=1.0) == [105] * 3
+    assert stale.balance(account) == 100  # the crashed replica missed it
+
+    new_ring = cluster.add_ring()
+    records = []
+    cluster.migrate("bank", new_ring, done=records.append)
+    cluster.run(until=2.0)  # at the parent the cutover raised TypeError here
+
+    (record,) = records
+    assert "error" not in record and cluster.directory.home_ring("bank") == new_ring
+    # the degree the group was placed with, not what survived the crash
+    assert len(server.replica_procs) == 3
+    assert set(server.replica_procs) <= set(cluster.config.ring_pids(new_ring))
+    assert {s.balance(account) for s in server.servants.values()} == {105}
+    assert _deposit(cluster, stubs, account, 5, until=3.0) == [110] * 3
+
+
+def test_a_migration_withdraws_a_replica_that_joined_by_reallocation():
+    cluster, server, stubs, account = _bank_with_an_account()
+    ring0 = cluster.rings[0]
+    crash_replica(ring0, "bank", server.replica_procs[-1])
+    spare = min(set(cluster.config.ring_pids(0)) - set(server.replica_procs))
+    cluster.run(until=1.0)
+    ring0.reallocate("bank", spare, BankServant.from_state)
+    cluster.run(until=1.5)
+    joined = server.servants[spare]
+    assert ring0.managers[spare].hosts("bank")
+
+    cluster.migrate("bank", cluster.add_ring())
+    cluster.run(until=2.5)
+
+    assert not ring0.managers[spare].hosts("bank")
+    assert spare not in server.replica_procs
+    assert ring0.orbs[spare].adapter.skeleton(b"bank") is None
+    assert _deposit(cluster, stubs, account, 5, until=3.5) == [105] * 3
+    # at the parent the left-behind replica executed this deposit too
+    assert joined.balance(account) == 100
 
 
 # ----------------------------------------------------------------------

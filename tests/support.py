@@ -117,7 +117,9 @@ def retained_operations(deployment):
     def walk(node):
         if hasattr(node, "managers"):
             for manager in node.managers.values():
-                count(manager._voters.values(), manager._dup_filters.values())
+                hosted = manager._hosted.values()
+                count([h.voter for h in hosted if h.voter is not None],
+                      [h.dup for h in hosted])
             return
         children = node._children
         for child in children.values() if isinstance(children, dict) else children:

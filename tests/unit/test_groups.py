@@ -75,15 +75,6 @@ def test_remove_processor_hits_all_groups():
     assert table.members("c") == (0, 2)
 
 
-def test_change_listener_fires():
-    table = ObjectGroupTable()
-    events = []
-    table.on_change(lambda name, members: events.append((name, members)))
-    table.create("g", [0, 1])
-    table.remove_replica("g", 0)
-    assert events == [("g", (0, 1)), ("g", (1,))]
-
-
 def test_group_update_roundtrip_and_apply():
     table = ObjectGroupTable()
     table.create("g", [0])
@@ -110,17 +101,13 @@ def test_groups_hosted_by():
     assert table.groups_hosted_by(9) == []
 
 
-def test_replace_installs_atomically_with_one_notification():
+def test_replace_installs_a_sorted_placement_and_creates_or_refuses():
     table = ObjectGroupTable()
     table.create("g", [0, 1, 2])
-    seen = []
-    table.on_change(lambda name, members: seen.append((name, members)))
     table.replace("g", [5, 4, 3])
-    # listeners observe a single change straight to the final placement
-    assert seen == [("g", (3, 4, 5))]
     assert table.members("g") == (3, 4, 5)
-    table.replace("g", [3, 4, 5])  # unchanged placement: no notification
-    assert len(seen) == 1
+    table.replace("g", [3, 4, 5])  # an unchanged placement stays
+    assert table.members("g") == (3, 4, 5)
     table.replace("fresh", [7, 8])  # create-or-replace
     assert table.members("fresh") == (7, 8)
     with pytest.raises(GroupError):

@@ -87,16 +87,6 @@ def test_duplicate_filter_counts():
     assert len(dup) == 2
 
 
-def test_immune_message_template_encode_matches_generic():
-    """The template fast path is byte-identical to the generic encoder
-    for every (op_num, body) variation of a fixed routing key."""
-    for op_num in (0, 1, 42, 2**64 - 1):
-        for body in (b"", b"\x01", b"frame-bytes" * 9):
-            for kind in (KIND_INVOCATION, KIND_RESPONSE):
-                msg = ImmuneMessage(kind, "client", op_num, 3, "server", body)
-                assert msg.encode() == msg._encode()
-
-
 def test_immune_message_decode_shared_equals_plain_decode():
     """The fan-out memo shares one object whose fields are exactly what
     a per-receiver ``decode`` of the same bytes yields."""

@@ -104,6 +104,27 @@ def test_reply_correlated_back_to_original_request_id(world):
     assert orb.stats["replies_matched"] == 1
 
 
+def test_a_held_two_way_is_pending_from_its_release_to_its_voted_reply(world):
+    immune, server, client = world
+    stubs = dict(immune.client_stubs(client, PING_IDL, server))
+    callers = [immune.managers[pid] for pid in client.replica_procs]
+    for manager in callers:
+        manager.hold_group("ping")
+    results = []
+    stubs[2].ping(1, reply_to=results.append)
+    stubs[3].ping(1, reply_to=lambda _r: None)
+    immune.run(until=0.5)
+    manager = immune.managers[2]
+    # parked frames are not in flight: a drain does not wait on them
+    assert (manager.held_for("ping"), manager.pending_to("ping")) == (1, 0)
+    for each in callers:
+        each.release_group("ping")
+    assert (manager.held_for("ping"), manager.pending_to("ping")) == (0, 1)
+    immune.run(until=2.0)
+    assert manager.pending_to("ping") == 0
+    assert results == [2]
+
+
 def test_spoofed_replica_proc_is_dropped(world):
     immune, server, client = world
     manager = immune.managers[0]

@@ -114,13 +114,6 @@ def test_corrupted_frame_usually_fails_or_differs():
     assert decoded.payload != b"hello"
 
 
-def test_regular_message_template_encode_matches_generic():
-    for seq in (0, 1, 1000, 2**64 - 1):
-        for payload in (b"", b"\xab" * 64, b"odd\x00len\x01"):
-            msg = RegularMessage(2, 4, seq, "server", payload)
-            assert msg.encode() == msg._encode()
-
-
 def test_decode_frame_shared_equals_plain_decode():
     """The LAN-wide decode memo shares one object whose fields are
     exactly what a per-receiver ``decode_frame`` yields."""
