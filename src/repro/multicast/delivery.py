@@ -102,20 +102,33 @@ class VisitEvidence:
     """What one processor knows about one token visit.
 
     ``raw`` is the token bytes held for the visit, ``None`` while none
-    are; on a batch-signature ring ``digest`` and ``seq`` are theirs,
-    set exactly while they are held.  The rest is the authentication
-    horizon's, used on a batch ring only.  ``claims`` maps each
-    certificate signer to the digest it vouched; ``agreed`` is the
-    digest every claim shares, ``None`` while there is none or once two
-    disagree (a receipt never replaces a claim, so a disagreement lasts
-    until the record is swept).  ``variants`` are raw token variants
-    kept until a certificate arbitrates which bytes are genuine, and
-    ``certs`` the raw certificates whose span ends at this visit, keyed
-    ``(signer, first_visit, last_visit)``, kept for recovery and
-    duplicate suppression: they leave with the record.
+    are.  That is all a ring without batch signatures keeps: nothing
+    else reads a visit there, so its records have no other field.  On
+    a batch-signature ring each record is a :class:`BatchVisitEvidence`.
     """
 
-    __slots__ = ("raw", "digest", "seq", "claims", "agreed", "variants", "certs")
+    __slots__ = ("raw",)
+
+    def __init__(self):
+        self.raw = None
+
+
+class BatchVisitEvidence(VisitEvidence):
+    """What a processor of a batch-signature ring knows about one visit.
+
+    ``digest`` and ``seq`` are the held bytes', set exactly while they
+    are held.  The rest is the authentication horizon's.  ``claims``
+    maps each certificate signer to the digest it vouched; ``agreed`` is
+    the digest every claim shares, ``None`` while there is none or once
+    two disagree (a receipt never replaces a claim, so a disagreement
+    lasts until the record is swept).  ``variants`` are raw token
+    variants kept until a certificate arbitrates which bytes are
+    genuine, and ``certs`` the raw certificates whose span ends at this
+    visit, keyed ``(signer, first_visit, last_visit)``, kept for
+    recovery and duplicate suppression: they leave with the record.
+    """
+
+    __slots__ = ("digest", "seq", "claims", "agreed", "variants", "certs")
 
     def __init__(self):
         self.raw = None
@@ -163,6 +176,8 @@ class DeliveryProtocol:
         #: originated and no progress timeouts fire)
         self.circulating = False
         self.members = ()
+        #: who follows this processor in ``members``
+        self._successor = None
         self.ring_id = 0
         #: never deliver beyond this seq (None = unlimited); frozen at
         #: reconfiguration start and raised to the agreed cut so that
@@ -182,8 +197,9 @@ class DeliveryProtocol:
         self._send_queue = deque()
         #: seq -> :class:`SeqRecord`
         self._seqs = {}
-        #: visit -> :class:`VisitEvidence`
+        #: visit -> :class:`VisitEvidence`, of the kind ``_record`` makes
         self._visits = {}
+        self._record = BatchVisitEvidence if self._batch else VisitEvidence
         self._delivered_up_to = 0
         self._max_seq_seen = 0
         self._last_accepted = None
@@ -266,7 +282,7 @@ class DeliveryProtocol:
         self.active = True
         self.circulating = True
         self._ceiling = None
-        self.members = tuple(sorted(members))
+        index = self.install_members(members)
         self.ring_id = ring_id
         self._seqs.clear()
         self._visits.clear()
@@ -291,14 +307,21 @@ class DeliveryProtocol:
         # Stagger certification cadence around the ring so roughly
         # n / signature_batch_visits certificates land per rotation
         # instead of every holder certifying in the same rotation.
-        self._own_visits_since_cert = self.members.index(self.my_id) % max(
-            self.config.signature_batch_visits, 1
-        )
+        self._own_visits_since_cert = index % max(self.config.signature_batch_visits, 1)
         if self._forensics is not None:
             self._forensics.set_context(ring=ring_id, seq=start_seq)
         self._reset_progress_timer()
         if self.my_id == self.members[0]:
             self._schedule_origination("token.first")
+
+    def install_members(self, members):
+        """Adopt ``members`` (this processor among them) as the ring, in
+        ring order, and derive who follows this processor; returns its
+        place in the order."""
+        self.members = ordered = tuple(sorted(members))
+        index = ordered.index(self.my_id)
+        self._successor = ordered[(index + 1) % len(ordered)]
+        return index
 
     def suspend(self):
         """Pause token circulation (a membership change is in progress).
@@ -484,8 +507,11 @@ class DeliveryProtocol:
             if self._signatures:
                 self.detector.suspect(token.sender_id, "malformed_token")
             return
-        stored = self._held(token.visit)
-        if stored is not None:
+        # Off a batch ring a record always holds bytes (only batch code
+        # makes one without), so the record alone says whether any are.
+        evidence = self._visits.get(token.visit)
+        if evidence is not None:
+            stored = evidence.raw
             if stored == raw:
                 self._reset_progress_timer()  # a benign retransmission
                 return
@@ -627,7 +653,7 @@ class DeliveryProtocol:
         caller has lowered ``_history_low`` to ``visit`` if need be)."""
         evidence = self._visits.get(visit)
         if evidence is None:
-            evidence = self._visits[visit] = VisitEvidence()
+            evidence = self._visits[visit] = BatchVisitEvidence()
         return evidence
 
     def _held(self, visit):
@@ -648,7 +674,7 @@ class DeliveryProtocol:
         for visit, digest in enumerate(cert.digests, cert.first_visit):
             evidence = records.get(visit)
             if evidence is None:
-                evidence = records[visit] = VisitEvidence()
+                evidence = records[visit] = BatchVisitEvidence()
             claims = evidence.claims
             existing = claims.get(signer)
             if existing is not None:
@@ -834,18 +860,55 @@ class DeliveryProtocol:
         if visit < self._history_low:
             self._history_low = visit
         visits = self._visits
-        evidence = visits.get(visit) or visits.setdefault(visit, VisitEvidence())
+        evidence = visits.get(visit) or visits.setdefault(visit, self._record())
         evidence.raw = raw
         if self._batch:
             evidence.digest = self._digest_of(raw)
             evidence.seq = token.seq
         digests = token.message_digest_list
-        if not (self._digests and digests):
-            return
+        if digests and self._digests:
+            self._index_digests(token.sender_id, visit, digests, reindex)
+
+    def _hold_token(self, token, raw):
+        """Hold the new chain head ``token`` and sweep the visit that left
+        the history window: what :meth:`_harvest_token` followed by a
+        sweep of ``[low, visit - _TOKEN_HISTORY)`` did, in one step.
+
+        A chain head lies above the one before it, and the watermark
+        never above that one's floor, so holding it never lowers the
+        watermark: the sweep starts where an earlier harvest or
+        certificate left it.  A chain head is one visit past the last
+        one nearly always, so the window advances by one key: one pop.
+        """
+        visit = token.visit
+        visits = self._visits
+        evidence = visits.get(visit)
+        if evidence is None:
+            evidence = visits[visit] = self._record()
+        evidence.raw = raw
+        if self._batch:
+            evidence.digest = self._digest_of(raw)
+            evidence.seq = token.seq
+        digests = token.message_digest_list
+        if digests and self._digests:
+            self._index_digests(token.sender_id, visit, digests, True)
+        floor = visit - _TOKEN_HISTORY
+        low = self._history_low
+        if floor > low:
+            self._history_low = floor
+            # A certificate lives in the record of its span's last visit,
+            # so it is swept with that visit.
+            if floor == low + 1:
+                visits.pop(low, None)
+            else:
+                _drop_below(visits, low, floor)
+
+    def _index_digests(self, sender, visit, digests, reindex):
+        """Record that ``visit``'s token, held by ``sender``, vouches each
+        ``(seq, digest)`` of ``digests`` (a non-empty list)."""
         lowest = min(digests)[0]
         if lowest <= self._collected_up_to:
             self._collected_up_to = lowest - 1
-        sender = token.sender_id
         seqs = self._seqs
         for seq, digest in digests:
             record = seqs.get(seq) or seqs.setdefault(seq, SeqRecord())
@@ -954,28 +1017,43 @@ class DeliveryProtocol:
         self.detector.absolve(token.sender_id)
         self._last_accepted = token
         self._last_accepted_raw = raw
-        self._harvest_token(token, raw)
-        self._prune_token_history(token.visit)
-        if token.seq > self._max_seq_seen:
-            self._max_seq_seen = token.seq
+        self._hold_token(token, raw)
+        seq, aru, aru_id = token.seq, token.aru, token.aru_id
+        if seq > self._max_seq_seen:
+            self._max_seq_seen = seq
         self.stats["token_visits"] += 1
         if self._forensics is not None:
-            self._forensics.seq = token.seq
+            self._forensics.seq = seq
             self._forensics.record_fields("token_receive", token.sealed_summary())
         self._strikes = 0
         self._reset_progress_timer()
-        self._track_aru_stall(token)
-        if self._batch:
-            # A certificate may have vouched this visit before the
-            # token itself arrived (recovery reorders frames).
-            self._advance_authentication()
+        if aru_id == Token.NO_ARU_ID or aru_id == self.my_id or seq <= aru:
+            # Nobody pins the aru: no receive omission to suspect.
+            self._stall_key = None
+            self._stall_rotations = 0
+        else:
+            self._track_aru_stall(aru_id, aru)
         # _advance_delivery can reach the agreed cut of an ongoing
         # reconfiguration and reentrantly install a new ring (which
         # resets this protocol's state and re-enables circulation).
         # The origination check below must therefore re-validate that
         # *this* token's ring is still the current one.
-        self._advance_delivery()
-        self._collect_garbage(token.aru)
+        if self._batch:
+            # A certificate may have vouched this visit before the
+            # token itself arrived (recovery reorders frames).
+            self._advance_authentication()
+            self._advance_delivery()
+        elif token.message_digest_list:
+            # Exact: off a batch ring the scan reads the seq records,
+            # the delivered watermark and the ceiling.  Accepting a
+            # token writes only the seq records, and only through its
+            # digest list; every other writer of the three (on_regular,
+            # raise_ceiling, start_ring, a historical absorb,
+            # origination) runs the scan itself.  So with an empty list
+            # the scan would stop where it last stopped, with no
+            # delivery, no discard and no simulated digest charge.
+            self._advance_delivery()
+        self._collect_garbage(aru)
         if (
             token.ring_id == self.ring_id
             and token.successor == self.my_id
@@ -1062,14 +1140,21 @@ class DeliveryProtocol:
                 # (backpressure) rather than letting unauthenticated
                 # work grow without bound.
                 self._issue_certificate("backpressure")
-        rtr_in = set(previous.rtr_list) if previous is not None else set()
-        rtr_in |= self._pending_rtr
         self._outgoing_frames = []
-        rtg = self._service_retransmissions(rtr_in)
+        # An empty visit, the common one, asks for nothing, resends
+        # nothing and sends nothing: each step that would come to
+        # nothing is skipped.  ``rtr`` ends as what this token asks for.
+        if self._pending_rtr or (previous is not None and previous.rtr_list):
+            rtr = set(previous.rtr_list) if previous is not None else set()
+            rtr |= self._pending_rtr
+            rtg = self._service_retransmissions(rtr)
+            rtr.difference_update(rtg)
+        else:
+            rtr, rtg = set(), []
         # What this visit sequences is held whole, so it is never a gap.
-        my_gaps = self._missing_seqs()
-        digest_list = self._send_new_messages()
-        rtr_out = sorted((rtr_in - set(rtg)) | my_gaps)
+        if self._delivered_up_to < self._max_seq_seen:
+            rtr |= self._missing_seqs()
+        digest_list = self._send_new_messages() if self._send_queue else []
         aru, aru_id = self._update_aru(previous)
         token = Token(
             sender_id=self.my_id,
@@ -1078,8 +1163,8 @@ class DeliveryProtocol:
             seq=self._max_seq_seen,
             aru=aru,
             aru_id=aru_id,
-            successor=self._successor_of(self.my_id),
-            rtr_list=rtr_out,
+            successor=self._successor,
+            rtr_list=sorted(rtr),
             rtg_list=sorted(rtg),
             message_digest_list=digest_list,
             prev_token_digest=(
@@ -1108,12 +1193,11 @@ class DeliveryProtocol:
         # Treat our own token as accepted so the chain continues from it.
         self._last_accepted = token
         self._last_accepted_raw = raw
-        self._harvest_token(token, raw)
+        self._hold_token(token, raw)
         if self._tracer is not None and digest_list:
             summary = token.trace_summary()
             for seq, _ in digest_list:
                 self._tracer.token_covered(seq, summary, self._batch)
-        self._prune_token_history(token.visit)
         self.stats["token_visits"] += 1
         # Originating is this processor's turn in the rotation: the
         # per-processor origination count *is* its rotation count.
@@ -1246,25 +1330,19 @@ class DeliveryProtocol:
             return coverage, Token.NO_ARU_ID
         return aru, aru_id
 
-    def _track_aru_stall(self, token):
-        """Suspect a processor whose aru pins the ring (receive omission)."""
-        if token.aru_id in (Token.NO_ARU_ID, self.my_id) or token.seq <= token.aru:
-            self._stall_key = None
-            self._stall_rotations = 0
-            return
-        key = (token.aru_id, token.aru)
+    def _track_aru_stall(self, aru_id, aru):
+        """Suspect a processor whose aru pins the ring (receive omission):
+        a token names ``aru_id`` as holding the aru at ``aru``, below its
+        seq."""
+        key = (aru_id, aru)
         if key == self._stall_key:
             self._stall_rotations += 1
             window = self.config.aru_stall_rotations * max(len(self.members), 1)
             if self._stall_rotations >= window:
-                self.detector.suspect(token.aru_id, "fail_to_ack")
+                self.detector.suspect(aru_id, "fail_to_ack")
         else:
             self._stall_key = key
             self._stall_rotations = 1
-
-    def _successor_of(self, proc_id):
-        index = self.members.index(proc_id)
-        return self.members[(index + 1) % len(self.members)]
 
     # ------------------------------------------------------------------
     # delivery
@@ -1417,16 +1495,6 @@ class DeliveryProtocol:
             return
         self._collected_up_to = bound
         _drop_below(self._seqs, low + 1, bound + 1)
-
-    def _prune_token_history(self, newest_visit):
-        floor = newest_visit - _TOKEN_HISTORY
-        low = self._history_low
-        if floor <= low:
-            return
-        self._history_low = floor
-        # A certificate lives in the record of its span's last visit, so
-        # it is swept with that visit.
-        _drop_below(self._visits, low, floor)
 
     def _rebroadcast_evidence(self, visit):
         raw = self._held(visit)

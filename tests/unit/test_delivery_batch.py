@@ -61,7 +61,7 @@ class BatchHarness:
         )
         self.protocol.active = True
         self.protocol.circulating = False  # drive by hand; no timers
-        self.protocol.members = tuple(sorted(members))
+        self.protocol.install_members(members)
         self.protocol.ring_id = 1
         self.protocol._recent_arus = deque(maxlen=len(members))
 

@@ -59,7 +59,7 @@ class Harness:
         )
         self.protocol.active = True
         self.protocol.circulating = False  # drive by hand; no timers
-        self.protocol.members = tuple(sorted(members))
+        self.protocol.install_members(members)
         self.protocol.ring_id = 1
         from collections import deque
 
